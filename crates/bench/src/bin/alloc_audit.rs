@@ -1,19 +1,20 @@
 //! Audits heap allocations on the steady-state inference paths.
 //!
-//! The plan/batch runtimes advertise a zero-allocation steady state: once
-//! a runtime's workspaces are warm, re-running the same plan must not
-//! touch the heap (the fused gate slabs, hidden-state double buffers and
-//! mask scratch are all recycled). This binary *proves* it with a counting
-//! global allocator: each audited path is warmed up, then run repeatedly
-//! while the allocation counter is watched.
+//! The plan runtime advertises a zero-allocation steady state: once its
+//! workspaces are warm, re-running the same plan must not touch the heap
+//! (the fused gate slabs, hidden-state double buffers and mask scratch
+//! are all recycled). This binary *proves* it with a counting global
+//! allocator: each audited path is warmed up, then run repeatedly while
+//! the allocation counter is watched.
 //!
 //! Audited paths:
-//! * `baseline` — the cuDNN-style LSTM plan through [`PlanRuntime`];
+//! * `baseline` — the cuDNN-style LSTM plan through [`PlanRuntime`] as a
+//!   batch of one;
 //! * `combined_drs` — tissues + Dynamic Row Skip (the paper's combined
 //!   scheme), exercising the masked-kernel and tissue-slot scratch;
 //! * `gru_baseline` — the three-gate GRU plan;
-//! * `batch8_serve` — eight sequences in lockstep through
-//!   [`BatchRuntime`], the serve engine's gang path.
+//! * `batch8_serve` — eight sequences in lockstep through the same
+//!   runtime, the serve engine's gang path.
 //!
 //! Results go to `BENCH_alloc.json` at the repo root. With `--check` the
 //! process instead exits non-zero if any steady-state run allocates —
@@ -22,7 +23,6 @@
 //! Built behind the `alloc_audit` feature so the counting allocator never
 //! rides along in ordinary benchmark builds.
 
-use lstm::batch::BatchRuntime;
 use lstm::plan::{ExecutionPlan, NullSink, PlanOutput, PlanRuntime};
 use lstm::{gru_exec::GruNetwork, LstmNetwork, ModelConfig};
 use memlstm::drs::{DrsConfig, DrsMode};
@@ -158,7 +158,7 @@ fn main() {
 
     {
         let plan = ExecutionPlan::compile_baseline(&net, xs.len(), &device);
-        let mut runtime = BatchRuntime::new();
+        let mut runtime = PlanRuntime::new();
         let mut outs = Vec::new();
         audits.push(audit("batch8_serve", xs.len(), || {
             runtime.run_lstm_batch_into(&plan, &net, &seqs, &mut NullSink, &mut outs);

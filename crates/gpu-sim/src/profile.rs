@@ -752,6 +752,7 @@ impl Json {
 }
 
 struct JsonParser<'a> {
+    text: &'a str,
     bytes: &'a [u8],
     pos: usize,
 }
@@ -759,6 +760,7 @@ struct JsonParser<'a> {
 impl<'a> JsonParser<'a> {
     fn new(text: &'a str) -> Self {
         Self {
+            text,
             bytes: text.as_bytes(),
             pos: 0,
         }
@@ -872,10 +874,14 @@ impl<'a> JsonParser<'a> {
                     self.pos += 1;
                 }
                 Some(_) => {
-                    // Consume one UTF-8 character.
-                    let rest = std::str::from_utf8(&self.bytes[self.pos..])
-                        .map_err(|_| self.fail("invalid UTF-8"))?;
-                    let c = rest.chars().next().unwrap();
+                    // Consume one character, decoded in place: the input
+                    // is already a `&str`, and every token boundary the
+                    // parser stops at is a character boundary.
+                    let c = self
+                        .text
+                        .get(self.pos..)
+                        .and_then(|rest| rest.chars().next())
+                        .ok_or_else(|| self.fail("invalid UTF-8"))?;
                     if (c as u32) < 0x20 {
                         return Err(self.fail("unescaped control character"));
                     }
@@ -1119,6 +1125,32 @@ mod tests {
         assert!(json.contains("\"batch\":4,\"cap\":8"), "{json}");
         // Non-finite inputs are clamped so the JSON stays parseable.
         assert!(json.contains("\"v\":0"), "{json}");
+    }
+
+    #[test]
+    fn large_trace_validates_in_linear_time() {
+        // 20k spans with long, escaped, multi-byte labels: string parsing
+        // must not rescan the rest of the document per character.
+        let mut trace = ChromeTrace::new();
+        trace.add_process_name(0, "device");
+        for i in 0..20_000u32 {
+            trace.add_span(
+                0,
+                i % 4,
+                &format!("Sgemm(U_fic,H,R) l{} t{i} \"xB8\" — μ", i % 3),
+                "tissue",
+                f64::from(i),
+                1.5,
+                &[("batch", ArgValue::Int(8))],
+            );
+        }
+        let json = trace.to_json();
+        assert!(
+            json.len() > 2_000_000,
+            "trace too small: {} bytes",
+            json.len()
+        );
+        assert_eq!(validate_chrome_trace(&json), Ok(20_001));
     }
 
     #[test]

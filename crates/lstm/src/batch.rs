@@ -1,4 +1,5 @@
-//! Cross-request batched plan execution.
+//! Lane-generic LSTM plan execution: the one interpreter behind solo
+//! runs, serving gangs, and plan-compile probes.
 //!
 //! The paper's diagnosis (Fig. 4/6) is that mobile-GPU LSTM inference is
 //! DRAM-bound on *weight* reloads; tissues and Dynamic Row Skip attack
@@ -8,43 +9,37 @@
 //! serves B hidden vectors (cf. Appleyard et al.'s batched RNN kernels
 //! and E-PUR's weight-reuse argument).
 //!
-//! [`BatchRuntime`] executes one compiled [`ExecutionPlan`] on B
-//! sequences at once. The numeric path calls exactly the same
-//! per-sequence functions in the same per-sequence order as
-//! [`PlanRuntime`](crate::plan::PlanRuntime) — sequences are independent,
-//! so interchanging the timestep and sequence loops cannot change any
-//! value — which makes every per-sequence output **bit-identical** to
-//! running that sequence alone. Batching changes only the emitted kernel
-//! stream: one batched kernel per planned kernel, priced by
-//! [`batch_kernel`] with amortized weight traffic.
+//! [`PlanRuntime`] executes one compiled [`ExecutionPlan`] on B sequences
+//! ("lanes") at once, and a solo run is the batch of one. Sequences are
+//! independent, so interchanging the timestep and lane loops cannot
+//! change any value: every lane's output is **bit-identical** to running
+//! that sequence alone. Batching changes only the emitted kernel stream —
+//! one batched kernel per planned kernel, priced by [`batch_kernel_into`]
+//! with amortized weight traffic. A single lane emits the planned
+//! descriptors as they are.
 
 use crate::cell::{CellWeights, GatePreacts};
 use crate::drs::{skip_fraction, trivial_row_mask_into};
 use crate::network::LstmNetwork;
 use crate::plan::{
-    ExecutionPlan, KernelSink, LayerBody, PlanBody, PlanOutput, PrevSource, SkipStats,
-    TissueKernels,
+    ExecutionPlan, KernelSink, LayerBody, MaskedUKernel, NullSink, PlanBody, PlanOutput,
+    PlanRuntime, PrevSource, SkipStats, TissueKernels, TissuePlan,
 };
-use crate::regions::NetworkRegions;
-use crate::workspace::Workspace;
+use crate::regions::{NetworkRegions, RegionAllocator};
+use crate::workspace::{SharedScratch, Workspace};
 use gpu_sim::{KernelDesc, KernelKind, SpanTag};
 use std::fmt::Write as _;
-use std::mem;
+use std::{mem, slice};
 use tensor::{Precision, Vector};
 
-/// Derives the batched form of a planned kernel serving `batch`
-/// concurrent sequences.
-///
-/// Allocating convenience wrapper over [`batch_kernel_into`].
-pub fn batch_kernel(desc: &KernelDesc, batch: usize, regions: &NetworkRegions) -> KernelDesc {
-    let mut out = KernelDesc::builder(String::new(), KernelKind::Other).build();
-    batch_kernel_into(desc, batch, regions, &mut out);
-    out
-}
+/// The batched runtime's name from before solo and batched execution
+/// merged into [`PlanRuntime`]; kept so code written against
+/// `lstm::batch::BatchRuntime` (the `e2ebench` harness) still builds.
+pub type BatchRuntime = PlanRuntime;
 
-/// Writes the batched form of a planned kernel into a recycled
-/// descriptor — the zero-allocation form for steady-state serving loops
-/// (the label and access-list buffers of `out` are reused).
+/// Writes the batched form of a planned kernel serving `batch`
+/// concurrent sequences into a recycled descriptor (the label and
+/// access-list buffers of `out` are reused).
 ///
 /// Compute, transient traffic, and thread counts scale with the batch;
 /// reads of persistent weight regions (per [`NetworkRegions::is_weight`])
@@ -93,55 +88,110 @@ fn push_batch_suffix(label: &mut String, batch: usize) {
     let _ = write!(label, " xB{batch}");
 }
 
-/// Tags a span with the batch size when there is an actual batch.
-fn tag_b(tag: SpanTag, batch: usize) -> SpanTag {
-    if batch > 1 {
-        tag.with_batch(batch)
-    } else {
-        tag
+/// The kernel side of a B-lane run: forwards every planned kernel to the
+/// caller's sink in its batched form, with batch-tagged spans. One lane
+/// forwards the planned descriptors themselves, uncopied.
+struct LaneSink<'a, K> {
+    inner: &'a mut K,
+    lanes: usize,
+    regions: &'a NetworkRegions,
+    batched: &'a mut KernelDesc,
+    union: &'a mut Vec<bool>,
+    masked: &'a mut KernelDesc,
+}
+
+impl<'a, K: KernelSink> LaneSink<'a, K> {
+    /// Borrows the descriptor scratch out of `shared`, handing back the
+    /// lane-major mask list the layer bodies fill.
+    fn new(
+        inner: &'a mut K,
+        lanes: usize,
+        regions: &'a NetworkRegions,
+        shared: &'a mut SharedScratch,
+    ) -> (Self, &'a mut Vec<Vec<bool>>) {
+        let SharedScratch {
+            all_masks,
+            union_mask,
+            masked_desc,
+            batched,
+        } = shared;
+        let sink = Self {
+            inner,
+            lanes,
+            regions,
+            batched,
+            union: union_mask,
+            masked: masked_desc,
+        };
+        (sink, all_masks)
     }
-}
 
-/// The batched runtime's shared (cross-sequence) recycled scratch: the
-/// concatenated mask list a batched masked kernel prices over and the
-/// descriptors the batched kernels are written into.
-#[derive(Debug)]
-struct SharedScratch {
-    all_masks: Vec<Vec<bool>>,
-    union_mask: Vec<bool>,
-    masked_desc: KernelDesc,
-    batched: KernelDesc,
-}
+    fn tag(&mut self, tag: SpanTag) {
+        let tag = if self.lanes > 1 {
+            tag.with_batch(self.lanes)
+        } else {
+            tag
+        };
+        self.inner.tag(tag);
+    }
 
-impl Default for SharedScratch {
-    fn default() -> Self {
-        Self {
-            all_masks: Vec::new(),
-            union_mask: Vec::new(),
-            masked_desc: KernelDesc::builder(String::new(), KernelKind::Other).build(),
-            batched: KernelDesc::builder(String::new(), KernelKind::Other).build(),
+    fn emit(&mut self, planned: &KernelDesc) {
+        if self.lanes == 1 {
+            self.inner.emit(planned);
+        } else {
+            batch_kernel_into(planned, self.lanes, self.regions, self.batched);
+            self.inner.emit(self.batched);
         }
     }
+
+    /// Prices `template` over every lane's masks (lane-major) and emits it.
+    fn emit_masked(&mut self, template: &MaskedUKernel, masks: &[Vec<bool>]) {
+        template.instantiate_into(masks, self.lanes, self.union, self.masked);
+        if self.lanes > 1 {
+            push_batch_suffix(&mut self.masked.label, self.lanes);
+        }
+        self.inner.emit(self.masked);
+    }
 }
 
-/// Executes [`ExecutionPlan`]s over a batch of sequences in lockstep.
-///
-/// Like [`PlanRuntime`](crate::plan::PlanRuntime) it owns its transient
-/// state — one [`Workspace`] per sequence plus the shared batched-kernel
-/// scratch — and reuses every buffer across executions, so a warm
-/// serving loop performs zero heap allocations per steady-state
-/// timestep.
-#[derive(Debug, Default)]
-pub struct BatchRuntime {
-    wx: Vec<Vec<GatePreacts>>,
-    ws: Vec<Workspace>,
-    shared: SharedScratch,
-}
+impl PlanRuntime {
+    /// Executes an LSTM plan on `xs`, streaming kernels into `sink`.
+    ///
+    /// Allocating convenience wrapper over
+    /// [`run_lstm_into`](Self::run_lstm_into).
+    ///
+    /// # Panics
+    /// Panics if `xs` is empty, if its length differs from the plan's
+    /// compiled sequence length, or if the plan was compiled for a GRU
+    /// network or a different layer count.
+    pub fn run_lstm(
+        &mut self,
+        plan: &ExecutionPlan,
+        net: &LstmNetwork,
+        xs: &[Vector],
+        sink: &mut impl KernelSink,
+    ) -> PlanOutput {
+        let mut out = PlanOutput::new();
+        self.run_lstm_into(plan, net, xs, sink, &mut out);
+        out
+    }
 
-impl BatchRuntime {
-    /// Creates a runtime with empty scratch buffers.
-    pub fn new() -> Self {
-        Self::default()
+    /// [`run_lstm`](Self::run_lstm) into a recycled [`PlanOutput`]: the
+    /// batch of one. The per-layer hidden sequences, logits, and skip
+    /// statistics are overwritten in place, reusing their buffers, and
+    /// the planned kernels stream into `sink` as they are.
+    ///
+    /// # Panics
+    /// As [`run_lstm`](Self::run_lstm).
+    pub fn run_lstm_into(
+        &mut self,
+        plan: &ExecutionPlan,
+        net: &LstmNetwork,
+        xs: &[Vector],
+        sink: &mut impl KernelSink,
+        out: &mut PlanOutput,
+    ) {
+        self.run_lstm_lanes(plan, net, slice::from_ref(&xs), sink, slice::from_mut(out));
     }
 
     /// Executes an LSTM plan on every sequence of `seqs` in lockstep,
@@ -154,11 +204,11 @@ impl BatchRuntime {
     /// Panics if `seqs` is empty, if any sequence is empty or differs
     /// from the plan's compiled length, or if the plan was compiled for a
     /// GRU network or a different layer count.
-    pub fn run_lstm_batch(
+    pub fn run_lstm_batch<S: AsRef<[Vector]>>(
         &mut self,
         plan: &ExecutionPlan,
         net: &LstmNetwork,
-        seqs: &[Vec<Vector>],
+        seqs: &[S],
         sink: &mut impl KernelSink,
     ) -> Vec<PlanOutput> {
         let mut outs = Vec::new();
@@ -168,37 +218,81 @@ impl BatchRuntime {
 
     /// [`run_lstm_batch`](Self::run_lstm_batch) into a recycled output
     /// vector (resized to the batch, buffers reused). Output `i` is
-    /// bit-identical to `PlanRuntime::run_lstm(plan, net, &seqs[i], ..)`.
+    /// bit-identical to `run_lstm(plan, net, seqs[i], ..)`.
     ///
     /// # Panics
     /// As [`run_lstm_batch`](Self::run_lstm_batch).
-    pub fn run_lstm_batch_into(
+    pub fn run_lstm_batch_into<S: AsRef<[Vector]>>(
         &mut self,
         plan: &ExecutionPlan,
         net: &LstmNetwork,
-        seqs: &[Vec<Vector>],
+        seqs: &[S],
         sink: &mut impl KernelSink,
         outs: &mut Vec<PlanOutput>,
     ) {
-        assert!(
-            !seqs.is_empty(),
-            "BatchRuntime::run_lstm_batch: empty batch"
+        assert!(!seqs.is_empty(), "PlanRuntime::run_lstm_batch: empty batch");
+        outs.resize_with(seqs.len(), PlanOutput::new);
+        self.run_lstm_lanes(plan, net, seqs, sink, outs);
+    }
+
+    /// Executes one planned LSTM layer body on one sequence *numerically
+    /// only* — no kernels, no skip accounting — with the gate packs
+    /// stored at `precision`. Plan compilers use this to advance their
+    /// probe sequences through already-planned layers with the exact
+    /// arithmetic the runtime will use (`wx` must come from
+    /// [`CellWeights::precompute_wx_batch_into_at`] at the same tier).
+    pub fn layer_numerics(
+        &mut self,
+        precision: Precision,
+        body: &LayerBody,
+        weights: &CellWeights,
+        wx: &[GatePreacts],
+    ) -> Vec<Vector> {
+        self.reserve_lanes(1);
+        let mut out = PlanOutput {
+            layer_hs: vec![Vec::new()],
+            layer_skips: vec![SkipStats::default()],
+            ..PlanOutput::new()
+        };
+        // One lane never batches, so the regions are never consulted.
+        let regions = NetworkRegions::allocate(&mut RegionAllocator::new(), 0);
+        let mut null = NullSink;
+        let (mut sink, all_masks) = LaneSink::new(&mut null, 1, &regions, &mut self.shared);
+        execute_lstm_body_into(
+            0,
+            precision,
+            body,
+            weights,
+            slice::from_ref(&wx),
+            &mut self.ws[..1],
+            all_masks,
+            &mut sink,
+            slice::from_mut(&mut out),
         );
+        mem::take(&mut out.layer_hs[0])
+    }
+
+    /// The shared run loop: one lane per sequence, `outs[i]` receiving
+    /// sequence `i`'s results.
+    fn run_lstm_lanes<S: AsRef<[Vector]>>(
+        &mut self,
+        plan: &ExecutionPlan,
+        net: &LstmNetwork,
+        seqs: &[S],
+        sink: &mut impl KernelSink,
+        outs: &mut [PlanOutput],
+    ) {
         for (i, xs) in seqs.iter().enumerate() {
-            assert!(
-                !xs.is_empty(),
-                "BatchRuntime::run_lstm_batch: empty input (sequence {i})"
-            );
+            let len = xs.as_ref().len();
+            assert!(len > 0, "PlanRuntime: empty input (sequence {i})");
             assert_eq!(
-                xs.len(),
-                plan.seq_len,
-                "plan compiled for sequence length {}, got {} (sequence {i})",
-                plan.seq_len,
-                xs.len()
+                len, plan.seq_len,
+                "plan compiled for sequence length {}, got {len} (sequence {i})",
+                plan.seq_len
             );
         }
         let PlanBody::Lstm(layer_plans) = &plan.body else {
-            panic!("BatchRuntime::run_lstm_batch: plan was compiled for a GRU network");
+            panic!("PlanRuntime::run_lstm: plan was compiled for a GRU network");
         };
         assert_eq!(
             layer_plans.len(),
@@ -206,49 +300,44 @@ impl BatchRuntime {
             "plan/network layer count mismatch"
         );
         let b = seqs.len();
-
-        let Self { wx, ws, shared } = self;
-        outs.resize_with(b, PlanOutput::new);
-        wx.resize_with(b, Vec::new);
-        ws.resize_with(b, Workspace::new);
+        self.reserve_lanes(b);
         for out in outs.iter_mut() {
             out.layer_hs.resize_with(layer_plans.len(), Vec::new);
             out.layer_skips.clear();
             out.layer_skips
                 .resize(layer_plans.len(), SkipStats::default());
         }
+        let (wx, ws) = (&mut self.wx[..b], &mut self.ws[..b]);
+        let (mut sink, all_masks) = LaneSink::new(sink, b, &plan.regions, &mut self.shared);
         for (l, (lp, layer)) in layer_plans.iter().zip(net.layers()).enumerate() {
-            sink.begin_layer(l);
-            sink.tag(tag_b(SpanTag::wx(l), b));
-            batch_kernel_into(&lp.wx, b, &plan.regions, &mut shared.batched);
-            sink.emit(&shared.batched);
-            for s in 0..b {
+            sink.inner.begin_layer(l);
+            sink.tag(SpanTag::wx(l));
+            sink.emit(&lp.wx);
+            for (s, wx_s) in wx.iter_mut().enumerate() {
                 let current: &[Vector] = if l == 0 {
-                    &seqs[s]
+                    seqs[s].as_ref()
                 } else {
                     &outs[s].layer_hs[l - 1]
                 };
                 layer
                     .weights()
-                    .precompute_wx_batch_into_at(plan.precision, current, &mut wx[s]);
+                    .precompute_wx_batch_into_at(plan.precision, current, wx_s);
             }
-            Self::execute_lstm_body_into(
+            execute_lstm_body_into(
                 l,
                 plan.precision,
                 &lp.body,
                 layer.weights(),
                 wx,
-                &plan.regions,
                 ws,
-                shared,
-                sink,
+                all_masks,
+                &mut sink,
                 outs,
             );
         }
-        sink.begin_tail();
-        sink.tag(tag_b(SpanTag::head(), b));
-        batch_kernel_into(&plan.head, b, &plan.regions, &mut shared.batched);
-        sink.emit(&shared.batched);
+        sink.inner.begin_tail();
+        sink.tag(SpanTag::head());
+        sink.emit(&plan.head);
         for out in outs.iter_mut() {
             let h_final = out
                 .layer_hs
@@ -258,360 +347,275 @@ impl BatchRuntime {
             net.apply_head_into(h_final, &mut out.logits);
         }
     }
+}
 
-    /// Executes one layer body for every sequence, emitting batched
-    /// kernels. Per-sequence arithmetic mirrors
-    /// `PlanRuntime::execute_lstm_body_into` call for call — sequences
-    /// are independent, so the interchanged loops produce bit-identical
-    /// per-sequence values. Hidden outputs land in
-    /// `outs[s].layer_hs[layer]`, skip statistics in
-    /// `outs[s].layer_skips[layer]`.
-    #[allow(clippy::too_many_arguments)] // internal: the runtime split needs each piece
-    fn execute_lstm_body_into(
-        layer: usize,
-        precision: Precision,
-        body: &LayerBody,
-        weights: &CellWeights,
-        wx: &[Vec<GatePreacts>],
-        regions: &NetworkRegions,
-        ws: &mut [Workspace],
-        shared: &mut SharedScratch,
-        sink: &mut impl KernelSink,
-        outs: &mut [PlanOutput],
-    ) {
-        let hidden = weights.hidden();
-        let b = wx.len();
-        match body {
-            LayerBody::Baseline { cells } => {
-                for wx_s in wx {
-                    assert_eq!(cells.len(), wx_s.len(), "plan/input length mismatch");
-                }
+/// Executes one layer body for every lane, emitting one (batched) kernel
+/// per planned kernel. Lane `s` reads `wx[s]` and works in `ws[s]`; its
+/// hidden outputs land in `outs[s].layer_hs[layer]`, its skip statistics
+/// in `outs[s].layer_skips[layer]`.
+#[allow(clippy::too_many_arguments)] // internal: the runtime split needs each piece
+fn execute_lstm_body_into<W: AsRef<[GatePreacts]>, K: KernelSink>(
+    layer: usize,
+    precision: Precision,
+    body: &LayerBody,
+    weights: &CellWeights,
+    wx: &[W],
+    ws: &mut [Workspace],
+    all_masks: &mut Vec<Vec<bool>>,
+    sink: &mut LaneSink<'_, K>,
+    outs: &mut [PlanOutput],
+) {
+    let hidden = weights.hidden();
+    let b = wx.len();
+    let n = wx[0].as_ref().len();
+    for (s, w) in ws.iter_mut().enumerate() {
+        assert_eq!(wx[s].as_ref().len(), n, "lane length mismatch");
+        // The sequential flows start every lane from the zero state.
+        w.h.resize_fill(hidden, 0.0);
+        w.c.resize_fill(hidden, 0.0);
+        outs[s].layer_hs[layer].resize_with(n, || Vector::zeros(0));
+    }
+    match body {
+        LayerBody::Baseline { cells } => {
+            assert_eq!(cells.len(), n, "plan/input length mismatch");
+            for (t, cell) in cells.iter().enumerate() {
+                sink.tag(SpanTag::cells(layer, t));
+                sink.emit(&cell.sgemv);
                 for s in 0..b {
-                    ws[s].h.resize_fill(hidden, 0.0);
-                    ws[s].c.resize_fill(hidden, 0.0);
-                    outs[s].layer_hs[layer].resize_with(cells.len(), || Vector::zeros(0));
-                }
-                for (t, cell) in cells.iter().enumerate() {
-                    sink.tag(tag_b(SpanTag::cells(layer, t), b));
-                    batch_kernel_into(&cell.sgemv, b, regions, &mut shared.batched);
-                    sink.emit(&shared.batched);
-                    for s in 0..b {
-                        let w = &mut ws[s];
-                        weights.step_fused_into_at(
-                            precision,
-                            &wx[s][t],
-                            &w.h,
-                            &w.c,
-                            &mut w.cell,
-                            &mut w.h_next,
-                            &mut w.c_next,
-                        );
-                        mem::swap(&mut w.h, &mut w.h_next);
-                        mem::swap(&mut w.c, &mut w.c_next);
-                        outs[s].layer_hs[layer][t].clone_from(&w.h);
-                    }
-                    batch_kernel_into(&cell.ew, b, regions, &mut shared.batched);
-                    sink.emit(&shared.batched);
-                }
-            }
-            LayerBody::Drs { alpha_intra, cells } => {
-                for wx_s in wx {
-                    assert_eq!(cells.len(), wx_s.len(), "plan/input length mismatch");
-                }
-                for s in 0..b {
-                    ws[s].h.resize_fill(hidden, 0.0);
-                    ws[s].c.resize_fill(hidden, 0.0);
-                    outs[s].layer_hs[layer].resize_with(cells.len(), || Vector::zeros(0));
-                }
-                for (t, cell) in cells.iter().enumerate() {
-                    sink.tag(tag_b(SpanTag::cells(layer, t), b));
-                    batch_kernel_into(&cell.uo, b, regions, &mut shared.batched);
-                    sink.emit(&shared.batched);
-                    batch_kernel_into(&cell.gate_ew, b, regions, &mut shared.batched);
-                    sink.emit(&shared.batched);
-                    for s in 0..b {
-                        let w = &mut ws[s];
-                        weights.output_gate_into_at(
-                            precision,
-                            &wx[s][t].o,
-                            &w.h,
-                            &mut w.cell,
-                            &mut w.gate,
-                        );
-                    }
-                    batch_kernel_into(&cell.select, b, regions, &mut shared.batched);
-                    sink.emit(&shared.batched);
-                    shared.all_masks.resize_with(b, Vec::new);
-                    for s in 0..b {
-                        trivial_row_mask_into(&ws[s].gate, *alpha_intra, &mut shared.all_masks[s]);
-                        outs[s].layer_skips[layer].push(skip_fraction(&shared.all_masks[s]));
-                    }
-                    cell.masked.instantiate_batch_into(
-                        &shared.all_masks,
-                        b,
-                        &mut shared.union_mask,
-                        &mut shared.masked_desc,
+                    let w = &mut ws[s];
+                    weights.step_fused_into_at(
+                        precision,
+                        &wx[s].as_ref()[t],
+                        &w.h,
+                        &w.c,
+                        &mut w.cell,
+                        &mut w.h_next,
+                        &mut w.c_next,
                     );
-                    if b > 1 {
-                        push_batch_suffix(&mut shared.masked_desc.label, b);
-                    }
-                    sink.emit(&shared.masked_desc);
-                    batch_kernel_into(&cell.ew, b, regions, &mut shared.batched);
-                    sink.emit(&shared.batched);
-                    for s in 0..b {
-                        let w = &mut ws[s];
-                        weights.step_masked_into_at(
-                            precision,
-                            &wx[s][t],
-                            &w.h,
-                            &w.c,
-                            &w.gate,
-                            &shared.all_masks[s],
-                            &mut w.cell,
-                            &mut w.h_next,
-                            &mut w.c_next,
-                        );
-                        mem::swap(&mut w.h, &mut w.h_next);
-                        mem::swap(&mut w.c, &mut w.c_next);
-                        outs[s].layer_hs[layer][t].clone_from(&w.h);
-                    }
+                    mem::swap(&mut w.h, &mut w.h_next);
+                    mem::swap(&mut w.c, &mut w.c_next);
+                    outs[s].layer_hs[layer][t].clone_from(&w.h);
+                }
+                sink.emit(&cell.ew);
+            }
+        }
+        LayerBody::Drs { alpha_intra, cells } => {
+            assert_eq!(cells.len(), n, "plan/input length mismatch");
+            if all_masks.len() < b {
+                all_masks.resize_with(b, Vec::new);
+            }
+            for (t, cell) in cells.iter().enumerate() {
+                sink.tag(SpanTag::cells(layer, t));
+                sink.emit(&cell.uo);
+                sink.emit(&cell.gate_ew);
+                for s in 0..b {
+                    let w = &mut ws[s];
+                    weights.output_gate_into_at(
+                        precision,
+                        &wx[s].as_ref()[t].o,
+                        &w.h,
+                        &mut w.cell,
+                        &mut w.gate,
+                    );
+                }
+                sink.emit(&cell.select);
+                for s in 0..b {
+                    trivial_row_mask_into(&ws[s].gate, *alpha_intra, &mut all_masks[s]);
+                    outs[s].layer_skips[layer].push(skip_fraction(&all_masks[s]));
+                }
+                sink.emit_masked(&cell.masked, &all_masks[..b]);
+                sink.emit(&cell.ew);
+                for s in 0..b {
+                    let w = &mut ws[s];
+                    weights.step_masked_into_at(
+                        precision,
+                        &wx[s].as_ref()[t],
+                        &w.h,
+                        &w.c,
+                        &w.gate,
+                        &all_masks[s],
+                        &mut w.cell,
+                        &mut w.h_next,
+                        &mut w.c_next,
+                    );
+                    mem::swap(&mut w.h, &mut w.h_next);
+                    mem::swap(&mut w.c, &mut w.c_next);
+                    outs[s].layer_hs[layer][t].clone_from(&w.h);
                 }
             }
-            LayerBody::Tissues {
-                search,
-                link,
-                alpha_intra,
-                predicted_h,
-                predicted_c,
-                tissues,
-            } => {
-                sink.tag(tag_b(SpanTag::offline(layer), b));
-                batch_kernel_into(search, b, regions, &mut shared.batched);
-                sink.emit(&shared.batched);
-                if let Some(k) = link {
-                    batch_kernel_into(k, b, regions, &mut shared.batched);
-                    sink.emit(&shared.batched);
-                }
-                let n = wx[0].len();
-                for w in ws.iter_mut() {
-                    w.zero_h.resize_fill(hidden, 0.0);
-                    w.zero_c.resize_fill(hidden, 0.0);
-                    w.h_slots.resize_with(n, || Vector::zeros(0));
-                    w.c_slots.resize_with(n, || Vector::zeros(0));
-                    w.filled.clear();
-                    w.filled.resize(n, false);
-                }
-                for (k, tp) in tissues.iter().enumerate() {
-                    sink.tag(tag_b(
-                        SpanTag::tissue(layer, k, tp.sublayers.first().copied()),
-                        b,
-                    ));
-                    // The schedule guarantees every Prior predecessor was
-                    // produced by an earlier tissue; check up front so
-                    // the in-place slot writes below cannot mask a
-                    // malformed plan.
-                    for w in ws.iter() {
-                        for (&t, src) in tp.cells.iter().zip(&tp.prev) {
-                            if matches!(src, PrevSource::Prior) {
-                                assert!(
-                                    w.filled[t - 1],
-                                    "schedule guarantees the predecessor already ran"
-                                );
-                            }
-                        }
-                    }
-                    match &tp.kernels {
-                        TissueKernels::Plain { sgemm, ew } => {
-                            batch_kernel_into(sgemm, b, regions, &mut shared.batched);
-                            sink.emit(&shared.batched);
-                            batch_kernel_into(ew, b, regions, &mut shared.batched);
-                            sink.emit(&shared.batched);
-                            for (s, w) in ws.iter_mut().enumerate() {
-                                Self::step_tissue_plain(
-                                    precision,
-                                    weights,
-                                    &wx[s],
-                                    tp,
-                                    predicted_h,
-                                    predicted_c,
-                                    w,
-                                );
-                            }
-                        }
-                        TissueKernels::Drs {
-                            uo,
-                            gate_ew,
-                            select,
-                            masked,
-                            ew,
-                        } => {
-                            batch_kernel_into(uo, b, regions, &mut shared.batched);
-                            sink.emit(&shared.batched);
-                            batch_kernel_into(gate_ew, b, regions, &mut shared.batched);
-                            sink.emit(&shared.batched);
-                            batch_kernel_into(select, b, regions, &mut shared.batched);
-                            sink.emit(&shared.batched);
-                            let size = tp.cells.len();
-                            for (s, w) in ws.iter_mut().enumerate() {
-                                let Workspace {
-                                    cell,
-                                    os,
-                                    masks,
-                                    h_slots,
-                                    zero_h,
-                                    ..
-                                } = w;
-                                os.resize_with(size, || Vector::zeros(0));
-                                masks.resize_with(size, Vec::new);
-                                for (i, (&t, src)) in tp.cells.iter().zip(&tp.prev).enumerate() {
-                                    let h_prev = match src {
-                                        PrevSource::Zeros => &*zero_h,
-                                        PrevSource::Predicted => predicted_h,
-                                        PrevSource::Prior => &h_slots[t - 1],
-                                    };
-                                    weights.output_gate_into_at(
-                                        precision,
-                                        &wx[s][t].o,
-                                        h_prev,
-                                        cell,
-                                        &mut os[i],
-                                    );
-                                    trivial_row_mask_into(&os[i], *alpha_intra, &mut masks[i]);
-                                }
-                                for mask in masks.iter() {
-                                    outs[s].layer_skips[layer].push(skip_fraction(mask));
-                                }
-                            }
-                            // Concatenate each sequence's masks
-                            // (sequence-major, matching the per-sequence
-                            // pricing order).
-                            shared.all_masks.resize_with(b * size, Vec::new);
-                            for (s, w) in ws.iter().enumerate() {
-                                for (i, mask) in w.masks.iter().enumerate() {
-                                    shared.all_masks[s * size + i].clone_from(mask);
-                                }
-                            }
-                            masked.instantiate_batch_into(
-                                &shared.all_masks,
-                                b,
-                                &mut shared.union_mask,
-                                &mut shared.masked_desc,
+        }
+        LayerBody::Tissues {
+            search,
+            link,
+            alpha_intra,
+            predicted_h,
+            predicted_c,
+            tissues,
+        } => {
+            sink.tag(SpanTag::offline(layer));
+            sink.emit(search);
+            if let Some(k) = link {
+                sink.emit(k);
+            }
+            for w in ws.iter_mut() {
+                w.zero_h.resize_fill(hidden, 0.0);
+                w.zero_c.resize_fill(hidden, 0.0);
+                w.h_slots.resize_with(n, || Vector::zeros(0));
+                w.c_slots.resize_with(n, || Vector::zeros(0));
+                w.filled.clear();
+                w.filled.resize(n, false);
+            }
+            for (k, tp) in tissues.iter().enumerate() {
+                sink.tag(SpanTag::tissue(layer, k, tp.sublayers.first().copied()));
+                // The schedule guarantees every Prior predecessor was
+                // produced by an earlier tissue; check up front so the
+                // in-place slot writes below cannot mask a malformed plan.
+                for w in ws.iter() {
+                    for (&t, src) in tp.cells.iter().zip(&tp.prev) {
+                        if matches!(src, PrevSource::Prior) {
+                            assert!(
+                                w.filled[t - 1],
+                                "schedule guarantees the predecessor already ran"
                             );
-                            if b > 1 {
-                                push_batch_suffix(&mut shared.masked_desc.label, b);
-                            }
-                            sink.emit(&shared.masked_desc);
-                            batch_kernel_into(ew, b, regions, &mut shared.batched);
-                            sink.emit(&shared.batched);
-                            for (s, w) in ws.iter_mut().enumerate() {
-                                Self::step_tissue_masked(
-                                    precision,
-                                    weights,
-                                    &wx[s],
-                                    tp,
-                                    predicted_h,
-                                    predicted_c,
-                                    w,
-                                );
-                            }
                         }
                     }
                 }
-                for (s, w) in ws.iter_mut().enumerate() {
-                    let hs_out = &mut outs[s].layer_hs[layer];
-                    hs_out.resize_with(n, || Vector::zeros(0));
-                    for (t, slot) in hs_out.iter_mut().enumerate().take(n) {
-                        assert!(w.filled[t], "every cell scheduled exactly once");
-                        mem::swap(slot, &mut w.h_slots[t]);
+                match &tp.kernels {
+                    TissueKernels::Plain { sgemm, ew } => {
+                        sink.emit(sgemm);
+                        sink.emit(ew);
+                        for (s, w) in ws.iter_mut().enumerate() {
+                            step_tissue(
+                                precision,
+                                weights,
+                                wx[s].as_ref(),
+                                tp,
+                                predicted_h,
+                                predicted_c,
+                                false,
+                                w,
+                            );
+                        }
                     }
+                    TissueKernels::Drs {
+                        uo,
+                        gate_ew,
+                        select,
+                        masked,
+                        ew,
+                    } => {
+                        sink.emit(uo);
+                        sink.emit(gate_ew);
+                        sink.emit(select);
+                        let size = tp.cells.len();
+                        for (s, w) in ws.iter_mut().enumerate() {
+                            let Workspace {
+                                cell,
+                                os,
+                                masks,
+                                h_slots,
+                                zero_h,
+                                ..
+                            } = w;
+                            os.resize_with(size, || Vector::zeros(0));
+                            masks.resize_with(size, Vec::new);
+                            for (i, (&t, src)) in tp.cells.iter().zip(&tp.prev).enumerate() {
+                                let h_prev = match src {
+                                    PrevSource::Zeros => &*zero_h,
+                                    PrevSource::Predicted => predicted_h,
+                                    PrevSource::Prior => &h_slots[t - 1],
+                                };
+                                weights.output_gate_into_at(
+                                    precision,
+                                    &wx[s].as_ref()[t].o,
+                                    h_prev,
+                                    cell,
+                                    &mut os[i],
+                                );
+                                trivial_row_mask_into(&os[i], *alpha_intra, &mut masks[i]);
+                            }
+                            for mask in masks.iter() {
+                                outs[s].layer_skips[layer].push(skip_fraction(mask));
+                            }
+                        }
+                        // Concatenate each lane's masks, lane-major.
+                        if all_masks.len() < b * size {
+                            all_masks.resize_with(b * size, Vec::new);
+                        }
+                        for (s, w) in ws.iter().enumerate() {
+                            for (i, mask) in w.masks.iter().enumerate() {
+                                all_masks[s * size + i].clone_from(mask);
+                            }
+                        }
+                        sink.emit_masked(masked, &all_masks[..b * size]);
+                        sink.emit(ew);
+                        for (s, w) in ws.iter_mut().enumerate() {
+                            step_tissue(
+                                precision,
+                                weights,
+                                wx[s].as_ref(),
+                                tp,
+                                predicted_h,
+                                predicted_c,
+                                true,
+                                w,
+                            );
+                        }
+                    }
+                }
+            }
+            for (s, w) in ws.iter_mut().enumerate() {
+                for (t, slot) in outs[s].layer_hs[layer].iter_mut().enumerate() {
+                    assert!(w.filled[t], "every cell scheduled exactly once");
+                    mem::swap(slot, &mut w.h_slots[t]);
                 }
             }
         }
     }
+}
 
-    /// Runs one sequence's plain-tissue steps into its workspace slots.
-    fn step_tissue_plain(
-        precision: Precision,
-        weights: &CellWeights,
-        wx: &[GatePreacts],
-        tp: &crate::plan::TissuePlan,
-        predicted_h: &Vector,
-        predicted_c: &Vector,
-        w: &mut Workspace,
-    ) {
-        let Workspace {
-            cell,
-            h_slots,
-            c_slots,
-            filled,
-            zero_h,
-            zero_c,
-            ..
-        } = w;
-        for (&t, src) in tp.cells.iter().zip(&tp.prev) {
-            let (done_h, rest_h) = h_slots.split_at_mut(t);
-            let (done_c, rest_c) = c_slots.split_at_mut(t);
-            let (h_prev, c_prev) = match src {
-                PrevSource::Zeros => (&*zero_h, &*zero_c),
-                PrevSource::Predicted => (predicted_h, predicted_c),
-                PrevSource::Prior => (&done_h[t - 1], &done_c[t - 1]),
-            };
-            weights.step_fused_into_at(
-                precision,
-                &wx[t],
-                h_prev,
-                c_prev,
-                cell,
-                &mut rest_h[0],
-                &mut rest_c[0],
-            );
-            filled[t] = true;
-        }
-    }
-
-    /// Runs one sequence's DRS-tissue masked steps into its workspace
-    /// slots, using the gates/masks already computed in `w.os`/`w.masks`.
-    fn step_tissue_masked(
-        precision: Precision,
-        weights: &CellWeights,
-        wx: &[GatePreacts],
-        tp: &crate::plan::TissuePlan,
-        predicted_h: &Vector,
-        predicted_c: &Vector,
-        w: &mut Workspace,
-    ) {
-        let Workspace {
-            cell,
-            os,
-            masks,
-            h_slots,
-            c_slots,
-            filled,
-            zero_h,
-            zero_c,
-            ..
-        } = w;
-        for (i, (&t, src)) in tp.cells.iter().zip(&tp.prev).enumerate() {
-            let (done_h, rest_h) = h_slots.split_at_mut(t);
-            let (done_c, rest_c) = c_slots.split_at_mut(t);
-            let (h_prev, c_prev) = match src {
-                PrevSource::Zeros => (&*zero_h, &*zero_c),
-                PrevSource::Predicted => (predicted_h, predicted_c),
-                PrevSource::Prior => (&done_h[t - 1], &done_c[t - 1]),
-            };
+/// Runs one lane's tissue steps into its workspace slots: fused full
+/// steps, or — for a DRS tissue — masked steps using the gates/masks
+/// already computed in `w.os`/`w.masks`.
+#[allow(clippy::too_many_arguments)] // internal: the runtime split needs each piece
+fn step_tissue(
+    precision: Precision,
+    weights: &CellWeights,
+    wx: &[GatePreacts],
+    tp: &TissuePlan,
+    predicted_h: &Vector,
+    predicted_c: &Vector,
+    masked: bool,
+    w: &mut Workspace,
+) {
+    let Workspace {
+        cell,
+        os,
+        masks,
+        h_slots,
+        c_slots,
+        filled,
+        zero_h,
+        zero_c,
+        ..
+    } = w;
+    for (i, (&t, src)) in tp.cells.iter().zip(&tp.prev).enumerate() {
+        let (done_h, rest_h) = h_slots.split_at_mut(t);
+        let (done_c, rest_c) = c_slots.split_at_mut(t);
+        let (h_prev, c_prev) = match src {
+            PrevSource::Zeros => (&*zero_h, &*zero_c),
+            PrevSource::Predicted => (predicted_h, predicted_c),
+            PrevSource::Prior => (&done_h[t - 1], &done_c[t - 1]),
+        };
+        let (h_out, c_out) = (&mut rest_h[0], &mut rest_c[0]);
+        if masked {
             weights.step_masked_into_at(
-                precision,
-                &wx[t],
-                h_prev,
-                c_prev,
-                &os[i],
-                &masks[i],
-                cell,
-                &mut rest_h[0],
-                &mut rest_c[0],
+                precision, &wx[t], h_prev, c_prev, &os[i], &masks[i], cell, h_out, c_out,
             );
-            filled[t] = true;
+        } else {
+            weights.step_fused_into_at(precision, &wx[t], h_prev, c_prev, cell, h_out, c_out);
         }
+        filled[t] = true;
     }
 }
 
@@ -619,7 +623,6 @@ impl BatchRuntime {
 mod tests {
     use super::*;
     use crate::config::ModelConfig;
-    use crate::plan::PlanRuntime;
     use crate::schedule::u_sgemv_kernel;
     use gpu_sim::{DeviceModel, GpuConfig, GpuDevice};
     use tensor::init::seeded_rng;
@@ -634,20 +637,40 @@ mod tests {
         (net, seqs)
     }
 
+    fn batched(desc: &KernelDesc, batch: usize, regions: &NetworkRegions) -> KernelDesc {
+        let mut out = KernelDesc::builder(String::new(), KernelKind::Other).build();
+        batch_kernel_into(desc, batch, regions, &mut out);
+        out
+    }
+
     #[test]
-    fn batch_of_one_matches_plan_runtime_exactly() {
+    fn batch_of_one_streams_the_plan_with_exact_numerics() {
         let (net, seqs) = setup(21);
         let plan =
             ExecutionPlan::compile_baseline(&net, seqs[0].len(), &DeviceModel::default_preset());
-        let mut serial_trace: Vec<KernelDesc> = Vec::new();
-        let serial = PlanRuntime::new().run_lstm(&plan, &net, &seqs[0], &mut serial_trace);
-        let mut batch_trace: Vec<KernelDesc> = Vec::new();
-        let batched = BatchRuntime::new().run_lstm_batch(&plan, &net, &seqs[..1], &mut batch_trace);
-        // Outputs AND the emitted kernel stream are bit-identical: a
-        // batch of one is serial execution.
-        assert_eq!(batched.len(), 1);
-        assert_eq!(batched[0], serial);
-        assert_eq!(batch_trace, serial_trace);
+        let mut trace: Vec<KernelDesc> = Vec::new();
+        let outs = PlanRuntime::new().run_lstm_batch(&plan, &net, &seqs[..1], &mut trace);
+        // Numerics: the exact Algorithm 1 forward pass.
+        let exact = net.forward(&seqs[0]);
+        assert_eq!(outs.len(), 1);
+        assert_eq!(outs[0].logits, exact.logits);
+        assert_eq!(outs[0].layer_hs, exact.layer_outputs);
+        // Stream: the plan's own descriptors, in plan order.
+        let PlanBody::Lstm(layers) = &plan.body else {
+            unreachable!()
+        };
+        let mut planned: Vec<&KernelDesc> = Vec::new();
+        for lp in layers {
+            planned.push(&lp.wx);
+            let LayerBody::Baseline { cells } = &lp.body else {
+                unreachable!()
+            };
+            for cell in cells {
+                planned.extend([&cell.sgemv, &cell.ew]);
+            }
+        }
+        planned.push(&plan.head);
+        assert_eq!(trace.iter().collect::<Vec<_>>(), planned);
     }
 
     #[test]
@@ -655,10 +678,9 @@ mod tests {
         let (net, seqs) = setup(22);
         let plan =
             ExecutionPlan::compile_baseline(&net, seqs[0].len(), &DeviceModel::default_preset());
-        let batched =
-            BatchRuntime::new().run_lstm_batch(&plan, &net, &seqs, &mut crate::plan::NullSink);
+        let batched = PlanRuntime::new().run_lstm_batch(&plan, &net, &seqs, &mut NullSink);
         for (xs, out) in seqs.iter().zip(&batched) {
-            let serial = PlanRuntime::new().run_lstm(&plan, &net, xs, &mut crate::plan::NullSink);
+            let serial = PlanRuntime::new().run_lstm(&plan, &net, xs, &mut NullSink);
             assert_eq!(*out, serial);
         }
     }
@@ -672,7 +694,7 @@ mod tests {
             unreachable!()
         };
         let wx = &layers[0].wx;
-        let k = batch_kernel(wx, 8, &plan.regions);
+        let k = batched(wx, 8, &plan.regions);
         assert_eq!(k.flops, 8 * wx.flops);
         // Weight read unchanged; the transient activation read scales.
         assert_eq!(k.reads[0].bytes, wx.reads[0].bytes);
@@ -683,11 +705,11 @@ mod tests {
         let LayerBody::Baseline { cells } = &layers[0].body else {
             unreachable!()
         };
-        let sgemm = batch_kernel(&cells[0].sgemv, 4, &plan.regions);
+        let sgemm = batched(&cells[0].sgemv, 4, &plan.regions);
         assert_eq!(sgemm.kind, KernelKind::Sgemm);
         assert_eq!(sgemm.reads[0].bytes, cells[0].sgemv.reads[0].bytes);
         // Batch of one is the identity.
-        assert_eq!(batch_kernel(wx, 1, &plan.regions), *wx);
+        assert_eq!(batched(wx, 1, &plan.regions), *wx);
     }
 
     #[test]
@@ -706,7 +728,7 @@ mod tests {
 
         let mut dev = GpuDevice::new(GpuConfig::tegra_x1());
         let mut session = dev.begin_trace();
-        BatchRuntime::new().run_lstm_batch(&plan, &net, &seqs, &mut session);
+        PlanRuntime::new().run_lstm_batch(&plan, &net, &seqs, &mut session);
         let batched_time = session.finish().time_s;
 
         assert!(
@@ -717,39 +739,15 @@ mod tests {
     }
 
     #[test]
-    fn masked_template_batch_prices_union_across_sequences() {
-        use crate::drs::DrsMode;
-        use crate::regions::RegionAllocator;
-        use crate::schedule::F32;
-        let mut alloc = RegionAllocator::new();
-        let u = alloc.fresh();
-        let k =
-            crate::plan::MaskedUKernel::new("m", 3, 8, 1, u, DrsMode::Hardware, true, &mut alloc);
-        // Two sequences with disjoint active halves: the weight read
-        // covers the union (all rows), compute covers each half.
-        let lo: Vec<bool> = (0..8).map(|i| i < 4).collect();
-        let hi: Vec<bool> = (0..8).map(|i| i >= 4).collect();
-        let priced = k.instantiate_batch(&[lo.clone(), hi], 2);
-        assert_eq!(priced.reads[0].bytes, 3 * 8 * 8 * F32);
-        assert_eq!(priced.flops, 2 * 3 * 8 * 8); // 2 x half the rows
-        assert_eq!(priced.kind, KernelKind::Sgemm);
-        // One sequence prices like `instantiate`.
-        assert_eq!(
-            k.instantiate_batch(std::slice::from_ref(&lo), 1),
-            k.instantiate(std::slice::from_ref(&lo))
-        );
-    }
-
-    #[test]
     fn batched_sgemv_priced_with_u_sgemv_regions() {
         // Sanity: a u_sgemv kernel built against a real weight region is
         // recognized as amortizable.
-        let mut alloc = crate::regions::RegionAllocator::new();
+        let mut alloc = RegionAllocator::new();
         let regions = NetworkRegions::allocate(&mut alloc, 1);
         let k = u_sgemv_kernel("Sgemv(U,h)", regions.layers[0].u_full, 32, 8, &mut alloc);
-        let batched = batch_kernel(&k, 4, &regions);
-        assert_eq!(batched.reads[0].bytes, k.reads[0].bytes);
-        assert_eq!(batched.reads[1].bytes, 4 * k.reads[1].bytes);
+        let b = batched(&k, 4, &regions);
+        assert_eq!(b.reads[0].bytes, k.reads[0].bytes);
+        assert_eq!(b.reads[1].bytes, 4 * k.reads[1].bytes);
     }
 
     #[test]
@@ -758,7 +756,8 @@ mod tests {
         let (net, seqs) = setup(25);
         let plan =
             ExecutionPlan::compile_baseline(&net, seqs[0].len(), &DeviceModel::default_preset());
-        BatchRuntime::new().run_lstm_batch(&plan, &net, &[], &mut crate::plan::NullSink);
+        let empty: &[Vec<Vector>] = &[];
+        PlanRuntime::new().run_lstm_batch(&plan, &net, empty, &mut NullSink);
     }
 
     #[test]
@@ -770,6 +769,6 @@ mod tests {
             seqs[0].len() + 1,
             &DeviceModel::default_preset(),
         );
-        BatchRuntime::new().run_lstm_batch(&plan, &net, &seqs, &mut crate::plan::NullSink);
+        PlanRuntime::new().run_lstm_batch(&plan, &net, &seqs, &mut NullSink);
     }
 }

@@ -6,6 +6,11 @@
 //! layer, `Sgemv(U, h_{t-1})` + `lstm_ew` per cell (Algorithm 1) — that the
 //! `gpu-sim` crate prices on the modelled Tegra X1.
 //!
+//! Every flow compiles to an [`ExecutionPlan`] ([`plan`]) and runs on one
+//! runtime, [`PlanRuntime`]: its lane-generic LSTM interpreter
+//! ([`batch`]) executes B sequences in lockstep, and a solo run is the
+//! batch of one.
+//!
 //! The optimized executors (layer reorganization, Dynamic Row Skip) live in
 //! the `memlstm` crate and reuse the cell math, region allocation and
 //! kernel-cost helpers defined here.
@@ -40,7 +45,6 @@ pub mod regions;
 pub mod schedule;
 pub mod workspace;
 
-pub use batch::{batch_kernel, BatchRuntime};
 pub use cell::{CellScratch, CellWeights, GatePreacts, GateVectors};
 pub use config::ModelConfig;
 pub use drs::{DrsConfig, DrsMode};

@@ -28,7 +28,7 @@
 //! [`ExecutionPlan::compile_gru_baseline`]); the optimized flows compile
 //! in the `memlstm` crate, which owns the offline analyses.
 
-use crate::cell::{CellWeights, GatePreacts};
+use crate::cell::GatePreacts;
 use crate::drs::{skip_cost, skip_fraction, trivial_row_mask_into, union_active_into, DrsMode};
 use crate::gru::GruWeights;
 use crate::gru_exec::GruNetwork;
@@ -37,7 +37,7 @@ use crate::regions::{NetworkRegions, RegionAllocator};
 use crate::schedule::{
     ew_kernel, head_kernel, u_sgemv_kernel, wx_sgemm_kernel, LayerRun, NetworkRun, F32,
 };
-use crate::workspace::Workspace;
+use crate::workspace::{SharedScratch, Workspace};
 use gpu_sim::{DeviceModel, KernelDesc, KernelKind, MemAccess, RegionId, SpanTag, TraceSession};
 use std::mem;
 use tensor::{Precision, Vector};
@@ -182,7 +182,7 @@ pub enum PrevSource {
 /// The regions (and therefore the stream identity) are fixed when the
 /// plan is compiled; only the mask-dependent numeric fields — FLOPs,
 /// bytes, divergence, derate, skip counts — are filled in per step by
-/// [`instantiate`](Self::instantiate).
+/// [`instantiate_into`](Self::instantiate_into).
 #[derive(Debug, Clone, PartialEq)]
 pub struct MaskedUKernel {
     label: String,
@@ -245,65 +245,24 @@ impl MaskedUKernel {
         self.precision = precision;
     }
 
-    /// Prices the template for the given per-cell *active* masks (one
-    /// mask per batched cell). DRAM traffic covers the union of rows any
-    /// cell keeps (the rows must be loaded if anyone needs them); compute
-    /// covers each cell's own active rows.
+    /// Prices the template for `seqs` concurrent sequences sharing one
+    /// weight load, given every planned cell's *active* mask:
+    /// `masks` concatenates each sequence's per-cell masks
+    /// (sequence-major, `seqs × batch` of them). DRAM traffic covers the
+    /// union of rows *any* cell keeps (the rows must be loaded if anyone
+    /// needs them) — per-tissue reuse plus cross-request amortization —
+    /// while compute, activations, and writes scale with every cell's own
+    /// active rows.
+    ///
+    /// `union` is mask scratch; `out` is overwritten field by field, its
+    /// label and access-list buffers reused, so steady-state step loops
+    /// never allocate. The result mirrors the [`KernelDesc::builder`]
+    /// semantics exactly (zero-byte accesses are dropped, thread counts
+    /// saturate, divergence/derate are clamped).
     ///
     /// # Panics
-    /// Debug-asserts that `masks` matches the planned batch size.
-    pub fn instantiate(&self, masks: &[Vec<bool>]) -> KernelDesc {
-        let mut out = KernelDesc::builder(String::new(), KernelKind::Sgemv).build();
-        self.instantiate_into(masks, &mut Vec::new(), &mut out);
-        out
-    }
-
-    /// [`instantiate`](Self::instantiate) into a recycled descriptor —
-    /// the zero-allocation form for steady-state step loops. `union` is
-    /// mask scratch; `out` is overwritten field by field (its label and
-    /// access-list buffers are reused). Produces a descriptor value-equal
-    /// to [`instantiate`](Self::instantiate)'s.
-    ///
-    /// # Panics
-    /// Debug-asserts that `masks` matches the planned batch size.
+    /// Panics unless `masks.len() == seqs × batch`.
     pub fn instantiate_into(
-        &self,
-        masks: &[Vec<bool>],
-        union: &mut Vec<bool>,
-        out: &mut KernelDesc,
-    ) {
-        debug_assert_eq!(
-            masks.len() as u64,
-            self.batch,
-            "mask count != planned batch"
-        );
-        self.price_into(masks, union, out);
-    }
-
-    /// Prices the template for `seqs` concurrent sequences sharing the
-    /// one weight load: `masks` concatenates each sequence's per-cell
-    /// masks (`seqs × batch` of them). DRAM traffic covers the union of
-    /// rows *any* sequence's cell keeps — cross-request amortization on
-    /// top of the per-tissue reuse — while compute, activations, and
-    /// writes scale with the full `seqs × batch` cell count.
-    ///
-    /// `instantiate_batch(masks, 1)` prices identically to
-    /// [`instantiate`](Self::instantiate).
-    ///
-    /// # Panics
-    /// Asserts that `masks.len() == seqs × batch`.
-    pub fn instantiate_batch(&self, masks: &[Vec<bool>], seqs: usize) -> KernelDesc {
-        let mut out = KernelDesc::builder(String::new(), KernelKind::Sgemv).build();
-        self.instantiate_batch_into(masks, seqs, &mut Vec::new(), &mut out);
-        out
-    }
-
-    /// [`instantiate_batch`](Self::instantiate_batch) into a recycled
-    /// descriptor — the zero-allocation form for the serving gangs.
-    ///
-    /// # Panics
-    /// Asserts that `masks.len() == seqs × batch`.
-    pub fn instantiate_batch_into(
         &self,
         masks: &[Vec<bool>],
         seqs: usize,
@@ -313,20 +272,11 @@ impl MaskedUKernel {
         assert_eq!(
             masks.len() as u64,
             self.batch * seqs as u64,
-            "MaskedUKernel::instantiate_batch: {} masks for {} sequences of batch {}",
+            "MaskedUKernel::instantiate_into: {} masks for {} sequences of batch {}",
             masks.len(),
             seqs,
             self.batch
         );
-        self.price_into(masks, union, out);
-    }
-
-    /// Writes the priced descriptor field by field into `out`, reusing
-    /// its label and access-list buffers. Mirrors the
-    /// [`KernelDesc::builder`] semantics exactly (zero-byte accesses are
-    /// dropped, thread counts saturate, divergence/derate are clamped) so
-    /// the result is value-equal to an eagerly built descriptor.
-    fn price_into(&self, masks: &[Vec<bool>], union: &mut Vec<bool>, out: &mut KernelDesc) {
         let (g, h, t) = (self.gates, self.hidden, masks.len() as u64);
         union_active_into(masks, union);
         let union_rows = union.iter().filter(|&&a| a).count() as u64;
@@ -888,17 +838,26 @@ impl PlanOutput {
     }
 }
 
-/// Executes [`ExecutionPlan`]s over streaming inputs.
+/// Executes [`ExecutionPlan`]s over streaming inputs — the one runtime
+/// behind every solo run, serving gang, and plan-compile probe.
 ///
-/// The runtime owns a [`Workspace`] — the fused gate slabs, `(h, c)`
-/// double buffers, per-timestep slots, and mask scratch — and the
-/// pre-activation buffers, reusing all of them across executions. A warm
-/// plan-once / evaluate-many loop performs no per-run planning work and
-/// zero heap allocations per steady-state timestep.
+/// An LSTM plan runs on B sequences ("lanes") in lockstep through the
+/// lane-generic interpreter in [`crate::batch`]; a solo run
+/// ([`run_lstm`](Self::run_lstm)) is the batch of one and emits the
+/// planned kernels as they are. GRU plans run one sequence at a time
+/// ([`run_gru`](Self::run_gru)).
+///
+/// The runtime owns one [`Workspace`] and one `W·x` pre-activation
+/// buffer per lane plus one cross-lane scratch (the lane-major mask list,
+/// its union, and the recycled kernel descriptors), reusing all of them
+/// across executions: a warm plan-once / evaluate-many loop performs
+/// no per-run planning work and zero heap allocations per steady-state
+/// timestep.
 #[derive(Debug, Default)]
 pub struct PlanRuntime {
-    wx: Vec<GatePreacts>,
-    ws: Workspace,
+    pub(crate) wx: Vec<Vec<GatePreacts>>,
+    pub(crate) ws: Vec<Workspace>,
+    pub(crate) shared: SharedScratch,
 }
 
 impl PlanRuntime {
@@ -907,400 +866,12 @@ impl PlanRuntime {
         Self::default()
     }
 
-    /// Executes an LSTM plan on `xs`, streaming kernels into `sink`.
-    ///
-    /// Allocating convenience wrapper over
-    /// [`run_lstm_into`](Self::run_lstm_into).
-    ///
-    /// # Panics
-    /// Panics if `xs` is empty, if its length differs from the plan's
-    /// compiled sequence length, or if the plan was compiled for a GRU
-    /// network or a different layer count.
-    pub fn run_lstm(
-        &mut self,
-        plan: &ExecutionPlan,
-        net: &LstmNetwork,
-        xs: &[Vector],
-        sink: &mut impl KernelSink,
-    ) -> PlanOutput {
-        let mut out = PlanOutput::new();
-        self.run_lstm_into(plan, net, xs, sink, &mut out);
-        out
-    }
-
-    /// [`run_lstm`](Self::run_lstm) into a recycled [`PlanOutput`]: the
-    /// per-layer hidden sequences, logits, and skip statistics are
-    /// overwritten in place, reusing their buffers. Bit-identical
-    /// numerics and an identical kernel stream.
-    ///
-    /// # Panics
-    /// As [`run_lstm`](Self::run_lstm).
-    pub fn run_lstm_into(
-        &mut self,
-        plan: &ExecutionPlan,
-        net: &LstmNetwork,
-        xs: &[Vector],
-        sink: &mut impl KernelSink,
-        out: &mut PlanOutput,
-    ) {
-        assert!(!xs.is_empty(), "PlanRuntime::run_lstm: empty input");
-        assert_eq!(
-            xs.len(),
-            plan.seq_len,
-            "plan compiled for sequence length {}, got {}",
-            plan.seq_len,
-            xs.len()
-        );
-        let PlanBody::Lstm(layer_plans) = &plan.body else {
-            panic!("PlanRuntime::run_lstm: plan was compiled for a GRU network");
-        };
-        assert_eq!(
-            layer_plans.len(),
-            net.layers().len(),
-            "plan/network layer count mismatch"
-        );
-
-        out.layer_hs.resize_with(layer_plans.len(), Vec::new);
-        out.layer_skips.clear();
-        out.layer_skips
-            .resize(layer_plans.len(), SkipStats::default());
-        for (l, (lp, layer)) in layer_plans.iter().zip(net.layers()).enumerate() {
-            sink.begin_layer(l);
-            sink.tag(SpanTag::wx(l));
-            sink.emit(&lp.wx);
-            let (done, rest) = out.layer_hs.split_at_mut(l);
-            let current: &[Vector] = if l == 0 { xs } else { &done[l - 1] };
-            layer
-                .weights()
-                .precompute_wx_batch_into_at(plan.precision, current, &mut self.wx);
-            Self::execute_lstm_body_into(
-                l,
-                plan.precision,
-                &lp.body,
-                layer.weights(),
-                &self.wx,
-                &mut self.ws,
-                sink,
-                &mut out.layer_skips[l],
-                &mut rest[0],
-            );
-        }
-        sink.begin_tail();
-        sink.tag(SpanTag::head());
-        sink.emit(&plan.head);
-        let h_final = out
-            .layer_hs
-            .last()
-            .and_then(|hs| hs.last())
-            .expect("non-empty sequence");
-        net.apply_head_into(h_final, &mut out.logits);
-    }
-
-    /// Executes one planned LSTM layer body *numerically only* — no
-    /// kernels, no skip accounting. Plan compilers use this to advance
-    /// their probe sequence through already-planned layers with the same
-    /// arithmetic the runtime will use.
-    pub fn layer_numerics(
-        &mut self,
-        body: &LayerBody,
-        weights: &CellWeights,
-        wx: &[GatePreacts],
-    ) -> Vec<Vector> {
-        self.layer_numerics_at(Precision::Fp32, body, weights, wx)
-    }
-
-    /// [`layer_numerics`](Self::layer_numerics) with the gate packs
-    /// stored at `precision` — the probe-advancement arithmetic of a
-    /// quantized plan compile (`wx` must come from
-    /// [`CellWeights::precompute_wx_batch_into_at`] at the same tier).
-    pub fn layer_numerics_at(
-        &mut self,
-        precision: Precision,
-        body: &LayerBody,
-        weights: &CellWeights,
-        wx: &[GatePreacts],
-    ) -> Vec<Vector> {
-        let mut skips = SkipStats::default();
-        let mut hs = Vec::new();
-        // Layer index 0 is a placeholder: the NullSink drops the tags.
-        Self::execute_lstm_body_into(
-            0,
-            precision,
-            body,
-            weights,
-            wx,
-            &mut self.ws,
-            &mut NullSink,
-            &mut skips,
-            &mut hs,
-        );
-        hs
-    }
-
-    #[allow(clippy::too_many_arguments)] // internal: the workspace split needs each piece
-    fn execute_lstm_body_into(
-        layer: usize,
-        precision: Precision,
-        body: &LayerBody,
-        weights: &CellWeights,
-        wx: &[GatePreacts],
-        ws: &mut Workspace,
-        sink: &mut impl KernelSink,
-        skips: &mut SkipStats,
-        hs_out: &mut Vec<Vector>,
-    ) {
-        let hidden = weights.hidden();
-        match body {
-            LayerBody::Baseline { cells } => {
-                assert_eq!(cells.len(), wx.len(), "plan/input length mismatch");
-                ws.h.resize_fill(hidden, 0.0);
-                ws.c.resize_fill(hidden, 0.0);
-                hs_out.resize_with(wx.len(), || Vector::zeros(0));
-                for (t, (cell, pre)) in cells.iter().zip(wx).enumerate() {
-                    sink.tag(SpanTag::cells(layer, t));
-                    sink.emit(&cell.sgemv);
-                    weights.step_fused_into_at(
-                        precision,
-                        pre,
-                        &ws.h,
-                        &ws.c,
-                        &mut ws.cell,
-                        &mut ws.h_next,
-                        &mut ws.c_next,
-                    );
-                    mem::swap(&mut ws.h, &mut ws.h_next);
-                    mem::swap(&mut ws.c, &mut ws.c_next);
-                    hs_out[t].clone_from(&ws.h);
-                    sink.emit(&cell.ew);
-                }
-            }
-            LayerBody::Drs { alpha_intra, cells } => {
-                assert_eq!(cells.len(), wx.len(), "plan/input length mismatch");
-                ws.h.resize_fill(hidden, 0.0);
-                ws.c.resize_fill(hidden, 0.0);
-                hs_out.resize_with(wx.len(), || Vector::zeros(0));
-                for (t, (cell, pre)) in cells.iter().zip(wx).enumerate() {
-                    sink.tag(SpanTag::cells(layer, t));
-                    sink.emit(&cell.uo);
-                    sink.emit(&cell.gate_ew);
-                    weights.output_gate_into_at(
-                        precision,
-                        &pre.o,
-                        &ws.h,
-                        &mut ws.cell,
-                        &mut ws.gate,
-                    );
-                    sink.emit(&cell.select);
-                    trivial_row_mask_into(&ws.gate, *alpha_intra, &mut ws.active);
-                    skips.push(skip_fraction(&ws.active));
-                    cell.masked.instantiate_into(
-                        std::slice::from_ref(&ws.active),
-                        &mut ws.union_mask,
-                        &mut ws.masked_desc,
-                    );
-                    sink.emit(&ws.masked_desc);
-                    sink.emit(&cell.ew);
-                    weights.step_masked_into_at(
-                        precision,
-                        pre,
-                        &ws.h,
-                        &ws.c,
-                        &ws.gate,
-                        &ws.active,
-                        &mut ws.cell,
-                        &mut ws.h_next,
-                        &mut ws.c_next,
-                    );
-                    mem::swap(&mut ws.h, &mut ws.h_next);
-                    mem::swap(&mut ws.c, &mut ws.c_next);
-                    hs_out[t].clone_from(&ws.h);
-                }
-            }
-            LayerBody::Tissues {
-                search,
-                link,
-                alpha_intra,
-                predicted_h,
-                predicted_c,
-                tissues,
-            } => {
-                sink.tag(SpanTag::offline(layer));
-                sink.emit(search);
-                if let Some(k) = link {
-                    sink.emit(k);
-                }
-                let n = wx.len();
-                let Workspace {
-                    cell,
-                    gate: _,
-                    os,
-                    masks,
-                    union_mask,
-                    masked_desc,
-                    h_slots,
-                    c_slots,
-                    filled,
-                    zero_h,
-                    zero_c,
-                    ..
-                } = ws;
-                zero_h.resize_fill(hidden, 0.0);
-                zero_c.resize_fill(hidden, 0.0);
-                h_slots.resize_with(n, || Vector::zeros(0));
-                c_slots.resize_with(n, || Vector::zeros(0));
-                filled.clear();
-                filled.resize(n, false);
-                for (k, tp) in tissues.iter().enumerate() {
-                    sink.tag(SpanTag::tissue(layer, k, tp.sublayers.first().copied()));
-                    // The schedule guarantees every Prior predecessor was
-                    // produced by an *earlier* tissue; check up front so
-                    // the in-place slot writes below cannot mask a
-                    // malformed plan.
-                    for (&t, src) in tp.cells.iter().zip(&tp.prev) {
-                        if matches!(src, PrevSource::Prior) {
-                            assert!(
-                                filled[t - 1],
-                                "schedule guarantees the predecessor already ran"
-                            );
-                        }
-                    }
-                    match &tp.kernels {
-                        TissueKernels::Plain { sgemm, ew } => {
-                            sink.emit(sgemm);
-                            sink.emit(ew);
-                            for (&t, src) in tp.cells.iter().zip(&tp.prev) {
-                                match src {
-                                    PrevSource::Zeros => {
-                                        let (_, rest_h) = h_slots.split_at_mut(t);
-                                        let (_, rest_c) = c_slots.split_at_mut(t);
-                                        weights.step_fused_into_at(
-                                            precision,
-                                            &wx[t],
-                                            zero_h,
-                                            zero_c,
-                                            cell,
-                                            &mut rest_h[0],
-                                            &mut rest_c[0],
-                                        );
-                                    }
-                                    PrevSource::Predicted => {
-                                        let (_, rest_h) = h_slots.split_at_mut(t);
-                                        let (_, rest_c) = c_slots.split_at_mut(t);
-                                        weights.step_fused_into_at(
-                                            precision,
-                                            &wx[t],
-                                            predicted_h,
-                                            predicted_c,
-                                            cell,
-                                            &mut rest_h[0],
-                                            &mut rest_c[0],
-                                        );
-                                    }
-                                    PrevSource::Prior => {
-                                        let (done_h, rest_h) = h_slots.split_at_mut(t);
-                                        let (done_c, rest_c) = c_slots.split_at_mut(t);
-                                        weights.step_fused_into_at(
-                                            precision,
-                                            &wx[t],
-                                            &done_h[t - 1],
-                                            &done_c[t - 1],
-                                            cell,
-                                            &mut rest_h[0],
-                                            &mut rest_c[0],
-                                        );
-                                    }
-                                }
-                                filled[t] = true;
-                            }
-                        }
-                        TissueKernels::Drs {
-                            uo,
-                            gate_ew,
-                            select,
-                            masked,
-                            ew,
-                        } => {
-                            sink.emit(uo);
-                            sink.emit(gate_ew);
-                            sink.emit(select);
-                            os.resize_with(tp.cells.len(), || Vector::zeros(0));
-                            masks.resize_with(tp.cells.len(), Vec::new);
-                            for (i, (&t, src)) in tp.cells.iter().zip(&tp.prev).enumerate() {
-                                let h_prev = match src {
-                                    PrevSource::Zeros => &*zero_h,
-                                    PrevSource::Predicted => predicted_h,
-                                    PrevSource::Prior => &h_slots[t - 1],
-                                };
-                                weights.output_gate_into_at(
-                                    precision, &wx[t].o, h_prev, cell, &mut os[i],
-                                );
-                                trivial_row_mask_into(&os[i], *alpha_intra, &mut masks[i]);
-                            }
-                            for mask in masks.iter() {
-                                skips.push(skip_fraction(mask));
-                            }
-                            masked.instantiate_into(masks, union_mask, masked_desc);
-                            sink.emit(masked_desc);
-                            sink.emit(ew);
-                            for (i, (&t, src)) in tp.cells.iter().zip(&tp.prev).enumerate() {
-                                match src {
-                                    PrevSource::Zeros => {
-                                        let (_, rest_h) = h_slots.split_at_mut(t);
-                                        let (_, rest_c) = c_slots.split_at_mut(t);
-                                        weights.step_masked_into_at(
-                                            precision,
-                                            &wx[t],
-                                            zero_h,
-                                            zero_c,
-                                            &os[i],
-                                            &masks[i],
-                                            cell,
-                                            &mut rest_h[0],
-                                            &mut rest_c[0],
-                                        );
-                                    }
-                                    PrevSource::Predicted => {
-                                        let (_, rest_h) = h_slots.split_at_mut(t);
-                                        let (_, rest_c) = c_slots.split_at_mut(t);
-                                        weights.step_masked_into_at(
-                                            precision,
-                                            &wx[t],
-                                            predicted_h,
-                                            predicted_c,
-                                            &os[i],
-                                            &masks[i],
-                                            cell,
-                                            &mut rest_h[0],
-                                            &mut rest_c[0],
-                                        );
-                                    }
-                                    PrevSource::Prior => {
-                                        let (done_h, rest_h) = h_slots.split_at_mut(t);
-                                        let (done_c, rest_c) = c_slots.split_at_mut(t);
-                                        weights.step_masked_into_at(
-                                            precision,
-                                            &wx[t],
-                                            &done_h[t - 1],
-                                            &done_c[t - 1],
-                                            &os[i],
-                                            &masks[i],
-                                            cell,
-                                            &mut rest_h[0],
-                                            &mut rest_c[0],
-                                        );
-                                    }
-                                }
-                                filled[t] = true;
-                            }
-                        }
-                    }
-                }
-                hs_out.resize_with(n, || Vector::zeros(0));
-                for t in 0..n {
-                    assert!(filled[t], "every cell scheduled exactly once");
-                    mem::swap(&mut hs_out[t], &mut h_slots[t]);
-                }
-            }
+    /// Grows the per-lane buffers to at least `lanes` (never shrinks, so
+    /// gangs of varying size reuse the same workspaces).
+    pub(crate) fn reserve_lanes(&mut self, lanes: usize) {
+        if self.ws.len() < lanes {
+            self.ws.resize_with(lanes, Workspace::new);
+            self.wx.resize_with(lanes, Vec::new);
         }
     }
 
@@ -1356,6 +927,7 @@ impl PlanRuntime {
         );
 
         let hidden = net.hidden();
+        self.reserve_lanes(1);
         out.layer_hs.resize_with(layer_plans.len(), Vec::new);
         out.layer_skips.clear();
         out.layer_skips
@@ -1373,7 +945,8 @@ impl PlanRuntime {
                 layer.weights(),
                 hidden,
                 current,
-                &mut self.ws,
+                &mut self.ws[0],
+                &mut self.shared,
                 sink,
                 &mut out.layer_skips[l],
                 &mut rest[0],
@@ -1399,6 +972,7 @@ impl PlanRuntime {
         hidden: usize,
         xs: &[Vector],
         ws: &mut Workspace,
+        shared: &mut SharedScratch,
         sink: &mut impl KernelSink,
         skips: &mut SkipStats,
         hs_out: &mut Vec<Vector>,
@@ -1421,26 +995,33 @@ impl PlanRuntime {
                 assert_eq!(cells.len(), xs.len(), "plan/input length mismatch");
                 ws.h.resize_fill(hidden, 0.0);
                 hs_out.resize_with(xs.len(), || Vector::zeros(0));
+                if shared.all_masks.is_empty() {
+                    shared.all_masks.push(Vec::new());
+                }
+                let SharedScratch {
+                    all_masks,
+                    union_mask,
+                    masked_desc,
+                    ..
+                } = shared;
+                let active = &mut all_masks[..1];
                 for (t, (cell, x)) in cells.iter().zip(xs).enumerate() {
                     sink.tag(SpanTag::cells(layer, t));
                     sink.emit(&cell.uz);
                     weights.update_gate_into_at(precision, x, &ws.h, &mut ws.gru, &mut ws.gate);
                     sink.emit(&cell.select);
-                    trivial_row_mask_into(&ws.gate, *alpha_intra, &mut ws.active);
-                    skips.push(skip_fraction(&ws.active));
-                    cell.masked.instantiate_into(
-                        std::slice::from_ref(&ws.active),
-                        &mut ws.union_mask,
-                        &mut ws.masked_desc,
-                    );
-                    sink.emit(&ws.masked_desc);
+                    trivial_row_mask_into(&ws.gate, *alpha_intra, &mut active[0]);
+                    skips.push(skip_fraction(&active[0]));
+                    cell.masked
+                        .instantiate_into(active, 1, union_mask, masked_desc);
+                    sink.emit(masked_desc);
                     sink.emit(&cell.ew);
                     weights.step_masked_into_at(
                         precision,
                         x,
                         &ws.h,
                         &ws.gate,
-                        &ws.active,
+                        &active[0],
                         &mut ws.gru,
                         &mut ws.h_next,
                     );
@@ -1530,19 +1111,25 @@ mod tests {
         assert_eq!(out.layer_hs, outputs);
     }
 
+    fn price(k: &MaskedUKernel, masks: &[Vec<bool>], seqs: usize) -> KernelDesc {
+        let mut out = KernelDesc::builder(String::new(), KernelKind::Other).build();
+        k.instantiate_into(masks, seqs, &mut Vec::new(), &mut out);
+        out
+    }
+
     #[test]
     fn masked_template_full_mask_prices_all_rows() {
         let mut alloc = RegionAllocator::new();
         let u = alloc.fresh();
         let k = MaskedUKernel::new("m", 3, 8, 1, u, DrsMode::Hardware, true, &mut alloc);
-        let full = k.instantiate(&[vec![true; 8]]);
+        let full = price(&k, &[vec![true; 8]], 1);
         assert_eq!(full.flops, 2 * 3 * 8 * 8);
         assert_eq!(full.reads[0].bytes, 3 * 8 * 8 * F32);
         assert_eq!(full.divergence, 1.0);
         assert!(!full.uses_crm);
 
         let half: Vec<bool> = (0..8).map(|i| i < 4).collect();
-        let masked = k.instantiate(&[half]);
+        let masked = price(&k, &[half], 1);
         assert_eq!(masked.flops, full.flops / 2);
         assert!(masked.reads[0].bytes < full.reads[0].bytes);
         assert!(masked.uses_crm);
@@ -1550,6 +1137,30 @@ mod tests {
         assert_eq!(masked.label, full.label);
         assert_eq!(masked.reads[0].region, full.reads[0].region);
         assert_eq!(masked.writes[0].region, full.writes[0].region);
+    }
+
+    #[test]
+    fn masked_template_prices_union_across_sequences() {
+        let mut alloc = RegionAllocator::new();
+        let u = alloc.fresh();
+        let k = MaskedUKernel::new("m", 3, 8, 1, u, DrsMode::Hardware, true, &mut alloc);
+        // Two sequences with disjoint active halves: the weight read
+        // covers the union (all rows), compute covers each half.
+        let lo: Vec<bool> = (0..8).map(|i| i < 4).collect();
+        let hi: Vec<bool> = (0..8).map(|i| i >= 4).collect();
+        let priced = price(&k, &[lo, hi], 2);
+        assert_eq!(priced.reads[0].bytes, 3 * 8 * 8 * F32);
+        assert_eq!(priced.flops, 2 * 3 * 8 * 8); // 2 x half the rows
+        assert_eq!(priced.kind, KernelKind::Sgemm);
+    }
+
+    #[test]
+    #[should_panic(expected = "2 masks for 1 sequences of batch 1")]
+    fn masked_template_rejects_mask_count_mismatch() {
+        let mut alloc = RegionAllocator::new();
+        let u = alloc.fresh();
+        let k = MaskedUKernel::new("m", 3, 8, 1, u, DrsMode::Hardware, true, &mut alloc);
+        price(&k, &[vec![true; 8], vec![true; 8]], 1);
     }
 
     #[test]

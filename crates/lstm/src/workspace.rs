@@ -1,26 +1,26 @@
-//! The reusable step-loop workspace: every transient buffer the
-//! streaming runtimes touch per timestep, allocated once and recycled
-//! across runs.
+//! The reusable step-loop scratch: every transient buffer the runtime
+//! touches per timestep, allocated once and recycled across runs.
 //!
 //! The paper's premise is that the recurrent loop is launch-bound and
 //! bandwidth-bound; the host-side analogue of that waste is per-step heap
-//! churn. A [`Workspace`] owns the fused gate slab, the `(h, c)` double
-//! buffers, the skip-mask scratch and the recycled masked-kernel
-//! descriptor, so a warm [`PlanRuntime`](crate::plan::PlanRuntime) or
-//! [`BatchRuntime`](crate::batch::BatchRuntime) performs zero heap
-//! allocations per steady-state timestep (asserted by the `alloc_audit`
-//! bench).
+//! churn. A [`PlanRuntime`](crate::plan::PlanRuntime) owns one
+//! [`Workspace`] per lane (the fused gate slab, the `(h, c)` double
+//! buffers, the tissue slots and per-cell masks of one sequence) plus one
+//! shared scratch for what the lanes price together (the lane-major mask
+//! list, its union, and the recycled kernel descriptors), so a warm
+//! runtime performs zero heap allocations per steady-state timestep
+//! (asserted by the `alloc_audit` bench).
 
 use crate::cell::CellScratch;
 use crate::gru::GruScratch;
 use gpu_sim::{KernelDesc, KernelKind};
 use tensor::Vector;
 
-/// Recycled buffers for one executing layer body.
+/// Recycled buffers for one lane (sequence) of an executing layer body.
 ///
 /// Every field is scratch: the contents carry no meaning between runs,
-/// only the capacity. The runtimes resize (never reallocate, once warm)
-/// at the start of each layer and overwrite in place per timestep.
+/// only the capacity. The runtime resizes (never reallocates, once warm)
+/// at the start of each layer and overwrites in place per timestep.
 #[derive(Debug)]
 pub struct Workspace {
     /// LSTM cell scratch: the fused `U` gate slab plus the row-gather
@@ -39,12 +39,6 @@ pub struct Workspace {
     /// The hoisted gate driving Dynamic Row Skip: `o_t` for the LSTM,
     /// `z_t` for the GRU.
     pub(crate) gate: Vector,
-    /// Per-cell active-row mask (`DRS(o_t, α_intra, R)` output).
-    pub(crate) active: Vec<bool>,
-    /// Column-wise union of the masks a batched kernel prices over.
-    pub(crate) union_mask: Vec<bool>,
-    /// The recycled descriptor masked templates are instantiated into.
-    pub(crate) masked_desc: KernelDesc,
     /// Per-cell output gates of one tissue (parallel to its cells).
     pub(crate) os: Vec<Vector>,
     /// Per-cell active masks of one tissue (parallel to its cells).
@@ -73,9 +67,6 @@ impl Workspace {
             h_next: Vector::zeros(0),
             c_next: Vector::zeros(0),
             gate: Vector::zeros(0),
-            active: Vec::new(),
-            union_mask: Vec::new(),
-            masked_desc: KernelDesc::builder(String::new(), KernelKind::Other).build(),
             os: Vec::new(),
             masks: Vec::new(),
             h_slots: Vec::new(),
@@ -90,5 +81,30 @@ impl Workspace {
 impl Default for Workspace {
     fn default() -> Self {
         Self::new()
+    }
+}
+
+/// The runtime's cross-lane recycled scratch.
+#[derive(Debug)]
+pub(crate) struct SharedScratch {
+    /// Per-cell active masks of every lane, lane-major: what one masked
+    /// kernel prices over (`DRS(gate, α_intra, R)` outputs).
+    pub(crate) all_masks: Vec<Vec<bool>>,
+    /// Column-wise union of the masks a masked kernel prices over.
+    pub(crate) union_mask: Vec<bool>,
+    /// The descriptor masked templates are instantiated into.
+    pub(crate) masked_desc: KernelDesc,
+    /// The descriptor planned kernels are batched into.
+    pub(crate) batched: KernelDesc,
+}
+
+impl Default for SharedScratch {
+    fn default() -> Self {
+        Self {
+            all_masks: Vec::new(),
+            union_mask: Vec::new(),
+            masked_desc: KernelDesc::builder(String::new(), KernelKind::Other).build(),
+            batched: KernelDesc::builder(String::new(), KernelKind::Other).build(),
+        }
     }
 }

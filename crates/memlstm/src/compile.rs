@@ -18,8 +18,9 @@
 //!
 //! Deeper layers' relevances depend on the (approximated) hidden states
 //! the earlier layers produce, so the compiler advances every probe
-//! numerically through each layer *as planned* — using the same runtime
-//! code paths (`PlanRuntime::layer_numerics`) the online phase uses — and
+//! numerically through each layer *as planned* — through the runtime's
+//! one LSTM interpreter (`PlanRuntime::layer_numerics`, a single lane at
+//! the configured precision), the code the online phase runs — and
 //! analyzes layer `l + 1` against exactly the inputs it will see.
 
 use crate::breakpoints::find_breakpoints;
@@ -148,7 +149,7 @@ pub fn try_compile(
         // bit-identical by the exec-crate plan-reuse tests).
         currents = probe_pool.par_map((0..currents.len()).collect::<Vec<usize>>(), |p| {
             let mut runtime = PlanRuntime::new();
-            runtime.layer_numerics_at(config.precision, &body, layer.weights(), &wxs[p])
+            runtime.layer_numerics(config.precision, &body, layer.weights(), &wxs[p])
         });
         layers.push(LayerPlan {
             wx: wx_kernel,

@@ -87,6 +87,15 @@ pub enum Error {
     /// Every device in the fleet is quarantined; nothing can accept the
     /// request.
     FleetAllQuarantined,
+    /// A submitted request's times are unusable: a non-finite or negative
+    /// arrival (a NaN arrival is never eligible, so serving would stall),
+    /// or a non-finite deadline or one before the arrival.
+    InvalidRequest {
+        /// The request's id.
+        id: u64,
+        /// Why the request is rejected.
+        reason: &'static str,
+    },
 }
 
 impl fmt::Display for Error {
@@ -130,6 +139,9 @@ impl fmt::Display for Error {
             ),
             Error::FleetAllQuarantined => {
                 write!(f, "fleet: every device is quarantined")
+            }
+            Error::InvalidRequest { id, reason } => {
+                write!(f, "invalid request {id}: {reason}")
             }
         }
     }
@@ -183,6 +195,10 @@ mod tests {
                 devices: 3,
             },
             Error::FleetAllQuarantined,
+            Error::InvalidRequest {
+                id: 7,
+                reason: "arrival_s must be finite and non-negative",
+            },
         ]
     }
 
@@ -204,6 +220,9 @@ mod tests {
             Error::FleetEmpty => "fleet: no member devices",
             Error::FleetRouteIndex { .. } => "routing policy chose device 9",
             Error::FleetAllQuarantined => "every device is quarantined",
+            Error::InvalidRequest { .. } => {
+                "invalid request 7: arrival_s must be finite and non-negative"
+            }
         }
     }
 
@@ -213,7 +232,7 @@ mod tests {
         // fails to compile until it picks a pinned message; this count
         // keeps `all_variants` honest alongside it.
         let variants = all_variants();
-        assert_eq!(variants.len(), 14, "new variant missing from the table");
+        assert_eq!(variants.len(), 15, "new variant missing from the table");
         let mut displays: Vec<String> = variants.iter().map(Error::to_string).collect();
         displays.sort();
         displays.dedup();

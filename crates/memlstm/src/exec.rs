@@ -83,33 +83,6 @@ impl OptimizerConfig {
         }
     }
 
-    /// Inter-cell optimization only (Fig. 14's "inter" bars).
-    #[deprecated(note = "use OptimizerConfig::builder().alpha_inter(..).max_tissue_size(..)")]
-    pub fn inter_only(alpha_inter: f64, mts: usize) -> Self {
-        Self::builder()
-            .alpha_inter(alpha_inter)
-            .max_tissue_size(mts)
-            .build()
-    }
-
-    /// Intra-cell optimization only (Fig. 14's "intra" bars).
-    #[deprecated(note = "use OptimizerConfig::builder().drs(..)")]
-    pub fn intra_only(drs: DrsConfig) -> Self {
-        Self::builder().drs(drs).build()
-    }
-
-    /// Both levels combined (Fig. 14's "overall" bars).
-    #[deprecated(
-        note = "use OptimizerConfig::builder().alpha_inter(..).max_tissue_size(..).drs(..)"
-    )]
-    pub fn combined(alpha_inter: f64, mts: usize, drs: DrsConfig) -> Self {
-        Self::builder()
-            .alpha_inter(alpha_inter)
-            .max_tissue_size(mts)
-            .drs(drs)
-            .build()
-    }
-
     /// Whether the intra-cell level is active.
     pub fn intra_enabled(&self) -> bool {
         self.drs.is_enabled()
@@ -468,34 +441,6 @@ mod tests {
             .collect();
         let predictors = NetworkPredictors::collect(&net, &offline);
         (net, xs, predictors)
-    }
-
-    #[test]
-    #[allow(deprecated)]
-    fn deprecated_constructors_equal_their_builder_spellings() {
-        let drs = DrsConfig {
-            alpha_intra: 0.05,
-            mode: DrsMode::Hardware,
-        };
-        assert_eq!(
-            OptimizerConfig::inter_only(1.5, 4),
-            OptimizerConfig::builder()
-                .alpha_inter(1.5)
-                .max_tissue_size(4)
-                .build()
-        );
-        assert_eq!(
-            OptimizerConfig::intra_only(drs),
-            OptimizerConfig::builder().drs(drs).build()
-        );
-        assert_eq!(
-            OptimizerConfig::combined(1.5, 4, drs),
-            OptimizerConfig::builder()
-                .alpha_inter(1.5)
-                .max_tissue_size(4)
-                .drs(drs)
-                .build()
-        );
     }
 
     #[test]

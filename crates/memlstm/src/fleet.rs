@@ -52,8 +52,11 @@
 //! numerics — true for baseline plans, whose outputs are
 //! device-independent (pinned in `tests/devices.rs`) — a request's
 //! logits are byte-identical regardless of which device or policy served
-//! it, and identical to a solo
+//! it, and identical to a solo (batch-of-one)
 //! [`PlanRuntime`](lstm::plan::PlanRuntime) run.
+//!
+//! Requests are validated before routing: unusable times surface as
+//! [`Error::InvalidRequest`] and the policy never sees them.
 
 use crate::error::{Error, MemlstmResult};
 use crate::serve::{
@@ -351,12 +354,15 @@ impl<'a> FleetEngine<'a> {
     /// device. Returns the device index that accepted it.
     ///
     /// # Errors
-    /// [`Error::FleetAllQuarantined`] if no healthy device remains,
-    /// [`Error::FleetRouteIndex`] if the policy picked an out-of-range
-    /// or quarantined device, plus the chosen engine's own
-    /// [`submit`](ServeEngine::submit) errors ([`Error::QueueFull`],
-    /// [`Error::SeqLenMismatch`], ...), which leave the fleet unchanged.
+    /// [`Error::InvalidRequest`] for unusable times (checked before the
+    /// policy sees the request), [`Error::FleetAllQuarantined`] if no
+    /// healthy device remains, [`Error::FleetRouteIndex`] if the policy
+    /// picked an out-of-range or quarantined device, plus the chosen
+    /// engine's own [`submit`](ServeEngine::submit) errors
+    /// ([`Error::QueueFull`], [`Error::SeqLenMismatch`], ...), which leave
+    /// the fleet unchanged.
     pub fn submit(&mut self, request: Request) -> MemlstmResult<usize> {
+        request.check_times()?;
         let healthy = Self::healthy_of(&self.members);
         if healthy.is_empty() {
             return Err(Error::FleetAllQuarantined);

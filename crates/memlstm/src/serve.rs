@@ -6,8 +6,11 @@
 //! every `U` matrix from DRAM per timestep — the exact bottleneck the paper
 //! measures (Fig. 4/6). [`ServeEngine`] exploits the overlap: requests that
 //! have arrived by the current simulated clock are ganged into one batch
-//! and executed in lockstep by [`BatchRuntime`], so every weight load is
-//! amortized across the whole gang (see `lstm::batch`).
+//! and executed in lockstep by the engine's [`PlanRuntime`], so every
+//! weight load is amortized across the whole gang (see `lstm::batch`).
+//! Requests with unusable times (a non-finite or negative arrival, a
+//! non-finite deadline or one before the arrival) are refused at
+//! [`submit`](ServeEngine::submit) with [`Error::InvalidRequest`].
 //!
 //! The engine is *round based*: all requests share the plan's compiled
 //! sequence length, so a gang starts together and finishes together, and
@@ -57,17 +60,16 @@
 //! fallback carry `degraded: true`.
 //!
 //! Per-sequence outputs on the *primary* plan remain **bit-identical** to
-//! running each request alone through
-//! [`PlanRuntime`](lstm::plan::PlanRuntime); batching, faults and retries
-//! change only the clock, never the numbers. Degraded rounds are
-//! bit-identical to solo runs of the *fallback* plan.
+//! running each request alone (a batch of one on the same runtime);
+//! batching, faults and retries change only the clock, never the
+//! numbers. Degraded rounds are bit-identical to solo runs of the
+//! *fallback* plan.
 
 use crate::error::{Error, MemlstmResult};
 use gpu_sim::profile::ChromeTrace;
 use gpu_sim::{DeviceModel, GpuDevice};
-use lstm::batch::BatchRuntime;
 use lstm::network::LstmNetwork;
-use lstm::plan::{ExecutionPlan, PlanBody, PlanOutput};
+use lstm::plan::{ExecutionPlan, PlanBody, PlanOutput, PlanRuntime};
 use std::collections::{BTreeMap, BTreeSet};
 use std::mem;
 use tensor::Vector;
@@ -262,15 +264,6 @@ impl ServeConfig {
         }
     }
 
-    /// The stock configuration for `device` — the builder's starting
-    /// point, which is valid by construction.
-    #[deprecated(note = "use ServeConfig::builder(device)")]
-    pub fn new(device: DeviceModel) -> Self {
-        ServeConfig::builder(device)
-            .build()
-            .expect("stock config is valid")
-    }
-
     /// Checks the numeric fields. [`ServeConfigBuilder::build`] is the
     /// one caller on the construction path; it stays public so code that
     /// assembles a `ServeConfig` literally (the fields are public) can
@@ -394,6 +387,34 @@ pub struct Request {
     /// served request that finishes past it resolves as
     /// [`ServeOutcome::DeadlineMiss`].
     pub deadline_s: Option<f64>,
+}
+
+impl Request {
+    /// Checks the request's times before it is queued: a NaN arrival is
+    /// never eligible for admission, so accepting one would stall
+    /// [`ServeEngine::step`].
+    ///
+    /// # Errors
+    /// [`Error::InvalidRequest`] for a non-finite or negative
+    /// `arrival_s`, or a `deadline_s` that is non-finite or earlier than
+    /// `arrival_s`.
+    pub(crate) fn check_times(&self) -> MemlstmResult<()> {
+        let invalid = |reason| {
+            Err(Error::InvalidRequest {
+                id: self.id,
+                reason,
+            })
+        };
+        if !self.arrival_s.is_finite() || self.arrival_s < 0.0 {
+            return invalid("arrival_s must be finite and non-negative");
+        }
+        match self.deadline_s {
+            Some(d) if !d.is_finite() || d < self.arrival_s => {
+                invalid("deadline_s must be finite and not before arrival_s")
+            }
+            _ => Ok(()),
+        }
+    }
 }
 
 /// A served request's result (the payload of
@@ -731,12 +752,12 @@ pub struct ServeEngine<'a> {
     rounds: Vec<RoundReport>,
     outcomes: Vec<ServeOutcome>,
     events: Vec<DegradeEvent>,
-    runtime: BatchRuntime,
+    runtime: PlanRuntime,
     /// Gang input slots, recycled across rounds (requests' sequences are
     /// moved in rather than cloned).
     seqs: Vec<Vec<Vector>>,
     /// Per-sequence outputs, recycled across rounds by
-    /// [`BatchRuntime::run_lstm_batch_into`].
+    /// [`PlanRuntime::run_lstm_batch_into`].
     outs: Vec<PlanOutput>,
     clock_s: f64,
     submitted: u64,
@@ -788,7 +809,7 @@ impl<'a> ServeEngine<'a> {
             rounds: Vec::new(),
             outcomes: Vec::new(),
             events: Vec::new(),
-            runtime: BatchRuntime::new(),
+            runtime: PlanRuntime::new(),
             seqs: Vec::new(),
             outs: Vec::new(),
             clock_s: 0.0,
@@ -853,12 +874,15 @@ impl<'a> ServeEngine<'a> {
     /// Enqueues a request.
     ///
     /// # Errors
-    /// [`Error::EmptyInput`] for an empty sequence,
+    /// [`Error::InvalidRequest`] for unusable times (a non-finite or
+    /// negative arrival, a non-finite deadline or one before the
+    /// arrival), [`Error::EmptyInput`] for an empty sequence,
     /// [`Error::SeqLenMismatch`] if the sequence does not match the
     /// plan's compiled length, and [`Error::QueueFull`] at capacity —
     /// unless [`SheddingPolicy::evict_on_full`] finds a latest-deadline
     /// victim to shed for a strictly tighter-deadline newcomer.
     pub fn submit(&mut self, request: Request) -> MemlstmResult<()> {
+        request.check_times()?;
         if request.xs.is_empty() {
             return Err(Error::EmptyInput);
         }

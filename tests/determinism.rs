@@ -84,7 +84,6 @@ fn assert_bits_eq(a: &tensor::Vector, b: &tensor::Vector, what: &str) {
 /// plans at batch sizes 1, 2, and 8.
 #[test]
 fn batched_execution_is_bit_identical_per_sequence_across_plans() {
-    use lstm::batch::BatchRuntime;
     use lstm::plan::{ExecutionPlan, NullSink, PlanRuntime};
     use memlstm::drs::{DrsConfig, DrsMode};
     use memlstm::exec::{OptimizedExecutor, OptimizerConfig};
@@ -123,7 +122,7 @@ fn batched_execution_is_bit_identical_per_sequence_across_plans() {
         for batch in [1usize, 2, 8] {
             let gang: Vec<Vec<tensor::Vector>> =
                 (0..batch).map(|i| seqs[i % seqs.len()].clone()).collect();
-            let outs = BatchRuntime::new().run_lstm_batch(plan, net, &gang, &mut NullSink);
+            let outs = PlanRuntime::new().run_lstm_batch(plan, net, &gang, &mut NullSink);
             for (i, (xs, out)) in gang.iter().zip(&outs).enumerate() {
                 let solo = PlanRuntime::new().run_lstm(plan, net, xs, &mut NullSink);
                 assert_bits_eq(
@@ -153,7 +152,6 @@ fn batched_execution_is_bit_identical_per_sequence_across_plans() {
 /// leftover tissue slots from a previous (larger) run would surface here.
 #[test]
 fn dirty_runtime_reuse_is_bit_identical_to_fresh_runtimes() {
-    use lstm::batch::BatchRuntime;
     use lstm::plan::{ExecutionPlan, NullSink, PlanRuntime};
     use memlstm::drs::{DrsConfig, DrsMode};
     use memlstm::exec::{OptimizedExecutor, OptimizerConfig};
@@ -206,7 +204,7 @@ fn dirty_runtime_reuse_is_bit_identical_to_fresh_runtimes() {
     // One shared batch runtime, shrinking and regrowing the gang so the
     // per-sequence workspaces and shared mask scratch go stale between
     // runs.
-    let mut batch_rt = BatchRuntime::new();
+    let mut batch_rt = PlanRuntime::new();
     for (p, plan) in plans.iter().enumerate() {
         for batch in [8usize, 1, 2] {
             let gang: Vec<Vec<tensor::Vector>> =

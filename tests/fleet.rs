@@ -4,7 +4,8 @@
 //! submitted id resolves to exactly one outcome, even through fault
 //! storms, quarantines, and backlog re-routing). ISSUE 10 adds the
 //! `RoutePolicy` contract: every shipped policy returns a healthy
-//! in-range index, deterministically for a fixed fleet state.
+//! in-range index, deterministically for a fixed fleet state. Requests
+//! with unusable times are rejected before any policy sees them.
 
 use gpu_sim::DeviceModel;
 use lstm::plan::{ExecutionPlan, NullSink, PlanRuntime};
@@ -45,6 +46,54 @@ fn policies() -> Vec<Box<dyn RoutePolicy>> {
         Box::new(LeastQueueDepth),
         Box::new(Affinity),
     ]
+}
+
+/// Request times picked from NaN, ±inf, negative, deadline-before-arrival,
+/// and ordinary values (`base` is an ordinary arrival).
+fn adversarial_times(arrival_kind: usize, deadline_kind: usize, base: f64) -> (f64, Option<f64>) {
+    let arrival_s = match arrival_kind {
+        0 => f64::NAN,
+        1 => f64::INFINITY,
+        2 => f64::NEG_INFINITY,
+        3 => -1e-3,
+        _ => base,
+    };
+    let deadline_s = match deadline_kind {
+        0 => None,
+        1 => Some(f64::NAN),
+        2 => Some(f64::INFINITY),
+        3 => Some(f64::NEG_INFINITY),
+        4 => Some(arrival_s - 1e-4),
+        5 => Some(arrival_s + 1e-6),
+        _ => Some(arrival_s + 10.0),
+    };
+    (arrival_s, deadline_s)
+}
+
+/// Whether the fleet may accept these times: a finite, non-negative
+/// arrival and no deadline or a finite one not before the arrival.
+fn times_are_usable(arrival_s: f64, deadline_s: Option<f64>) -> bool {
+    arrival_s.is_finite()
+        && arrival_s >= 0.0
+        && deadline_s.is_none_or(|d| d.is_finite() && d >= arrival_s)
+}
+
+/// Counts `route` calls, delegating to round-robin.
+#[derive(Default)]
+struct CountingRoute {
+    inner: RoundRobin,
+    calls: std::rc::Rc<std::cell::Cell<usize>>,
+}
+
+impl RoutePolicy for CountingRoute {
+    fn name(&self) -> &'static str {
+        "counting"
+    }
+
+    fn route(&mut self, request: &Request, healthy: &[DeviceStatus<'_>]) -> usize {
+        self.calls.set(self.calls.get() + 1);
+        self.inner.route(request, healthy)
+    }
 }
 
 fn assert_bits_eq(a: &Vector, b: &Vector, what: &str) {
@@ -269,5 +318,68 @@ proptest! {
         // Overflow sheds are exactly the device-less outcomes.
         let overflow = outcomes.iter().filter(|o| o.device.is_none()).count() as u64;
         prop_assert_eq!(m.overflow_shed, overflow);
+    }
+
+    /// Adversarial requests — NaN, ±inf and negative arrivals, NaN/±inf
+    /// deadlines, deadlines before arrival, duplicate ids — are either
+    /// rejected with `InvalidRequest` before the route policy runs, or
+    /// resolve to exactly one outcome each fleet-wide; draining
+    /// terminates.
+    #[test]
+    fn adversarial_requests_are_rejected_or_resolve_exactly_once_fleet_wide(
+        seed in 0u64..8,
+        requests in proptest::collection::vec((0usize..6, 0usize..8, 0u64..4), 1..12),
+        capacity in 1usize..6,
+    ) {
+        let (net, seqs) = setup(seed, 1);
+        let seq_len = seqs[0].len();
+        let devices = [DeviceModel::tegra_x1(), DeviceModel::adreno_5xx()];
+        let plans: Vec<ExecutionPlan> = devices
+            .iter()
+            .map(|d| ExecutionPlan::compile_baseline(&net, seq_len, d))
+            .collect();
+        let members = plans
+            .iter()
+            .map(|p| {
+                let config = ServeConfig::builder(p.device.clone())
+                    .with_max_batch(2)
+                    .with_queue_capacity(capacity)
+                    .with_shedding(SheddingPolicy::expired())
+                    .build()
+                    .unwrap();
+                (p, config)
+            })
+            .collect();
+        let policy = CountingRoute::default();
+        let calls = policy.calls.clone();
+        let mut fleet = FleetEngine::new(&net, members, Box::new(policy)).unwrap();
+        let mut arrival_rng = seeded_rng(seed ^ 0xBAD);
+        let mut accepted = Vec::new();
+        for &(arrival_kind, deadline_kind, id) in &requests {
+            let base = arrival_rng.gen::<f64>() * 1e-3;
+            let (arrival_s, deadline_s) = adversarial_times(arrival_kind, deadline_kind, base);
+            let routed_before = calls.get();
+            let request = Request { id, xs: seqs[0].clone(), arrival_s, deadline_s };
+            match fleet.submit(request) {
+                Ok(_) => {
+                    prop_assert!(times_are_usable(arrival_s, deadline_s));
+                    accepted.push(id);
+                }
+                Err(Error::InvalidRequest { id: rejected, .. }) => {
+                    prop_assert_eq!(rejected, id);
+                    prop_assert!(!times_are_usable(arrival_s, deadline_s));
+                    prop_assert_eq!(calls.get(), routed_before, "policy saw an invalid request");
+                }
+                Err(e) => prop_assert!(
+                    matches!(e, Error::QueueFull { .. }) && times_are_usable(arrival_s, deadline_s),
+                    "unexpected rejection {e:?}"
+                ),
+            }
+        }
+        let outcomes = fleet.drain();
+        let mut resolved: Vec<u64> = outcomes.iter().map(|o| o.outcome.id()).collect();
+        resolved.sort_unstable();
+        accepted.sort_unstable();
+        prop_assert_eq!(resolved, accepted, "outcome/accepted id multiset mismatch");
     }
 }

@@ -1,12 +1,13 @@
 //! Property tests for the serve engine's QoS machinery (ISSUE 8): outcome
 //! conservation (every accepted request resolves exactly once), fault +
-//! retry bit-identity, EDF-ordered shedding, and degradation
-//! switch/restore round-trips.
+//! retry bit-identity, EDF-ordered shedding, degradation switch/restore
+//! round-trips, and rejection of requests with unusable times.
 
 use gpu_sim::DeviceModel;
 use lstm::plan::{ExecutionPlan, NullSink, PlanRuntime};
 use lstm::{LstmNetwork, ModelConfig};
 use memlstm::drs::{DrsConfig, DrsMode};
+use memlstm::error::Error;
 use memlstm::exec::{OptimizedExecutor, OptimizerConfig};
 use memlstm::prediction::NetworkPredictors;
 use memlstm::serve::{FaultPlan, Request, ServeConfig, ServeEngine, ServeOutcome, SheddingPolicy};
@@ -26,6 +27,36 @@ fn setup(seed: u64, n: usize) -> (LstmNetwork, ExecutionPlan, Vec<Vec<Vector>>) 
         .collect();
     let plan = ExecutionPlan::compile_baseline(&net, seqs[0].len(), &DeviceModel::default_preset());
     (net, plan, seqs)
+}
+
+/// Request times picked from NaN, ±inf, negative, deadline-before-arrival,
+/// and ordinary values (`base` is an ordinary arrival).
+fn adversarial_times(arrival_kind: usize, deadline_kind: usize, base: f64) -> (f64, Option<f64>) {
+    let arrival_s = match arrival_kind {
+        0 => f64::NAN,
+        1 => f64::INFINITY,
+        2 => f64::NEG_INFINITY,
+        3 => -1e-3,
+        _ => base,
+    };
+    let deadline_s = match deadline_kind {
+        0 => None,
+        1 => Some(f64::NAN),
+        2 => Some(f64::INFINITY),
+        3 => Some(f64::NEG_INFINITY),
+        4 => Some(arrival_s - 1e-4),
+        5 => Some(arrival_s + 1e-6),
+        _ => Some(arrival_s + 10.0),
+    };
+    (arrival_s, deadline_s)
+}
+
+/// Whether the engine may accept these times: a finite, non-negative
+/// arrival and no deadline or a finite one not before the arrival.
+fn times_are_usable(arrival_s: f64, deadline_s: Option<f64>) -> bool {
+    arrival_s.is_finite()
+        && arrival_s >= 0.0
+        && deadline_s.is_none_or(|d| d.is_finite() && d >= arrival_s)
 }
 
 proptest! {
@@ -258,5 +289,54 @@ proptest! {
         let m = engine.metrics();
         prop_assert_eq!(m.degrade_switches, 1);
         prop_assert!(m.degraded_rounds >= 1 && m.degraded_rounds < m.rounds);
+    }
+
+    /// Adversarial requests — NaN, ±inf and negative arrivals, NaN/±inf
+    /// deadlines, deadlines before arrival, duplicate ids — are either
+    /// rejected with `InvalidRequest` or resolve to exactly one outcome
+    /// each, and draining terminates.
+    #[test]
+    fn adversarial_requests_are_rejected_or_resolve_exactly_once(
+        seed in 0u64..8,
+        requests in proptest::collection::vec((0usize..6, 0usize..8, 0u64..4), 1..12),
+        capacity in 1usize..6,
+        shed_expired in any::<bool>(),
+        evict_on_full in any::<bool>(),
+    ) {
+        let (net, plan, seqs) = setup(seed, 1);
+        let config = ServeConfig::builder(DeviceModel::default_preset())
+            .with_max_batch(2)
+            .with_queue_capacity(capacity)
+            .with_shedding(SheddingPolicy { shed_expired, evict_on_full })
+            .build()
+            .unwrap();
+        let mut engine = ServeEngine::new(&plan, &net, config).unwrap();
+        let mut arrival_rng = seeded_rng(seed ^ 0xBAD);
+        let mut accepted = Vec::new();
+        for &(arrival_kind, deadline_kind, id) in &requests {
+            let base = arrival_rng.gen::<f64>() * 1e-3;
+            let (arrival_s, deadline_s) = adversarial_times(arrival_kind, deadline_kind, base);
+            let request = Request { id, xs: seqs[0].clone(), arrival_s, deadline_s };
+            match engine.submit(request) {
+                Ok(()) => {
+                    prop_assert!(times_are_usable(arrival_s, deadline_s));
+                    accepted.push(id);
+                }
+                Err(Error::InvalidRequest { id: rejected, .. }) => {
+                    prop_assert_eq!(rejected, id);
+                    prop_assert!(!times_are_usable(arrival_s, deadline_s));
+                }
+                Err(e) => prop_assert!(
+                    matches!(e, Error::QueueFull { .. }) && times_are_usable(arrival_s, deadline_s),
+                    "unexpected rejection {e:?}"
+                ),
+            }
+        }
+        let outcomes = engine.drain();
+        let mut resolved: Vec<u64> = outcomes.iter().map(ServeOutcome::id).collect();
+        resolved.sort_unstable();
+        accepted.sort_unstable();
+        prop_assert_eq!(resolved, accepted, "outcome/accepted id multiset mismatch");
+        prop_assert_eq!(engine.pending(), 0);
     }
 }
