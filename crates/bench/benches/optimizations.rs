@@ -13,6 +13,7 @@ use memlstm::relevance::RelevanceAnalyzer;
 use memlstm::tissue::{schedule_tissues, schedule_tissues_balanced};
 use std::hint::black_box;
 use tensor::init::seeded_rng;
+use tensor::Precision;
 
 fn setup() -> (LstmNetwork, Vec<tensor::Vector>, NetworkPredictors) {
     let config = ModelConfig::new("bench", 128, 128, 2, 32, 4).unwrap();
@@ -30,7 +31,7 @@ fn bench_relevance(c: &mut Criterion) {
     let (net, xs, _) = setup();
     let layer = &net.layers()[0];
     let analyzer = RelevanceAnalyzer::new(layer.weights());
-    let wx = layer.precompute_wx(&xs);
+    let wx = layer.precompute_wx(Precision::Fp32, &xs);
     c.bench_function("relevance/layer_32cells", |b| {
         b.iter(|| analyzer.layer_relevances(black_box(&wx)))
     });

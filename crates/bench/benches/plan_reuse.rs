@@ -49,12 +49,12 @@ fn setup() -> Setup {
 fn run_rebuild_per_run(
     exec: &OptimizedExecutor,
     net: &LstmNetwork,
-    probe: &[Vector],
+    probe: &[Vec<Vector>],
     eval: &[Vec<Vector>],
 ) {
     let mut runtime = PlanRuntime::new();
     for xs in eval {
-        let plan = exec.plan(probe);
+        let plan = exec.plan_probes(probe);
         black_box(runtime.run_lstm(&plan, net, xs, &mut NullSink));
     }
 }
@@ -62,11 +62,11 @@ fn run_rebuild_per_run(
 fn run_plan_reuse(
     exec: &OptimizedExecutor,
     net: &LstmNetwork,
-    probe: &[Vector],
+    probe: &[Vec<Vector>],
     eval: &[Vec<Vector>],
 ) {
     let mut runtime = PlanRuntime::new();
-    let plan = exec.plan(probe);
+    let plan = exec.plan_probes(probe);
     for xs in eval {
         black_box(runtime.run_lstm(&plan, net, xs, &mut NullSink));
     }
@@ -76,7 +76,7 @@ fn bench_plan_reuse(c: &mut Criterion) {
     let s = setup();
     let net = s.workload.network();
     let exec = OptimizedExecutor::new(net, &s.predictors, s.config);
-    let probe = &s.workload.dataset().offline()[0];
+    let probe = &s.workload.dataset().offline()[..1];
     let eval = &s.workload.eval_set()[..EVAL_SEQS.min(s.workload.eval_set().len())];
 
     let mut group = c.benchmark_group("plan_reuse");
@@ -96,7 +96,12 @@ fn bench_plan_reuse(c: &mut Criterion) {
 
 /// Times both flows directly (median of `REPS`) and writes the comparison
 /// to `BENCH_plan_reuse.json` for the experiment harness to pick up.
-fn emit_json(exec: &OptimizedExecutor, net: &LstmNetwork, probe: &[Vector], eval: &[Vec<Vector>]) {
+fn emit_json(
+    exec: &OptimizedExecutor,
+    net: &LstmNetwork,
+    probe: &[Vec<Vector>],
+    eval: &[Vec<Vector>],
+) {
     const REPS: usize = 7;
     let median_s = |f: &dyn Fn()| -> f64 {
         let mut times: Vec<f64> = (0..REPS)

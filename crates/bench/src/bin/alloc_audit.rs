@@ -23,6 +23,7 @@
 //! Built behind the `alloc_audit` feature so the counting allocator never
 //! rides along in ordinary benchmark builds.
 
+use bench_harness::cli::Cli;
 use lstm::plan::{ExecutionPlan, NullSink, PlanOutput, PlanRuntime};
 use lstm::{gru_exec::GruNetwork, LstmNetwork, ModelConfig};
 use memlstm::drs::{DrsConfig, DrsMode};
@@ -103,8 +104,10 @@ fn audit(path: &'static str, seq_len: usize, run: impl FnMut()) -> Audit {
     audit
 }
 
+const CLI: Cli = Cli::switches("usage: alloc_audit [--check]", &["--check"]);
+
 fn main() {
-    let check = std::env::args().any(|a| a == "--check");
+    let check = CLI.parse_env().flag("--check");
     let device = gpu_sim::DeviceModel::default_preset();
     let config = ModelConfig::new("alloc-audit", 24, 48, 2, 12, 5).unwrap();
     let mut rng = seeded_rng(17);
@@ -138,7 +141,7 @@ fn main() {
             })
             .build();
         let exec = OptimizedExecutor::new(&net, &predictors, combined);
-        let plan = exec.plan(&xs);
+        let plan = exec.plan_probes(std::slice::from_ref(&xs));
         let mut runtime = PlanRuntime::new();
         let mut out = PlanOutput::new();
         audits.push(audit("combined_drs", xs.len(), || {

@@ -18,9 +18,11 @@
 //! Results go to `BENCH_devices.json` at the repo root. Workloads are
 //! generated once per benchmark and shared across presets, so the
 //! numerics are identical everywhere and only the pricing moves. `--fast`
-//! restricts to the two cheapest benchmarks for CI smoke runs. Everything
-//! is simulated time; reruns are bit-identical.
+//! restricts to the two cheapest benchmarks for CI smoke runs and writes
+//! to `target/bench/` instead, leaving the committed file alone.
+//! Everything is simulated time; reruns are bit-identical.
 
+use bench_harness::cli::{output_path, Cli};
 use bench_harness::session::{sweep_points, Level, ALL_LEVELS};
 use gpu_sim::DeviceModel;
 use memlstm::thresholds::{select_ao, select_bpa, Evaluator, TradeoffPoint};
@@ -188,8 +190,10 @@ fn crossover_json(devices: &[DeviceModel], all: &[Vec<BenchResult>]) -> String {
         .join(",\n")
 }
 
+const CLI: Cli = Cli::switches("usage: devices [--fast]", &["--fast"]);
+
 fn main() {
-    let fast = std::env::args().any(|a| a == "--fast");
+    let fast = CLI.parse_env().flag("--fast");
     let (benchmarks, sets) = if fast {
         (vec![Benchmark::Mr, Benchmark::Babi], FAST_SETS)
     } else {
@@ -258,7 +262,7 @@ fn main() {
         if fast { "fast" } else { "full" },
         crossover_json(&devices, &all)
     );
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_devices.json");
-    std::fs::write(path, &json).expect("write BENCH_devices.json");
-    eprintln!("wrote {path}");
+    let path = output_path("BENCH_devices.json", fast);
+    std::fs::write(&path, &json).expect("write BENCH_devices.json");
+    eprintln!("wrote {}", path.display());
 }

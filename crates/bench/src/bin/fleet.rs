@@ -13,11 +13,13 @@
 //!
 //! Results go to `BENCH_fleet.json` at the repo root, and the affinity
 //! run of the first mix exports per-device Chrome-trace counter tracks
-//! to `FLEET_trace.json`. `--fast` shrinks the trace for CI smoke runs;
-//! `--check` re-reads the JSON and fails unless the QoS fields are
-//! present and affinity beat round-robin (p99 or SLO attainment) on at
-//! least one mix.
+//! to `FLEET_trace.json`. `--fast` shrinks the trace for CI smoke runs
+//! and writes both files to `target/bench/` instead, leaving the
+//! committed ones alone; `--check` re-reads the JSON and fails unless the
+//! QoS fields are present and affinity beat round-robin (p99 or SLO
+//! attainment) on at least one mix.
 
+use bench_harness::cli::{output_path, reread_with_fields, Cli};
 use bench_harness::stats::percentile;
 use gpu_sim::profile::ChromeTrace;
 use gpu_sim::DeviceModel;
@@ -311,9 +313,12 @@ const REQUIRED_FIELDS: [&str; 8] = [
     "\"affinity_beats_round_robin\"",
 ];
 
+const CLI: Cli = Cli::switches("usage: fleet [--fast] [--check]", &["--fast", "--check"]);
+
 fn main() {
-    let fast = std::env::args().any(|a| a == "--fast");
-    let check = std::env::args().any(|a| a == "--check");
+    let args = CLI.parse_env();
+    let fast = args.flag("--fast");
+    let check = args.flag("--check");
     let (benchmark, num_requests) = if fast {
         (Benchmark::Mr, 18)
     } else {
@@ -343,24 +348,15 @@ fn main() {
         if fast { "fast" } else { "full" },
         entries.join(",\n")
     );
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_fleet.json");
-    std::fs::write(path, json).expect("write BENCH_fleet.json");
-    eprintln!("wrote {path}");
-    let trace_path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../FLEET_trace.json");
-    std::fs::write(trace_path, trace_json.expect("first mix captures a trace"))
+    let path = output_path("BENCH_fleet.json", fast);
+    std::fs::write(&path, json).expect("write BENCH_fleet.json");
+    eprintln!("wrote {}", path.display());
+    let trace_path = output_path("FLEET_trace.json", fast);
+    std::fs::write(&trace_path, trace_json.expect("first mix captures a trace"))
         .expect("write FLEET_trace.json");
-    eprintln!("wrote {trace_path}");
+    eprintln!("wrote {}", trace_path.display());
     if check {
-        let written = std::fs::read_to_string(path).expect("re-read BENCH_fleet.json");
-        let missing: Vec<&str> = REQUIRED_FIELDS
-            .iter()
-            .filter(|f| !written.contains(**f))
-            .copied()
-            .collect();
-        assert!(
-            missing.is_empty(),
-            "BENCH_fleet.json is missing QoS fields: {missing:?}"
-        );
+        reread_with_fields(&path, &REQUIRED_FIELDS);
         assert!(
             any_affinity_win,
             "affinity beat round-robin on no mix (p99 or SLO attainment)"

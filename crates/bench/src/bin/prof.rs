@@ -15,70 +15,43 @@
 //! The flame summary and pool utilization go to stdout; the Chrome trace
 //! (loadable in `chrome://tracing` / Perfetto) goes to the output file.
 
+use bench_harness::cli::Cli;
 use bench_harness::{profiling, session, Session};
-use std::env;
 use std::process::exit;
 
-fn usage() -> ! {
-    eprintln!(
-        "usage: prof <benchmark> <scheme> [set-index] [--fast] [--out FILE]\n\
-         benchmarks: imdb mr babi snli ptb mt\n\
-         schemes:    baseline inter intra combined"
-    );
-    exit(2);
-}
+const CLI: Cli = Cli {
+    usage: "usage: prof <benchmark> <scheme> [set-index] [--fast] [--out FILE]\n\
+            benchmarks: imdb mr babi snli ptb mt\n\
+            schemes:    baseline inter intra combined",
+    switches: &["--fast"],
+    options: &["--out"],
+    max_positional: 3,
+};
 
 fn main() {
-    let args: Vec<String> = env::args().skip(1).collect();
-    let fast = args.iter().any(|a| a == "--fast");
-    let out = args
-        .iter()
-        .position(|a| a == "--out")
-        .map(|i| match args.get(i + 1) {
-            Some(path) => path.clone(),
-            None => usage(),
-        });
-    let positional: Vec<&String> = {
-        let mut skip_next = false;
-        args.iter()
-            .filter(|a| {
-                if skip_next {
-                    skip_next = false;
-                    return false;
-                }
-                if *a == "--out" {
-                    skip_next = true;
-                    return false;
-                }
-                !a.starts_with("--")
-            })
-            .collect()
-    };
+    let args = CLI.parse_env();
+    let fast = args.flag("--fast");
+    let out = args.option("--out").map(str::to_owned);
+    let positional = &args.positional;
     let (bench_arg, scheme_arg) = match (positional.first(), positional.get(1)) {
         (Some(b), Some(s)) => (b.as_str(), s.as_str()),
-        _ => usage(),
+        _ => CLI.exit_usage("missing <benchmark> or <scheme>"),
     };
-    let benchmark = profiling::parse_benchmark(bench_arg).unwrap_or_else(|| {
-        eprintln!("unknown benchmark '{bench_arg}'");
-        usage()
-    });
-    let scheme = profiling::Scheme::parse(scheme_arg).unwrap_or_else(|| {
-        eprintln!("unknown scheme '{scheme_arg}'");
-        usage()
-    });
+    let benchmark = profiling::parse_benchmark(bench_arg)
+        .unwrap_or_else(|| CLI.exit_usage(&format!("unknown benchmark '{bench_arg}'")));
+    let scheme = profiling::Scheme::parse(scheme_arg)
+        .unwrap_or_else(|| CLI.exit_usage(&format!("unknown scheme '{scheme_arg}'")));
     let set_index = match positional.get(2) {
         Some(s) => s.parse::<usize>().unwrap_or_else(|_| {
-            eprintln!("set-index must be an integer, got '{s}'");
-            usage()
+            CLI.exit_usage(&format!("set-index must be an integer, got '{s}'"))
         }),
         None => session::NUM_SETS / 2,
     };
     if set_index >= session::NUM_SETS {
-        eprintln!(
+        CLI.exit_usage(&format!(
             "set-index {set_index} out of range (sweep has {} sets)",
             session::NUM_SETS
-        );
-        exit(2);
+        ));
     }
 
     let mut sess = Session::new(fast);

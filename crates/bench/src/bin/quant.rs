@@ -18,13 +18,15 @@
 //! default fp32 pipeline is byte-identical with or without this code.
 //!
 //! Results go to `BENCH_quant.json` at the repo root. `--fast` restricts
-//! to the two cheapest benchmarks with smoke budgets; `--check` re-reads
-//! the written file and fails unless the quantization evidence is present
-//! (per-tier fields, at least one device cell whose residency fraction
-//! moved, every measured error within its pinned bound). The primary
-//! simulated device comes from `MEMLSTM_DEVICE` (unset: Tegra X1).
-//! Everything is simulated time; reruns are bit-identical.
+//! to the two cheapest benchmarks with smoke budgets and writes to
+//! `target/bench/` instead, leaving the committed file alone; `--check`
+//! re-reads the written file and fails unless the quantization evidence
+//! is present (per-tier fields, at least one device cell whose residency
+//! fraction moved, every measured error within its pinned bound). The
+//! primary simulated device comes from `MEMLSTM_DEVICE` (unset: Tegra
+//! X1). Everything is simulated time; reruns are bit-identical.
 
+use bench_harness::cli::{output_path, reread_with_fields, Cli};
 use bench_harness::experiments::{budget_for, fast_budget};
 use bench_harness::session::{config_for_level, sweep_points, Level};
 use gpu_sim::DeviceModel;
@@ -249,9 +251,12 @@ const REQUIRED_FIELDS: [&str; 8] = [
     "\"residency_changed_cells\"",
 ];
 
+const CLI: Cli = Cli::switches("usage: quant [--fast] [--check]", &["--fast", "--check"]);
+
 fn main() {
-    let fast = std::env::args().any(|a| a == "--fast");
-    let check = std::env::args().any(|a| a == "--check");
+    let args = CLI.parse_env();
+    let fast = args.flag("--fast");
+    let check = args.flag("--check");
     let (benchmarks, sets) = if fast {
         (vec![Benchmark::Mr, Benchmark::Babi], FAST_SETS)
     } else {
@@ -332,21 +337,12 @@ fn main() {
         if fast { "fast" } else { "full" },
         device.name
     );
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_quant.json");
-    std::fs::write(path, &json).expect("write BENCH_quant.json");
-    eprintln!("wrote {path}");
+    let path = output_path("BENCH_quant.json", fast);
+    std::fs::write(&path, &json).expect("write BENCH_quant.json");
+    eprintln!("wrote {}", path.display());
 
     if check {
-        let written = std::fs::read_to_string(path).expect("re-read BENCH_quant.json");
-        let missing: Vec<&str> = REQUIRED_FIELDS
-            .iter()
-            .filter(|f| !written.contains(**f))
-            .copied()
-            .collect();
-        assert!(
-            missing.is_empty(),
-            "[quant] --check failed, missing fields: {missing:?}"
-        );
+        let written = reread_with_fields(&path, &REQUIRED_FIELDS);
         assert!(
             !written.contains("\"residency_changed_cells\": 0"),
             "[quant] --check failed: no device/benchmark cell changed residency under int8"

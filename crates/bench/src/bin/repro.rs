@@ -19,26 +19,15 @@
 //! Tegra X1, under which the pinned `repro_output*.txt` snapshots hold;
 //! the device banner goes to stderr so stdout stays byte-stable).
 
+use bench_harness::cli::Cli;
 use bench_harness::{
     ablations, figures_memory, figures_perf, figures_tradeoff, figures_user, profiling, session,
     tables, Session,
 };
-use std::env;
 
 type Experiment = (&'static str, fn(&mut Session) -> String);
 
 fn main() {
-    let args: Vec<String> = env::args().skip(1).collect();
-    let fast = args.iter().any(|a| a == "--fast");
-    let profile = args.iter().any(|a| a == "--profile");
-    let what = args
-        .iter()
-        .find(|a| !a.starts_with("--"))
-        .cloned()
-        .unwrap_or_default();
-    let mut session = Session::new(fast);
-    eprintln!("[repro] device: {}", session.device().name);
-
     let experiments: Vec<Experiment> = vec![
         ("table1", |_s| tables::table1()),
         ("table2", |_s| tables::table2()),
@@ -58,8 +47,26 @@ fn main() {
         ("gpu-scaling", ablations::gpu_scaling),
         ("compression-acc", ablations::compression_accuracy),
     ];
+    let usage = format!(
+        "usage: repro <{}|all> [--fast] [--profile]",
+        experiments
+            .iter()
+            .map(|(n, _)| *n)
+            .collect::<Vec<_>>()
+            .join("|")
+    );
+    let cli = Cli {
+        usage: &usage,
+        switches: &["--fast", "--profile"],
+        options: &[],
+        max_positional: 1,
+    };
+    let args = cli.parse_env();
+    let what = args.positional.first().map_or("", String::as_str);
+    let mut session = Session::new(args.flag("--fast"));
+    eprintln!("[repro] device: {}", session.device().name);
 
-    match what.as_str() {
+    match what {
         "all" => {
             // Build every evaluator and sweep up front, fanned out across
             // benchmarks/levels on the session pool (MEMLSTM_THREADS);
@@ -78,21 +85,12 @@ fn main() {
             if let Some((_, f)) = experiments.iter().find(|(name, _)| *name == other) {
                 println!("{}", f(&mut session));
             } else {
-                eprintln!("unknown experiment '{other}'");
-                eprintln!(
-                    "usage: repro <{}|all> [--fast] [--profile]",
-                    experiments
-                        .iter()
-                        .map(|(n, _)| *n)
-                        .collect::<Vec<_>>()
-                        .join("|")
-                );
-                std::process::exit(2);
+                cli.exit_usage(&format!("unknown experiment '{other}'"));
             }
         }
     }
 
-    if profile {
+    if args.flag("--profile") {
         write_profile(&mut session);
     }
 }

@@ -17,11 +17,13 @@
 //! bit-identical.
 //!
 //! Results go to `BENCH_serve.json` at the repo root. `--fast` restricts
-//! to the two cheapest benchmarks with a smaller trace for CI smoke runs;
-//! `--check` re-reads the written file and fails unless the QoS fields
-//! (`slo`, shed/retry/degrade counts) are present. The simulated device
-//! comes from `MEMLSTM_DEVICE` (unset: Tegra X1).
+//! to the two cheapest benchmarks with a smaller trace for CI smoke runs
+//! and writes to `target/bench/` instead, leaving the committed file
+//! alone; `--check` re-reads the written file and fails unless the QoS
+//! fields (`slo`, shed/retry/degrade counts) are present. The simulated
+//! device comes from `MEMLSTM_DEVICE` (unset: Tegra X1).
 
+use bench_harness::cli::{output_path, reread_with_fields, Cli};
 use bench_harness::session::serve_fallback_plan;
 use bench_harness::stats::percentile;
 use gpu_sim::DeviceModel;
@@ -255,9 +257,12 @@ const REQUIRED_FIELDS: [&str; 8] = [
     "\"deadline_miss\"",
 ];
 
+const CLI: Cli = Cli::switches("usage: serve [--fast] [--check]", &["--fast", "--check"]);
+
 fn main() {
-    let fast = std::env::args().any(|a| a == "--fast");
-    let check = std::env::args().any(|a| a == "--check");
+    let args = CLI.parse_env();
+    let fast = args.flag("--fast");
+    let check = args.flag("--check");
     let device = DeviceModel::from_env();
     eprintln!("[serve] device: {}", device.name);
     let (benchmarks, num_requests) = if fast {
@@ -278,20 +283,11 @@ fn main() {
          \"benchmarks\": [\n{entries}\n  ]\n}}\n",
         if fast { "fast" } else { "full" }
     );
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_serve.json");
-    std::fs::write(path, json).expect("write BENCH_serve.json");
-    eprintln!("wrote {path}");
+    let path = output_path("BENCH_serve.json", fast);
+    std::fs::write(&path, json).expect("write BENCH_serve.json");
+    eprintln!("wrote {}", path.display());
     if check {
-        let written = std::fs::read_to_string(path).expect("re-read BENCH_serve.json");
-        let missing: Vec<&str> = REQUIRED_FIELDS
-            .iter()
-            .filter(|f| !written.contains(**f))
-            .copied()
-            .collect();
-        assert!(
-            missing.is_empty(),
-            "BENCH_serve.json is missing QoS fields: {missing:?}"
-        );
+        reread_with_fields(&path, &REQUIRED_FIELDS);
         eprintln!("[serve] --check passed: all QoS fields present");
     }
 }

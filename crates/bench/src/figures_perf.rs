@@ -104,7 +104,9 @@ pub fn fig15(session: &mut Session) -> String {
             .alpha_inter(ao.set.alpha_inter)
             .max_tissue_size(ev.mts())
             .build();
-        let opt_run = OptimizedExecutor::new(net, ev.predictors(), config).run(xs);
+        let opt_run = OptimizedExecutor::new(net, ev.predictors(), config)
+            .run(xs)
+            .expect("evaluation sequences are non-empty");
         let mut table = TextTable::new(["layer", "speedup", "energy saving%"]);
         for (l, (base_layer, opt_layer)) in base_run.layers.iter().zip(&opt_run.layers).enumerate()
         {
@@ -127,7 +129,7 @@ pub fn fig15(session: &mut Session) -> String {
 }
 
 /// Fig. 16: weight-matrix compression schemes compared — zero-pruning
-/// [31], software DRS, and hardware (CRM) DRS.
+/// \[31\], software DRS, and hardware (CRM) DRS.
 pub fn fig16(session: &mut Session) -> String {
     let mut table = TextTable::new([
         "benchmark",

@@ -4,12 +4,14 @@
 //! the `repro` binary dispatches to them (`cargo run -p mf-bench --release
 //! --bin repro -- <experiment>`). Shared plumbing — workload construction
 //! with per-benchmark evaluation budgets, sweep caching, text tables —
-//! lives in [`session`], [`experiments`] and [`table`].
+//! lives in [`session`], [`experiments`] and [`table`]; [`cli`] holds the
+//! binaries' shared flag parser and result-file placement.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod ablations;
+pub mod cli;
 pub mod experiments;
 pub mod figures_memory;
 pub mod figures_perf;

@@ -74,7 +74,8 @@ pub fn overheads(session: &mut Session) -> String {
         let workload = ev.workload();
         let run = OptimizedExecutor::new(workload.network(), ev.predictors(), config)
             .on_device(device.clone())
-            .run(&workload.eval_set()[0]);
+            .run(&workload.eval_set()[0])
+            .expect("evaluation sequences are non-empty");
         let inter = inter_overhead(&run, &device);
         let intra = intra_overhead(&run, &device);
         let crm = crm_overhead(&run, &device);

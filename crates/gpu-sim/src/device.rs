@@ -159,11 +159,12 @@ impl GpuDevice {
 
 /// An in-progress incremental pricing run over one [`GpuDevice`].
 ///
-/// Created by [`GpuDevice::begin_trace`]. Each [`price_kernel`]
-/// (Self::price_kernel) call advances the device's L2/reload state and folds
-/// the kernel into the running [`SimReport`]; [`finish`](Self::finish)
-/// attaches the energy model (including the CRM power overhead, which needs
-/// the whole-run time split and therefore cannot be charged per kernel).
+/// Created by [`GpuDevice::begin_trace`]. Each
+/// [`price_kernel`](Self::price_kernel) call advances the device's
+/// L2/reload state and folds the kernel into the running [`SimReport`];
+/// [`finish`](Self::finish) attaches the energy model (including the CRM
+/// power overhead, which needs the whole-run time split and therefore
+/// cannot be charged per kernel).
 #[derive(Debug)]
 pub struct TraceSession<'d> {
     device: &'d mut GpuDevice,

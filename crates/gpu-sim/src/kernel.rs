@@ -84,7 +84,7 @@ pub struct KernelDesc {
     /// Multiplier on the *effective* DRAM bandwidth this kernel achieves,
     /// in `(0, 1]`. Irregular access patterns — the scattered surviving
     /// rows of software Dynamic Row Skip, or the CSR gathers of the
-    /// zero-pruning baseline [31] — break coalescing and row-buffer
+    /// zero-pruning baseline \[31\] — break coalescing and row-buffer
     /// locality and achieve only a fraction of streaming bandwidth.
     pub dram_derate: f64,
     /// How many logical gate launches this single launch fuses (Appleyard

@@ -240,7 +240,7 @@ impl PlanRuntime {
     /// stored at `precision`. Plan compilers use this to advance their
     /// probe sequences through already-planned layers with the exact
     /// arithmetic the runtime will use (`wx` must come from
-    /// [`CellWeights::precompute_wx_batch_into_at`] at the same tier).
+    /// [`CellWeights::precompute_wx_batch_into`] at the same tier).
     pub fn layer_numerics(
         &mut self,
         precision: Precision,
@@ -321,7 +321,7 @@ impl PlanRuntime {
                 };
                 layer
                     .weights()
-                    .precompute_wx_batch_into_at(plan.precision, current, wx_s);
+                    .precompute_wx_batch_into(plan.precision, current, wx_s);
             }
             execute_lstm_body_into(
                 l,
@@ -383,7 +383,7 @@ fn execute_lstm_body_into<W: AsRef<[GatePreacts]>, K: KernelSink>(
                 sink.emit(&cell.sgemv);
                 for s in 0..b {
                     let w = &mut ws[s];
-                    weights.step_fused_into_at(
+                    weights.step_fused_into(
                         precision,
                         &wx[s].as_ref()[t],
                         &w.h,
@@ -410,7 +410,7 @@ fn execute_lstm_body_into<W: AsRef<[GatePreacts]>, K: KernelSink>(
                 sink.emit(&cell.gate_ew);
                 for s in 0..b {
                     let w = &mut ws[s];
-                    weights.output_gate_into_at(
+                    weights.output_gate_into(
                         precision,
                         &wx[s].as_ref()[t].o,
                         &w.h,
@@ -427,7 +427,7 @@ fn execute_lstm_body_into<W: AsRef<[GatePreacts]>, K: KernelSink>(
                 sink.emit(&cell.ew);
                 for s in 0..b {
                     let w = &mut ws[s];
-                    weights.step_masked_into_at(
+                    weights.step_masked_into(
                         precision,
                         &wx[s].as_ref()[t],
                         &w.h,
@@ -525,7 +525,7 @@ fn execute_lstm_body_into<W: AsRef<[GatePreacts]>, K: KernelSink>(
                                     PrevSource::Predicted => predicted_h,
                                     PrevSource::Prior => &h_slots[t - 1],
                                 };
-                                weights.output_gate_into_at(
+                                weights.output_gate_into(
                                     precision,
                                     &wx[s].as_ref()[t].o,
                                     h_prev,
@@ -609,11 +609,11 @@ fn step_tissue(
         };
         let (h_out, c_out) = (&mut rest_h[0], &mut rest_c[0]);
         if masked {
-            weights.step_masked_into_at(
+            weights.step_masked_into(
                 precision, &wx[t], h_prev, c_prev, &os[i], &masks[i], cell, h_out, c_out,
             );
         } else {
-            weights.step_fused_into_at(precision, &wx[t], h_prev, c_prev, cell, h_out, c_out);
+            weights.step_fused_into(precision, &wx[t], h_prev, c_prev, cell, h_out, c_out);
         }
         filled[t] = true;
     }

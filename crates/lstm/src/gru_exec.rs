@@ -8,8 +8,6 @@
 //! recurrent matrix is `3·hidden x hidden` (three gates instead of four).
 
 use crate::gru::{GruLayer, GruWeights};
-use crate::plan::{ExecutionPlan, PlanRuntime, TraceCollector};
-use crate::schedule::NetworkRun;
 use gpu_sim::KernelDesc;
 use rand::Rng;
 use tensor::gemm::{sgemv_bias, sgemv_bias_into};
@@ -108,48 +106,6 @@ impl GruNetwork {
     }
 }
 
-/// The baseline GRU executor: cuDNN-style schedule with kernel traces.
-///
-/// A facade over the plan pipeline: `run` compiles a
-/// [`ExecutionPlan::compile_gru_baseline`] plan for the input's length and
-/// executes it immediately. Callers that run many sequences should
-/// compile once and reuse a [`PlanRuntime`](crate::plan::PlanRuntime).
-#[derive(Debug, Clone, Copy)]
-pub struct GruBaselineExecutor<'a> {
-    net: &'a GruNetwork,
-    device: Option<&'a gpu_sim::DeviceModel>,
-}
-
-impl<'a> GruBaselineExecutor<'a> {
-    /// Creates an executor over `net`, planning for the default preset
-    /// (the paper's Tegra X1).
-    pub fn new(net: &'a GruNetwork) -> Self {
-        Self { net, device: None }
-    }
-
-    /// Plans for `device` instead of the default preset.
-    pub fn on_device(mut self, device: &'a gpu_sim::DeviceModel) -> Self {
-        self.device = Some(device);
-        self
-    }
-
-    /// Runs `xs`, producing numbers and the kernel trace.
-    ///
-    /// # Panics
-    /// Panics if `xs` is empty.
-    pub fn run(&self, xs: &[Vector]) -> NetworkRun {
-        assert!(!xs.is_empty(), "GruBaselineExecutor::run: empty input");
-        let device = self
-            .device
-            .cloned()
-            .unwrap_or_else(gpu_sim::DeviceModel::default_preset);
-        let plan = ExecutionPlan::compile_gru_baseline(self.net, xs.len(), &device);
-        let mut collector = TraceCollector::default();
-        let output = PlanRuntime::new().run_gru(&plan, self.net, xs, &mut collector);
-        collector.into_network_run(plan.regions, output)
-    }
-}
-
 /// Scales the first (weight) read of a kernel by `num/den` — used to turn
 /// four-gate traffic into three-gate traffic.
 pub(crate) fn scale_weight_reads(kernel: &mut KernelDesc, num: u64, den: u64) {
@@ -161,7 +117,9 @@ pub(crate) fn scale_weight_reads(kernel: &mut KernelDesc, num: u64, den: u64) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use gpu_sim::{GpuConfig, GpuDevice, KernelKind};
+    use crate::plan::{ExecutionPlan, PlanRuntime, TraceCollector};
+    use crate::schedule::NetworkRun;
+    use gpu_sim::{DeviceModel, GpuConfig, GpuDevice, KernelKind};
     use tensor::init::seeded_rng;
 
     fn setup() -> (GruNetwork, Vec<Vector>) {
@@ -173,10 +131,20 @@ mod tests {
         (net, xs)
     }
 
+    /// The baseline schedule compiled for `xs` and run once, with the
+    /// per-layer trace kept.
+    fn run(net: &GruNetwork, xs: &[Vector]) -> NetworkRun {
+        let plan =
+            ExecutionPlan::compile_gru_baseline(net, xs.len(), &DeviceModel::default_preset());
+        let mut collector = TraceCollector::default();
+        let output = PlanRuntime::new().run_gru(&plan, net, xs, &mut collector);
+        collector.into_network_run(plan.regions, output)
+    }
+
     #[test]
     fn executor_matches_exact_forward() {
         let (net, xs) = setup();
-        let run = GruBaselineExecutor::new(&net).run(&xs);
+        let run = run(&net, &xs);
         let (outputs, logits) = net.forward(&xs);
         assert_eq!(run.logits, logits);
         for (lr, hs) in run.layers.iter().zip(&outputs) {
@@ -187,7 +155,7 @@ mod tests {
     #[test]
     fn trace_structure_mirrors_algorithm_1() {
         let (net, xs) = setup();
-        let run = GruBaselineExecutor::new(&net).run(&xs);
+        let run = run(&net, &xs);
         for lr in &run.layers {
             assert_eq!(lr.trace.len(), 1 + 2 * xs.len());
             assert_eq!(lr.trace[0].kind, KernelKind::Sgemm);
@@ -198,7 +166,7 @@ mod tests {
     #[test]
     fn gru_moves_three_quarters_of_lstm_weight_traffic() {
         let (net, xs) = setup();
-        let run = GruBaselineExecutor::new(&net).run(&xs);
+        let run = run(&net, &xs);
         let u_bytes: u64 = run
             .trace()
             .filter(|k| k.label.contains("U_rzh"))
@@ -211,7 +179,7 @@ mod tests {
     #[test]
     fn gru_trace_simulates() {
         let (net, xs) = setup();
-        let run = GruBaselineExecutor::new(&net).run(&xs);
+        let run = run(&net, &xs);
         let mut device = GpuDevice::new(GpuConfig::tegra_x1());
         let report = device.run_trace(run.trace());
         assert!(report.time_s > 0.0);

@@ -1,7 +1,7 @@
 //! One unrolled LSTM layer.
 
 use crate::cell::{CellWeights, GatePreacts};
-use tensor::Vector;
+use tensor::{Precision, Vector};
 
 /// Initial state of a layer (`h_0`, `c_0`).
 #[derive(Debug, Clone, PartialEq)]
@@ -52,22 +52,13 @@ impl LstmLayer {
 
     /// The per-layer `Sgemm(W_{f,i,c,o}, x)` of Algorithm 1 line 2: all
     /// cells' `W·x` terms computed up front, since the whole layer's
-    /// inputs are ready when the layer starts (paper Sec. II-C).
-    pub fn precompute_wx(&self, xs: &[Vector]) -> Vec<GatePreacts> {
-        self.weights.precompute_wx_batch(xs)
-    }
-
-    /// [`precompute_wx`](Self::precompute_wx) against the packed `W`
-    /// weights stored at `precision` (bit-identical to it for
-    /// [`Precision::Fp32`](tensor::Precision::Fp32)).
-    pub fn precompute_wx_at(
-        &self,
-        precision: tensor::Precision,
-        xs: &[Vector],
-    ) -> Vec<GatePreacts> {
+    /// inputs are ready when the layer starts (paper Sec. II-C). The
+    /// packed `W` weights are read at `precision`; [`Precision::Fp32`] is
+    /// the exact path.
+    pub fn precompute_wx(&self, precision: Precision, xs: &[Vector]) -> Vec<GatePreacts> {
         let mut out = Vec::new();
         self.weights
-            .precompute_wx_batch_into_at(precision, xs, &mut out);
+            .precompute_wx_batch_into(precision, xs, &mut out);
         out
     }
 
@@ -75,7 +66,7 @@ impl LstmLayer {
     /// per-cell loop of Algorithm 1 lines 3–6. Returns the hidden outputs
     /// `h_1..h_n` and final state.
     pub fn forward(&self, xs: &[Vector], initial: &LayerState) -> (Vec<Vector>, LayerState) {
-        let wx = self.precompute_wx(xs);
+        let wx = self.precompute_wx(Precision::Fp32, xs);
         self.forward_precomputed(&wx, initial)
     }
 
@@ -134,7 +125,7 @@ mod tests {
         let xs = inputs(4, 4, 4);
         let init = LayerState::zeros(6);
         let (a, _) = l.forward(&xs, &init);
-        let wx = l.precompute_wx(&xs);
+        let wx = l.precompute_wx(Precision::Fp32, &xs);
         let (b, _) = l.forward_precomputed(&wx, &init);
         assert_eq!(a, b);
     }

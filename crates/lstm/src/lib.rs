@@ -49,7 +49,7 @@ pub use cell::{CellScratch, CellWeights, GatePreacts, GateVectors};
 pub use config::ModelConfig;
 pub use drs::{DrsConfig, DrsMode};
 pub use gru::{GruLayer, GruScratch, GruWeights};
-pub use gru_exec::{GruBaselineExecutor, GruNetwork};
+pub use gru_exec::GruNetwork;
 pub use layer::{LayerState, LstmLayer};
 pub use network::{LstmNetwork, NetworkOutput};
 pub use plan::{ExecutionPlan, KernelSink, PlanOutput, PlanRuntime, TraceCollector};

@@ -985,7 +985,7 @@ impl PlanRuntime {
                 for (t, (cell, x)) in cells.iter().zip(xs).enumerate() {
                     sink.tag(SpanTag::cells(layer, t));
                     sink.emit(&cell.sgemv);
-                    weights.step_into_at(precision, x, &ws.h, &mut ws.gru, &mut ws.h_next);
+                    weights.step_into(precision, x, &ws.h, &mut ws.gru, &mut ws.h_next);
                     mem::swap(&mut ws.h, &mut ws.h_next);
                     hs_out[t].clone_from(&ws.h);
                     sink.emit(&cell.ew);
@@ -1008,7 +1008,7 @@ impl PlanRuntime {
                 for (t, (cell, x)) in cells.iter().zip(xs).enumerate() {
                     sink.tag(SpanTag::cells(layer, t));
                     sink.emit(&cell.uz);
-                    weights.update_gate_into_at(precision, x, &ws.h, &mut ws.gru, &mut ws.gate);
+                    weights.update_gate_into(precision, x, &ws.h, &mut ws.gru, &mut ws.gate);
                     sink.emit(&cell.select);
                     trivial_row_mask_into(&ws.gate, *alpha_intra, &mut active[0]);
                     skips.push(skip_fraction(&active[0]));
@@ -1016,7 +1016,7 @@ impl PlanRuntime {
                         .instantiate_into(active, 1, union_mask, masked_desc);
                     sink.emit(masked_desc);
                     sink.emit(&cell.ew);
-                    weights.step_masked_into_at(
+                    weights.step_masked_into(
                         precision,
                         x,
                         &ws.h,

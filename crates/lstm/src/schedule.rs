@@ -237,7 +237,7 @@ impl NetworkRun {
 /// [`ExecutionPlan`] for the input's length and executes it immediately.
 /// Callers that run many sequences should compile the plan once with
 /// [`ExecutionPlan::compile_baseline`] and reuse a
-/// [`PlanRuntime`](crate::plan::PlanRuntime) instead.
+/// [`PlanRuntime`] instead.
 #[derive(Debug, Clone, Copy)]
 pub struct BaselineExecutor<'a> {
     net: &'a LstmNetwork,

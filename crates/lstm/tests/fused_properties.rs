@@ -15,7 +15,7 @@ use lstm::gru::GruWeights;
 use proptest::prelude::*;
 use tensor::gemm::sgemv;
 use tensor::init::seeded_rng;
-use tensor::{sgemv_masked_gather, sigmoid, tanh, Vector};
+use tensor::{sgemv_masked_gather, sigmoid, tanh, Precision, Vector};
 
 /// Odd sizes on purpose: rows straddle the MR=8 panel boundary and the
 /// 4-column phase chunks, where a layout bug would first show.
@@ -63,7 +63,8 @@ proptest! {
         let xs: Vec<Vector> = (0..n)
             .map(|_| Vector::from_fn(INPUT, |_| rng.gen_range(-1.0f32..1.0)))
             .collect();
-        let batch = cell.precompute_wx_batch(&xs);
+        let mut batch = Vec::new();
+        cell.precompute_wx_batch_into(Precision::Fp32, &xs, &mut batch);
         for (x, got) in xs.iter().zip(&batch) {
             let single = cell.precompute_wx(x);
             assert_bits_eq(got.f.as_slice(), single.f.as_slice(), "batch f")?;

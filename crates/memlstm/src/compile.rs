@@ -25,7 +25,7 @@
 
 use crate::breakpoints::find_breakpoints;
 use crate::division::{divide, SubLayer};
-use crate::error::Error;
+use crate::error::{Error, MemlstmResult};
 use crate::exec::OptimizerConfig;
 use crate::prediction::NetworkPredictors;
 use crate::relevance::{relevance_flops, RelevanceAnalyzer};
@@ -53,11 +53,11 @@ use tensor::Vector;
 /// once per model by `OptimizedExecutor::new`. The plan records `device`;
 /// pricing layers refuse to run it elsewhere.
 ///
-/// # Panics
-/// Panics if `probes` is empty, any probe is empty or differs in length,
-/// or (when `config.inter` is set) if `analyzers` does not cover every
-/// layer. [`try_compile`] returns these conditions as typed errors
-/// instead.
+/// # Errors
+/// [`Error::NoProbes`] if `probes` is empty, [`Error::EmptyProbe`] or
+/// [`Error::ProbeLengthMismatch`] if a probe is empty or differs in
+/// length, and (when `config.inter` is set) [`Error::AnalyzerCount`] if
+/// `analyzers` does not cover every layer.
 pub fn compile(
     net: &LstmNetwork,
     predictors: &NetworkPredictors,
@@ -65,21 +65,7 @@ pub fn compile(
     config: &OptimizerConfig,
     probes: &[Vec<Vector>],
     device: &DeviceModel,
-) -> ExecutionPlan {
-    try_compile(net, predictors, analyzers, config, probes, device)
-        .unwrap_or_else(|e| panic!("{e}"))
-}
-
-/// Fallible form of [`compile`]: returns a typed [`Error`] instead of
-/// panicking on malformed probe sets or missing analyzers.
-pub fn try_compile(
-    net: &LstmNetwork,
-    predictors: &NetworkPredictors,
-    analyzers: &[RelevanceAnalyzer],
-    config: &OptimizerConfig,
-    probes: &[Vec<Vector>],
-    device: &DeviceModel,
-) -> Result<ExecutionPlan, Error> {
+) -> MemlstmResult<ExecutionPlan> {
     if probes.is_empty() {
         return Err(Error::NoProbes);
     }
@@ -123,7 +109,7 @@ pub fn try_compile(
         );
         let wxs: Vec<Vec<GatePreacts>> = probe_pool
             .par_map(currents.iter().collect::<Vec<_>>(), |c| {
-                layer.precompute_wx_at(config.precision, c)
+                layer.precompute_wx(config.precision, c)
             });
         let (body, stats) = if config.inter {
             let relevances = combined_relevances(&analyzers[l], &wxs, probe_pool);

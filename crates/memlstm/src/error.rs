@@ -1,10 +1,10 @@
 //! Typed errors for plan compilation, execution, and serving.
 //!
 //! Mirrors `tensor::error`: a small enum with a precise `Display` per
-//! failure, implementing [`std::error::Error`]. The panicking entry
-//! points (`compile`, `OptimizedExecutor::run`, ...) are thin wrappers
-//! over the fallible `try_*` variants that format these errors, so the
-//! panic messages and the `Err` values never drift apart.
+//! failure, implementing [`std::error::Error`]. Every `memlstm` entry
+//! point that can fail on its input (`compile`, `OptimizedExecutor::run`,
+//! `profile_plan`, `compile_gru_drs`, `ServeEngine::submit`, ...) has
+//! one form, returning [`MemlstmResult`].
 
 use std::fmt;
 
@@ -245,9 +245,9 @@ mod tests {
 
     #[test]
     fn display_messages_keep_the_legacy_panic_substrings() {
-        // The panicking wrappers format these errors, and several tests
-        // (here and downstream) pin the legacy substrings via
-        // `should_panic(expected = ...)`.
+        // Callers that treat an error as a bug (`plan_probes`, the bench
+        // binaries) panic with these messages, and logs and tests match
+        // on the substrings.
         for e in all_variants() {
             let msg = e.to_string();
             assert!(
@@ -259,9 +259,9 @@ mod tests {
 
     #[test]
     fn round_trips_through_clone_and_eq() {
-        // `Error` is `Clone + PartialEq`: the fallible APIs hand the same
-        // value to callers that the panicking wrappers format, so clones
-        // must compare equal and formatting must be stable.
+        // `Error` is `Clone + PartialEq`: callers compare returned errors
+        // against expected values and format them, so clones must compare
+        // equal and formatting must be stable.
         for e in all_variants() {
             let copy = e.clone();
             assert_eq!(e, copy);

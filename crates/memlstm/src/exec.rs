@@ -4,16 +4,16 @@
 //! (layer division + reorganization into tissues), the intra-cell
 //! optimization (Dynamic Row Skip), or both.
 //!
-//! It is a facade over the plan pipeline: [`OptimizedExecutor::plan`]
-//! compiles the offline analyses into an [`ExecutionPlan`]
-//! (see [`crate::compile`]), and [`run`](OptimizedExecutor::run) executes
-//! that plan immediately on the same input with a
-//! [`PlanRuntime`](lstm::plan::PlanRuntime). Callers that evaluate many
+//! It is a facade over the plan pipeline:
+//! [`OptimizedExecutor::plan_probes`] compiles the offline analyses into
+//! an [`ExecutionPlan`] (see [`crate::compile`]), and
+//! [`run`](OptimizedExecutor::run) executes that plan immediately on the
+//! same input with a [`PlanRuntime`]. Callers that evaluate many
 //! sequences should compile the plan once and reuse it — that is what
 //! `Evaluator` in the `thresholds` module does.
 
 use crate::drs::DrsConfig;
-use crate::error::Error;
+use crate::error::{Error, MemlstmResult};
 use crate::prediction::NetworkPredictors;
 use crate::relevance::RelevanceAnalyzer;
 use gpu_sim::DeviceModel;
@@ -282,23 +282,6 @@ impl<'a> OptimizedExecutor<'a> {
         self.net
     }
 
-    /// Compiles an [`ExecutionPlan`] against a single `probe` sequence,
-    /// running the offline analyses (relevance, breakpoints, division,
-    /// tissue alignment) once.
-    ///
-    /// # Panics
-    /// Panics if `probe` is empty. [`try_plan`](Self::try_plan) returns
-    /// the condition as a typed error instead.
-    pub fn plan(&self, probe: &[Vector]) -> ExecutionPlan {
-        self.try_plan(probe).unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// Fallible form of [`plan`](Self::plan).
-    pub fn try_plan(&self, probe: &[Vector]) -> Result<ExecutionPlan, Error> {
-        let probe = probe.to_vec();
-        self.try_plan_probes(std::slice::from_ref(&probe))
-    }
-
     /// Compiles an [`ExecutionPlan`] against a whole offline set: per-link
     /// relevances are averaged across probes, so the plan only breaks
     /// links that are weak on average over the offline distribution. This
@@ -307,16 +290,11 @@ impl<'a> OptimizedExecutor<'a> {
     ///
     /// # Panics
     /// Panics if `probes` is empty, or the sequences are empty or differ
-    /// in length. [`try_plan_probes`](Self::try_plan_probes) returns
-    /// these conditions as typed errors instead.
+    /// in length: the offline set is fixed by the caller, so a malformed
+    /// one is a programming error. [`compile`](crate::compile::compile)
+    /// returns these conditions as typed errors.
     pub fn plan_probes(&self, probes: &[Vec<Vector>]) -> ExecutionPlan {
-        self.try_plan_probes(probes)
-            .unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// Fallible form of [`plan_probes`](Self::plan_probes).
-    pub fn try_plan_probes(&self, probes: &[Vec<Vector>]) -> Result<ExecutionPlan, Error> {
-        crate::compile::try_compile(
+        crate::compile::compile(
             self.net,
             self.predictors,
             &self.analyzers,
@@ -324,44 +302,33 @@ impl<'a> OptimizedExecutor<'a> {
             probes,
             &self.device,
         )
+        .unwrap_or_else(|e| panic!("OptimizedExecutor::plan_probes: {e}"))
     }
 
     /// Runs the network, returning the numbers + trace.
     ///
-    /// # Panics
-    /// Panics if `xs` is empty. [`try_run`](Self::try_run) returns the
-    /// condition as a typed error instead.
-    pub fn run(&self, xs: &[Vector]) -> NetworkRun {
-        self.run_detailed(xs).0
-    }
-
-    /// Fallible form of [`run`](Self::run).
-    pub fn try_run(&self, xs: &[Vector]) -> Result<NetworkRun, Error> {
-        Ok(self.try_run_detailed(xs)?.0)
+    /// # Errors
+    /// [`Error::EmptyInput`] if `xs` is empty.
+    pub fn run(&self, xs: &[Vector]) -> MemlstmResult<NetworkRun> {
+        Ok(self.run_detailed(xs)?.0)
     }
 
     /// Runs the network, also returning per-layer optimization statistics.
     ///
     /// Compiles a plan with `xs` itself as the probe and executes it
     /// immediately — the one-shot path. Plan-reuse callers should pair
-    /// [`plan`](Self::plan) with a long-lived
-    /// [`PlanRuntime`](lstm::plan::PlanRuntime) instead.
+    /// [`plan_probes`](Self::plan_probes) with a long-lived
+    /// [`PlanRuntime`] instead.
     ///
-    /// # Panics
-    /// Panics if `xs` is empty.
-    /// [`try_run_detailed`](Self::try_run_detailed) returns the condition
-    /// as a typed error instead.
-    pub fn run_detailed(&self, xs: &[Vector]) -> (NetworkRun, OptRunStats) {
-        self.try_run_detailed(xs)
-            .unwrap_or_else(|e| panic!("OptimizedExecutor::run: {e}"))
-    }
-
-    /// Fallible form of [`run_detailed`](Self::run_detailed).
-    pub fn try_run_detailed(&self, xs: &[Vector]) -> Result<(NetworkRun, OptRunStats), Error> {
+    /// # Errors
+    /// [`Error::EmptyInput`] if `xs` is empty.
+    pub fn run_detailed(&self, xs: &[Vector]) -> MemlstmResult<(NetworkRun, OptRunStats)> {
         if xs.is_empty() {
             return Err(Error::EmptyInput);
         }
-        let plan = self.try_plan(xs)?;
+        // One non-empty probe and the executor's own analyzers: compile
+        // has nothing left to reject.
+        let plan = self.plan_probes(std::slice::from_ref(&xs.to_vec()));
         let mut collector = TraceCollector::default();
         let output = PlanRuntime::new().run_lstm(&plan, self.net, xs, &mut collector);
         let stats = OptRunStats::from_plan_run(&plan, &output);
@@ -380,33 +347,30 @@ impl<'a> OptimizedExecutor<'a> {
 ///
 /// [`TraceSession`]: gpu_sim::TraceSession
 ///
-/// # Panics
-/// Panics if the plan was compiled for a different device, or if `xs` is
-/// empty or does not match the plan's compiled length.
-/// [`try_profile_plan`] returns the device mismatch as a typed error
-/// instead.
+/// # Errors
+/// [`Error::DeviceMismatch`] if the plan was compiled for a different
+/// device, [`Error::EmptyInput`] if `xs` is empty, and
+/// [`Error::SeqLenMismatch`] if `xs` does not match the plan's compiled
+/// length.
 pub fn profile_plan(
     plan: &ExecutionPlan,
     net: &LstmNetwork,
     xs: &[Vector],
     device: &DeviceModel,
-) -> (gpu_sim::SimReport, gpu_sim::Profiler) {
-    try_profile_plan(plan, net, xs, device).unwrap_or_else(|e| panic!("{e}"))
-}
-
-/// Fallible form of [`profile_plan`]: returns
-/// [`Error::DeviceMismatch`] when the plan was compiled for a different
-/// device. (Empty/mismatched inputs still panic inside the runtime.)
-pub fn try_profile_plan(
-    plan: &ExecutionPlan,
-    net: &LstmNetwork,
-    xs: &[Vector],
-    device: &DeviceModel,
-) -> Result<(gpu_sim::SimReport, gpu_sim::Profiler), Error> {
+) -> MemlstmResult<(gpu_sim::SimReport, gpu_sim::Profiler)> {
     if plan.device != *device {
         return Err(Error::DeviceMismatch {
             plan: plan.device.name.clone(),
             device: device.name.clone(),
+        });
+    }
+    if xs.is_empty() {
+        return Err(Error::EmptyInput);
+    }
+    if xs.len() != plan.seq_len {
+        return Err(Error::SeqLenMismatch {
+            expected: plan.seq_len,
+            actual: xs.len(),
         });
     }
     let mut gpu = gpu_sim::GpuDevice::for_model(device);
@@ -450,7 +414,7 @@ mod tests {
             .alpha_inter(0.0)
             .max_tissue_size(4)
             .build();
-        let run = OptimizedExecutor::new(&net, &preds, cfg).run(&xs);
+        let run = OptimizedExecutor::new(&net, &preds, cfg).run(&xs).unwrap();
         let exact = net.forward(&xs);
         assert_eq!(run.logits, exact.logits);
         for (lr, hs) in run.layers.iter().zip(&exact.layer_outputs) {
@@ -468,7 +432,7 @@ mod tests {
             })
             .build();
         // alpha 0 -> DRS disabled -> plain baseline flow.
-        let run = OptimizedExecutor::new(&net, &preds, cfg).run(&xs);
+        let run = OptimizedExecutor::new(&net, &preds, cfg).run(&xs).unwrap();
         assert_eq!(run.logits, net.forward(&xs).logits);
     }
 
@@ -481,7 +445,7 @@ mod tests {
                 mode: DrsMode::Hardware,
             })
             .build();
-        let run = OptimizedExecutor::new(&net, &preds, cfg).run(&xs);
+        let run = OptimizedExecutor::new(&net, &preds, cfg).run(&xs).unwrap();
         let exact = net.forward(&xs);
         let diff = run.logits.sub(&exact.logits).max_abs();
         assert!(diff < 0.5, "DRS with tiny alpha diverged: {diff}");
@@ -497,7 +461,9 @@ mod tests {
                     mode: DrsMode::Hardware,
                 })
                 .build();
-            let (_, stats) = OptimizedExecutor::new(&net, &preds, cfg).run_detailed(&xs);
+            let (_, stats) = OptimizedExecutor::new(&net, &preds, cfg)
+                .run_detailed(&xs)
+                .unwrap();
             stats.mean_skip_fraction()
         };
         let lo = frac_at(0.01);
@@ -519,7 +485,9 @@ mod tests {
             .alpha_inter(RelevanceAnalyzer::max_relevance() + 1.0)
             .max_tissue_size(4)
             .build();
-        let (run, stats) = OptimizedExecutor::new(&net, &preds, cfg).run_detailed(&xs);
+        let (run, stats) = OptimizedExecutor::new(&net, &preds, cfg)
+            .run_detailed(&xs)
+            .unwrap();
         assert_eq!(stats.per_layer[0].breakpoints, 7);
         assert_eq!(stats.per_layer[0].sublayers, 8);
         assert_eq!(stats.per_layer[0].tissues, 2); // ceil(8 / 4)
@@ -533,7 +501,9 @@ mod tests {
             .alpha_inter(RelevanceAnalyzer::max_relevance() + 1.0)
             .max_tissue_size(4)
             .build();
-        let (run, stats) = OptimizedExecutor::new(&net, &preds, cfg).run_detailed(&xs);
+        let (run, stats) = OptimizedExecutor::new(&net, &preds, cfg)
+            .run_detailed(&xs)
+            .unwrap();
         let sgemm_u: usize = run.layers[0]
             .trace
             .iter()
@@ -554,7 +524,9 @@ mod tests {
                 mode: DrsMode::Hardware,
             })
             .build();
-        let (run, stats) = OptimizedExecutor::new(&net, &preds, cfg).run_detailed(&xs);
+        let (run, stats) = OptimizedExecutor::new(&net, &preds, cfg)
+            .run_detailed(&xs)
+            .unwrap();
         assert_eq!(run.layers.len(), 2);
         assert!(stats.mean_skip_fraction() > 0.05);
         // Combined trace contains DRS kernels and CRM-routed fic kernels.
@@ -577,7 +549,7 @@ mod tests {
                 mode: DrsMode::Hardware,
             })
             .build();
-        let opt_run = OptimizedExecutor::new(&net, &preds, cfg).run(&xs);
+        let opt_run = OptimizedExecutor::new(&net, &preds, cfg).run(&xs).unwrap();
         dev.reset();
         let opt = dev.run_trace(opt_run.trace());
 
@@ -606,10 +578,12 @@ mod tests {
             let with_pred =
                 OptimizedExecutor::new(&net, &preds, inter.use_predicted_link(true).build())
                     .run(&xs)
+                    .unwrap()
                     .logits;
             let with_zero =
                 OptimizedExecutor::new(&net, &preds, inter.use_predicted_link(false).build())
                     .run(&xs)
+                    .unwrap()
                     .logits;
             err_pred += f64::from(exact.sub(&with_pred).norm());
             err_zero += f64::from(exact.sub(&with_zero).norm());
@@ -631,7 +605,7 @@ mod tests {
             .alpha_inter(RelevanceAnalyzer::max_relevance() / 6.0)
             .max_tissue_size(3)
             .build();
-        let run = OptimizedExecutor::new(&net, &preds, cfg).run(&xs);
+        let run = OptimizedExecutor::new(&net, &preds, cfg).run(&xs).unwrap();
         assert_eq!(run.layers[0].hs.len(), 9);
         for h in &run.layers[0].hs {
             assert_eq!(h.len(), 16);
@@ -653,9 +627,9 @@ mod tests {
             })
             .build();
         let exec = OptimizedExecutor::new(&net, &preds, cfg);
-        let (run, stats) = exec.run_detailed(&xs);
+        let (run, stats) = exec.run_detailed(&xs).unwrap();
 
-        let plan = exec.plan(&xs);
+        let plan = exec.plan_probes(std::slice::from_ref(&xs));
         let mut runtime = PlanRuntime::new();
         let mut first: Vec<gpu_sim::KernelDesc> = Vec::new();
         let out1 = runtime.run_lstm(&plan, &net, &xs, &mut first);
@@ -672,13 +646,15 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "empty input")]
-    fn empty_input_panics() {
+    fn empty_input_is_rejected() {
         let (net, _, preds) = setup(8, 1, 4);
         let cfg = OptimizerConfig::builder()
             .alpha_inter(1.0)
             .max_tissue_size(2)
             .build();
-        OptimizedExecutor::new(&net, &preds, cfg).run(&[]);
+        assert_eq!(
+            OptimizedExecutor::new(&net, &preds, cfg).run(&[]),
+            Err(Error::EmptyInput)
+        );
     }
 }

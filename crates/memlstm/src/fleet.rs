@@ -6,9 +6,9 @@
 //! whose L2 weight budget covers the plan's weights streams them from
 //! on-chip memory, while an undersized device re-streams the overflow
 //! from DRAM every timestep. [`FleetEngine`] scales the single-device
-//! [`ServeEngine`](crate::serve::ServeEngine) to a sharded fleet of
-//! heterogeneous [`DeviceModel`]s — one engine and one compiled plan per
-//! device — and routes each [`Request`] through a pluggable
+//! [`ServeEngine`] to a sharded fleet of heterogeneous [`DeviceModel`]s
+//! — one engine and one compiled plan per device — and routes each
+//! [`Request`] through a pluggable
 //! [`RoutePolicy`]:
 //!
 //! * [`RoundRobin`] — cycle through healthy devices, blind to load and

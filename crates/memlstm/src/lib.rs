@@ -14,7 +14,7 @@
 //!   (Algorithm 3) — compute the output gate first, identify near-zero
 //!   elements, and skip the corresponding `U_{f,i,c}` rows — in both the
 //!   divergence-paying software variant and the CRM hardware variant.
-//!   [`pruning`] provides the element-granular zero-pruning baseline [31]
+//!   [`pruning`] provides the element-granular zero-pruning baseline \[31\]
 //!   the paper compares against (Fig. 16).
 //!
 //! [`exec`] ties both levels into executors that produce real numbers plus
@@ -44,8 +44,9 @@
 //!     .drs(DrsConfig { alpha_intra: 0.05, mode: DrsMode::Hardware })
 //!     .build();
 //! let xs = lstm::random_inputs(&config, &mut rng);
-//! let run = OptimizedExecutor::new(&net, &predictors, opts).run(&xs);
+//! let run = OptimizedExecutor::new(&net, &predictors, opts).run(&xs)?;
 //! assert_eq!(run.layers[0].hs.len(), 6);
+//! # Ok::<(), memlstm::Error>(())
 //! ```
 
 #![forbid(unsafe_code)]
@@ -80,7 +81,7 @@ pub use fleet::{
     Affinity, DeviceMetrics, DeviceStatus, FleetEngine, FleetMetrics, FleetOutcome,
     LeastQueueDepth, RoundRobin, RoutePolicy,
 };
-pub use gru_drs::GruDrsExecutor;
+pub use gru_drs::compile_gru_drs;
 pub use mts::{determine_mts, MtsResult, MtsSample};
 pub use prediction::{LinkPredictor, NetworkPredictors};
 pub use pruning::ZeroPruning;

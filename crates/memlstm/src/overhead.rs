@@ -106,7 +106,7 @@ mod tests {
                 mode: DrsMode::Hardware,
             })
             .build();
-        OptimizedExecutor::new(&net, &preds, cfg).run(&xs)
+        OptimizedExecutor::new(&net, &preds, cfg).run(&xs).unwrap()
     }
 
     #[test]

@@ -12,7 +12,7 @@
 //! both feed the next cell.
 
 use lstm::{LayerState, LstmNetwork};
-use tensor::{RunningStats, Vector};
+use tensor::{Precision, RunningStats, Vector};
 
 /// The predicted context link for one layer.
 #[derive(Debug, Clone, PartialEq)]
@@ -94,7 +94,7 @@ impl NetworkPredictors {
             let mut current: Vec<Vector> = xs.clone();
             for (l, layer) in net.layers().iter().enumerate() {
                 // Track (h, c) across the unrolled cells.
-                let wx = layer.precompute_wx(&current);
+                let wx = layer.precompute_wx(Precision::Fp32, &current);
                 let mut h = Vector::zeros(hidden);
                 let mut c = Vector::zeros(hidden);
                 let mut hs = Vec::with_capacity(wx.len());

@@ -1,4 +1,4 @@
-//! The zero-pruning comparison baseline (paper Fig. 16, scheme [31]).
+//! The zero-pruning comparison baseline (paper Fig. 16, scheme \[31\]).
 //!
 //! Deep-compression-style magnitude pruning erases near-zero *elements* of
 //! the weight matrices offline. It reduces the stored weight volume, but
@@ -10,7 +10,7 @@
 
 use lstm::cell::CellWeights;
 use lstm::LstmNetwork;
-use tensor::Matrix;
+use tensor::{Matrix, Precision};
 
 /// Offline element-granular magnitude pruning of the recurrent matrices.
 #[derive(Debug, Clone, PartialEq)]
@@ -145,7 +145,7 @@ impl ZeroPruning {
                 current.len(),
                 &mut alloc,
             ));
-            let wx = layer.precompute_wx(&current);
+            let wx = layer.precompute_wx(Precision::Fp32, &current);
             let mut h = tensor::Vector::zeros(hidden);
             let mut c = tensor::Vector::zeros(hidden);
             let mut hs = Vec::with_capacity(wx.len());

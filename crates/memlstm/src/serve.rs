@@ -957,25 +957,18 @@ impl<'a> ServeEngine<'a> {
         &self.outcomes
     }
 
-    fn resolve(&mut self, outcome: ServeOutcome) {
-        let (arrival_s, deadline_s) = match &outcome {
-            ServeOutcome::Completed(c) | ServeOutcome::DeadlineMiss(c) => {
-                (c.arrival_s, c.deadline_s)
-            }
-            // Shed/failed requests' arrival is not retained; class by the
-            // deadline they carried (shed) or as deadline-free (failed
-            // requests lost their pending record's metadata is retained
-            // below via resolve_shed / the failure path).
-            ServeOutcome::Shed(s) => (s.at_s, s.deadline_s),
-            ServeOutcome::Failed(_) => (0.0, None),
-        };
+    /// Records `request`'s one outcome: bumps the outcome kind's counter
+    /// and the SLO tally of the request's deadline class (from its
+    /// `(arrival_s, deadline_s)`), then queues the outcome for
+    /// [`drain`](Self::drain).
+    fn resolve(&mut self, request: &Request, outcome: ServeOutcome) {
         match &outcome {
             ServeOutcome::Completed(_) => self.completed += 1,
             ServeOutcome::DeadlineMiss(_) => self.deadline_miss += 1,
             ServeOutcome::Shed(_) => self.shed += 1,
             ServeOutcome::Failed(_) => self.failed += 1,
         }
-        let class = deadline_class(arrival_s, deadline_s);
+        let class = deadline_class(request.arrival_s, request.deadline_s);
         let entry = self.slo.entry(class).or_insert((0, 0));
         entry.0 += 1;
         if outcome.is_success() {
@@ -984,31 +977,15 @@ impl<'a> ServeEngine<'a> {
         self.outcomes.push(outcome);
     }
 
+    /// [`resolve`](Self::resolve)s `pending` as shed now, for `reason`.
     fn resolve_shed(&mut self, pending: Pending, reason: ShedReason) {
-        // Class by the true relative deadline before the request record
-        // is dropped.
-        let class = deadline_class(pending.request.arrival_s, pending.request.deadline_s);
-        let entry = self.slo.entry(class).or_insert((0, 0));
-        entry.0 += 1;
-        self.shed += 1;
-        self.outcomes.push(ServeOutcome::Shed(Shed {
+        let shed = ServeOutcome::Shed(Shed {
             id: pending.request.id,
             at_s: self.clock_s,
             deadline_s: pending.request.deadline_s,
             reason,
-        }));
-    }
-
-    fn resolve_failed(&mut self, pending: &Pending, retries: u32) {
-        let class = deadline_class(pending.request.arrival_s, pending.request.deadline_s);
-        let entry = self.slo.entry(class).or_insert((0, 0));
-        entry.0 += 1;
-        self.failed += 1;
-        self.outcomes.push(ServeOutcome::Failed(Failure {
-            id: pending.request.id,
-            at_s: self.clock_s,
-            retries,
-        }));
+        });
+        self.resolve(&pending.request, shed);
     }
 
     /// Runs one round: sheds expired requests (per the policy), admits up
@@ -1148,7 +1125,12 @@ impl<'a> ServeEngine<'a> {
                 self.clock_s += report.time_s + self.config.retry_backoff_s;
                 if round_retries >= self.config.max_retries {
                     for pending in &gang {
-                        self.resolve_failed(pending, round_retries);
+                        let failure = ServeOutcome::Failed(Failure {
+                            id: pending.request.id,
+                            at_s: self.clock_s,
+                            retries: round_retries,
+                        });
+                        self.resolve(&pending.request, failure);
                     }
                     let round = RoundReport {
                         round: round_index,
@@ -1189,12 +1171,11 @@ impl<'a> ServeEngine<'a> {
                 retries: round_retries,
                 degraded: self.degraded,
             };
-            match pending.request.deadline_s {
-                Some(d) if finish_s > d => {
-                    self.resolve(ServeOutcome::DeadlineMiss(completion));
-                }
-                _ => self.resolve(ServeOutcome::Completed(completion)),
-            }
+            let outcome = match pending.request.deadline_s {
+                Some(d) if finish_s > d => ServeOutcome::DeadlineMiss(completion),
+                _ => ServeOutcome::Completed(completion),
+            };
+            self.resolve(&pending.request, outcome);
         }
         self.outs = outs;
         let round = RoundReport {

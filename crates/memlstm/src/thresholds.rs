@@ -361,6 +361,7 @@ impl Evaluator {
         let plan = exec.plan_probes(self.workload.dataset().offline());
         let xs = &self.workload.eval_set()[0];
         crate::exec::profile_plan(&plan, net, xs, &self.device)
+            .expect("plan compiled for this device and the evaluation length")
     }
 
     /// Profiles the baseline (Algorithm 1) execution of the first
@@ -370,6 +371,7 @@ impl Evaluator {
         let xs = &self.workload.eval_set()[0];
         let plan = ExecutionPlan::compile_baseline(net, xs.len(), &self.device);
         crate::exec::profile_plan(&plan, net, xs, &self.device)
+            .expect("plan compiled for this device and the evaluation length")
     }
 
     /// Full Fig. 19-style sweep over `count` threshold sets.
@@ -480,7 +482,7 @@ pub fn upper_alpha_inter_pooled(workload: &Workload, mts: usize, pool: Pool) -> 
         let analyzer = RelevanceAnalyzer::new(layer.weights());
         let mut relevances = vec![0.0f64; n];
         let per_probe = pool.par_map((0..currents.len()).collect::<Vec<usize>>(), |p| {
-            analyzer.layer_relevances(&layer.precompute_wx(&currents[p]))
+            analyzer.layer_relevances(&layer.precompute_wx(tensor::Precision::Fp32, &currents[p]))
         });
         for probe_rel in &per_probe {
             for (r, &v) in relevances.iter_mut().zip(probe_rel) {

@@ -133,7 +133,7 @@ impl UserStudy {
     /// `sweep` must contain set 0 (the baseline). UO "takes each
     /// individual user's preferences as the user input" (paper Sec. VI-E):
     /// the tuner seeds at the user's preference-optimal set and refines
-    /// from live feedback with a [`UoTuner`].
+    /// from live feedback with a [`UoTuner`](crate::tuner::UoTuner).
     pub fn run(
         &self,
         sweep: &[TradeoffPoint],

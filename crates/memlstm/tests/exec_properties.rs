@@ -35,7 +35,7 @@ proptest! {
         let (net, xs, predictors) = setup(seed);
         let mode = if mode_hw { DrsMode::Hardware } else { DrsMode::Software };
         let config = OptimizerConfig::builder().alpha_inter(alpha_inter).max_tissue_size(mts).drs(DrsConfig { alpha_intra, mode }).build();
-        let (run, stats) = OptimizedExecutor::new(&net, &predictors, config).run_detailed(&xs);
+        let (run, stats) = OptimizedExecutor::new(&net, &predictors, config).run_detailed(&xs).unwrap();
         prop_assert_eq!(run.layers.len(), 2);
         for layer in &run.layers {
             prop_assert_eq!(layer.hs.len(), xs.len());
@@ -58,7 +58,7 @@ proptest! {
         // baseline's (same matrices, same cells).
         let (net, xs, predictors) = setup(seed);
         let base = lstm::BaselineExecutor::new(&net).run(&xs);
-        let opt = OptimizedExecutor::new(&net, &predictors, OptimizerConfig::builder().alpha_inter(alpha_inter).max_tissue_size(mts).build()).run(&xs);
+        let opt = OptimizedExecutor::new(&net, &predictors, OptimizerConfig::builder().alpha_inter(alpha_inter).max_tissue_size(mts).build()).run(&xs).unwrap();
         let flops = |run: &lstm::schedule::NetworkRun| -> u64 {
             run.trace()
                 .filter(|k| k.label.contains("(U"))
@@ -72,13 +72,14 @@ proptest! {
     fn dram_reads_never_increase_with_skipping(seed in 0u64..20, alpha in 0.005f32..0.4) {
         // Intra-cell DRS can only remove weight traffic.
         let (net, xs, predictors) = setup(seed);
-        let none = OptimizedExecutor::new(&net, &predictors, OptimizerConfig::builder().drs(DrsConfig::disabled()).build()).run(&xs);
+        let none = OptimizedExecutor::new(&net, &predictors, OptimizerConfig::builder().drs(DrsConfig::disabled()).build()).run(&xs).unwrap();
         let skip = OptimizedExecutor::new(
             &net,
             &predictors,
             OptimizerConfig::builder().drs(DrsConfig { alpha_intra: alpha, mode: DrsMode::Hardware }).build(),
         )
-        .run(&xs);
+        .run(&xs)
+        .unwrap();
         let weight_bytes = |run: &lstm::schedule::NetworkRun| -> u64 {
             run.trace()
                 .filter(|k| k.label.contains("U_fic") || k.label.contains("U_fico"))
@@ -106,7 +107,7 @@ proptest! {
         for alpha in [0.0, 0.5, 2.0, 8.0, 40.0] {
             let mut config = OptimizerConfig::builder().alpha_inter(alpha).max_tissue_size(mts).build();
             config.balanced_schedule = true;
-            let (_, stats) = OptimizedExecutor::new(&net, &predictors, config).run_detailed(&xs);
+            let (_, stats) = OptimizedExecutor::new(&net, &predictors, config).run_detailed(&xs).unwrap();
             let layer0 = &stats.per_layer[0];
             prop_assert!(
                 layer0.breakpoints >= prev_breakpoints,

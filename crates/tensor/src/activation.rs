@@ -27,7 +27,7 @@ pub fn tanh(x: f32) -> f32 {
 }
 
 /// The piecewise-linear *hard sigmoid* `clamp(0.25 x + 0.5, 0, 1)` used by
-/// some frameworks to accelerate LSTM inference (paper Sec. IV-A, [30]).
+/// some frameworks to accelerate LSTM inference (paper Sec. IV-A, \[30\]).
 ///
 /// Its saturation boundaries coincide with the sensitive-area boundaries
 /// `[-2, 2]`, which is why the paper's relevance analysis "fits both

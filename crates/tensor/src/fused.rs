@@ -24,7 +24,7 @@
 //!
 //! ## Bit-exactness
 //!
-//! Every kernel here reuses [`panel_gemv`], the same micro-kernel behind
+//! Every kernel here reuses `panel_gemv`, the same micro-kernel behind
 //! `PackedMatrix::gemv`, and each output row is an independent SIMD lane
 //! with its own accumulators. Fusing changes only *which rows ride in
 //! one pass over `x`* — a regrouping of rows, never of any row's sum —

@@ -113,7 +113,7 @@ pub fn sgemv_masked(a: &Matrix, x: &Vector, active: &[bool], skipped_value: f32)
 }
 
 /// Naive per-row reference for [`sgemv_masked`]: a branch per row, one
-/// [`dot_row`]-ordered dot product per active row. Kept as the numerics
+/// `dot_row`-ordered dot product per active row. Kept as the numerics
 /// oracle for the gather kernel's property tests and as the "naive"
 /// baseline in the `gemm_kernels` bench.
 ///

@@ -18,7 +18,7 @@
 //!
 //! ## Bit-exactness contract
 //!
-//! Every kernel here replicates [`panel_gemv`]'s accumulation order —
+//! Every kernel here replicates `panel_gemv`'s accumulation order —
 //! the same `cols / 4` phase chunks, the same four per-lane accumulators,
 //! the same `((a0 + a1) + a2) + a3` reduction, the same sequential tail.
 //! The only change is that each weight element is dequantized as it is
@@ -510,7 +510,7 @@ impl QuantizedGates {
 
     /// Row-masked product of one gate's matrix: active rows are
     /// dequantized while being gathered into the scratch panel, then run
-    /// through the exact [`panel_gemv`] micro-kernel — the same grouping
+    /// through the exact `panel_gemv` micro-kernel — the same grouping
     /// and association as `FusedGates::gate_gemv_masked_into` on the
     /// dequantized gate, so the sections are bit-identical to it.
     ///

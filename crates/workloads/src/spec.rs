@@ -34,17 +34,17 @@ impl TaskKind {
 /// One of the six NLP applications of Table II.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum Benchmark {
-    /// IMDB sentiment classification [37].
+    /// IMDB sentiment classification \[37\].
     Imdb,
-    /// MR sentence-polarity sentiment classification [38].
+    /// MR sentence-polarity sentiment classification \[38\].
     Mr,
-    /// BABI question answering [11].
+    /// BABI question answering \[11\].
     Babi,
-    /// SNLI entailment [39].
+    /// SNLI entailment \[39\].
     Snli,
-    /// Penn Treebank word-level language modeling [40].
+    /// Penn Treebank word-level language modeling \[40\].
     Ptb,
-    /// Tatoeba English-to-French translation [41].
+    /// Tatoeba English-to-French translation \[41\].
     Mt,
 }
 

@@ -8,7 +8,7 @@
 
 use memlstm::prelude::*;
 
-fn main() {
+fn main() -> MemlstmResult<()> {
     // 1. Build a Table II workload: the MR sentiment model with
     //    trained-like weights and synthetic token sequences.
     let workload = Workload::generate(Benchmark::Mr, 8, 42);
@@ -41,7 +41,7 @@ fn main() {
             mode: DrsMode::Hardware,
         })
         .build();
-    let optimized = OptimizedExecutor::new(net, &predictors, config).run(xs);
+    let optimized = OptimizedExecutor::new(net, &predictors, config).run(xs)?;
     gpu.reset();
     let opt = gpu.run_trace(optimized.trace());
 
@@ -71,4 +71,5 @@ fn main() {
         optimized.predicted_class(),
         if same { "match" } else { "differ" }
     );
+    Ok(())
 }

@@ -9,7 +9,7 @@
 
 use memlstm::prelude::*;
 
-fn main() {
+fn main() -> memlstm::MemlstmResult<()> {
     let workload = Workload::generate(Benchmark::Mt, 6, 11);
     let net = workload.network();
     println!("translator model: {}\n", net.config());
@@ -63,7 +63,7 @@ fn main() {
         for (i, xs) in workload.eval_set().iter().enumerate() {
             let run = match config {
                 None => BaselineExecutor::new(net).run(xs),
-                Some(c) => OptimizedExecutor::new(net, &predictors, *c).run(xs),
+                Some(c) => OptimizedExecutor::new(net, &predictors, *c).run(xs)?,
             };
             device.reset();
             let report = device.run_trace(run.trace());
@@ -95,4 +95,5 @@ fn main() {
             }
         );
     }
+    Ok(())
 }

@@ -14,7 +14,7 @@ use memlstm::prelude::*;
 
 const QUERIES: usize = 20;
 
-fn main() {
+fn main() -> MemlstmResult<()> {
     // The assistant's model: BABI question answering (Table II row 3).
     let workload = Workload::generate(Benchmark::Babi, 4, 7);
     println!("assistant model: {}", workload.network().config());
@@ -51,7 +51,7 @@ fn main() {
         let config = evaluator.combined_config(&sets[set]);
         let exec = OptimizedExecutor::new(net, &predictors, config);
         let xs = &evaluator.workload().eval_set()[q % evaluator.workload().eval_set().len()];
-        let run = exec.run(xs);
+        let run = exec.run(xs)?;
         device.reset();
         let report = device.run_trace(run.trace());
         let speedup = base.time_s / report.time_s;
@@ -72,4 +72,5 @@ fn main() {
         sets[tuner.best_set()].alpha_inter,
         sets[tuner.best_set()].alpha_intra
     );
+    Ok(())
 }

@@ -111,11 +111,11 @@ fn batched_execution_is_bit_identical_per_sequence_across_plans() {
         ),
         (
             "drs",
-            OptimizedExecutor::new(net, &predictors, intra).plan(&seqs[0]),
+            OptimizedExecutor::new(net, &predictors, intra).plan_probes(&seqs[..1]),
         ),
         (
             "tissue+drs",
-            OptimizedExecutor::new(net, &predictors, combined).plan(&seqs[0]),
+            OptimizedExecutor::new(net, &predictors, combined).plan_probes(&seqs[..1]),
         ),
     ];
     for (name, plan) in &plans {
@@ -177,8 +177,8 @@ fn dirty_runtime_reuse_is_bit_identical_to_fresh_runtimes() {
             &predictors,
             OptimizerConfig::builder().drs(drs).build(),
         )
-        .plan(&seqs[0]),
-        OptimizedExecutor::new(net, &predictors, combined).plan(&seqs[0]),
+        .plan_probes(&seqs[..1]),
+        OptimizedExecutor::new(net, &predictors, combined).plan_probes(&seqs[..1]),
     ];
 
     // One shared solo runtime, interleaved across all plan shapes twice.

@@ -2,12 +2,12 @@
 //! that numerics are device-independent — plans compiled for different
 //! presets produce bit-identical logits while their pricing moves — and
 //! the typed [`Error::DeviceMismatch`] surfacing through every pricing
-//! boundary (`try_profile_plan`, `ServeEngine::new`).
+//! boundary (`profile_plan`, `ServeEngine::new`).
 
 use gpu_sim::{DeviceModel, KernelDesc, PRESET_NAMES};
 use lstm::{ExecutionPlan, PlanRuntime};
 use memlstm::drs::{DrsConfig, DrsMode};
-use memlstm::exec::{try_profile_plan, OptimizedExecutor, OptimizerConfig};
+use memlstm::exec::{profile_plan, OptimizedExecutor, OptimizerConfig};
 use memlstm::prediction::NetworkPredictors;
 use memlstm::{Error, Request, ServeConfig, ServeEngine};
 use workloads::{Benchmark, Workload};
@@ -46,7 +46,7 @@ fn baseline_logits_bit_identical_across_presets_while_pricing_moves() {
         let mut sink: Vec<KernelDesc> = Vec::new();
         let out = PlanRuntime::new().run_lstm(&plan, net, xs, &mut sink);
         logits_bits.push(out.logits.iter().map(|x| x.to_bits()).collect());
-        let (report, _) = try_profile_plan(&plan, net, xs, &device).expect("matching device");
+        let (report, _) = profile_plan(&plan, net, xs, &device).expect("matching device");
         time_bits.push(report.time_s.to_bits());
     }
     for (i, bits) in logits_bits.iter().enumerate().skip(1) {
@@ -83,7 +83,7 @@ fn optimized_logits_bit_identical_across_presets() {
     let mut logits_bits: Vec<Vec<u32>> = Vec::new();
     for device in DeviceModel::presets() {
         let exec = OptimizedExecutor::new(net, &predictors, config).on_device(device.clone());
-        let plan = exec.plan(xs);
+        let plan = exec.plan_probes(&workload.eval_set()[..1]);
         assert_eq!(plan.device, device, "plan must record its device");
         let mut sink: Vec<KernelDesc> = Vec::new();
         let out = PlanRuntime::new().run_lstm(&plan, net, xs, &mut sink);
@@ -99,22 +99,32 @@ fn optimized_logits_bit_identical_across_presets() {
 }
 
 /// Pricing a plan on a device it was not compiled for is a typed error,
-/// not a silent mispricing: `try_profile_plan` names both devices.
+/// not a silent mispricing: `profile_plan` names both devices. Inputs the
+/// plan cannot run are typed errors too, not panics inside the runtime.
 #[test]
-fn try_profile_plan_rejects_foreign_device() {
+fn profile_plan_rejects_foreign_device_and_bad_inputs() {
     let workload = workload();
     let net = workload.network();
     let xs = &workload.eval_set()[0];
     let plan = ExecutionPlan::compile_baseline(net, xs.len(), &DeviceModel::tegra_x1());
-    match try_profile_plan(&plan, net, xs, &DeviceModel::tegra_x2()) {
+    match profile_plan(&plan, net, xs, &DeviceModel::tegra_x2()) {
         Err(Error::DeviceMismatch { plan, device }) => {
             assert_eq!(plan, "tegra_x1");
             assert_eq!(device, "tegra_x2");
         }
         other => panic!("expected DeviceMismatch, got {other:?}"),
     }
+    let device = DeviceModel::tegra_x1();
+    let short = profile_plan(&plan, net, &xs[1..], &device).err();
+    let expected = xs.len();
+    let actual = expected - 1;
+    assert_eq!(short, Some(Error::SeqLenMismatch { expected, actual }));
+    assert_eq!(
+        profile_plan(&plan, net, &[], &device).err(),
+        Some(Error::EmptyInput)
+    );
     // The matching device still works.
-    try_profile_plan(&plan, net, xs, &DeviceModel::tegra_x1()).expect("matching device");
+    profile_plan(&plan, net, xs, &device).expect("matching device");
 }
 
 /// The serving engine refuses a config whose device is not the plan's —

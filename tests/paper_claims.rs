@@ -86,7 +86,7 @@ fn fig14_combined_beats_baseline_with_small_loss() {
         let base_run = BaselineExecutor::new(net).run(xs);
         device.reset();
         let base = device.run_trace(base_run.trace());
-        let opt_run = exec.run(xs);
+        let opt_run = exec.run(xs).unwrap();
         device.reset();
         let opt = device.run_trace(opt_run.trace());
         speedups.push(base.time_s / opt.time_s);
@@ -118,7 +118,9 @@ fn fig16_scheme_ordering_holds() {
                 mode,
             })
             .build();
-        let run = OptimizedExecutor::new(net, &predictors, config).run(xs);
+        let run = OptimizedExecutor::new(net, &predictors, config)
+            .run(xs)
+            .unwrap();
         device.reset();
         device.run_trace(run.trace()).time_s
     };
@@ -157,7 +159,9 @@ fn overheads_stay_in_the_few_percent_band() {
             mode: DrsMode::Hardware,
         })
         .build();
-    let run = OptimizedExecutor::new(net, &predictors, config).run(&workload.eval_set()[0]);
+    let run = OptimizedExecutor::new(net, &predictors, config)
+        .run(&workload.eval_set()[0])
+        .unwrap();
     let gpu = DeviceModel::tegra_x1();
     let inter = memlstm::overhead::inter_overhead(&run, &gpu);
     let intra = memlstm::overhead::intra_overhead(&run, &gpu);

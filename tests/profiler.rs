@@ -29,7 +29,7 @@ fn profiling_is_observation_only() {
     PlanRuntime::new().run_lstm(&plan, net, xs, &mut session);
     let plain = session.finish();
 
-    let (profiled, profiler) = profile_plan(&plan, net, xs, &gpu);
+    let (profiled, profiler) = profile_plan(&plan, net, xs, &gpu).unwrap();
 
     assert_eq!(plain.time_s.to_bits(), profiled.time_s.to_bits());
     assert_eq!(plain.crm_s.to_bits(), profiled.crm_s.to_bits());
