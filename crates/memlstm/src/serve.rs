@@ -753,6 +753,9 @@ pub struct ServeEngine<'a> {
     outcomes: Vec<ServeOutcome>,
     events: Vec<DegradeEvent>,
     runtime: PlanRuntime,
+    /// The simulated device every attempt is priced on, reset before
+    /// each one (a reset device holds exactly what a fresh one does).
+    device: GpuDevice,
     /// Gang input slots, recycled across rounds (requests' sequences are
     /// moved in rather than cloned).
     seqs: Vec<Vec<Vector>>,
@@ -800,6 +803,7 @@ impl<'a> ServeEngine<'a> {
         config: ServeConfig,
     ) -> MemlstmResult<Self> {
         Self::check_plan(plan, net, &config)?;
+        let device = GpuDevice::for_model(&config.device);
         Ok(Self {
             plan,
             fallback: None,
@@ -810,6 +814,7 @@ impl<'a> ServeEngine<'a> {
             outcomes: Vec::new(),
             events: Vec::new(),
             runtime: PlanRuntime::new(),
+            device,
             seqs: Vec::new(),
             outs: Vec::new(),
             clock_s: 0.0,
@@ -1101,15 +1106,15 @@ impl<'a> ServeEngine<'a> {
         let start_s = self.clock_s;
         let mut round_retries = 0u32;
         let report = loop {
-            // A fresh device per round (and per retry) is deliberate:
-            // every attempt is priced from a cold cache, so attempt times
+            // Every round (and every retry) starts from a reset device:
+            // each attempt is priced from a cold cache, so attempt times
             // are order-independent and a retry replays the identical
             // kernel stream on the identical inputs — which is why
             // retried logits are bit-identical to fault-free runs.
             let attempt = self.attempts;
             self.attempts += 1;
-            let mut device = GpuDevice::for_model(&self.config.device);
-            let mut session = device.begin_trace();
+            self.device.reset();
+            let mut session = self.device.begin_trace();
             self.runtime.run_lstm_batch_into(
                 plan,
                 self.net,

@@ -31,9 +31,14 @@
 //! so gate `g`'s section of a fused product is bit-identical to
 //! `PackedMatrix::pack(&mats[g]).gemv(&x)`. The property tests pin this
 //! for dense, batched, and masked paths.
+//!
+//! The dense product runs panels in pairs through `panel_pair_gemv`,
+//! which has `panel_gemv`'s per-row order and, like every panel kernel,
+//! a portable and an AVX build from one body (see [`crate::packed`]).
+//! The masked products go through the shared gather driver.
 
 use crate::matrix::Matrix;
-use crate::packed::{panel_gemv, GatherScratch, MR};
+use crate::packed::{gather_gemv_into, panel_gemv, simd_kernel, GatherScratch, MR};
 use crate::vector::Vector;
 
 /// Several equally-shaped gate matrices packed into one gate-major slab
@@ -146,10 +151,9 @@ impl FusedGates {
             "FusedGates::gemv_into: out length"
         );
         let total = self.gates * self.ppg();
-        let pair = panel_pair_kernel();
         let mut q = 0;
         while q + 1 < total {
-            let (s0, s1) = pair(self.panel(q), self.panel(q + 1), self.cols, x);
+            let (s0, s1) = panel_pair_gemv(self.panel(q), self.panel(q + 1), self.cols, x);
             self.scatter(q, &s0, out);
             self.scatter(q + 1, &s1, out);
             q += 2;
@@ -298,83 +302,54 @@ impl FusedGates {
         let cols = self.cols;
         let ppg = self.ppg();
         let gate_base = g * ppg * MR * cols;
-        out.fill(skipped_value);
-        let panel = &mut scratch.panel;
-        panel.clear();
-        panel.resize(MR * cols, 0.0);
-        let mut gathered: [usize; MR] = [0; MR];
-        let mut lanes = 0usize;
         let data = &self.data;
-        let mut flush = |panel: &mut [f32], gathered: &[usize; MR], lanes: &mut usize| {
-            if *lanes == 0 {
-                return;
-            }
-            // Gather the active rows out of their source panels with the
-            // column index outermost: stores are sequential in the
-            // scratch panel, reads are `lanes` strided streams (stride
-            // MR within each source panel).
-            for (k, chunk) in panel.chunks_exact_mut(MR).enumerate() {
-                for (slot, &r) in chunk.iter_mut().zip(gathered.iter().take(*lanes)) {
-                    let src = gate_base + (r / MR) * MR * cols + k * MR + (r % MR);
-                    *slot = data[src];
+        gather_gemv_into(
+            x.as_slice(),
+            active,
+            skipped_value,
+            scratch,
+            out,
+            |panel, group| {
+                // Each active row is one lane of a source panel: reads are
+                // `MR` strided streams (stride MR).
+                let starts = group.map(|r| gate_base + (r / MR) * MR * cols + r % MR);
+                for (k, column) in panel.iter_mut().enumerate() {
+                    for (slot, &start) in column.iter_mut().zip(&starts) {
+                        *slot = data[start + k * MR];
+                    }
                 }
-                // Pad dead lanes so the micro-kernel's discarded extra
-                // work is well-defined (at most the final flush).
-                chunk[*lanes..].fill(0.0);
-            }
-            let sum = panel_gemv(panel, cols, x.as_slice());
-            for (lane, &r) in gathered.iter().enumerate().take(*lanes) {
-                out[r] = sum[lane];
-            }
-            *lanes = 0;
-        };
-        for (r, &is_active) in active.iter().enumerate() {
-            if !is_active {
-                continue;
-            }
-            gathered[lanes] = r;
-            lanes += 1;
-            if lanes == MR {
-                flush(panel, &gathered, &mut lanes);
-            }
-        }
-        flush(panel, &gathered, &mut lanes);
+            },
+        );
     }
 }
 
-/// Signature of a two-panel micro-kernel: `(panel0, panel1, cols, x)`
-/// to both panels' row sums.
-type PanelPairFn = fn(&[f32], &[f32], usize, &[f32]) -> ([f32; MR], [f32; MR]);
-
-/// Selects the pair micro-kernel: the AVX build when the CPU has it
-/// (`is_x86_feature_detected!` caches the CPUID probe), the portable
-/// scalar build otherwise. Both produce bit-identical results — the AVX
-/// path uses only per-lane `mul`/`add` (never FMA), so every float op
-/// rounds exactly as its scalar twin.
-#[allow(unsafe_code)]
-fn panel_pair_kernel() -> PanelPairFn {
-    #[cfg(target_arch = "x86_64")]
-    if std::arch::is_x86_feature_detected!("avx") {
-        // SAFETY: only reachable when the CPU reports AVX.
-        return |p0, p1, cols, x| unsafe { panel_pair_gemv_avx(p0, p1, cols, x) };
-    }
-    panel_pair_gemv
+simd_kernel! {
+    /// Two panels' micro-kernel in one pass over `x`: each broadcast
+    /// `x[k]` feeds `2 * MR` independent per-row accumulators. Each row's
+    /// sum uses exactly [`panel_gemv`]'s association order — the pairing
+    /// adds ILP, never a reassociation. Its AVX build holds the eight
+    /// phase accumulators in eight YMM registers; the portable build's
+    /// 16 XMM registers cannot hold them without spilling.
+    fn panel_pair_gemv = panel_pair_gemv_body(
+        p0: &[f32],
+        p1: &[f32],
+        cols: usize,
+        x: &[f32],
+    ) -> ([f32; MR], [f32; MR]);
 }
 
-/// Two panels' micro-kernel in one pass over `x`: each broadcast `x[k]`
-/// feeds `2 * MR` independent per-row accumulators. Each row's sum uses
-/// exactly [`panel_gemv`]'s association order — the pairing adds ILP,
-/// never a reassociation.
-fn panel_pair_gemv(p0: &[f32], p1: &[f32], cols: usize, x: &[f32]) -> ([f32; MR], [f32; MR]) {
-    let chunks = cols / 4;
+#[inline(always)]
+fn panel_pair_gemv_body(p0: &[f32], p1: &[f32], cols: usize, x: &[f32]) -> ([f32; MR], [f32; MR]) {
+    let (chunks0, tail0) = p0[..MR * cols].as_chunks::<{ 4 * MR }>();
+    let (chunks1, tail1) = p1[..MR * cols].as_chunks::<{ 4 * MR }>();
+    let (x_chunks, x_tail) = x[..cols].as_chunks::<4>();
     let mut acc0 = [[0.0f32; MR]; 4];
     let mut acc1 = [[0.0f32; MR]; 4];
-    for i in 0..chunks {
-        let base = i * 4 * MR;
+    for ((chunk0, chunk1), xs) in chunks0.iter().zip(chunks1).zip(x_chunks) {
         for phase in 0..4 {
-            let xv = x[i * 4 + phase];
-            let col0 = &p0[base + phase * MR..base + (phase + 1) * MR];
-            let col1 = &p1[base + phase * MR..base + (phase + 1) * MR];
+            let xv = xs[phase];
+            let col0 = &chunk0[phase * MR..(phase + 1) * MR];
+            let col1 = &chunk1[phase * MR..(phase + 1) * MR];
             for ((a, b), (&c0, &c1)) in acc0[phase]
                 .iter_mut()
                 .zip(acc1[phase].iter_mut())
@@ -391,72 +366,8 @@ fn panel_pair_gemv(p0: &[f32], p1: &[f32], cols: usize, x: &[f32]) -> ([f32; MR]
         s0[r] = ((acc0[0][r] + acc0[1][r]) + acc0[2][r]) + acc0[3][r];
         s1[r] = ((acc1[0][r] + acc1[1][r]) + acc1[2][r]) + acc1[3][r];
     }
-    for (k, &xv) in x.iter().enumerate().skip(chunks * 4) {
-        let col0 = &p0[k * MR..(k + 1) * MR];
-        let col1 = &p1[k * MR..(k + 1) * MR];
-        for r in 0..MR {
-            s0[r] += col0[r] * xv;
-            s1[r] += col1[r] * xv;
-        }
-    }
-    (s0, s1)
-}
-
-/// [`panel_pair_gemv`] built for AVX: one 8-lane register per phase
-/// accumulator (8 live accumulators — within the 16-register budget the
-/// baseline build can't assume), explicit `vmulps`/`vaddps` only.
-///
-/// Bit-exactness: lane `r` of `acc[phase]` performs exactly the scalar
-/// kernel's `acc[phase][r] += col[r] * xv` — one IEEE rounding for the
-/// multiply, one for the add, in the same chunk order — and the final
-/// per-lane reduction is the same `((a0 + a1) + a2) + a3`. FMA is
-/// deliberately never emitted: a fused multiply-add rounds once, not
-/// twice, and would break the bitwise contract with [`panel_gemv`].
-///
-/// # Safety
-/// Caller must ensure the CPU supports AVX.
-#[allow(unsafe_code)]
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx")]
-unsafe fn panel_pair_gemv_avx(
-    p0: &[f32],
-    p1: &[f32],
-    cols: usize,
-    x: &[f32],
-) -> ([f32; MR], [f32; MR]) {
-    use core::arch::x86_64::*;
-    debug_assert_eq!(
-        MR, 8,
-        "AVX kernel assumes one YMM register per panel column"
-    );
-    let chunks = cols / 4;
-    let mut acc0 = [_mm256_setzero_ps(); 4];
-    let mut acc1 = [_mm256_setzero_ps(); 4];
-    for i in 0..chunks {
-        let base = i * 4 * MR;
-        for phase in 0..4 {
-            let xv = _mm256_broadcast_ss(&x[i * 4 + phase]);
-            let col0 = _mm256_loadu_ps(p0.as_ptr().add(base + phase * MR));
-            let col1 = _mm256_loadu_ps(p1.as_ptr().add(base + phase * MR));
-            acc0[phase] = _mm256_add_ps(acc0[phase], _mm256_mul_ps(col0, xv));
-            acc1[phase] = _mm256_add_ps(acc1[phase], _mm256_mul_ps(col1, xv));
-        }
-    }
-    let r0 = _mm256_add_ps(
-        _mm256_add_ps(_mm256_add_ps(acc0[0], acc0[1]), acc0[2]),
-        acc0[3],
-    );
-    let r1 = _mm256_add_ps(
-        _mm256_add_ps(_mm256_add_ps(acc1[0], acc1[1]), acc1[2]),
-        acc1[3],
-    );
-    let mut s0 = [0.0f32; MR];
-    let mut s1 = [0.0f32; MR];
-    _mm256_storeu_ps(s0.as_mut_ptr(), r0);
-    _mm256_storeu_ps(s1.as_mut_ptr(), r1);
-    for (k, &xv) in x.iter().enumerate().skip(chunks * 4) {
-        let col0 = &p0[k * MR..(k + 1) * MR];
-        let col1 = &p1[k * MR..(k + 1) * MR];
+    let (tail0, tail1) = (tail0.as_chunks::<MR>().0, tail1.as_chunks::<MR>().0);
+    for ((col0, col1), &xv) in tail0.iter().zip(tail1).zip(x_tail) {
         for r in 0..MR {
             s0[r] += col0[r] * xv;
             s1[r] += col1[r] * xv;
@@ -611,40 +522,6 @@ mod tests {
         let mut out = vec![0.0f32; 9];
         fused.gate_gemv_masked_into(0, &x, &none, 42.0, &mut scratch, &mut out);
         assert!(out.iter().all(|&v| v == 42.0));
-    }
-
-    /// The AVX pair kernel must agree with the portable scalar kernel to
-    /// the last bit, including the non-multiple-of-4 column tail (runs
-    /// only where the CPU has AVX; elsewhere the dispatch never picks it).
-    #[cfg(target_arch = "x86_64")]
-    #[allow(unsafe_code)]
-    #[test]
-    fn avx_pair_kernel_bit_identical_to_scalar() {
-        if !std::arch::is_x86_feature_detected!("avx") {
-            return;
-        }
-        for cols in [1usize, 4, 7, 16, 31, 64] {
-            let m0 = pseudo_matrix(MR, cols, 77);
-            let m1 = pseudo_matrix(MR, cols, 177);
-            let fused = FusedGates::pack(&[&m0, &m1]);
-            let x = pseudo_vector(cols, 55);
-            let scalar = panel_pair_gemv(fused.panel(0), fused.panel(1), cols, x.as_slice());
-            // SAFETY: AVX support checked above.
-            let avx =
-                unsafe { panel_pair_gemv_avx(fused.panel(0), fused.panel(1), cols, x.as_slice()) };
-            for r in 0..MR {
-                assert_eq!(
-                    avx.0[r].to_bits(),
-                    scalar.0[r].to_bits(),
-                    "{cols} cols p0[{r}]"
-                );
-                assert_eq!(
-                    avx.1[r].to_bits(),
-                    scalar.1[r].to_bits(),
-                    "{cols} cols p1[{r}]"
-                );
-            }
-        }
     }
 
     #[test]

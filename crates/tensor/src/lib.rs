@@ -19,9 +19,10 @@
 //! assert_eq!(y.as_slice(), &[-2.0, -2.0]);
 //! ```
 
-// `deny`, not `forbid`: the one sanctioned exception is the
-// runtime-dispatched AVX micro-kernel in `fused`, which carries a
-// scoped `#[allow(unsafe_code)]` and a safety argument.
+// `deny`, not `forbid`: the one sanctioned exception is the dispatch
+// wrapper that `packed::simd_kernel!` generates for each panel
+// micro-kernel — calling the AVX build after `is_x86_feature_detected!`
+// — which carries a scoped `#[allow(unsafe_code)]` and a safety argument.
 #![deny(unsafe_code)]
 #![warn(missing_docs)]
 

@@ -17,6 +17,14 @@
 //! layout buys throughput, never different numerics. The property tests
 //! in `tests/properties.rs` pin this down.
 //!
+//! Every panel micro-kernel in the crate (this module's `panel_gemv`,
+//! the fused pair kernel, the f16/int8 dequant kernels) is written once
+//! and compiled twice by the `simd_kernel!` macro defined here: a
+//! portable build and an AVX build (never FMA, so both round
+//! identically), picked per call by one `is_x86_feature_detected!`
+//! check. The masked kernels share one row-grouping driver,
+//! `gather_gemv_into`.
+//!
 //! Packing costs one pass over the matrix, so it pays off when the same
 //! matrix is applied many times — exactly the LSTM shape, where the
 //! recurrent `U` matrices are applied at every timestep of every
@@ -162,18 +170,83 @@ impl PackedMatrix {
     }
 }
 
-/// One panel's matrix-vector micro-kernel: `MR` rows at once, four phase
-/// accumulators per row in the reference association order.
-pub(crate) fn panel_gemv(panel: &[f32], cols: usize, x: &[f32]) -> [f32; MR] {
-    let chunks = cols / 4;
+/// Defines a runtime-dispatched panel micro-kernel `$name` over the
+/// `#[inline(always)]` body `$body`, compiling the body twice: once
+/// inside a `#[target_feature(enable = "avx")]` function (the AVX build)
+/// and once inline in `$name` itself (the portable build). Each call
+/// takes the AVX build when [`avx_enabled`] says the CPU has it.
+///
+/// `fma` is deliberately never enabled, and rustc never contracts
+/// `acc += w * x` into a fused multiply-add on its own, so the AVX build
+/// performs each lane's multiply and add with the same two IEEE
+/// roundings, in the same order, as the portable build: the two builds
+/// are bit-identical by construction, and only the vector width differs
+/// (one 8-lane YMM register per `MR`-lane accumulator instead of two SSE
+/// halves).
+macro_rules! simd_kernel {
+    (
+        $(#[$attr:meta])*
+        $vis:vis fn $name:ident = $body:ident($($arg:ident: $ty:ty),* $(,)?) -> $ret:ty;
+    ) => {
+        $(#[$attr])*
+        #[allow(unsafe_code)]
+        #[inline]
+        $vis fn $name($($arg: $ty),*) -> $ret {
+            #[cfg(target_arch = "x86_64")]
+            if $crate::packed::avx_enabled() {
+                #[target_feature(enable = "avx")]
+                fn avx_build($($arg: $ty),*) -> $ret {
+                    $body($($arg),*)
+                }
+                // SAFETY: `avx_enabled` is true only on a CPU that
+                // reports AVX, the one feature `avx_build` requires.
+                return unsafe { avx_build($($arg),*) };
+            }
+            $body($($arg),*)
+        }
+    };
+}
+pub(crate) use simd_kernel;
+
+#[cfg(test)]
+thread_local! {
+    /// Test-only switch forcing this thread's dispatched kernels onto
+    /// their portable build, so one test can run every entry point
+    /// through both builds and compare them bit for bit.
+    static FORCE_PORTABLE: std::cell::Cell<bool> = const { std::cell::Cell::new(false) };
+}
+
+/// Whether the dispatched micro-kernels run their AVX build. The
+/// `is_x86_feature_detected!` probe caches CPUID, so each call is one
+/// relaxed atomic load.
+#[cfg(target_arch = "x86_64")]
+#[inline]
+pub(crate) fn avx_enabled() -> bool {
+    #[cfg(test)]
+    if FORCE_PORTABLE.with(std::cell::Cell::get) {
+        return false;
+    }
+    std::arch::is_x86_feature_detected!("avx")
+}
+
+simd_kernel! {
+    /// One panel's matrix-vector micro-kernel: `MR` rows at once, four
+    /// phase accumulators per row in the reference association order.
+    pub(crate) fn panel_gemv = panel_gemv_body(panel: &[f32], cols: usize, x: &[f32]) -> [f32; MR];
+}
+
+#[inline(always)]
+fn panel_gemv_body(panel: &[f32], cols: usize, x: &[f32]) -> [f32; MR] {
+    // Four-column chunks as fixed-size arrays (no bounds checks in the
+    // hot loop), then the `cols % 4` tail columns.
+    let (chunks, tail) = panel[..MR * cols].as_chunks::<{ 4 * MR }>();
+    let (x_chunks, x_tail) = x[..cols].as_chunks::<4>();
     let mut acc = [[0.0f32; MR]; 4];
-    for i in 0..chunks {
-        let base = i * 4 * MR;
+    for (chunk, xs) in chunks.iter().zip(x_chunks) {
         for (phase, accp) in acc.iter_mut().enumerate() {
-            let xv = x[i * 4 + phase];
-            let col = &panel[base + phase * MR..base + (phase + 1) * MR];
+            let col = &chunk[phase * MR..(phase + 1) * MR];
             for (a, &c) in accp.iter_mut().zip(col) {
-                *a += c * xv;
+                *a += c * xs[phase];
             }
         }
     }
@@ -181,8 +254,7 @@ pub(crate) fn panel_gemv(panel: &[f32], cols: usize, x: &[f32]) -> [f32; MR] {
     for (r, s) in sum.iter_mut().enumerate() {
         *s = ((acc[0][r] + acc[1][r]) + acc[2][r]) + acc[3][r];
     }
-    for (k, &xv) in x.iter().enumerate().skip(chunks * 4) {
-        let col = &panel[k * MR..(k + 1) * MR];
+    for (col, &xv) in tail.as_chunks::<MR>().0.iter().zip(x_tail) {
         for (s, &c) in sum.iter_mut().zip(col) {
             *s += c * xv;
         }
@@ -271,63 +343,80 @@ pub fn sgemv_masked_gather_into(
         a.rows(),
         "sgemv_masked_gather: out length mismatch"
     );
-    let cols = a.cols();
+    gather_gemv_into(
+        x.as_slice(),
+        active,
+        skipped_value,
+        scratch,
+        out,
+        |panel, group| {
+            let rows = group.map(|r| a.row(r));
+            for (k, column) in panel.iter_mut().enumerate() {
+                for (slot, row) in column.iter_mut().zip(&rows) {
+                    *slot = row[k];
+                }
+            }
+        },
+    );
+}
+
+/// The row-grouping driver behind every masked-gather kernel (fp32 raw
+/// matrix, fp32 packed gates, quantized gates): it takes the active rows
+/// [`MR`] at a time in increasing row order, has `load` write each
+/// group's weights into the interleaved scratch panel (`panel[k][l]` is
+/// column `k` of the group's row `group[l]`), runs the dispatched
+/// [`panel_gemv`] over the panel and scatters the sums back to their
+/// rows. Rows outside the mask get `skipped_value`; `out` is fully
+/// overwritten.
+///
+/// One grouping for every masked kernel is what makes their outputs
+/// bit-identical whenever the loaded weights agree.
+pub(crate) fn gather_gemv_into(
+    x: &[f32],
+    active: &[bool],
+    skipped_value: f32,
+    scratch: &mut GatherScratch,
+    out: &mut [f32],
+    mut load: impl FnMut(&mut [[f32; MR]], &[usize; MR]),
+) {
+    let cols = x.len();
     out.fill(skipped_value);
+    // Every call overwrites the whole panel, so stale contents are fine.
     let panel = &mut scratch.panel;
-    panel.clear();
     panel.resize(MR * cols, 0.0);
-    let mut gathered: [usize; MR] = [0; MR];
-    let mut rows: [&[f32]; MR] = [&[]; MR];
-    let mut lanes = 0usize;
-    let mut flush =
-        |panel: &mut [f32], gathered: &[usize; MR], rows: &mut [&[f32]; MR], lanes: &mut usize| {
-            if *lanes == 0 {
-                return;
-            }
-            // Transpose the gathered rows into the interleaved panel with
-            // the column index outermost: every store is sequential in the
-            // scratch buffer, and the reads walk `lanes` parallel streams.
-            if *lanes == MR {
-                for (k, chunk) in panel.chunks_exact_mut(MR).enumerate() {
-                    for (slot, row) in chunk.iter_mut().zip(rows.iter()) {
-                        *slot = row[k];
-                    }
-                }
-            } else {
-                // Partial panel (at most once per call): pad dead lanes
-                // with zeros so the micro-kernel's extra work is
-                // well-defined (the results are discarded).
-                for (k, chunk) in panel.chunks_exact_mut(MR).enumerate() {
-                    for (slot, row) in chunk.iter_mut().zip(rows.iter().take(*lanes)) {
-                        *slot = row[k];
-                    }
-                    chunk[*lanes..].fill(0.0);
-                }
-            }
-            let sum = panel_gemv(panel, cols, x.as_slice());
-            for (lane, &r) in gathered.iter().enumerate().take(*lanes) {
-                out[r] = sum[lane];
-            }
-            *lanes = 0;
-        };
-    for (r, &is_active) in active.iter().enumerate() {
-        if !is_active {
-            continue;
+    let mut flush = |panel: &mut [f32], group: &[usize; MR], lanes: usize| {
+        // Column index outermost inside `load`: stores are sequential in
+        // the scratch panel, reads walk `MR` parallel row streams.
+        load(panel.as_chunks_mut().0, group);
+        let sum = panel_gemv(panel, cols, x);
+        for (&r, &s) in group.iter().zip(&sum).take(lanes) {
+            out[r] = s;
         }
-        rows[lanes] = a.row(r);
-        gathered[lanes] = r;
+    };
+    let mut group = [0usize; MR];
+    let mut lanes = 0;
+    for (r, _) in active.iter().enumerate().filter(|(_, &on)| on) {
+        group[lanes] = r;
         lanes += 1;
         if lanes == MR {
-            flush(panel, &gathered, &mut rows, &mut lanes);
+            flush(panel, &group, MR);
+            lanes = 0;
         }
     }
-    flush(panel, &gathered, &mut rows, &mut lanes);
+    if lanes > 0 {
+        // Pad the partial last group with copies of its first row: every
+        // lane loads real weights, and the copies' sums are discarded.
+        let first = group[0];
+        group[lanes..].fill(first);
+        flush(panel, &group, lanes);
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::gemm::{sgemv, sgemv_masked_reference};
+    use crate::{FusedGates, Precision, QuantizedGates};
 
     fn pseudo_matrix(rows: usize, cols: usize, seed: u32) -> Matrix {
         Matrix::from_fn(rows, cols, |r, c| {
@@ -447,5 +536,120 @@ mod tests {
     fn batched_gemv_shape_mismatch_panics() {
         let packed = PackedMatrix::pack(&Matrix::zeros(4, 3));
         packed.gemv_batch(&[Vector::zeros(3), Vector::zeros(2)]);
+    }
+
+    /// Runs `f` with this thread's dispatched kernels on their portable
+    /// build.
+    fn portable<T>(f: impl FnOnce() -> T) -> T {
+        FORCE_PORTABLE.with(|force| force.set(true));
+        let out = f();
+        FORCE_PORTABLE.with(|force| force.set(false));
+        out
+    }
+
+    /// One kernel entry of the dispatch table: `(gates, x, mask)` to its
+    /// output slab.
+    type Entry = fn(&[Matrix], &Vector, &[bool]) -> Vec<f32>;
+
+    fn fused_slab(mats: &[Matrix], x: &Vector, _: &[bool]) -> Vec<f32> {
+        let refs: Vec<&Matrix> = mats.iter().collect();
+        let fused = FusedGates::pack(&refs);
+        let mut out = vec![0.0; fused.total_rows()];
+        fused.gemv_into(x.as_slice(), &mut out);
+        out
+    }
+
+    fn quant_slab(mats: &[Matrix], x: &Vector, precision: Precision) -> Vec<f32> {
+        let refs: Vec<&Matrix> = mats.iter().collect();
+        let quant = QuantizedGates::pack(&refs, precision);
+        let mut out = vec![0.0; quant.total_rows()];
+        quant.gemv_into(x.as_slice(), &mut out);
+        out
+    }
+
+    fn quant_masked(mats: &[Matrix], x: &Vector, mask: &[bool], precision: Precision) -> Vec<f32> {
+        let refs: Vec<&Matrix> = mats.iter().collect();
+        let quant = QuantizedGates::pack(&refs, precision);
+        let mut out = vec![0.0; quant.total_rows()];
+        let mut scratch = GatherScratch::new();
+        quant.gemv_masked_prefix_into(mats.len(), x, mask, -3.0, &mut scratch, &mut out);
+        out
+    }
+
+    /// Every dispatched kernel's AVX build agrees with its portable
+    /// build to the last bit: column counts around the four-wide phase
+    /// chunks and the 256-column slabs, a partial last panel
+    /// (`rows % MR != 0`), and empty, full and random DRS masks. Three
+    /// gates give `FusedGates::gemv_into` an odd panel count, so both the
+    /// pair kernel and its single-panel tail run.
+    #[test]
+    fn every_avx_kernel_bit_identical_to_portable() {
+        #[cfg(target_arch = "x86_64")]
+        let has_avx = avx_enabled();
+        #[cfg(not(target_arch = "x86_64"))]
+        let has_avx = false;
+        if !has_avx {
+            eprintln!("skipped: no AVX on this CPU, so only the portable build ever runs");
+            return;
+        }
+        let entries: [(&str, Entry); 8] = [
+            ("fp32 single panel", |m, x, _| {
+                PackedMatrix::pack(&m[0]).gemv(x).as_slice().to_vec()
+            }),
+            ("fp32 pair", fused_slab),
+            ("f16", |m, x, _| quant_slab(m, x, Precision::Fp16)),
+            ("i8", |m, x, _| quant_slab(m, x, Precision::Int8)),
+            ("fp32 raw masked gather", |m, x, mask| {
+                sgemv_masked_gather(&m[0], x, mask, -3.0)
+                    .as_slice()
+                    .to_vec()
+            }),
+            ("fp32 packed masked gather", |m, x, mask| {
+                let refs: Vec<&Matrix> = m.iter().collect();
+                let fused = FusedGates::pack(&refs);
+                let mut out = vec![0.0; fused.total_rows()];
+                let mut scratch = GatherScratch::new();
+                fused.gemv_masked_prefix_into(m.len(), x, mask, -3.0, &mut scratch, &mut out);
+                out
+            }),
+            ("f16 masked gather", |m, x, mask| {
+                quant_masked(m, x, mask, Precision::Fp16)
+            }),
+            ("i8 masked gather", |m, x, mask| {
+                quant_masked(m, x, mask, Precision::Int8)
+            }),
+        ];
+        for rows in [MR, 2 * MR + 5] {
+            for cols in [1usize, 3, 4, 5, 8, 255, 256, 257] {
+                let mats: Vec<Matrix> = (0..3)
+                    .map(|g| pseudo_matrix(rows, cols, 17 + 31 * g))
+                    .collect();
+                let x = pseudo_vector(cols, cols as u32);
+                let masks = [
+                    ("empty", vec![false; rows]),
+                    ("full", vec![true; rows]),
+                    (
+                        "random",
+                        (0..rows)
+                            .map(|r| (r as u32).wrapping_mul(2654435761) >> 29 < 5)
+                            .collect(),
+                    ),
+                ];
+                for (name, entry) in entries {
+                    for (mask_name, mask) in &masks {
+                        let avx = entry(&mats, &x, mask);
+                        let scalar = portable(|| entry(&mats, &x, mask));
+                        assert_eq!(avx.len(), scalar.len());
+                        for (i, (a, s)) in avx.iter().zip(&scalar).enumerate() {
+                            assert_eq!(
+                                a.to_bits(),
+                                s.to_bits(),
+                                "{name}: {rows}x{cols}, {mask_name} mask, row {i}"
+                            );
+                        }
+                    }
+                }
+            }
+        }
     }
 }

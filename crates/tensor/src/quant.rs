@@ -28,9 +28,16 @@
 //! fp32 kernel run on the dequantized weights ([`Precision::apply`]),
 //! which makes determinism automatic and the quantization error a pure
 //! weight-perturbation bound, testable per row.
+//!
+//! The f16 and int8 kernels each have a portable and an AVX build from
+//! one body (see [`crate::packed`]); the AVX build of the int8 kernel
+//! widens each panel column's sign-extend, convert, scale and
+//! accumulate to 8 lanes. The masked kernels dequantize active rows
+//! into the shared gather driver's scratch panel and run the fp32
+//! `panel_gemv` on it.
 
 use crate::matrix::Matrix;
-use crate::packed::{panel_gemv, GatherScratch, MR};
+use crate::packed::{gather_gemv_into, simd_kernel, GatherScratch, MR};
 use crate::vector::Vector;
 
 /// Weight-storage precision of the packed gate matrices.
@@ -545,60 +552,44 @@ impl QuantizedGates {
             self.rows,
             "QuantizedGates::gate_gemv_masked_into: out length"
         );
-        let cols = self.cols;
-        out.fill(skipped_value);
-        let panel = &mut scratch.panel;
-        panel.clear();
-        panel.resize(MR * cols, 0.0);
-        let mut gathered: [usize; MR] = [0; MR];
-        let mut lanes = 0usize;
-        let mut flush = |panel: &mut [f32], gathered: &[usize; MR], lanes: &mut usize| {
-            if *lanes == 0 {
-                return;
-            }
-            // Dequantize the active rows straight into the scratch
-            // panel (column index outermost, like the fp32 gather), so
-            // the exact micro-kernel below sees the same values the
-            // dense quantized kernels compute.
-            for (k, chunk) in panel.chunks_exact_mut(MR).enumerate() {
-                for (slot, &r) in chunk.iter_mut().zip(gathered.iter().take(*lanes)) {
-                    *slot = self.dequant(g, r, k);
+        gather_gemv_into(
+            x.as_slice(),
+            active,
+            skipped_value,
+            scratch,
+            out,
+            |panel, group| {
+                // Dequantize the active rows straight into the scratch panel,
+                // so the micro-kernel sees the same values the dense
+                // quantized kernels compute.
+                for (k, column) in panel.iter_mut().enumerate() {
+                    for (slot, &r) in column.iter_mut().zip(group) {
+                        *slot = self.dequant(g, r, k);
+                    }
                 }
-                chunk[*lanes..].fill(0.0);
-            }
-            let sum = panel_gemv(panel, cols, x.as_slice());
-            for (lane, &r) in gathered.iter().enumerate().take(*lanes) {
-                out[r] = sum[lane];
-            }
-            *lanes = 0;
-        };
-        for (r, &is_active) in active.iter().enumerate() {
-            if !is_active {
-                continue;
-            }
-            gathered[lanes] = r;
-            lanes += 1;
-            if lanes == MR {
-                flush(panel, &gathered, &mut lanes);
-            }
-        }
-        flush(panel, &gathered, &mut lanes);
+            },
+        );
     }
 }
 
-/// [`panel_gemv`]'s accumulation order over an `f16`-stored panel: the
-/// conversion to `f32` is exact, so each `*a += c * xv` rounds exactly
-/// like the fp32 kernel on the dequantized panel.
-fn panel_gemv_f16(panel: &[u16], cols: usize, x: &[f32]) -> [f32; MR] {
-    let chunks = cols / 4;
+simd_kernel! {
+    /// [`panel_gemv`](crate::packed::panel_gemv)'s accumulation order
+    /// over an `f16`-stored panel: the conversion to `f32` is exact, so
+    /// each `*a += c * xv` rounds exactly like the fp32 kernel on the
+    /// dequantized panel.
+    fn panel_gemv_f16 = panel_gemv_f16_body(panel: &[u16], cols: usize, x: &[f32]) -> [f32; MR];
+}
+
+#[inline(always)]
+fn panel_gemv_f16_body(panel: &[u16], cols: usize, x: &[f32]) -> [f32; MR] {
+    let (chunks, tail) = panel[..MR * cols].as_chunks::<{ 4 * MR }>();
+    let (x_chunks, x_tail) = x[..cols].as_chunks::<4>();
     let mut acc = [[0.0f32; MR]; 4];
-    for i in 0..chunks {
-        let base = i * 4 * MR;
+    for (chunk, xs) in chunks.iter().zip(x_chunks) {
         for phase in 0..4 {
-            let xv = x[i * 4 + phase];
-            let col = &panel[base + phase * MR..base + (phase + 1) * MR];
+            let col = &chunk[phase * MR..(phase + 1) * MR];
             for (a, &bits) in acc[phase].iter_mut().zip(col) {
-                *a += f16_bits_to_f32(bits) * xv;
+                *a += f16_bits_to_f32(bits) * xs[phase];
             }
         }
     }
@@ -606,8 +597,7 @@ fn panel_gemv_f16(panel: &[u16], cols: usize, x: &[f32]) -> [f32; MR] {
     for r in 0..MR {
         sum[r] = ((acc[0][r] + acc[1][r]) + acc[2][r]) + acc[3][r];
     }
-    for (k, &xv) in x.iter().enumerate().skip(chunks * 4) {
-        let col = &panel[k * MR..(k + 1) * MR];
+    for (col, &xv) in tail.as_chunks::<MR>().0.iter().zip(x_tail) {
         for r in 0..MR {
             sum[r] += f16_bits_to_f32(col[r]) * xv;
         }
@@ -615,21 +605,30 @@ fn panel_gemv_f16(panel: &[u16], cols: usize, x: &[f32]) -> [f32; MR] {
     sum
 }
 
-/// [`panel_gemv`]'s accumulation order over an int8-stored panel with
-/// per-lane scales: `q as f32` is exact for `|q| <= 127`, the scale
-/// multiply is the dequantization's single IEEE rounding, and the
-/// accumulation then matches the fp32 kernel on the dequantized panel
-/// bit for bit.
-fn panel_gemv_i8(panel: &[i8], lane_scales: &[f32; MR], cols: usize, x: &[f32]) -> [f32; MR] {
-    let chunks = cols / 4;
+simd_kernel! {
+    /// [`panel_gemv`](crate::packed::panel_gemv)'s accumulation order
+    /// over an int8-stored panel with per-lane scales: `q as f32` is
+    /// exact for `|q| <= 127`, the scale multiply is the
+    /// dequantization's single IEEE rounding, and the accumulation then
+    /// matches the fp32 kernel on the dequantized panel bit for bit.
+    fn panel_gemv_i8 = panel_gemv_i8_body(
+        panel: &[i8],
+        lane_scales: &[f32; MR],
+        cols: usize,
+        x: &[f32],
+    ) -> [f32; MR];
+}
+
+#[inline(always)]
+fn panel_gemv_i8_body(panel: &[i8], lane_scales: &[f32; MR], cols: usize, x: &[f32]) -> [f32; MR] {
+    let (chunks, tail) = panel[..MR * cols].as_chunks::<{ 4 * MR }>();
+    let (x_chunks, x_tail) = x[..cols].as_chunks::<4>();
     let mut acc = [[0.0f32; MR]; 4];
-    for i in 0..chunks {
-        let base = i * 4 * MR;
+    for (chunk, xs) in chunks.iter().zip(x_chunks) {
         for phase in 0..4 {
-            let xv = x[i * 4 + phase];
-            let col = &panel[base + phase * MR..base + (phase + 1) * MR];
-            for (lane, (a, &code)) in acc[phase].iter_mut().zip(col).enumerate() {
-                *a += (code as f32 * lane_scales[lane]) * xv;
+            let col = &chunk[phase * MR..(phase + 1) * MR];
+            for ((a, &code), &scale) in acc[phase].iter_mut().zip(col).zip(lane_scales) {
+                *a += (code as f32 * scale) * xs[phase];
             }
         }
     }
@@ -637,8 +636,7 @@ fn panel_gemv_i8(panel: &[i8], lane_scales: &[f32; MR], cols: usize, x: &[f32]) 
     for r in 0..MR {
         sum[r] = ((acc[0][r] + acc[1][r]) + acc[2][r]) + acc[3][r];
     }
-    for (k, &xv) in x.iter().enumerate().skip(chunks * 4) {
-        let col = &panel[k * MR..(k + 1) * MR];
+    for (col, &xv) in tail.as_chunks::<MR>().0.iter().zip(x_tail) {
         for r in 0..MR {
             sum[r] += (col[r] as f32 * lane_scales[r]) * xv;
         }
