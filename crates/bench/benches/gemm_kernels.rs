@@ -5,7 +5,11 @@
 //!   pack done once outside the timing loop exactly as plans cache it;
 //! * masked SGEMV — the naive row-skipping reference
 //!   (`sgemv_masked_reference`) versus the gather-based skip-list kernel
-//!   (`sgemv_masked`) at paper-realistic skip ratios.
+//!   (`sgemv_masked`) at paper-realistic skip ratios;
+//! * fused masked — the kernel the DRS runtime runs: the in-place masked
+//!   `f, i, c` product of a 4-gate `FusedGates` slab
+//!   (`gemv_masked_prefix_into(3, ..)`) at the same skip ratios, next to
+//!   the dense four-gate `gemv_into` on the same slab.
 //!
 //! Shapes follow the LSTM gate matrices: `H x H` recurrent blocks and the
 //! `4H x H` stacked input projections of Table I's hidden sizes. In
@@ -30,6 +34,12 @@ const SKIP_RATIOS: [f64; 3] = [0.25, 0.50, 0.75];
 
 /// Masked comparisons run on a recurrent-sized block.
 const MASKED_SHAPE: (usize, usize) = (256, 256);
+
+/// Hidden size of the fused masked comparison (the `U_{f,i,c,o}` slab).
+const MASKED_FUSED_HIDDEN: usize = 256;
+
+/// Gates the masked DRS launch covers: the `f, i, c` prefix.
+const MASKED_FUSED_GATES: usize = 3;
 
 fn test_matrix(rows: usize, cols: usize) -> Matrix {
     Matrix::from_fn(rows, cols, |r, c| {
@@ -151,10 +161,54 @@ fn bench_masked(c: &mut Criterion) {
     group.finish();
 }
 
+fn bench_masked_fused(c: &mut Criterion) {
+    let h = MASKED_FUSED_HIDDEN;
+    let (fused, _, x) = fused_setup(h);
+    let mut group = c.benchmark_group("sgemv_masked_fused");
+    group.sample_size(20);
+    let mut dense = vec![0.0f32; 4 * h];
+    group.bench_with_input(BenchmarkId::new("dense", format!("H{h}")), &(), |b, _| {
+        b.iter(|| {
+            fused.gemv_into(x.as_slice(), &mut dense);
+            black_box(&mut dense);
+        })
+    });
+    fused.gemv_into(x.as_slice(), &mut dense);
+    let mut masked = vec![0.0f32; MASKED_FUSED_GATES * h];
+    for &ratio in &SKIP_RATIOS {
+        let mask = skip_mask(h, ratio);
+        // Every active row must equal the dense product's before we time.
+        fused.gemv_masked_prefix_into(MASKED_FUSED_GATES, x.as_slice(), &mask, 0.0, &mut masked);
+        for (i, (m, d)) in masked.iter().zip(&dense).enumerate() {
+            if mask[i % h] {
+                assert_eq!(m.to_bits(), d.to_bits(), "masked row {i}");
+            }
+        }
+        group.bench_with_input(
+            BenchmarkId::new("masked_fic", format!("skip{:.0}%", ratio * 100.0)),
+            &(),
+            |b, _| {
+                b.iter(|| {
+                    fused.gemv_masked_prefix_into(
+                        MASKED_FUSED_GATES,
+                        x.as_slice(),
+                        &mask,
+                        0.0,
+                        &mut masked,
+                    );
+                    black_box(&mut masked);
+                })
+            },
+        );
+    }
+    group.finish();
+}
+
 fn bench_gemm_kernels(c: &mut Criterion) {
     bench_dense(c);
     bench_fused(c);
     bench_masked(c);
+    bench_masked_fused(c);
     if c.is_measuring() {
         emit_json();
     }
@@ -239,12 +293,43 @@ fn emit_json() {
             reference_s / gather_s
         ));
     }
+    let h = MASKED_FUSED_HIDDEN;
+    let (fused, _, x) = fused_setup(h);
+    let slab = std::cell::RefCell::new(vec![0.0f32; 4 * h]);
+    let dense_s = median_s(REPS, ITERS, &|| {
+        let mut slab = slab.borrow_mut();
+        fused.gemv_into(x.as_slice(), &mut slab);
+        black_box(&mut *slab);
+    });
+    let mut masked_fused = Vec::new();
+    for &ratio in &SKIP_RATIOS {
+        let mask = skip_mask(h, ratio);
+        let masked_s = median_s(REPS, ITERS, &|| {
+            let mut slab = slab.borrow_mut();
+            fused.gemv_masked_prefix_into(
+                MASKED_FUSED_GATES,
+                x.as_slice(),
+                &mask,
+                0.0,
+                &mut slab[..MASKED_FUSED_GATES * h],
+            );
+            black_box(&mut *slab);
+        });
+        masked_fused.push(format!(
+            "    {{\"hidden\": {h}, \"gates\": 4, \"masked_gates\": {MASKED_FUSED_GATES}, \
+             \"skip_ratio\": {ratio:.2}, \"dense_s\": {dense_s:.9}, \
+             \"masked_s\": {masked_s:.9}, \"masked_over_dense\": {:.3}}}",
+            masked_s / dense_s
+        ));
+    }
     let json = format!(
         "{{\n  \"benchmark\": \"gemm_kernels\",\n  \"dense_sgemv\": [\n{}\n  ],\n  \
-         \"fused_gates\": [\n{}\n  ],\n  \"masked_sgemv\": [\n{}\n  ]\n}}\n",
+         \"fused_gates\": [\n{}\n  ],\n  \"masked_sgemv\": [\n{}\n  ],\n  \
+         \"masked_fused\": [\n{}\n  ]\n}}\n",
         dense.join(",\n"),
         fused_rows.join(",\n"),
         masked.join(",\n"),
+        masked_fused.join(",\n"),
     );
     let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_gemm.json");
     std::fs::write(path, json).expect("write BENCH_gemm.json");

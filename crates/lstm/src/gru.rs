@@ -11,7 +11,7 @@ use crate::cell::GateSlab;
 use rand::Rng;
 use std::sync::OnceLock;
 use tensor::init::{GateBiasInit, RowScaledInit};
-use tensor::{sigmoid, tanh, GatherScratch, Matrix, Precision, Vector};
+use tensor::{sigmoid, tanh, Matrix, Precision, Vector};
 
 /// Gate indices inside the fused `r, z, h` packs.
 const GATE_R: usize = 0;
@@ -111,8 +111,6 @@ pub struct GruScratch {
     rh: Vector,
     /// Update gate `z_t` (dense step only; the masked step takes `z`).
     z: Vec<f32>,
-    /// Row-gather panel for masked recurrent GEMVs.
-    gather: GatherScratch,
 }
 
 impl GruScratch {
@@ -285,10 +283,10 @@ impl GruWeights {
     /// The zero-allocation DRS-adapted step with the gate packs stored
     /// at `precision`. `U_r` applies to `h_{t-1}` and `U_h` to
     /// `r ⊙ h_{t-1}`, so the two masked recurrent GEMVs run per gate
-    /// (they cannot share one gathered launch the way the LSTM's
-    /// `f, i, c` prefix does); their surviving rows are dequantized as
-    /// they are gathered. At `Fp32` it is bit-identical to
-    /// [`step_masked`](Self::step_masked).
+    /// (they cannot share one launch the way the LSTM's `f, i, c` prefix
+    /// does); each runs in place on that gate's packed panels, computing
+    /// only the panels that hold an active row. At `Fp32` it is
+    /// bit-identical to [`step_masked`](Self::step_masked).
     ///
     /// # Panics
     /// Panics on length mismatches.
@@ -315,7 +313,7 @@ impl GruWeights {
         fused.w.gate_gemv_into(GATE_R, x.as_slice(), wbuf);
         fused
             .u
-            .gate_gemv_masked_into(GATE_R, h_prev, active, 0.0, &mut scratch.gather, ubuf);
+            .gate_gemv_masked_into(GATE_R, h_prev.as_slice(), active, 0.0, ubuf);
         for j in 0..n {
             scratch.r[j] = if active[j] {
                 sigmoid(wbuf[j] + ubuf[j] + self.b_r[j])
@@ -330,7 +328,7 @@ impl GruWeights {
         fused.w.gate_gemv_into(GATE_H, x.as_slice(), wbuf);
         fused
             .u
-            .gate_gemv_masked_into(GATE_H, &scratch.rh, active, 0.0, &mut scratch.gather, ubuf);
+            .gate_gemv_masked_into(GATE_H, scratch.rh.as_slice(), active, 0.0, ubuf);
         h_out.resize_fill(n, 0.0);
         for j in 0..n {
             h_out[j] = if active[j] {

@@ -105,8 +105,8 @@ proptest! {
         assert_bits_eq(c.as_slice(), &c_ref, "c")?;
     }
 
-    /// The fused DRS step (shared `f, i, c` row mask, one gathered
-    /// launch) == the naive gather kernel applied per gate.
+    /// The fused DRS step (shared `f, i, c` row mask, one in-place
+    /// launch) == the raw-matrix gather kernel applied per gate.
     #[test]
     fn lstm_masked_step_matches_gather_reference(
         seed in 0u64..500,

@@ -35,10 +35,12 @@
 //! The dense product runs panels in pairs through `panel_pair_gemv`,
 //! which has `panel_gemv`'s per-row order and, like every panel kernel,
 //! a portable and an AVX build from one body (see [`crate::packed`]).
-//! The masked products go through the shared gather driver.
+//! The masked products run `panel_gemv` in place on the stored panels
+//! that hold an active row, skip the others, and write back only the
+//! active lanes — the same per-row sums as the dense product.
 
 use crate::matrix::Matrix;
-use crate::packed::{gather_gemv_into, panel_gemv, simd_kernel, GatherScratch, MR};
+use crate::packed::{masked_panels_into, panel_gemv, simd_kernel, MR};
 use crate::vector::Vector;
 
 /// Several equally-shaped gate matrices packed into one gate-major slab
@@ -228,11 +230,8 @@ impl FusedGates {
     /// skipped rows of every gate produce `skipped_value`; `out` is the
     /// gate-major slab of the `ngates` masked sections.
     ///
-    /// Active rows are gathered per gate in increasing row order, [`MR`]
-    /// at a time — the same grouping as
-    /// [`sgemv_masked_gather`](crate::sgemv_masked_gather) on that gate's
-    /// raw matrix, so each section is bit-identical to the unfused
-    /// masked kernel.
+    /// Each section is [`gate_gemv_masked_into`](Self::gate_gemv_masked_into)
+    /// on that gate, so it is bit-identical to the unfused masked kernels.
     ///
     /// # Panics
     /// Panics if `ngates > gates`, `x.len() != cols`,
@@ -240,10 +239,9 @@ impl FusedGates {
     pub fn gemv_masked_prefix_into(
         &self,
         ngates: usize,
-        x: &Vector,
+        x: &[f32],
         active: &[bool],
         skipped_value: f32,
-        scratch: &mut GatherScratch,
         out: &mut [f32],
     ) {
         assert!(
@@ -258,15 +256,18 @@ impl FusedGates {
         );
         for g in 0..ngates {
             let section = &mut out[g * self.rows..(g + 1) * self.rows];
-            self.gate_gemv_masked_into(g, x, active, skipped_value, scratch, section);
+            self.gate_gemv_masked_into(g, x, active, skipped_value, section);
         }
     }
 
-    /// Row-masked product of one gate's matrix: the packed twin of
-    /// [`sgemv_masked_gather_into`](crate::sgemv_masked_gather_into),
-    /// gathering active rows out of the interleaved panels instead of a
-    /// row-major matrix. Bit-identical to the raw-matrix gather kernel
-    /// (same rows, same grouping, same micro-kernel).
+    /// Row-masked product of one gate's matrix, in place on the packed
+    /// panels: each panel with at least one active row runs through
+    /// `panel_gemv` as stored and only its active rows are written back;
+    /// panels with no active row are skipped and every skipped row gets
+    /// `skipped_value`. Each active row is bit-identical to
+    /// [`gate_gemv_into`](Self::gate_gemv_into) and to
+    /// [`sgemv_masked_gather`](crate::sgemv_masked_gather) on the gate's
+    /// raw matrix (same per-row sum, same micro-kernel).
     ///
     /// # Panics
     /// Panics if `g >= gates`, `x.len() != cols`,
@@ -274,10 +275,9 @@ impl FusedGates {
     pub fn gate_gemv_masked_into(
         &self,
         g: usize,
-        x: &Vector,
+        x: &[f32],
         active: &[bool],
         skipped_value: f32,
-        scratch: &mut GatherScratch,
         out: &mut [f32],
     ) {
         assert!(
@@ -299,27 +299,10 @@ impl FusedGates {
             self.rows,
             "FusedGates::gate_gemv_masked_into: out length"
         );
-        let cols = self.cols;
-        let ppg = self.ppg();
-        let gate_base = g * ppg * MR * cols;
-        let data = &self.data;
-        gather_gemv_into(
-            x.as_slice(),
-            active,
-            skipped_value,
-            scratch,
-            out,
-            |panel, group| {
-                // Each active row is one lane of a source panel: reads are
-                // `MR` strided streams (stride MR).
-                let starts = group.map(|r| gate_base + (r / MR) * MR * cols + r % MR);
-                for (k, column) in panel.iter_mut().enumerate() {
-                    for (slot, &start) in column.iter_mut().zip(&starts) {
-                        *slot = data[start + k * MR];
-                    }
-                }
-            },
-        );
+        let first = g * self.ppg();
+        masked_panels_into(active, skipped_value, out, |p| {
+            panel_gemv(self.panel(first + p), self.cols, x)
+        });
     }
 }
 
@@ -477,11 +460,10 @@ mod tests {
             let refs: Vec<&Matrix> = mats.iter().collect();
             let fused = FusedGates::pack(&refs);
             let x = pseudo_vector(cols, 5);
-            let mut scratch = GatherScratch::new();
             for skip_mod in [2usize, 3, 5] {
                 let active: Vec<bool> = (0..rows).map(|r| r % skip_mod != 0).collect();
                 let mut slab = vec![0.0f32; 3 * rows];
-                fused.gemv_masked_prefix_into(3, &x, &active, 0.0, &mut scratch, &mut slab);
+                fused.gemv_masked_prefix_into(3, x.as_slice(), &active, 0.0, &mut slab);
                 for (g, m) in mats.iter().take(3).enumerate() {
                     let reference = sgemv_masked_gather(m, &x, &active, 0.0);
                     for (f, r) in slab[g * rows..(g + 1) * rows].iter().zip(reference.iter()) {
@@ -499,11 +481,10 @@ mod tests {
         let fused = FusedGates::pack(&refs);
         let x = pseudo_vector(14, 2);
         let full = vec![true; 21];
-        let mut scratch = GatherScratch::new();
         let mut masked = vec![0.0f32; 21];
         let mut dense = vec![0.0f32; 21];
         for g in 0..3 {
-            fused.gate_gemv_masked_into(g, &x, &full, 0.0, &mut scratch, &mut masked);
+            fused.gate_gemv_masked_into(g, x.as_slice(), &full, 0.0, &mut masked);
             fused.gate_gemv_into(g, x.as_slice(), &mut dense);
             for (m, d) in masked.iter().zip(&dense) {
                 assert_eq!(m.to_bits(), d.to_bits());
@@ -518,9 +499,8 @@ mod tests {
         let fused = FusedGates::pack(&refs);
         let x = pseudo_vector(4, 9);
         let none = vec![false; 9];
-        let mut scratch = GatherScratch::new();
         let mut out = vec![0.0f32; 9];
-        fused.gate_gemv_masked_into(0, &x, &none, 42.0, &mut scratch, &mut out);
+        fused.gate_gemv_masked_into(0, x.as_slice(), &none, 42.0, &mut out);
         assert!(out.iter().all(|&v| v == 42.0));
     }
 

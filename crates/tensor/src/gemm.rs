@@ -100,9 +100,11 @@ pub fn sgemm(a: &Matrix, b: &Matrix) -> Matrix {
 /// of Algorithm 3: rows listed in the skip list `R` are neither loaded nor
 /// computed, and the corresponding outputs are approximated downstream.
 ///
-/// Implemented via [`crate::packed::sgemv_masked_gather`]: active rows are
-/// gathered into a dense panel and run through the branch-free panel
-/// micro-kernel, bit-identical to [`sgemv_masked_reference`].
+/// Implemented via [`crate::packed::sgemv_masked_gather`]: a row-major
+/// matrix has no packed panels, so the active rows are gathered into a
+/// dense panel and run through the branch-free panel micro-kernel,
+/// bit-identical to [`sgemv_masked_reference`]. The runtime's packed gate
+/// slabs mask in place instead (`FusedGates::gate_gemv_masked_into`).
 ///
 /// # Panics
 /// Panics if `x.len() != a.cols()` or `active.len() != a.rows()`.

@@ -41,7 +41,7 @@ pub use activation::{hard_sigmoid, sigmoid, tanh, Activation, SENSITIVE_HI, SENS
 pub use error::{ShapeError, TensorResult};
 pub use fused::FusedGates;
 pub use matrix::Matrix;
-pub use packed::{sgemv_masked_gather, sgemv_masked_gather_into, GatherScratch, PackedMatrix};
+pub use packed::{sgemv_masked_gather, PackedMatrix};
 pub use quant::{f16_bits_to_f32, f32_to_f16_bits, quantize_row_i8, Precision, QuantizedGates};
 pub use stats::{Histogram, RunningStats};
 pub use vector::Vector;

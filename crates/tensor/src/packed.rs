@@ -22,8 +22,12 @@
 //! and compiled twice by the `simd_kernel!` macro defined here: a
 //! portable build and an AVX build (never FMA, so both round
 //! identically), picked per call by one `is_x86_feature_detected!`
-//! check. The masked kernels share one row-grouping driver,
-//! `gather_gemv_into`.
+//! check. The masked products of the packed gate slabs
+//! ([`crate::FusedGates`], [`crate::QuantizedGates`]) run those kernels in
+//! place on the stored panels through one shared panel walk, skipping
+//! panels without an active row; only the raw-matrix
+//! [`sgemv_masked_gather`] copies rows, because a row-major [`Matrix`]
+//! has no panels to run on.
 //!
 //! Packing costs one pass over the matrix, so it pays off when the same
 //! matrix is applied many times — exactly the LSTM shape, where the
@@ -33,7 +37,6 @@
 
 use crate::matrix::Matrix;
 use crate::vector::Vector;
-use std::cell::RefCell;
 
 /// Rows per packed panel (the register-blocking height of the kernels).
 pub const MR: usize = 8;
@@ -262,153 +265,81 @@ fn panel_gemv_body(panel: &[f32], cols: usize, x: &[f32]) -> [f32; MR] {
     sum
 }
 
-thread_local! {
-    /// Fallback scratch for the legacy no-scratch signature, reused
-    /// across calls so that path still never allocates once warm.
-    static GATHER_SCRATCH: RefCell<GatherScratch> =
-        const { RefCell::new(GatherScratch { panel: Vec::new() }) };
-}
-
-/// Reusable scratch for [`sgemv_masked_gather_into`]: the dense gather
-/// panel the active rows are transposed into.
-///
-/// Owning one of these (e.g. inside a runtime workspace) lets callers
-/// thread an explicit buffer through the masked kernel instead of
-/// relying on the thread-local fallback — the buffer grows to the
-/// largest `MR * cols` seen and is then reused allocation-free.
-#[derive(Debug, Default)]
-pub struct GatherScratch {
-    pub(crate) panel: Vec<f32>,
-}
-
-impl GatherScratch {
-    /// Creates an empty scratch; the panel grows on first use.
-    pub fn new() -> Self {
-        Self::default()
-    }
-}
-
 /// Row-masked matrix-vector product via *gather*: the skip list's active
-/// rows are gathered into a dense [`MR`]-row interleaved panel, the
-/// branch-free panel micro-kernel runs over it, and the results scatter
-/// back to their row positions; skipped rows produce `skipped_value`.
+/// rows are gathered [`MR`] at a time, in increasing row order, into a
+/// dense interleaved panel, the branch-free panel micro-kernel runs over
+/// it, and the results scatter back to their row positions; skipped rows
+/// produce `skipped_value`.
 ///
 /// Bit-identical to the reference masked kernel (each active row is the
 /// same dot product in the same association order), and to the dense
 /// kernels when every row is active.
 ///
-/// This signature borrows a thread-local [`GatherScratch`]; use
-/// [`sgemv_masked_gather_into`] to supply your own scratch and output.
-///
 /// # Panics
 /// Panics if `x.len() != a.cols()` or `active.len() != a.rows()`.
 pub fn sgemv_masked_gather(a: &Matrix, x: &Vector, active: &[bool], skipped_value: f32) -> Vector {
-    let mut y = Vector::zeros(a.rows());
-    GATHER_SCRATCH.with(|scratch| {
-        sgemv_masked_gather_into(
-            a,
-            x,
-            active,
-            skipped_value,
-            &mut scratch.borrow_mut(),
-            y.as_mut_slice(),
-        );
-    });
-    y
-}
-
-/// [`sgemv_masked_gather`] with a caller-owned scratch and output slice,
-/// for steady-state loops that must not touch the allocator (the scratch
-/// panel is grown once and reused; `out` is fully overwritten).
-///
-/// # Panics
-/// Panics if `x.len() != a.cols()`, `active.len() != a.rows()`, or
-/// `out.len() != a.rows()`.
-pub fn sgemv_masked_gather_into(
-    a: &Matrix,
-    x: &Vector,
-    active: &[bool],
-    skipped_value: f32,
-    scratch: &mut GatherScratch,
-    out: &mut [f32],
-) {
     assert_eq!(x.len(), a.cols(), "sgemv_masked_gather: x length mismatch");
     assert_eq!(
         active.len(),
         a.rows(),
         "sgemv_masked_gather: mask length mismatch"
     );
-    assert_eq!(
-        out.len(),
-        a.rows(),
-        "sgemv_masked_gather: out length mismatch"
-    );
-    gather_gemv_into(
-        x.as_slice(),
-        active,
-        skipped_value,
-        scratch,
-        out,
-        |panel, group| {
-            let rows = group.map(|r| a.row(r));
-            for (k, column) in panel.iter_mut().enumerate() {
-                for (slot, row) in column.iter_mut().zip(&rows) {
-                    *slot = row[k];
-                }
+    let cols = a.cols();
+    let mut y = Vector::from(vec![skipped_value; a.rows()]);
+    let out = y.as_mut_slice();
+    let active_rows: Vec<usize> = (0..a.rows()).filter(|&r| active[r]).collect();
+    // `panel[k][l]` is column `k` of the group's row `l`.
+    let mut panel = vec![[0.0f32; MR]; cols];
+    for group in active_rows.chunks(MR) {
+        // A partial last group is padded with copies of its first row, so
+        // every lane loads real weights; the copies' sums are discarded.
+        let mut src = [a.row(group[0]); MR];
+        for (s, &r) in src.iter_mut().zip(group) {
+            *s = a.row(r);
+        }
+        // Column index outermost: stores are sequential in the panel,
+        // reads walk `MR` parallel row streams.
+        for (k, column) in panel.iter_mut().enumerate() {
+            for (slot, row) in column.iter_mut().zip(&src) {
+                *slot = row[k];
             }
-        },
-    );
-}
-
-/// The row-grouping driver behind every masked-gather kernel (fp32 raw
-/// matrix, fp32 packed gates, quantized gates): it takes the active rows
-/// [`MR`] at a time in increasing row order, has `load` write each
-/// group's weights into the interleaved scratch panel (`panel[k][l]` is
-/// column `k` of the group's row `group[l]`), runs the dispatched
-/// [`panel_gemv`] over the panel and scatters the sums back to their
-/// rows. Rows outside the mask get `skipped_value`; `out` is fully
-/// overwritten.
-///
-/// One grouping for every masked kernel is what makes their outputs
-/// bit-identical whenever the loaded weights agree.
-pub(crate) fn gather_gemv_into(
-    x: &[f32],
-    active: &[bool],
-    skipped_value: f32,
-    scratch: &mut GatherScratch,
-    out: &mut [f32],
-    mut load: impl FnMut(&mut [[f32; MR]], &[usize; MR]),
-) {
-    let cols = x.len();
-    out.fill(skipped_value);
-    // Every call overwrites the whole panel, so stale contents are fine.
-    let panel = &mut scratch.panel;
-    panel.resize(MR * cols, 0.0);
-    let mut flush = |panel: &mut [f32], group: &[usize; MR], lanes: usize| {
-        // Column index outermost inside `load`: stores are sequential in
-        // the scratch panel, reads walk `MR` parallel row streams.
-        load(panel.as_chunks_mut().0, group);
-        let sum = panel_gemv(panel, cols, x);
-        for (&r, &s) in group.iter().zip(&sum).take(lanes) {
+        }
+        let sum = panel_gemv(panel.as_flattened(), cols, x.as_slice());
+        for (&r, &s) in group.iter().zip(&sum) {
             out[r] = s;
         }
-    };
-    let mut group = [0usize; MR];
-    let mut lanes = 0;
-    for (r, _) in active.iter().enumerate().filter(|(_, &on)| on) {
-        group[lanes] = r;
-        lanes += 1;
-        if lanes == MR {
-            flush(panel, &group, MR);
-            lanes = 0;
-        }
     }
-    if lanes > 0 {
-        // Pad the partial last group with copies of its first row: every
-        // lane loads real weights, and the copies' sums are discarded.
-        let first = group[0];
-        group[lanes..].fill(first);
-        flush(panel, &group, lanes);
+    y
+}
+
+/// The in-place panel walk behind the masked products of
+/// [`FusedGates`](crate::FusedGates) and
+/// [`QuantizedGates`](crate::QuantizedGates): `out` (one gate's `rows`
+/// outputs) is filled with `skipped_value`, then every panel holding at
+/// least one active row is run through `sum_panel(p)` (the gate's `p`-th
+/// packed panel, as stored) and only its active lanes are written back.
+/// Panels with no active row cost nothing.
+///
+/// Each row is its own SIMD lane with its own accumulators, so a row's
+/// sum does not depend on which rows share its pass: every active row is
+/// bit-identical to the dense kernel's value for it.
+pub(crate) fn masked_panels_into(
+    active: &[bool],
+    skipped_value: f32,
+    out: &mut [f32],
+    mut sum_panel: impl FnMut(usize) -> [f32; MR],
+) {
+    out.fill(skipped_value);
+    for (p, (lanes, outs)) in active.chunks(MR).zip(out.chunks_mut(MR)).enumerate() {
+        if !lanes.contains(&true) {
+            continue;
+        }
+        let sum = sum_panel(p);
+        for ((o, &s), &on) in outs.iter_mut().zip(&sum).zip(lanes) {
+            if on {
+                *o = s;
+            }
+        }
     }
 }
 
@@ -571,15 +502,15 @@ mod tests {
         let refs: Vec<&Matrix> = mats.iter().collect();
         let quant = QuantizedGates::pack(&refs, precision);
         let mut out = vec![0.0; quant.total_rows()];
-        let mut scratch = GatherScratch::new();
-        quant.gemv_masked_prefix_into(mats.len(), x, mask, -3.0, &mut scratch, &mut out);
+        quant.gemv_masked_prefix_into(mats.len(), x.as_slice(), mask, -3.0, &mut out);
         out
     }
 
     /// Every dispatched kernel's AVX build agrees with its portable
     /// build to the last bit: column counts around the four-wide phase
     /// chunks and the 256-column slabs, a partial last panel
-    /// (`rows % MR != 0`), and empty, full and random DRS masks. Three
+    /// (`rows % MR != 0`), and empty, full, random and last-row-only DRS
+    /// masks (the last puts the only active row in the last panel). Three
     /// gates give `FusedGates::gemv_into` an odd panel count, so both the
     /// pair kernel and its single-panel tail run.
     #[test]
@@ -604,18 +535,17 @@ mod tests {
                     .as_slice()
                     .to_vec()
             }),
-            ("fp32 packed masked gather", |m, x, mask| {
+            ("fp32 packed masked in place", |m, x, mask| {
                 let refs: Vec<&Matrix> = m.iter().collect();
                 let fused = FusedGates::pack(&refs);
                 let mut out = vec![0.0; fused.total_rows()];
-                let mut scratch = GatherScratch::new();
-                fused.gemv_masked_prefix_into(m.len(), x, mask, -3.0, &mut scratch, &mut out);
+                fused.gemv_masked_prefix_into(m.len(), x.as_slice(), mask, -3.0, &mut out);
                 out
             }),
-            ("f16 masked gather", |m, x, mask| {
+            ("f16 masked in place", |m, x, mask| {
                 quant_masked(m, x, mask, Precision::Fp16)
             }),
-            ("i8 masked gather", |m, x, mask| {
+            ("i8 masked in place", |m, x, mask| {
                 quant_masked(m, x, mask, Precision::Int8)
             }),
         ];
@@ -633,6 +563,10 @@ mod tests {
                         (0..rows)
                             .map(|r| (r as u32).wrapping_mul(2654435761) >> 29 < 5)
                             .collect(),
+                    ),
+                    (
+                        "last live row only",
+                        (0..rows).map(|r| r == rows - 1).collect(),
                     ),
                 ];
                 for (name, entry) in entries {

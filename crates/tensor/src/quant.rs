@@ -32,12 +32,12 @@
 //! The f16 and int8 kernels each have a portable and an AVX build from
 //! one body (see [`crate::packed`]); the AVX build of the int8 kernel
 //! widens each panel column's sign-extend, convert, scale and
-//! accumulate to 8 lanes. The masked kernels dequantize active rows
-//! into the shared gather driver's scratch panel and run the fp32
-//! `panel_gemv` on it.
+//! accumulate to 8 lanes. The masked kernels run the same dequant
+//! kernels in place on the stored panels that hold an active row, skip
+//! the others, and write back only the active lanes.
 
 use crate::matrix::Matrix;
-use crate::packed::{gather_gemv_into, simd_kernel, GatherScratch, MR};
+use crate::packed::{masked_panels_into, simd_kernel, MR};
 use crate::vector::Vector;
 
 /// Weight-storage precision of the packed gate matrices.
@@ -359,17 +359,6 @@ impl QuantizedGates {
         self.rows.div_ceil(MR)
     }
 
-    /// Dequantized weight element `(gate, row, col)` — exactly the value
-    /// every kernel here feeds its accumulators.
-    pub fn dequant(&self, g: usize, r: usize, k: usize) -> f32 {
-        let ppg = self.ppg();
-        let idx = g * ppg * MR * self.cols + (r / MR) * MR * self.cols + k * MR + (r % MR);
-        match &self.store {
-            QuantStore::F16(data) => f16_bits_to_f32(data[idx]),
-            QuantStore::I8 { q, scales } => q[idx] as f32 * scales[g * self.rows + r],
-        }
-    }
-
     /// The [`MR`] per-lane scales of global panel `q` (int8 only); dead
     /// lanes get 1.0 (their codes are 0, so the product stays 0).
     fn panel_scales(&self, scales: &[f32], panel: usize) -> [f32; MR] {
@@ -493,10 +482,9 @@ impl QuantizedGates {
     pub fn gemv_masked_prefix_into(
         &self,
         ngates: usize,
-        x: &Vector,
+        x: &[f32],
         active: &[bool],
         skipped_value: f32,
-        scratch: &mut GatherScratch,
         out: &mut [f32],
     ) {
         assert!(
@@ -511,15 +499,15 @@ impl QuantizedGates {
         );
         for g in 0..ngates {
             let section = &mut out[g * self.rows..(g + 1) * self.rows];
-            self.gate_gemv_masked_into(g, x, active, skipped_value, scratch, section);
+            self.gate_gemv_masked_into(g, x, active, skipped_value, section);
         }
     }
 
-    /// Row-masked product of one gate's matrix: active rows are
-    /// dequantized while being gathered into the scratch panel, then run
-    /// through the exact `panel_gemv` micro-kernel — the same grouping
-    /// and association as `FusedGates::gate_gemv_masked_into` on the
-    /// dequantized gate, so the sections are bit-identical to it.
+    /// Row-masked product of one gate's matrix, in place on the quantized
+    /// panels: each panel with at least one active row runs through its
+    /// dequant-on-load kernel as stored and only its active rows are
+    /// written back. Bit-identical to `FusedGates::gate_gemv_masked_into`
+    /// on the dequantized gate.
     ///
     /// # Panics
     /// Panics if `g >= gates`, `x.len() != cols`, `active.len() != rows`,
@@ -527,10 +515,9 @@ impl QuantizedGates {
     pub fn gate_gemv_masked_into(
         &self,
         g: usize,
-        x: &Vector,
+        x: &[f32],
         active: &[bool],
         skipped_value: f32,
-        scratch: &mut GatherScratch,
         out: &mut [f32],
     ) {
         assert!(
@@ -552,23 +539,8 @@ impl QuantizedGates {
             self.rows,
             "QuantizedGates::gate_gemv_masked_into: out length"
         );
-        gather_gemv_into(
-            x.as_slice(),
-            active,
-            skipped_value,
-            scratch,
-            out,
-            |panel, group| {
-                // Dequantize the active rows straight into the scratch panel,
-                // so the micro-kernel sees the same values the dense
-                // quantized kernels compute.
-                for (k, column) in panel.iter_mut().enumerate() {
-                    for (slot, &r) in column.iter_mut().zip(group) {
-                        *slot = self.dequant(g, r, k);
-                    }
-                }
-            },
-        );
+        let first = g * self.ppg();
+        masked_panels_into(active, skipped_value, out, |p| self.panel_sum(first + p, x));
     }
 }
 
@@ -779,14 +751,12 @@ mod tests {
                 let shadow_refs: Vec<&Matrix> = shadow.iter().collect();
                 let exact = FusedGates::pack(&shadow_refs);
                 let x = pseudo_vector(cols, 5);
-                let mut s1 = GatherScratch::new();
-                let mut s2 = GatherScratch::new();
                 for skip_mod in [2usize, 3, 5] {
                     let active: Vec<bool> = (0..rows).map(|r| r % skip_mod != 0).collect();
                     let mut a = vec![0.0f32; 3 * rows];
                     let mut b = vec![0.0f32; 3 * rows];
-                    quant.gemv_masked_prefix_into(3, &x, &active, 0.0, &mut s1, &mut a);
-                    exact.gemv_masked_prefix_into(3, &x, &active, 0.0, &mut s2, &mut b);
+                    quant.gemv_masked_prefix_into(3, x.as_slice(), &active, 0.0, &mut a);
+                    exact.gemv_masked_prefix_into(3, x.as_slice(), &active, 0.0, &mut b);
                     for (i, (qa, qb)) in a.iter().zip(&b).enumerate() {
                         assert_eq!(
                             qa.to_bits(),
