@@ -1,9 +1,10 @@
 //! Criterion benchmarks of the optimization machinery itself: relevance
-//! analysis (Algorithm 2), tissue scheduling, and the end-to-end executors
-//! on a small model.
+//! analysis (Algorithm 2), tissue scheduling, and one-shot compile + run
+//! of each flow on a small model.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use lstm::{BaselineExecutor, LstmNetwork, ModelConfig};
+use gpu_sim::{DeviceModel, KernelDesc};
+use lstm::{ExecutionPlan, LstmNetwork, ModelConfig, PlanRuntime};
 use memlstm::breakpoints::find_breakpoints;
 use memlstm::division::divide;
 use memlstm::drs::{DrsConfig, DrsMode};
@@ -63,13 +64,24 @@ fn bench_scheduling(c: &mut Criterion) {
     });
 }
 
+/// Runs `plan` once on a fresh runtime, collecting its kernel stream.
+fn run_traced(plan: &ExecutionPlan, net: &LstmNetwork, xs: &[tensor::Vector]) -> Vec<KernelDesc> {
+    let mut trace = Vec::new();
+    PlanRuntime::new().run_lstm(plan, net, xs, &mut trace);
+    trace
+}
+
 fn bench_executors(c: &mut Criterion) {
     let (net, xs, predictors) = setup();
+    let probes = std::slice::from_ref(&xs);
     let mut group = c.benchmark_group("executors");
     group.sample_size(10);
     group.bench_function("baseline", |b| {
-        let exec = BaselineExecutor::new(&net);
-        b.iter(|| exec.run(black_box(&xs)))
+        let device = DeviceModel::default_preset();
+        b.iter(|| {
+            let plan = ExecutionPlan::compile_baseline(&net, xs.len(), &device);
+            run_traced(&plan, &net, black_box(&xs))
+        })
     });
     group.bench_function("inter_only", |b| {
         let exec = OptimizedExecutor::new(
@@ -80,7 +92,7 @@ fn bench_executors(c: &mut Criterion) {
                 .max_tissue_size(5)
                 .build(),
         );
-        b.iter(|| exec.run(black_box(&xs)))
+        b.iter(|| run_traced(&exec.plan_probes(probes), &net, black_box(&xs)))
     });
     group.bench_function("intra_only", |b| {
         let config = OptimizerConfig::builder()
@@ -90,7 +102,7 @@ fn bench_executors(c: &mut Criterion) {
             })
             .build();
         let exec = OptimizedExecutor::new(&net, &predictors, config);
-        b.iter(|| exec.run(black_box(&xs)))
+        b.iter(|| run_traced(&exec.plan_probes(probes), &net, black_box(&xs)))
     });
     group.bench_function("combined", |b| {
         let config = OptimizerConfig::builder()
@@ -102,15 +114,15 @@ fn bench_executors(c: &mut Criterion) {
             })
             .build();
         let exec = OptimizedExecutor::new(&net, &predictors, config);
-        b.iter(|| exec.run(black_box(&xs)))
+        b.iter(|| run_traced(&exec.plan_probes(probes), &net, black_box(&xs)))
     });
     group.finish();
 }
 
 fn bench_simulator(c: &mut Criterion) {
     let (net, xs, _) = setup();
-    let run = BaselineExecutor::new(&net).run(&xs);
-    let trace: Vec<gpu_sim::KernelDesc> = run.trace().cloned().collect();
+    let plan = ExecutionPlan::compile_baseline(&net, xs.len(), &DeviceModel::default_preset());
+    let trace = run_traced(&plan, &net, &xs);
     c.bench_function("gpu_sim/replay_baseline_trace", |b| {
         b.iter(|| {
             let mut device = gpu_sim::GpuDevice::new(gpu_sim::GpuConfig::tegra_x1());

@@ -5,6 +5,7 @@
 use crate::session::{Level, Session};
 use crate::table::TextTable;
 use gpu_sim::{DeviceModel, GpuDevice};
+use lstm::plan::{NullSink, PlanRuntime};
 use memlstm::exec::OptimizerConfig;
 use memlstm::thresholds::select_ao;
 use workloads::teacher_match_nested;
@@ -149,13 +150,19 @@ pub fn compression_accuracy(session: &mut Session) -> String {
         let ev = session.prepare(benchmark);
         let workload = ev.workload();
         let net = workload.network();
-        let zp = memlstm::pruning::ZeroPruning::calibrate(net, 0.37);
+        let zp =
+            memlstm::pruning::ZeroPruning::calibrate(net, 0.37).expect("0.37 is a valid target");
+        let pruned = zp.prune_network(net);
+        let plan = zp
+            .compile(net, workload.eval_set()[0].len(), ev.device())
+            .expect("evaluation sequences are non-empty");
+        let mut runtime = PlanRuntime::new();
         let preds: Vec<Vec<usize>> = workload
             .eval_set()
             .iter()
             .map(|xs| {
-                let run = zp.run(net, xs);
-                net.step_predictions(&run.layers.last().expect("layers").hs)
+                let out = runtime.run_lstm(&plan, &pruned, xs, &mut NullSink);
+                net.step_predictions(out.layer_hs.last().expect("layers"))
             })
             .collect();
         let zp_acc = teacher_match_nested(workload.teacher_labels(), &preds);

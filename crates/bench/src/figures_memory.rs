@@ -4,8 +4,8 @@
 
 use crate::session::Session;
 use crate::table::TextTable;
-use gpu_sim::{GpuDevice, KernelKind, StallBreakdown};
-use lstm::BaselineExecutor;
+use gpu_sim::{GpuDevice, KernelDesc, KernelKind, StallBreakdown};
+use lstm::plan::{ExecutionPlan, PlanRuntime};
 use memlstm::mts::determine_mts;
 
 /// Simulates the baseline execution of one evaluation sequence and
@@ -18,17 +18,23 @@ fn baseline_sgemv_profile(
     let ev = session.prepare(benchmark);
     let workload = ev.workload();
     let net = workload.network();
-    let run = BaselineExecutor::new(net)
-        .on_device(&device_model)
-        .run(&workload.eval_set()[0]);
+    let xs = &workload.eval_set()[0];
+    let plan = ExecutionPlan::compile_baseline(net, xs.len(), &device_model);
+    let mut trace: Vec<KernelDesc> = Vec::new();
+    PlanRuntime::new().run_lstm(&plan, net, xs, &mut trace);
     let mut device = GpuDevice::for_model(&device_model);
-    run.declare_regions(&mut device, net);
+    let cfg = net.config();
+    plan.regions.declare_on(
+        &mut device,
+        |_| cfg.united_u_bytes(),
+        |l| cfg.united_w_bytes(l),
+    );
     let mut sgemv_stall = StallBreakdown::default();
     let mut report = gpu_sim::SimReport::empty(
         device.config().peak_dram_bytes_per_s(),
         device.config().smem_bytes_per_s(),
     );
-    for kernel in run.trace() {
+    for kernel in &trace {
         let k = device.launch(kernel);
         if k.kind == KernelKind::Sgemv {
             sgemv_stall.accumulate(&k.stall);

@@ -3,8 +3,8 @@
 
 use crate::session::{Level, Session};
 use crate::table::TextTable;
-use gpu_sim::{GpuConfig, GpuDevice};
-use lstm::BaselineExecutor;
+use gpu_sim::{GpuConfig, GpuDevice, KernelDesc};
+use lstm::plan::{ExecutionPlan, KernelSink, NullSink, PlanRuntime};
 use memlstm::drs::{DrsConfig, DrsMode};
 use memlstm::exec::{OptimizedExecutor, OptimizerConfig};
 use memlstm::pruning::ZeroPruning;
@@ -81,6 +81,26 @@ pub fn fig14(session: &mut Session) -> String {
     )
 }
 
+/// Collects a run's kernel stream as one segment per layer, then one for
+/// the head.
+#[derive(Default)]
+struct Segments(Vec<Vec<KernelDesc>>);
+
+impl KernelSink for Segments {
+    fn begin_layer(&mut self, _layer: usize) {
+        self.0.push(Vec::new());
+    }
+
+    fn begin_tail(&mut self) {
+        self.0.push(Vec::new());
+    }
+
+    fn emit(&mut self, kernel: &KernelDesc) {
+        let segment = self.0.last_mut().expect("begin_layer before emit");
+        segment.push(kernel.clone());
+    }
+}
+
 /// Fig. 15: per-layer speedup and energy saving of the inter-cell level
 /// at its AO threshold. The paper's finding: earlier layers gain more.
 pub fn fig15(session: &mut Session) -> String {
@@ -99,21 +119,28 @@ pub fn fig15(session: &mut Session) -> String {
         let workload = ev.workload();
         let net = workload.network();
         let xs = &workload.eval_set()[0];
-        let base_run = BaselineExecutor::new(net).run(xs);
         let config = OptimizerConfig::builder()
             .alpha_inter(ao.set.alpha_inter)
             .max_tissue_size(ev.mts())
             .build();
-        let opt_run = OptimizedExecutor::new(net, ev.predictors(), config)
-            .run(xs)
-            .expect("evaluation sequences are non-empty");
+        let plans = [
+            ExecutionPlan::compile_baseline(net, xs.len(), ev.device()),
+            OptimizedExecutor::new(net, ev.predictors(), config)
+                .plan_probes(std::slice::from_ref(xs)),
+        ];
+        let mut runtime = PlanRuntime::new();
+        let [base_layers, opt_layers] = plans.map(|plan| {
+            let mut segments = Segments::default();
+            runtime.run_lstm(&plan, net, xs, &mut segments);
+            segments.0.pop(); // the head
+            segments.0
+        });
         let mut table = TextTable::new(["layer", "speedup", "energy saving%"]);
-        for (l, (base_layer, opt_layer)) in base_run.layers.iter().zip(&opt_run.layers).enumerate()
-        {
+        for (l, (base_layer, opt_layer)) in base_layers.iter().zip(&opt_layers).enumerate() {
             let mut device = GpuDevice::new(GpuConfig::tegra_x1());
-            let base = device.run_trace(&base_layer.trace);
+            let base = device.run_trace(base_layer);
             device.reset();
-            let opt = device.run_trace(&opt_layer.trace);
+            let opt = device.run_trace(opt_layer);
             table.row([
                 format!("layer {}", l + 1),
                 format!("{:.2}x", base.time_s / opt.time_s),
@@ -152,20 +179,29 @@ pub fn fig16(session: &mut Session) -> String {
         // sequences as the evaluator's baseline.
         let workload = ev.workload();
         let net = workload.network();
-        let zp = ZeroPruning::calibrate(net, 0.37);
+        let zp = ZeroPruning::calibrate(net, 0.37).expect("0.37 is a valid target");
+        let pruned = zp.prune_network(net);
+        let plan = zp
+            .compile(net, workload.eval_set()[0].len(), ev.device())
+            .expect("evaluation sequences are non-empty");
+        let mut runtime = PlanRuntime::new();
         let mut device = GpuDevice::new(GpuConfig::tegra_x1());
         let mut zp_time = 0.0;
         let mut zp_energy = 0.0;
         let mut zp_preds = Vec::new();
         for (i, xs) in workload.eval_set().iter().enumerate() {
-            let run = zp.run(net, xs);
-            if i < ev.perf_seqs() {
+            let out = if i < ev.perf_seqs() {
                 device.reset();
-                let report = device.run_trace(run.trace());
+                let mut session = device.begin_trace();
+                let out = runtime.run_lstm(&plan, &pruned, xs, &mut session);
+                let report = session.finish();
                 zp_time += report.time_s;
                 zp_energy += report.energy.total_j();
-            }
-            zp_preds.push(net.step_predictions(&run.layers.last().expect("layers").hs));
+                out
+            } else {
+                runtime.run_lstm(&plan, &pruned, xs, &mut NullSink)
+            };
+            zp_preds.push(net.step_predictions(out.layer_hs.last().expect("layers")));
         }
         let zp_acc = teacher_match_nested(workload.teacher_labels(), &zp_preds);
         let zp_speedup = base.time_s / zp_time;

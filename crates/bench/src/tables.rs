@@ -2,7 +2,8 @@
 
 use crate::session::{Level, Session};
 use crate::table::TextTable;
-use gpu_sim::GpuConfig;
+use gpu_sim::{GpuConfig, KernelDesc};
+use lstm::plan::PlanRuntime;
 use memlstm::exec::OptimizedExecutor;
 use memlstm::overhead::{crm_overhead, inter_overhead, intra_overhead};
 use memlstm::thresholds::select_ao;
@@ -72,13 +73,16 @@ pub fn overheads(session: &mut Session) -> String {
         };
         let ev = session.prepare(*benchmark);
         let workload = ev.workload();
-        let run = OptimizedExecutor::new(workload.network(), ev.predictors(), config)
+        let net = workload.network();
+        let xs = &workload.eval_set()[0];
+        let plan = OptimizedExecutor::new(net, ev.predictors(), config)
             .on_device(device.clone())
-            .run(&workload.eval_set()[0])
-            .expect("evaluation sequences are non-empty");
-        let inter = inter_overhead(&run, &device);
-        let intra = intra_overhead(&run, &device);
-        let crm = crm_overhead(&run, &device);
+            .plan_probes(std::slice::from_ref(xs));
+        let mut trace: Vec<KernelDesc> = Vec::new();
+        PlanRuntime::new().run_lstm(&plan, net, xs, &mut trace);
+        let inter = inter_overhead(&trace, &device);
+        let intra = intra_overhead(&trace, &device);
+        let crm = crm_overhead(&trace, &device);
         let vals = [
             inter.perf_frac,
             inter.energy_frac,

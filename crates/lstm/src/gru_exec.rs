@@ -117,8 +117,7 @@ pub(crate) fn scale_weight_reads(kernel: &mut KernelDesc, num: u64, den: u64) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::plan::{ExecutionPlan, PlanRuntime, TraceCollector};
-    use crate::schedule::NetworkRun;
+    use crate::plan::{ExecutionPlan, PlanOutput, PlanRuntime};
     use gpu_sim::{DeviceModel, GpuConfig, GpuDevice, KernelKind};
     use tensor::init::seeded_rng;
 
@@ -131,44 +130,44 @@ mod tests {
         (net, xs)
     }
 
-    /// The baseline schedule compiled for `xs` and run once, with the
-    /// per-layer trace kept.
-    fn run(net: &GruNetwork, xs: &[Vector]) -> NetworkRun {
+    /// The baseline schedule compiled for `xs` and run once, with its
+    /// kernel stream.
+    fn run(net: &GruNetwork, xs: &[Vector]) -> (PlanOutput, Vec<KernelDesc>) {
         let plan =
             ExecutionPlan::compile_gru_baseline(net, xs.len(), &DeviceModel::default_preset());
-        let mut collector = TraceCollector::default();
-        let output = PlanRuntime::new().run_gru(&plan, net, xs, &mut collector);
-        collector.into_network_run(plan.regions, output)
+        let mut trace: Vec<KernelDesc> = Vec::new();
+        let output = PlanRuntime::new().run_gru(&plan, net, xs, &mut trace);
+        (output, trace)
     }
 
     #[test]
     fn executor_matches_exact_forward() {
         let (net, xs) = setup();
-        let run = run(&net, &xs);
+        let (out, _) = run(&net, &xs);
         let (outputs, logits) = net.forward(&xs);
-        assert_eq!(run.logits, logits);
-        for (lr, hs) in run.layers.iter().zip(&outputs) {
-            assert_eq!(&lr.hs, hs);
-        }
+        assert_eq!(out.logits, logits);
+        assert_eq!(out.layer_hs, outputs);
     }
 
     #[test]
     fn trace_structure_mirrors_algorithm_1() {
         let (net, xs) = setup();
-        let run = run(&net, &xs);
-        for lr in &run.layers {
-            assert_eq!(lr.trace.len(), 1 + 2 * xs.len());
-            assert_eq!(lr.trace[0].kind, KernelKind::Sgemm);
-            assert!(lr.trace[0].label.contains("W_rzh"));
+        let (_, trace) = run(&net, &xs);
+        // Per layer: 1 Sgemm + seq_len x (Sgemv + gru_ew); then the head.
+        let per_layer = 1 + 2 * xs.len();
+        assert_eq!(trace.len(), 2 * per_layer + 1);
+        for layer in trace.chunks(per_layer).take(2) {
+            assert_eq!(layer[0].kind, KernelKind::Sgemm);
+            assert!(layer[0].label.contains("W_rzh"));
         }
     }
 
     #[test]
     fn gru_moves_three_quarters_of_lstm_weight_traffic() {
         let (net, xs) = setup();
-        let run = run(&net, &xs);
-        let u_bytes: u64 = run
-            .trace()
+        let (_, trace) = run(&net, &xs);
+        let u_bytes: u64 = trace
+            .iter()
             .filter(|k| k.label.contains("U_rzh"))
             .map(|k| k.reads[0].bytes)
             .sum();
@@ -179,9 +178,9 @@ mod tests {
     #[test]
     fn gru_trace_simulates() {
         let (net, xs) = setup();
-        let run = run(&net, &xs);
+        let (_, trace) = run(&net, &xs);
         let mut device = GpuDevice::new(GpuConfig::tegra_x1());
-        let report = device.run_trace(run.trace());
+        let report = device.run_trace(&trace);
         assert!(report.time_s > 0.0);
         assert!(report.energy.total_j() > 0.0);
     }

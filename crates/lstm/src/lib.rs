@@ -11,22 +11,26 @@
 //! ([`batch`]) executes B sequences in lockstep, and a solo run is the
 //! batch of one.
 //!
-//! The optimized executors (layer reorganization, Dynamic Row Skip) live in
-//! the `memlstm` crate and reuse the cell math, region allocation and
-//! kernel-cost helpers defined here.
+//! The optimized plan compilers (layer reorganization, Dynamic Row Skip)
+//! live in the `memlstm` crate and reuse the cell math, region allocation
+//! and kernel-cost helpers defined here.
 //!
 //! # Example
 //!
 //! ```
-//! use lstm::{BaselineExecutor, LstmNetwork, ModelConfig};
+//! use gpu_sim::{DeviceModel, KernelDesc};
+//! use lstm::{ExecutionPlan, LstmNetwork, ModelConfig, PlanRuntime};
 //! use tensor::init::seeded_rng;
 //!
 //! let config = ModelConfig::new("tiny", 8, 16, 1, 4, 2).unwrap();
 //! let mut rng = seeded_rng(0);
 //! let net = LstmNetwork::random(&config, &mut rng);
 //! let xs = lstm::random_inputs(&config, &mut rng);
-//! let run = BaselineExecutor::new(&net).run(&xs);
-//! assert_eq!(run.logits.len(), 2);
+//! let plan = ExecutionPlan::compile_baseline(&net, xs.len(), &DeviceModel::default_preset());
+//! let mut trace: Vec<KernelDesc> = Vec::new();
+//! let out = PlanRuntime::new().run_lstm(&plan, &net, &xs, &mut trace);
+//! assert_eq!(out.logits.len(), 2);
+//! assert_eq!(trace.len(), 1 + 2 * xs.len() + 1); // Sgemm(W,x), 4 x (Sgemv + lstm_ew), head
 //! ```
 
 #![forbid(unsafe_code)]
@@ -52,9 +56,8 @@ pub use gru::{GruLayer, GruScratch, GruWeights};
 pub use gru_exec::GruNetwork;
 pub use layer::{LayerState, LstmLayer};
 pub use network::{LstmNetwork, NetworkOutput};
-pub use plan::{ExecutionPlan, KernelSink, PlanOutput, PlanRuntime, TraceCollector};
+pub use plan::{ExecutionPlan, KernelSink, PlanOutput, PlanRuntime};
 pub use regions::{LayerRegions, RegionAllocator};
-pub use schedule::{BaselineExecutor, LayerRun, NetworkRun};
 pub use workspace::Workspace;
 
 use rand::Rng;

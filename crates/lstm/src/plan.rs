@@ -34,9 +34,7 @@ use crate::gru::GruWeights;
 use crate::gru_exec::GruNetwork;
 use crate::network::LstmNetwork;
 use crate::regions::{NetworkRegions, RegionAllocator};
-use crate::schedule::{
-    ew_kernel, head_kernel, u_sgemv_kernel, wx_sgemm_kernel, LayerRun, NetworkRun, F32,
-};
+use crate::schedule::{ew_kernel, head_kernel, u_sgemv_kernel, wx_sgemm_kernel, F32};
 use crate::workspace::{SharedScratch, Workspace};
 use gpu_sim::{DeviceModel, KernelDesc, KernelKind, MemAccess, RegionId, SpanTag, TraceSession};
 use std::mem;
@@ -100,64 +98,6 @@ impl KernelSink for TraceSession<'_> {
 
     fn emit(&mut self, kernel: &KernelDesc) {
         self.price_kernel(kernel);
-    }
-}
-
-/// Collects kernels segmented into the per-layer + tail layout of
-/// [`NetworkRun`].
-#[derive(Debug, Clone, Default)]
-pub struct TraceCollector {
-    layers: Vec<Vec<KernelDesc>>,
-    tail: Vec<KernelDesc>,
-    in_tail: bool,
-}
-
-impl KernelSink for TraceCollector {
-    fn begin_layer(&mut self, _layer: usize) {
-        self.layers.push(Vec::new());
-    }
-
-    fn begin_tail(&mut self) {
-        self.in_tail = true;
-    }
-
-    fn emit(&mut self, kernel: &KernelDesc) {
-        if self.in_tail {
-            self.tail.push(kernel.clone());
-        } else {
-            self.layers
-                .last_mut()
-                .expect("begin_layer before emit")
-                .push(kernel.clone());
-        }
-    }
-}
-
-impl TraceCollector {
-    /// Assembles the collected segments and a run's numeric output into
-    /// the [`NetworkRun`] shape the reporting layers consume.
-    ///
-    /// # Panics
-    /// Panics if the number of collected layer segments differs from the
-    /// number of layers in `output`.
-    pub fn into_network_run(self, regions: NetworkRegions, output: PlanOutput) -> NetworkRun {
-        assert_eq!(
-            self.layers.len(),
-            output.layer_hs.len(),
-            "trace/output layer mismatch"
-        );
-        let layers = self
-            .layers
-            .into_iter()
-            .zip(output.layer_hs)
-            .map(|(trace, hs)| LayerRun { hs, trace })
-            .collect();
-        NetworkRun {
-            layers,
-            logits: output.logits,
-            tail_trace: self.tail,
-            regions,
-        }
     }
 }
 
@@ -1058,24 +998,6 @@ mod tests {
         assert_eq!(out.logits, exact.logits);
         assert_eq!(out.layer_hs, exact.layer_outputs);
         assert_eq!(out.mean_skip_fraction(), 0.0);
-    }
-
-    #[test]
-    fn collector_segments_match_flat_stream() {
-        let (net, xs) = setup();
-        let plan = ExecutionPlan::compile_baseline(&net, xs.len(), &DeviceModel::default_preset());
-        let mut runtime = PlanRuntime::new();
-        let mut flat: Vec<KernelDesc> = Vec::new();
-        runtime.run_lstm(&plan, &net, &xs, &mut flat);
-        let mut collector = TraceCollector::default();
-        let out = runtime.run_lstm(&plan, &net, &xs, &mut collector);
-        let run = collector.into_network_run(plan.regions.clone(), out);
-        let segmented: Vec<KernelDesc> = run.trace().cloned().collect();
-        assert_eq!(flat, segmented);
-        // Per layer: 1 Sgemm + seq_len x (Sgemv + lstm_ew).
-        for lr in &run.layers {
-            assert_eq!(lr.trace.len(), 1 + 2 * xs.len());
-        }
     }
 
     #[test]

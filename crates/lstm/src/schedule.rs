@@ -1,16 +1,15 @@
-//! Kernel-cost helpers and the baseline (Algorithm 1) executor.
+//! Kernel-cost helpers: the [`KernelDesc`] builders of Algorithm 1 and
+//! its optimized variants.
 //!
-//! Every executor in this repository — the baseline here, and the
-//! inter-/intra-cell optimized flows in the `memlstm` crate — performs the
-//! real arithmetic *and* emits [`KernelDesc`]s describing what the GPU
-//! would have executed. The helpers in this module centralize the traffic
-//! accounting so all executors price kernels consistently.
+//! Every plan compiler — the baselines in [`crate::plan`], the
+//! inter-/intra-cell optimized flows and the zero-pruning flow in the
+//! `memlstm` crate — builds its kernel templates from these helpers, so
+//! all flows price their traffic consistently. The
+//! [`PlanRuntime`](crate::plan::PlanRuntime) performs the real arithmetic
+//! and streams the planned kernels to a sink.
 
-use crate::network::LstmNetwork;
-use crate::plan::{ExecutionPlan, PlanRuntime, TraceCollector};
-use crate::regions::{NetworkRegions, RegionAllocator};
-use gpu_sim::{DeviceModel, GpuDevice, KernelDesc, KernelKind, RegionId};
-use tensor::Vector;
+use crate::regions::RegionAllocator;
+use gpu_sim::{KernelDesc, KernelKind, RegionId};
 
 /// Bytes per `f32`.
 pub const F32: u64 = 4;
@@ -179,141 +178,40 @@ pub fn head_kernel(
         .build()
 }
 
-/// The numbers and trace produced by executing one layer.
-#[derive(Debug, Clone, PartialEq)]
-pub struct LayerRun {
-    /// Hidden outputs per timestep.
-    pub hs: Vec<Vector>,
-    /// Kernels this layer launched, in order.
-    pub trace: Vec<KernelDesc>,
-}
-
-/// The numbers and trace produced by executing a whole network.
-#[derive(Debug, Clone, PartialEq)]
-pub struct NetworkRun {
-    /// Per-layer results.
-    pub layers: Vec<LayerRun>,
-    /// Task-head logits.
-    pub logits: Vector,
-    /// Head/auxiliary kernels launched after the layers.
-    pub tail_trace: Vec<KernelDesc>,
-    /// The persistent weight regions used by the trace.
-    pub regions: NetworkRegions,
-}
-
-impl NetworkRun {
-    /// Iterates over the full kernel trace in execution order.
-    pub fn trace(&self) -> impl Iterator<Item = &KernelDesc> {
-        self.layers
-            .iter()
-            .flat_map(|l| l.trace.iter())
-            .chain(self.tail_trace.iter())
-    }
-
-    /// The argmax class of the logits.
-    ///
-    /// # Panics
-    /// Panics if the logits are empty.
-    pub fn predicted_class(&self) -> usize {
-        self.logits
-            .argmax()
-            .expect("head produces at least one logit")
-    }
-
-    /// Declares the run's weight regions on a device (reload tracking),
-    /// using the network the run came from.
-    pub fn declare_regions(&self, device: &mut GpuDevice, net: &LstmNetwork) {
-        let cfg = net.config();
-        self.regions
-            .declare_on(device, |_| cfg.united_u_bytes(), |l| cfg.united_w_bytes(l));
-    }
-}
-
-/// The state-of-the-art baseline: Algorithm 1 with cuDNN-style kernels —
-/// one `Sgemm(W, x)` per layer, then a strictly sequential per-cell loop of
-/// `Sgemv(U_{f,i,c,o}, h_{t-1})` + `lstm_ew`.
-///
-/// This is a facade over the plan pipeline: `run` compiles a baseline
-/// [`ExecutionPlan`] for the input's length and executes it immediately.
-/// Callers that run many sequences should compile the plan once with
-/// [`ExecutionPlan::compile_baseline`] and reuse a
-/// [`PlanRuntime`] instead.
-#[derive(Debug, Clone, Copy)]
-pub struct BaselineExecutor<'a> {
-    net: &'a LstmNetwork,
-    device: Option<&'a DeviceModel>,
-}
-
-impl<'a> BaselineExecutor<'a> {
-    /// Creates a baseline executor over `net`, planning for the default
-    /// preset ([`DeviceModel::default_preset`], the paper's Tegra X1).
-    pub fn new(net: &'a LstmNetwork) -> Self {
-        Self { net, device: None }
-    }
-
-    /// Plans for `device` instead of the default preset. The numerics are
-    /// device-independent; the device only stamps the compiled plan.
-    pub fn on_device(mut self, device: &'a DeviceModel) -> Self {
-        self.device = Some(device);
-        self
-    }
-
-    /// Runs the network on `xs`, producing exact numbers and the kernel
-    /// trace.
-    ///
-    /// # Panics
-    /// Panics if `xs` is empty.
-    pub fn run(&self, xs: &[Vector]) -> NetworkRun {
-        assert!(!xs.is_empty(), "BaselineExecutor::run: empty input");
-        let device = self
-            .device
-            .cloned()
-            .unwrap_or_else(DeviceModel::default_preset);
-        let plan = ExecutionPlan::compile_baseline(self.net, xs.len(), &device);
-        let mut collector = TraceCollector::default();
-        let output = PlanRuntime::new().run_lstm(&plan, self.net, xs, &mut collector);
-        collector.into_network_run(plan.regions, output)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::config::ModelConfig;
-    use gpu_sim::GpuConfig;
+    use crate::network::LstmNetwork;
+    use crate::plan::{ExecutionPlan, PlanRuntime};
+    use gpu_sim::{DeviceModel, GpuConfig, GpuDevice};
     use tensor::init::seeded_rng;
+    use tensor::Vector;
 
-    fn setup() -> (LstmNetwork, Vec<Vector>) {
-        let config = ModelConfig::new("test", 16, 32, 2, 10, 4).unwrap();
-        let mut rng = seeded_rng(42);
-        let net = LstmNetwork::random(&config, &mut rng);
-        let xs = crate::random_inputs(&config, &mut rng);
-        (net, xs)
-    }
-
-    #[test]
-    fn baseline_matches_exact_forward() {
-        let (net, xs) = setup();
-        let run = BaselineExecutor::new(&net).run(&xs);
-        let exact = net.forward(&xs);
-        assert_eq!(run.logits, exact.logits);
-        for (lr, hs) in run.layers.iter().zip(&exact.layer_outputs) {
-            assert_eq!(&lr.hs, hs);
-        }
+    /// Compiles the baseline plan for `xs` and returns its kernel stream.
+    fn baseline_trace(net: &LstmNetwork, xs: &[Vector]) -> (ExecutionPlan, Vec<KernelDesc>) {
+        let plan = ExecutionPlan::compile_baseline(net, xs.len(), &DeviceModel::default_preset());
+        let mut trace: Vec<KernelDesc> = Vec::new();
+        PlanRuntime::new().run_lstm(&plan, net, xs, &mut trace);
+        (plan, trace)
     }
 
     #[test]
     fn baseline_trace_follows_algorithm_1() {
-        let (net, xs) = setup();
-        let run = BaselineExecutor::new(&net).run(&xs);
-        // Per layer: 1 Sgemm + seq_len x (Sgemv + lstm_ew).
-        for lr in &run.layers {
-            assert_eq!(lr.trace.len(), 1 + 2 * xs.len());
-            assert_eq!(lr.trace[0].kind, KernelKind::Sgemm);
-            assert_eq!(lr.trace[1].kind, KernelKind::Sgemv);
-            assert_eq!(lr.trace[2].kind, KernelKind::ElementWise);
+        let config = ModelConfig::new("test", 16, 32, 2, 10, 4).unwrap();
+        let mut rng = seeded_rng(42);
+        let net = LstmNetwork::random(&config, &mut rng);
+        let xs = crate::random_inputs(&config, &mut rng);
+        let (_, trace) = baseline_trace(&net, &xs);
+        // Per layer: 1 Sgemm + seq_len x (Sgemv + lstm_ew); then the head.
+        let per_layer = 1 + 2 * xs.len();
+        assert_eq!(trace.len(), 2 * per_layer + 1);
+        for layer in trace.chunks(per_layer).take(2) {
+            assert_eq!(layer[0].kind, KernelKind::Sgemm);
+            assert_eq!(layer[1].kind, KernelKind::Sgemv);
+            assert_eq!(layer[2].kind, KernelKind::ElementWise);
         }
-        assert_eq!(run.trace().count(), 2 * (1 + 2 * xs.len()) + 1);
+        assert_eq!(trace[2 * per_layer].label, "head");
     }
 
     #[test]
@@ -324,10 +222,14 @@ mod tests {
         let mut rng = seeded_rng(0);
         let net = LstmNetwork::random(&config, &mut rng);
         let xs = crate::random_inputs(&config, &mut rng);
-        let run = BaselineExecutor::new(&net).run(&xs);
+        let (plan, trace) = baseline_trace(&net, &xs);
         let mut dev = GpuDevice::new(GpuConfig::tegra_x1());
-        run.declare_regions(&mut dev, &net);
-        let report = dev.run_trace(run.trace());
+        plan.regions.declare_on(
+            &mut dev,
+            |_| config.united_u_bytes(),
+            |l| config.united_w_bytes(l),
+        );
+        let report = dev.run_trace(&trace);
         let share = report.time_share_of(KernelKind::Sgemv);
         assert!(share > 0.85, "Sgemv share = {share}");
         // Every cell reloads the united matrix: reload factor ~ seq_len.

@@ -2,9 +2,9 @@
 //!
 //! Mirrors `tensor::error`: a small enum with a precise `Display` per
 //! failure, implementing [`std::error::Error`]. Every `memlstm` entry
-//! point that can fail on its input (`compile`, `OptimizedExecutor::run`,
-//! `profile_plan`, `compile_gru_drs`, `ServeEngine::submit`, ...) has
-//! one form, returning [`MemlstmResult`].
+//! point that can fail on its input (`compile`, `profile_plan`,
+//! `compile_gru_drs`, `ZeroPruning::calibrate`, `ServeEngine::submit`,
+//! ...) has one form, returning [`MemlstmResult`].
 
 use std::fmt;
 
@@ -96,6 +96,11 @@ pub enum Error {
         /// Why the request is rejected.
         reason: &'static str,
     },
+    /// A zero-pruning target ratio outside `(0, 1)` (NaN included).
+    InvalidPruningTarget {
+        /// The rejected target.
+        target: f64,
+    },
 }
 
 impl fmt::Display for Error {
@@ -142,6 +147,9 @@ impl fmt::Display for Error {
             }
             Error::InvalidRequest { id, reason } => {
                 write!(f, "invalid request {id}: {reason}")
+            }
+            Error::InvalidPruningTarget { target } => {
+                write!(f, "zero-pruning target {target} must be in (0,1)")
             }
         }
     }
@@ -199,6 +207,7 @@ mod tests {
                 id: 7,
                 reason: "arrival_s must be finite and non-negative",
             },
+            Error::InvalidPruningTarget { target: 1.5 },
         ]
     }
 
@@ -223,6 +232,7 @@ mod tests {
             Error::InvalidRequest { .. } => {
                 "invalid request 7: arrival_s must be finite and non-negative"
             }
+            Error::InvalidPruningTarget { .. } => "target 1.5 must be in (0,1)",
         }
     }
 
@@ -232,7 +242,7 @@ mod tests {
         // fails to compile until it picks a pinned message; this count
         // keeps `all_variants` honest alongside it.
         let variants = all_variants();
-        assert_eq!(variants.len(), 15, "new variant missing from the table");
+        assert_eq!(variants.len(), 16, "new variant missing from the table");
         let mut displays: Vec<String> = variants.iter().map(Error::to_string).collect();
         displays.sort();
         displays.dedup();

@@ -1,24 +1,27 @@
 //! The optimized execution flows (paper Fig. 10 and Algorithm 3).
 //!
-//! [`OptimizedExecutor`] runs a network with the inter-cell optimization
-//! (layer division + reorganization into tissues), the intra-cell
-//! optimization (Dynamic Row Skip), or both.
+//! [`OptimizedExecutor`] builds plans for a network with the inter-cell
+//! optimization (layer division + reorganization into tissues), the
+//! intra-cell optimization (Dynamic Row Skip), or both: it holds the
+//! network, predictors, configuration and per-layer relevance analyzers,
+//! and [`plan_probes`](OptimizedExecutor::plan_probes) compiles the
+//! offline analyses into an [`ExecutionPlan`] (see [`crate::compile`]).
+//! A [`PlanRuntime`] executes the plan with whatever
+//! [`KernelSink`](lstm::plan::KernelSink) the caller needs — a
+//! `Vec<KernelDesc>` trace, a `gpu_sim::TraceSession` for streamed
+//! pricing, or `NullSink` — and [`OptRunStats::from_plan_run`] reads the
+//! run statistics off the plan and the output.
 //!
-//! It is a facade over the plan pipeline:
-//! [`OptimizedExecutor::plan_probes`] compiles the offline analyses into
-//! an [`ExecutionPlan`] (see [`crate::compile`]), and
-//! [`run`](OptimizedExecutor::run) executes that plan immediately on the
-//! same input with a [`PlanRuntime`]. Callers that evaluate many
-//! sequences should compile the plan once and reuse it — that is what
-//! `Evaluator` in the `thresholds` module does.
+//! Compile once and reuse the plan across inputs (`Evaluator` in the
+//! `thresholds` module does); a one-shot run compiles with the input
+//! itself as the only probe.
 
 use crate::drs::DrsConfig;
 use crate::error::{Error, MemlstmResult};
 use crate::prediction::NetworkPredictors;
 use crate::relevance::RelevanceAnalyzer;
 use gpu_sim::DeviceModel;
-use lstm::plan::{ExecutionPlan, PlanOutput, PlanRuntime, TraceCollector};
-use lstm::schedule::NetworkRun;
+use lstm::plan::{ExecutionPlan, PlanOutput, PlanRuntime};
 use lstm::LstmNetwork;
 use tensor::{Precision, Vector};
 
@@ -222,7 +225,7 @@ impl OptRunStats {
     }
 }
 
-/// Executes a network with the memory-friendly optimizations enabled.
+/// Plans a network with the memory-friendly optimizations enabled.
 #[derive(Debug, Clone)]
 pub struct OptimizedExecutor<'a> {
     net: &'a LstmNetwork,
@@ -267,21 +270,6 @@ impl<'a> OptimizedExecutor<'a> {
         self
     }
 
-    /// The configuration.
-    pub fn config(&self) -> &OptimizerConfig {
-        &self.config
-    }
-
-    /// The device plans are compiled for.
-    pub fn device(&self) -> &DeviceModel {
-        &self.device
-    }
-
-    /// The network this executor plans for.
-    pub fn network(&self) -> &LstmNetwork {
-        self.net
-    }
-
     /// Compiles an [`ExecutionPlan`] against a whole offline set: per-link
     /// relevances are averaged across probes, so the plan only breaks
     /// links that are weak on average over the offline distribution. This
@@ -303,36 +291,6 @@ impl<'a> OptimizedExecutor<'a> {
             &self.device,
         )
         .unwrap_or_else(|e| panic!("OptimizedExecutor::plan_probes: {e}"))
-    }
-
-    /// Runs the network, returning the numbers + trace.
-    ///
-    /// # Errors
-    /// [`Error::EmptyInput`] if `xs` is empty.
-    pub fn run(&self, xs: &[Vector]) -> MemlstmResult<NetworkRun> {
-        Ok(self.run_detailed(xs)?.0)
-    }
-
-    /// Runs the network, also returning per-layer optimization statistics.
-    ///
-    /// Compiles a plan with `xs` itself as the probe and executes it
-    /// immediately — the one-shot path. Plan-reuse callers should pair
-    /// [`plan_probes`](Self::plan_probes) with a long-lived
-    /// [`PlanRuntime`] instead.
-    ///
-    /// # Errors
-    /// [`Error::EmptyInput`] if `xs` is empty.
-    pub fn run_detailed(&self, xs: &[Vector]) -> MemlstmResult<(NetworkRun, OptRunStats)> {
-        if xs.is_empty() {
-            return Err(Error::EmptyInput);
-        }
-        // One non-empty probe and the executor's own analyzers: compile
-        // has nothing left to reject.
-        let plan = self.plan_probes(std::slice::from_ref(&xs.to_vec()));
-        let mut collector = TraceCollector::default();
-        let output = PlanRuntime::new().run_lstm(&plan, self.net, xs, &mut collector);
-        let stats = OptRunStats::from_plan_run(&plan, &output);
-        Ok((collector.into_network_run(plan.regions, output), stats))
     }
 }
 
@@ -387,8 +345,8 @@ mod tests {
     use super::*;
     use crate::drs::DrsMode;
     use crate::prediction::NetworkPredictors;
-    use gpu_sim::{GpuConfig, GpuDevice, KernelKind};
-    use lstm::{BaselineExecutor, ModelConfig};
+    use gpu_sim::{GpuConfig, GpuDevice, KernelDesc, KernelKind};
+    use lstm::ModelConfig;
     use tensor::init::seeded_rng;
 
     fn setup(
@@ -407,6 +365,21 @@ mod tests {
         (net, xs, predictors)
     }
 
+    /// The one-shot path: compile with `xs` itself as the only probe, run
+    /// once, and keep the stream and the run statistics.
+    fn run_once(
+        net: &LstmNetwork,
+        preds: &NetworkPredictors,
+        cfg: OptimizerConfig,
+        xs: &[Vector],
+    ) -> (PlanOutput, Vec<KernelDesc>, OptRunStats) {
+        let plan = OptimizedExecutor::new(net, preds, cfg).plan_probes(&[xs.to_vec()]);
+        let mut trace: Vec<KernelDesc> = Vec::new();
+        let out = PlanRuntime::new().run_lstm(&plan, net, xs, &mut trace);
+        let stats = OptRunStats::from_plan_run(&plan, &out);
+        (out, trace, stats)
+    }
+
     #[test]
     fn zero_thresholds_reproduce_baseline_numerics() {
         let (net, xs, preds) = setup(24, 2, 8);
@@ -414,12 +387,10 @@ mod tests {
             .alpha_inter(0.0)
             .max_tissue_size(4)
             .build();
-        let run = OptimizedExecutor::new(&net, &preds, cfg).run(&xs).unwrap();
+        let (out, _, _) = run_once(&net, &preds, cfg, &xs);
         let exact = net.forward(&xs);
-        assert_eq!(run.logits, exact.logits);
-        for (lr, hs) in run.layers.iter().zip(&exact.layer_outputs) {
-            assert_eq!(&lr.hs, hs);
-        }
+        assert_eq!(out.logits, exact.logits);
+        assert_eq!(out.layer_hs, exact.layer_outputs);
     }
 
     #[test]
@@ -432,8 +403,8 @@ mod tests {
             })
             .build();
         // alpha 0 -> DRS disabled -> plain baseline flow.
-        let run = OptimizedExecutor::new(&net, &preds, cfg).run(&xs).unwrap();
-        assert_eq!(run.logits, net.forward(&xs).logits);
+        let (out, _, _) = run_once(&net, &preds, cfg, &xs);
+        assert_eq!(out.logits, net.forward(&xs).logits);
     }
 
     #[test]
@@ -445,9 +416,9 @@ mod tests {
                 mode: DrsMode::Hardware,
             })
             .build();
-        let run = OptimizedExecutor::new(&net, &preds, cfg).run(&xs).unwrap();
+        let (out, _, _) = run_once(&net, &preds, cfg, &xs);
         let exact = net.forward(&xs);
-        let diff = run.logits.sub(&exact.logits).max_abs();
+        let diff = out.logits.sub(&exact.logits).max_abs();
         assert!(diff < 0.5, "DRS with tiny alpha diverged: {diff}");
     }
 
@@ -461,10 +432,7 @@ mod tests {
                     mode: DrsMode::Hardware,
                 })
                 .build();
-            let (_, stats) = OptimizedExecutor::new(&net, &preds, cfg)
-                .run_detailed(&xs)
-                .unwrap();
-            stats.mean_skip_fraction()
+            run_once(&net, &preds, cfg, &xs).2.mean_skip_fraction()
         };
         let lo = frac_at(0.01);
         let hi = frac_at(0.2);
@@ -485,13 +453,11 @@ mod tests {
             .alpha_inter(RelevanceAnalyzer::max_relevance() + 1.0)
             .max_tissue_size(4)
             .build();
-        let (run, stats) = OptimizedExecutor::new(&net, &preds, cfg)
-            .run_detailed(&xs)
-            .unwrap();
+        let (out, _, stats) = run_once(&net, &preds, cfg, &xs);
         assert_eq!(stats.per_layer[0].breakpoints, 7);
         assert_eq!(stats.per_layer[0].sublayers, 8);
         assert_eq!(stats.per_layer[0].tissues, 2); // ceil(8 / 4)
-        assert_eq!(run.layers[0].hs.len(), 8);
+        assert_eq!(out.layer_hs[0].len(), 8);
     }
 
     #[test]
@@ -501,11 +467,8 @@ mod tests {
             .alpha_inter(RelevanceAnalyzer::max_relevance() + 1.0)
             .max_tissue_size(4)
             .build();
-        let (run, stats) = OptimizedExecutor::new(&net, &preds, cfg)
-            .run_detailed(&xs)
-            .unwrap();
-        let sgemm_u: usize = run.layers[0]
-            .trace
+        let (_, trace, stats) = run_once(&net, &preds, cfg, &xs);
+        let sgemm_u = trace
             .iter()
             .filter(|k| k.label.starts_with("Sgemm(U,H)"))
             .count();
@@ -524,22 +487,22 @@ mod tests {
                 mode: DrsMode::Hardware,
             })
             .build();
-        let (run, stats) = OptimizedExecutor::new(&net, &preds, cfg)
-            .run_detailed(&xs)
-            .unwrap();
-        assert_eq!(run.layers.len(), 2);
+        let (out, trace, stats) = run_once(&net, &preds, cfg, &xs);
+        assert_eq!(out.layer_hs.len(), 2);
         assert!(stats.mean_skip_fraction() > 0.05);
         // Combined trace contains DRS kernels and CRM-routed fic kernels.
-        assert!(run.trace().any(|k| k.kind == KernelKind::Drs));
-        assert!(run.trace().any(|k| k.uses_crm));
+        assert!(trace.iter().any(|k| k.kind == KernelKind::Drs));
+        assert!(trace.iter().any(|k| k.uses_crm));
     }
 
     #[test]
     fn optimized_is_faster_than_baseline_on_simulator() {
         let (net, xs, preds) = setup(256, 1, 40);
-        let base_run = BaselineExecutor::new(&net).run(&xs);
+        let base_plan = ExecutionPlan::compile_baseline(&net, xs.len(), &DeviceModel::tegra_x1());
+        let mut base_trace: Vec<KernelDesc> = Vec::new();
+        PlanRuntime::new().run_lstm(&base_plan, &net, &xs, &mut base_trace);
         let mut dev = GpuDevice::new(GpuConfig::tegra_x1());
-        let base = dev.run_trace(base_run.trace());
+        let base = dev.run_trace(&base_trace);
 
         let cfg = OptimizerConfig::builder()
             .alpha_inter(RelevanceAnalyzer::max_relevance() + 1.0)
@@ -549,9 +512,9 @@ mod tests {
                 mode: DrsMode::Hardware,
             })
             .build();
-        let opt_run = OptimizedExecutor::new(&net, &preds, cfg).run(&xs).unwrap();
+        let (_, opt_trace, _) = run_once(&net, &preds, cfg, &xs);
         dev.reset();
-        let opt = dev.run_trace(opt_run.trace());
+        let opt = dev.run_trace(&opt_trace);
 
         let speedup = base.time_s / opt.time_s;
         assert!(speedup > 2.0, "combined speedup only {speedup:.2}x");
@@ -575,16 +538,12 @@ mod tests {
             let inter = OptimizerConfig::builder()
                 .alpha_inter(alpha)
                 .max_tissue_size(5);
-            let with_pred =
-                OptimizedExecutor::new(&net, &preds, inter.use_predicted_link(true).build())
-                    .run(&xs)
-                    .unwrap()
-                    .logits;
-            let with_zero =
-                OptimizedExecutor::new(&net, &preds, inter.use_predicted_link(false).build())
-                    .run(&xs)
-                    .unwrap()
-                    .logits;
+            let with_pred = run_once(&net, &preds, inter.use_predicted_link(true).build(), &xs)
+                .0
+                .logits;
+            let with_zero = run_once(&net, &preds, inter.use_predicted_link(false).build(), &xs)
+                .0
+                .logits;
             err_pred += f64::from(exact.sub(&with_pred).norm());
             err_zero += f64::from(exact.sub(&with_zero).norm());
         }
@@ -605,18 +564,19 @@ mod tests {
             .alpha_inter(RelevanceAnalyzer::max_relevance() / 6.0)
             .max_tissue_size(3)
             .build();
-        let run = OptimizedExecutor::new(&net, &preds, cfg).run(&xs).unwrap();
-        assert_eq!(run.layers[0].hs.len(), 9);
-        for h in &run.layers[0].hs {
+        let (out, _, _) = run_once(&net, &preds, cfg, &xs);
+        assert_eq!(out.layer_hs[0].len(), 9);
+        for h in &out.layer_hs[0] {
             assert_eq!(h.len(), 16);
         }
     }
 
     #[test]
     fn plan_reuse_matches_one_shot_execution() {
-        // A plan compiled against a probe and executed on that same probe
-        // must equal the one-shot facade run bit for bit — numerics and
-        // kernel stream alike.
+        // A plan compiled against a probe and executed twice on one
+        // runtime must equal a fresh one-shot compile + run bit for bit —
+        // numerics, kernel stream and statistics alike: buffer reuse
+        // leaks no state between runs.
         let (net, xs, preds) = setup(32, 2, 10);
         let cfg = OptimizerConfig::builder()
             .alpha_inter(RelevanceAnalyzer::max_relevance() / 6.0)
@@ -626,34 +586,35 @@ mod tests {
                 mode: DrsMode::Hardware,
             })
             .build();
-        let exec = OptimizedExecutor::new(&net, &preds, cfg);
-        let (run, stats) = exec.run_detailed(&xs).unwrap();
+        let (once, once_trace, once_stats) = run_once(&net, &preds, cfg, &xs);
 
-        let plan = exec.plan_probes(std::slice::from_ref(&xs));
+        let plan = OptimizedExecutor::new(&net, &preds, cfg).plan_probes(std::slice::from_ref(&xs));
         let mut runtime = PlanRuntime::new();
-        let mut first: Vec<gpu_sim::KernelDesc> = Vec::new();
-        let out1 = runtime.run_lstm(&plan, &net, &xs, &mut first);
-        assert_eq!(out1.logits, run.logits);
-        assert_eq!(first, run.trace().cloned().collect::<Vec<_>>());
-        assert_eq!(OptRunStats::from_plan_run(&plan, &out1), stats);
-
-        // Re-executing the same plan with the same runtime changes
-        // nothing: buffer reuse leaks no state between runs.
-        let mut second: Vec<gpu_sim::KernelDesc> = Vec::new();
-        let out2 = runtime.run_lstm(&plan, &net, &xs, &mut second);
-        assert_eq!(out1, out2);
-        assert_eq!(first, second);
+        for _ in 0..2 {
+            let mut trace: Vec<KernelDesc> = Vec::new();
+            let out = runtime.run_lstm(&plan, &net, &xs, &mut trace);
+            assert_eq!(out, once);
+            assert_eq!(trace, once_trace);
+            assert_eq!(OptRunStats::from_plan_run(&plan, &out), once_stats);
+        }
     }
 
     #[test]
     fn empty_input_is_rejected() {
-        let (net, _, preds) = setup(8, 1, 4);
+        let (net, xs, preds) = setup(8, 1, 4);
         let cfg = OptimizerConfig::builder()
             .alpha_inter(1.0)
             .max_tissue_size(2)
             .build();
+        let device = DeviceModel::default_preset();
+        let analyzers = [RelevanceAnalyzer::new(net.layers()[0].weights())];
         assert_eq!(
-            OptimizedExecutor::new(&net, &preds, cfg).run(&[]),
+            crate::compile::compile(&net, &preds, &analyzers, &cfg, &[Vec::new()], &device),
+            Err(Error::EmptyProbe)
+        );
+        let plan = OptimizedExecutor::new(&net, &preds, cfg).plan_probes(&[xs]);
+        assert_eq!(
+            profile_plan(&plan, &net, &[], &device).map(|_| ()),
             Err(Error::EmptyInput)
         );
     }

@@ -17,15 +17,18 @@
 //!   [`pruning`] provides the element-granular zero-pruning baseline \[31\]
 //!   the paper compares against (Fig. 16).
 //!
-//! [`exec`] ties both levels into executors that produce real numbers plus
-//! kernel traces; [`thresholds`] spans the performance–accuracy trade-off
-//! space (Fig. 19) and selects the AO/BPA operating points; [`tuner`] and
-//! [`user_study`] implement the user-oriented (UO) scheme and the Fig. 18
-//! study; [`overhead`] reproduces the Sec. VI-F overhead accounting.
+//! [`compile`] lowers both levels into an `lstm::plan::ExecutionPlan`,
+//! which [`exec`] builds per configuration and `lstm::plan::PlanRuntime`
+//! executes, producing real numbers plus a kernel stream; [`thresholds`]
+//! spans the performance–accuracy trade-off space (Fig. 19) and selects
+//! the AO/BPA operating points; [`tuner`] and [`user_study`] implement the
+//! user-oriented (UO) scheme and the Fig. 18 study; [`overhead`]
+//! reproduces the Sec. VI-F overhead accounting.
 //!
 //! # Example
 //!
 //! ```
+//! use lstm::plan::PlanRuntime;
 //! use lstm::{LstmNetwork, ModelConfig};
 //! use memlstm::drs::{DrsConfig, DrsMode};
 //! use memlstm::exec::{OptimizedExecutor, OptimizerConfig};
@@ -44,9 +47,12 @@
 //!     .drs(DrsConfig { alpha_intra: 0.05, mode: DrsMode::Hardware })
 //!     .build();
 //! let xs = lstm::random_inputs(&config, &mut rng);
-//! let run = OptimizedExecutor::new(&net, &predictors, opts).run(&xs)?;
-//! assert_eq!(run.layers[0].hs.len(), 6);
-//! # Ok::<(), memlstm::Error>(())
+//! let plan = OptimizedExecutor::new(&net, &predictors, opts)
+//!     .plan_probes(std::slice::from_ref(&xs));
+//! let mut trace: Vec<gpu_sim::KernelDesc> = Vec::new();
+//! let out = PlanRuntime::new().run_lstm(&plan, &net, &xs, &mut trace);
+//! assert_eq!(out.layer_hs[0].len(), 6);
+//! assert!(!trace.is_empty());
 //! ```
 
 #![forbid(unsafe_code)]

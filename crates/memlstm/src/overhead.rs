@@ -8,7 +8,6 @@
 //! re-simulating the trace with the overhead kernels removed.
 
 use gpu_sim::{DeviceModel, GpuDevice, KernelDesc};
-use lstm::schedule::NetworkRun;
 
 /// Measured overhead of one mechanism.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
@@ -32,15 +31,14 @@ pub fn is_intra_overhead(kernel: &KernelDesc) -> bool {
 }
 
 fn measure(
-    run: &NetworkRun,
+    trace: &[KernelDesc],
     device: &DeviceModel,
     is_overhead: impl Fn(&KernelDesc) -> bool,
 ) -> OverheadReport {
     let mut device = GpuDevice::for_model(device);
-    let full = device.run_trace(run.trace());
+    let full = device.run_trace(trace);
     device.reset();
-    let reduced_trace: Vec<KernelDesc> = run.trace().filter(|k| !is_overhead(k)).cloned().collect();
-    let reduced = device.run_trace(&reduced_trace);
+    let reduced = device.run_trace(trace.iter().filter(|k| !is_overhead(k)));
     if full.time_s <= 0.0 {
         return OverheadReport::default();
     }
@@ -51,22 +49,24 @@ fn measure(
     }
 }
 
-/// Overhead of the inter-cell level's added computations.
-pub fn inter_overhead(run: &NetworkRun, device: &DeviceModel) -> OverheadReport {
-    measure(run, device, is_inter_overhead)
+/// Overhead of the inter-cell level's added computations in a run's
+/// kernel stream.
+pub fn inter_overhead(trace: &[KernelDesc], device: &DeviceModel) -> OverheadReport {
+    measure(trace, device, is_inter_overhead)
 }
 
-/// Overhead of the intra-cell level's added software computations.
-pub fn intra_overhead(run: &NetworkRun, device: &DeviceModel) -> OverheadReport {
-    measure(run, device, is_intra_overhead)
+/// Overhead of the intra-cell level's added software computations in a
+/// run's kernel stream.
+pub fn intra_overhead(trace: &[KernelDesc], device: &DeviceModel) -> OverheadReport {
+    measure(trace, device, is_intra_overhead)
 }
 
 /// Overhead of the CRM hardware: reorganization latency over total time,
 /// and its standby power fraction (from the gate-level-derived constant).
-pub fn crm_overhead(run: &NetworkRun, device: &DeviceModel) -> OverheadReport {
+pub fn crm_overhead(trace: &[KernelDesc], device: &DeviceModel) -> OverheadReport {
     let mut device = GpuDevice::for_model(device);
     let crm_energy_frac = device.crm().energy_overhead_frac();
-    let full = device.run_trace(run.trace());
+    let full = device.run_trace(trace);
     if full.time_s <= 0.0 {
         return OverheadReport::default();
     }
@@ -83,10 +83,10 @@ mod tests {
     use crate::exec::{OptimizedExecutor, OptimizerConfig};
     use crate::prediction::NetworkPredictors;
     use crate::relevance::RelevanceAnalyzer;
-    use lstm::{LstmNetwork, ModelConfig};
+    use lstm::{LstmNetwork, ModelConfig, PlanRuntime};
     use tensor::init::seeded_rng;
 
-    fn combined_run() -> NetworkRun {
+    fn combined_run() -> Vec<KernelDesc> {
         // Realistic hidden width: on toy widths the fixed launch overhead
         // of the tiny DRS/gate kernels dwarfs the Sgemv work and the
         // percentages lose meaning.
@@ -106,7 +106,10 @@ mod tests {
                 mode: DrsMode::Hardware,
             })
             .build();
-        OptimizedExecutor::new(&net, &preds, cfg).run(&xs).unwrap()
+        let plan = OptimizedExecutor::new(&net, &preds, cfg).plan_probes(std::slice::from_ref(&xs));
+        let mut trace: Vec<KernelDesc> = Vec::new();
+        PlanRuntime::new().run_lstm(&plan, &net, &xs, &mut trace);
+        trace
     }
 
     #[test]
@@ -133,11 +136,11 @@ mod tests {
     #[test]
     fn classifiers_recognize_labels() {
         let run = combined_run();
-        assert!(run.trace().any(is_inter_overhead));
-        assert!(run.trace().any(is_intra_overhead));
+        assert!(run.iter().any(is_inter_overhead));
+        assert!(run.iter().any(is_intra_overhead));
         // Main compute kernels are not classified as overhead.
         let main = run
-            .trace()
+            .iter()
             .find(|k| k.label.starts_with("Sgemm(U_fic"))
             .unwrap();
         assert!(!is_inter_overhead(main));

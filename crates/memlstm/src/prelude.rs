@@ -1,10 +1,11 @@
 //! One-stop imports for typical callers: `use memlstm::prelude::*;`.
 //!
 //! Re-exports the two-dozen-odd types a caller driving the stack end to
-//! end actually touches — device models, the network and its plans, the
-//! baseline and optimized executors, the accuracy/threshold machinery,
-//! and the serving tier (single-device and fleet) — so examples and
-//! downstream binaries don't chase types across five crates.
+//! end actually touches — device models, the network, its plans and the
+//! runtime that executes them, the optimized plan builder, the
+//! accuracy/threshold machinery, and the serving tier (single-device and
+//! fleet) — so examples and downstream binaries don't chase types across
+//! five crates.
 //!
 //! ```
 //! use memlstm::prelude::*;
@@ -22,7 +23,7 @@
 
 pub use gpu_sim::{DeviceModel, GpuDevice};
 pub use lstm::plan::{ExecutionPlan, PlanRuntime};
-pub use lstm::{BaselineExecutor, LstmNetwork, ModelConfig};
+pub use lstm::{LstmNetwork, ModelConfig};
 pub use tensor::init::seeded_rng;
 pub use tensor::{Precision, Vector};
 pub use workloads::{Benchmark, Workload};

@@ -8,9 +8,13 @@
 //! branch divergence — the paper measures a 35% *slowdown* despite the 37%
 //! compression.
 
+use crate::error::{Error, MemlstmResult};
+use gpu_sim::{DeviceModel, KernelDesc, KernelKind};
 use lstm::cell::CellWeights;
+use lstm::plan::{ExecutionPlan, LayerBody, PlanBody};
+use lstm::schedule::F32;
 use lstm::LstmNetwork;
-use tensor::{Matrix, Precision};
+use tensor::Matrix;
 
 /// Offline element-granular magnitude pruning of the recurrent matrices.
 #[derive(Debug, Clone, PartialEq)]
@@ -33,13 +37,13 @@ impl ZeroPruning {
     /// (e.g. 0.37 for the paper's 37%) of the united recurrent weights are
     /// erased; the threshold is the corresponding magnitude quantile.
     ///
-    /// # Panics
-    /// Panics if `target` is not within `(0, 1)`.
-    pub fn calibrate(net: &LstmNetwork, target: f64) -> Self {
-        assert!(
-            target > 0.0 && target < 1.0,
-            "pruning target must be in (0,1)"
-        );
+    /// # Errors
+    /// [`Error::InvalidPruningTarget`] if `target` is not within `(0, 1)`
+    /// (NaN included).
+    pub fn calibrate(net: &LstmNetwork, target: f64) -> MemlstmResult<Self> {
+        if !(target > 0.0 && target < 1.0) {
+            return Err(Error::InvalidPruningTarget { target });
+        }
         let mut magnitudes: Vec<f32> = Vec::new();
         for layer in net.layers() {
             let w = layer.weights();
@@ -51,10 +55,10 @@ impl ZeroPruning {
         let idx = ((magnitudes.len() as f64 * target) as usize).min(magnitudes.len() - 1);
         let threshold = magnitudes[idx];
         let pruned = magnitudes.iter().filter(|&&m| m <= threshold).count();
-        Self {
+        Ok(Self {
             threshold,
             compression: pruned as f64 / magnitudes.len() as f64,
-        }
+        })
     }
 
     /// The magnitude threshold.
@@ -112,97 +116,61 @@ impl ZeroPruning {
         (values + indices) as u64
     }
 
-    /// Executes the network with zero-pruned recurrent matrices,
-    /// producing the numbers and the CSR-kernel trace.
+    /// Compiles the zero-pruned flow: Algorithm 1's baseline plan with
+    /// every per-cell `Sgemv(U, h)` replaced by a sparse (CSR) GEMV — less
+    /// data, but gathered irregularly (DRAM derate) by divergent warps
+    /// (per-thread nonzero imbalance), the cost structure behind Fig. 16's
+    /// 35% slowdown. Each CSR kernel keeps the region ids of the kernel it
+    /// replaces.
     ///
-    /// The schedule is Algorithm 1 with the per-cell `Sgemv` replaced by a
-    /// sparse (CSR) GEMV: less data, but gathered irregularly (DRAM
-    /// derate) by divergent warps (per-thread nonzero imbalance) — the
-    /// cost structure behind Fig. 16's 35% slowdown.
+    /// The plan prices the sparse kernels; execute it on
+    /// [`prune_network`](Self::prune_network)`(net)` for the numbers.
     ///
-    /// # Panics
-    /// Panics if `xs` is empty.
-    pub fn run(&self, net: &LstmNetwork, xs: &[tensor::Vector]) -> lstm::schedule::NetworkRun {
-        use gpu_sim::KernelKind;
-        use lstm::regions::{NetworkRegions, RegionAllocator};
-        use lstm::schedule::{ew_kernel, head_kernel, wx_sgemm_kernel, LayerRun, NetworkRun, F32};
-
-        assert!(!xs.is_empty(), "ZeroPruning::run: empty input");
-        let pruned = self.prune_network(net);
-        let cfg = net.config();
-        let mut alloc = RegionAllocator::new();
-        let regions = NetworkRegions::allocate(&mut alloc, cfg.num_layers);
-        let mut layers = Vec::with_capacity(cfg.num_layers);
-        let mut current: Vec<tensor::Vector> = xs.to_vec();
-        for (l, layer) in pruned.layers().iter().enumerate() {
-            let hidden = layer.hidden();
-            let mut trace = Vec::new();
-            trace.push(wx_sgemm_kernel(
-                l,
-                regions.layers[l].w,
-                hidden,
-                layer.input_dim(),
-                current.len(),
-                &mut alloc,
-            ));
-            let wx = layer.precompute_wx(Precision::Fp32, &current);
-            let mut h = tensor::Vector::zeros(hidden);
-            let mut c = tensor::Vector::zeros(hidden);
-            let mut hs = Vec::with_capacity(wx.len());
-            let dense = 4 * hidden as u64 * hidden as u64 * F32;
-            let csr = self.csr_bytes(dense);
-            for (t, pre) in wx.iter().enumerate() {
-                trace.push(
-                    gpu_sim::KernelDesc::builder(
-                        format!("SpMV(U_csr,h) l{l} t{t}"),
-                        KernelKind::Sgemv,
-                    )
-                    .flops(
-                        (2.0 * 4.0 * (hidden as f64) * (hidden as f64) * (1.0 - self.compression))
-                            as u64,
-                    )
-                    .read(regions.layers[l].u_full, csr)
-                    .read(alloc.fresh(), hidden as u64 * F32)
-                    .write(alloc.fresh(), 4 * hidden as u64 * F32)
-                    .smem(csr + hidden as u64 * F32)
-                    .threads(4 * hidden as u64, 256)
-                    .divergence(CSR_DIVERGENCE)
-                    .dram_derate(CSR_DRAM_DERATE)
-                    .build(),
-                );
-                let (h2, c2) = layer.weights().step(pre, &h, &c);
-                h = h2;
-                c = c2;
-                hs.push(h.clone());
-                trace.push(ew_kernel(
-                    format!("lstm_ew l{l} t{t}"),
-                    hidden,
-                    1,
-                    &mut alloc,
-                ));
+    /// # Errors
+    /// [`Error::EmptyInput`] if `seq_len` is zero.
+    pub fn compile(
+        &self,
+        net: &LstmNetwork,
+        seq_len: usize,
+        device: &DeviceModel,
+    ) -> MemlstmResult<ExecutionPlan> {
+        if seq_len == 0 {
+            return Err(Error::EmptyInput);
+        }
+        let mut plan = ExecutionPlan::compile_baseline(net, seq_len, device);
+        let PlanBody::Lstm(layers) = &mut plan.body else {
+            unreachable!("compile_baseline plans an LSTM body");
+        };
+        for (l, (lp, layer)) in layers.iter_mut().zip(net.layers()).enumerate() {
+            let LayerBody::Baseline { cells } = &mut lp.body else {
+                unreachable!("compile_baseline plans baseline layers");
+            };
+            let h = layer.hidden() as u64;
+            let csr = self.csr_bytes(4 * h * h * F32);
+            let flops = (2.0 * 4.0 * h as f64 * h as f64 * (1.0 - self.compression)) as u64;
+            for (t, cell) in cells.iter_mut().enumerate() {
+                let dense = &cell.sgemv;
+                cell.sgemv =
+                    KernelDesc::builder(format!("SpMV(U_csr,h) l{l} t{t}"), KernelKind::Sgemv)
+                        .flops(flops)
+                        .read(dense.reads[0].region, csr)
+                        .read(dense.reads[1].region, h * F32)
+                        .write(dense.writes[0].region, 4 * h * F32)
+                        .smem(csr + h * F32)
+                        .threads(4 * h, 256)
+                        .divergence(CSR_DIVERGENCE)
+                        .dram_derate(CSR_DRAM_DERATE)
+                        .build();
             }
-            current = hs.clone();
-            layers.push(LayerRun { hs, trace });
         }
-        let logits = pruned.apply_head(current.last().expect("non-empty"));
-        let tail_trace = vec![head_kernel(
-            regions.head,
-            cfg.num_classes,
-            cfg.hidden_size,
-            &mut alloc,
-        )];
-        NetworkRun {
-            layers,
-            logits,
-            tail_trace,
-            regions,
-        }
+        Ok(plan)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use lstm::plan::PlanRuntime;
     use lstm::ModelConfig;
     use tensor::init::seeded_rng;
 
@@ -214,7 +182,7 @@ mod tests {
     #[test]
     fn calibration_hits_target_ratio() {
         let net = net();
-        let zp = ZeroPruning::calibrate(&net, 0.37);
+        let zp = ZeroPruning::calibrate(&net, 0.37).unwrap();
         assert!(
             (zp.compression_ratio() - 0.37).abs() < 0.01,
             "{}",
@@ -226,7 +194,7 @@ mod tests {
     #[test]
     fn pruned_matrix_zeroes_small_elements() {
         let net = net();
-        let zp = ZeroPruning::calibrate(&net, 0.4);
+        let zp = ZeroPruning::calibrate(&net, 0.4).unwrap();
         let u = &net.layers()[0].weights().u.f;
         let pruned = zp.prune_matrix(u);
         for (orig, new) in u.as_slice().iter().zip(pruned.as_slice()) {
@@ -243,7 +211,7 @@ mod tests {
         // Magnitude pruning of near-zero weights barely moves the outputs:
         // the paper's zero-pruning scheme is accuracy-neutral by design.
         let net = net();
-        let zp = ZeroPruning::calibrate(&net, 0.37);
+        let zp = ZeroPruning::calibrate(&net, 0.37).unwrap();
         let pruned = zp.prune_network(&net);
         let mut rng = seeded_rng(2);
         let xs = lstm::random_inputs(net.config(), &mut rng);
@@ -259,7 +227,7 @@ mod tests {
     #[test]
     fn csr_traffic_includes_index_overhead() {
         let net = net();
-        let zp = ZeroPruning::calibrate(&net, 0.37);
+        let zp = ZeroPruning::calibrate(&net, 0.37).unwrap();
         let dense = 1_000_000u64;
         let csr = zp.csr_bytes(dense);
         // 63% of values (4B) + 63% of indices (2B per element = dense/2):
@@ -269,9 +237,70 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "must be in (0,1)")]
-    fn bad_target_panics() {
-        ZeroPruning::calibrate(&net(), 1.5);
+    fn bad_target_is_rejected() {
+        for target in [0.0, 1.0, 1.5, -0.2, f64::NAN] {
+            assert!(
+                matches!(
+                    ZeroPruning::calibrate(&net(), target),
+                    Err(Error::InvalidPruningTarget { .. })
+                ),
+                "target {target} accepted"
+            );
+        }
+    }
+
+    #[test]
+    fn empty_sequence_is_rejected() {
+        let net = net();
+        let zp = ZeroPruning::calibrate(&net, 0.37).unwrap();
+        assert_eq!(
+            zp.compile(&net, 0, &DeviceModel::default_preset()),
+            Err(Error::EmptyInput)
+        );
+    }
+
+    #[test]
+    fn plan_runs_the_pruned_network_with_csr_kernels() {
+        // The numbers are the pruned network's exact forward pass; the
+        // stream is the baseline's with each per-cell `U` kernel swapped
+        // for its CSR form at the same regions.
+        let device = DeviceModel::default_preset();
+        for (e, h, layers, seq) in [(8, 16, 1, 5), (16, 32, 2, 4), (24, 40, 3, 9)] {
+            let cfg = ModelConfig::new("t", e, h, layers, seq, 3).unwrap();
+            let net = LstmNetwork::random(&cfg, &mut seeded_rng(h as u64));
+            let zp = ZeroPruning::calibrate(&net, 0.37).unwrap();
+            let pruned = zp.prune_network(&net);
+            let plan = zp.compile(&net, seq, &device).unwrap();
+            let base = ExecutionPlan::compile_baseline(&net, seq, &device);
+            let mut runtime = PlanRuntime::new();
+            for seed in 0..3 {
+                let xs = lstm::random_inputs(&cfg, &mut seeded_rng(seed));
+                let mut trace: Vec<KernelDesc> = Vec::new();
+                let out = runtime.run_lstm(&plan, &pruned, &xs, &mut trace);
+                let exact = pruned.forward(&xs);
+                assert_eq!(out.logits, exact.logits);
+                assert_eq!(out.layer_hs, exact.layer_outputs);
+
+                let mut base_trace: Vec<KernelDesc> = Vec::new();
+                runtime.run_lstm(&base, &net, &xs, &mut base_trace);
+                assert_eq!(trace.len(), base_trace.len());
+                let regions = |k: &KernelDesc| -> Vec<_> {
+                    k.reads.iter().chain(&k.writes).map(|a| a.region).collect()
+                };
+                let mut swapped = 0;
+                for (k, b) in trace.iter().zip(&base_trace) {
+                    assert_eq!(regions(k), regions(b));
+                    if let Some(cell) = b.label.strip_prefix("Sgemv(U_fico,h)") {
+                        assert_eq!(k.label, format!("SpMV(U_csr,h){cell}"));
+                        assert!(k.read_bytes() < b.read_bytes());
+                        swapped += 1;
+                    } else {
+                        assert_eq!(k, b);
+                    }
+                }
+                assert_eq!(swapped, layers * seq);
+            }
+        }
     }
 
     #[test]
@@ -280,19 +309,24 @@ mod tests {
         // performance on the GPU (divergence + scatter), while accuracy
         // stays near-exact.
         use gpu_sim::{GpuConfig, GpuDevice};
-        use lstm::BaselineExecutor;
         // Hidden width large enough that the united matrix thrashes the
         // L2 in both schemes (the realistic regime of Table II).
         let cfg = ModelConfig::new("t", 256, 256, 1, 10, 2).unwrap();
         let net = LstmNetwork::random(&cfg, &mut seeded_rng(5));
         let xs = lstm::random_inputs(&cfg, &mut seeded_rng(6));
-        let zp = ZeroPruning::calibrate(&net, 0.37);
-        let base_run = BaselineExecutor::new(&net).run(&xs);
-        let zp_run = zp.run(&net, &xs);
+        let zp = ZeroPruning::calibrate(&net, 0.37).unwrap();
+        let device = DeviceModel::default_preset();
+        let mut runtime = PlanRuntime::new();
+        let mut base_trace: Vec<KernelDesc> = Vec::new();
+        let base_plan = ExecutionPlan::compile_baseline(&net, xs.len(), &device);
+        runtime.run_lstm(&base_plan, &net, &xs, &mut base_trace);
+        let mut zp_trace: Vec<KernelDesc> = Vec::new();
+        let zp_plan = zp.compile(&net, xs.len(), &device).unwrap();
+        runtime.run_lstm(&zp_plan, &zp.prune_network(&net), &xs, &mut zp_trace);
         let mut dev = GpuDevice::new(GpuConfig::tegra_x1());
-        let base = dev.run_trace(base_run.trace());
+        let base = dev.run_trace(&base_trace);
         dev.reset();
-        let pruned = dev.run_trace(zp_run.trace());
+        let pruned = dev.run_trace(&zp_trace);
         assert!(
             pruned.time_s > base.time_s,
             "CSR execution should be slower"

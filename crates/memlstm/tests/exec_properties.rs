@@ -1,9 +1,10 @@
-//! Property tests on the optimized executors: structural invariants that
+//! Property tests on the optimized plans: structural invariants that
 //! must hold for any threshold configuration.
 
-use lstm::{LstmNetwork, ModelConfig};
+use gpu_sim::{DeviceModel, KernelDesc};
+use lstm::{ExecutionPlan, LstmNetwork, ModelConfig, PlanOutput, PlanRuntime};
 use memlstm::drs::{DrsConfig, DrsMode};
-use memlstm::exec::{OptimizedExecutor, OptimizerConfig};
+use memlstm::exec::{OptRunStats, OptimizedExecutor, OptimizerConfig};
 use memlstm::prediction::NetworkPredictors;
 use proptest::prelude::*;
 use tensor::init::seeded_rng;
@@ -21,6 +22,20 @@ fn setup(seed: u64) -> (LstmNetwork, Vec<Vector>, NetworkPredictors) {
     (net, xs, predictors)
 }
 
+/// Compiles `config` with `xs` as the only probe and runs it once.
+fn run_once(
+    net: &LstmNetwork,
+    predictors: &NetworkPredictors,
+    config: OptimizerConfig,
+    xs: &[Vector],
+) -> (PlanOutput, Vec<KernelDesc>, OptRunStats) {
+    let plan = OptimizedExecutor::new(net, predictors, config).plan_probes(&[xs.to_vec()]);
+    let mut trace: Vec<KernelDesc> = Vec::new();
+    let out = PlanRuntime::new().run_lstm(&plan, net, xs, &mut trace);
+    let stats = OptRunStats::from_plan_run(&plan, &out);
+    (out, trace, stats)
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
@@ -35,11 +50,11 @@ proptest! {
         let (net, xs, predictors) = setup(seed);
         let mode = if mode_hw { DrsMode::Hardware } else { DrsMode::Software };
         let config = OptimizerConfig::builder().alpha_inter(alpha_inter).max_tissue_size(mts).drs(DrsConfig { alpha_intra, mode }).build();
-        let (run, stats) = OptimizedExecutor::new(&net, &predictors, config).run_detailed(&xs).unwrap();
-        prop_assert_eq!(run.layers.len(), 2);
-        for layer in &run.layers {
-            prop_assert_eq!(layer.hs.len(), xs.len());
-            for h in &layer.hs {
+        let (out, _, stats) = run_once(&net, &predictors, config, &xs);
+        prop_assert_eq!(out.layer_hs.len(), 2);
+        for hs in &out.layer_hs {
+            prop_assert_eq!(hs.len(), xs.len());
+            for h in hs {
                 prop_assert!(h.max_abs() <= 1.0);
             }
         }
@@ -48,7 +63,7 @@ proptest! {
             prop_assert!(l.tissues >= l.sublayers.min(xs.len()) / xs.len().max(1));
             prop_assert!((0.0..=1.0).contains(&l.mean_skip_fraction));
         }
-        prop_assert_eq!(run.logits.len(), 3);
+        prop_assert_eq!(out.logits.len(), 3);
     }
 
     #[test]
@@ -57,10 +72,13 @@ proptest! {
         // much: the total FLOPs of the U-side kernels must match the
         // baseline's (same matrices, same cells).
         let (net, xs, predictors) = setup(seed);
-        let base = lstm::BaselineExecutor::new(&net).run(&xs);
-        let opt = OptimizedExecutor::new(&net, &predictors, OptimizerConfig::builder().alpha_inter(alpha_inter).max_tissue_size(mts).build()).run(&xs).unwrap();
-        let flops = |run: &lstm::schedule::NetworkRun| -> u64 {
-            run.trace()
+        let base_plan = ExecutionPlan::compile_baseline(&net, xs.len(), &DeviceModel::default_preset());
+        let mut base: Vec<KernelDesc> = Vec::new();
+        PlanRuntime::new().run_lstm(&base_plan, &net, &xs, &mut base);
+        let (_, opt, _) = run_once(&net, &predictors, OptimizerConfig::builder().alpha_inter(alpha_inter).max_tissue_size(mts).build(), &xs);
+        let flops = |trace: &[KernelDesc]| -> u64 {
+            trace
+                .iter()
                 .filter(|k| k.label.contains("(U"))
                 .map(|k| k.flops)
                 .sum()
@@ -72,16 +90,16 @@ proptest! {
     fn dram_reads_never_increase_with_skipping(seed in 0u64..20, alpha in 0.005f32..0.4) {
         // Intra-cell DRS can only remove weight traffic.
         let (net, xs, predictors) = setup(seed);
-        let none = OptimizedExecutor::new(&net, &predictors, OptimizerConfig::builder().drs(DrsConfig::disabled()).build()).run(&xs).unwrap();
-        let skip = OptimizedExecutor::new(
+        let (_, none, _) = run_once(&net, &predictors, OptimizerConfig::builder().drs(DrsConfig::disabled()).build(), &xs);
+        let (_, skip, _) = run_once(
             &net,
             &predictors,
             OptimizerConfig::builder().drs(DrsConfig { alpha_intra: alpha, mode: DrsMode::Hardware }).build(),
-        )
-        .run(&xs)
-        .unwrap();
-        let weight_bytes = |run: &lstm::schedule::NetworkRun| -> u64 {
-            run.trace()
+            &xs,
+        );
+        let weight_bytes = |trace: &[KernelDesc]| -> u64 {
+            trace
+                .iter()
                 .filter(|k| k.label.contains("U_fic") || k.label.contains("U_fico"))
                 .map(|k| k.read_bytes())
                 .sum()
@@ -107,7 +125,7 @@ proptest! {
         for alpha in [0.0, 0.5, 2.0, 8.0, 40.0] {
             let mut config = OptimizerConfig::builder().alpha_inter(alpha).max_tissue_size(mts).build();
             config.balanced_schedule = true;
-            let (_, stats) = OptimizedExecutor::new(&net, &predictors, config).run_detailed(&xs).unwrap();
+            let (_, _, stats) = run_once(&net, &predictors, config, &xs);
             let layer0 = &stats.per_layer[0];
             prop_assert!(
                 layer0.breakpoints >= prev_breakpoints,

@@ -8,7 +8,7 @@
 
 use memlstm::prelude::*;
 
-fn main() -> MemlstmResult<()> {
+fn main() {
     // 1. Build a Table II workload: the MR sentiment model with
     //    trained-like weights and synthetic token sequences.
     let workload = Workload::generate(Benchmark::Mr, 8, 42);
@@ -22,13 +22,17 @@ fn main() -> MemlstmResult<()> {
     let predictors = NetworkPredictors::collect(net, workload.dataset().offline());
     println!("offline: MTS = {mts} on {}", device.config.name);
 
-    // 3. Execute one sequence with the baseline (Algorithm 1) and with
-    //    both optimization levels, pricing each on the simulated GPU.
+    // 3. Compile one sequence with the baseline (Algorithm 1) and with
+    //    both optimization levels, then execute each plan, pricing its
+    //    kernels on the simulated GPU as the runtime launches them.
     let xs = &workload.eval_set()[0];
     let mut gpu = GpuDevice::for_model(&device);
+    let mut runtime = PlanRuntime::new();
 
-    let baseline = BaselineExecutor::new(net).run(xs);
-    let base = gpu.run_trace(baseline.trace());
+    let baseline = ExecutionPlan::compile_baseline(net, xs.len(), &device);
+    let mut session = gpu.begin_trace();
+    let base_out = runtime.run_lstm(&baseline, net, xs, &mut session);
+    let base = session.finish();
 
     let config = OptimizerConfig::builder()
         .alpha_inter(1.0)
@@ -41,9 +45,13 @@ fn main() -> MemlstmResult<()> {
             mode: DrsMode::Hardware,
         })
         .build();
-    let optimized = OptimizedExecutor::new(net, &predictors, config).run(xs)?;
+    // A one-shot run: the input itself is the plan's only probe.
+    let optimized =
+        OptimizedExecutor::new(net, &predictors, config).plan_probes(std::slice::from_ref(xs));
     gpu.reset();
-    let opt = gpu.run_trace(optimized.trace());
+    let mut session = gpu.begin_trace();
+    let opt_out = runtime.run_lstm(&optimized, net, xs, &mut session);
+    let opt = session.finish();
 
     println!(
         "baseline : {:7.3} ms, {:6.1} mJ, {:6.1} MiB DRAM traffic",
@@ -64,12 +72,14 @@ fn main() -> MemlstmResult<()> {
     );
 
     // 4. The approximations are real arithmetic: compare predictions.
-    let same = baseline.predicted_class() == optimized.predicted_class();
+    let base_class = base_out.logits.argmax().expect("head has classes");
+    let opt_class = opt_out.logits.argmax().expect("head has classes");
     println!(
-        "prediction: baseline class {}, optimized class {} ({})",
-        baseline.predicted_class(),
-        optimized.predicted_class(),
-        if same { "match" } else { "differ" }
+        "prediction: baseline class {base_class}, optimized class {opt_class} ({})",
+        if base_class == opt_class {
+            "match"
+        } else {
+            "differ"
+        }
     );
-    Ok(())
 }

@@ -9,7 +9,7 @@
 
 use memlstm::prelude::*;
 
-fn main() -> memlstm::MemlstmResult<()> {
+fn main() {
     let workload = Workload::generate(Benchmark::Mt, 6, 11);
     let net = workload.network();
     println!("translator model: {}\n", net.config());
@@ -52,6 +52,7 @@ fn main() -> memlstm::MemlstmResult<()> {
     ];
 
     let mut device = GpuDevice::for_model(&device_model);
+    let mut runtime = PlanRuntime::new();
     let mut baseline_time = 0.0f64;
     let mut baseline_preds: Vec<usize> = Vec::new();
     println!("scheme      latency/sentence  energy/sentence  speedup  agreement");
@@ -61,15 +62,19 @@ fn main() -> memlstm::MemlstmResult<()> {
         let mut agree = 0usize;
         let mut total = 0usize;
         for (i, xs) in workload.eval_set().iter().enumerate() {
-            let run = match config {
-                None => BaselineExecutor::new(net).run(xs),
-                Some(c) => OptimizedExecutor::new(net, &predictors, *c).run(xs)?,
+            // Each sentence is compiled with itself as the only probe.
+            let plan = match config {
+                None => ExecutionPlan::compile_baseline(net, xs.len(), &device_model),
+                Some(c) => OptimizedExecutor::new(net, &predictors, *c)
+                    .plan_probes(std::slice::from_ref(xs)),
             };
             device.reset();
-            let report = device.run_trace(run.trace());
+            let mut session = device.begin_trace();
+            let out = runtime.run_lstm(&plan, net, xs, &mut session);
+            let report = session.finish();
             time += report.time_s;
             energy += report.energy.total_j();
-            let pred = run.predicted_class();
+            let pred = out.logits.argmax().expect("head has classes");
             if config.is_none() {
                 baseline_preds.push(pred);
             } else {
@@ -95,5 +100,4 @@ fn main() -> memlstm::MemlstmResult<()> {
             }
         );
     }
-    Ok(())
 }

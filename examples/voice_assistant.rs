@@ -14,7 +14,7 @@ use memlstm::prelude::*;
 
 const QUERIES: usize = 20;
 
-fn main() -> MemlstmResult<()> {
+fn main() {
     // The assistant's model: BABI question answering (Table II row 3).
     let workload = Workload::generate(Benchmark::Babi, 4, 7);
     println!("assistant model: {}", workload.network().config());
@@ -35,8 +35,12 @@ fn main() -> MemlstmResult<()> {
     // Baseline latency for reference.
     let net = evaluator.workload().network();
     let mut device = GpuDevice::for_model(&DeviceModel::tegra_x1());
+    let mut runtime = PlanRuntime::new();
     let xs0 = &evaluator.workload().eval_set()[0];
-    let base = device.run_trace(BaselineExecutor::new(net).run(xs0).trace());
+    let baseline = ExecutionPlan::compile_baseline(net, xs0.len(), &DeviceModel::tegra_x1());
+    let mut session = device.begin_trace();
+    runtime.run_lstm(&baseline, net, xs0, &mut session);
+    let base = session.finish();
     println!("baseline latency: {:.1} ms per query\n", base.time_s * 1e3);
 
     // A user with their own speed/accuracy taste, and the UO tuner that
@@ -49,11 +53,14 @@ fn main() -> MemlstmResult<()> {
     for q in 0..QUERIES {
         let set = tuner.current_set();
         let config = evaluator.combined_config(&sets[set]);
-        let exec = OptimizedExecutor::new(net, &predictors, config);
         let xs = &evaluator.workload().eval_set()[q % evaluator.workload().eval_set().len()];
-        let run = exec.run(xs)?;
+        // Each query is compiled with itself as the only probe.
+        let plan =
+            OptimizedExecutor::new(net, &predictors, config).plan_probes(std::slice::from_ref(xs));
         device.reset();
-        let report = device.run_trace(run.trace());
+        let mut session = device.begin_trace();
+        runtime.run_lstm(&plan, net, xs, &mut session);
+        let report = session.finish();
         let speedup = base.time_s / report.time_s;
         // The replay program's satisfaction probe: the user rates speed
         // against perceived accuracy (losses under 2% are imperceptible).
@@ -72,5 +79,4 @@ fn main() -> MemlstmResult<()> {
         sets[tuner.best_set()].alpha_inter,
         sets[tuner.best_set()].alpha_intra
     );
-    Ok(())
 }

@@ -1,9 +1,9 @@
-//! Numerical-equivalence integration tests: the optimized executors must
+//! Numerical-equivalence integration tests: the optimized plans must
 //! degrade gracefully into the exact computation as thresholds go to zero,
-//! and every executor must agree on trace bookkeeping invariants.
+//! and every flow must agree on trace bookkeeping invariants.
 
-use gpu_sim::KernelKind;
-use lstm::{BaselineExecutor, LstmNetwork, ModelConfig};
+use gpu_sim::{DeviceModel, KernelDesc, KernelKind};
+use lstm::{ExecutionPlan, LstmNetwork, ModelConfig, PlanOutput, PlanRuntime};
 use memlstm::drs::{DrsConfig, DrsMode};
 use memlstm::exec::{OptimizedExecutor, OptimizerConfig};
 use memlstm::prediction::NetworkPredictors;
@@ -20,6 +20,19 @@ fn setup() -> (LstmNetwork, Vec<Vector>, NetworkPredictors) {
         .collect();
     let predictors = NetworkPredictors::collect(&net, &offline);
     (net, xs, predictors)
+}
+
+/// Compiles `config` with `xs` as the only probe and runs it once.
+fn run_once(
+    net: &LstmNetwork,
+    predictors: &NetworkPredictors,
+    config: OptimizerConfig,
+    xs: &[Vector],
+) -> (ExecutionPlan, PlanOutput, Vec<KernelDesc>) {
+    let plan = OptimizedExecutor::new(net, predictors, config).plan_probes(&[xs.to_vec()]);
+    let mut trace: Vec<KernelDesc> = Vec::new();
+    let out = PlanRuntime::new().run_lstm(&plan, net, xs, &mut trace);
+    (plan, out, trace)
 }
 
 #[test]
@@ -40,22 +53,19 @@ fn zero_threshold_configs_are_bit_exact() {
             .drs(DrsConfig::disabled())
             .build(),
     ] {
-        let run = OptimizedExecutor::new(&net, &predictors, config)
-            .run(&xs)
-            .unwrap();
-        assert_eq!(run.logits, exact.logits, "config {config:?} diverged");
+        let (_, out, _) = run_once(&net, &predictors, config, &xs);
+        assert_eq!(out.logits, exact.logits, "config {config:?} diverged");
     }
 }
 
 #[test]
 fn baseline_executor_is_bit_exact() {
     let (net, xs, _) = setup();
-    let run = BaselineExecutor::new(&net).run(&xs);
+    let plan = ExecutionPlan::compile_baseline(&net, xs.len(), &DeviceModel::default_preset());
+    let out = PlanRuntime::new().run_lstm(&plan, &net, &xs, &mut lstm::plan::NullSink);
     let exact = net.forward(&xs);
-    assert_eq!(run.logits, exact.logits);
-    for (layer_run, exact_hs) in run.layers.iter().zip(&exact.layer_outputs) {
-        assert_eq!(&layer_run.hs, exact_hs);
-    }
+    assert_eq!(out.logits, exact.logits);
+    assert_eq!(out.layer_hs, exact.layer_outputs);
 }
 
 #[test]
@@ -82,17 +92,15 @@ fn every_trace_reads_weights_from_declared_regions() {
             .build(),
     ];
     for config in configs {
-        let run = OptimizedExecutor::new(&net, &predictors, config)
-            .run(&xs)
-            .unwrap();
-        let weight_regions: std::collections::HashSet<_> = run
+        let (plan, _, trace) = run_once(&net, &predictors, config, &xs);
+        let weight_regions: std::collections::HashSet<_> = plan
             .regions
             .layers
             .iter()
             .flat_map(|l| [l.u_full, l.u_o, l.u_fic, l.w])
             .collect();
         // Every matrix kernel must read at least one declared weight region.
-        for kernel in run.trace() {
+        for kernel in &trace {
             if matches!(kernel.kind, KernelKind::Sgemv | KernelKind::Sgemm) {
                 assert!(
                     kernel
@@ -115,12 +123,10 @@ fn optimized_outputs_cover_every_timestep_once() {
             .alpha_inter(alpha)
             .max_tissue_size(3)
             .build();
-        let run = OptimizedExecutor::new(&net, &predictors, config)
-            .run(&xs)
-            .unwrap();
-        for layer in &run.layers {
-            assert_eq!(layer.hs.len(), xs.len());
-            for h in &layer.hs {
+        let (_, out, _) = run_once(&net, &predictors, config, &xs);
+        for hs in &out.layer_hs {
+            assert_eq!(hs.len(), xs.len());
+            for h in hs {
                 assert_eq!(h.len(), 48);
                 assert!(h.max_abs() <= 1.0, "h escaped the LSTM output range");
             }
@@ -139,25 +145,28 @@ fn determinism_across_runs() {
             mode: DrsMode::Hardware,
         })
         .build();
-    let exec = OptimizedExecutor::new(&net, &predictors, config);
-    let a = exec.run(&xs).unwrap();
-    let b = exec.run(&xs).unwrap();
-    assert_eq!(a.logits, b.logits);
-    assert_eq!(a.trace().count(), b.trace().count());
+    let (plan_a, a, trace_a) = run_once(&net, &predictors, config, &xs);
+    let (plan_b, b, trace_b) = run_once(&net, &predictors, config, &xs);
+    assert_eq!(plan_a, plan_b);
+    assert_eq!(a, b);
+    assert_eq!(trace_a, trace_b);
 }
 
 mod plan_properties {
-    //! Property tests for the plan/runtime split: the optimized executor
-    //! is required to be a thin wrapper over `ExecutionPlan` +
-    //! `PlanRuntime`, so explicitly compiling a plan and streaming through
-    //! a runtime must reproduce it bit-for-bit — numerics, kernel stream,
-    //! and priced time/energy alike — for all four LSTM flows; the GRU
-    //! plans must replay identically on a reused runtime.
+    //! Property tests for the plan/runtime split: every flow — the
+    //! baseline, the inter / intra / combined optimized flows and the
+    //! zero-pruning flow — is a compiled plan on one `PlanRuntime`, so
+    //! streamed pricing must equal pricing the collected stream, reruns
+    //! on a warm runtime must change nothing, and probe-independent plans
+    //! must be reusable across inputs; the GRU plans must replay
+    //! identically on a reused runtime.
 
     use super::*;
-    use gpu_sim::{DeviceModel, GpuConfig, GpuDevice, KernelDesc};
-    use lstm::{ExecutionPlan, GruNetwork, PlanRuntime};
+    use gpu_sim::{GpuConfig, GpuDevice};
+    use lstm::GruNetwork;
     use memlstm::compile_gru_drs;
+    use memlstm::exec::OptRunStats;
+    use memlstm::pruning::ZeroPruning;
     use proptest::prelude::*;
 
     fn small_setup(seed: u64) -> (LstmNetwork, Vec<Vector>, NetworkPredictors) {
@@ -175,13 +184,14 @@ mod plan_properties {
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(10))]
 
-        /// For each of the inter / intra / combined flows: the facade's
-        /// run must equal an explicit compile + execute, and a streamed
-        /// incremental pricing of a second execution on the *same* runtime
-        /// must equal batch-pricing the facade's trace (proving both the
-        /// sink path and the runtime's statelessness across runs).
+        /// For each flow: streaming a second execution on the *same*
+        /// runtime into a `TraceSession` must price exactly like
+        /// `run_trace` over the first execution's collected stream, and
+        /// the two executions must agree on numerics and run statistics
+        /// (proving both the sink path and the runtime's statelessness
+        /// across runs).
         #[test]
-        fn facade_flows_equal_explicit_plan_execution(
+        fn streamed_pricing_equals_collected_pricing_for_every_flow(
             seed in 0u64..16,
             alpha_inter in 0.0f64..40.0,
             alpha_intra in 0.005f32..0.4,
@@ -189,51 +199,50 @@ mod plan_properties {
             mode_hw in any::<bool>(),
         ) {
             let (net, xs, predictors) = small_setup(seed);
+            let device = DeviceModel::tegra_x1();
             let mode = if mode_hw { DrsMode::Hardware } else { DrsMode::Software };
             let drs = DrsConfig { alpha_intra, mode };
-            for config in [
-                OptimizerConfig::builder().alpha_inter(alpha_inter).max_tissue_size(mts).build(),
-                OptimizerConfig::builder().drs(drs).build(),
-                OptimizerConfig::builder().alpha_inter(alpha_inter).max_tissue_size(mts).drs(drs).build(),
+            let zp = ZeroPruning::calibrate(&net, 0.37).unwrap();
+            let pruned = zp.prune_network(&net);
+            let mut flows = vec![
+                ("baseline", ExecutionPlan::compile_baseline(&net, xs.len(), &device), &net),
+                ("zero-pruning", zp.compile(&net, xs.len(), &device).unwrap(), &pruned),
+            ];
+            for (name, config) in [
+                ("inter", OptimizerConfig::builder().alpha_inter(alpha_inter).max_tissue_size(mts).build()),
+                ("intra", OptimizerConfig::builder().drs(drs).build()),
+                ("combined", OptimizerConfig::builder().alpha_inter(alpha_inter).max_tissue_size(mts).drs(drs).build()),
             ] {
-                let exec = OptimizedExecutor::new(&net, &predictors, config);
-                let (run, stats) = exec.run_detailed(&xs).unwrap();
-
-                let plan = exec.plan_probes(std::slice::from_ref(&xs));
+                let plan = OptimizedExecutor::new(&net, &predictors, config)
+                    .plan_probes(std::slice::from_ref(&xs));
+                flows.push((name, plan, &net));
+            }
+            for (name, plan, exec_net) in &flows {
                 let mut runtime = PlanRuntime::new();
                 let mut trace: Vec<KernelDesc> = Vec::new();
-                let out = runtime.run_lstm(&plan, &net, &xs, &mut trace);
-                prop_assert_eq!(&out.logits, &run.logits, "numerics diverged: {:?}", config);
-                prop_assert_eq!(
-                    &trace,
-                    &run.trace().cloned().collect::<Vec<_>>(),
-                    "kernel stream diverged: {:?}",
-                    config
-                );
-                prop_assert_eq!(
-                    memlstm::exec::OptRunStats::from_plan_run(&plan, &out),
-                    stats,
-                    "stats diverged: {:?}",
-                    config
-                );
+                let out = runtime.run_lstm(plan, exec_net, &xs, &mut trace);
+                let collected = GpuDevice::new(GpuConfig::tegra_x1()).run_trace(&trace);
 
-                // Priced equality: stream kernels into the device as the
-                // runtime emits them vs. batch-pricing the facade's trace.
-                let mut batch_dev = GpuDevice::new(GpuConfig::tegra_x1());
-                let batch = batch_dev.run_trace(run.trace());
                 let mut stream_dev = GpuDevice::new(GpuConfig::tegra_x1());
                 let mut session = stream_dev.begin_trace();
-                let out2 = runtime.run_lstm(&plan, &net, &xs, &mut session);
-                prop_assert_eq!(session.finish(), batch, "pricing diverged: {:?}", config);
-                prop_assert_eq!(out2.logits, out.logits, "runtime is not stateless");
+                let out2 = runtime.run_lstm(plan, exec_net, &xs, &mut session);
+                prop_assert_eq!(session.finish(), collected, "pricing diverged: {}", name);
+                prop_assert_eq!(&out2, &out, "runtime is not stateless: {}", name);
+                prop_assert_eq!(
+                    OptRunStats::from_plan_run(plan, &out2),
+                    OptRunStats::from_plan_run(plan, &out),
+                    "stats diverged: {}",
+                    name
+                );
             }
         }
 
         /// Probe-independent plans (baseline and intra-only DRS) may be
-        /// compiled once and reused across many inputs: each execution
-        /// must match a fresh facade run on that input.
+        /// compiled once and reused across many inputs: each execution on
+        /// the shared runtime must match a fresh compile for that input
+        /// run on a fresh runtime.
         #[test]
-        fn plan_reuse_across_inputs_matches_per_input_facades(
+        fn plan_reuse_across_inputs_matches_per_input_compiles(
             seed in 0u64..16,
             alpha_intra in 0.005f32..0.4,
             mode_hw in any::<bool>(),
@@ -250,14 +259,13 @@ mod plan_properties {
                 let input = lstm::random_inputs(net.config(), &mut rng);
                 let mut trace: Vec<KernelDesc> = Vec::new();
                 let out = runtime.run_lstm(&plan, &net, &input, &mut trace);
-                let (run, _) = exec.run_detailed(&input).unwrap();
-                prop_assert_eq!(&out.logits, &run.logits);
-                prop_assert_eq!(trace, run.trace().cloned().collect::<Vec<_>>());
+                let (_, fresh, fresh_trace) = run_once(&net, &predictors, config, &input);
+                prop_assert_eq!(&out.logits, &fresh.logits);
+                prop_assert_eq!(trace, fresh_trace);
 
                 let base_out =
                     runtime.run_lstm(&base_plan, &net, &input, &mut lstm::plan::NullSink);
-                let base_run = BaselineExecutor::new(&net).run(&input);
-                prop_assert_eq!(base_out.logits, base_run.logits);
+                prop_assert_eq!(base_out.logits, net.forward(&input).logits);
             }
         }
 
