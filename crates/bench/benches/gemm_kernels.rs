@@ -1,8 +1,9 @@
 //! Kernel-level comparison of the GEMM/GEMV paths:
 //!
 //! * dense SGEMV — the naive rowwise reference (`tensor::gemm::sgemv`)
-//!   versus the packed row-panel kernel (`PackedMatrix::gemv`), with the
-//!   pack done once outside the timing loop exactly as plans cache it;
+//!   versus the packed row-panel kernel (a one-gate `FusedGates` slab's
+//!   `gate_gemv_into` into a fresh vector, as `sgemv` returns one), with
+//!   the pack done once outside the timing loop exactly as plans cache it;
 //! * masked SGEMV — the naive row-skipping reference
 //!   (`sgemv_masked_reference`) versus the gather-based skip-list kernel
 //!   (`sgemv_masked`) at paper-realistic skip ratios;
@@ -19,7 +20,7 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
 use tensor::gemm::{sgemv, sgemv_masked, sgemv_masked_reference};
-use tensor::{FusedGates, Matrix, PackedMatrix, Vector};
+use tensor::{FusedGates, Matrix, Precision, Vector};
 
 /// `(rows, cols)` of the dense comparisons: recurrent `H x H` blocks at
 /// the paper's hidden sizes plus the stacked `4H x H` gate projection.
@@ -51,6 +52,18 @@ fn test_vector(len: usize) -> Vector {
     Vector::from_fn(len, |i| ((i * 17) % 11) as f32 * 0.091 - 0.45)
 }
 
+/// `a` alone as a one-gate fp32 slab: the packed form of one matrix.
+fn pack_one(a: &Matrix) -> FusedGates {
+    FusedGates::pack(&[a], Precision::Fp32)
+}
+
+/// The packed product `a * x` into a fresh vector, like `sgemv`.
+fn packed_gemv(packed: &FusedGates, x: &Vector) -> Vector {
+    let mut y = Vector::zeros(packed.rows());
+    packed.gate_gemv_into(0, x.as_slice(), y.as_mut_slice());
+    y
+}
+
 /// A deterministic skip list keeping roughly `1 - skip_ratio` of rows.
 fn skip_mask(rows: usize, skip_ratio: f64) -> Vec<bool> {
     let period = 20usize;
@@ -64,9 +77,9 @@ fn bench_dense(c: &mut Criterion) {
     for &(rows, cols) in &DENSE_SHAPES {
         let a = test_matrix(rows, cols);
         let x = test_vector(cols);
-        let packed = PackedMatrix::pack(&a);
+        let packed = pack_one(&a);
         // The two paths must agree bitwise before we time them.
-        assert_eq!(sgemv(&a, &x).as_slice(), packed.gemv(&x).as_slice());
+        assert_eq!(sgemv(&a, &x), packed_gemv(&packed, &x));
         group.bench_with_input(
             BenchmarkId::new("naive", format!("{rows}x{cols}")),
             &(),
@@ -75,17 +88,18 @@ fn bench_dense(c: &mut Criterion) {
         group.bench_with_input(
             BenchmarkId::new("packed", format!("{rows}x{cols}")),
             &(),
-            |b, _| b.iter(|| black_box(packed.gemv(&x))),
+            |b, _| b.iter(|| black_box(packed_gemv(&packed, &x))),
         );
     }
     group.finish();
 }
 
 /// The four `H x H` gate matrices of one fused comparison, plus their
-/// individually packed forms and the fused slab. Both sides use the same
-/// packed panel micro-kernel and write into caller-owned buffers: the
-/// fused win is one pass over `h` and panel-pair ILP, not allocation.
-fn fused_setup(h: usize) -> (FusedGates, Vec<PackedMatrix>, Vector) {
+/// individually packed one-gate slabs and the fused slab. Both sides use
+/// the same packed panel micro-kernel and write into caller-owned
+/// buffers: the fused win is one pass over `h` and panel-pair ILP, not
+/// allocation.
+fn fused_setup(h: usize) -> (FusedGates, Vec<FusedGates>, Vector) {
     let mats: Vec<Matrix> = (0..4)
         .map(|g| {
             Matrix::from_fn(h, h, |r, c| {
@@ -94,8 +108,8 @@ fn fused_setup(h: usize) -> (FusedGates, Vec<PackedMatrix>, Vector) {
         })
         .collect();
     let refs: Vec<&Matrix> = mats.iter().collect();
-    let fused = FusedGates::pack(&refs);
-    let singles: Vec<PackedMatrix> = mats.iter().map(PackedMatrix::pack).collect();
+    let fused = FusedGates::pack(&refs, Precision::Fp32);
+    let singles: Vec<FusedGates> = mats.iter().map(pack_one).collect();
     (fused, singles, test_vector(h))
 }
 
@@ -110,7 +124,7 @@ fn bench_fused(c: &mut Criterion) {
         // launches before we time either side.
         fused.gemv_into(x.as_slice(), &mut slab);
         for (g, p) in singles.iter().enumerate() {
-            p.gemv_into(x.as_slice(), &mut unfused[g * h..(g + 1) * h]);
+            p.gate_gemv_into(0, x.as_slice(), &mut unfused[g * h..(g + 1) * h]);
         }
         assert_eq!(slab, unfused);
         group.bench_with_input(
@@ -119,7 +133,7 @@ fn bench_fused(c: &mut Criterion) {
             |b, _| {
                 b.iter(|| {
                     for (g, p) in singles.iter().enumerate() {
-                        p.gemv_into(x.as_slice(), &mut unfused[g * h..(g + 1) * h]);
+                        p.gate_gemv_into(0, x.as_slice(), &mut unfused[g * h..(g + 1) * h]);
                     }
                     black_box(&mut unfused);
                 })
@@ -238,12 +252,12 @@ fn emit_json() {
     for &(rows, cols) in &DENSE_SHAPES {
         let a = test_matrix(rows, cols);
         let x = test_vector(cols);
-        let packed = PackedMatrix::pack(&a);
+        let packed = pack_one(&a);
         let naive_s = median_s(REPS, ITERS, &|| {
             black_box(sgemv(&a, &x));
         });
         let packed_s = median_s(REPS, ITERS, &|| {
-            black_box(packed.gemv(&x));
+            black_box(packed_gemv(&packed, &x));
         });
         dense.push(format!(
             "    {{\"rows\": {rows}, \"cols\": {cols}, \"naive_s\": {naive_s:.9}, \
@@ -259,7 +273,7 @@ fn emit_json() {
         let per_gate_s = median_s(REPS, ITERS, &|| {
             let mut slab = slab.borrow_mut();
             for (g, p) in singles.iter().enumerate() {
-                p.gemv_into(x.as_slice(), &mut slab[g * h..(g + 1) * h]);
+                p.gate_gemv_into(0, x.as_slice(), &mut slab[g * h..(g + 1) * h]);
             }
             black_box(&mut *slab);
         });

@@ -14,16 +14,21 @@
 //!   scheme), exercising the masked-kernel and tissue-slot scratch;
 //! * `gru_baseline` — the three-gate GRU plan;
 //! * `batch8_serve` — eight sequences in lockstep through the same
-//!   runtime, the serve engine's gang path.
+//!   runtime, the serve engine's gang path;
+//! * `int8_batch8_serve` — the same gang on the plan re-priced to int8
+//!   weights, so the dequantize-on-load kernels (and the lazily packed
+//!   int8 slabs) run.
 //!
-//! Results go to `BENCH_alloc.json` at the repo root. With `--check` the
-//! process instead exits non-zero if any steady-state run allocates —
-//! the CI regression guard for the zero-allocation contract.
+//! A plain run writes `BENCH_alloc.json` at the repo root, the committed
+//! baseline. With `--check` the results go to `target/bench/` instead,
+//! so a check on an allocating build cannot overwrite the baseline, and
+//! the process exits non-zero if any steady-state run allocates — the
+//! CI regression guard for the zero-allocation contract.
 //!
 //! Built behind the `alloc_audit` feature so the counting allocator never
 //! rides along in ordinary benchmark builds.
 
-use bench_harness::cli::Cli;
+use bench_harness::cli::{output_path, Cli};
 use lstm::plan::{ExecutionPlan, NullSink, PlanOutput, PlanRuntime};
 use lstm::{gru_exec::GruNetwork, LstmNetwork, ModelConfig};
 use memlstm::drs::{DrsConfig, DrsMode};
@@ -32,7 +37,7 @@ use memlstm::prediction::NetworkPredictors;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 use tensor::init::seeded_rng;
-use tensor::Vector;
+use tensor::{Precision, Vector};
 
 /// [`System`] with an allocation counter. Only `alloc`/`realloc` count:
 /// the contract under audit is "no new heap memory per steady-state
@@ -94,7 +99,7 @@ fn audit(path: &'static str, seq_len: usize, run: impl FnMut()) -> Audit {
         allocs_per_step: steady_allocs as f64 / (STEADY_RUNS as f64 * seq_len as f64),
     };
     println!(
-        "{:>14}: {} allocs over {} steady runs x {} steps ({:.4}/step)",
+        "{:>17}: {} allocs over {} steady runs x {} steps ({:.4}/step)",
         audit.path,
         audit.steady_allocs,
         STEADY_RUNS,
@@ -168,6 +173,16 @@ fn main() {
         }));
     }
 
+    {
+        let plan = ExecutionPlan::compile_baseline(&net, xs.len(), &device)
+            .with_precision(Precision::Int8);
+        let mut runtime = PlanRuntime::new();
+        let mut outs = Vec::new();
+        audits.push(audit("int8_batch8_serve", xs.len(), || {
+            runtime.run_lstm_batch_into(&plan, &net, &seqs, &mut NullSink, &mut outs);
+        }));
+    }
+
     let rows: Vec<String> = audits
         .iter()
         .map(|a| {
@@ -184,9 +199,9 @@ fn main() {
          steady-state inference paths; the contract is zero\",\n  \"paths\": [\n{}\n  ]\n}}\n",
         rows.join(",\n")
     );
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_alloc.json");
-    std::fs::write(path, &json).expect("write BENCH_alloc.json");
-    println!("wrote {path}");
+    let path = output_path("BENCH_alloc.json", check);
+    std::fs::write(&path, &json).expect("write BENCH_alloc.json");
+    println!("wrote {}", path.display());
 
     if check {
         let dirty: Vec<&str> = audits

@@ -3,7 +3,7 @@
 use rand::Rng;
 use std::sync::OnceLock;
 use tensor::init::{xavier_uniform, GateBiasInit, RowScaledInit};
-use tensor::{tanh, Activation, FusedGates, Matrix, Precision, QuantizedGates, Vector};
+use tensor::{tanh, Activation, FusedGates, Matrix, Precision, Vector};
 
 /// One vector per LSTM gate, in the paper's `f, i, c, o` order.
 ///
@@ -96,102 +96,19 @@ impl Clone for CellWeights {
     }
 }
 
-/// One packed gate quartet at a chosen storage precision: the exact fp32
-/// row-panel slab ([`FusedGates`]) or its quantized twin
-/// ([`QuantizedGates`], fp16/int8 with dequantize-on-load kernels). Both
-/// share the panel layout and accumulation order, so every forwarding
-/// method below is bit-identical to the fp32 kernel run on the
-/// dequantized ([`Precision::apply`]) weights.
-#[derive(Debug, Clone)]
-pub(crate) enum GateSlab {
-    /// Full-precision fused panels.
-    Exact(FusedGates),
-    /// fp16/int8 panels, dequantized as they stream through the kernel.
-    Quant(QuantizedGates),
-}
-
-impl GateSlab {
-    /// Packs the gate quartet at `precision`.
-    pub(crate) fn pack(mats: &[&Matrix], precision: Precision) -> Self {
-        match precision {
-            Precision::Fp32 => GateSlab::Exact(FusedGates::pack(mats)),
-            _ => GateSlab::Quant(QuantizedGates::pack(mats, precision)),
-        }
-    }
-
-    /// Fused GEMV over every gate: `out` is the stacked gate results.
-    pub(crate) fn gemv_into(&self, x: &[f32], out: &mut [f32]) {
-        match self {
-            GateSlab::Exact(f) => f.gemv_into(x, out),
-            GateSlab::Quant(q) => q.gemv_into(x, out),
-        }
-    }
-
-    /// GEMV of one gate's matrix only.
-    pub(crate) fn gate_gemv_into(&self, g: usize, x: &[f32], out: &mut [f32]) {
-        match self {
-            GateSlab::Exact(f) => f.gate_gemv_into(g, x, out),
-            GateSlab::Quant(q) => q.gate_gemv_into(g, x, out),
-        }
-    }
-
-    /// GEMM-shaped batch GEMV of one gate over many input columns.
-    pub(crate) fn gate_gemv_batch_with(
-        &self,
-        g: usize,
-        xs: &[Vector],
-        write: impl FnMut(usize, usize, &[f32]),
-    ) {
-        match self {
-            GateSlab::Exact(f) => f.gate_gemv_batch_with(g, xs, write),
-            GateSlab::Quant(q) => q.gate_gemv_batch_with(g, xs, write),
-        }
-    }
-
-    /// Row-masked GEMV over the first `ngates` gates under one shared mask.
-    pub(crate) fn gemv_masked_prefix_into(
-        &self,
-        ngates: usize,
-        x: &[f32],
-        active: &[bool],
-        skipped_value: f32,
-        out: &mut [f32],
-    ) {
-        match self {
-            GateSlab::Exact(f) => f.gemv_masked_prefix_into(ngates, x, active, skipped_value, out),
-            GateSlab::Quant(q) => q.gemv_masked_prefix_into(ngates, x, active, skipped_value, out),
-        }
-    }
-
-    /// Row-masked GEMV of one gate.
-    pub(crate) fn gate_gemv_masked_into(
-        &self,
-        g: usize,
-        x: &[f32],
-        active: &[bool],
-        skipped_value: f32,
-        out: &mut [f32],
-    ) {
-        match self {
-            GateSlab::Exact(f) => f.gate_gemv_masked_into(g, x, active, skipped_value, out),
-            GateSlab::Quant(q) => q.gate_gemv_masked_into(g, x, active, skipped_value, out),
-        }
-    }
-}
-
-/// Fused row-panel packed copies of the gate matrices (see
-/// [`tensor::fused`]): the `W_{f,i,c,o}` quartet in one slab and the
-/// `U_{f,i,c,o}` quartet in another, each applied with a single fused
-/// GEMV per step instead of four. Built lazily by
+/// Fused row-panel packed copies of the gate matrices at one storage
+/// precision (see [`tensor::fused`]): the `W_{f,i,c,o}` quartet in one
+/// slab and the `U_{f,i,c,o}` quartet in another, each applied with a
+/// single fused GEMV per step instead of four. Built lazily by
 /// [`CellWeights::fused_at`]; gate order is `f, i, c, o` (so the masked
 /// DRS step can run the `f, i, c` prefix under one shared row mask and
 /// [`CellWeights::output_gate`] addresses gate `3`).
 #[derive(Debug, Clone)]
 struct FusedCellWeights {
     /// `W_f / W_i / W_c / W_o` (`hidden x input` each).
-    w: GateSlab,
+    w: FusedGates,
     /// `U_f / U_i / U_c / U_o` (`hidden x hidden` each).
-    u: GateSlab,
+    u: FusedGates,
 }
 
 /// Gate indices inside the fused `f, i, c, o` packs.
@@ -340,8 +257,8 @@ impl CellWeights {
     /// first use per tier and reused for the lifetime of the cell.
     fn fused_at(&self, precision: Precision) -> &FusedCellWeights {
         self.packed[precision as usize].get_or_init(|| FusedCellWeights {
-            w: GateSlab::pack(&[&self.w.f, &self.w.i, &self.w.c, &self.w.o], precision),
-            u: GateSlab::pack(&[&self.u.f, &self.u.i, &self.u.c, &self.u.o], precision),
+            w: FusedGates::pack(&[&self.w.f, &self.w.i, &self.w.c, &self.w.o], precision),
+            u: FusedGates::pack(&[&self.u.f, &self.u.i, &self.u.c, &self.u.o], precision),
         })
     }
 

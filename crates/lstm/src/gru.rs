@@ -7,11 +7,10 @@
 //! update gate `z_t` is near zero keeps its previous hidden value, so the
 //! candidate-state rows for those units can be skipped.
 
-use crate::cell::GateSlab;
 use rand::Rng;
 use std::sync::OnceLock;
 use tensor::init::{GateBiasInit, RowScaledInit};
-use tensor::{sigmoid, tanh, Matrix, Precision, Vector};
+use tensor::{sigmoid, tanh, FusedGates, Matrix, Precision, Vector};
 
 /// Gate indices inside the fused `r, z, h` packs.
 const GATE_R: usize = 0;
@@ -57,8 +56,8 @@ pub struct GruWeights {
 /// storage precision.
 #[derive(Debug, Clone)]
 struct FusedGruWeights {
-    w: GateSlab,
-    u: GateSlab,
+    w: FusedGates,
+    u: FusedGates,
 }
 
 impl Clone for GruWeights {
@@ -156,8 +155,8 @@ impl GruWeights {
     /// The packed gate slabs at `precision`, built on first use per tier.
     fn fused_at(&self, precision: Precision) -> &FusedGruWeights {
         self.packed[precision as usize].get_or_init(|| FusedGruWeights {
-            w: GateSlab::pack(&[&self.w_r, &self.w_z, &self.w_h], precision),
-            u: GateSlab::pack(&[&self.u_r, &self.u_z, &self.u_h], precision),
+            w: FusedGates::pack(&[&self.w_r, &self.w_z, &self.w_h], precision),
+            u: FusedGates::pack(&[&self.u_r, &self.u_z, &self.u_h], precision),
         })
     }
 

@@ -10,7 +10,7 @@
 //! `sgemv_masked_gather`) and demand `to_bits()` equality — not
 //! approximate closeness — across random weights, inputs, and DRS masks.
 
-use lstm::cell::CellWeights;
+use lstm::cell::{CellWeights, GatePreacts};
 use lstm::gru::GruWeights;
 use proptest::prelude::*;
 use tensor::gemm::sgemv;
@@ -54,9 +54,13 @@ proptest! {
     }
 
     /// The batched GEMM-shaped `W·x` path == the single-column path,
-    /// column by column.
+    /// column by column, at every storage precision.
     #[test]
-    fn lstm_batched_wx_matches_single_columns(seed in 0u64..500, n in 1usize..5) {
+    fn lstm_batched_wx_matches_single_columns(
+        seed in 0u64..500,
+        n in 1usize..5,
+        p in (0usize..Precision::ALL.len()).prop_map(|t| Precision::ALL[t]),
+    ) {
         let cell = CellWeights::random(INPUT, HIDDEN, &mut seeded_rng(seed));
         let mut rng = seeded_rng(seed ^ 0x5a5a);
         use rand::Rng;
@@ -64,9 +68,10 @@ proptest! {
             .map(|_| Vector::from_fn(INPUT, |_| rng.gen_range(-1.0f32..1.0)))
             .collect();
         let mut batch = Vec::new();
-        cell.precompute_wx_batch_into(Precision::Fp32, &xs, &mut batch);
+        cell.precompute_wx_batch_into(p, &xs, &mut batch);
+        let mut single = GatePreacts::zeros(HIDDEN);
         for (x, got) in xs.iter().zip(&batch) {
-            let single = cell.precompute_wx(x);
+            cell.precompute_wx_into(p, x, &mut single);
             assert_bits_eq(got.f.as_slice(), single.f.as_slice(), "batch f")?;
             assert_bits_eq(got.i.as_slice(), single.i.as_slice(), "batch i")?;
             assert_bits_eq(got.c.as_slice(), single.c.as_slice(), "batch c")?;

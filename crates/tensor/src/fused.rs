@@ -1,14 +1,15 @@
-//! Fused multi-gate packed kernels: all of a cell's gate matrices in
-//! one weight slab, applied with one pass over the input.
+//! The packed gate slab: all of a cell's gate matrices in one weight
+//! slab, at any storage precision, applied with one pass over the input.
 //!
 //! An LSTM step multiplies the *same* vector by four equally-shaped
 //! matrices (W_f/W_i/W_c/W_o against `x_t`, then U_f/U_i/U_c/U_o
-//! against `h_{t-1}`); a GRU does the same with three. Keeping the four
-//! as separate [`PackedMatrix`](crate::PackedMatrix) packs re-streams
-//! `x` once per gate and launches four kernels where one suffices —
-//! exactly the waste Appleyard et al. eliminate by concatenating the
-//! gate matrices into one tall GEMM operand. [`FusedGates`] is that
-//! concatenation for the packed row-panel layout.
+//! against `h_{t-1}`); a GRU does the same with three. Packing the four
+//! separately re-streams `x` once per gate and launches four kernels
+//! where one suffices — exactly the waste Appleyard et al. eliminate by
+//! concatenating the gate matrices into one tall GEMM operand.
+//! [`FusedGates`] is that concatenation for the row-panel layout of
+//! [`crate::packed`], and the crate's only packed weight type: a
+//! one-gate slab is a single packed matrix.
 //!
 //! ## Layout: gate-major, panel-aligned
 //!
@@ -22,29 +23,41 @@
 //! packing that gate alone, which is what makes the bit-exactness
 //! argument below a one-liner.
 //!
+//! ## Storage precision
+//!
+//! The panels store `f32` weights, IEEE binary16 bits, or int8 codes
+//! with one `f32` scale per row, as chosen by the [`Precision`] passed
+//! to [`FusedGates::pack`]; the layout is the same for all three. Every
+//! product reaches the weights through one per-panel dispatch on the
+//! storage, which runs `panel_gemv` or the dequantize-on-load
+//! `panel_gemv_f16` / `panel_gemv_i8` of [`crate::quant`]. The one
+//! exception is the fp32 dense product, which runs panels in pairs
+//! through `panel_pair_gemv`: that kernel has `panel_gemv`'s per-row
+//! order, and each broadcast of `x[k]` feeds twice the accumulators. The
+//! quantized tiers keep single panels, because paired int8 panels
+//! measured no faster. Every panel kernel has a portable and an AVX build
+//! from one body (see [`crate::packed`]).
+//!
 //! ## Bit-exactness
 //!
-//! Every kernel here reuses `panel_gemv`, the same micro-kernel behind
-//! `PackedMatrix::gemv`, and each output row is an independent SIMD lane
-//! with its own accumulators. Fusing changes only *which rows ride in
+//! Each output row is an independent SIMD lane with its own
+//! accumulators, and every kernel accumulates in the association order
+//! of [`crate::gemm::sgemv`]. Fusing changes only *which rows ride in
 //! one pass over `x`* — a regrouping of rows, never of any row's sum —
-//! so gate `g`'s section of a fused product is bit-identical to
-//! `PackedMatrix::pack(&mats[g]).gemv(&x)`. The property tests pin this
-//! for dense, batched, and masked paths.
-//!
-//! The dense product runs panels in pairs through `panel_pair_gemv`,
-//! which has `panel_gemv`'s per-row order and, like every panel kernel,
-//! a portable and an AVX build from one body (see [`crate::packed`]).
-//! The masked products run `panel_gemv` in place on the stored panels
-//! that hold an active row, skip the others, and write back only the
-//! active lanes — the same per-row sums as the dense product.
+//! so gate `g`'s section of any product is bit-identical to `sgemv` on
+//! gate `g`'s matrix, dequantized by [`Precision::apply`] for the
+//! quantized tiers. The masked products run the same kernels in place
+//! on the stored panels that hold an active row, skip the others, and
+//! write back only the active lanes. The property tests pin this for
+//! the dense, batched and masked paths at every tier.
 
 use crate::matrix::Matrix;
 use crate::packed::{masked_panels_into, panel_gemv, simd_kernel, MR};
+use crate::quant::{f32_to_f16_bits, panel_gemv_f16, panel_gemv_i8, quantize_row_i8, Precision};
 use crate::vector::Vector;
 
 /// Several equally-shaped gate matrices packed into one gate-major slab
-/// of [`MR`]-row column-interleaved panels.
+/// of [`MR`]-row column-interleaved panels at one storage precision.
 ///
 /// See the module docs for the layout and the bit-exactness contract.
 #[derive(Debug, Clone, PartialEq)]
@@ -52,18 +65,32 @@ pub struct FusedGates {
     gates: usize,
     rows: usize,
     cols: usize,
-    /// `gates * ceil(rows / MR)` panels of `MR * cols` values; gate `g`
+    /// `gates * ceil(rows / MR)` panels of `MR * cols` elements; gate `g`
     /// occupies panels `[g * ppg, (g + 1) * ppg)`. Lanes past each
     /// gate's last row are zero padding.
-    data: Vec<f32>,
+    panels: Panels,
+}
+
+/// The panel elements of a [`FusedGates`] slab, one variant per
+/// [`Precision`].
+#[derive(Debug, Clone, PartialEq)]
+enum Panels {
+    F32(Vec<f32>),
+    F16(Vec<u16>),
+    I8 {
+        codes: Vec<i8>,
+        /// `scales[g * rows + r]` — per-row symmetric scales.
+        scales: Vec<f32>,
+    },
 }
 
 impl FusedGates {
-    /// Packs the gate matrices into one fused slab. One pass over each.
+    /// Packs the gate matrices into one slab stored at `precision`. One
+    /// pass over each matrix.
     ///
     /// # Panics
     /// Panics if `mats` is empty or the shapes differ.
-    pub fn pack(mats: &[&Matrix]) -> Self {
+    pub fn pack(mats: &[&Matrix], precision: Precision) -> Self {
         assert!(!mats.is_empty(), "FusedGates::pack: no gate matrices");
         let (rows, cols) = mats[0].shape();
         for (g, m) in mats.iter().enumerate() {
@@ -74,15 +101,40 @@ impl FusedGates {
             );
         }
         let ppg = rows.div_ceil(MR);
-        let mut data = vec![0.0f32; mats.len() * ppg * MR * cols];
+        let len = mats.len() * ppg * MR * cols;
+        let mut panels = match precision {
+            Precision::Fp32 => Panels::F32(vec![0.0; len]),
+            Precision::Fp16 => Panels::F16(vec![0; len]),
+            Precision::Int8 => Panels::I8 {
+                codes: vec![0; len],
+                scales: vec![0.0; mats.len() * rows],
+            },
+        };
+        let mut row_codes = Vec::new();
         for (g, m) in mats.iter().enumerate() {
-            let gate_base = g * ppg * MR * cols;
-            for p in 0..ppg {
-                let base = gate_base + p * MR * cols;
-                for lane in 0..MR.min(rows - p * MR) {
-                    let row = m.row(p * MR + lane);
-                    for (k, &v) in row.iter().enumerate() {
-                        data[base + k * MR + lane] = v;
+            for r in 0..rows {
+                // Row `r` is lane `r % MR` of the gate's panel `r / MR`;
+                // its column `k` sits `k * MR` elements past `first`.
+                let first = (g * ppg + r / MR) * MR * cols + r % MR;
+                let row = m.row(r);
+                match &mut panels {
+                    Panels::F32(data) => {
+                        for (slot, &v) in data.iter_mut().skip(first).step_by(MR).zip(row) {
+                            *slot = v;
+                        }
+                    }
+                    Panels::F16(data) => {
+                        for (slot, &v) in data.iter_mut().skip(first).step_by(MR).zip(row) {
+                            *slot = f32_to_f16_bits(v);
+                        }
+                    }
+                    Panels::I8 { codes, scales } => {
+                        scales[g * rows + r] = quantize_row_i8(row, &mut row_codes);
+                        for (slot, &code) in
+                            codes.iter_mut().skip(first).step_by(MR).zip(&row_codes)
+                        {
+                            *slot = code;
+                        }
                     }
                 }
             }
@@ -91,7 +143,7 @@ impl FusedGates {
             gates: mats.len(),
             rows,
             cols,
-            data,
+            panels,
         }
     }
 
@@ -120,9 +172,29 @@ impl FusedGates {
         self.rows.div_ceil(MR)
     }
 
-    /// Borrows global panel `q` (`0 .. gates * ppg`).
-    fn panel(&self, q: usize) -> &[f32] {
-        &self.data[q * MR * self.cols..(q + 1) * MR * self.cols]
+    /// Row sums of global panel `q` (`0 .. gates * ppg`) through the
+    /// micro-kernel that matches the storage: the one panel dispatch
+    /// behind every product (the fp32 dense pair loop aside).
+    fn panel_sum(&self, q: usize, x: &[f32]) -> [f32; MR] {
+        let span = q * MR * self.cols..(q + 1) * MR * self.cols;
+        match &self.panels {
+            Panels::F32(data) => panel_gemv(&data[span], self.cols, x),
+            Panels::F16(data) => panel_gemv_f16(&data[span], self.cols, x),
+            Panels::I8 { codes, scales } => {
+                panel_gemv_i8(&codes[span], &self.lane_scales(scales, q), self.cols, x)
+            }
+        }
+    }
+
+    /// The [`MR`] per-lane int8 scales of global panel `q`; dead lanes
+    /// get 1.0 (their codes are 0, so the product stays 0).
+    fn lane_scales(&self, scales: &[f32], q: usize) -> [f32; MR] {
+        let ppg = self.ppg();
+        let (g, p) = (q / ppg, q % ppg);
+        let live = MR.min(self.rows - p * MR);
+        let mut out = [1.0f32; MR];
+        out[..live].copy_from_slice(&scales[g * self.rows + p * MR..][..live]);
+        out
     }
 
     /// Writes global panel `q`'s live lanes into the fused output slab.
@@ -138,10 +210,11 @@ impl FusedGates {
     /// every gate's pre-activations into `out`, laid out gate-major
     /// (`out[g * rows .. (g + 1) * rows]` is gate `g`).
     ///
-    /// Section `g` is bit-identical to `PackedMatrix::gemv` on gate `g`
-    /// alone. Internally panels are processed two at a time so each
-    /// broadcast of `x[k]` feeds twice the accumulators ([`MR`] rows per
-    /// panel) — more ILP per pass, same per-row association.
+    /// Section `g` is bit-identical to
+    /// [`gate_gemv_into`](Self::gate_gemv_into) on gate `g`. fp32 panels
+    /// run two at a time so each broadcast of `x[k]` feeds twice the
+    /// accumulators ([`MR`] rows per panel) — more ILP per pass, same
+    /// per-row association.
     ///
     /// # Panics
     /// Panics if `x.len() != cols` or `out.len() != gates * rows`.
@@ -154,21 +227,23 @@ impl FusedGates {
         );
         let total = self.gates * self.ppg();
         let mut q = 0;
-        while q + 1 < total {
-            let (s0, s1) = panel_pair_gemv(self.panel(q), self.panel(q + 1), self.cols, x);
-            self.scatter(q, &s0, out);
-            self.scatter(q + 1, &s1, out);
-            q += 2;
+        if let Panels::F32(data) = &self.panels {
+            let panel = |q: usize| &data[q * MR * self.cols..(q + 1) * MR * self.cols];
+            while q + 1 < total {
+                let (s0, s1) = panel_pair_gemv(panel(q), panel(q + 1), self.cols, x);
+                self.scatter(q, &s0, out);
+                self.scatter(q + 1, &s1, out);
+                q += 2;
+            }
         }
-        if q < total {
-            let sum = panel_gemv(self.panel(q), self.cols, x);
-            self.scatter(q, &sum, out);
+        for q in q..total {
+            self.scatter(q, &self.panel_sum(q, x), out);
         }
     }
 
     /// Matrix-vector product of a single gate's matrix, writing its
-    /// `rows` outputs into `out`. Bit-identical to `PackedMatrix::gemv`
-    /// on that gate.
+    /// `rows` outputs into `out`. Bit-identical to [`crate::gemm::sgemv`]
+    /// on the gate's ([`Precision::apply`]-dequantized) matrix.
     ///
     /// # Panics
     /// Panics if `g >= gates`, `x.len() != cols`, or `out.len() != rows`.
@@ -180,14 +255,12 @@ impl FusedGates {
             self.rows,
             "FusedGates::gate_gemv_into: out length"
         );
-        let ppg = self.ppg();
-        for p in 0..ppg {
-            let sum = panel_gemv(self.panel(g * ppg + p), self.cols, x);
-            let live = MR.min(self.rows - p * MR);
-            out[p * MR..p * MR + live].copy_from_slice(&sum[..live]);
+        let first = g * self.ppg();
+        for (p, outs) in out.chunks_mut(MR).enumerate() {
+            let sum = self.panel_sum(first + p, x);
+            outs.copy_from_slice(&sum[..outs.len()]);
         }
     }
-
     /// Batched single-gate product with the *panel* loop outermost (each
     /// weight panel loaded once, reused across all columns), streaming
     /// results through `write(column, row_start, values)` so callers can
@@ -215,10 +288,9 @@ impl FusedGates {
         }
         let ppg = self.ppg();
         for p in 0..ppg {
-            let panel = self.panel(g * ppg + p);
             let live = MR.min(self.rows - p * MR);
             for (i, x) in xs.iter().enumerate() {
-                let sum = panel_gemv(panel, self.cols, x.as_slice());
+                let sum = self.panel_sum(g * ppg + p, x.as_slice());
                 write(i, p * MR, &sum[..live]);
             }
         }
@@ -261,8 +333,8 @@ impl FusedGates {
     }
 
     /// Row-masked product of one gate's matrix, in place on the packed
-    /// panels: each panel with at least one active row runs through
-    /// `panel_gemv` as stored and only its active rows are written back;
+    /// panels: each panel with at least one active row runs through its
+    /// micro-kernel as stored and only its active rows are written back;
     /// panels with no active row are skipped and every skipped row gets
     /// `skipped_value`. Each active row is bit-identical to
     /// [`gate_gemv_into`](Self::gate_gemv_into) and to
@@ -300,9 +372,7 @@ impl FusedGates {
             "FusedGates::gate_gemv_masked_into: out length"
         );
         let first = g * self.ppg();
-        masked_panels_into(active, skipped_value, out, |p| {
-            panel_gemv(self.panel(first + p), self.cols, x)
-        });
+        masked_panels_into(active, skipped_value, out, |p| self.panel_sum(first + p, x));
     }
 }
 
@@ -362,7 +432,7 @@ fn panel_pair_gemv_body(p0: &[f32], p1: &[f32], cols: usize, x: &[f32]) -> ([f32
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::packed::{sgemv_masked_gather, PackedMatrix};
+    use crate::packed::sgemv_masked_gather;
 
     fn pseudo_matrix(rows: usize, cols: usize, seed: u32) -> Matrix {
         Matrix::from_fn(rows, cols, |r, c| {
@@ -387,32 +457,41 @@ mod tests {
             .collect()
     }
 
+    fn pack(mats: &[Matrix], precision: Precision) -> FusedGates {
+        let refs: Vec<&Matrix> = mats.iter().collect();
+        FusedGates::pack(&refs, precision)
+    }
+
     #[test]
     fn fused_gemv_sections_bit_identical_to_per_gate_packed() {
         // Shapes straddling panel (MR=8) and phase-chunk boundaries,
-        // and both LSTM (4) and GRU (3) gate counts.
-        for gates in [3usize, 4] {
-            for (rows, cols) in [(1, 1), (7, 5), (8, 8), (9, 12), (24, 16), (33, 31)] {
-                let mats = gate_set(gates, rows, cols, 11);
-                let refs: Vec<&Matrix> = mats.iter().collect();
-                let fused = FusedGates::pack(&refs);
-                assert_eq!(fused.gates(), gates);
-                assert_eq!(fused.total_rows(), gates * rows);
-                let x = pseudo_vector(cols, 7);
-                let mut slab = vec![0.0f32; gates * rows];
-                fused.gemv_into(x.as_slice(), &mut slab);
-                for (g, m) in mats.iter().enumerate() {
-                    let single = PackedMatrix::pack(m).gemv(&x);
-                    for (r, (f, s)) in slab[g * rows..(g + 1) * rows]
-                        .iter()
-                        .zip(single.iter())
-                        .enumerate()
-                    {
-                        assert_eq!(
-                            f.to_bits(),
-                            s.to_bits(),
-                            "{gates}g {rows}x{cols} gate {g} row {r}"
-                        );
+        // both LSTM (4) and GRU (3) gate counts, and every tier: each
+        // section equals the one-gate slab of that gate at the same tier.
+        for precision in Precision::ALL {
+            for gates in [3usize, 4] {
+                for (rows, cols) in [(1, 1), (7, 5), (8, 8), (9, 12), (24, 16), (33, 31)] {
+                    let mats = gate_set(gates, rows, cols, 11);
+                    let fused = pack(&mats, precision);
+                    assert_eq!(fused.gates(), gates);
+                    assert_eq!(fused.total_rows(), gates * rows);
+                    let x = pseudo_vector(cols, 7);
+                    let mut slab = vec![0.0f32; gates * rows];
+                    fused.gemv_into(x.as_slice(), &mut slab);
+                    for (g, m) in mats.iter().enumerate() {
+                        let mut single = vec![0.0f32; rows];
+                        pack(std::slice::from_ref(m), precision)
+                            .gemv_into(x.as_slice(), &mut single);
+                        for (r, (f, s)) in slab[g * rows..(g + 1) * rows]
+                            .iter()
+                            .zip(&single)
+                            .enumerate()
+                        {
+                            assert_eq!(
+                                f.to_bits(),
+                                s.to_bits(),
+                                "{precision} {gates}g {rows}x{cols} gate {g} row {r}"
+                            );
+                        }
                     }
                 }
             }
@@ -422,52 +501,61 @@ mod tests {
     #[test]
     fn gate_gemv_matches_fused_section() {
         let mats = gate_set(4, 19, 13, 5);
-        let refs: Vec<&Matrix> = mats.iter().collect();
-        let fused = FusedGates::pack(&refs);
         let x = pseudo_vector(13, 3);
-        let mut slab = vec![0.0f32; fused.total_rows()];
-        fused.gemv_into(x.as_slice(), &mut slab);
-        let mut one = vec![0.0f32; 19];
-        for g in 0..4 {
-            fused.gate_gemv_into(g, x.as_slice(), &mut one);
-            assert_eq!(&slab[g * 19..(g + 1) * 19], one.as_slice());
+        for precision in Precision::ALL {
+            let fused = pack(&mats, precision);
+            let mut slab = vec![0.0f32; fused.total_rows()];
+            fused.gemv_into(x.as_slice(), &mut slab);
+            let mut one = vec![0.0f32; 19];
+            for g in 0..4 {
+                fused.gate_gemv_into(g, x.as_slice(), &mut one);
+                assert_eq!(&slab[g * 19..(g + 1) * 19], one.as_slice(), "{precision}");
+            }
         }
     }
 
     #[test]
     fn gate_batch_columns_bit_identical_to_single() {
         let mats = gate_set(4, 17, 9, 23);
-        let refs: Vec<&Matrix> = mats.iter().collect();
-        let fused = FusedGates::pack(&refs);
         let xs: Vec<Vector> = (0..3).map(|i| pseudo_vector(9, 40 + i)).collect();
-        for g in 0..4 {
-            let mut outs = vec![vec![0.0f32; 17]; xs.len()];
-            fused.gate_gemv_batch_with(g, &xs, |i, row0, vals| {
-                outs[i][row0..row0 + vals.len()].copy_from_slice(vals);
-            });
-            for (x, got) in xs.iter().zip(&outs) {
-                let mut single = vec![0.0f32; 17];
-                fused.gate_gemv_into(g, x.as_slice(), &mut single);
-                assert_eq!(*got, single);
+        for precision in Precision::ALL {
+            let fused = pack(&mats, precision);
+            for g in 0..4 {
+                let mut outs = vec![vec![0.0f32; 17]; xs.len()];
+                fused.gate_gemv_batch_with(g, &xs, |i, row0, vals| {
+                    outs[i][row0..row0 + vals.len()].copy_from_slice(vals);
+                });
+                for (x, got) in xs.iter().zip(&outs) {
+                    let mut single = vec![0.0f32; 17];
+                    fused.gate_gemv_into(g, x.as_slice(), &mut single);
+                    assert_eq!(*got, single, "{precision} gate {g}");
+                }
             }
         }
     }
 
     #[test]
     fn masked_sections_bit_identical_to_raw_gather_kernel() {
-        for (rows, cols) in [(5, 3), (16, 16), (33, 20)] {
-            let mats = gate_set(4, rows, cols, 3);
-            let refs: Vec<&Matrix> = mats.iter().collect();
-            let fused = FusedGates::pack(&refs);
-            let x = pseudo_vector(cols, 5);
-            for skip_mod in [2usize, 3, 5] {
-                let active: Vec<bool> = (0..rows).map(|r| r % skip_mod != 0).collect();
-                let mut slab = vec![0.0f32; 3 * rows];
-                fused.gemv_masked_prefix_into(3, x.as_slice(), &active, 0.0, &mut slab);
-                for (g, m) in mats.iter().take(3).enumerate() {
-                    let reference = sgemv_masked_gather(m, &x, &active, 0.0);
-                    for (f, r) in slab[g * rows..(g + 1) * rows].iter().zip(reference.iter()) {
-                        assert_eq!(f.to_bits(), r.to_bits(), "{rows}x{cols} gate {g}");
+        // Every tier against the raw-matrix gather kernel on the
+        // dequantized matrices.
+        for precision in Precision::ALL {
+            for (rows, cols) in [(5, 3), (16, 16), (33, 20)] {
+                let mats = gate_set(4, rows, cols, 3);
+                let fused = pack(&mats, precision);
+                let x = pseudo_vector(cols, 5);
+                for skip_mod in [2usize, 3, 5] {
+                    let active: Vec<bool> = (0..rows).map(|r| r % skip_mod != 0).collect();
+                    let mut slab = vec![0.0f32; 3 * rows];
+                    fused.gemv_masked_prefix_into(3, x.as_slice(), &active, 0.0, &mut slab);
+                    for (g, m) in mats.iter().take(3).enumerate() {
+                        let reference = sgemv_masked_gather(&precision.apply(m), &x, &active, 0.0);
+                        for (f, r) in slab[g * rows..(g + 1) * rows].iter().zip(reference.iter()) {
+                            assert_eq!(
+                                f.to_bits(),
+                                r.to_bits(),
+                                "{precision} {rows}x{cols} %{skip_mod} gate {g}"
+                            );
+                        }
                     }
                 }
             }
@@ -477,17 +565,18 @@ mod tests {
     #[test]
     fn masked_full_mask_equals_dense_section() {
         let mats = gate_set(3, 21, 14, 9);
-        let refs: Vec<&Matrix> = mats.iter().collect();
-        let fused = FusedGates::pack(&refs);
         let x = pseudo_vector(14, 2);
         let full = vec![true; 21];
-        let mut masked = vec![0.0f32; 21];
-        let mut dense = vec![0.0f32; 21];
-        for g in 0..3 {
-            fused.gate_gemv_masked_into(g, x.as_slice(), &full, 0.0, &mut masked);
-            fused.gate_gemv_into(g, x.as_slice(), &mut dense);
-            for (m, d) in masked.iter().zip(&dense) {
-                assert_eq!(m.to_bits(), d.to_bits());
+        for precision in Precision::ALL {
+            let fused = pack(&mats, precision);
+            let mut masked = vec![0.0f32; 21];
+            let mut dense = vec![0.0f32; 21];
+            for g in 0..3 {
+                fused.gate_gemv_masked_into(g, x.as_slice(), &full, 0.0, &mut masked);
+                fused.gate_gemv_into(g, x.as_slice(), &mut dense);
+                for (m, d) in masked.iter().zip(&dense) {
+                    assert_eq!(m.to_bits(), d.to_bits(), "{precision} gate {g}");
+                }
             }
         }
     }
@@ -495,13 +584,13 @@ mod tests {
     #[test]
     fn masked_empty_mask_is_all_skipped() {
         let mats = gate_set(2, 9, 4, 8);
-        let refs: Vec<&Matrix> = mats.iter().collect();
-        let fused = FusedGates::pack(&refs);
         let x = pseudo_vector(4, 9);
         let none = vec![false; 9];
-        let mut out = vec![0.0f32; 9];
-        fused.gate_gemv_masked_into(0, x.as_slice(), &none, 42.0, &mut out);
-        assert!(out.iter().all(|&v| v == 42.0));
+        for precision in Precision::ALL {
+            let mut out = vec![0.0f32; 9];
+            pack(&mats, precision).gate_gemv_masked_into(0, x.as_slice(), &none, 42.0, &mut out);
+            assert!(out.iter().all(|&v| v == 42.0), "{precision}");
+        }
     }
 
     #[test]
@@ -509,14 +598,14 @@ mod tests {
     fn mismatched_gate_shapes_panic() {
         let a = Matrix::zeros(4, 3);
         let b = Matrix::zeros(4, 2);
-        FusedGates::pack(&[&a, &b]);
+        FusedGates::pack(&[&a, &b], Precision::Int8);
     }
 
     #[test]
     #[should_panic(expected = "out length")]
     fn wrong_slab_length_panics() {
         let a = Matrix::zeros(4, 3);
-        let fused = FusedGates::pack(&[&a, &a]);
+        let fused = FusedGates::pack(&[&a, &a], Precision::Fp32);
         let mut slab = vec![0.0f32; 7];
         fused.gemv_into(&[0.0; 3], &mut slab);
     }

@@ -28,8 +28,8 @@ const NC: usize = 128;
 /// Matrix-vector product `a * x` (the paper's `Sgemv(U, h)` kernel body).
 ///
 /// This is the reference row-at-a-time kernel. When the same matrix is
-/// applied repeatedly (the recurrent LSTM shape), pack it once with
-/// [`crate::PackedMatrix`] — same bits, much faster.
+/// applied repeatedly (the recurrent LSTM shape), pack it once into a
+/// [`crate::FusedGates`] slab — same bits, much faster.
 ///
 /// # Panics
 /// Panics if `x.len() != a.cols()`.

@@ -1,18 +1,20 @@
 //! Packed row-panel kernels: the cache- and SIMD-friendly layout behind
 //! the fast `Sgemv` paths.
 //!
-//! A [`PackedMatrix`] stores the rows of a row-major [`Matrix`] in panels
-//! of [`MR`] rows with the columns *interleaved*: panel `p` holds, for
-//! each column `k`, the `MR` values `a[p*MR + 0..MR][k]` contiguously.
-//! A matrix-vector product then walks each panel once, broadcasting one
-//! `x[k]` across `MR` independent per-row accumulators — a loop the
-//! compiler vectorizes across rows *without reassociating any float sum*,
-//! because every lane is a separate output element.
+//! A packed matrix stores its rows in panels of [`MR`] rows with the
+//! columns *interleaved*: panel `p` holds, for each column `k`, the `MR`
+//! values `a[p*MR + 0..MR][k]` contiguously. A matrix-vector product then
+//! walks each panel once, broadcasting one `x[k]` across `MR` independent
+//! per-row accumulators — a loop the compiler vectorizes across rows
+//! *without reassociating any float sum*, because every lane is a
+//! separate output element. [`crate::FusedGates`] stores its gate
+//! matrices in this layout at any storage precision; a one-gate slab is
+//! a single packed matrix.
 //!
 //! Bit-exactness contract: every kernel here accumulates each output row
 //! in exactly the association order of [`crate::gemm::sgemv`]'s
 //! row-at-a-time reference (four phase accumulators over the columns,
-//! summed left-to-right, then a sequential tail). `PackedMatrix::gemv`
+//! summed left-to-right, then a sequential tail). A packed fp32 product
 //! is therefore **bit-identical** to the reference kernel — the packed
 //! layout buys throughput, never different numerics. The property tests
 //! in `tests/properties.rs` pin this down.
@@ -22,156 +24,23 @@
 //! and compiled twice by the `simd_kernel!` macro defined here: a
 //! portable build and an AVX build (never FMA, so both round
 //! identically), picked per call by one `is_x86_feature_detected!`
-//! check. The masked products of the packed gate slabs
-//! ([`crate::FusedGates`], [`crate::QuantizedGates`]) run those kernels in
-//! place on the stored panels through one shared panel walk, skipping
-//! panels without an active row; only the raw-matrix
-//! [`sgemv_masked_gather`] copies rows, because a row-major [`Matrix`]
-//! has no panels to run on.
+//! check. The masked products of the packed gate slab
+//! ([`crate::FusedGates`]) run those kernels in place on the stored
+//! panels through one shared panel walk, skipping panels without an
+//! active row; only the raw-matrix [`sgemv_masked_gather`] copies rows,
+//! because a row-major [`Matrix`] has no panels to run on.
 //!
 //! Packing costs one pass over the matrix, so it pays off when the same
 //! matrix is applied many times — exactly the LSTM shape, where the
 //! recurrent `U` matrices are applied at every timestep of every
-//! sequence. `lstm::CellWeights` packs its weights once (lazily) and
-//! reuses the panels for every plan execution.
+//! sequence. `lstm::CellWeights` packs its weights once per precision
+//! tier (lazily) and reuses the panels for every plan execution.
 
 use crate::matrix::Matrix;
 use crate::vector::Vector;
 
 /// Rows per packed panel (the register-blocking height of the kernels).
 pub const MR: usize = 8;
-
-/// A matrix re-laid out into [`MR`]-row column-interleaved panels.
-///
-/// See the module docs for the layout and the bit-exactness contract.
-#[derive(Debug, Clone, PartialEq)]
-pub struct PackedMatrix {
-    rows: usize,
-    cols: usize,
-    /// `ceil(rows / MR)` panels of `MR * cols` values; lanes past the last
-    /// row are zero padding (they are computed and discarded).
-    data: Vec<f32>,
-}
-
-impl PackedMatrix {
-    /// Packs a row-major matrix into row panels. One pass over `a`.
-    pub fn pack(a: &Matrix) -> Self {
-        let (rows, cols) = a.shape();
-        let panels = rows.div_ceil(MR);
-        let mut data = vec![0.0f32; panels * MR * cols];
-        for p in 0..panels {
-            let base = p * MR * cols;
-            for lane in 0..MR.min(rows - p * MR) {
-                let row = a.row(p * MR + lane);
-                for (k, &v) in row.iter().enumerate() {
-                    data[base + k * MR + lane] = v;
-                }
-            }
-        }
-        Self { rows, cols, data }
-    }
-
-    /// Number of rows of the original matrix.
-    pub fn rows(&self) -> usize {
-        self.rows
-    }
-
-    /// Number of columns of the original matrix.
-    pub fn cols(&self) -> usize {
-        self.cols
-    }
-
-    /// Matrix-vector product, bit-identical to
-    /// [`crate::gemm::sgemv`] on the unpacked matrix.
-    ///
-    /// # Panics
-    /// Panics if `x.len() != cols`.
-    pub fn gemv(&self, x: &Vector) -> Vector {
-        assert_eq!(
-            x.len(),
-            self.cols,
-            "PackedMatrix::gemv: x length {} != cols {}",
-            x.len(),
-            self.cols
-        );
-        let mut y = Vector::zeros(self.rows);
-        self.gemv_into(x.as_slice(), y.as_mut_slice());
-        y
-    }
-
-    /// [`gemv`](Self::gemv) writing into a caller-provided slice.
-    ///
-    /// # Panics
-    /// Panics if `x.len() != cols` or `out.len() != rows`.
-    pub fn gemv_into(&self, x: &[f32], out: &mut [f32]) {
-        assert_eq!(x.len(), self.cols, "PackedMatrix::gemv_into: x length");
-        assert_eq!(out.len(), self.rows, "PackedMatrix::gemv_into: out length");
-        let panels = self.rows.div_ceil(MR);
-        for p in 0..panels {
-            let panel = &self.data[p * MR * self.cols..(p + 1) * MR * self.cols];
-            let sum = panel_gemv(panel, self.cols, x);
-            let live = MR.min(self.rows - p * MR);
-            out[p * MR..p * MR + live].copy_from_slice(&sum[..live]);
-        }
-    }
-
-    /// Batched matrix-vector product: applies the matrix to every column
-    /// of `xs` with the *panel* loop outermost, so each packed panel is
-    /// loaded once and reused across all `B` columns — the GEMM-shaped
-    /// access pattern that amortizes weight traffic over a batch (the
-    /// serving-side twin of the paper's tissue batching).
-    ///
-    /// Each column runs the same per-panel micro-kernel as
-    /// [`gemv`](Self::gemv) in the same order, so column `i` of the result
-    /// is **bit-identical** to `self.gemv(&xs[i])`.
-    ///
-    /// # Panics
-    /// Panics if any `xs[i].len() != cols`.
-    pub fn gemv_batch(&self, xs: &[Vector]) -> Vec<Vector> {
-        let mut ys: Vec<Vector> = xs.iter().map(|_| Vector::zeros(self.rows)).collect();
-        self.gemv_batch_into(xs, &mut ys);
-        ys
-    }
-
-    /// [`gemv_batch`](Self::gemv_batch) writing into caller-provided
-    /// vectors, so a steady-state serving loop can recycle its output
-    /// buffers instead of allocating one `Vec<Vector>` per round.
-    ///
-    /// Each output vector is resized to `rows` (reusing its existing
-    /// heap buffer once warm). Column `i` of the result is bit-identical
-    /// to `self.gemv(&xs[i])`.
-    ///
-    /// # Panics
-    /// Panics if `outs.len() != xs.len()` or any `xs[i].len() != cols`.
-    pub fn gemv_batch_into(&self, xs: &[Vector], outs: &mut [Vector]) {
-        for (i, x) in xs.iter().enumerate() {
-            assert_eq!(
-                x.len(),
-                self.cols,
-                "PackedMatrix::gemv_batch: column {i} length {} != cols {}",
-                x.len(),
-                self.cols
-            );
-        }
-        assert_eq!(
-            outs.len(),
-            xs.len(),
-            "PackedMatrix::gemv_batch_into: output count mismatch"
-        );
-        for y in outs.iter_mut() {
-            y.resize_fill(self.rows, 0.0);
-        }
-        let panels = self.rows.div_ceil(MR);
-        for p in 0..panels {
-            let panel = &self.data[p * MR * self.cols..(p + 1) * MR * self.cols];
-            let live = MR.min(self.rows - p * MR);
-            for (x, y) in xs.iter().zip(outs.iter_mut()) {
-                let sum = panel_gemv(panel, self.cols, x.as_slice());
-                y.as_mut_slice()[p * MR..p * MR + live].copy_from_slice(&sum[..live]);
-            }
-        }
-    }
-}
 
 /// Defines a runtime-dispatched panel micro-kernel `$name` over the
 /// `#[inline(always)]` body `$body`, compiling the body twice: once
@@ -313,8 +182,7 @@ pub fn sgemv_masked_gather(a: &Matrix, x: &Vector, active: &[bool], skipped_valu
 }
 
 /// The in-place panel walk behind the masked products of
-/// [`FusedGates`](crate::FusedGates) and
-/// [`QuantizedGates`](crate::QuantizedGates): `out` (one gate's `rows`
+/// [`FusedGates`](crate::FusedGates): `out` (one gate's `rows`
 /// outputs) is filled with `skipped_value`, then every panel holding at
 /// least one active row is run through `sum_panel(p)` (the gate's `p`-th
 /// packed panel, as stored) and only its active lanes are written back.
@@ -347,7 +215,7 @@ pub(crate) fn masked_panels_into(
 mod tests {
     use super::*;
     use crate::gemm::{sgemv, sgemv_masked_reference};
-    use crate::{FusedGates, Precision, QuantizedGates};
+    use crate::{FusedGates, Precision};
 
     fn pseudo_matrix(rows: usize, cols: usize, seed: u32) -> Matrix {
         Matrix::from_fn(rows, cols, |r, c| {
@@ -366,27 +234,45 @@ mod tests {
         })
     }
 
+    /// `a` alone as a one-gate slab at `precision`.
+    fn one_gate(a: &Matrix, precision: Precision) -> FusedGates {
+        FusedGates::pack(&[a], precision)
+    }
+
+    /// The one-gate slab's product `a * x`.
+    fn packed_gemv(a: &Matrix, precision: Precision, x: &Vector) -> Vec<f32> {
+        let mut y = vec![0.0f32; a.rows()];
+        one_gate(a, precision).gate_gemv_into(0, x.as_slice(), &mut y);
+        y
+    }
+
     #[test]
     fn packed_gemv_bit_identical_to_reference() {
-        // Sizes straddling panel and chunk boundaries.
-        for (rows, cols) in [
-            (1, 1),
-            (7, 5),
-            (8, 8),
-            (9, 12),
-            (24, 16),
-            (33, 31),
-            (96, 96),
-        ] {
-            let a = pseudo_matrix(rows, cols, 11);
-            let x = pseudo_vector(cols, 7);
-            let packed = PackedMatrix::pack(&a);
-            assert_eq!(packed.rows(), rows);
-            assert_eq!(packed.cols(), cols);
-            let fast = packed.gemv(&x);
-            let reference = sgemv(&a, &x);
-            for (f, r) in fast.iter().zip(reference.iter()) {
-                assert_eq!(f.to_bits(), r.to_bits(), "{rows}x{cols} diverged");
+        // Sizes straddling panel and chunk boundaries, at every tier
+        // against the reference kernel on the dequantized matrix.
+        for precision in Precision::ALL {
+            for (rows, cols) in [
+                (1, 1),
+                (7, 5),
+                (8, 8),
+                (9, 12),
+                (24, 16),
+                (33, 31),
+                (96, 96),
+            ] {
+                let a = pseudo_matrix(rows, cols, 11);
+                let x = pseudo_vector(cols, 7);
+                let packed = one_gate(&a, precision);
+                assert_eq!((packed.rows(), packed.cols()), (rows, cols));
+                let fast = packed_gemv(&a, precision, &x);
+                let reference = sgemv(&precision.apply(&a), &x);
+                for (f, r) in fast.iter().zip(reference.iter()) {
+                    assert_eq!(
+                        f.to_bits(),
+                        r.to_bits(),
+                        "{precision} {rows}x{cols} diverged"
+                    );
+                }
             }
         }
     }
@@ -413,8 +299,8 @@ mod tests {
         let x = pseudo_vector(24, 2);
         let full = vec![true; 40];
         let masked = sgemv_masked_gather(&a, &x, &full, 0.0);
-        let dense = PackedMatrix::pack(&a).gemv(&x);
-        for (m, d) in masked.iter().zip(dense.iter()) {
+        let dense = packed_gemv(&a, Precision::Fp32, &x);
+        for (m, d) in masked.iter().zip(&dense) {
             assert_eq!(m.to_bits(), d.to_bits());
         }
     }
@@ -431,24 +317,32 @@ mod tests {
     #[test]
     #[should_panic(expected = "x length")]
     fn packed_gemv_shape_mismatch_panics() {
-        PackedMatrix::pack(&Matrix::zeros(4, 3)).gemv(&Vector::zeros(2));
+        packed_gemv(&Matrix::zeros(4, 3), Precision::Fp32, &Vector::zeros(2));
     }
 
     #[test]
     fn batched_gemv_columns_bit_identical_to_single() {
-        for (rows, cols) in [(1, 1), (7, 5), (9, 12), (33, 31), (96, 96)] {
-            let a = pseudo_matrix(rows, cols, 21);
-            let packed = PackedMatrix::pack(&a);
-            for batch in [1usize, 2, 3, 8] {
-                let xs: Vec<Vector> = (0..batch)
-                    .map(|i| pseudo_vector(cols, 100 + i as u32))
-                    .collect();
-                let ys = packed.gemv_batch(&xs);
-                assert_eq!(ys.len(), batch);
-                for (x, y) in xs.iter().zip(&ys) {
-                    let single = packed.gemv(x);
-                    for (b, s) in y.iter().zip(single.iter()) {
-                        assert_eq!(b.to_bits(), s.to_bits(), "{rows}x{cols} b{batch}");
+        for precision in Precision::ALL {
+            for (rows, cols) in [(1, 1), (7, 5), (9, 12), (33, 31), (96, 96)] {
+                let a = pseudo_matrix(rows, cols, 21);
+                let packed = one_gate(&a, precision);
+                for batch in [1usize, 2, 3, 8] {
+                    let xs: Vec<Vector> = (0..batch)
+                        .map(|i| pseudo_vector(cols, 100 + i as u32))
+                        .collect();
+                    let mut ys = vec![vec![0.0f32; rows]; batch];
+                    packed.gate_gemv_batch_with(0, &xs, |i, row0, vals| {
+                        ys[i][row0..row0 + vals.len()].copy_from_slice(vals);
+                    });
+                    for (x, y) in xs.iter().zip(&ys) {
+                        let single = packed_gemv(&a, precision, x);
+                        for (b, s) in y.iter().zip(&single) {
+                            assert_eq!(
+                                b.to_bits(),
+                                s.to_bits(),
+                                "{precision} {rows}x{cols} b{batch}"
+                            );
+                        }
                     }
                 }
             }
@@ -457,16 +351,16 @@ mod tests {
 
     #[test]
     fn batched_gemv_empty_batch_is_empty() {
-        assert!(PackedMatrix::pack(&Matrix::zeros(4, 3))
-            .gemv_batch(&[])
-            .is_empty());
+        one_gate(&Matrix::zeros(4, 3), Precision::Fp32).gate_gemv_batch_with(0, &[], |i, _, _| {
+            panic!("wrote column {i} of an empty batch")
+        });
     }
 
     #[test]
     #[should_panic(expected = "column 1 length")]
     fn batched_gemv_shape_mismatch_panics() {
-        let packed = PackedMatrix::pack(&Matrix::zeros(4, 3));
-        packed.gemv_batch(&[Vector::zeros(3), Vector::zeros(2)]);
+        let packed = one_gate(&Matrix::zeros(4, 3), Precision::Fp32);
+        packed.gate_gemv_batch_with(0, &[Vector::zeros(3), Vector::zeros(2)], |_, _, _| {});
     }
 
     /// Runs `f` with this thread's dispatched kernels on their portable
@@ -482,27 +376,22 @@ mod tests {
     /// output slab.
     type Entry = fn(&[Matrix], &Vector, &[bool]) -> Vec<f32>;
 
-    fn fused_slab(mats: &[Matrix], x: &Vector, _: &[bool]) -> Vec<f32> {
+    fn slab(mats: &[Matrix], precision: Precision) -> FusedGates {
         let refs: Vec<&Matrix> = mats.iter().collect();
-        let fused = FusedGates::pack(&refs);
+        FusedGates::pack(&refs, precision)
+    }
+
+    fn dense(mats: &[Matrix], x: &Vector, precision: Precision) -> Vec<f32> {
+        let fused = slab(mats, precision);
         let mut out = vec![0.0; fused.total_rows()];
         fused.gemv_into(x.as_slice(), &mut out);
         out
     }
 
-    fn quant_slab(mats: &[Matrix], x: &Vector, precision: Precision) -> Vec<f32> {
-        let refs: Vec<&Matrix> = mats.iter().collect();
-        let quant = QuantizedGates::pack(&refs, precision);
-        let mut out = vec![0.0; quant.total_rows()];
-        quant.gemv_into(x.as_slice(), &mut out);
-        out
-    }
-
-    fn quant_masked(mats: &[Matrix], x: &Vector, mask: &[bool], precision: Precision) -> Vec<f32> {
-        let refs: Vec<&Matrix> = mats.iter().collect();
-        let quant = QuantizedGates::pack(&refs, precision);
-        let mut out = vec![0.0; quant.total_rows()];
-        quant.gemv_masked_prefix_into(mats.len(), x.as_slice(), mask, -3.0, &mut out);
+    fn masked(mats: &[Matrix], x: &Vector, mask: &[bool], precision: Precision) -> Vec<f32> {
+        let fused = slab(mats, precision);
+        let mut out = vec![0.0; fused.total_rows()];
+        fused.gemv_masked_prefix_into(mats.len(), x.as_slice(), mask, -3.0, &mut out);
         out
     }
 
@@ -511,7 +400,7 @@ mod tests {
     /// chunks and the 256-column slabs, a partial last panel
     /// (`rows % MR != 0`), and empty, full, random and last-row-only DRS
     /// masks (the last puts the only active row in the last panel). Three
-    /// gates give `FusedGates::gemv_into` an odd panel count, so both the
+    /// gates give the fp32 `gemv_into` an odd panel count, so both the
     /// pair kernel and its single-panel tail run.
     #[test]
     fn every_avx_kernel_bit_identical_to_portable() {
@@ -525,28 +414,24 @@ mod tests {
         }
         let entries: [(&str, Entry); 8] = [
             ("fp32 single panel", |m, x, _| {
-                PackedMatrix::pack(&m[0]).gemv(x).as_slice().to_vec()
+                packed_gemv(&m[0], Precision::Fp32, x)
             }),
-            ("fp32 pair", fused_slab),
-            ("f16", |m, x, _| quant_slab(m, x, Precision::Fp16)),
-            ("i8", |m, x, _| quant_slab(m, x, Precision::Int8)),
+            ("fp32 pair", |m, x, _| dense(m, x, Precision::Fp32)),
+            ("f16", |m, x, _| dense(m, x, Precision::Fp16)),
+            ("i8", |m, x, _| dense(m, x, Precision::Int8)),
             ("fp32 raw masked gather", |m, x, mask| {
                 sgemv_masked_gather(&m[0], x, mask, -3.0)
                     .as_slice()
                     .to_vec()
             }),
             ("fp32 packed masked in place", |m, x, mask| {
-                let refs: Vec<&Matrix> = m.iter().collect();
-                let fused = FusedGates::pack(&refs);
-                let mut out = vec![0.0; fused.total_rows()];
-                fused.gemv_masked_prefix_into(m.len(), x.as_slice(), mask, -3.0, &mut out);
-                out
+                masked(m, x, mask, Precision::Fp32)
             }),
             ("f16 masked in place", |m, x, mask| {
-                quant_masked(m, x, mask, Precision::Fp16)
+                masked(m, x, mask, Precision::Fp16)
             }),
             ("i8 masked in place", |m, x, mask| {
-                quant_masked(m, x, mask, Precision::Int8)
+                masked(m, x, mask, Precision::Int8)
             }),
         ];
         for rows in [MR, 2 * MR + 5] {

@@ -1,5 +1,6 @@
-//! Reduced-precision weight storage: the quantized twin of
-//! [`FusedGates`](crate::FusedGates).
+//! Reduced-precision weight storage: the precision tiers and the
+//! dequantize-on-load panel kernels behind a quantized
+//! [`FusedGates`](crate::FusedGates) slab.
 //!
 //! The paper's diagnosis is that mobile-GPU LSTM inference is bound by
 //! *weight* traffic against a small L2; fp16 and int8 weight storage are
@@ -8,13 +9,13 @@
 //! directly into memory-bound speedups). This module provides:
 //!
 //! * [`Precision`] — the weight-precision knob (`fp32`/`fp16`/`int8`)
-//!   threaded through plan compilation and pricing,
+//!   threaded through plan compilation and pricing, and the storage
+//!   argument of [`FusedGates::pack`](crate::FusedGates::pack),
 //! * hand-rolled `f32`↔`f16` bit conversions (round-to-nearest-even; no
 //!   external crate),
 //! * per-row symmetric int8 quantization (`scale = max|row| / 127`),
-//! * [`QuantizedGates`] — gate matrices stored quantized in **exactly**
-//!   the gate-major [`MR`]-row panel layout of
-//!   [`FusedGates`](crate::FusedGates), with dequantize-on-load kernels.
+//! * the f16 and int8 panel micro-kernels that a quantized slab's
+//!   products run, dequantizing each weight as it is loaded.
 //!
 //! ## Bit-exactness contract
 //!
@@ -24,21 +25,18 @@
 //! The only change is that each weight element is dequantized as it is
 //! loaded: `f16` storage converts exactly (every `f16` value is an `f32`
 //! value), and `int8` storage applies one IEEE rounding (`q as f32 *
-//! scale`). A quantized kernel is therefore **bit-identical** to the
-//! fp32 kernel run on the dequantized weights ([`Precision::apply`]),
+//! scale`). A quantized slab is therefore **bit-identical** to the fp32
+//! slab packed from the dequantized weights ([`Precision::apply`]),
 //! which makes determinism automatic and the quantization error a pure
 //! weight-perturbation bound, testable per row.
 //!
 //! The f16 and int8 kernels each have a portable and an AVX build from
 //! one body (see [`crate::packed`]); the AVX build of the int8 kernel
 //! widens each panel column's sign-extend, convert, scale and
-//! accumulate to 8 lanes. The masked kernels run the same dequant
-//! kernels in place on the stored panels that hold an active row, skip
-//! the others, and write back only the active lanes.
+//! accumulate to 8 lanes.
 
 use crate::matrix::Matrix;
-use crate::packed::{masked_panels_into, simd_kernel, MR};
-use crate::vector::Vector;
+use crate::packed::{simd_kernel, MR};
 
 /// Weight-storage precision of the packed gate matrices.
 ///
@@ -222,334 +220,12 @@ pub fn quantize_row_i8(row: &[f32], q_out: &mut Vec<i8>) -> f32 {
     scale
 }
 
-/// Quantized storage backing a [`QuantizedGates`] slab.
-#[derive(Debug, Clone, PartialEq)]
-enum QuantStore {
-    /// binary16 bits in the panel layout.
-    F16(Vec<u16>),
-    /// int8 codes in the panel layout plus one scale per (gate, row).
-    I8 {
-        q: Vec<i8>,
-        /// `scales[g * rows + r]` — per-row symmetric scales.
-        scales: Vec<f32>,
-    },
-}
-
-/// Gate matrices stored at reduced precision in the gate-major,
-/// [`MR`]-row column-interleaved panel layout of
-/// [`FusedGates`](crate::FusedGates), with dequantize-on-load kernels.
-///
-/// The API mirrors `FusedGates` method for method; see the module docs
-/// for the bit-exactness contract.
-#[derive(Debug, Clone, PartialEq)]
-pub struct QuantizedGates {
-    gates: usize,
-    rows: usize,
-    cols: usize,
-    precision: Precision,
-    store: QuantStore,
-}
-
-impl QuantizedGates {
-    /// Packs the gate matrices into one quantized gate-major slab.
-    ///
-    /// # Panics
-    /// Panics if `mats` is empty, the shapes differ, or `precision` is
-    /// [`Precision::Fp32`] (use `FusedGates` for exact storage).
-    pub fn pack(mats: &[&Matrix], precision: Precision) -> Self {
-        assert!(
-            precision.is_quantized(),
-            "QuantizedGates::pack: use FusedGates for fp32 storage"
-        );
-        assert!(!mats.is_empty(), "QuantizedGates::pack: no gate matrices");
-        let (rows, cols) = mats[0].shape();
-        for (g, m) in mats.iter().enumerate() {
-            assert_eq!(
-                m.shape(),
-                (rows, cols),
-                "QuantizedGates::pack: gate {g} shape mismatch"
-            );
-        }
-        let ppg = rows.div_ceil(MR);
-        let slab_len = mats.len() * ppg * MR * cols;
-        let store = match precision {
-            Precision::Fp16 => {
-                let mut data = vec![0u16; slab_len];
-                for (g, m) in mats.iter().enumerate() {
-                    let gate_base = g * ppg * MR * cols;
-                    for p in 0..ppg {
-                        let base = gate_base + p * MR * cols;
-                        for lane in 0..MR.min(rows - p * MR) {
-                            let row = m.row(p * MR + lane);
-                            for (k, &v) in row.iter().enumerate() {
-                                data[base + k * MR + lane] = f32_to_f16_bits(v);
-                            }
-                        }
-                    }
-                }
-                QuantStore::F16(data)
-            }
-            Precision::Int8 => {
-                let mut q = vec![0i8; slab_len];
-                let mut scales = vec![0.0f32; mats.len() * rows];
-                let mut row_q = Vec::new();
-                for (g, m) in mats.iter().enumerate() {
-                    let gate_base = g * ppg * MR * cols;
-                    for p in 0..ppg {
-                        let base = gate_base + p * MR * cols;
-                        for lane in 0..MR.min(rows - p * MR) {
-                            let r = p * MR + lane;
-                            scales[g * rows + r] = quantize_row_i8(m.row(r), &mut row_q);
-                            for (k, &code) in row_q.iter().enumerate() {
-                                q[base + k * MR + lane] = code;
-                            }
-                        }
-                    }
-                }
-                QuantStore::I8 { q, scales }
-            }
-            Precision::Fp32 => unreachable!(),
-        };
-        Self {
-            gates: mats.len(),
-            rows,
-            cols,
-            precision,
-            store,
-        }
-    }
-
-    /// Number of fused gate matrices.
-    pub fn gates(&self) -> usize {
-        self.gates
-    }
-
-    /// Rows of each gate matrix.
-    pub fn rows(&self) -> usize {
-        self.rows
-    }
-
-    /// Columns of each gate matrix.
-    pub fn cols(&self) -> usize {
-        self.cols
-    }
-
-    /// Total output rows of the fused product (`gates * rows`).
-    pub fn total_rows(&self) -> usize {
-        self.gates * self.rows
-    }
-
-    /// The storage tier.
-    pub fn precision(&self) -> Precision {
-        self.precision
-    }
-
-    /// Bytes the quantized slab actually stores (codes plus, for int8,
-    /// the per-row `f32` scales). This is what a residency model should
-    /// budget for.
-    pub fn weight_bytes(&self) -> u64 {
-        match &self.store {
-            QuantStore::F16(data) => data.len() as u64 * 2,
-            QuantStore::I8 { q, scales } => q.len() as u64 + scales.len() as u64 * 4,
-        }
-    }
-
-    /// Panels per gate.
-    fn ppg(&self) -> usize {
-        self.rows.div_ceil(MR)
-    }
-
-    /// The [`MR`] per-lane scales of global panel `q` (int8 only); dead
-    /// lanes get 1.0 (their codes are 0, so the product stays 0).
-    fn panel_scales(&self, scales: &[f32], panel: usize) -> [f32; MR] {
-        let ppg = self.ppg();
-        let (g, p) = (panel / ppg, panel % ppg);
-        let live = MR.min(self.rows - p * MR);
-        let mut out = [1.0f32; MR];
-        for (lane, slot) in out.iter_mut().enumerate().take(live) {
-            *slot = scales[g * self.rows + p * MR + lane];
-        }
-        out
-    }
-
-    /// Row sums of global panel `q` via the matching dequant-on-load
-    /// micro-kernel.
-    fn panel_sum(&self, q: usize, x: &[f32]) -> [f32; MR] {
-        let span = q * MR * self.cols..(q + 1) * MR * self.cols;
-        match &self.store {
-            QuantStore::F16(data) => panel_gemv_f16(&data[span], self.cols, x),
-            QuantStore::I8 { q: codes, scales } => {
-                let lane_scales = self.panel_scales(scales, q);
-                panel_gemv_i8(&codes[span], &lane_scales, self.cols, x)
-            }
-        }
-    }
-
-    /// Writes global panel `q`'s live lanes into the fused output slab.
-    fn scatter(&self, q: usize, sum: &[f32; MR], out: &mut [f32]) {
-        let ppg = self.ppg();
-        let (g, p) = (q / ppg, q % ppg);
-        let live = MR.min(self.rows - p * MR);
-        let start = g * self.rows + p * MR;
-        out[start..start + live].copy_from_slice(&sum[..live]);
-    }
-
-    /// The fused matrix-vector product, dequantizing on load: one pass
-    /// over the slab computes every gate's pre-activations into `out`,
-    /// gate-major. Bit-identical to `FusedGates::gemv_into` on the
-    /// [`Precision::apply`]-dequantized matrices.
-    ///
-    /// # Panics
-    /// Panics if `x.len() != cols` or `out.len() != gates * rows`.
-    pub fn gemv_into(&self, x: &[f32], out: &mut [f32]) {
-        assert_eq!(x.len(), self.cols, "QuantizedGates::gemv_into: x length");
-        assert_eq!(
-            out.len(),
-            self.total_rows(),
-            "QuantizedGates::gemv_into: out length"
-        );
-        for q in 0..self.gates * self.ppg() {
-            let sum = self.panel_sum(q, x);
-            self.scatter(q, &sum, out);
-        }
-    }
-
-    /// Matrix-vector product of a single gate's matrix. Bit-identical to
-    /// `FusedGates::gate_gemv_into` on the dequantized gate.
-    ///
-    /// # Panics
-    /// Panics if `g >= gates`, `x.len() != cols`, or `out.len() != rows`.
-    pub fn gate_gemv_into(&self, g: usize, x: &[f32], out: &mut [f32]) {
-        assert!(g < self.gates, "QuantizedGates::gate_gemv_into: gate {g}");
-        assert_eq!(
-            x.len(),
-            self.cols,
-            "QuantizedGates::gate_gemv_into: x length"
-        );
-        assert_eq!(
-            out.len(),
-            self.rows,
-            "QuantizedGates::gate_gemv_into: out length"
-        );
-        let ppg = self.ppg();
-        for p in 0..ppg {
-            let sum = self.panel_sum(g * ppg + p, x);
-            let live = MR.min(self.rows - p * MR);
-            out[p * MR..p * MR + live].copy_from_slice(&sum[..live]);
-        }
-    }
-
-    /// Batched single-gate product with the panel loop outermost,
-    /// streaming results through `write(column, row_start, values)` —
-    /// the quantized twin of `FusedGates::gate_gemv_batch_with`.
-    ///
-    /// # Panics
-    /// Panics if `g >= gates` or any `xs[i].len() != cols`.
-    pub fn gate_gemv_batch_with(
-        &self,
-        g: usize,
-        xs: &[Vector],
-        mut write: impl FnMut(usize, usize, &[f32]),
-    ) {
-        assert!(
-            g < self.gates,
-            "QuantizedGates::gate_gemv_batch_with: gate {g}"
-        );
-        for (i, x) in xs.iter().enumerate() {
-            assert_eq!(
-                x.len(),
-                self.cols,
-                "QuantizedGates::gate_gemv_batch_with: column {i} length"
-            );
-        }
-        let ppg = self.ppg();
-        for p in 0..ppg {
-            let live = MR.min(self.rows - p * MR);
-            for (i, x) in xs.iter().enumerate() {
-                let sum = self.panel_sum(g * ppg + p, x.as_slice());
-                write(i, p * MR, &sum[..live]);
-            }
-        }
-    }
-
-    /// Row-masked product of the first `ngates` gates under one shared
-    /// DRS row mask — the quantized twin of
-    /// `FusedGates::gemv_masked_prefix_into`.
-    ///
-    /// # Panics
-    /// Panics if `ngates > gates`, `x.len() != cols`,
-    /// `active.len() != rows`, or `out.len() != ngates * rows`.
-    pub fn gemv_masked_prefix_into(
-        &self,
-        ngates: usize,
-        x: &[f32],
-        active: &[bool],
-        skipped_value: f32,
-        out: &mut [f32],
-    ) {
-        assert!(
-            ngates <= self.gates,
-            "QuantizedGates::gemv_masked_prefix_into: {ngates} > {} gates",
-            self.gates
-        );
-        assert_eq!(
-            out.len(),
-            ngates * self.rows,
-            "QuantizedGates::gemv_masked_prefix_into: out length"
-        );
-        for g in 0..ngates {
-            let section = &mut out[g * self.rows..(g + 1) * self.rows];
-            self.gate_gemv_masked_into(g, x, active, skipped_value, section);
-        }
-    }
-
-    /// Row-masked product of one gate's matrix, in place on the quantized
-    /// panels: each panel with at least one active row runs through its
-    /// dequant-on-load kernel as stored and only its active rows are
-    /// written back. Bit-identical to `FusedGates::gate_gemv_masked_into`
-    /// on the dequantized gate.
-    ///
-    /// # Panics
-    /// Panics if `g >= gates`, `x.len() != cols`, `active.len() != rows`,
-    /// or `out.len() != rows`.
-    pub fn gate_gemv_masked_into(
-        &self,
-        g: usize,
-        x: &[f32],
-        active: &[bool],
-        skipped_value: f32,
-        out: &mut [f32],
-    ) {
-        assert!(
-            g < self.gates,
-            "QuantizedGates::gate_gemv_masked_into: gate {g}"
-        );
-        assert_eq!(
-            x.len(),
-            self.cols,
-            "QuantizedGates::gate_gemv_masked_into: x length"
-        );
-        assert_eq!(
-            active.len(),
-            self.rows,
-            "QuantizedGates::gate_gemv_masked_into: mask length"
-        );
-        assert_eq!(
-            out.len(),
-            self.rows,
-            "QuantizedGates::gate_gemv_masked_into: out length"
-        );
-        let first = g * self.ppg();
-        masked_panels_into(active, skipped_value, out, |p| self.panel_sum(first + p, x));
-    }
-}
-
 simd_kernel! {
     /// [`panel_gemv`](crate::packed::panel_gemv)'s accumulation order
     /// over an `f16`-stored panel: the conversion to `f32` is exact, so
     /// each `*a += c * xv` rounds exactly like the fp32 kernel on the
     /// dequantized panel.
-    fn panel_gemv_f16 = panel_gemv_f16_body(panel: &[u16], cols: usize, x: &[f32]) -> [f32; MR];
+    pub(crate) fn panel_gemv_f16 = panel_gemv_f16_body(panel: &[u16], cols: usize, x: &[f32]) -> [f32; MR];
 }
 
 #[inline(always)]
@@ -583,7 +259,7 @@ simd_kernel! {
     /// exact for `|q| <= 127`, the scale multiply is the
     /// dequantization's single IEEE rounding, and the accumulation then
     /// matches the fp32 kernel on the dequantized panel bit for bit.
-    fn panel_gemv_i8 = panel_gemv_i8_body(
+    pub(crate) fn panel_gemv_i8 = panel_gemv_i8_body(
         panel: &[i8],
         lane_scales: &[f32; MR],
         cols: usize,
@@ -619,7 +295,7 @@ fn panel_gemv_i8_body(panel: &[i8], lane_scales: &[f32; MR], cols: usize, x: &[f
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::FusedGates;
+    use crate::{FusedGates, Vector};
 
     fn pseudo_matrix(rows: usize, cols: usize, seed: u32) -> Matrix {
         Matrix::from_fn(rows, cols, |r, c| {
@@ -706,17 +382,17 @@ mod tests {
 
     #[test]
     fn quantized_gemv_bit_identical_to_fp32_on_dequantized_weights() {
-        // The heart of the contract: the dequant-on-load kernels equal
-        // FusedGates on Precision::apply'd matrices, bit for bit, for
-        // shapes straddling panel and phase-chunk boundaries.
-        for precision in [Precision::Fp16, Precision::Int8] {
+        // The heart of the contract: a slab stored at each tier equals
+        // the fp32 slab of the Precision::apply'd matrices, bit for bit,
+        // for shapes straddling panel and phase-chunk boundaries.
+        for precision in Precision::ALL {
             for (rows, cols) in [(1, 1), (7, 5), (8, 8), (9, 12), (24, 16), (33, 31)] {
                 let mats = gate_set(4, rows, cols, 11);
                 let refs: Vec<&Matrix> = mats.iter().collect();
-                let quant = QuantizedGates::pack(&refs, precision);
+                let quant = FusedGates::pack(&refs, precision);
                 let shadow: Vec<Matrix> = mats.iter().map(|m| precision.apply(m)).collect();
                 let shadow_refs: Vec<&Matrix> = shadow.iter().collect();
-                let exact = FusedGates::pack(&shadow_refs);
+                let exact = FusedGates::pack(&shadow_refs, Precision::Fp32);
                 let x = pseudo_vector(cols, 7);
                 let mut a = vec![0.0f32; 4 * rows];
                 let mut b = vec![0.0f32; 4 * rows];
@@ -746,10 +422,10 @@ mod tests {
             for (rows, cols) in [(5, 3), (16, 16), (33, 20)] {
                 let mats = gate_set(4, rows, cols, 3);
                 let refs: Vec<&Matrix> = mats.iter().collect();
-                let quant = QuantizedGates::pack(&refs, precision);
+                let quant = FusedGates::pack(&refs, precision);
                 let shadow: Vec<Matrix> = mats.iter().map(|m| precision.apply(m)).collect();
                 let shadow_refs: Vec<&Matrix> = shadow.iter().collect();
-                let exact = FusedGates::pack(&shadow_refs);
+                let exact = FusedGates::pack(&shadow_refs, Precision::Fp32);
                 let x = pseudo_vector(cols, 5);
                 for skip_mod in [2usize, 3, 5] {
                     let active: Vec<bool> = (0..rows).map(|r| r % skip_mod != 0).collect();
@@ -774,7 +450,7 @@ mod tests {
         for precision in [Precision::Fp16, Precision::Int8] {
             let mats = gate_set(4, 17, 9, 23);
             let refs: Vec<&Matrix> = mats.iter().collect();
-            let quant = QuantizedGates::pack(&refs, precision);
+            let quant = FusedGates::pack(&refs, precision);
             let xs: Vec<Vector> = (0..3).map(|i| pseudo_vector(9, 40 + i)).collect();
             for g in 0..4 {
                 let mut outs = vec![vec![0.0f32; 17]; xs.len()];
@@ -792,14 +468,7 @@ mod tests {
 
     #[test]
     fn weight_bytes_shrink_by_tier() {
-        let mats = gate_set(4, 32, 32, 1);
-        let refs: Vec<&Matrix> = mats.iter().collect();
         let fp32_bytes = 4 * 32 * 32 * 4u64;
-        let f16 = QuantizedGates::pack(&refs, Precision::Fp16);
-        let i8q = QuantizedGates::pack(&refs, Precision::Int8);
-        assert_eq!(f16.weight_bytes(), fp32_bytes / 2);
-        // int8 codes are a quarter, plus one f32 scale per row.
-        assert_eq!(i8q.weight_bytes(), fp32_bytes / 4 + 4 * 32 * 4);
         assert_eq!(Precision::Fp16.scale_bytes(fp32_bytes), fp32_bytes / 2);
         assert_eq!(Precision::Int8.scale_bytes(fp32_bytes), fp32_bytes / 4);
     }
@@ -810,12 +479,5 @@ mod tests {
             assert_eq!(Precision::parse(p.name()), Some(p));
         }
         assert_eq!(Precision::parse("fp8"), None);
-    }
-
-    #[test]
-    #[should_panic(expected = "fp32 storage")]
-    fn fp32_pack_rejected() {
-        let m = Matrix::zeros(4, 4);
-        QuantizedGates::pack(&[&m], Precision::Fp32);
     }
 }

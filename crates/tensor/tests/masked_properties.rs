@@ -1,5 +1,5 @@
 //! Bitwise pins for the in-place masked products of the packed gate
-//! slabs (`FusedGates` and `QuantizedGates`).
+//! slab (`FusedGates`) at every storage precision.
 //!
 //! The masked products run the panel kernels on the stored panels and
 //! write back only the active rows, so the panel walk is what can go
@@ -15,38 +15,11 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use tensor::gemm::sgemv_masked_reference;
 use tensor::packed::MR;
-use tensor::{FusedGates, Matrix, Precision, QuantizedGates, Vector};
+use tensor::{FusedGates, Matrix, Precision, Vector};
 
 const ROWS: [usize; 5] = [1, 7, MR, 2 * MR + 5, 33];
 const COLS: [usize; 3] = [1, 5, 257];
 const GATES: usize = 4;
-
-/// The slab under test at one precision tier.
-enum Slab {
-    Exact(FusedGates),
-    Quant(QuantizedGates),
-}
-
-impl Slab {
-    fn pack(mats: &[Matrix], precision: Precision) -> Self {
-        let refs: Vec<&Matrix> = mats.iter().collect();
-        match precision {
-            Precision::Fp32 => Slab::Exact(FusedGates::pack(&refs)),
-            p => Slab::Quant(QuantizedGates::pack(&refs, p)),
-        }
-    }
-
-    fn masked_prefix(&self, ngates: usize, x: &[f32], active: &[bool], skipped: f32) -> Vec<f32> {
-        let rows = active.len();
-        // Stale contents must not leak into any row, skipped or not.
-        let mut out = vec![1234.5f32; ngates * rows];
-        match self {
-            Slab::Exact(f) => f.gemv_masked_prefix_into(ngates, x, active, skipped, &mut out),
-            Slab::Quant(q) => q.gemv_masked_prefix_into(ngates, x, active, skipped, &mut out),
-        }
-        out
-    }
-}
 
 /// The named mask patterns for `rows` rows, plus seeded random masks at
 /// three densities.
@@ -97,12 +70,22 @@ fn in_place_masked_products_bit_identical_to_reference() {
                     .map(|_| random_matrix(rows, cols, &mut rng))
                     .collect();
                 let shadow: Vec<Matrix> = mats.iter().map(|m| precision.apply(m)).collect();
-                let slab = Slab::pack(&mats, precision);
+                let refs: Vec<&Matrix> = mats.iter().collect();
+                let slab = FusedGates::pack(&refs, precision);
                 let x = Vector::from_fn(cols, |_| rng.gen_range(-1.0f32..1.0));
                 for (mask_name, mask) in masks(rows, &mut rng) {
                     for skipped in [-3.0f32, f32::NAN] {
                         for ngates in 1..=GATES {
-                            let got = slab.masked_prefix(ngates, x.as_slice(), &mask, skipped);
+                            // Stale contents must not leak into any row,
+                            // skipped or not.
+                            let mut got = vec![1234.5f32; ngates * rows];
+                            slab.gemv_masked_prefix_into(
+                                ngates,
+                                x.as_slice(),
+                                &mask,
+                                skipped,
+                                &mut got,
+                            );
                             for (g, m) in shadow.iter().take(ngates).enumerate() {
                                 let want = sgemv_masked_reference(m, &x, &mask, skipped);
                                 let section = &got[g * rows..(g + 1) * rows];

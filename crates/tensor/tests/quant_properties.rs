@@ -12,7 +12,7 @@
 
 use proptest::prelude::*;
 use tensor::quant::{f16_bits_to_f32, f32_to_f16_bits, quantize_row_i8};
-use tensor::{FusedGates, Matrix, Precision, QuantizedGates, Vector};
+use tensor::{FusedGates, Matrix, Precision, Vector};
 
 fn finite_f32() -> impl Strategy<Value = f32> {
     (-100i32..=100).prop_map(|x| x as f32 / 10.0)
@@ -55,8 +55,8 @@ proptest! {
         p in precision(),
     ) {
         let refs: Vec<&Matrix> = mats.iter().collect();
-        let q1 = QuantizedGates::pack(&refs, p);
-        let q2 = QuantizedGates::pack(&refs, p);
+        let q1 = FusedGates::pack(&refs, p);
+        let q2 = FusedGates::pack(&refs, p);
         let mut out1 = vec![0.0f32; q1.total_rows()];
         let mut out2 = vec![0.0f32; q2.total_rows()];
         q1.gemv_into(x.as_slice(), &mut out1);
@@ -67,7 +67,7 @@ proptest! {
         // Quantized kernel == fp32 kernel on the dequantized weights.
         let shadow: Vec<Matrix> = mats.iter().map(|m| p.apply(m)).collect();
         let shadow_refs: Vec<&Matrix> = shadow.iter().collect();
-        let exact = FusedGates::pack(&shadow_refs);
+        let exact = FusedGates::pack(&shadow_refs, Precision::Fp32);
         let mut shadow_out = vec![0.0f32; exact.total_rows()];
         exact.gemv_into(x.as_slice(), &mut shadow_out);
         for (a, b) in out1.iter().zip(&shadow_out) {
@@ -86,10 +86,10 @@ proptest! {
         p in precision(),
     ) {
         let refs: Vec<&Matrix> = mats.iter().collect();
-        let quant = QuantizedGates::pack(&refs, p);
+        let quant = FusedGates::pack(&refs, p);
         let shadow: Vec<Matrix> = mats.iter().map(|m| p.apply(m)).collect();
         let shadow_refs: Vec<&Matrix> = shadow.iter().collect();
-        let exact = FusedGates::pack(&shadow_refs);
+        let exact = FusedGates::pack(&shadow_refs, Precision::Fp32);
         let mut a = vec![0.0f32; 3 * 10];
         let mut b = vec![0.0f32; 3 * 10];
         quant.gemv_masked_prefix_into(3, x.as_slice(), &mask, 0.0, &mut a);
@@ -110,8 +110,8 @@ proptest! {
         p in precision(),
     ) {
         let refs: Vec<&Matrix> = mats.iter().collect();
-        let quant = QuantizedGates::pack(&refs, p);
-        let exact = FusedGates::pack(&refs);
+        let quant = FusedGates::pack(&refs, p);
+        let exact = FusedGates::pack(&refs, Precision::Fp32);
         let mut got = vec![0.0f32; quant.total_rows()];
         let mut want = vec![0.0f32; exact.total_rows()];
         quant.gemv_into(x.as_slice(), &mut got);
