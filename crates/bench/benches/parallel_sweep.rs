@@ -7,9 +7,10 @@
 //! In measurement mode (`cargo bench`) the per-worker wall-clock and
 //! speedups versus the single-worker pool are written to
 //! `BENCH_parallel_sweep.json`, along with `host_cores` so readers can
-//! judge the numbers: on a single-core container the speedup ceiling is
-//! 1.0x regardless of worker count, and oversubscribed pools only add
-//! scheduling overhead.
+//! judge the numbers: the speedup ceiling is the host's core count, and
+//! pools with more workers than cores only add thread overhead. Each
+//! `par_map` starts `min(workers, items)` threads that claim items from
+//! one shared cursor.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use gpu_sim::DeviceModel;

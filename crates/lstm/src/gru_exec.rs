@@ -8,7 +8,6 @@
 //! recurrent matrix is `3·hidden x hidden` (three gates instead of four).
 
 use crate::gru::{GruLayer, GruWeights};
-use gpu_sim::KernelDesc;
 use rand::Rng;
 use tensor::gemm::{sgemv_bias, sgemv_bias_into};
 use tensor::init::{gaussian_matrix, gaussian_vector};
@@ -106,19 +105,11 @@ impl GruNetwork {
     }
 }
 
-/// Scales the first (weight) read of a kernel by `num/den` — used to turn
-/// four-gate traffic into three-gate traffic.
-pub(crate) fn scale_weight_reads(kernel: &mut KernelDesc, num: u64, den: u64) {
-    if let Some(access) = kernel.reads.first_mut() {
-        access.bytes = access.bytes * num / den;
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::plan::{ExecutionPlan, PlanOutput, PlanRuntime};
-    use gpu_sim::{DeviceModel, GpuConfig, GpuDevice, KernelKind};
+    use gpu_sim::{DeviceModel, GpuConfig, GpuDevice, KernelDesc, KernelKind};
     use tensor::init::seeded_rng;
 
     fn setup() -> (GruNetwork, Vec<Vector>) {

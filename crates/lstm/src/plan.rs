@@ -33,8 +33,10 @@ use crate::drs::{skip_cost, skip_fraction, trivial_row_mask_into, union_active_i
 use crate::gru::GruWeights;
 use crate::gru_exec::GruNetwork;
 use crate::network::LstmNetwork;
-use crate::regions::{NetworkRegions, RegionAllocator};
-use crate::schedule::{ew_kernel, head_kernel, u_sgemv_kernel, wx_sgemm_kernel, F32};
+use crate::regions::{LayerRegions, NetworkRegions, RegionAllocator};
+use crate::schedule::{
+    ew_kernel, gru_wx_sgemm_kernel, head_kernel, u_sgemv_kernel, wx_sgemm_kernel, F32,
+};
 use crate::workspace::{SharedScratch, Workspace};
 use gpu_sim::{DeviceModel, KernelDesc, KernelKind, MemAccess, RegionId, SpanTag, TraceSession};
 use std::mem;
@@ -408,6 +410,37 @@ pub enum LayerBody {
     },
 }
 
+/// Lowers layer `l`'s Algorithm 1 per-cell flow: one `Sgemv(U_fico, h)`
+/// and one `lstm_ew` per timestep. [`ExecutionPlan::compile_baseline`] and
+/// an optimizing compiler with both levels off both build layers here.
+pub fn baseline_layer(
+    l: usize,
+    hidden: usize,
+    seq_len: usize,
+    regions: &LayerRegions,
+    alloc: &mut RegionAllocator,
+) -> (LayerBody, PlanLayerStats) {
+    let cells = (0..seq_len)
+        .map(|t| SeqCellPlan {
+            sgemv: u_sgemv_kernel(
+                format!("Sgemv(U_fico,h) l{l} t{t}"),
+                regions.u_full,
+                4 * hidden,
+                hidden,
+                alloc,
+            ),
+            ew: ew_kernel(format!("lstm_ew l{l} t{t}"), hidden, 1, alloc),
+        })
+        .collect();
+    let stats = PlanLayerStats {
+        breakpoints: 0,
+        sublayers: 1,
+        tissues: seq_len,
+        mean_tissue_size: 1.0,
+    };
+    (LayerBody::Baseline { cells }, stats)
+}
+
 /// One planned LSTM layer.
 #[derive(Debug, Clone, PartialEq)]
 pub struct LayerPlan {
@@ -510,28 +543,9 @@ impl ExecutionPlan {
                 seq_len,
                 &mut alloc,
             );
-            let cells = (0..seq_len)
-                .map(|t| SeqCellPlan {
-                    sgemv: u_sgemv_kernel(
-                        format!("Sgemv(U_fico,h) l{l} t{t}"),
-                        regions.layers[l].u_full,
-                        4 * layer.hidden(),
-                        layer.hidden(),
-                        &mut alloc,
-                    ),
-                    ew: ew_kernel(format!("lstm_ew l{l} t{t}"), layer.hidden(), 1, &mut alloc),
-                })
-                .collect();
-            layers.push(LayerPlan {
-                wx,
-                body: LayerBody::Baseline { cells },
-                stats: PlanLayerStats {
-                    breakpoints: 0,
-                    sublayers: 1,
-                    tissues: seq_len,
-                    mean_tissue_size: 1.0,
-                },
-            });
+            let (body, stats) =
+                baseline_layer(l, layer.hidden(), seq_len, &regions.layers[l], &mut alloc);
+            layers.push(LayerPlan { wx, body, stats });
         }
         let head = head_kernel(regions.head, cfg.num_classes, cfg.hidden_size, &mut alloc);
         Self {
@@ -560,9 +574,7 @@ impl ExecutionPlan {
         let regions = NetworkRegions::allocate(&mut alloc, num_layers);
         let mut layers = Vec::with_capacity(num_layers);
         for (l, layer) in net.layers().iter().enumerate() {
-            // Three gates instead of four: scale the four-gate helper's
-            // traffic by 3/4.
-            let mut wx = wx_sgemm_kernel(
+            let wx = gru_wx_sgemm_kernel(
                 l,
                 regions.layers[l].w,
                 hidden,
@@ -570,11 +582,6 @@ impl ExecutionPlan {
                 seq_len,
                 &mut alloc,
             );
-            wx.label = format!("Sgemm(W_rzh,x) layer{l}");
-            wx.flops = wx.flops * 3 / 4;
-            wx.smem_bytes = wx.smem_bytes * 3 / 4;
-            wx.fused = 3;
-            crate::gru_exec::scale_weight_reads(&mut wx, 3, 4);
             let cells = (0..seq_len)
                 .map(|t| {
                     let mut sgemv = u_sgemv_kernel(

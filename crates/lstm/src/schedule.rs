@@ -72,6 +72,26 @@ pub fn wx_sgemm_kernel(
         .build()
 }
 
+/// Builds the per-layer GRU `Sgemm(W_{r,z,h}, x)` kernel: the four-gate
+/// [`wx_sgemm_kernel`] with its flops, on-chip traffic and weight read
+/// scaled to three gates.
+pub fn gru_wx_sgemm_kernel(
+    layer: usize,
+    w_region: RegionId,
+    hidden: usize,
+    input: usize,
+    seq_len: usize,
+    alloc: &mut RegionAllocator,
+) -> KernelDesc {
+    let mut wx = wx_sgemm_kernel(layer, w_region, hidden, input, seq_len, alloc);
+    wx.label = format!("Sgemm(W_rzh,x) layer{layer}");
+    wx.flops = wx.flops * 3 / 4;
+    wx.smem_bytes = wx.smem_bytes * 3 / 4;
+    wx.fused = 3;
+    wx.reads[0].bytes = wx.reads[0].bytes * 3 / 4;
+    wx
+}
+
 /// Builds a per-cell `Sgemv(U, h_{t-1})` kernel over `rows` output rows
 /// (4·hidden for the united matrix, 3·hidden for `U_{f,i,c}`, hidden for
 /// `U_o`).

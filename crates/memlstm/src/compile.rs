@@ -33,8 +33,8 @@ use crate::tissue::{form_tissues, schedule_tissues, schedule_tissues_balanced, T
 use gpu_sim::{DeviceModel, KernelDesc, KernelKind, RegionId};
 use lstm::cell::GatePreacts;
 use lstm::plan::{
-    DrsCellPlan, ExecutionPlan, LayerBody, LayerPlan, MaskedUKernel, PlanBody, PlanLayerStats,
-    PlanRuntime, PrevSource, SeqCellPlan, TissueKernels, TissuePlan,
+    baseline_layer, DrsCellPlan, ExecutionPlan, LayerBody, LayerPlan, MaskedUKernel, PlanBody,
+    PlanLayerStats, PlanRuntime, PrevSource, TissueKernels, TissuePlan,
 };
 use lstm::regions::{NetworkRegions, RegionAllocator};
 use lstm::schedule::{
@@ -126,7 +126,7 @@ pub fn compile(
         } else if config.intra_enabled() {
             drs_body(l, config, hidden, seq_len, &regions.layers[l], &mut alloc)
         } else {
-            baseline_body(l, hidden, seq_len, &regions.layers[l], &mut alloc)
+            baseline_layer(l, hidden, seq_len, &regions.layers[l], &mut alloc)
         };
         // Advance every probe through the planned layer with the runtime's
         // own arithmetic, so the next layer is analyzed against the
@@ -160,8 +160,10 @@ pub fn compile(
 /// Per-link relevances combined across probes by averaging: the offline
 /// estimate of each link's expected relevance over the data distribution.
 /// A link breaks when it is weak *on average* — the AO/BPA selection then
-/// enforces the accuracy budget empirically on held-out sequences.
-fn combined_relevances(
+/// enforces the accuracy budget empirically on held-out sequences. The
+/// `α_inter` upper limit averages with this helper too, so it is
+/// consistent with what the compiler breaks.
+pub(crate) fn combined_relevances(
     analyzer: &RelevanceAnalyzer,
     wxs: &[Vec<GatePreacts>],
     pool: Pool,
@@ -182,36 +184,6 @@ fn combined_relevances(
         *c /= k;
     }
     combined
-}
-
-/// The baseline per-cell flow (both optimization levels disabled, e.g.
-/// threshold set 0).
-fn baseline_body(
-    l: usize,
-    hidden: usize,
-    seq_len: usize,
-    regions: &LayerRegions,
-    alloc: &mut RegionAllocator,
-) -> (LayerBody, PlanLayerStats) {
-    let cells = (0..seq_len)
-        .map(|t| SeqCellPlan {
-            sgemv: u_sgemv_kernel(
-                format!("Sgemv(U_fico,h) l{l} t{t}"),
-                regions.u_full,
-                4 * hidden,
-                hidden,
-                alloc,
-            ),
-            ew: ew_kernel(format!("lstm_ew l{l} t{t}"), hidden, 1, alloc),
-        })
-        .collect();
-    let stats = PlanLayerStats {
-        breakpoints: 0,
-        sublayers: 1,
-        tissues: seq_len,
-        mean_tissue_size: 1.0,
-    };
-    (LayerBody::Baseline { cells }, stats)
 }
 
 /// Intra-cell only: the Algorithm 3 per-cell flow.

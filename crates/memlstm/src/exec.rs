@@ -402,7 +402,12 @@ mod tests {
                 mode: DrsMode::Hardware,
             })
             .build();
-        // alpha 0 -> DRS disabled -> plain baseline flow.
+        // alpha 0 -> DRS disabled -> plain baseline flow, lowered by the
+        // baseline compiler's own layer builder.
+        let plan = OptimizedExecutor::new(&net, &preds, cfg).plan_probes(std::slice::from_ref(&xs));
+        let baseline =
+            ExecutionPlan::compile_baseline(&net, xs.len(), &DeviceModel::default_preset());
+        assert_eq!(plan, baseline);
         let (out, _, _) = run_once(&net, &preds, cfg, &xs);
         assert_eq!(out.logits, net.forward(&xs).logits);
     }

@@ -23,7 +23,7 @@ use lstm::plan::{
     ExecutionPlan, GruDrsCellPlan, GruLayerBody, GruLayerPlan, MaskedUKernel, PlanBody,
 };
 use lstm::regions::{NetworkRegions, RegionAllocator};
-use lstm::schedule::{drs_kernel, ew_kernel, head_kernel, u_sgemv_kernel, wx_sgemm_kernel};
+use lstm::schedule::{drs_kernel, ew_kernel, gru_wx_sgemm_kernel, head_kernel, u_sgemv_kernel};
 use tensor::Precision;
 
 /// Compiles the GRU Dynamic-Row-Skip flow for `net` into an fp32
@@ -46,19 +46,16 @@ pub fn compile_gru_drs(
     let regions = NetworkRegions::allocate(&mut alloc, num_layers);
     let mut layers = Vec::with_capacity(num_layers);
     for (l, layer) in net.layers().iter().enumerate() {
-        let weights = layer.weights();
-        // Three gates instead of four on the W side (the GRU keeps the
-        // baseline's DRAM accounting here; only flops shrink).
-        let mut wx = wx_sgemm_kernel(
+        // The same three-gate W·x as the baseline: DRS changes only the
+        // recurrent products.
+        let wx = gru_wx_sgemm_kernel(
             l,
             regions.layers[l].w,
             hidden,
-            weights.input_dim(),
+            layer.weights().input_dim(),
             seq_len,
             &mut alloc,
         );
-        wx.label = format!("Sgemm(W_rzh,x) layer{l}");
-        wx.flops = wx.flops * 3 / 4;
         let cells = (0..seq_len)
             .map(|t| GruDrsCellPlan {
                 // Step 1: the update gate alone (U_z slice).
@@ -202,6 +199,20 @@ mod tests {
             assert_eq!(out, one_shot);
             assert_eq!(trace, one_shot_trace);
         }
+    }
+
+    #[test]
+    fn wx_kernels_match_the_baseline() {
+        // DRS reorders only the recurrent products, so every layer's W·x
+        // is priced exactly as the baseline prices it.
+        let (net, xs) = setup();
+        let wx_of = |plan: ExecutionPlan| match plan.body {
+            PlanBody::Gru(layers) => layers.into_iter().map(|l| l.wx).collect::<Vec<_>>(),
+            PlanBody::Lstm(_) => panic!("not a GRU plan"),
+        };
+        let base =
+            ExecutionPlan::compile_gru_baseline(&net, xs.len(), &DeviceModel::default_preset());
+        assert_eq!(wx_of(plan_at(&net, 0.08, xs.len())), wx_of(base));
     }
 
     #[test]

@@ -190,8 +190,8 @@ impl FaultPlan {
 /// The builder's [`build`](ServeConfigBuilder::build) validates the
 /// numeric fields and returns [`Error::InvalidServeConfig`] for
 /// out-of-range values (zero `max_batch`/`queue_capacity`, inverted
-/// watermarks, ...) — [`ServeEngine::new`] trusts a built config and
-/// checks only the plan/network/device structure.
+/// watermarks, ...). The fields are public, so [`ServeEngine::new`]
+/// validates the config again before serving with it.
 #[derive(Debug, Clone)]
 pub struct ServeConfig {
     /// Maximum requests ganged into one round (the batch size cap).
@@ -264,10 +264,9 @@ impl ServeConfig {
         }
     }
 
-    /// Checks the numeric fields. [`ServeConfigBuilder::build`] is the
-    /// one caller on the construction path; it stays public so code that
-    /// assembles a `ServeConfig` literally (the fields are public) can
-    /// re-establish the invariant before serving.
+    /// Checks the numeric fields. [`ServeConfigBuilder::build`] and
+    /// [`ServeEngine::new`] both call it, so a config whose public fields
+    /// were edited after `build` is still rejected before serving.
     pub fn validate(&self) -> MemlstmResult<()> {
         let invalid = |field, reason| Err(Error::InvalidServeConfig { field, reason });
         if self.max_batch == 0 {
@@ -786,13 +785,9 @@ impl<'a> ServeEngine<'a> {
     /// hardware. The config therefore has to name the same device the
     /// plan was compiled for.
     ///
-    /// The config's numeric fields were validated when
-    /// [`ServeConfigBuilder::build`] constructed it, so `new` checks
-    /// only the plan/network/device structure. A config assembled as a
-    /// struct literal bypasses that validation — call
-    /// [`ServeConfig::validate`] yourself before serving with one.
-    ///
     /// # Errors
+    /// [`Error::InvalidServeConfig`] if [`ServeConfig::validate`] rejects
+    /// the config (its fields are public, so `build` is not enough),
     /// [`Error::GruPlan`] if the plan was compiled for a GRU network,
     /// [`Error::LayerCountMismatch`] if the plan and network disagree,
     /// or [`Error::DeviceMismatch`] if the config's device is not the
@@ -802,6 +797,7 @@ impl<'a> ServeEngine<'a> {
         net: &'a LstmNetwork,
         config: ServeConfig,
     ) -> MemlstmResult<Self> {
+        config.validate()?;
         Self::check_plan(plan, net, &config)?;
         let device = GpuDevice::for_model(&config.device);
         Ok(Self {
@@ -1531,6 +1527,25 @@ mod tests {
                 reason: "must be nonzero"
             }
         );
+        // The fields are public: `ServeEngine::new` catches a built config
+        // edited afterwards, which would panic in `step` or `submit`.
+        let (net, plan, _) = setup(3);
+        let mut zero_batch = config().build().unwrap();
+        zero_batch.max_batch = 0;
+        let mut zero_capacity = config()
+            .with_shedding(SheddingPolicy::expired_and_evict())
+            .build()
+            .unwrap();
+        zero_capacity.queue_capacity = 0;
+        for (edited, field) in [(zero_batch, "max_batch"), (zero_capacity, "queue_capacity")] {
+            assert_eq!(
+                ServeEngine::new(&plan, &net, edited).unwrap_err(),
+                Error::InvalidServeConfig {
+                    field,
+                    reason: "must be nonzero"
+                }
+            );
+        }
     }
 
     #[test]

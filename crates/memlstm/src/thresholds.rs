@@ -8,6 +8,7 @@
 //! (pushing further breaks links without gaining performance). Eleven sets
 //! interpolate from 0 (exact baseline) to the limits (most aggressive).
 
+use crate::compile::combined_relevances;
 use crate::drs::{DrsConfig, DrsMode};
 use crate::exec::{OptRunStats, OptimizedExecutor, OptimizerConfig};
 use crate::mts::determine_mts;
@@ -293,7 +294,7 @@ impl Evaluator {
     /// the breakpoint search, sub-layer division, tissue alignment and
     /// template construction all happen exactly once — against the whole
     /// offline set (per-link relevances combined across probes, the same
-    /// set that calibrated [`upper_alpha_inter`]) — and every evaluation
+    /// set that calibrated [`Self::upper_alpha_inter`]) — and every evaluation
     /// sequence then streams through the shared [`PlanRuntime`]. Sequences
     /// inside the perf budget are priced incrementally on a fresh device;
     /// the rest run through a null sink and contribute numbers only.
@@ -461,16 +462,11 @@ pub fn tune_combined_ao(
 /// tissue count `N_min = ceil(N / MTS)` on the offline set. Larger
 /// thresholds cannot improve performance further.
 ///
-/// Per-link relevances are combined across the offline sequences with the
-/// same averaging the plan compiler uses, so the limit is consistent with
-/// what `Evaluator::evaluate` compiles at threshold set 10.
-pub fn upper_alpha_inter(workload: &Workload, mts: usize) -> f64 {
-    upper_alpha_inter_pooled(workload, mts, Pool::new())
-}
-
-/// [`upper_alpha_inter`] with an explicit pool: the per-probe relevance
-/// collection and the probe advance fan out across probe sequences, with
-/// the per-probe results merged in probe order (bit-identical to serial).
+/// Per-link relevances are combined across the offline sequences by the
+/// plan compiler's own averaging, so the limit is consistent with what
+/// `Evaluator::evaluate` compiles at threshold set 10. The per-probe work
+/// fans out on `pool`, with results merged in probe order (bit-identical
+/// to serial).
 pub fn upper_alpha_inter_pooled(workload: &Workload, mts: usize, pool: Pool) -> f64 {
     let net = workload.network();
     let probes = workload.dataset().offline();
@@ -479,19 +475,10 @@ pub fn upper_alpha_inter_pooled(workload: &Workload, mts: usize, pool: Pool) -> 
     let mut upper = 0.0f64;
     let mut currents: Vec<Vec<tensor::Vector>> = probes.to_vec();
     for layer in net.layers() {
-        let analyzer = RelevanceAnalyzer::new(layer.weights());
-        let mut relevances = vec![0.0f64; n];
-        let per_probe = pool.par_map((0..currents.len()).collect::<Vec<usize>>(), |p| {
-            analyzer.layer_relevances(&layer.precompute_wx(tensor::Precision::Fp32, &currents[p]))
+        let wxs = pool.par_map(currents.iter().collect::<Vec<_>>(), |current| {
+            layer.precompute_wx(tensor::Precision::Fp32, current)
         });
-        for probe_rel in &per_probe {
-            for (r, &v) in relevances.iter_mut().zip(probe_rel) {
-                *r += v;
-            }
-        }
-        for r in relevances.iter_mut() {
-            *r /= currents.len() as f64;
-        }
+        let relevances = combined_relevances(&RelevanceAnalyzer::new(layer.weights()), &wxs, pool);
         let mut candidates = crate::breakpoints::candidate_thresholds(&relevances);
         candidates.push(RelevanceAnalyzer::max_relevance());
         // Smallest candidate achieving N_min tissues for this layer.

@@ -1,29 +1,19 @@
-//! Std-only scoped thread pool with work-stealing scheduling and a
-//! deterministic, ordered `par_map`.
+//! Std-only deterministic, ordered `par_map`.
 //!
 //! The host-side pipeline of the memlstm reproduction (threshold sweeps,
 //! per-sequence evaluation, probe averaging) is embarrassingly parallel
 //! across coarse tasks, but the project's numbers must be **bit-identical
 //! regardless of worker count**. This crate provides exactly that
-//! contract:
+//! contract: [`Pool::par_map`] runs `f` over the items on the pool's
+//! workers and returns the results **in input order** — every result
+//! lands in the slot of the item that produced it, so scheduling order is
+//! invisible to the caller. As long as `f` itself is a pure function of
+//! its item, the output is byte-for-byte the same for 1 worker or 64.
 //!
-//! * [`Pool::par_map`] runs `f` over the items on the pool's workers and
-//!   returns the results **in input order** — every result lands in the
-//!   slot of the item that produced it, so scheduling order is invisible
-//!   to the caller. As long as `f` itself is a pure function of its item,
-//!   the output is byte-for-byte the same for 1 worker or 64.
-//! * [`Pool::scope`] exposes the underlying primitive: spawn arbitrary
-//!   tasks that may borrow from the enclosing stack frame; the scope does
-//!   not return until every task has finished.
-//!
-//! Scheduling is work-stealing in the classic sense: spawned tasks are
-//! distributed round-robin across per-worker deques; a worker pops its
-//! own deque newest-first (LIFO, cache-warm) and, when empty, steals the
-//! *oldest* task from a sibling (FIFO), which rebalances adversarially
-//! uneven task durations. The queues live behind a single mutex — the
-//! pool targets coarse tasks (whole eval sequences, whole threshold
-//! configs) where queue traffic is negligible, and `std`-only safe code
-//! rules out lock-free deques.
+//! Scheduling is one shared cursor behind a mutex: `min(workers, items)`
+//! scoped threads each claim the next `(index, item)` pair until none is
+//! left. Items are coarse (whole eval sequences, whole threshold
+//! configs), so a claim costs nothing next to running its item.
 //!
 //! Worker count comes from the `MEMLSTM_THREADS` environment variable
 //! when set (a positive integer), else [`std::thread::available_parallelism`].
@@ -36,18 +26,17 @@
 #![warn(missing_docs)]
 
 use std::cell::Cell;
-use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Condvar, Mutex};
+use std::sync::Mutex;
 use std::time::Instant;
 
 thread_local! {
-    /// Set while the current thread is a pool worker executing tasks;
-    /// nested pool use detects this and runs serially.
+    /// Set on every pool worker thread; nested pool use detects this and
+    /// runs serially.
     static IN_WORKER: Cell<bool> = const { Cell::new(false) };
 
-    /// The worker's index within its scope, for utilization capture.
-    /// `None` on non-worker threads (inline/serial execution).
+    /// The worker's index within its `par_map` call, for utilization
+    /// capture. `None` on non-worker threads (inline/serial execution).
     static WORKER_ID: Cell<Option<usize>> = const { Cell::new(None) };
 }
 
@@ -66,7 +55,7 @@ struct CaptureState {
 /// and when (wall-clock seconds relative to [`start_capture`]).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TaskSpan {
-    /// Worker index within the scope (0 for inline/serial execution).
+    /// Worker index within its `par_map` (0 for inline/serial execution).
     pub worker: usize,
     /// Start time in seconds since `start_capture()`.
     pub start_s: f64,
@@ -106,11 +95,6 @@ impl PoolProfile {
             0.0
         }
     }
-
-    /// Seconds of task execution summed over all workers.
-    pub fn total_busy_s(&self) -> f64 {
-        self.tasks.iter().map(|t| t.dur_s).sum()
-    }
 }
 
 /// Begins recording per-worker task spans. Any pool work on any thread is
@@ -142,16 +126,15 @@ pub fn stop_capture() -> PoolProfile {
     }
 }
 
-/// Runs `task`, recording a [`TaskSpan`] when capture is enabled.
-/// Observation-only: the task's execution is identical either way, and a
-/// panicking task simply goes unrecorded (the panic still propagates).
-fn run_task(task: impl FnOnce()) {
+/// Runs `task` and returns its value, recording a [`TaskSpan`] when
+/// capture is enabled. Observation-only: a panicking task simply goes
+/// unrecorded (the panic still propagates).
+fn run_task<R>(task: impl FnOnce() -> R) -> R {
     if !CAPTURE_ON.load(Ordering::Relaxed) {
-        task();
-        return;
+        return task();
     }
     let start = Instant::now();
-    task();
+    let out = task();
     let dur_s = start.elapsed().as_secs_f64();
     let worker = WORKER_ID.with(|w| w.get()).unwrap_or(0);
     if let Some(st) = CAPTURE.lock().unwrap().as_mut() {
@@ -162,20 +145,23 @@ fn run_task(task: impl FnOnce()) {
             dur_s,
         });
     }
+    out
 }
 
+const UNPOISONED: &str = "par_map: no lock is held while a task runs";
+
 /// `true` when called from inside a pool task (nested parallelism would
-/// oversubscribe, so nested scopes run serial).
-pub fn in_worker() -> bool {
+/// oversubscribe, so nested maps run serial).
+fn in_worker() -> bool {
     IN_WORKER.with(|w| w.get())
 }
 
 /// A handle describing how many workers parallel sections may use.
 ///
 /// `Pool` is a cheap value type (it holds only the worker count); the
-/// worker threads themselves are scoped to each [`Pool::scope`] /
-/// [`Pool::par_map`] call, so a `Pool` can be stored in long-lived
-/// structs without keeping idle threads alive.
+/// worker threads themselves are scoped to each [`Pool::par_map`] call,
+/// so a `Pool` can be stored in long-lived structs without keeping idle
+/// threads alive.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Pool {
     workers: usize,
@@ -210,46 +196,9 @@ impl Pool {
         }
     }
 
-    /// A single-worker pool: every parallel section runs inline serial.
-    pub fn serial() -> Self {
-        Self::with_workers(1)
-    }
-
     /// The number of workers parallel sections will use.
     pub fn workers(&self) -> usize {
         self.workers
-    }
-
-    /// Runs `f` with a [`Scope`] on which tasks can be spawned; returns
-    /// once `f` and every spawned task have finished.
-    ///
-    /// With one worker — or when called from inside a pool task — tasks
-    /// execute inline, in spawn order, on the calling thread.
-    pub fn scope<'env, R>(&self, f: impl FnOnce(&Scope<'_, 'env>) -> R) -> R {
-        if self.workers <= 1 || in_worker() {
-            return f(&Scope { shared: None });
-        }
-        let shared = Shared {
-            state: Mutex::new(State {
-                locals: (0..self.workers).map(|_| VecDeque::new()).collect(),
-                next_rr: 0,
-                pending: 0,
-                closed: false,
-            }),
-            work: Condvar::new(),
-        };
-        std::thread::scope(|ts| {
-            for id in 0..self.workers {
-                let sh = &shared;
-                ts.spawn(move || worker_loop(sh, id));
-            }
-            // Mark the scope closed even if `f` panics, so workers always
-            // drain and exit and the join below cannot deadlock.
-            let _close = CloseGuard(&shared);
-            f(&Scope {
-                shared: Some(&shared),
-            })
-        })
     }
 
     /// Applies `f` to every item on the pool's workers, returning the
@@ -260,30 +209,33 @@ impl Pool {
     /// when called from inside a pool task (nesting stays bounded).
     ///
     /// # Panics
-    /// Propagates the first panic raised by `f`.
+    /// Propagates a panic raised by `f`, once every worker has stopped.
     pub fn par_map<T, R, F>(&self, items: Vec<T>, f: F) -> Vec<R>
     where
         T: Send,
         R: Send,
         F: Fn(T) -> R + Sync,
     {
-        if self.workers <= 1 || in_worker() || items.len() <= 1 {
-            return items
-                .into_iter()
-                .map(|item| {
-                    let mut out = None;
-                    run_task(|| out = Some(f(item)));
-                    out.expect("run_task executes its task")
-                })
-                .collect();
+        let n = items.len();
+        if self.workers <= 1 || in_worker() || n <= 1 {
+            return items.into_iter().map(|item| run_task(|| f(item))).collect();
         }
-        let slots: Vec<Mutex<Option<R>>> = items.iter().map(|_| Mutex::new(None)).collect();
-        let f = &f;
-        let slots_ref = &slots;
-        self.scope(|s| {
-            for (i, item) in items.into_iter().enumerate() {
+        let cursor = Mutex::new(items.into_iter().enumerate());
+        let slots: Vec<Mutex<Option<R>>> = (0..n).map(|_| Mutex::new(None)).collect();
+        std::thread::scope(|s| {
+            for id in 0..self.workers.min(n) {
+                let (cursor, slots, f) = (&cursor, &slots, &f);
                 s.spawn(move || {
-                    *slots_ref[i].lock().unwrap() = Some(f(item));
+                    IN_WORKER.with(|w| w.set(true));
+                    WORKER_ID.with(|w| w.set(Some(id)));
+                    loop {
+                        // The claim is its own statement, so the cursor is
+                        // unlocked before `f` runs.
+                        let next = cursor.lock().expect(UNPOISONED).next();
+                        let Some((i, item)) = next else { break };
+                        let out = run_task(|| f(item));
+                        *slots[i].lock().expect(UNPOISONED) = Some(out);
+                    }
                 });
             }
         });
@@ -291,117 +243,10 @@ impl Pool {
             .into_iter()
             .map(|m| {
                 m.into_inner()
-                    .unwrap_or_else(|e| e.into_inner())
-                    .expect("par_map: worker finished without writing its slot")
+                    .expect(UNPOISONED)
+                    .expect("par_map: every claimed item writes its slot")
             })
             .collect()
-    }
-}
-
-/// Spawning handle passed to the closure of [`Pool::scope`].
-pub struct Scope<'s, 'env> {
-    /// `None` in serial mode: tasks run inline at the spawn site.
-    shared: Option<&'s Shared<'env>>,
-}
-
-impl<'s, 'env> Scope<'s, 'env> {
-    /// Spawns a task onto the scope's workers (round-robin into the
-    /// per-worker deques). In serial mode the task runs immediately on
-    /// the calling thread.
-    pub fn spawn(&self, task: impl FnOnce() + Send + 'env) {
-        match self.shared {
-            None => run_task(task),
-            Some(sh) => {
-                let mut st = sh.state.lock().unwrap();
-                st.pending += 1;
-                let slot = st.next_rr % st.locals.len();
-                st.next_rr += 1;
-                st.locals[slot].push_back(Box::new(task));
-                drop(st);
-                sh.work.notify_one();
-            }
-        }
-    }
-}
-
-type Task<'env> = Box<dyn FnOnce() + Send + 'env>;
-
-struct State<'env> {
-    /// One deque per worker; `Scope::spawn` feeds them round-robin.
-    locals: Vec<VecDeque<Task<'env>>>,
-    next_rr: usize,
-    /// Tasks spawned but not yet finished (queued + running).
-    pending: usize,
-    /// Set when the scope closure has returned: no more spawns will come.
-    closed: bool,
-}
-
-struct Shared<'env> {
-    state: Mutex<State<'env>>,
-    work: Condvar,
-}
-
-fn worker_loop<'env>(shared: &Shared<'env>, id: usize) {
-    IN_WORKER.with(|w| w.set(true));
-    WORKER_ID.with(|w| w.set(Some(id)));
-    let mut st = shared.state.lock().unwrap();
-    loop {
-        if let Some(task) = take_task(&mut st, id) {
-            drop(st);
-            {
-                // Decrement `pending` even if the task panics, so sibling
-                // workers can still observe completion and exit (the panic
-                // itself is re-raised by `std::thread::scope` at join).
-                let _guard = PendingGuard(shared);
-                run_task(task);
-            }
-            st = shared.state.lock().unwrap();
-        } else if st.closed && st.pending == 0 {
-            break;
-        } else {
-            st = shared.work.wait(st).unwrap();
-        }
-    }
-    drop(st);
-    WORKER_ID.with(|w| w.set(None));
-    IN_WORKER.with(|w| w.set(false));
-}
-
-/// Own deque newest-first (LIFO, cache-warm); steal oldest-first (FIFO)
-/// from siblings when empty.
-fn take_task<'env>(st: &mut State<'env>, id: usize) -> Option<Task<'env>> {
-    if let Some(t) = st.locals[id].pop_back() {
-        return Some(t);
-    }
-    let n = st.locals.len();
-    for off in 1..n {
-        let victim = (id + off) % n;
-        if let Some(t) = st.locals[victim].pop_front() {
-            return Some(t);
-        }
-    }
-    None
-}
-
-struct PendingGuard<'a, 'env>(&'a Shared<'env>);
-
-impl Drop for PendingGuard<'_, '_> {
-    fn drop(&mut self) {
-        let mut st = self.0.state.lock().unwrap();
-        st.pending -= 1;
-        drop(st);
-        self.0.work.notify_all();
-    }
-}
-
-struct CloseGuard<'a, 'env>(&'a Shared<'env>);
-
-impl Drop for CloseGuard<'_, '_> {
-    fn drop(&mut self) {
-        let mut st = self.0.state.lock().unwrap();
-        st.closed = true;
-        drop(st);
-        self.0.work.notify_all();
     }
 }
 
@@ -409,7 +254,7 @@ impl Drop for CloseGuard<'_, '_> {
 mod tests {
     use super::*;
     use std::panic::{catch_unwind, AssertUnwindSafe};
-    use std::sync::atomic::{AtomicUsize, Ordering};
+    use std::sync::atomic::Ordering;
     use std::time::Duration;
 
     #[test]
@@ -429,7 +274,7 @@ mod tests {
     fn par_map_identical_across_worker_counts() {
         let items: Vec<u64> = (0..40).collect();
         let f = |i: u64| i.wrapping_mul(0x9E3779B97F4A7C15).rotate_left(17);
-        let serial = Pool::serial().par_map(items.clone(), f);
+        let serial = Pool::with_workers(1).par_map(items.clone(), f);
         for workers in [2, 3, 8] {
             let parallel = Pool::with_workers(workers).par_map(items.clone(), f);
             assert_eq!(serial, parallel, "{workers} workers diverged");
@@ -441,20 +286,6 @@ mod tests {
         let pool = Pool::with_workers(4);
         assert_eq!(pool.par_map(Vec::<i32>::new(), |x| x), Vec::<i32>::new());
         assert_eq!(pool.par_map(vec![7], |x| x + 1), vec![8]);
-    }
-
-    #[test]
-    fn scope_runs_every_spawned_task() {
-        let pool = Pool::with_workers(3);
-        let counter = AtomicUsize::new(0);
-        pool.scope(|s| {
-            for _ in 0..100 {
-                s.spawn(|| {
-                    counter.fetch_add(1, Ordering::Relaxed);
-                });
-            }
-        });
-        assert_eq!(counter.load(Ordering::Relaxed), 100);
     }
 
     #[test]
@@ -517,15 +348,15 @@ mod tests {
         });
         assert_eq!(out, (0..12).map(|i| i * 3).collect::<Vec<_>>());
         // Serial path records too, attributed to worker 0.
-        Pool::serial().par_map(vec![1, 2], |x| x);
+        Pool::with_workers(1).par_map(vec![1, 2], |x| x);
         let prof = stop_capture();
         // `>=` everywhere: concurrent tests may add spans of their own.
         assert!(prof.tasks.len() >= 12, "only {} spans", prof.tasks.len());
         assert!(prof.workers >= 1 && prof.workers <= 64);
         assert!(prof.wall_s > 0.0);
-        assert!(prof.total_busy_s() > 0.0);
         let busy: f64 = (0..prof.workers).map(|w| prof.busy_s(w)).sum();
-        assert!((busy - prof.total_busy_s()).abs() < 1e-12);
+        let total: f64 = prof.tasks.iter().map(|t| t.dur_s).sum();
+        assert!(total > 0.0 && (busy - total).abs() < 1e-12);
         for t in &prof.tasks {
             assert!(t.start_s >= 0.0 && t.dur_s >= 0.0);
             assert!(t.worker < prof.workers);

@@ -156,6 +156,24 @@ fn logits_are_bit_identical_across_devices_and_policies() {
     }
 }
 
+/// `ServeConfig`'s fields are public, so a member config edited after
+/// `build` must be rejected when the fleet is built, not panic mid-serve.
+#[test]
+fn fleet_rejects_a_member_config_edited_after_build() {
+    let (net, seqs) = setup(7, 1);
+    let plan = ExecutionPlan::compile_baseline(&net, seqs[0].len(), &DeviceModel::tegra_x1());
+    let mut config = ServeConfig::builder(plan.device.clone()).build().unwrap();
+    config.max_batch = 0;
+    let fleet = FleetEngine::new(&net, vec![(&plan, config)], Box::new(LeastQueueDepth));
+    assert!(matches!(
+        fleet,
+        Err(Error::InvalidServeConfig {
+            field: "max_batch",
+            ..
+        })
+    ));
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 
