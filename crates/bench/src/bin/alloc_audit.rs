@@ -16,8 +16,7 @@
 //! * `batch8_serve` — eight sequences in lockstep through the same
 //!   runtime, the serve engine's gang path;
 //! * `int8_batch8_serve` — the same gang on the plan re-priced to int8
-//!   weights, so the dequantize-on-load kernels (and the lazily packed
-//!   int8 slabs) run.
+//!   weights, so the lazily packed int8-rounded slabs run.
 //!
 //! A plain run writes `BENCH_alloc.json` at the repo root, the committed
 //! baseline. With `--check` the results go to `target/bench/` instead,

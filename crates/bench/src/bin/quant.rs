@@ -329,7 +329,7 @@ fn main() {
     let json = format!(
         "{{\n  \"benchmark\": \"quant\",\n  \"mode\": \"{}\",\n  \
          \"note\": \"weight-precision tiers (fp32/fp16/int8) per scheme; \
-         dequantize-on-load kernels, biases and head stay fp32; \
+         gate weights rounded to the tier, biases and head stay fp32; \
          simulated time, bit-identical reruns\",\n  \
          \"device\": \"{}\",\n  \"threshold_sets\": {sets},\n  \
          \"residency_changed_cells\": {residency_changed_cells},\n  \

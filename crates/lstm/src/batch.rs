@@ -4,19 +4,24 @@
 //! The paper's diagnosis (Fig. 4/6) is that mobile-GPU LSTM inference is
 //! DRAM-bound on *weight* reloads; tissues and Dynamic Row Skip attack
 //! that within one sequence. Serving many concurrent sequences offers the
-//! same lever across requests: running B sequences in lockstep turns each
-//! per-step `Sgemv(U, h)` into an `Sgemm(U, H_B)`, so one weight load
-//! serves B hidden vectors (cf. Appleyard et al.'s batched RNN kernels
-//! and E-PUR's weight-reuse argument).
+//! same lever across requests: on the simulated device, running B
+//! sequences in lockstep turns each per-step `Sgemv(U, h)` into an
+//! `Sgemm(U, H_B)`, so one weight load serves B hidden vectors (cf.
+//! Appleyard et al.'s batched RNN kernels and E-PUR's weight-reuse
+//! argument). That reuse is a property of the *pricing*
+//! ([`batch_kernel_into`]), not of the host numerics.
 //!
 //! [`PlanRuntime`] executes one compiled [`ExecutionPlan`] on B sequences
 //! ("lanes") at once, and a solo run is the batch of one. Sequences are
 //! independent, so interchanging the timestep and lane loops cannot
 //! change any value: every lane's output is **bit-identical** to running
-//! that sequence alone. Batching changes only the emitted kernel stream —
-//! one batched kernel per planned kernel, priced by [`batch_kernel_into`]
-//! with amortized weight traffic. A single lane emits the planned
-//! descriptors as they are.
+//! that sequence alone. On the host each lane still runs its own `U·h`
+//! product per step: the `U` slab stays in L2 across a gang's lanes, and
+//! a gang-wide weight-stationary `U·h` measured no faster (a recorded
+//! non-win in DESIGN Sec. 2g). Batching changes only the emitted kernel
+//! stream — one batched kernel per planned kernel, priced by
+//! [`batch_kernel_into`] with amortized weight traffic. A single lane
+//! emits the planned descriptors as they are.
 
 use crate::cell::{CellWeights, GatePreacts};
 use crate::drs::{skip_fraction, trivial_row_mask_into};

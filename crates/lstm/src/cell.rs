@@ -466,11 +466,11 @@ impl CellWeights {
 
     /// [`precompute_wx`](Self::precompute_wx) into caller-owned gate
     /// vectors (resized in place; allocation-free once at width), with
-    /// the `W` quartet stored at `precision`. One fused pass over the
+    /// the `W` quartet rounded to `precision`. One fused pass over the
     /// `W_{f,i,c,o}` slab fills all four sections. `Fp32` is the exact
-    /// path; the quantized tiers dequantize on load with the same
-    /// accumulation order, so the result is bit-identical to running
-    /// fp32 on the [`Precision::apply`]-dequantized weights.
+    /// path; a quantized slab stores the [`Precision::apply`]-dequantized
+    /// weights and runs the same kernels, so the result is bit-identical
+    /// to running fp32 on them.
     ///
     /// # Panics
     /// Panics if `x.len() != input_dim`.
@@ -542,9 +542,9 @@ impl CellWeights {
         (h, c)
     }
 
-    /// The zero-allocation exact cell step with the `U` quartet stored at
-    /// `precision`: one fused `U_{f,i,c,o}·h` GEMV into the scratch slab
-    /// (dequantizing on load), then the Eqs. 1–5 elementwise pass into
+    /// The zero-allocation exact cell step with the `U` quartet rounded to
+    /// `precision`: one fused `U_{f,i,c,o}·h` GEMV into the scratch slab,
+    /// then the Eqs. 1–5 elementwise pass into
     /// the recycled `h_out`/`c_out` (activations and state arithmetic
     /// stay fp32). At `Fp32` it is bit-identical to [`step`](Self::step)
     /// (same kernels, same per-element association).

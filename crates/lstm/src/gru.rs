@@ -185,9 +185,9 @@ impl GruWeights {
     }
 
     /// [`update_gate`](Self::update_gate) into a recycled buffer with the
-    /// gate packs stored at `precision` (dequantize-on-load; activations
-    /// stay fp32) — the zero-allocation form for DRS step loops. At
-    /// `Fp32` it is bit-identical to the owned form.
+    /// gate packs rounded to `precision` (activations stay fp32) — the
+    /// zero-allocation form for DRS step loops. At `Fp32` it is
+    /// bit-identical to the owned form.
     pub fn update_gate_into(
         &self,
         precision: Precision,
@@ -217,9 +217,9 @@ impl GruWeights {
         h
     }
 
-    /// The zero-allocation exact GRU step with the gate packs stored at
+    /// The zero-allocation exact GRU step with the gate packs rounded to
     /// `precision`: each gate is one pass through the fused `r, z, h`
-    /// packs into the scratch slab (all six GEMVs dequantize on load),
+    /// packs into the scratch slab (all six GEMVs),
     /// with `r ⊙ h` and `z` held in recycled scratch buffers. At `Fp32`
     /// it is bit-identical to [`step`](Self::step) (the packed GEMV
     /// reproduces the reference `sgemv` bitwise, and the per-element

@@ -621,7 +621,7 @@ impl ExecutionPlan {
     /// (`U_full`/`U_o`/`U_fic`/`W` — biases and the classifier head stay
     /// fp32) shrinks by the tier's bytes-per-weight ratio, the masked
     /// templates price their mask-dependent reads at the tier, and the
-    /// runtime executes through the dequantize-on-load kernels. FLOPs,
+    /// runtime executes on weights rounded to the tier. FLOPs,
     /// activations, and on-chip staging are unchanged (weights are
     /// dequantized as they stream through the core).
     ///

@@ -50,9 +50,9 @@ pub struct OptimizerConfig {
     pub use_predicted_link: bool,
     /// Storage precision of the packed gate matrices (`U` and `W`).
     /// [`Precision::Fp32`] (the default) is exact and byte-identical to
-    /// the pre-quantization pipeline; `Fp16`/`Int8` shrink weight traffic
-    /// 2x/4x with dequantize-on-load kernels (biases and the classifier
-    /// head stay fp32).
+    /// the pre-quantization pipeline; `Fp16`/`Int8` round the weights to
+    /// the tier and shrink their priced traffic 2x/4x (biases and the
+    /// classifier head stay fp32).
     pub precision: Precision,
 }
 

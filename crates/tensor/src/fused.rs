@@ -25,18 +25,14 @@
 //!
 //! ## Storage precision
 //!
-//! The panels store `f32` weights, IEEE binary16 bits, or int8 codes
-//! with one `f32` scale per row, as chosen by the [`Precision`] passed
-//! to [`FusedGates::pack`]; the layout is the same for all three. Every
-//! product reaches the weights through one per-panel dispatch on the
-//! storage, which runs `panel_gemv` or the dequantize-on-load
-//! `panel_gemv_f16` / `panel_gemv_i8` of [`crate::quant`]. The one
-//! exception is the fp32 dense product, which runs panels in pairs
-//! through `panel_pair_gemv`: that kernel has `panel_gemv`'s per-row
-//! order, and each broadcast of `x[k]` feeds twice the accumulators. The
-//! quantized tiers keep single panels, because paired int8 panels
-//! measured no faster. Every panel kernel has a portable and an AVX build
-//! from one body (see [`crate::packed`]).
+//! The panels always hold `f32` weights: [`FusedGates::pack`] rounds each
+//! weight to its [`Precision`] through [`Precision::apply`]'s per-row
+//! routine, so every tier runs the same kernels — `panel_gemv` per panel,
+//! and for the dense product `panel_pair_gemv`, which runs panels in
+//! pairs in `panel_gemv`'s per-row order so each broadcast of `x[k]`
+//! feeds twice the accumulators. Both have a portable and an AVX build
+//! from one body (see [`crate::packed`]); the tiers' byte savings are
+//! priced on the simulated device ([`crate::quant`]).
 //!
 //! ## Bit-exactness
 //!
@@ -45,19 +41,20 @@
 //! of [`crate::gemm::sgemv`]. Fusing changes only *which rows ride in
 //! one pass over `x`* — a regrouping of rows, never of any row's sum —
 //! so gate `g`'s section of any product is bit-identical to `sgemv` on
-//! gate `g`'s matrix, dequantized by [`Precision::apply`] for the
-//! quantized tiers. The masked products run the same kernels in place
+//! gate `g`'s matrix, rounded by [`Precision::apply`] for the quantized
+//! tiers. The masked products run the same kernels in place
 //! on the stored panels that hold an active row, skip the others, and
 //! write back only the active lanes. The property tests pin this for
 //! the dense, batched and masked paths at every tier.
 
 use crate::matrix::Matrix;
 use crate::packed::{masked_panels_into, panel_gemv, simd_kernel, MR};
-use crate::quant::{f32_to_f16_bits, panel_gemv_f16, panel_gemv_i8, quantize_row_i8, Precision};
+use crate::quant::Precision;
 use crate::vector::Vector;
 
-/// Several equally-shaped gate matrices packed into one gate-major slab
-/// of [`MR`]-row column-interleaved panels at one storage precision.
+/// Several equally-shaped gate matrices, rounded to one [`Precision`],
+/// packed into one gate-major slab of [`MR`]-row column-interleaved
+/// `f32` panels.
 ///
 /// See the module docs for the layout and the bit-exactness contract.
 #[derive(Debug, Clone, PartialEq)]
@@ -68,25 +65,13 @@ pub struct FusedGates {
     /// `gates * ceil(rows / MR)` panels of `MR * cols` elements; gate `g`
     /// occupies panels `[g * ppg, (g + 1) * ppg)`. Lanes past each
     /// gate's last row are zero padding.
-    panels: Panels,
-}
-
-/// The panel elements of a [`FusedGates`] slab, one variant per
-/// [`Precision`].
-#[derive(Debug, Clone, PartialEq)]
-enum Panels {
-    F32(Vec<f32>),
-    F16(Vec<u16>),
-    I8 {
-        codes: Vec<i8>,
-        /// `scales[g * rows + r]` — per-row symmetric scales.
-        scales: Vec<f32>,
-    },
+    panels: Vec<f32>,
 }
 
 impl FusedGates {
-    /// Packs the gate matrices into one slab stored at `precision`. One
-    /// pass over each matrix.
+    /// Packs the gate matrices into one slab, each weight rounded to
+    /// `precision` as [`Precision::apply`] rounds it. One pass over each
+    /// matrix.
     ///
     /// # Panics
     /// Panics if `mats` is empty or the shapes differ.
@@ -101,42 +86,15 @@ impl FusedGates {
             );
         }
         let ppg = rows.div_ceil(MR);
-        let len = mats.len() * ppg * MR * cols;
-        let mut panels = match precision {
-            Precision::Fp32 => Panels::F32(vec![0.0; len]),
-            Precision::Fp16 => Panels::F16(vec![0; len]),
-            Precision::Int8 => Panels::I8 {
-                codes: vec![0; len],
-                scales: vec![0.0; mats.len() * rows],
-            },
-        };
-        let mut row_codes = Vec::new();
+        let mut panels = vec![0.0; mats.len() * ppg * MR * cols];
+        let mut codes = Vec::new();
         for (g, m) in mats.iter().enumerate() {
             for r in 0..rows {
                 // Row `r` is lane `r % MR` of the gate's panel `r / MR`;
                 // its column `k` sits `k * MR` elements past `first`.
                 let first = (g * ppg + r / MR) * MR * cols + r % MR;
-                let row = m.row(r);
-                match &mut panels {
-                    Panels::F32(data) => {
-                        for (slot, &v) in data.iter_mut().skip(first).step_by(MR).zip(row) {
-                            *slot = v;
-                        }
-                    }
-                    Panels::F16(data) => {
-                        for (slot, &v) in data.iter_mut().skip(first).step_by(MR).zip(row) {
-                            *slot = f32_to_f16_bits(v);
-                        }
-                    }
-                    Panels::I8 { codes, scales } => {
-                        scales[g * rows + r] = quantize_row_i8(row, &mut row_codes);
-                        for (slot, &code) in
-                            codes.iter_mut().skip(first).step_by(MR).zip(&row_codes)
-                        {
-                            *slot = code;
-                        }
-                    }
-                }
+                let slots = panels.iter_mut().skip(first).step_by(MR);
+                precision.round_row_into(m.row(r), &mut codes, slots);
             }
         }
         Self {
@@ -172,29 +130,10 @@ impl FusedGates {
         self.rows.div_ceil(MR)
     }
 
-    /// Row sums of global panel `q` (`0 .. gates * ppg`) through the
-    /// micro-kernel that matches the storage: the one panel dispatch
-    /// behind every product (the fp32 dense pair loop aside).
-    fn panel_sum(&self, q: usize, x: &[f32]) -> [f32; MR] {
-        let span = q * MR * self.cols..(q + 1) * MR * self.cols;
-        match &self.panels {
-            Panels::F32(data) => panel_gemv(&data[span], self.cols, x),
-            Panels::F16(data) => panel_gemv_f16(&data[span], self.cols, x),
-            Panels::I8 { codes, scales } => {
-                panel_gemv_i8(&codes[span], &self.lane_scales(scales, q), self.cols, x)
-            }
-        }
-    }
-
-    /// The [`MR`] per-lane int8 scales of global panel `q`; dead lanes
-    /// get 1.0 (their codes are 0, so the product stays 0).
-    fn lane_scales(&self, scales: &[f32], q: usize) -> [f32; MR] {
-        let ppg = self.ppg();
-        let (g, p) = (q / ppg, q % ppg);
-        let live = MR.min(self.rows - p * MR);
-        let mut out = [1.0f32; MR];
-        out[..live].copy_from_slice(&scales[g * self.rows + p * MR..][..live]);
-        out
+    /// Global panel `q` (`0 .. gates * ppg`): `MR * cols` interleaved
+    /// weights.
+    fn panel(&self, q: usize) -> &[f32] {
+        &self.panels[q * MR * self.cols..(q + 1) * MR * self.cols]
     }
 
     /// Writes global panel `q`'s live lanes into the fused output slab.
@@ -211,7 +150,7 @@ impl FusedGates {
     /// (`out[g * rows .. (g + 1) * rows]` is gate `g`).
     ///
     /// Section `g` is bit-identical to
-    /// [`gate_gemv_into`](Self::gate_gemv_into) on gate `g`. fp32 panels
+    /// [`gate_gemv_into`](Self::gate_gemv_into) on gate `g`. Panels
     /// run two at a time so each broadcast of `x[k]` feeds twice the
     /// accumulators ([`MR`] rows per panel) — more ILP per pass, same
     /// per-row association.
@@ -227,23 +166,20 @@ impl FusedGates {
         );
         let total = self.gates * self.ppg();
         let mut q = 0;
-        if let Panels::F32(data) = &self.panels {
-            let panel = |q: usize| &data[q * MR * self.cols..(q + 1) * MR * self.cols];
-            while q + 1 < total {
-                let (s0, s1) = panel_pair_gemv(panel(q), panel(q + 1), self.cols, x);
-                self.scatter(q, &s0, out);
-                self.scatter(q + 1, &s1, out);
-                q += 2;
-            }
+        while q + 1 < total {
+            let (s0, s1) = panel_pair_gemv(self.panel(q), self.panel(q + 1), self.cols, x);
+            self.scatter(q, &s0, out);
+            self.scatter(q + 1, &s1, out);
+            q += 2;
         }
-        for q in q..total {
-            self.scatter(q, &self.panel_sum(q, x), out);
+        if q < total {
+            self.scatter(q, &panel_gemv(self.panel(q), self.cols, x), out);
         }
     }
 
     /// Matrix-vector product of a single gate's matrix, writing its
     /// `rows` outputs into `out`. Bit-identical to [`crate::gemm::sgemv`]
-    /// on the gate's ([`Precision::apply`]-dequantized) matrix.
+    /// on the gate's ([`Precision::apply`]-rounded) matrix.
     ///
     /// # Panics
     /// Panics if `g >= gates`, `x.len() != cols`, or `out.len() != rows`.
@@ -257,7 +193,7 @@ impl FusedGates {
         );
         let first = g * self.ppg();
         for (p, outs) in out.chunks_mut(MR).enumerate() {
-            let sum = self.panel_sum(first + p, x);
+            let sum = panel_gemv(self.panel(first + p), self.cols, x);
             outs.copy_from_slice(&sum[..outs.len()]);
         }
     }
@@ -290,7 +226,7 @@ impl FusedGates {
         for p in 0..ppg {
             let live = MR.min(self.rows - p * MR);
             for (i, x) in xs.iter().enumerate() {
-                let sum = self.panel_sum(g * ppg + p, x.as_slice());
+                let sum = panel_gemv(self.panel(g * ppg + p), self.cols, x.as_slice());
                 write(i, p * MR, &sum[..live]);
             }
         }
@@ -372,7 +308,9 @@ impl FusedGates {
             "FusedGates::gate_gemv_masked_into: out length"
         );
         let first = g * self.ppg();
-        masked_panels_into(active, skipped_value, out, |p| self.panel_sum(first + p, x));
+        masked_panels_into(active, skipped_value, out, |p| {
+            panel_gemv(self.panel(first + p), self.cols, x)
+        });
     }
 }
 

@@ -8,8 +8,8 @@
 //! per-row accumulators — a loop the compiler vectorizes across rows
 //! *without reassociating any float sum*, because every lane is a
 //! separate output element. [`crate::FusedGates`] stores its gate
-//! matrices in this layout at any storage precision; a one-gate slab is
-//! a single packed matrix.
+//! matrices in this layout, rounded to any [`Precision`](crate::Precision)
+//! but always as `f32`; a one-gate slab is a single packed matrix.
 //!
 //! Bit-exactness contract: every kernel here accumulates each output row
 //! in exactly the association order of [`crate::gemm::sgemv`]'s
@@ -19,12 +19,11 @@
 //! layout buys throughput, never different numerics. The property tests
 //! in `tests/properties.rs` pin this down.
 //!
-//! Every panel micro-kernel in the crate (this module's `panel_gemv`,
-//! the fused pair kernel, the f16/int8 dequant kernels) is written once
-//! and compiled twice by the `simd_kernel!` macro defined here: a
-//! portable build and an AVX build (never FMA, so both round
-//! identically), picked per call by one `is_x86_feature_detected!`
-//! check. The masked products of the packed gate slab
+//! Both panel micro-kernels in the crate (this module's `panel_gemv` and
+//! the fused pair kernel) are written once and compiled twice by the
+//! `simd_kernel!` macro defined here: a portable build and an AVX build
+//! (never FMA, so both round identically), picked per call by one
+//! `is_x86_feature_detected!` check. The masked products of the packed gate slab
 //! ([`crate::FusedGates`]) run those kernels in place on the stored
 //! panels through one shared panel walk, skipping panels without an
 //! active row; only the raw-matrix [`sgemv_masked_gather`] copies rows,
@@ -400,8 +399,9 @@ mod tests {
     /// chunks and the 256-column slabs, a partial last panel
     /// (`rows % MR != 0`), and empty, full, random and last-row-only DRS
     /// masks (the last puts the only active row in the last panel). Three
-    /// gates give the fp32 `gemv_into` an odd panel count, so both the
-    /// pair kernel and its single-panel tail run.
+    /// gates give `gemv_into` an odd panel count, so both the pair kernel
+    /// and its single-panel tail run. The f16 and int8 slabs run the same
+    /// fp32 kernels over panels rounded to their tier.
     #[test]
     fn every_avx_kernel_bit_identical_to_portable() {
         #[cfg(target_arch = "x86_64")]
@@ -417,8 +417,8 @@ mod tests {
                 packed_gemv(&m[0], Precision::Fp32, x)
             }),
             ("fp32 pair", |m, x, _| dense(m, x, Precision::Fp32)),
-            ("f16", |m, x, _| dense(m, x, Precision::Fp16)),
-            ("i8", |m, x, _| dense(m, x, Precision::Int8)),
+            ("f16 slab", |m, x, _| dense(m, x, Precision::Fp16)),
+            ("int8 slab", |m, x, _| dense(m, x, Precision::Int8)),
             ("fp32 raw masked gather", |m, x, mask| {
                 sgemv_masked_gather(&m[0], x, mask, -3.0)
                     .as_slice()
@@ -427,10 +427,10 @@ mod tests {
             ("fp32 packed masked in place", |m, x, mask| {
                 masked(m, x, mask, Precision::Fp32)
             }),
-            ("f16 masked in place", |m, x, mask| {
+            ("f16 slab masked in place", |m, x, mask| {
                 masked(m, x, mask, Precision::Fp16)
             }),
-            ("i8 masked in place", |m, x, mask| {
+            ("int8 slab masked in place", |m, x, mask| {
                 masked(m, x, mask, Precision::Int8)
             }),
         ];

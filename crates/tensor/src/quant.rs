@@ -1,5 +1,5 @@
-//! Reduced-precision weight storage: the precision tiers and the
-//! dequantize-on-load panel kernels behind a quantized
+//! Reduced-precision weight tiers: the precision knob, its rounding,
+//! and the conversions behind a quantized
 //! [`FusedGates`](crate::FusedGates) slab.
 //!
 //! The paper's diagnosis is that mobile-GPU LSTM inference is bound by
@@ -9,34 +9,27 @@
 //! directly into memory-bound speedups). This module provides:
 //!
 //! * [`Precision`] — the weight-precision knob (`fp32`/`fp16`/`int8`)
-//!   threaded through plan compilation and pricing, and the storage
+//!   threaded through plan compilation and pricing, and the rounding
 //!   argument of [`FusedGates::pack`](crate::FusedGates::pack),
 //! * hand-rolled `f32`↔`f16` bit conversions (round-to-nearest-even; no
 //!   external crate),
-//! * per-row symmetric int8 quantization (`scale = max|row| / 127`),
-//! * the f16 and int8 panel micro-kernels that a quantized slab's
-//!   products run, dequantizing each weight as it is loaded.
+//! * per-row symmetric int8 quantization (`scale = max|row| / 127`).
+//!
+//! The byte savings are a *device* cost: plan pricing scales every
+//! gate-weight DRAM read by [`Precision::bytes_per_weight`]. The host
+//! slab stores the rounded weights as `f32` and runs the fp32 kernels;
+//! dequantizing on load ran int8 at half of fp32's speed (DESIGN §2j).
 //!
 //! ## Bit-exactness contract
 //!
-//! Every kernel here replicates `panel_gemv`'s accumulation order —
-//! the same `cols / 4` phase chunks, the same four per-lane accumulators,
-//! the same `((a0 + a1) + a2) + a3` reduction, the same sequential tail.
-//! The only change is that each weight element is dequantized as it is
-//! loaded: `f16` storage converts exactly (every `f16` value is an `f32`
-//! value), and `int8` storage applies one IEEE rounding (`q as f32 *
-//! scale`). A quantized slab is therefore **bit-identical** to the fp32
-//! slab packed from the dequantized weights ([`Precision::apply`]),
-//! which makes determinism automatic and the quantization error a pure
-//! weight-perturbation bound, testable per row.
-//!
-//! The f16 and int8 kernels each have a portable and an AVX build from
-//! one body (see [`crate::packed`]); the AVX build of the int8 kernel
-//! widens each panel column's sign-extend, convert, scale and
-//! accumulate to 8 lanes.
+//! A quantized slab holds exactly the values of [`Precision::apply`],
+//! through one shared per-row rounding: `f16` converts back exactly, and
+//! `int8` dequantization is one IEEE rounding (`q as f32 * scale`). A
+//! quantized product is therefore **bit-identical** to the fp32 product
+//! on the dequantized weights, which makes determinism automatic and the
+//! quantization error a pure weight-perturbation bound, testable per row.
 
 use crate::matrix::Matrix;
-use crate::packed::{simd_kernel, MR};
 
 /// Weight-storage precision of the packed gate matrices.
 ///
@@ -97,26 +90,46 @@ impl Precision {
     }
 
     /// Quantizes and immediately dequantizes a matrix — the fp32 shadow
-    /// of this tier's storage. `Fp32` is the identity. A quantized
-    /// kernel on the original matrix is bit-identical to the fp32 kernel
-    /// on `apply`'s result.
+    /// of this tier's storage. `Fp32` is the identity. A quantized slab
+    /// stores exactly these values, so its products are the fp32
+    /// products on `apply`'s result.
     pub fn apply(self, m: &Matrix) -> Matrix {
+        let (rows, cols) = m.shape();
+        let mut out = Matrix::zeros(rows, cols);
+        let mut codes = Vec::with_capacity(cols);
+        for r in 0..rows {
+            self.round_row_into(m.row(r), &mut codes, out.row_mut(r).iter_mut());
+        }
+        out
+    }
+
+    /// Writes `row` rounded to this tier into `slots`, in order: the
+    /// value itself at `Fp32`, `f16_bits_to_f32(f32_to_f16_bits(v))` at
+    /// `Fp16`, and `code as f32 * scale` from [`quantize_row_i8`] at
+    /// `Int8` (`codes` is its scratch). The one rounding behind both
+    /// [`apply`](Self::apply) and a packed slab's stored weights.
+    pub(crate) fn round_row_into<'a>(
+        self,
+        row: &[f32],
+        codes: &mut Vec<i8>,
+        slots: impl Iterator<Item = &'a mut f32>,
+    ) {
         match self {
-            Precision::Fp32 => m.clone(),
-            Precision::Fp16 => Matrix::from_fn(m.rows(), m.cols(), |r, c| {
-                f16_bits_to_f32(f32_to_f16_bits(m.row(r)[c]))
-            }),
-            Precision::Int8 => {
-                let (rows, cols) = m.shape();
-                let mut out = Matrix::zeros(rows, cols);
-                let mut q = Vec::with_capacity(cols);
-                for r in 0..rows {
-                    let scale = quantize_row_i8(m.row(r), &mut q);
-                    for (slot, &code) in out.row_mut(r).iter_mut().zip(&q) {
-                        *slot = code as f32 * scale;
-                    }
+            Precision::Fp32 => {
+                for (slot, &v) in slots.zip(row) {
+                    *slot = v;
                 }
-                out
+            }
+            Precision::Fp16 => {
+                for (slot, &v) in slots.zip(row) {
+                    *slot = f16_bits_to_f32(f32_to_f16_bits(v));
+                }
+            }
+            Precision::Int8 => {
+                let scale = quantize_row_i8(row, codes);
+                for (slot, &code) in slots.zip(codes.iter()) {
+                    *slot = code as f32 * scale;
+                }
             }
         }
     }
@@ -218,78 +231,6 @@ pub fn quantize_row_i8(row: &[f32], q_out: &mut Vec<i8>) -> f32 {
         *slot = (v / scale).round().clamp(-127.0, 127.0) as i8;
     }
     scale
-}
-
-simd_kernel! {
-    /// [`panel_gemv`](crate::packed::panel_gemv)'s accumulation order
-    /// over an `f16`-stored panel: the conversion to `f32` is exact, so
-    /// each `*a += c * xv` rounds exactly like the fp32 kernel on the
-    /// dequantized panel.
-    pub(crate) fn panel_gemv_f16 = panel_gemv_f16_body(panel: &[u16], cols: usize, x: &[f32]) -> [f32; MR];
-}
-
-#[inline(always)]
-fn panel_gemv_f16_body(panel: &[u16], cols: usize, x: &[f32]) -> [f32; MR] {
-    let (chunks, tail) = panel[..MR * cols].as_chunks::<{ 4 * MR }>();
-    let (x_chunks, x_tail) = x[..cols].as_chunks::<4>();
-    let mut acc = [[0.0f32; MR]; 4];
-    for (chunk, xs) in chunks.iter().zip(x_chunks) {
-        for phase in 0..4 {
-            let col = &chunk[phase * MR..(phase + 1) * MR];
-            for (a, &bits) in acc[phase].iter_mut().zip(col) {
-                *a += f16_bits_to_f32(bits) * xs[phase];
-            }
-        }
-    }
-    let mut sum = [0.0f32; MR];
-    for r in 0..MR {
-        sum[r] = ((acc[0][r] + acc[1][r]) + acc[2][r]) + acc[3][r];
-    }
-    for (col, &xv) in tail.as_chunks::<MR>().0.iter().zip(x_tail) {
-        for r in 0..MR {
-            sum[r] += f16_bits_to_f32(col[r]) * xv;
-        }
-    }
-    sum
-}
-
-simd_kernel! {
-    /// [`panel_gemv`](crate::packed::panel_gemv)'s accumulation order
-    /// over an int8-stored panel with per-lane scales: `q as f32` is
-    /// exact for `|q| <= 127`, the scale multiply is the
-    /// dequantization's single IEEE rounding, and the accumulation then
-    /// matches the fp32 kernel on the dequantized panel bit for bit.
-    pub(crate) fn panel_gemv_i8 = panel_gemv_i8_body(
-        panel: &[i8],
-        lane_scales: &[f32; MR],
-        cols: usize,
-        x: &[f32],
-    ) -> [f32; MR];
-}
-
-#[inline(always)]
-fn panel_gemv_i8_body(panel: &[i8], lane_scales: &[f32; MR], cols: usize, x: &[f32]) -> [f32; MR] {
-    let (chunks, tail) = panel[..MR * cols].as_chunks::<{ 4 * MR }>();
-    let (x_chunks, x_tail) = x[..cols].as_chunks::<4>();
-    let mut acc = [[0.0f32; MR]; 4];
-    for (chunk, xs) in chunks.iter().zip(x_chunks) {
-        for phase in 0..4 {
-            let col = &chunk[phase * MR..(phase + 1) * MR];
-            for ((a, &code), &scale) in acc[phase].iter_mut().zip(col).zip(lane_scales) {
-                *a += (code as f32 * scale) * xs[phase];
-            }
-        }
-    }
-    let mut sum = [0.0f32; MR];
-    for r in 0..MR {
-        sum[r] = ((acc[0][r] + acc[1][r]) + acc[2][r]) + acc[3][r];
-    }
-    for (col, &xv) in tail.as_chunks::<MR>().0.iter().zip(x_tail) {
-        for r in 0..MR {
-            sum[r] += (col[r] as f32 * lane_scales[r]) * xv;
-        }
-    }
-    sum
 }
 
 #[cfg(test)]

@@ -1,10 +1,11 @@
-//! Property-based tests for the quantized weight tier (ISSUE 10):
+//! Property-based tests for the quantized weight tier:
 //!
 //! (a) bitwise determinism — quantize → dequant → GEMV produces the same
-//!     bits run after run, and the quantized kernel is bit-identical to
-//!     the fp32 fused kernel on the dequantized (`Precision::apply`)
-//!     weights, which is what makes the result independent of worker
-//!     count (the pooled runtimes only ever reorder *independent* rows);
+//!     bits run after run, a quantized slab stores exactly the fp32 slab
+//!     of the dequantized (`Precision::apply`) weights, and its product
+//!     is bit-identical to the fp32 fused kernel on those weights, which
+//!     is what makes the result independent of worker count (the pooled
+//!     runtimes only ever reorder *independent* rows);
 //! (b) a max-abs-error bound vs the fp32 fused path over random gate
 //!     matrices, derived from the per-element quantization step;
 //! (c) int8 round-trip of representable values (exact multiples of a
@@ -41,7 +42,34 @@ fn precision() -> impl Strategy<Value = Precision> {
     })
 }
 
+fn any_tier() -> impl Strategy<Value = Precision> {
+    (0usize..Precision::ALL.len()).prop_map(|t| Precision::ALL[t])
+}
+
 proptest! {
+    /// (a, storage) A slab packed at any tier *is* the fp32 slab of the
+    /// `Precision::apply`'d matrices: same panels, same zero padding.
+    /// Row counts run on and off the panel height (`rows % MR != 0`
+    /// leaves a partial last panel), and one row is all zero, so its
+    /// int8 scale is 0.
+    #[test]
+    fn quantized_pack_stores_the_dequantized_fp32_slab(
+        (mats, zero_gate, zero_row) in (1usize..=20)
+            .prop_flat_map(|rows| (gates(rows, 6), 0usize..4, 0..rows)),
+        p in any_tier(),
+    ) {
+        let mut mats = mats;
+        mats[zero_gate].row_mut(zero_row).fill(0.0);
+        let refs: Vec<&Matrix> = mats.iter().collect();
+        let shadow: Vec<Matrix> = mats.iter().map(|m| p.apply(m)).collect();
+        let shadow_refs: Vec<&Matrix> = shadow.iter().collect();
+        prop_assert_eq!(
+            FusedGates::pack(&refs, p),
+            FusedGates::pack(&shadow_refs, Precision::Fp32),
+            "{} slab of {} rows", p, mats[0].rows()
+        );
+    }
+
     /// (a) Bitwise determinism: two independent pack + GEMV passes give
     /// the same bits, and both equal the fp32 fused kernel run on the
     /// dequantized weights. The latter identity is the worker-count
@@ -71,7 +99,7 @@ proptest! {
         let mut shadow_out = vec![0.0f32; exact.total_rows()];
         exact.gemv_into(x.as_slice(), &mut shadow_out);
         for (a, b) in out1.iter().zip(&shadow_out) {
-            prop_assert_eq!(a.to_bits(), b.to_bits(), "dequant-on-load != fp32-on-dequantized");
+            prop_assert_eq!(a.to_bits(), b.to_bits(), "quantized slab != fp32-on-dequantized");
         }
     }
 
