@@ -4,13 +4,12 @@
 //!   versus the packed row-panel kernel (a one-gate `FusedGates` slab's
 //!   `gate_gemv_into` into a fresh vector, as `sgemv` returns one), with
 //!   the pack done once outside the timing loop exactly as plans cache it;
-//! * masked SGEMV — the naive row-skipping reference
-//!   (`sgemv_masked_reference`) versus the gather-based skip-list kernel
-//!   (`sgemv_masked`) at paper-realistic skip ratios;
+//! * fused gates — one 4-gate `FusedGates` launch versus four one-gate
+//!   launches;
 //! * fused masked — the kernel the DRS runtime runs: the in-place masked
 //!   `f, i, c` product of a 4-gate `FusedGates` slab
-//!   (`gemv_masked_prefix_into(3, ..)`) at the same skip ratios, next to
-//!   the dense four-gate `gemv_into` on the same slab.
+//!   (`gemv_masked_prefix_into(3, ..)`) at paper-realistic skip ratios,
+//!   next to the dense four-gate `gemv_into` on the same slab.
 //!
 //! Shapes follow the LSTM gate matrices: `H x H` recurrent blocks and the
 //! `4H x H` stacked input projections of Table I's hidden sizes. In
@@ -19,7 +18,7 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
-use tensor::gemm::{sgemv, sgemv_masked, sgemv_masked_reference};
+use tensor::gemm::sgemv;
 use tensor::{FusedGates, Matrix, Precision, Vector};
 
 /// `(rows, cols)` of the dense comparisons: recurrent `H x H` blocks at
@@ -32,9 +31,6 @@ const FUSED_HIDDEN: [usize; 3] = [128, 256, 512];
 
 /// Fraction of rows the skip list removes (Fig. 14's AO band and beyond).
 const SKIP_RATIOS: [f64; 3] = [0.25, 0.50, 0.75];
-
-/// Masked comparisons run on a recurrent-sized block.
-const MASKED_SHAPE: (usize, usize) = (256, 256);
 
 /// Hidden size of the fused masked comparison (the `U_{f,i,c,o}` slab).
 const MASKED_FUSED_HIDDEN: usize = 256;
@@ -149,32 +145,6 @@ fn bench_fused(c: &mut Criterion) {
     group.finish();
 }
 
-fn bench_masked(c: &mut Criterion) {
-    let (rows, cols) = MASKED_SHAPE;
-    let a = test_matrix(rows, cols);
-    let x = test_vector(cols);
-    let mut group = c.benchmark_group("sgemv_masked");
-    group.sample_size(20);
-    for &ratio in &SKIP_RATIOS {
-        let mask = skip_mask(rows, ratio);
-        assert_eq!(
-            sgemv_masked_reference(&a, &x, &mask, 0.0).as_slice(),
-            sgemv_masked(&a, &x, &mask, 0.0).as_slice()
-        );
-        group.bench_with_input(
-            BenchmarkId::new("reference", format!("skip{:.0}%", ratio * 100.0)),
-            &(),
-            |b, _| b.iter(|| black_box(sgemv_masked_reference(&a, &x, &mask, 0.0))),
-        );
-        group.bench_with_input(
-            BenchmarkId::new("gather", format!("skip{:.0}%", ratio * 100.0)),
-            &(),
-            |b, _| b.iter(|| black_box(sgemv_masked(&a, &x, &mask, 0.0))),
-        );
-    }
-    group.finish();
-}
-
 fn bench_masked_fused(c: &mut Criterion) {
     let h = MASKED_FUSED_HIDDEN;
     let (fused, _, x) = fused_setup(h);
@@ -221,7 +191,6 @@ fn bench_masked_fused(c: &mut Criterion) {
 fn bench_gemm_kernels(c: &mut Criterion) {
     bench_dense(c);
     bench_fused(c);
-    bench_masked(c);
     bench_masked_fused(c);
     if c.is_measuring() {
         emit_json();
@@ -288,25 +257,6 @@ fn emit_json() {
             per_gate_s / fused_s
         ));
     }
-    let (rows, cols) = MASKED_SHAPE;
-    let a = test_matrix(rows, cols);
-    let x = test_vector(cols);
-    let mut masked = Vec::new();
-    for &ratio in &SKIP_RATIOS {
-        let mask = skip_mask(rows, ratio);
-        let reference_s = median_s(REPS, ITERS, &|| {
-            black_box(sgemv_masked_reference(&a, &x, &mask, 0.0));
-        });
-        let gather_s = median_s(REPS, ITERS, &|| {
-            black_box(sgemv_masked(&a, &x, &mask, 0.0));
-        });
-        masked.push(format!(
-            "    {{\"rows\": {rows}, \"cols\": {cols}, \"skip_ratio\": {ratio:.2}, \
-             \"reference_s\": {reference_s:.9}, \"gather_s\": {gather_s:.9}, \
-             \"speedup\": {:.3}}}",
-            reference_s / gather_s
-        ));
-    }
     let h = MASKED_FUSED_HIDDEN;
     let (fused, _, x) = fused_setup(h);
     let slab = std::cell::RefCell::new(vec![0.0f32; 4 * h]);
@@ -338,11 +288,9 @@ fn emit_json() {
     }
     let json = format!(
         "{{\n  \"benchmark\": \"gemm_kernels\",\n  \"dense_sgemv\": [\n{}\n  ],\n  \
-         \"fused_gates\": [\n{}\n  ],\n  \"masked_sgemv\": [\n{}\n  ],\n  \
-         \"masked_fused\": [\n{}\n  ]\n}}\n",
+         \"fused_gates\": [\n{}\n  ],\n  \"masked_fused\": [\n{}\n  ]\n}}\n",
         dense.join(",\n"),
         fused_rows.join(",\n"),
-        masked.join(",\n"),
         masked_fused.join(",\n"),
     );
     let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_gemm.json");

@@ -14,7 +14,7 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use gpu_sim::DeviceModel;
-use memlstm::thresholds::{Evaluator, TradeoffPoint};
+use memlstm::thresholds::{Evaluator, Level, TradeoffPoint};
 use pool::Pool;
 use std::hint::black_box;
 use workloads::{Benchmark, Workload};
@@ -57,17 +57,17 @@ fn assert_bit_identical(a: &[TradeoffPoint], b: &[TradeoffPoint], workers: usize
 
 fn bench_parallel_sweep(c: &mut Criterion) {
     let mut ev = build_evaluator();
-    let baseline = ev.sweep(NUM_SETS);
+    let baseline = ev.sweep(Level::Combined, NUM_SETS);
 
     let mut group = c.benchmark_group("parallel_sweep");
     group.sample_size(10);
     for &workers in &WORKER_COUNTS {
         ev = ev.with_pool(Pool::with_workers(workers));
-        assert_bit_identical(&baseline, &ev.sweep(NUM_SETS), workers);
+        assert_bit_identical(&baseline, &ev.sweep(Level::Combined, NUM_SETS), workers);
         group.bench_with_input(
             BenchmarkId::new("mr_sweep", format!("{workers}w")),
             &(),
-            |b, _| b.iter(|| black_box(ev.sweep(NUM_SETS))),
+            |b, _| b.iter(|| black_box(ev.sweep(Level::Combined, NUM_SETS))),
         );
     }
     group.finish();
@@ -90,7 +90,7 @@ fn emit_json(mut ev: Evaluator) {
         let mut samples: Vec<f64> = (0..REPS)
             .map(|_| {
                 let start = std::time::Instant::now();
-                black_box(ev.sweep(NUM_SETS));
+                black_box(ev.sweep(Level::Combined, NUM_SETS));
                 start.elapsed().as_secs_f64()
             })
             .collect();

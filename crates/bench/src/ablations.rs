@@ -2,12 +2,12 @@
 //! tissue alignment on/off, predicted vs. zero link recovery, and the
 //! paper's index-order scheduler vs. the longest-first extension.
 
-use crate::session::{Level, Session};
+use crate::session::Session;
 use crate::table::TextTable;
 use gpu_sim::{DeviceModel, GpuDevice};
 use lstm::plan::{NullSink, PlanRuntime};
 use memlstm::exec::OptimizerConfig;
-use memlstm::thresholds::select_ao;
+use memlstm::thresholds::{select_ao, Level};
 use workloads::teacher_match_nested;
 
 /// Runs one configuration over the evaluation set; returns

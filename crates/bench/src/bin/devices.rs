@@ -5,7 +5,7 @@
 //! from the Tegra X1 baseline.
 //!
 //! ```text
-//! cargo run -p mf-bench --release --bin devices [-- --fast]
+//! cargo run -p mf-bench --release --bin devices [-- --fast] [-- --check]
 //! ```
 //!
 //! The paper's central quantities are device-shaped: the MTS is capped by
@@ -19,13 +19,14 @@
 //! generated once per benchmark and shared across presets, so the
 //! numerics are identical everywhere and only the pricing moves. `--fast`
 //! restricts to the two cheapest benchmarks for CI smoke runs and writes
-//! to `target/bench/` instead, leaving the committed file alone.
-//! Everything is simulated time; reruns are bit-identical.
+//! to `target/bench/` instead, leaving the committed file alone; `--check`
+//! re-reads the written file and fails unless every per-device,
+//! per-scheme and crossover field landed in it. Everything is simulated
+//! time; reruns are bit-identical.
 
-use bench_harness::cli::{output_path, Cli};
-use bench_harness::session::{sweep_points, Level, ALL_LEVELS};
+use bench_harness::cli::{output_path, reread_with_fields, Cli};
 use gpu_sim::DeviceModel;
-use memlstm::thresholds::{select_ao, select_bpa, Evaluator, TradeoffPoint};
+use memlstm::thresholds::{select_ao, select_bpa, Evaluator, Level, TradeoffPoint, ALL_LEVELS};
 use workloads::{Benchmark, Workload};
 
 /// Threshold sets per sweep: enough to separate the schemes without
@@ -84,7 +85,7 @@ fn run_benchmark(workload: &Workload, device: &DeviceModel, sets: usize) -> Benc
     let schemes = ALL_LEVELS
         .iter()
         .map(|&level| {
-            let points = sweep_points(&ev, level, sets);
+            let points = ev.sweep(level, sets);
             SchemeResult {
                 level,
                 ao: *select_ao(&points),
@@ -190,10 +191,22 @@ fn crossover_json(devices: &[DeviceModel], all: &[Vec<BenchResult>]) -> String {
         .join(",\n")
 }
 
-const CLI: Cli = Cli::switches("usage: devices [--fast]", &["--fast"]);
+/// Fields `--check` requires in the written JSON.
+const REQUIRED_FIELDS: [&str; 6] = [
+    "\"mts\"",
+    "\"winner\"",
+    "\"ao_speedup\"",
+    "\"bpa_speedup\"",
+    "\"crossover\"",
+    "\"differs_from_tegra_x1\"",
+];
+
+const CLI: Cli = Cli::switches("usage: devices [--fast] [--check]", &["--fast", "--check"]);
 
 fn main() {
-    let fast = CLI.parse_env().flag("--fast");
+    let args = CLI.parse_env();
+    let fast = args.flag("--fast");
+    let check = args.flag("--check");
     let (benchmarks, sets) = if fast {
         (vec![Benchmark::Mr, Benchmark::Babi], FAST_SETS)
     } else {
@@ -265,4 +278,9 @@ fn main() {
     let path = output_path("BENCH_devices.json", fast);
     std::fs::write(&path, &json).expect("write BENCH_devices.json");
     eprintln!("wrote {}", path.display());
+
+    if check {
+        reread_with_fields(&path, &REQUIRED_FIELDS);
+        eprintln!("[devices] --check passed: every device, scheme and crossover field present");
+    }
 }

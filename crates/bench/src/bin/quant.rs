@@ -28,10 +28,9 @@
 
 use bench_harness::cli::{output_path, reread_with_fields, Cli};
 use bench_harness::experiments::{budget_for, fast_budget};
-use bench_harness::session::{config_for_level, sweep_points, Level};
 use gpu_sim::DeviceModel;
 use lstm::plan::{ExecutionPlan, NullSink, PlanRuntime};
-use memlstm::thresholds::{select_bpa, Evaluator, PerfSummary};
+use memlstm::thresholds::{select_bpa, Evaluator, Level, PerfSummary};
 use tensor::Precision;
 use workloads::{Benchmark, Workload};
 
@@ -111,7 +110,7 @@ fn run_benchmark(
     let workload = Workload::generate(benchmark, budget.accuracy_seqs, 0xBEEF);
     let ev = Evaluator::new(workload.clone(), device.clone())
         .with_budget(budget.perf_seqs, budget.accuracy_seqs);
-    let points = sweep_points(&ev, Level::Combined, sets);
+    let points = ev.sweep(Level::Combined, sets);
     let bpa_set = select_bpa(&points).set;
     let mut cells = Vec::new();
     for precision in TIERS {
@@ -123,7 +122,7 @@ fn run_benchmark(
                     .build(),
             ),
             ("combined", {
-                let base = config_for_level(Level::Combined, &bpa_set, ev.mts());
+                let base = Level::Combined.config(&bpa_set, ev.mts());
                 memlstm::exec::OptimizerConfig { precision, ..base }
             }),
         ] {

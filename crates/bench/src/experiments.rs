@@ -1,9 +1,6 @@
-//! Shared experiment plumbing: per-benchmark evaluation budgets and
-//! evaluator construction.
+//! Shared experiment plumbing: per-benchmark evaluation budgets.
 
-use gpu_sim::DeviceModel;
-use memlstm::thresholds::Evaluator;
-use workloads::{Benchmark, Workload};
+use workloads::Benchmark;
 
 /// How many evaluation sequences each benchmark gets.
 ///
@@ -55,20 +52,6 @@ pub fn fast_budget() -> EvalBudget {
         accuracy_seqs: 2,
         perf_seqs: 1,
     }
-}
-
-/// Builds the evaluator (offline phase included) for one benchmark, with
-/// its default budget, on the `MEMLSTM_DEVICE`-selected device (unset:
-/// the paper's Tegra X1).
-pub fn evaluator_for(benchmark: Benchmark, fast: bool) -> Evaluator {
-    let budget = if fast {
-        fast_budget()
-    } else {
-        budget_for(benchmark)
-    };
-    let workload = Workload::generate(benchmark, budget.accuracy_seqs, 0xBEEF);
-    Evaluator::new(workload, DeviceModel::from_env())
-        .with_budget(budget.perf_seqs, budget.accuracy_seqs)
 }
 
 #[cfg(test)]

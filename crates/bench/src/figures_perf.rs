@@ -1,14 +1,14 @@
 //! Headline performance experiments: Fig. 14 (speedup/energy per level),
 //! Fig. 15 (per-layer inter-cell gains), Fig. 16 (compression schemes).
 
-use crate::session::{Level, Session};
+use crate::session::Session;
 use crate::table::TextTable;
 use gpu_sim::{GpuConfig, GpuDevice, KernelDesc};
 use lstm::plan::{ExecutionPlan, KernelSink, NullSink, PlanRuntime};
 use memlstm::drs::{DrsConfig, DrsMode};
 use memlstm::exec::{OptimizedExecutor, OptimizerConfig};
 use memlstm::pruning::ZeroPruning;
-use memlstm::thresholds::select_ao;
+use memlstm::thresholds::{select_ao, Level};
 use workloads::teacher_match_nested;
 
 /// Fig. 14: speedup and energy saving of the inter-cell level, the

@@ -1,10 +1,10 @@
 //! Trade-off experiments: Fig. 19 (threshold sweep per application) and
 //! Fig. 17 (model-capacity sensitivity on BABI).
 
-use crate::session::{Level, Session};
+use crate::session::Session;
 use crate::table::TextTable;
 
-use memlstm::thresholds::{select_ao, select_bpa, Evaluator};
+use memlstm::thresholds::{select_ao, select_bpa, Evaluator, Level};
 use workloads::{Benchmark, Workload};
 
 /// Fig. 19: speedup and accuracy across the 11 threshold sets for every
@@ -59,7 +59,7 @@ pub fn fig17(session: &mut Session) -> String {
         let eval_n = if session.is_fast() { 2 } else { 6 };
         let workload = Workload::generate_scaled(Benchmark::Babi, config, eval_n, 0xF16);
         let ev = Evaluator::new(workload, session.device().clone()).with_budget(1, eval_n);
-        let points = ev.sweep(sets);
+        let points = ev.sweep(Level::Combined, sets);
         let mut table = TextTable::new(["set", "speedup", "accuracy%"]);
         for p in &points {
             table.row([

@@ -1,8 +1,8 @@
 //! Fig. 18: the user study.
 
-use crate::session::{Level, Session};
+use crate::session::Session;
 use crate::table::TextTable;
-use memlstm::thresholds::{select_ao, select_bpa};
+use memlstm::thresholds::{select_ao, select_bpa, Level};
 use memlstm::user_study::{Scheme, UserStudy};
 use tensor::init::seeded_rng;
 

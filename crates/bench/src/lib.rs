@@ -23,8 +23,8 @@ pub mod stats;
 pub mod table;
 pub mod tables;
 
-pub use experiments::{budget_for, evaluator_for, EvalBudget};
+pub use experiments::{budget_for, EvalBudget};
 pub use profiling::{profile_run, ProfileRun, Scheme};
-pub use session::{Level, Session};
+pub use session::Session;
 pub use stats::percentile;
 pub use table::TextTable;

@@ -15,12 +15,12 @@
 //! profiling enabled or disabled.
 
 use gpu_sim::{ChromeTrace, Profiler, SimReport};
-use memlstm::thresholds::ThresholdSet;
+use memlstm::thresholds::{Level, ThresholdSet};
 use pool::PoolProfile;
 use std::fmt;
 use workloads::Benchmark;
 
-use crate::session::{Level, Session};
+use crate::session::Session;
 
 /// Which execution scheme to profile.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

@@ -8,27 +8,15 @@ use lstm::plan::ExecutionPlan;
 use memlstm::drs::{DrsConfig, DrsMode};
 use memlstm::exec::{OptimizedExecutor, OptimizerConfig};
 use memlstm::prediction::NetworkPredictors;
-use memlstm::thresholds::{threshold_sets, Evaluator, ThresholdSet, TradeoffPoint};
+use memlstm::thresholds::{
+    threshold_sets, Evaluator, Level, ThresholdSet, TradeoffPoint, ALL_LEVELS,
+};
 use pool::Pool;
 use std::collections::BTreeMap;
 use workloads::{Benchmark, Workload};
 
 /// Number of threshold sets in every sweep (paper: 11).
 pub const NUM_SETS: usize = 11;
-
-/// Which optimization level a sweep exercises.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
-pub enum Level {
-    /// Inter-cell only (`α_intra = 0`).
-    Inter,
-    /// Intra-cell only (`α_inter = 0`).
-    Intra,
-    /// Both levels.
-    Combined,
-}
-
-/// Every level, in sweep order.
-pub const ALL_LEVELS: [Level; 3] = [Level::Inter, Level::Intra, Level::Combined];
 
 /// Cached state for one `repro` invocation.
 ///
@@ -144,8 +132,7 @@ impl Session {
         level: Level,
         set: &ThresholdSet,
     ) -> OptimizerConfig {
-        let mts = self.prepare(benchmark).mts();
-        config_for_level(level, set, mts)
+        level.config(set, self.prepare(benchmark).mts())
     }
 
     /// The 11-point sweep of a benchmark at a level, cached.
@@ -236,30 +223,6 @@ pub fn serve_fallback_plan(
         .plan_probes(workload.dataset().offline())
 }
 
-/// Maps a threshold set to the optimizer configuration of a level.
-pub fn config_for_level(level: Level, set: &ThresholdSet, mts: usize) -> OptimizerConfig {
-    match level {
-        Level::Inter => OptimizerConfig::builder()
-            .alpha_inter(set.alpha_inter)
-            .max_tissue_size(mts)
-            .build(),
-        Level::Intra => OptimizerConfig::builder()
-            .drs(DrsConfig {
-                alpha_intra: set.alpha_intra,
-                mode: DrsMode::Hardware,
-            })
-            .build(),
-        Level::Combined => OptimizerConfig::builder()
-            .alpha_inter(set.alpha_inter)
-            .max_tissue_size(mts)
-            .drs(DrsConfig {
-                alpha_intra: set.alpha_intra,
-                mode: DrsMode::Hardware,
-            })
-            .build(),
-    }
-}
-
 /// Computes a level's 11-point sweep, fanning the sets out on the
 /// evaluator's pool (points return in set order, bit-identical for any
 /// worker count).
@@ -268,26 +231,5 @@ fn compute_sweep(ev: &Evaluator, level: Level) -> Vec<TradeoffPoint> {
         "[session] sweeping {} ({level:?})...",
         ev.workload().benchmark()
     );
-    sweep_points(ev, level, NUM_SETS)
-}
-
-/// Computes a level's sweep at an arbitrary set count, fanning the sets
-/// out on the evaluator's pool (points return in set order,
-/// bit-identical for any worker count). The cross-device sweep uses this
-/// with a reduced count to bound its run time.
-pub fn sweep_points(ev: &Evaluator, level: Level, count: usize) -> Vec<TradeoffPoint> {
-    let sets = threshold_sets(ev.upper_alpha_inter(), ev.upper_alpha_intra(), count);
-    let base = ev.baseline_perf();
-    let mts = ev.mts();
-    ev.pool().par_map(sets, |set| {
-        let config = config_for_level(level, &set, mts);
-        let (perf, accuracy, _) = ev.evaluate(config);
-        TradeoffPoint {
-            set,
-            speedup: base.time_s / perf.time_s,
-            accuracy,
-            energy_saving: 1.0 - perf.energy_j / base.energy_j,
-            power_saving: 1.0 - perf.power_w() / base.power_w(),
-        }
-    })
+    ev.sweep(level, NUM_SETS)
 }

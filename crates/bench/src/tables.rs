@@ -1,12 +1,12 @@
 //! Tables I and II and the Sec. VI-F overhead analysis.
 
-use crate::session::{Level, Session};
+use crate::session::Session;
 use crate::table::TextTable;
 use gpu_sim::{GpuConfig, KernelDesc};
 use lstm::plan::PlanRuntime;
 use memlstm::exec::OptimizedExecutor;
 use memlstm::overhead::{crm_overhead, inter_overhead, intra_overhead};
-use memlstm::thresholds::select_ao;
+use memlstm::thresholds::{select_ao, Level};
 
 /// Table I: the simulated platform specification.
 pub fn table1() -> String {

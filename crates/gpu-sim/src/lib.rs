@@ -49,7 +49,6 @@ pub mod kernel;
 pub mod model;
 pub mod profile;
 pub mod report;
-pub mod sm;
 pub mod timing;
 
 pub use cache::{LineCache, RegionCache, RegionId};
@@ -61,4 +60,3 @@ pub use kernel::{KernelDesc, KernelKind, MemAccess};
 pub use model::{DeviceModel, DEVICE_ENV_VAR, PRESET_NAMES};
 pub use profile::{validate_chrome_trace, ChromeTrace, KernelSpan, Phase, Profiler, SpanTag};
 pub use report::{KernelReport, SimReport, StallBreakdown};
-pub use sm::{analyze as analyze_occupancy, Occupancy};

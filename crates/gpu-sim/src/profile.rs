@@ -200,13 +200,6 @@ pub struct KernelSpan {
     pub fused: u32,
 }
 
-impl KernelSpan {
-    /// End time on the simulated timeline, seconds.
-    pub fn end_s(&self) -> f64 {
-        self.start_s + self.time_s
-    }
-}
-
 /// Aggregate over all spans sharing one phase label.
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct PhaseStats {
@@ -1043,7 +1036,6 @@ mod tests {
         assert_eq!(p.spans()[1].start_s, 1.0);
         assert_eq!(p.total_s(), 3.0);
         assert_eq!(p.spans()[1].tag.step, Some(3));
-        assert_eq!(p.spans()[1].end_s(), 3.0);
     }
 
     #[test]

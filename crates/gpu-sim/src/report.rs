@@ -215,15 +215,6 @@ impl SimReport {
         }
     }
 
-    /// Average off-chip bandwidth utilization over the whole run, in
-    /// `[0, 1]` of the peak.
-    pub fn dram_utilization(&self) -> f64 {
-        if self.time_s <= 0.0 {
-            return 0.0;
-        }
-        (self.dram_bytes() as f64 / self.time_s / self.peak_dram_bytes_per_s).min(1.0)
-    }
-
     /// Average on-chip bandwidth utilization over the whole run.
     pub fn smem_utilization(&self) -> f64 {
         if self.time_s <= 0.0 {
@@ -322,7 +313,6 @@ mod tests {
     fn utilization_computation() {
         let mut r = SimReport::empty(1000.0, 10_000.0);
         r.absorb(&kernel(KernelKind::Sgemv, 1.0, 500));
-        assert!((r.dram_utilization() - 0.5).abs() < 1e-12);
         assert!((r.dram_utilization_of(KernelKind::Sgemv) - 0.5).abs() < 1e-12);
         assert_eq!(r.dram_utilization_of(KernelKind::Sgemm), 0.0);
         assert!((r.smem_utilization() - 0.01).abs() < 1e-12);
@@ -332,7 +322,7 @@ mod tests {
     fn utilization_saturates_at_one() {
         let mut r = SimReport::empty(10.0, 10.0);
         r.absorb(&kernel(KernelKind::Sgemv, 1.0, 1_000_000));
-        assert_eq!(r.dram_utilization(), 1.0);
+        assert_eq!(r.dram_utilization_of(KernelKind::Sgemv), 1.0);
     }
 
     #[test]
@@ -355,7 +345,7 @@ mod tests {
     #[test]
     fn empty_report_has_zero_utilization() {
         let r = SimReport::empty(1e9, 1e9);
-        assert_eq!(r.dram_utilization(), 0.0);
+        assert_eq!(r.dram_utilization_of(KernelKind::Sgemv), 0.0);
         assert_eq!(r.smem_utilization(), 0.0);
         assert_eq!(r.time_share_of(KernelKind::Sgemv), 0.0);
     }

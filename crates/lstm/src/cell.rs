@@ -3,7 +3,7 @@
 use rand::Rng;
 use std::sync::OnceLock;
 use tensor::init::{xavier_uniform, GateBiasInit, RowScaledInit};
-use tensor::{tanh, Activation, FusedGates, Matrix, Precision, Vector};
+use tensor::{sigmoid, tanh, FusedGates, Matrix, Precision, Vector};
 
 /// One vector per LSTM gate, in the paper's `f, i, c, o` order.
 ///
@@ -37,17 +37,6 @@ impl GateVectors {
 /// terms computed by the per-layer `Sgemm` (paper Fig. 3, part 2).
 pub type GatePreacts = GateVectors;
 
-/// Result of one detailed cell step: outputs plus post-activation gates.
-#[derive(Debug, Clone, PartialEq)]
-pub struct CellStep {
-    /// Hidden output `h_t`.
-    pub h: Vector,
-    /// Cell state `c_t`.
-    pub c: Vector,
-    /// Post-activation gate values (`f_t`, `i_t`, `tanh` candidate, `o_t`).
-    pub gates: GateVectors,
-}
-
 /// The per-layer LSTM weights (shared by every unrolled cell of the layer).
 ///
 /// Matrices follow Eqs. 1–4: `W_g` is `hidden x input`, `U_g` is
@@ -63,7 +52,6 @@ pub struct CellWeights {
     pub b: GateVectors,
     hidden: usize,
     input: usize,
-    gate_activation: Activation,
     /// Lazily built fused packed copies of the gate matrices, shared
     /// by every plan/runtime that executes this layer — one slot per
     /// [`Precision`] tier (`fp32`/`fp16`/`int8`), indexed by
@@ -87,7 +75,6 @@ impl Clone for CellWeights {
             b: self.b.clone(),
             hidden: self.hidden,
             input: self.input,
-            gate_activation: self.gate_activation,
             // Deliberately fresh: a clone is usually made to be edited,
             // and a carried-over cache would keep serving the original
             // weights after the edit.
@@ -144,7 +131,6 @@ impl PartialEq for CellWeights {
             && self.b == other.b
             && self.hidden == other.hidden
             && self.input == other.input
-            && self.gate_activation == other.gate_activation
     }
 }
 
@@ -248,7 +234,6 @@ impl CellWeights {
             b,
             hidden,
             input,
-            gate_activation: Activation::Sigmoid,
             packed: Default::default(),
         }
     }
@@ -260,20 +245,6 @@ impl CellWeights {
             w: FusedGates::pack(&[&self.w.f, &self.w.i, &self.w.c, &self.w.o], precision),
             u: FusedGates::pack(&[&self.u.f, &self.u.i, &self.u.c, &self.u.o], precision),
         })
-    }
-
-    /// Switches the gate activation to the hard sigmoid (the accelerated
-    /// variant some mobile frameworks substitute; paper Sec. IV-A notes
-    /// the sensitive-area boundaries fit both). The candidate/state path
-    /// keeps `tanh`.
-    pub fn with_gate_activation(mut self, activation: Activation) -> Self {
-        self.gate_activation = activation;
-        self
-    }
-
-    /// The gate activation in use.
-    pub fn gate_activation(&self) -> Activation {
-        self.gate_activation
     }
 
     /// Samples trained-like weights with the default [`CellInit`].
@@ -432,26 +403,9 @@ impl CellWeights {
         4 * self.hidden as u64 * self.hidden as u64 * 4
     }
 
-    /// Bytes of the `U_{f,i,c}` slice used by the masked Sgemv of
-    /// Algorithm 3 line 7.
-    pub fn u_fic_bytes(&self) -> u64 {
-        3 * self.hidden as u64 * self.hidden as u64 * 4
-    }
-
-    /// Bytes of the `U_o` slice used by Algorithm 3 line 4.
-    pub fn u_o_bytes(&self) -> u64 {
-        self.hidden as u64 * self.hidden as u64 * 4
-    }
-
     /// Bytes of the united input matrix `W_{f,i,c,o}`.
     pub fn united_w_bytes(&self) -> u64 {
         4 * self.hidden as u64 * self.input as u64 * 4
-    }
-
-    /// The united recurrent matrix (rows stacked `f, i, c, o`), as the
-    /// backend library would lay it out (paper Sec. II-C).
-    pub fn united_u(&self) -> Matrix {
-        Matrix::vstack(&[&self.u.f, &self.u.i, &self.u.c, &self.u.o])
     }
 
     /// Computes the `W_{f,i,c,o}·x_t` pre-activation terms (no bias).
@@ -578,50 +532,13 @@ impl CellWeights {
         let (uc, uo) = rest.split_at(n);
         h_out.resize_fill(n, 0.0);
         c_out.resize_fill(n, 0.0);
-        let sig = self.gate_activation;
         for j in 0..n {
-            let f = sig.apply(wx.f[j] + uf[j] + self.b.f[j]);
-            let i = sig.apply(wx.i[j] + ui[j] + self.b.i[j]);
+            let f = sigmoid(wx.f[j] + uf[j] + self.b.f[j]);
+            let i = sigmoid(wx.i[j] + ui[j] + self.b.i[j]);
             let cand = tanh(wx.c[j] + uc[j] + self.b.c[j]);
-            let o = sig.apply(wx.o[j] + uo[j] + self.b.o[j]);
+            let o = sigmoid(wx.o[j] + uo[j] + self.b.o[j]);
             c_out[j] = f * c_prev[j] + i * cand;
             h_out[j] = o * tanh(c_out[j]);
-        }
-    }
-
-    /// One exact cell step that also returns post-activation gate values
-    /// (used by distribution collection and by tests).
-    pub fn step_detailed(&self, wx: &GatePreacts, h_prev: &Vector, c_prev: &Vector) -> CellStep {
-        let n = self.hidden;
-        assert_eq!(h_prev.len(), n, "h_prev length mismatch");
-        assert_eq!(c_prev.len(), n, "c_prev length mismatch");
-        let mut slab = vec![0.0f32; 4 * n];
-        self.fused_at(Precision::Fp32)
-            .u
-            .gemv_into(h_prev.as_slice(), &mut slab);
-        let (uf, rest) = slab.split_at(n);
-        let (ui, rest) = rest.split_at(n);
-        let (uc, uo) = rest.split_at(n);
-
-        let sig = self.gate_activation;
-        let mut f = Vector::zeros(n);
-        let mut i = Vector::zeros(n);
-        let mut cand = Vector::zeros(n);
-        let mut o = Vector::zeros(n);
-        let mut c = Vector::zeros(n);
-        let mut h = Vector::zeros(n);
-        for j in 0..n {
-            f[j] = sig.apply(wx.f[j] + uf[j] + self.b.f[j]);
-            i[j] = sig.apply(wx.i[j] + ui[j] + self.b.i[j]);
-            cand[j] = tanh(wx.c[j] + uc[j] + self.b.c[j]);
-            o[j] = sig.apply(wx.o[j] + uo[j] + self.b.o[j]);
-            c[j] = f[j] * c_prev[j] + i[j] * cand[j];
-            h[j] = o[j] * tanh(c[j]);
-        }
-        CellStep {
-            h,
-            c,
-            gates: GateVectors { f, i, c: cand, o },
         }
     }
 
@@ -654,9 +571,8 @@ impl CellWeights {
             .u
             .gate_gemv_into(GATE_O, h_prev.as_slice(), &mut scratch.slab);
         o_out.resize_fill(n, 0.0);
-        let sig = self.gate_activation;
         for j in 0..n {
-            o_out[j] = sig.apply(wx_o[j] + scratch.slab[j] + self.b.o[j]);
+            o_out[j] = sigmoid(wx_o[j] + scratch.slab[j] + self.b.o[j]);
         }
     }
 
@@ -732,11 +648,10 @@ impl CellWeights {
         let (ui, uc) = rest.split_at(n);
         h_out.resize_fill(n, 0.0);
         c_out.resize_fill(n, 0.0);
-        let sig = self.gate_activation;
         for j in 0..n {
             if active[j] {
-                let f = sig.apply(wx.f[j] + uf[j] + self.b.f[j]);
-                let i = sig.apply(wx.i[j] + ui[j] + self.b.i[j]);
+                let f = sigmoid(wx.f[j] + uf[j] + self.b.f[j]);
+                let i = sigmoid(wx.i[j] + ui[j] + self.b.i[j]);
                 let cand = tanh(wx.c[j] + uc[j] + self.b.c[j]);
                 c_out[j] = f * c_prev[j] + i * cand;
                 h_out[j] = o[j] * tanh(c_out[j]);
@@ -764,28 +679,24 @@ mod tests {
         let cell = small_cell(1);
         assert_eq!(cell.hidden(), 8);
         assert_eq!(cell.input_dim(), 6);
-        assert_eq!(cell.united_u().shape(), (32, 8));
         assert_eq!(cell.united_u_bytes(), 4 * 8 * 8 * 4);
-        assert_eq!(cell.u_fic_bytes() + cell.u_o_bytes(), cell.united_u_bytes());
         assert_eq!(cell.united_w_bytes(), 4 * 8 * 6 * 4);
     }
 
     #[test]
     fn outputs_respect_mathematical_ranges() {
-        // h_t in [-1, 1] (Sec. IV-A derivation); gates in (0, 1).
+        // h_t in [-1, 1] (Sec. IV-A derivation); the output gate in (0, 1).
         let cell = small_cell(2);
         let mut rng = seeded_rng(3);
         let x = Vector::from_fn(6, |_| rng.gen_range(-1.0f32..1.0));
         let h0 = Vector::from_fn(8, |_| rng.gen_range(-1.0f32..1.0));
         let c0 = Vector::from_fn(8, |_| rng.gen_range(-2.0f32..2.0));
         let wx = cell.precompute_wx(&x);
-        let step = cell.step_detailed(&wx, &h0, &c0);
+        let (h, _) = cell.step(&wx, &h0, &c0);
+        let o = cell.output_gate(&wx.o, &h0);
         for j in 0..8 {
-            assert!(step.h[j].abs() <= 1.0);
-            assert!(step.gates.f[j] > 0.0 && step.gates.f[j] < 1.0);
-            assert!(step.gates.i[j] > 0.0 && step.gates.i[j] < 1.0);
-            assert!(step.gates.o[j] > 0.0 && step.gates.o[j] < 1.0);
-            assert!(step.gates.c[j].abs() <= 1.0);
+            assert!(h[j].abs() <= 1.0);
+            assert!(o[j] > 0.0 && o[j] < 1.0);
         }
     }
 
@@ -823,7 +734,9 @@ mod tests {
     }
 
     #[test]
-    fn output_gate_matches_detailed_step() {
+    fn output_gate_matches_exact_step() {
+        // The standalone output-gate launch (Algorithm 3 lines 4-5) computes
+        // the same `o_t` the exact step folds into `h_t = o_t * tanh(c_t)`.
         let cell = small_cell(4);
         let mut rng = seeded_rng(5);
         let x = Vector::from_fn(6, |_| rng.gen_range(-1.0f32..1.0));
@@ -831,9 +744,9 @@ mod tests {
         let c0 = Vector::zeros(8);
         let wx = cell.precompute_wx(&x);
         let o = cell.output_gate(&wx.o, &h0);
-        let detailed = cell.step_detailed(&wx, &h0, &c0);
+        let (h, c) = cell.step(&wx, &h0, &c0);
         for j in 0..8 {
-            assert!((o[j] - detailed.gates.o[j]).abs() < 1e-6);
+            assert_eq!(h[j].to_bits(), (o[j] * tanh(c[j])).to_bits());
         }
     }
 
@@ -935,8 +848,7 @@ mod tests {
         assert_eq!(wx.o, sgemv(&cell.w.o, &x));
         let o = cell.output_gate(&wx.o, &h0);
         let o_ref = Vector::from_fn(20, |j| {
-            cell.gate_activation()
-                .apply(wx.o[j] + sgemv(&cell.u.o, &h0)[j] + cell.b.o[j])
+            sigmoid(wx.o[j] + sgemv(&cell.u.o, &h0)[j] + cell.b.o[j])
         });
         assert_eq!(o, o_ref);
     }
@@ -957,44 +869,6 @@ mod tests {
         let wx = edited.precompute_wx(&x);
         assert_eq!(wx.f, sgemv(&edited.w.f, &x), "clone served stale panels");
         assert!(wx.f.iter().all(|&v| v == 0.0));
-    }
-
-    #[test]
-    fn hard_sigmoid_gates_saturate_exactly_at_the_boundaries() {
-        // The paper's Fig. 7a observation: the hard sigmoid saturates
-        // exactly at the sensitive-area boundaries, so the relevance
-        // analysis is *exact* rather than approximate for it.
-        use tensor::Activation;
-        let cell = small_cell(30).with_gate_activation(Activation::HardSigmoid);
-        assert_eq!(cell.gate_activation(), Activation::HardSigmoid);
-        let wx = GatePreacts {
-            f: Vector::filled(8, 10.0),
-            i: Vector::filled(8, -10.0),
-            c: Vector::zeros(8),
-            o: Vector::filled(8, 10.0),
-        };
-        let step = cell.step_detailed(&wx, &Vector::zeros(8), &Vector::zeros(8));
-        for j in 0..8 {
-            assert_eq!(step.gates.f[j], 1.0, "hard sigmoid must pin at 1");
-            assert_eq!(step.gates.i[j], 0.0, "hard sigmoid must pin at 0");
-        }
-    }
-
-    #[test]
-    fn hard_sigmoid_outputs_stay_bounded() {
-        use tensor::Activation;
-        let cell = small_cell(31).with_gate_activation(Activation::HardSigmoid);
-        let mut rng = seeded_rng(32);
-        let mut h = Vector::zeros(8);
-        let mut c = Vector::zeros(8);
-        for _ in 0..10 {
-            let x = Vector::from_fn(6, |_| rng.gen_range(-2.0f32..2.0));
-            let wx = cell.precompute_wx(&x);
-            let (h2, c2) = cell.step(&wx, &h, &c);
-            h = h2;
-            c = c2;
-            assert!(h.max_abs() <= 1.0);
-        }
     }
 
     #[test]

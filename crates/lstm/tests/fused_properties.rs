@@ -7,15 +7,15 @@
 //! *which rows ride in one pass*, never any row's accumulation order.
 //! These tests rebuild every fused path from the raw public gate
 //! matrices with the naive reference kernels (`sgemv`,
-//! `sgemv_masked_gather`) and demand `to_bits()` equality — not
+//! `sgemv_masked_reference`) and demand `to_bits()` equality — not
 //! approximate closeness — across random weights, inputs, and DRS masks.
 
 use lstm::cell::{CellWeights, GatePreacts};
 use lstm::gru::GruWeights;
 use proptest::prelude::*;
-use tensor::gemm::sgemv;
+use tensor::gemm::{sgemv, sgemv_masked_reference};
 use tensor::init::seeded_rng;
-use tensor::{sgemv_masked_gather, sigmoid, tanh, Precision, Vector};
+use tensor::{sigmoid, tanh, Precision, Vector};
 
 /// Odd sizes on purpose: rows straddle the MR=8 panel boundary and the
 /// 4-column phase chunks, where a layout bug would first show.
@@ -95,14 +95,13 @@ proptest! {
 
         let (uf, ui) = (sgemv(&cell.u.f, &h0), sgemv(&cell.u.i, &h0));
         let (uc, uo) = (sgemv(&cell.u.c, &h0), sgemv(&cell.u.o, &h0));
-        let sig = cell.gate_activation();
         let mut h_ref = vec![0.0f32; HIDDEN];
         let mut c_ref = vec![0.0f32; HIDDEN];
         for j in 0..HIDDEN {
-            let f = sig.apply(wx.f[j] + uf[j] + cell.b.f[j]);
-            let i = sig.apply(wx.i[j] + ui[j] + cell.b.i[j]);
+            let f = sigmoid(wx.f[j] + uf[j] + cell.b.f[j]);
+            let i = sigmoid(wx.i[j] + ui[j] + cell.b.i[j]);
             let cand = tanh(wx.c[j] + uc[j] + cell.b.c[j]);
-            let o = sig.apply(wx.o[j] + uo[j] + cell.b.o[j]);
+            let o = sigmoid(wx.o[j] + uo[j] + cell.b.o[j]);
             c_ref[j] = f * c0[j] + i * cand;
             h_ref[j] = o * tanh(c_ref[j]);
         }
@@ -111,9 +110,9 @@ proptest! {
     }
 
     /// The fused DRS step (shared `f, i, c` row mask, one in-place
-    /// launch) == the raw-matrix gather kernel applied per gate.
+    /// launch) == the reference masked kernel applied per gate.
     #[test]
-    fn lstm_masked_step_matches_gather_reference(
+    fn lstm_masked_step_matches_masked_reference(
         seed in 0u64..500,
         x in vec_strategy(INPUT),
         h0 in vec_strategy(HIDDEN),
@@ -126,23 +125,22 @@ proptest! {
         let o = cell.output_gate(&wx.o, &h0);
         let (h, c) = cell.step_masked(&wx, &h0, &c0, &o, &active);
 
-        let uf = sgemv_masked_gather(&cell.u.f, &h0, &active, 0.0);
-        let ui = sgemv_masked_gather(&cell.u.i, &h0, &active, 0.0);
-        let uc = sgemv_masked_gather(&cell.u.c, &h0, &active, 0.0);
+        let uf = sgemv_masked_reference(&cell.u.f, &h0, &active, 0.0);
+        let ui = sgemv_masked_reference(&cell.u.i, &h0, &active, 0.0);
+        let uc = sgemv_masked_reference(&cell.u.c, &h0, &active, 0.0);
         let o_ref: Vec<f32> = {
             let uo = sgemv(&cell.u.o, &h0);
             (0..HIDDEN)
-                .map(|j| cell.gate_activation().apply(wx.o[j] + uo[j] + cell.b.o[j]))
+                .map(|j| sigmoid(wx.o[j] + uo[j] + cell.b.o[j]))
                 .collect()
         };
         assert_bits_eq(o.as_slice(), &o_ref, "o")?;
-        let sig = cell.gate_activation();
         let mut h_ref = vec![0.0f32; HIDDEN];
         let mut c_ref = vec![0.0f32; HIDDEN];
         for j in 0..HIDDEN {
             if active[j] {
-                let f = sig.apply(wx.f[j] + uf[j] + cell.b.f[j]);
-                let i = sig.apply(wx.i[j] + ui[j] + cell.b.i[j]);
+                let f = sigmoid(wx.f[j] + uf[j] + cell.b.f[j]);
+                let i = sigmoid(wx.i[j] + ui[j] + cell.b.i[j]);
                 let cand = tanh(wx.c[j] + uc[j] + cell.b.c[j]);
                 c_ref[j] = f * c0[j] + i * cand;
                 h_ref[j] = o[j] * tanh(c_ref[j]);
@@ -179,10 +177,10 @@ proptest! {
         assert_bits_eq(h.as_slice(), &h_ref, "h")?;
     }
 
-    /// The fused masked GRU step == the naive gather kernel per gate,
-    /// with inactive units copying their history.
+    /// The fused masked GRU step == the reference masked kernel per
+    /// gate, with inactive units copying their history.
     #[test]
-    fn gru_masked_step_matches_gather_reference(
+    fn gru_masked_step_matches_masked_reference(
         seed in 0u64..500,
         x in vec_strategy(INPUT),
         h0 in vec_strategy(HIDDEN),
@@ -194,13 +192,13 @@ proptest! {
         let h = w.step_masked(&x, &h0, &z, &active);
 
         let wr = sgemv(&w.w_r, &x);
-        let ur = sgemv_masked_gather(&w.u_r, &h0, &active, 0.0);
+        let ur = sgemv_masked_reference(&w.u_r, &h0, &active, 0.0);
         let r: Vec<f32> = (0..HIDDEN)
             .map(|j| if active[j] { sigmoid(wr[j] + ur[j] + w.b_r[j]) } else { 0.0 })
             .collect();
         let rh = Vector::from_fn(HIDDEN, |j| r[j] * h0[j]);
         let wh = sgemv(&w.w_h, &x);
-        let uh = sgemv_masked_gather(&w.u_h, &rh, &active, 0.0);
+        let uh = sgemv_masked_reference(&w.u_h, &rh, &active, 0.0);
         let h_ref: Vec<f32> = (0..HIDDEN)
             .map(|j| {
                 if active[j] {

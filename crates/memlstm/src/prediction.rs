@@ -11,7 +11,7 @@
 //! recurrent state; we predict both of its components (`h` and `c`), since
 //! both feed the next cell.
 
-use lstm::{LayerState, LstmNetwork};
+use lstm::LstmNetwork;
 use tensor::{Precision, RunningStats, Vector};
 
 /// The predicted context link for one layer.
@@ -38,14 +38,6 @@ impl LinkPredictor {
             h_mean: Vector::zeros(hidden),
             c_mean: Vector::zeros(hidden),
             samples: 0,
-        }
-    }
-
-    /// The predicted state to inject at a breakpoint.
-    pub fn predicted_state(&self) -> LayerState {
-        LayerState {
-            h: self.h_mean.clone(),
-            c: self.c_mean.clone(),
         }
     }
 
@@ -147,7 +139,7 @@ impl NetworkPredictors {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use lstm::ModelConfig;
+    use lstm::{LayerState, ModelConfig};
     use tensor::init::seeded_rng;
 
     fn setup() -> (LstmNetwork, Vec<Vec<Vector>>) {
@@ -206,7 +198,8 @@ mod tests {
     fn zero_predictor_is_zero() {
         let (net, _) = setup();
         let preds = NetworkPredictors::zeros(&net);
-        assert_eq!(preds.layer(1).predicted_state(), LayerState::zeros(10));
+        assert_eq!(preds.layer(1).h_mean(), &Vector::zeros(10));
+        assert_eq!(preds.layer(1).c_mean(), &Vector::zeros(10));
         assert_eq!(preds.layer(0).samples(), 0);
     }
 

@@ -105,11 +105,6 @@ impl RelevanceAnalyzer {
             .collect()
     }
 
-    /// The per-gate `D` bound vectors (diagnostics).
-    pub fn d_bounds(&self) -> &GateVectors {
-        &self.d
-    }
-
     /// Upper bound on the per-unit relevance value given the combination
     /// formula: `S_o <= 4`, `S_f <= 4`, `S_i·S_c <= 4`, so `S_j <= 32`.
     pub fn max_relevance() -> f64 {

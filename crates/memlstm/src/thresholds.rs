@@ -6,7 +6,9 @@
 //! (Fig. 10 steps 1–2): `α_inter`'s limit is the smallest value that
 //! already yields the minimal tissue count `N_min = ceil(N / MTS)`
 //! (pushing further breaks links without gaining performance). Eleven sets
-//! interpolate from 0 (exact baseline) to the limits (most aggressive).
+//! interpolate from 0 (exact baseline) to the limits (most aggressive), and
+//! a [`Level`] maps each set to the configuration of one optimization
+//! level.
 
 use crate::compile::combined_relevances;
 use crate::drs::{DrsConfig, DrsMode};
@@ -30,6 +32,41 @@ pub struct ThresholdSet {
     pub alpha_inter: f64,
     /// Near-zero threshold `α_intra`.
     pub alpha_intra: f32,
+}
+
+/// Which optimization level a sweep exercises.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+pub enum Level {
+    /// Inter-cell only (`α_intra = 0`).
+    Inter,
+    /// Intra-cell only (`α_inter = 0`).
+    Intra,
+    /// Both levels.
+    Combined,
+}
+
+/// Every level, in sweep order.
+pub const ALL_LEVELS: [Level; 3] = [Level::Inter, Level::Intra, Level::Combined];
+
+impl Level {
+    /// Maps a threshold set to this level's optimizer configuration:
+    /// the inter-cell level breaks links at `set.alpha_inter` and packs
+    /// tissues of at most `mts` cells; the intra-cell level runs
+    /// hardware Dynamic Row Skip at `set.alpha_intra`.
+    pub fn config(self, set: &ThresholdSet, mts: usize) -> OptimizerConfig {
+        let inter = OptimizerConfig::builder()
+            .alpha_inter(set.alpha_inter)
+            .max_tissue_size(mts);
+        let drs = DrsConfig {
+            alpha_intra: set.alpha_intra,
+            mode: DrsMode::Hardware,
+        };
+        match self {
+            Level::Inter => inter.build(),
+            Level::Intra => OptimizerConfig::builder().drs(drs).build(),
+            Level::Combined => inter.drs(drs).build(),
+        }
+    }
 }
 
 /// Exponent of the threshold-set spacing: values below 1 from a linear
@@ -73,6 +110,18 @@ pub struct TradeoffPoint {
 }
 
 impl TradeoffPoint {
+    /// The point of `set` whose configuration measured `perf` and
+    /// `accuracy`, against the baseline's `base`.
+    pub fn new(set: ThresholdSet, base: &PerfSummary, perf: &PerfSummary, accuracy: f64) -> Self {
+        Self {
+            set,
+            speedup: base.time_s / perf.time_s,
+            accuracy,
+            energy_saving: 1.0 - perf.energy_j / base.energy_j,
+            power_saving: 1.0 - perf.power_w() / base.power_w(),
+        }
+    }
+
     /// Accuracy loss.
     pub fn loss(&self) -> f64 {
         1.0 - self.accuracy
@@ -142,7 +191,6 @@ pub struct Evaluator {
     mts: usize,
     upper_inter: f64,
     upper_intra: f32,
-    drs_mode: DrsMode,
     perf_seqs: usize,
     accuracy_seqs: usize,
     pool: Pool,
@@ -173,7 +221,6 @@ impl Evaluator {
             mts,
             upper_inter,
             upper_intra: 0.30,
-            drs_mode: DrsMode::Hardware,
             perf_seqs: 2,
             accuracy_seqs: usize::MAX,
             pool,
@@ -186,11 +233,6 @@ impl Evaluator {
         self
     }
 
-    /// The thread pool parallel sections run on.
-    pub fn pool(&self) -> Pool {
-        self.pool
-    }
-
     /// Restricts how many evaluation sequences feed the accuracy and
     /// performance measurements (useful to bound run time on the largest
     /// benchmarks).
@@ -198,17 +240,6 @@ impl Evaluator {
         self.perf_seqs = perf_seqs.max(1);
         self.accuracy_seqs = accuracy_seqs.max(1);
         self
-    }
-
-    /// Selects the Dynamic-Row-Skip realization for every evaluation.
-    pub fn with_drs_mode(mut self, mode: DrsMode) -> Self {
-        self.drs_mode = mode;
-        self
-    }
-
-    /// The Dynamic-Row-Skip realization evaluations use.
-    pub fn drs_mode(&self) -> DrsMode {
-        self.drs_mode
     }
 
     /// The device every pricing pass runs on.
@@ -231,9 +262,13 @@ impl Evaluator {
         self.upper_intra
     }
 
-    /// How many sequences performance simulations cover.
+    /// How many sequences performance simulations cover: the perf
+    /// budget, capped by the accuracy budget (only sequences that run
+    /// are priced) and by the evaluation set.
     pub fn perf_seqs(&self) -> usize {
-        self.perf_seqs.min(self.workload.eval_set().len())
+        self.perf_seqs
+            .min(self.accuracy_seqs)
+            .min(self.workload.eval_set().len())
     }
 
     /// The workload under evaluation.
@@ -244,19 +279,6 @@ impl Evaluator {
     /// The collected link predictors.
     pub fn predictors(&self) -> &NetworkPredictors {
         &self.predictors
-    }
-
-    /// Builds an optimizer configuration for a threshold set with both
-    /// levels enabled.
-    pub fn combined_config(&self, set: &ThresholdSet) -> OptimizerConfig {
-        OptimizerConfig::builder()
-            .alpha_inter(set.alpha_inter)
-            .max_tissue_size(self.mts)
-            .drs(DrsConfig {
-                alpha_intra: set.alpha_intra,
-                mode: self.drs_mode,
-            })
-            .build()
     }
 
     /// Simulates the baseline (Algorithm 1) execution.
@@ -274,7 +296,7 @@ impl Evaluator {
             dram_bytes: 0,
         };
         let mut device = GpuDevice::for_model(&self.device);
-        for xs in self.workload.eval_set().iter().take(self.perf_seqs) {
+        for xs in self.workload.eval_set().iter().take(self.perf_seqs()) {
             device.reset();
             let mut session = device.begin_trace();
             runtime.run_lstm(&plan, net, xs, &mut session);
@@ -286,9 +308,11 @@ impl Evaluator {
         total
     }
 
-    /// Simulates an optimized configuration's performance (averaged over
-    /// the perf budget) and measures its accuracy (over the accuracy
-    /// budget).
+    /// Simulates an optimized configuration's performance (summed over
+    /// the [`perf_seqs`](Self::perf_seqs) budget, like
+    /// [`baseline_perf`](Self::baseline_perf)) and measures its accuracy
+    /// (over the accuracy budget). The returned [`OptRunStats`] are the
+    /// last priced sequence's.
     ///
     /// This is the plan-once-evaluate-N flow the offline phase exists for:
     /// the breakpoint search, sub-layer division, tissue alignment and
@@ -304,6 +328,7 @@ impl Evaluator {
             OptimizedExecutor::new(net, &self.predictors, config).on_device(self.device.clone());
         let plan = exec.plan_probes(self.workload.dataset().offline());
         let n_acc = self.workload.eval_set().len().min(self.accuracy_seqs);
+        let n_perf = self.perf_seqs();
         // Each sequence streams through its own `PlanRuntime`; sequences
         // inside the perf budget get a fresh device (a trace session always
         // starts from reset cache state, so a fresh device per sequence is
@@ -313,7 +338,7 @@ impl Evaluator {
         let per_seq = self.pool.par_map((0..n_acc).collect::<Vec<usize>>(), |i| {
             let xs = &self.workload.eval_set()[i];
             let mut runtime = PlanRuntime::new();
-            if i < self.perf_seqs {
+            if i < n_perf {
                 let mut device = GpuDevice::for_model(&self.device);
                 let mut session = device.begin_trace();
                 let output = runtime.run_lstm(&plan, net, xs, &mut session);
@@ -375,25 +400,19 @@ impl Evaluator {
             .expect("plan compiled for this device and the evaluation length")
     }
 
-    /// Full Fig. 19-style sweep over `count` threshold sets.
+    /// Fig. 19-style sweep of `level` over `count` threshold sets.
     ///
     /// Sets are evaluated in parallel on the evaluator's pool (each set
     /// compiles and prices independently; within a set the per-sequence
     /// fan-out then runs serial, since nesting degrades to inline
     /// execution). The returned points are in set order and bit-identical
     /// for any worker count.
-    pub fn sweep(&self, count: usize) -> Vec<TradeoffPoint> {
+    pub fn sweep(&self, level: Level, count: usize) -> Vec<TradeoffPoint> {
         let sets = threshold_sets(self.upper_inter, self.upper_intra, count);
         let base = self.baseline_perf();
         self.pool.par_map(sets, |set| {
-            let (perf, accuracy, _) = self.evaluate(self.combined_config(&set));
-            TradeoffPoint {
-                set,
-                speedup: base.time_s / perf.time_s,
-                accuracy,
-                energy_saving: 1.0 - perf.energy_j / base.energy_j,
-                power_saving: 1.0 - perf.power_w() / base.power_w(),
-            }
+            let (perf, accuracy, _) = self.evaluate(level.config(&set, self.mts));
+            TradeoffPoint::new(set, &base, &perf, accuracy)
         })
     }
 }
@@ -422,26 +441,14 @@ pub fn tune_combined_ao(
     let mut i = select_ao(inter_points).set.index;
     let mut j = select_ao(intra_points).set.index;
     loop {
-        let config = OptimizerConfig::builder()
-            .alpha_inter(sets[i].alpha_inter)
-            .max_tissue_size(ev.mts())
-            .drs(DrsConfig {
-                alpha_intra: sets[j].alpha_intra,
-                mode: ev.drs_mode(),
-            })
-            .build();
-        let (perf, accuracy, _) = ev.evaluate(config);
-        let point = TradeoffPoint {
-            set: ThresholdSet {
-                index: i.max(j),
-                alpha_inter: sets[i].alpha_inter,
-                alpha_intra: sets[j].alpha_intra,
-            },
-            speedup: base.time_s / perf.time_s,
-            accuracy,
-            energy_saving: 1.0 - perf.energy_j / base.energy_j,
-            power_saving: 1.0 - perf.power_w() / base.power_w(),
+        let set = ThresholdSet {
+            index: i.max(j),
+            alpha_inter: sets[i].alpha_inter,
+            alpha_intra: sets[j].alpha_intra,
         };
+        let config = Level::Combined.config(&set, ev.mts());
+        let (perf, accuracy, _) = ev.evaluate(config);
+        let point = TradeoffPoint::new(set, &base, &perf, accuracy);
         if accuracy >= 0.98 - 1e-9 || (i == 0 && j == 0) {
             return (config, point);
         }
@@ -588,7 +595,7 @@ mod tests {
     #[test]
     fn set_zero_is_exact_and_faster_sets_lose_accuracy_monotonically_ish() {
         let ev = small_evaluator();
-        let points = ev.sweep(5);
+        let points = ev.sweep(Level::Combined, 5);
         assert_eq!(points.len(), 5);
         // Set 0 = thresholds zero = exact numerics.
         assert!(
@@ -606,6 +613,54 @@ mod tests {
         assert!(points[4].speedup >= max_speedup * 0.9);
         // Accuracy at the aggressive end does not exceed the exact end.
         assert!(points[4].accuracy <= points[0].accuracy + 1e-9);
+    }
+
+    #[test]
+    fn levels_enable_exactly_their_optimizations() {
+        let set = ThresholdSet {
+            index: 3,
+            alpha_inter: 1.5,
+            alpha_intra: 0.05,
+        };
+        let hw = DrsConfig {
+            alpha_intra: 0.05,
+            mode: DrsMode::Hardware,
+        };
+        let paper = OptimizerConfig::builder().build();
+        assert_eq!(
+            Level::Inter.config(&set, 7),
+            OptimizerConfig {
+                inter: true,
+                alpha_inter: 1.5,
+                mts: 7,
+                ..paper
+            }
+        );
+        assert_eq!(
+            Level::Intra.config(&set, 7),
+            OptimizerConfig { drs: hw, ..paper }
+        );
+        assert_eq!(
+            Level::Combined.config(&set, 7),
+            OptimizerConfig {
+                inter: true,
+                alpha_inter: 1.5,
+                mts: 7,
+                drs: hw,
+                ..paper
+            }
+        );
+    }
+
+    #[test]
+    fn perf_budget_is_capped_by_the_accuracy_budget() {
+        // Pricing the baseline on more sequences than each configuration
+        // would show a phantom speedup: the default configuration compiles
+        // to the baseline plan, so it must price exactly the same.
+        let ev = small_evaluator().with_budget(3, 1);
+        assert_eq!(ev.perf_seqs(), 1);
+        let (perf, _, _) = ev.evaluate(OptimizerConfig::builder().build());
+        assert_eq!(perf, ev.baseline_perf());
     }
 
     #[test]

@@ -36,52 +36,6 @@ pub fn hard_sigmoid(x: f32) -> f32 {
     (0.25 * x + 0.5).clamp(0.0, 1.0)
 }
 
-/// An activation function choice for gate computations.
-///
-/// The paper's cells use [`Activation::Sigmoid`] on the gates and
-/// [`Activation::Tanh`] on the candidate state; [`Activation::HardSigmoid`]
-/// is the accelerated variant some mobile frameworks substitute.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-pub enum Activation {
-    /// Logistic sigmoid.
-    #[default]
-    Sigmoid,
-    /// Piecewise-linear hard sigmoid.
-    HardSigmoid,
-    /// Hyperbolic tangent.
-    Tanh,
-}
-
-impl Activation {
-    /// Applies the activation to `x`.
-    pub fn apply(self, x: f32) -> f32 {
-        match self {
-            Activation::Sigmoid => sigmoid(x),
-            Activation::HardSigmoid => hard_sigmoid(x),
-            Activation::Tanh => tanh(x),
-        }
-    }
-
-    /// Output range `(lo, hi)` of the activation.
-    pub fn output_range(self) -> (f32, f32) {
-        match self {
-            Activation::Sigmoid | Activation::HardSigmoid => (0.0, 1.0),
-            Activation::Tanh => (-1.0, 1.0),
-        }
-    }
-
-    /// The saturated output the activation approaches above the sensitive
-    /// area. Below the sensitive area it approaches the range minimum.
-    pub fn saturated_hi(self) -> f32 {
-        self.output_range().1
-    }
-
-    /// `true` when `x` lies inside the sensitive area `[-2, 2]`.
-    pub fn is_sensitive(self, x: f32) -> bool {
-        (SENSITIVE_LO..=SENSITIVE_HI).contains(&x)
-    }
-}
-
 /// Length of the overlap between the closed interval `[lo, hi]` and the
 /// sensitive area `[-2, 2]`, clamped to `[0, 4]`.
 ///
@@ -121,22 +75,13 @@ mod tests {
     }
 
     #[test]
-    fn activation_enum_dispatch() {
-        assert_eq!(Activation::Sigmoid.apply(0.0), 0.5);
-        assert_eq!(Activation::HardSigmoid.apply(0.0), 0.5);
-        assert_eq!(Activation::Tanh.apply(0.0), 0.0);
-        assert_eq!(Activation::Tanh.output_range(), (-1.0, 1.0));
-        assert_eq!(Activation::Sigmoid.output_range(), (0.0, 1.0));
-        assert_eq!(Activation::Sigmoid.saturated_hi(), 1.0);
-    }
-
-    #[test]
     fn sensitivity_boundaries() {
-        assert!(Activation::Sigmoid.is_sensitive(0.0));
-        assert!(Activation::Sigmoid.is_sensitive(SENSITIVE_LO));
-        assert!(Activation::Sigmoid.is_sensitive(SENSITIVE_HI));
-        assert!(!Activation::Sigmoid.is_sensitive(2.001));
-        assert!(!Activation::Sigmoid.is_sensitive(-2.001));
+        // Inside the sensitive area the hard sigmoid still moves with its
+        // input; just outside it is pinned to its saturated value.
+        assert!(hard_sigmoid(SENSITIVE_LO + 0.001) > 0.0);
+        assert!(hard_sigmoid(SENSITIVE_HI - 0.001) < 1.0);
+        assert_eq!(hard_sigmoid(2.001), 1.0);
+        assert_eq!(hard_sigmoid(-2.001), 0.0);
     }
 
     #[test]

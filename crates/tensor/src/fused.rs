@@ -274,8 +274,8 @@ impl FusedGates {
     /// panels with no active row are skipped and every skipped row gets
     /// `skipped_value`. Each active row is bit-identical to
     /// [`gate_gemv_into`](Self::gate_gemv_into) and to
-    /// [`sgemv_masked_gather`](crate::sgemv_masked_gather) on the gate's
-    /// raw matrix (same per-row sum, same micro-kernel).
+    /// [`sgemv_masked_reference`](crate::gemm::sgemv_masked_reference) on
+    /// the gate's raw matrix rounded to the slab's tier (same per-row sum).
     ///
     /// # Panics
     /// Panics if `g >= gates`, `x.len() != cols`,
@@ -370,7 +370,7 @@ fn panel_pair_gemv_body(p0: &[f32], p1: &[f32], cols: usize, x: &[f32]) -> ([f32
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::packed::sgemv_masked_gather;
+    use crate::gemm::sgemv_masked_reference;
 
     fn pseudo_matrix(rows: usize, cols: usize, seed: u32) -> Matrix {
         Matrix::from_fn(rows, cols, |r, c| {
@@ -473,8 +473,8 @@ mod tests {
     }
 
     #[test]
-    fn masked_sections_bit_identical_to_raw_gather_kernel() {
-        // Every tier against the raw-matrix gather kernel on the
+    fn masked_sections_bit_identical_to_reference() {
+        // Every tier against the reference masked kernel on the
         // dequantized matrices.
         for precision in Precision::ALL {
             for (rows, cols) in [(5, 3), (16, 16), (33, 20)] {
@@ -486,7 +486,8 @@ mod tests {
                     let mut slab = vec![0.0f32; 3 * rows];
                     fused.gemv_masked_prefix_into(3, x.as_slice(), &active, 0.0, &mut slab);
                     for (g, m) in mats.iter().take(3).enumerate() {
-                        let reference = sgemv_masked_gather(&precision.apply(m), &x, &active, 0.0);
+                        let reference =
+                            sgemv_masked_reference(&precision.apply(m), &x, &active, 0.0);
                         for (f, r) in slab[g * rows..(g + 1) * rows].iter().zip(reference.iter()) {
                             assert_eq!(
                                 f.to_bits(),

@@ -1,14 +1,14 @@
 //! Dense `f32` linear-algebra substrate for the memlstm reproduction.
 //!
 //! This crate provides exactly the operations the paper's LSTM execution
-//! needs: row-major matrices and vectors, `Sgemv`/`Sgemm` kernels (plus the
-//! row-masked variants used by Dynamic Row Skip), one packed gate slab
+//! needs: row-major matrices and vectors, reference `Sgemv` kernels (dense
+//! and row-masked, as Dynamic Row Skip uses them), one packed gate slab
 //! ([`FusedGates`]) that stores a cell's gate matrices in SIMD row panels
-//! at fp32, fp16 or int8 ([`Precision`]), the activation functions
-//! with their *sensitive area* boundaries (paper Fig. 7), weight
-//! initializers that mimic trained-LSTM statistics, and the running
-//! statistics used by the offline context-link distribution collection
-//! (paper Eq. 6).
+//! at fp32, fp16 or int8 ([`Precision`]) and runs every fast product, the
+//! activation functions with their *sensitive area* boundaries (paper
+//! Fig. 7), weight initializers that mimic trained-LSTM statistics, and
+//! the running statistics used by the offline context-link distribution
+//! collection (paper Eq. 6).
 //!
 //! # Example
 //!
@@ -39,11 +39,10 @@ pub mod quant;
 pub mod stats;
 pub mod vector;
 
-pub use activation::{hard_sigmoid, sigmoid, tanh, Activation, SENSITIVE_HI, SENSITIVE_LO};
+pub use activation::{hard_sigmoid, sigmoid, tanh, SENSITIVE_HI, SENSITIVE_LO};
 pub use error::{ShapeError, TensorResult};
 pub use fused::FusedGates;
 pub use matrix::Matrix;
-pub use packed::sgemv_masked_gather;
 pub use quant::{f16_bits_to_f32, f32_to_f16_bits, quantize_row_i8, Precision};
-pub use stats::{Histogram, RunningStats};
+pub use stats::RunningStats;
 pub use vector::Vector;

@@ -127,19 +127,6 @@ impl Matrix {
         crate::gemm::sgemv(self, x)
     }
 
-    /// Matrix-matrix product `self * other` (the paper's `Sgemm`).
-    ///
-    /// # Panics
-    /// Panics if `other.rows() != cols`.
-    pub fn gemm(&self, other: &Matrix) -> Matrix {
-        crate::gemm::sgemm(self, other)
-    }
-
-    /// Transposed copy.
-    pub fn transposed(&self) -> Matrix {
-        Matrix::from_fn(self.cols, self.rows, |r, c| self[(c, r)])
-    }
-
     /// Vertically stacks `parts` (all must share the column count).
     ///
     /// Used to build the united weight matrices `U_{f,i,c,o}` and
@@ -211,20 +198,9 @@ impl Matrix {
         Vector::from_fn(self.rows, |r| self.row(r).iter().map(|x| x.abs()).sum())
     }
 
-    /// Number of elements with `|x| <= eps` (used by the zero-pruning
-    /// baseline to pick which weights to erase).
-    pub fn count_near_zero(&self, eps: f32) -> usize {
-        self.data.iter().filter(|x| x.abs() <= eps).count()
-    }
-
     /// Maximum absolute element, or 0 for an empty matrix.
     pub fn max_abs(&self) -> f32 {
         self.data.iter().fold(0.0f32, |m, &x| m.max(x.abs()))
-    }
-
-    /// Frobenius norm.
-    pub fn frobenius_norm(&self) -> f32 {
-        self.data.iter().map(|x| x * x).sum::<f32>().sqrt()
     }
 }
 
@@ -302,13 +278,6 @@ mod tests {
     }
 
     #[test]
-    fn transpose_involution() {
-        let m = Matrix::from_fn(2, 3, |r, c| (r * 3 + c) as f32);
-        assert_eq!(m.transposed().transposed(), m);
-        assert_eq!(m.transposed()[(2, 1)], m[(1, 2)]);
-    }
-
-    #[test]
     fn vstack_concatenates_gate_matrices() {
         let a = Matrix::from_fn(1, 2, |_, c| c as f32);
         let b = Matrix::from_fn(2, 2, |r, c| 10.0 + (r * 2 + c) as f32);
@@ -359,16 +328,8 @@ mod tests {
     }
 
     #[test]
-    fn count_near_zero_counts() {
-        let m = Matrix::from_vec(1, 4, vec![0.0, 0.01, -0.5, 2.0]).unwrap();
-        assert_eq!(m.count_near_zero(0.05), 2);
-        assert_eq!(m.count_near_zero(0.0), 1);
-    }
-
-    #[test]
     fn norms() {
         let m = Matrix::from_vec(1, 2, vec![3.0, -4.0]).unwrap();
-        assert!((m.frobenius_norm() - 5.0).abs() < 1e-6);
         assert_eq!(m.max_abs(), 4.0);
     }
 }

@@ -26,17 +26,13 @@
 //! `is_x86_feature_detected!` check. The masked products of the packed gate slab
 //! ([`crate::FusedGates`]) run those kernels in place on the stored
 //! panels through one shared panel walk, skipping panels without an
-//! active row; only the raw-matrix [`sgemv_masked_gather`] copies rows,
-//! because a row-major [`Matrix`] has no panels to run on.
+//! active row; no kernel copies rows.
 //!
 //! Packing costs one pass over the matrix, so it pays off when the same
 //! matrix is applied many times — exactly the LSTM shape, where the
 //! recurrent `U` matrices are applied at every timestep of every
 //! sequence. `lstm::CellWeights` packs its weights once per precision
 //! tier (lazily) and reuses the panels for every plan execution.
-
-use crate::matrix::Matrix;
-use crate::vector::Vector;
 
 /// Rows per packed panel (the register-blocking height of the kernels).
 pub const MR: usize = 8;
@@ -133,53 +129,6 @@ fn panel_gemv_body(panel: &[f32], cols: usize, x: &[f32]) -> [f32; MR] {
     sum
 }
 
-/// Row-masked matrix-vector product via *gather*: the skip list's active
-/// rows are gathered [`MR`] at a time, in increasing row order, into a
-/// dense interleaved panel, the branch-free panel micro-kernel runs over
-/// it, and the results scatter back to their row positions; skipped rows
-/// produce `skipped_value`.
-///
-/// Bit-identical to the reference masked kernel (each active row is the
-/// same dot product in the same association order), and to the dense
-/// kernels when every row is active.
-///
-/// # Panics
-/// Panics if `x.len() != a.cols()` or `active.len() != a.rows()`.
-pub fn sgemv_masked_gather(a: &Matrix, x: &Vector, active: &[bool], skipped_value: f32) -> Vector {
-    assert_eq!(x.len(), a.cols(), "sgemv_masked_gather: x length mismatch");
-    assert_eq!(
-        active.len(),
-        a.rows(),
-        "sgemv_masked_gather: mask length mismatch"
-    );
-    let cols = a.cols();
-    let mut y = Vector::from(vec![skipped_value; a.rows()]);
-    let out = y.as_mut_slice();
-    let active_rows: Vec<usize> = (0..a.rows()).filter(|&r| active[r]).collect();
-    // `panel[k][l]` is column `k` of the group's row `l`.
-    let mut panel = vec![[0.0f32; MR]; cols];
-    for group in active_rows.chunks(MR) {
-        // A partial last group is padded with copies of its first row, so
-        // every lane loads real weights; the copies' sums are discarded.
-        let mut src = [a.row(group[0]); MR];
-        for (s, &r) in src.iter_mut().zip(group) {
-            *s = a.row(r);
-        }
-        // Column index outermost: stores are sequential in the panel,
-        // reads walk `MR` parallel row streams.
-        for (k, column) in panel.iter_mut().enumerate() {
-            for (slot, row) in column.iter_mut().zip(&src) {
-                *slot = row[k];
-            }
-        }
-        let sum = panel_gemv(panel.as_flattened(), cols, x.as_slice());
-        for (&r, &s) in group.iter().zip(&sum) {
-            out[r] = s;
-        }
-    }
-    y
-}
-
 /// The in-place panel walk behind the masked products of
 /// [`FusedGates`](crate::FusedGates): `out` (one gate's `rows`
 /// outputs) is filled with `skipped_value`, then every panel holding at
@@ -213,8 +162,8 @@ pub(crate) fn masked_panels_into(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::gemm::{sgemv, sgemv_masked_reference};
-    use crate::{FusedGates, Precision};
+    use crate::gemm::sgemv;
+    use crate::{FusedGates, Matrix, Precision, Vector};
 
     fn pseudo_matrix(rows: usize, cols: usize, seed: u32) -> Matrix {
         Matrix::from_fn(rows, cols, |r, c| {
@@ -274,43 +223,6 @@ mod tests {
                 }
             }
         }
-    }
-
-    #[test]
-    fn gather_masked_bit_identical_to_reference() {
-        for (rows, cols) in [(5, 3), (16, 16), (33, 20), (96, 96)] {
-            let a = pseudo_matrix(rows, cols, 3);
-            let x = pseudo_vector(cols, 5);
-            for skip_mod in [2usize, 3, 5] {
-                let active: Vec<bool> = (0..rows).map(|r| r % skip_mod != 0).collect();
-                let fast = sgemv_masked_gather(&a, &x, &active, -7.5);
-                let reference = sgemv_masked_reference(&a, &x, &active, -7.5);
-                for (f, r) in fast.iter().zip(reference.iter()) {
-                    assert_eq!(f.to_bits(), r.to_bits());
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn gather_masked_full_mask_equals_dense() {
-        let a = pseudo_matrix(40, 24, 1);
-        let x = pseudo_vector(24, 2);
-        let full = vec![true; 40];
-        let masked = sgemv_masked_gather(&a, &x, &full, 0.0);
-        let dense = packed_gemv(&a, Precision::Fp32, &x);
-        for (m, d) in masked.iter().zip(&dense) {
-            assert_eq!(m.to_bits(), d.to_bits());
-        }
-    }
-
-    #[test]
-    fn gather_masked_empty_mask_is_all_skipped() {
-        let a = pseudo_matrix(9, 4, 8);
-        let x = pseudo_vector(4, 9);
-        let none = vec![false; 9];
-        let y = sgemv_masked_gather(&a, &x, &none, 42.0);
-        assert!(y.iter().all(|&v| v == 42.0));
     }
 
     #[test]
@@ -412,18 +324,13 @@ mod tests {
             eprintln!("skipped: no AVX on this CPU, so only the portable build ever runs");
             return;
         }
-        let entries: [(&str, Entry); 8] = [
+        let entries: [(&str, Entry); 7] = [
             ("fp32 single panel", |m, x, _| {
                 packed_gemv(&m[0], Precision::Fp32, x)
             }),
             ("fp32 pair", |m, x, _| dense(m, x, Precision::Fp32)),
             ("f16 slab", |m, x, _| dense(m, x, Precision::Fp16)),
             ("int8 slab", |m, x, _| dense(m, x, Precision::Int8)),
-            ("fp32 raw masked gather", |m, x, mask| {
-                sgemv_masked_gather(&m[0], x, mask, -3.0)
-                    .as_slice()
-                    .to_vec()
-            }),
             ("fp32 packed masked in place", |m, x, mask| {
                 masked(m, x, mask, Precision::Fp32)
             }),

@@ -65,11 +65,6 @@ impl Precision {
         bytes * self.bytes_per_weight() / 4
     }
 
-    /// Whether the tier stores anything narrower than `f32`.
-    pub fn is_quantized(self) -> bool {
-        !matches!(self, Precision::Fp32)
-    }
-
     /// Canonical lowercase name (`"fp32"` / `"fp16"` / `"int8"`).
     pub fn name(self) -> &'static str {
         match self {

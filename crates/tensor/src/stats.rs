@@ -1,11 +1,9 @@
-//! Running statistics and histograms.
+//! Running statistics.
 //!
 //! The inter-cell accuracy-recovery step (paper Sec. IV-B, Eq. 6) predicts
 //! the context link lost at each breakpoint with the per-element
 //! *expectation* of the context-link distribution, collected offline over a
-//! training set. [`RunningStats`] accumulates exactly that, and
-//! [`Histogram`] supports inspecting the distributions the prediction is
-//! built from.
+//! training set. [`RunningStats`] accumulates exactly that.
 
 use crate::vector::Vector;
 
@@ -100,110 +98,6 @@ impl RunningStats {
     }
 }
 
-/// A fixed-range, uniform-bin histogram of scalar observations.
-#[derive(Debug, Clone, PartialEq)]
-pub struct Histogram {
-    lo: f32,
-    hi: f32,
-    bins: Vec<u64>,
-    underflow: u64,
-    overflow: u64,
-}
-
-impl Histogram {
-    /// Creates a histogram with `bins` uniform buckets over `[lo, hi)`.
-    ///
-    /// # Panics
-    /// Panics if `bins == 0` or `lo >= hi`.
-    pub fn new(lo: f32, hi: f32, bins: usize) -> Self {
-        assert!(bins > 0, "Histogram: bins must be positive");
-        assert!(lo < hi, "Histogram: empty range");
-        Self {
-            lo,
-            hi,
-            bins: vec![0; bins],
-            underflow: 0,
-            overflow: 0,
-        }
-    }
-
-    /// Records one observation.
-    pub fn record(&mut self, x: f32) {
-        if x < self.lo {
-            self.underflow += 1;
-        } else if x >= self.hi {
-            self.overflow += 1;
-        } else {
-            let frac = (x - self.lo) / (self.hi - self.lo);
-            let idx = ((frac * self.bins.len() as f32) as usize).min(self.bins.len() - 1);
-            self.bins[idx] += 1;
-        }
-    }
-
-    /// Total observations, including under/overflow.
-    pub fn count(&self) -> u64 {
-        self.bins.iter().sum::<u64>() + self.underflow + self.overflow
-    }
-
-    /// Observations that fell below the range.
-    pub fn underflow(&self) -> u64 {
-        self.underflow
-    }
-
-    /// Observations that fell at or above the range end.
-    pub fn overflow(&self) -> u64 {
-        self.overflow
-    }
-
-    /// Bucket counts.
-    pub fn bins(&self) -> &[u64] {
-        &self.bins
-    }
-
-    /// The approximate `q`-quantile (`q` in `[0, 1]`), computed from bucket
-    /// boundaries; `None` when empty.
-    pub fn quantile(&self, q: f32) -> Option<f32> {
-        let total = self.count();
-        if total == 0 {
-            return None;
-        }
-        let q = q.clamp(0.0, 1.0);
-        let target = (q as f64 * total as f64).ceil() as u64;
-        let mut seen = self.underflow;
-        if seen >= target {
-            return Some(self.lo);
-        }
-        let width = (self.hi - self.lo) / self.bins.len() as f32;
-        for (i, &b) in self.bins.iter().enumerate() {
-            seen += b;
-            if seen >= target {
-                return Some(self.lo + width * (i as f32 + 1.0));
-            }
-        }
-        Some(self.hi)
-    }
-
-    /// Fraction of in-range observations at or below `x`.
-    pub fn cdf(&self, x: f32) -> f32 {
-        let total = self.count();
-        if total == 0 {
-            return 0.0;
-        }
-        let mut acc = self.underflow;
-        let width = (self.hi - self.lo) / self.bins.len() as f32;
-        for (i, &b) in self.bins.iter().enumerate() {
-            let upper = self.lo + width * (i as f32 + 1.0);
-            if upper <= x {
-                acc += b;
-            }
-        }
-        if x >= self.hi {
-            acc += self.overflow;
-        }
-        acc as f32 / total as f32
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -264,44 +158,5 @@ mod tests {
         let mut empty = RunningStats::new(1);
         empty.merge(&before);
         assert_eq!(empty, before);
-    }
-
-    #[test]
-    fn histogram_counts_and_flows() {
-        let mut h = Histogram::new(0.0, 1.0, 4);
-        for x in [-0.5, 0.1, 0.3, 0.6, 0.9, 1.5] {
-            h.record(x);
-        }
-        assert_eq!(h.count(), 6);
-        assert_eq!(h.underflow(), 1);
-        assert_eq!(h.overflow(), 1);
-        assert_eq!(h.bins(), &[1, 1, 1, 1]);
-    }
-
-    #[test]
-    fn histogram_quantiles() {
-        let mut h = Histogram::new(0.0, 10.0, 10);
-        for i in 0..100 {
-            h.record(i as f32 / 10.0);
-        }
-        let median = h.quantile(0.5).unwrap();
-        assert!((median - 5.0).abs() <= 1.0, "median {median}");
-        assert_eq!(h.quantile(0.0), Some(0.0)); // degenerate quantile clamps to range start
-        assert!(Histogram::new(0.0, 1.0, 2).quantile(0.5).is_none());
-    }
-
-    #[test]
-    fn histogram_cdf_monotone() {
-        let mut h = Histogram::new(-1.0, 1.0, 8);
-        for i in -10..10 {
-            h.record(i as f32 / 10.0);
-        }
-        let mut prev = 0.0;
-        for x in [-1.0, -0.5, 0.0, 0.5, 1.0] {
-            let c = h.cdf(x);
-            assert!(c >= prev, "cdf not monotone at {x}");
-            prev = c;
-        }
-        assert!((h.cdf(1.0) - 1.0).abs() < 1e-6);
     }
 }

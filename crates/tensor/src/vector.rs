@@ -148,13 +148,6 @@ impl Vector {
         }
     }
 
-    /// Applies `f` to every element in place.
-    pub fn map_inplace(&mut self, f: impl Fn(f32) -> f32) {
-        for x in &mut self.data {
-            *x = f(*x);
-        }
-    }
-
     /// Euclidean (L2) norm.
     pub fn norm(&self) -> f32 {
         self.data.iter().map(|x| x * x).sum::<f32>().sqrt()
@@ -370,8 +363,6 @@ mod tests {
         assert_eq!(v.map(f32::abs).as_slice(), &[1.0, 2.0]);
         v.scale(3.0);
         assert_eq!(v.as_slice(), &[3.0, -6.0]);
-        v.map_inplace(|x| x / 3.0);
-        assert_eq!(v.as_slice(), &[1.0, -2.0]);
     }
 
     #[test]

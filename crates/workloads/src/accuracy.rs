@@ -48,45 +48,6 @@ pub fn teacher_match_nested(teacher: &[Vec<usize>], approx: &[Vec<usize>]) -> f6
     matches as f64 / total as f64
 }
 
-/// An accuracy measurement with its complement, formatted as the paper
-/// reports it.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct AccuracyReport {
-    /// Agreement with the exact model, in `[0, 1]`.
-    pub accuracy: f64,
-    /// Number of evaluated inputs.
-    pub count: usize,
-}
-
-impl AccuracyReport {
-    /// Builds a report from prediction slices.
-    ///
-    /// # Panics
-    /// Panics if the slices mismatch or are empty.
-    pub fn from_predictions(teacher: &[usize], approx: &[usize]) -> Self {
-        Self {
-            accuracy: teacher_match(teacher, approx),
-            count: teacher.len(),
-        }
-    }
-
-    /// Accuracy *loss* relative to the exact model, in `[0, 1]`.
-    pub fn loss(&self) -> f64 {
-        1.0 - self.accuracy
-    }
-
-    /// Whether the loss is user-imperceptible per the paper's 2% criterion.
-    pub fn is_user_imperceptible(&self) -> bool {
-        self.loss() <= 0.02 + 1e-12
-    }
-}
-
-impl std::fmt::Display for AccuracyReport {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "{:.2}% ({} inputs)", self.accuracy * 100.0, self.count)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -114,24 +75,6 @@ mod tests {
     }
 
     #[test]
-    fn report_loss_and_threshold() {
-        let r = AccuracyReport::from_predictions(&[0; 100], &[0; 100]);
-        assert!(r.is_user_imperceptible());
-        assert_eq!(r.loss(), 0.0);
-
-        let mut approx = vec![0usize; 100];
-        approx[0] = 1;
-        approx[1] = 1;
-        let r = AccuracyReport::from_predictions(&[0; 100], &approx);
-        assert!((r.loss() - 0.02).abs() < 1e-12);
-        assert!(r.is_user_imperceptible());
-
-        approx[2] = 1;
-        let r = AccuracyReport::from_predictions(&[0; 100], &approx);
-        assert!(!r.is_user_imperceptible());
-    }
-
-    #[test]
     fn nested_match_pools_timesteps() {
         let teacher = vec![vec![0, 1, 1], vec![2, 2, 2]];
         let approx = vec![vec![0, 1, 0], vec![2, 2, 2]];
@@ -142,14 +85,5 @@ mod tests {
     #[should_panic(expected = "sequence length mismatch")]
     fn nested_match_rejects_ragged() {
         teacher_match_nested(&[vec![1, 2]], &[vec![1]]);
-    }
-
-    #[test]
-    fn display_formats_percentage() {
-        let r = AccuracyReport {
-            accuracy: 0.985,
-            count: 40,
-        };
-        assert_eq!(r.to_string(), "98.50% (40 inputs)");
     }
 }

@@ -29,7 +29,7 @@ pub mod dataset;
 pub mod spec;
 pub mod synth;
 
-pub use accuracy::{teacher_match, teacher_match_nested, AccuracyReport};
+pub use accuracy::{teacher_match, teacher_match_nested};
 pub use dataset::Dataset;
 pub use spec::{Benchmark, BenchmarkSpec, TaskKind};
 pub use synth::{teacher_predictions, SynthParams, Workload};

@@ -165,14 +165,6 @@ impl Workload {
     pub fn teacher_labels(&self) -> &[Vec<usize>] {
         &self.teacher
     }
-
-    /// The exact model's final predictions per sequence.
-    pub fn teacher_final_labels(&self) -> Vec<usize> {
-        self.teacher
-            .iter()
-            .map(|seq| *seq.last().expect("non-empty sequence"))
-            .collect()
-    }
 }
 
 /// Computes the exact network's per-timestep predictions over a set of
@@ -244,6 +236,6 @@ mod tests {
                 assert!(l < wl.spec().num_classes);
             }
         }
-        assert_eq!(wl.teacher_final_labels().len(), 16);
+        assert_eq!(wl.teacher_labels().len(), 16);
     }
 }

@@ -9,6 +9,7 @@
 //! ```
 
 use memlstm::prelude::*;
+use memlstm::thresholds::Level;
 
 fn main() {
     let base = Benchmark::Babi.model_config();
@@ -35,7 +36,7 @@ fn main() {
 fn report(config: &lstm::ModelConfig, label: usize) {
     let workload = Workload::generate_scaled(Benchmark::Babi, config, 3, 5);
     let evaluator = Evaluator::new(workload, DeviceModel::tegra_x1()).with_budget(1, 3);
-    let points = evaluator.sweep(7);
+    let points = evaluator.sweep(Level::Combined, 7);
     let ao = memlstm::thresholds::select_ao(&points);
     println!(
         "{label:6}  {:3}  {:16.2}x  {:7.1}%",

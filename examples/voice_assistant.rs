@@ -11,6 +11,7 @@
 //! ```
 
 use memlstm::prelude::*;
+use memlstm::thresholds::Level;
 
 const QUERIES: usize = 20;
 
@@ -52,7 +53,7 @@ fn main() {
     println!("query  set  latency(ms)  speedup  user score");
     for q in 0..QUERIES {
         let set = tuner.current_set();
-        let config = evaluator.combined_config(&sets[set]);
+        let config = Level::Combined.config(&sets[set], evaluator.mts());
         let xs = &evaluator.workload().eval_set()[q % evaluator.workload().eval_set().len()];
         // Each query is compiled with itself as the only probe.
         let plan =

@@ -8,7 +8,7 @@
 
 use gpu_sim::DeviceModel;
 use memlstm::thresholds::{
-    select_ao, select_bpa, threshold_sets, upper_alpha_inter_pooled, Evaluator,
+    select_ao, select_bpa, threshold_sets, upper_alpha_inter_pooled, Evaluator, Level,
 };
 use pool::Pool;
 use workloads::{Benchmark, Workload};
@@ -29,12 +29,12 @@ fn evaluate_is_bit_identical_across_worker_counts() {
     let sets = threshold_sets(ev.upper_alpha_inter(), ev.upper_alpha_intra(), 5);
     let serial: Vec<_> = sets
         .iter()
-        .map(|set| ev.evaluate(ev.combined_config(set)))
+        .map(|set| ev.evaluate(Level::Combined.config(set, ev.mts())))
         .collect();
     for workers in WORKER_COUNTS {
         ev = ev.with_pool(Pool::with_workers(workers));
         for (set, expected) in sets.iter().zip(&serial) {
-            let (perf, accuracy, stats) = ev.evaluate(ev.combined_config(set));
+            let (perf, accuracy, stats) = ev.evaluate(Level::Combined.config(set, ev.mts()));
             let (eperf, eacc, estats) = expected;
             assert_eq!(perf.time_s.to_bits(), eperf.time_s.to_bits());
             assert_eq!(perf.energy_j.to_bits(), eperf.energy_j.to_bits());
@@ -52,10 +52,10 @@ fn evaluate_is_bit_identical_across_worker_counts() {
 #[test]
 fn sweep_is_bit_identical_across_worker_counts() {
     let mut ev = evaluator().with_pool(Pool::with_workers(1));
-    let serial = ev.sweep(5);
+    let serial = ev.sweep(Level::Combined, 5);
     for workers in WORKER_COUNTS {
         ev = ev.with_pool(Pool::with_workers(workers));
-        let parallel = ev.sweep(5);
+        let parallel = ev.sweep(Level::Combined, 5);
         assert_eq!(parallel.len(), serial.len());
         for (p, s) in parallel.iter().zip(&serial) {
             assert_eq!(p.set, s.set);

@@ -3,7 +3,7 @@
 //! fast on one core.
 
 use gpu_sim::DeviceModel;
-use memlstm::thresholds::{select_ao, select_bpa, Evaluator};
+use memlstm::thresholds::{select_ao, select_bpa, Evaluator, Level};
 use workloads::{Benchmark, Workload};
 
 fn small_evaluator() -> Evaluator {
@@ -27,7 +27,7 @@ fn offline_phase_produces_sane_parameters() {
 #[test]
 fn sweep_spans_baseline_to_aggressive() {
     let ev = small_evaluator();
-    let points = ev.sweep(6);
+    let points = ev.sweep(Level::Combined, 6);
     assert_eq!(points.len(), 6);
     // Set 0 is the exact baseline.
     assert!((points[0].accuracy - 1.0).abs() < 1e-12);
@@ -48,7 +48,7 @@ fn sweep_spans_baseline_to_aggressive() {
 #[test]
 fn ao_respects_the_two_percent_budget() {
     let ev = small_evaluator();
-    let points = ev.sweep(6);
+    let points = ev.sweep(Level::Combined, 6);
     let ao = select_ao(&points);
     assert!(ao.loss() <= 0.02 + 1e-9, "AO loss {}", ao.loss());
     let bpa = select_bpa(&points);
@@ -58,7 +58,7 @@ fn ao_respects_the_two_percent_budget() {
 #[test]
 fn energy_saving_tracks_speedup() {
     let ev = small_evaluator();
-    let points = ev.sweep(6);
+    let points = ev.sweep(Level::Combined, 6);
     // The paper: energy saving is roughly proportional to the performance
     // boost. Check the aggressive end saves energy.
     let fast = &points[5];

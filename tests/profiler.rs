@@ -6,7 +6,7 @@
 use gpu_sim::{validate_chrome_trace, DeviceModel, GpuDevice, Phase};
 use lstm::{ExecutionPlan, PlanRuntime};
 use memlstm::exec::profile_plan;
-use memlstm::thresholds::{threshold_sets, Evaluator};
+use memlstm::thresholds::{threshold_sets, Evaluator, Level};
 use workloads::{Benchmark, Workload};
 
 fn evaluator() -> Evaluator {
@@ -71,7 +71,7 @@ fn span_times_sum_to_report_total_bitwise() {
 
     // Same for an optimized (tissue-scheduled) plan.
     let sets = threshold_sets(ev.upper_alpha_inter(), ev.upper_alpha_intra(), 5);
-    let (report, profiler) = ev.profile(ev.combined_config(&sets[2]));
+    let (report, profiler) = ev.profile(Level::Combined.config(&sets[2], ev.mts()));
     assert_eq!(profiler.spans().len() as u64, report.launches);
     assert_eq!(profiler.total_s().to_bits(), report.time_s.to_bits());
 }
@@ -98,7 +98,7 @@ fn spans_carry_plan_phase_tags() {
     );
 
     let sets = threshold_sets(ev.upper_alpha_inter(), ev.upper_alpha_intra(), 5);
-    let (_, opt) = ev.profile(ev.combined_config(&sets[2]));
+    let (_, opt) = ev.profile(Level::Combined.config(&sets[2], ev.mts()));
     assert!(
         has(&opt, Phase::Tissue),
         "no Tissue spans in optimized plan"
