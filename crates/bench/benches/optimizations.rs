@@ -31,8 +31,9 @@ fn setup() -> (LstmNetwork, Vec<tensor::Vector>, NetworkPredictors) {
 fn bench_relevance(c: &mut Criterion) {
     let (net, xs, _) = setup();
     let layer = &net.layers()[0];
-    let analyzer = RelevanceAnalyzer::new(layer.weights());
-    let wx = layer.precompute_wx(Precision::Fp32, &xs);
+    let analyzer = RelevanceAnalyzer::new(layer);
+    let mut wx = Vec::new();
+    layer.precompute_wx_batch_into(Precision::Fp32, &xs, &mut wx);
     c.bench_function("relevance/layer_32cells", |b| {
         b.iter(|| analyzer.layer_relevances(black_box(&wx)))
     });

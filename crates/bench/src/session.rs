@@ -211,7 +211,10 @@ pub fn serve_fallback_plan(
     alpha_intra: f32,
     device: &DeviceModel,
 ) -> ExecutionPlan {
-    let predictors = NetworkPredictors::collect(workload.network(), workload.dataset().offline());
+    // An intra-only plan never reads the context-link predictors (only
+    // tissue reshaping does), so zeros compile the same plan as collected
+    // ones without an exact forward pass over the offline set.
+    let predictors = NetworkPredictors::zeros(workload.network());
     let config = OptimizerConfig::builder()
         .drs(DrsConfig {
             alpha_intra,
@@ -232,4 +235,32 @@ fn compute_sweep(ev: &Evaluator, level: Level) -> Vec<TradeoffPoint> {
         ev.workload().benchmark()
     );
     ev.sweep(level, NUM_SETS)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn fallback_plan_does_not_depend_on_predictors() {
+        let device = DeviceModel::default_preset();
+        for bench in [Benchmark::Mr, Benchmark::Babi] {
+            // Scaled down so the debug suite stays fast; the plan compiler
+            // reads predictors the same way at every size.
+            let cfg = bench.model_config().with_hidden_size(48).with_seq_len(16);
+            let workload = Workload::generate_scaled(bench, &cfg, 4, 7);
+            let offline = workload.dataset().offline();
+            let collected = NetworkPredictors::collect(workload.network(), offline);
+            let config = OptimizerConfig::builder()
+                .drs(DrsConfig {
+                    alpha_intra: 0.05,
+                    mode: DrsMode::Hardware,
+                })
+                .build();
+            let expected = OptimizedExecutor::new(workload.network(), &collected, config)
+                .on_device(device.clone())
+                .plan_probes(offline);
+            assert_eq!(serve_fallback_plan(&workload, 0.05, &device), expected);
+        }
+    }
 }

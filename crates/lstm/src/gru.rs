@@ -1,4 +1,4 @@
-//! Gated Recurrent Unit (GRU) cells and layers.
+//! Gated Recurrent Unit (GRU) cells.
 //!
 //! The paper focuses on LSTMs but notes (Sec. II-B) that "the proposed
 //! methods can also be applied to GRUs with simple adjustment". This module
@@ -341,35 +341,6 @@ impl GruWeights {
     }
 }
 
-/// An unrolled GRU layer.
-#[derive(Debug, Clone, PartialEq)]
-pub struct GruLayer {
-    weights: GruWeights,
-}
-
-impl GruLayer {
-    /// Wraps weights into a layer.
-    pub fn new(weights: GruWeights) -> Self {
-        Self { weights }
-    }
-
-    /// The layer weights.
-    pub fn weights(&self) -> &GruWeights {
-        &self.weights
-    }
-
-    /// Executes the layer exactly over `xs` from `h0`.
-    pub fn forward(&self, xs: &[Vector], h0: &Vector) -> Vec<Vector> {
-        let mut h = h0.clone();
-        let mut out = Vec::with_capacity(xs.len());
-        for x in xs {
-            h = self.weights.step(x, &h);
-            out.push(h.clone());
-        }
-        out
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -443,14 +414,6 @@ mod tests {
         let h = w.step_masked(&x, &h_prev, &z, &active);
         assert_eq!(h[1], h_prev[1]);
         assert_eq!(h[6], h_prev[6]);
-    }
-
-    #[test]
-    fn layer_forward_length() {
-        let layer = GruLayer::new(weights(12));
-        let xs: Vec<Vector> = (0..6).map(|s| vec_of(5, 100 + s)).collect();
-        let out = layer.forward(&xs, &Vector::zeros(8));
-        assert_eq!(out.len(), 6);
     }
 
     #[test]

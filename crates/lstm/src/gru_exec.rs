@@ -1,4 +1,4 @@
-//! GRU network execution with kernel traces — the substrate for the
+//! GRU networks and their exact forward pass — the substrate for the
 //! paper's Sec. II-B claim that the optimizations "can also be applied to
 //! GRUs with simple adjustment".
 //!
@@ -6,17 +6,23 @@
 //! `Sgemm(W_{r,z,h}, x)` for the input-side terms, then a sequential
 //! per-cell `Sgemv(U_{r,z,h}, h_{t-1})` + element-wise update. The united
 //! recurrent matrix is `3·hidden x hidden` (three gates instead of four).
+//! Its plans compile in [`crate::plan`] and `memlstm::gru_drs` and run on
+//! [`PlanRuntime::run_gru`](crate::PlanRuntime::run_gru);
+//! [`GruNetwork::forward`] is the independent reference they are tested
+//! against.
 
-use crate::gru::{GruLayer, GruWeights};
+use crate::gru::{GruScratch, GruWeights};
+use crate::plan::{PlanOutput, SkipStats};
 use rand::Rng;
 use tensor::gemm::{sgemv_bias, sgemv_bias_into};
 use tensor::init::{gaussian_matrix, gaussian_vector};
-use tensor::{Matrix, Vector};
+use tensor::{Matrix, Precision, Vector};
 
-/// A stack of GRU layers plus a linear task head.
+/// A stack of GRU layers (each one cell's weights, unrolled over time)
+/// plus a linear task head.
 #[derive(Debug, Clone, PartialEq)]
 pub struct GruNetwork {
-    layers: Vec<GruLayer>,
+    layers: Vec<GruWeights>,
     head_w: Matrix,
     head_b: Vector,
     hidden: usize,
@@ -43,7 +49,7 @@ impl GruNetwork {
         let layers = (0..num_layers)
             .map(|l| {
                 let dim = if l == 0 { input_dim } else { hidden };
-                GruLayer::new(GruWeights::random(dim, hidden, rng))
+                GruWeights::random(dim, hidden, rng)
             })
             .collect();
         Self {
@@ -56,8 +62,8 @@ impl GruNetwork {
         }
     }
 
-    /// The layer stack.
-    pub fn layers(&self) -> &[GruLayer] {
+    /// The layer stack: one cell's weights per layer.
+    pub fn layers(&self) -> &[GruWeights] {
         &self.layers
     }
 
@@ -87,21 +93,36 @@ impl GruNetwork {
         sgemv_bias_into(&self.head_w, h, &self.head_b, out);
     }
 
-    /// Exact forward pass; returns per-layer hidden sequences and logits.
+    /// Exact forward pass: per layer, the sequential per-cell loop from
+    /// the zero state. Returns what a non-DRS plan run returns: every
+    /// layer's hidden outputs, the head's logits, and one empty
+    /// [`SkipStats`] per layer.
     ///
     /// # Panics
     /// Panics if `xs` is empty.
-    pub fn forward(&self, xs: &[Vector]) -> (Vec<Vec<Vector>>, Vector) {
+    pub fn forward(&self, xs: &[Vector]) -> PlanOutput {
         assert!(!xs.is_empty(), "GruNetwork::forward: empty input");
-        let mut outputs = Vec::with_capacity(self.layers.len());
-        let mut current = xs.to_vec();
-        for layer in &self.layers {
-            let hs = layer.forward(&current, &Vector::zeros(self.hidden));
-            current = hs.clone();
-            outputs.push(hs);
+        let mut scratch = GruScratch::new();
+        let mut layer_hs: Vec<Vec<Vector>> = Vec::with_capacity(self.layers.len());
+        for cell in &self.layers {
+            let current = layer_hs.last().map_or(xs, Vec::as_slice);
+            let mut h = Vector::zeros(self.hidden);
+            let mut h_next = Vector::zeros(self.hidden);
+            let mut hs = Vec::with_capacity(current.len());
+            for x in current {
+                cell.step_into(Precision::Fp32, x, &h, &mut scratch, &mut h_next);
+                std::mem::swap(&mut h, &mut h_next);
+                hs.push(h.clone());
+            }
+            layer_hs.push(hs);
         }
-        let logits = self.apply_head(current.last().expect("non-empty"));
-        (outputs, logits)
+        let h_final = layer_hs.last().and_then(|hs| hs.last());
+        let logits = self.apply_head(h_final.expect("non-empty"));
+        PlanOutput {
+            layer_hs,
+            logits,
+            layer_skips: vec![SkipStats::default(); self.layers.len()],
+        }
     }
 }
 
@@ -135,9 +156,7 @@ mod tests {
     fn executor_matches_exact_forward() {
         let (net, xs) = setup();
         let (out, _) = run(&net, &xs);
-        let (outputs, logits) = net.forward(&xs);
-        assert_eq!(out.logits, logits);
-        assert_eq!(out.layer_hs, outputs);
+        assert_eq!(out, net.forward(&xs));
     }
 
     #[test]

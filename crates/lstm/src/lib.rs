@@ -42,7 +42,6 @@ pub mod config;
 pub mod drs;
 pub mod gru;
 pub mod gru_exec;
-pub mod layer;
 pub mod network;
 pub mod plan;
 pub mod regions;
@@ -52,10 +51,9 @@ pub mod workspace;
 pub use cell::{CellScratch, CellWeights, GatePreacts, GateVectors};
 pub use config::ModelConfig;
 pub use drs::{DrsConfig, DrsMode};
-pub use gru::{GruLayer, GruScratch, GruWeights};
+pub use gru::{GruScratch, GruWeights};
 pub use gru_exec::GruNetwork;
-pub use layer::{LayerState, LstmLayer};
-pub use network::{LstmNetwork, NetworkOutput};
+pub use network::LstmNetwork;
 pub use plan::{ExecutionPlan, KernelSink, PlanOutput, PlanRuntime};
 pub use regions::{LayerRegions, RegionAllocator};
 pub use workspace::Workspace;

@@ -1,14 +1,16 @@
-//! Multi-layer LSTM networks with a task head.
+//! Multi-layer LSTM networks with a task head, and their exact forward
+//! pass — the reference every plan run is checked against.
 
-use crate::cell::CellWeights;
+use crate::cell::{CellInit, CellScratch, CellWeights};
 use crate::config::ModelConfig;
-use crate::layer::{LayerState, LstmLayer};
+use crate::plan::{PlanOutput, SkipStats};
 use rand::Rng;
 use tensor::gemm::{sgemv_bias, sgemv_bias_into};
 use tensor::init::{gaussian_matrix, gaussian_vector};
-use tensor::{Matrix, Vector};
+use tensor::{Matrix, Precision, Vector};
 
-/// A stack of LSTM layers plus a linear classifier head.
+/// A stack of LSTM layers (each one cell's weights, unrolled over time)
+/// plus a linear classifier head.
 ///
 /// On mobile GPUs the layers execute strictly sequentially (paper
 /// Sec. II-C: layer-level pipelining needs on-chip storage the Tegra class
@@ -18,30 +20,9 @@ use tensor::{Matrix, Vector};
 #[derive(Debug, Clone, PartialEq)]
 pub struct LstmNetwork {
     config: ModelConfig,
-    layers: Vec<LstmLayer>,
+    layers: Vec<CellWeights>,
     head_w: Matrix,
     head_b: Vector,
-}
-
-/// Everything a forward pass produces.
-#[derive(Debug, Clone, PartialEq)]
-pub struct NetworkOutput {
-    /// Hidden outputs of every layer (`[layer][timestep]`).
-    pub layer_outputs: Vec<Vec<Vector>>,
-    /// Task-head logits computed from the last layer's final hidden state.
-    pub logits: Vector,
-}
-
-impl NetworkOutput {
-    /// The argmax class of the logits.
-    ///
-    /// # Panics
-    /// Panics if the logits are empty (the head always has `>= 1` class).
-    pub fn predicted_class(&self) -> usize {
-        self.logits
-            .argmax()
-            .expect("head produces at least one logit")
-    }
 }
 
 impl LstmNetwork {
@@ -51,7 +32,7 @@ impl LstmNetwork {
     /// Panics if the layer stack is inconsistent with `config`.
     pub fn from_parts(
         config: ModelConfig,
-        layers: Vec<LstmLayer>,
+        layers: Vec<CellWeights>,
         head_w: Matrix,
         head_b: Vector,
     ) -> Self {
@@ -85,15 +66,11 @@ impl LstmNetwork {
     /// Samples a network with trained-like weights (see
     /// [`CellWeights::random`]).
     pub fn random(config: &ModelConfig, rng: &mut impl Rng) -> Self {
-        Self::random_with(config, &crate::cell::CellInit::default(), rng)
+        Self::random_with(config, &CellInit::default(), rng)
     }
 
     /// Samples a network with explicit initialization parameters.
-    pub fn random_with(
-        config: &ModelConfig,
-        init: &crate::cell::CellInit,
-        rng: &mut impl Rng,
-    ) -> Self {
+    pub fn random_with(config: &ModelConfig, init: &CellInit, rng: &mut impl Rng) -> Self {
         let hidden = config.hidden_size;
         // Recurrent row L1 norms grow sublinearly with width in trained
         // nets; normalizing the element std by the width keeps the
@@ -103,7 +80,7 @@ impl LstmNetwork {
         let layers = (0..config.num_layers)
             .map(|l| {
                 let layer_init = if l == 0 {
-                    crate::cell::CellInit {
+                    CellInit {
                         boundary_channel: init.boundary_channel,
                         recurrent: tensor::init::RowScaledInit {
                             base_std: init.recurrent.base_std * width_scale,
@@ -116,7 +93,7 @@ impl LstmNetwork {
                     // channel, but a content keep-alive forget structure
                     // that resets on the near-zero boundary states the
                     // layer below emits.
-                    crate::cell::CellInit {
+                    CellInit {
                         boundary_channel: false,
                         recurrent: tensor::init::RowScaledInit {
                             base_std: init.recurrent.base_std * width_scale * 0.85,
@@ -129,12 +106,12 @@ impl LstmNetwork {
                         ..*init
                     }
                 };
-                LstmLayer::new(CellWeights::random_with(
+                CellWeights::random_with(
                     config.layer_input_dim(l),
                     config.hidden_size,
                     &layer_init,
                     rng,
-                ))
+                )
             })
             .collect();
         let head_w = gaussian_matrix(rng, config.num_classes, config.hidden_size, 0.4);
@@ -147,8 +124,8 @@ impl LstmNetwork {
         &self.config
     }
 
-    /// The layer stack.
-    pub fn layers(&self) -> &[LstmLayer] {
+    /// The layer stack: one cell's weights per layer.
+    pub fn layers(&self) -> &[CellWeights] {
         &self.layers
     }
 
@@ -168,24 +145,48 @@ impl LstmNetwork {
         sgemv_bias_into(&self.head_w, h_final, &self.head_b, out);
     }
 
-    /// Exact (baseline-numerics) forward pass.
+    /// Exact (baseline-numerics) forward pass: per layer, the hoisted
+    /// `Sgemm(W, x)` of Algorithm 1 line 2, then the sequential per-cell
+    /// loop of lines 3–6 from the zero state. Returns what a non-DRS plan
+    /// run returns: every layer's hidden outputs, the head's logits, and
+    /// one empty [`SkipStats`] per layer.
     ///
     /// # Panics
     /// Panics if `xs` is empty or input widths mismatch.
-    pub fn forward(&self, xs: &[Vector]) -> NetworkOutput {
+    pub fn forward(&self, xs: &[Vector]) -> PlanOutput {
         assert!(!xs.is_empty(), "forward: empty input sequence");
-        let mut layer_outputs = Vec::with_capacity(self.layers.len());
-        let mut current: Vec<Vector> = xs.to_vec();
-        for layer in &self.layers {
-            let (hs, _) = layer.forward(&current, &LayerState::zeros(layer.hidden()));
-            current = hs.clone();
-            layer_outputs.push(hs);
+        let n = self.config.hidden_size;
+        let mut scratch = CellScratch::new();
+        let mut wx = Vec::new();
+        let mut layer_hs: Vec<Vec<Vector>> = Vec::with_capacity(self.layers.len());
+        for cell in &self.layers {
+            let current = layer_hs.last().map_or(xs, Vec::as_slice);
+            cell.precompute_wx_batch_into(Precision::Fp32, current, &mut wx);
+            let (mut h, mut c) = (Vector::zeros(n), Vector::zeros(n));
+            let (mut h_next, mut c_next) = (Vector::zeros(n), Vector::zeros(n));
+            let mut hs = Vec::with_capacity(wx.len());
+            for pre in &wx {
+                cell.step_fused_into(
+                    Precision::Fp32,
+                    pre,
+                    &h,
+                    &c,
+                    &mut scratch,
+                    &mut h_next,
+                    &mut c_next,
+                );
+                std::mem::swap(&mut h, &mut h_next);
+                std::mem::swap(&mut c, &mut c_next);
+                hs.push(h.clone());
+            }
+            layer_hs.push(hs);
         }
-        let h_final = current.last().expect("non-empty sequence").clone();
-        let logits = self.apply_head(&h_final);
-        NetworkOutput {
-            layer_outputs,
+        let h_final = layer_hs.last().and_then(|hs| hs.last());
+        let logits = self.apply_head(h_final.expect("non-empty sequence"));
+        PlanOutput {
+            layer_hs,
             logits,
+            layer_skips: vec![SkipStats::default(); self.layers.len()],
         }
     }
 
@@ -205,19 +206,6 @@ impl LstmNetwork {
                     .expect("head produces at least one logit")
             })
             .collect()
-    }
-
-    /// Computes logits from a set of per-layer outputs produced by any
-    /// executor (used to score optimized executions with the same head).
-    ///
-    /// # Panics
-    /// Panics if the last layer's outputs are empty.
-    pub fn logits_from_outputs(&self, layer_outputs: &[Vec<Vector>]) -> Vector {
-        let h_final = layer_outputs
-            .last()
-            .and_then(|hs| hs.last())
-            .expect("logits_from_outputs: missing final hidden state");
-        self.apply_head(h_final)
     }
 }
 
@@ -242,9 +230,10 @@ mod tests {
     fn forward_shapes() {
         let net = network(1);
         let out = net.forward(&inputs(2));
-        assert_eq!(out.layer_outputs.len(), 2);
-        assert_eq!(out.layer_outputs[0].len(), 6);
-        assert_eq!(out.layer_outputs[1][0].len(), 7);
+        assert_eq!(out.layer_hs.len(), 2);
+        assert_eq!(out.layer_hs[0].len(), 6);
+        assert_eq!(out.layer_hs[1][0].len(), 7);
+        assert_eq!(out.layer_skips, vec![SkipStats::default(); 2]);
         assert_eq!(out.logits.len(), 3);
         assert!(out.predicted_class() < 3);
     }
@@ -265,11 +254,20 @@ mod tests {
     }
 
     #[test]
-    fn logits_from_outputs_matches_forward() {
-        let net = network(8);
-        let out = net.forward(&inputs(9));
-        let logits = net.logits_from_outputs(&out.layer_outputs);
-        assert_eq!(logits, out.logits);
+    fn context_link_propagates_information() {
+        // Changing x_0 must change every layer's h_2: the context link
+        // carries history along each layer.
+        let net = network(12);
+        let mut xs = inputs(13);
+        let a = net.forward(&xs);
+        xs[0] = xs[0].map(|v| -v);
+        let b = net.forward(&xs);
+        for (ha, hb) in a.layer_hs.iter().zip(&b.layer_hs) {
+            assert!(
+                ha[2].sub(&hb[2]).max_abs() > 1e-5,
+                "context link carried no information"
+            );
+        }
     }
 
     #[test]

@@ -578,7 +578,7 @@ impl ExecutionPlan {
                 l,
                 regions.layers[l].w,
                 hidden,
-                layer.weights().input_dim(),
+                layer.input_dim(),
                 seq_len,
                 &mut alloc,
             );
@@ -773,6 +773,16 @@ impl PlanOutput {
         Self::default()
     }
 
+    /// The argmax class of the logits.
+    ///
+    /// # Panics
+    /// Panics if the logits are empty (the head always has `>= 1` class).
+    pub fn predicted_class(&self) -> usize {
+        self.logits
+            .argmax()
+            .expect("head produces at least one logit")
+    }
+
     /// Mean skip fraction across every masked cell of the run.
     pub fn mean_skip_fraction(&self) -> f64 {
         let sum: f64 = self.layer_skips.iter().map(|s| s.sum).sum();
@@ -889,7 +899,7 @@ impl PlanRuntime {
                 l,
                 plan.precision,
                 &lp.body,
-                layer.weights(),
+                layer,
                 hidden,
                 current,
                 &mut self.ws[0],
@@ -1001,9 +1011,7 @@ mod tests {
         let (net, xs) = setup();
         let plan = ExecutionPlan::compile_baseline(&net, xs.len(), &DeviceModel::default_preset());
         let out = PlanRuntime::new().run_lstm(&plan, &net, &xs, &mut NullSink);
-        let exact = net.forward(&xs);
-        assert_eq!(out.logits, exact.logits);
-        assert_eq!(out.layer_hs, exact.layer_outputs);
+        assert_eq!(out, net.forward(&xs));
         assert_eq!(out.mean_skip_fraction(), 0.0);
     }
 
@@ -1035,9 +1043,7 @@ mod tests {
         let plan =
             ExecutionPlan::compile_gru_baseline(&net, xs.len(), &DeviceModel::default_preset());
         let out = PlanRuntime::new().run_gru(&plan, &net, &xs, &mut NullSink);
-        let (outputs, logits) = net.forward(&xs);
-        assert_eq!(out.logits, logits);
-        assert_eq!(out.layer_hs, outputs);
+        assert_eq!(out, net.forward(&xs));
     }
 
     fn price(k: &MaskedUKernel, masks: &[Vec<bool>], seqs: usize) -> KernelDesc {

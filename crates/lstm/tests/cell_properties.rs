@@ -1,7 +1,6 @@
-//! Property tests for the LSTM cell and layer numerics.
+//! Property tests for the LSTM cell numerics.
 
 use lstm::cell::{CellInit, CellWeights};
-use lstm::{LayerState, LstmLayer};
 use proptest::prelude::*;
 use tensor::init::seeded_rng;
 use tensor::Vector;
@@ -18,10 +17,9 @@ proptest! {
         // Paper Sec. IV-A's premise: h in [-1, 1] always, so the D bounds
         // of Algorithm 2 are sound.
         let cell = CellWeights::random(8, 12, &mut seeded_rng(seed));
-        let layer = LstmLayer::new(cell);
-        let xs: Vec<Vector> = xs.into_iter().map(Vector::from).collect();
-        let (hs, _) = layer.forward(&xs, &LayerState::zeros(12));
-        for h in &hs {
+        let (mut h, mut c) = (Vector::zeros(12), Vector::zeros(12));
+        for x in xs {
+            (h, c) = cell.step(&cell.precompute_wx(&Vector::from(x)), &h, &c);
             prop_assert!(h.max_abs() <= 1.0);
         }
     }

@@ -107,9 +107,11 @@ pub fn compile(
             seq_len,
             &mut alloc,
         );
-        let wxs: Vec<Vec<GatePreacts>> = probe_pool
-            .par_map(currents.iter().collect::<Vec<_>>(), |c| {
-                layer.precompute_wx(config.precision, c)
+        let wxs: Vec<Vec<GatePreacts>> =
+            probe_pool.par_map(currents.iter().collect::<Vec<_>>(), |c| {
+                let mut wx = Vec::new();
+                layer.precompute_wx_batch_into(config.precision, c, &mut wx);
+                wx
             });
         let (body, stats) = if config.inter {
             let relevances = combined_relevances(&analyzers[l], &wxs, probe_pool);
@@ -135,7 +137,7 @@ pub fn compile(
         // bit-identical by the exec-crate plan-reuse tests).
         currents = probe_pool.par_map((0..currents.len()).collect::<Vec<usize>>(), |p| {
             let mut runtime = PlanRuntime::new();
-            runtime.layer_numerics(config.precision, &body, layer.weights(), &wxs[p])
+            runtime.layer_numerics(config.precision, &body, layer, &wxs[p])
         });
         layers.push(LayerPlan {
             wx: wx_kernel,

@@ -247,10 +247,7 @@ impl<'a> OptimizedExecutor<'a> {
         config: OptimizerConfig,
     ) -> Self {
         let analyzers = if config.inter {
-            net.layers()
-                .iter()
-                .map(|l| RelevanceAnalyzer::new(l.weights()))
-                .collect()
+            net.layers().iter().map(RelevanceAnalyzer::new).collect()
         } else {
             Vec::new()
         };
@@ -264,7 +261,8 @@ impl<'a> OptimizedExecutor<'a> {
     }
 
     /// Plans for `device` instead of the default preset: compiled plans
-    /// record it and pricing layers refuse them on other devices.
+    /// record it, are priced on it, and serving engines on other devices
+    /// refuse them.
     pub fn on_device(mut self, device: DeviceModel) -> Self {
         self.device = device;
         self
@@ -294,7 +292,8 @@ impl<'a> OptimizedExecutor<'a> {
     }
 }
 
-/// Executes a compiled plan once on a fresh device with profiling enabled,
+/// Executes a compiled plan once on a fresh instance of the device it was
+/// compiled for (`plan.device`) with profiling enabled,
 /// returning the priced report and the recorded span profile. Spans are
 /// stamped with the device name, so traces from several devices stay
 /// distinguishable when folded into one timeline.
@@ -306,22 +305,14 @@ impl<'a> OptimizedExecutor<'a> {
 /// [`TraceSession`]: gpu_sim::TraceSession
 ///
 /// # Errors
-/// [`Error::DeviceMismatch`] if the plan was compiled for a different
-/// device, [`Error::EmptyInput`] if `xs` is empty, and
+/// [`Error::EmptyInput`] if `xs` is empty, and
 /// [`Error::SeqLenMismatch`] if `xs` does not match the plan's compiled
 /// length.
 pub fn profile_plan(
     plan: &ExecutionPlan,
     net: &LstmNetwork,
     xs: &[Vector],
-    device: &DeviceModel,
 ) -> MemlstmResult<(gpu_sim::SimReport, gpu_sim::Profiler)> {
-    if plan.device != *device {
-        return Err(Error::DeviceMismatch {
-            plan: plan.device.name.clone(),
-            device: device.name.clone(),
-        });
-    }
     if xs.is_empty() {
         return Err(Error::EmptyInput);
     }
@@ -331,10 +322,10 @@ pub fn profile_plan(
             actual: xs.len(),
         });
     }
-    let mut gpu = gpu_sim::GpuDevice::for_model(device);
+    let mut gpu = gpu_sim::GpuDevice::for_model(&plan.device);
     let mut session = gpu.begin_trace();
     session.enable_profiling();
-    session.set_device_tag(device.span_name());
+    session.set_device_tag(plan.device.span_name());
     PlanRuntime::new().run_lstm(plan, net, xs, &mut session);
     let profiler = session.take_profiler().expect("profiling was enabled");
     Ok((session.finish(), profiler))
@@ -390,7 +381,7 @@ mod tests {
         let (out, _, _) = run_once(&net, &preds, cfg, &xs);
         let exact = net.forward(&xs);
         assert_eq!(out.logits, exact.logits);
-        assert_eq!(out.layer_hs, exact.layer_outputs);
+        assert_eq!(out.layer_hs, exact.layer_hs);
     }
 
     #[test]
@@ -612,14 +603,14 @@ mod tests {
             .max_tissue_size(2)
             .build();
         let device = DeviceModel::default_preset();
-        let analyzers = [RelevanceAnalyzer::new(net.layers()[0].weights())];
+        let analyzers = [RelevanceAnalyzer::new(&net.layers()[0])];
         assert_eq!(
             crate::compile::compile(&net, &preds, &analyzers, &cfg, &[Vec::new()], &device),
             Err(Error::EmptyProbe)
         );
         let plan = OptimizedExecutor::new(&net, &preds, cfg).plan_probes(&[xs]);
         assert_eq!(
-            profile_plan(&plan, &net, &[], &device).map(|_| ()),
+            profile_plan(&plan, &net, &[]).map(|_| ()),
             Err(Error::EmptyInput)
         );
     }

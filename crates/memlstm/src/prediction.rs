@@ -82,16 +82,17 @@ impl NetworkPredictors {
         let mut c_stats: Vec<RunningStats> = (0..net.layers().len())
             .map(|_| RunningStats::new(hidden))
             .collect();
+        let mut wx = Vec::new();
         for xs in offline {
             let mut current: Vec<Vector> = xs.clone();
             for (l, layer) in net.layers().iter().enumerate() {
                 // Track (h, c) across the unrolled cells.
-                let wx = layer.precompute_wx(Precision::Fp32, &current);
+                layer.precompute_wx_batch_into(Precision::Fp32, &current, &mut wx);
                 let mut h = Vector::zeros(hidden);
                 let mut c = Vector::zeros(hidden);
                 let mut hs = Vec::with_capacity(wx.len());
                 for pre in &wx {
-                    let (h2, c2) = layer.weights().step(pre, &h, &c);
+                    let (h2, c2) = layer.step(pre, &h, &c);
                     h = h2;
                     c = c2;
                     h_stats[l].push(&h);
@@ -139,7 +140,7 @@ impl NetworkPredictors {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use lstm::{LayerState, ModelConfig};
+    use lstm::ModelConfig;
     use tensor::init::seeded_rng;
 
     fn setup() -> (LstmNetwork, Vec<Vec<Vector>>) {
@@ -181,12 +182,10 @@ mod tests {
         let (net, offline) = setup();
         let preds = NetworkPredictors::collect(&net, &offline);
         let pred = preds.layer(0).h_mean().clone();
-        let layer = &net.layers()[0];
         let mut d_pred = 0.0f64;
         let mut d_zero = 0.0f64;
         for xs in &offline {
-            let (hs, _) = layer.forward(xs, &LayerState::zeros(10));
-            for h in &hs {
+            for h in &net.forward(xs).layer_hs[0] {
                 d_pred += f64::from(h.sub(&pred).norm()).powi(2);
                 d_zero += f64::from(h.norm()).powi(2);
             }

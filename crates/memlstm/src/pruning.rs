@@ -45,8 +45,7 @@ impl ZeroPruning {
             return Err(Error::InvalidPruningTarget { target });
         }
         let mut magnitudes: Vec<f32> = Vec::new();
-        for layer in net.layers() {
-            let w = layer.weights();
+        for w in net.layers() {
             for m in [&w.u.f, &w.u.i, &w.u.c, &w.u.o] {
                 magnitudes.extend(m.as_slice().iter().map(|x| x.abs()));
             }
@@ -97,11 +96,7 @@ impl ZeroPruning {
 
     /// Returns a network with every layer's recurrent matrices pruned.
     pub fn prune_network(&self, net: &LstmNetwork) -> LstmNetwork {
-        let layers = net
-            .layers()
-            .iter()
-            .map(|l| lstm::LstmLayer::new(self.prune_cell(l.weights())))
-            .collect();
+        let layers = net.layers().iter().map(|l| self.prune_cell(l)).collect();
         let (head_w, head_b) = net.head();
         LstmNetwork::from_parts(net.config().clone(), layers, head_w.clone(), head_b.clone())
     }
@@ -195,7 +190,7 @@ mod tests {
     fn pruned_matrix_zeroes_small_elements() {
         let net = net();
         let zp = ZeroPruning::calibrate(&net, 0.4).unwrap();
-        let u = &net.layers()[0].weights().u.f;
+        let u = &net.layers()[0].u.f;
         let pruned = zp.prune_matrix(u);
         for (orig, new) in u.as_slice().iter().zip(pruned.as_slice()) {
             if orig.abs() <= zp.threshold() {
@@ -279,7 +274,7 @@ mod tests {
                 let out = runtime.run_lstm(&plan, &pruned, &xs, &mut trace);
                 let exact = pruned.forward(&xs);
                 assert_eq!(out.logits, exact.logits);
-                assert_eq!(out.layer_hs, exact.layer_outputs);
+                assert_eq!(out.layer_hs, exact.layer_hs);
 
                 let mut base_trace: Vec<KernelDesc> = Vec::new();
                 runtime.run_lstm(&base, &net, &xs, &mut base_trace);

@@ -320,12 +320,6 @@ impl ServeConfigBuilder {
         self
     }
 
-    /// Replaces the simulated device rounds are priced on.
-    pub fn with_device(mut self, device: DeviceModel) -> Self {
-        self.config.device = device;
-        self
-    }
-
     /// Replaces the shedding policy.
     pub fn with_shedding(mut self, shedding: SheddingPolicy) -> Self {
         self.config.shedding = shedding;

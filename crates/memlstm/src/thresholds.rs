@@ -386,8 +386,7 @@ impl Evaluator {
             OptimizedExecutor::new(net, &self.predictors, config).on_device(self.device.clone());
         let plan = exec.plan_probes(self.workload.dataset().offline());
         let xs = &self.workload.eval_set()[0];
-        crate::exec::profile_plan(&plan, net, xs, &self.device)
-            .expect("plan compiled for this device and the evaluation length")
+        crate::exec::profile_plan(&plan, net, xs).expect("plan compiled for the evaluation length")
     }
 
     /// Profiles the baseline (Algorithm 1) execution of the first
@@ -396,8 +395,7 @@ impl Evaluator {
         let net = self.workload.network();
         let xs = &self.workload.eval_set()[0];
         let plan = ExecutionPlan::compile_baseline(net, xs.len(), &self.device);
-        crate::exec::profile_plan(&plan, net, xs, &self.device)
-            .expect("plan compiled for this device and the evaluation length")
+        crate::exec::profile_plan(&plan, net, xs).expect("plan compiled for the evaluation length")
     }
 
     /// Fig. 19-style sweep of `level` over `count` threshold sets.
@@ -480,12 +478,19 @@ pub fn upper_alpha_inter_pooled(workload: &Workload, mts: usize, pool: Pool) -> 
     let n = probes[0].len();
     let n_min = n.div_ceil(mts);
     let mut upper = 0.0f64;
-    let mut currents: Vec<Vec<tensor::Vector>> = probes.to_vec();
-    for layer in net.layers() {
-        let wxs = pool.par_map(currents.iter().collect::<Vec<_>>(), |current| {
-            layer.precompute_wx(tensor::Precision::Fp32, current)
+    // One exact forward per probe; layer `l` is analyzed on the hidden
+    // outputs of layer `l - 1`.
+    let outs = pool.par_map(probes.iter().collect::<Vec<_>>(), |xs| {
+        net.forward(xs).layer_hs
+    });
+    for (l, layer) in net.layers().iter().enumerate() {
+        let wxs = pool.par_map((0..probes.len()).collect::<Vec<usize>>(), |p| {
+            let current = if l == 0 { &probes[p] } else { &outs[p][l - 1] };
+            let mut wx = Vec::new();
+            layer.precompute_wx_batch_into(tensor::Precision::Fp32, current, &mut wx);
+            wx
         });
-        let relevances = combined_relevances(&RelevanceAnalyzer::new(layer.weights()), &wxs, pool);
+        let relevances = combined_relevances(&RelevanceAnalyzer::new(layer), &wxs, pool);
         let mut candidates = crate::breakpoints::candidate_thresholds(&relevances);
         candidates.push(RelevanceAnalyzer::max_relevance());
         // Smallest candidate achieving N_min tissues for this layer.
@@ -499,12 +504,6 @@ pub fn upper_alpha_inter_pooled(workload: &Workload, mts: usize, pool: Pool) -> 
             })
             .unwrap_or(RelevanceAnalyzer::max_relevance());
         upper = upper.max(layer_upper);
-        // Advance every probe through the exact layer (each probe is an
-        // independent forward pass; results replace in probe order).
-        currents = pool.par_map(currents, |current| {
-            let (hs, _) = layer.forward(&current, &lstm::LayerState::zeros(layer.hidden()));
-            hs
-        });
     }
     upper
 }

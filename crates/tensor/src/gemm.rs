@@ -169,7 +169,7 @@ mod tests {
 
     #[test]
     fn sgemv_bias_adds_offset() {
-        let a = Matrix::identity(2);
+        let a = Matrix::from_fn(2, 2, |r, c| if r == c { 1.0 } else { 0.0 });
         let x = Vector::from(vec![1.0, 2.0]);
         let b = Vector::from(vec![10.0, 20.0]);
         assert_eq!(sgemv_bias(&a, &x, &b).as_slice(), &[11.0, 22.0]);

@@ -5,8 +5,7 @@
 //! and row-masked, as Dynamic Row Skip uses them), one packed gate slab
 //! ([`FusedGates`]) that stores a cell's gate matrices in SIMD row panels
 //! at fp32, fp16 or int8 ([`Precision`]) and runs every fast product, the
-//! activation functions with their *sensitive area* boundaries (paper
-//! Fig. 7), weight initializers that mimic trained-LSTM statistics, and
+//! gate activation functions, weight initializers that mimic trained-LSTM statistics, and
 //! the running statistics used by the offline context-link distribution
 //! collection (paper Eq. 6).
 //!
@@ -39,7 +38,7 @@ pub mod quant;
 pub mod stats;
 pub mod vector;
 
-pub use activation::{hard_sigmoid, sigmoid, tanh, SENSITIVE_HI, SENSITIVE_LO};
+pub use activation::{sigmoid, tanh};
 pub use error::{ShapeError, TensorResult};
 pub use fused::FusedGates;
 pub use matrix::Matrix;

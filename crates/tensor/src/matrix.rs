@@ -55,11 +55,6 @@ impl Matrix {
         Ok(Self { rows, cols, data })
     }
 
-    /// Creates the `n x n` identity matrix.
-    pub fn identity(n: usize) -> Self {
-        Self::from_fn(n, n, |r, c| if r == c { 1.0 } else { 0.0 })
-    }
-
     /// Number of rows.
     pub fn rows(&self) -> usize {
         self.rows
@@ -125,68 +120,6 @@ impl Matrix {
     /// Panics if `x.len() != cols`.
     pub fn gemv(&self, x: &Vector) -> Vector {
         crate::gemm::sgemv(self, x)
-    }
-
-    /// Vertically stacks `parts` (all must share the column count).
-    ///
-    /// Used to build the united weight matrices `U_{f,i,c,o}` and
-    /// `W_{f,i,c,o}` from the per-gate matrices (paper Sec. II-C).
-    ///
-    /// # Panics
-    /// Panics if `parts` is empty or column counts differ.
-    pub fn vstack(parts: &[&Matrix]) -> Matrix {
-        assert!(!parts.is_empty(), "vstack: no parts");
-        let cols = parts[0].cols;
-        let rows: usize = parts.iter().map(|p| p.rows).sum();
-        let mut data = Vec::with_capacity(rows * cols);
-        for p in parts {
-            assert_eq!(p.cols, cols, "vstack: column mismatch");
-            data.extend_from_slice(&p.data);
-        }
-        Matrix { rows, cols, data }
-    }
-
-    /// Horizontally concatenates column vectors into a matrix whose `k`-th
-    /// column is `columns[k]`.
-    ///
-    /// Used by tissue execution to batch the per-cell `h_{t-1}` vectors
-    /// into the united input matrix `H_t` (paper Fig. 10, step 9).
-    ///
-    /// # Panics
-    /// Panics if `columns` is empty or lengths differ.
-    pub fn from_columns(columns: &[&Vector]) -> Matrix {
-        assert!(!columns.is_empty(), "from_columns: no columns");
-        let rows = columns[0].len();
-        for c in columns {
-            assert_eq!(c.len(), rows, "from_columns: length mismatch");
-        }
-        Matrix::from_fn(rows, columns.len(), |r, c| columns[c][r])
-    }
-
-    /// Extracts column `c` as a vector.
-    ///
-    /// # Panics
-    /// Panics if `c >= cols`.
-    pub fn column(&self, c: usize) -> Vector {
-        assert!(
-            c < self.cols,
-            "column index {c} out of bounds ({})",
-            self.cols
-        );
-        Vector::from_fn(self.rows, |r| self[(r, c)])
-    }
-
-    /// Returns the sub-matrix consisting of rows `[start, start + count)`.
-    ///
-    /// # Panics
-    /// Panics if the range is out of bounds.
-    pub fn row_block(&self, start: usize, count: usize) -> Matrix {
-        assert!(start + count <= self.rows, "row_block out of bounds");
-        Matrix {
-            rows: count,
-            cols: self.cols,
-            data: self.data[start * self.cols..(start + count) * self.cols].to_vec(),
-        }
     }
 
     /// Per-row sum of absolute values, `D_j = sum_k |U[j][k]|`.
@@ -264,7 +197,7 @@ mod tests {
 
     #[test]
     fn identity_gemv_is_noop() {
-        let m = Matrix::identity(3);
+        let m = Matrix::from_fn(3, 3, |r, c| if r == c { 1.0 } else { 0.0 });
         let x = Vector::from(vec![1.0, -2.0, 3.0]);
         assert_eq!(m.gemv(&x), x);
     }
@@ -275,43 +208,6 @@ mod tests {
         assert_eq!(m[(0, 0)], 0.0);
         assert_eq!(m[(1, 2)], 5.0);
         assert_eq!(m.row(1), &[3.0, 4.0, 5.0]);
-    }
-
-    #[test]
-    fn vstack_concatenates_gate_matrices() {
-        let a = Matrix::from_fn(1, 2, |_, c| c as f32);
-        let b = Matrix::from_fn(2, 2, |r, c| 10.0 + (r * 2 + c) as f32);
-        let s = Matrix::vstack(&[&a, &b]);
-        assert_eq!(s.shape(), (3, 2));
-        assert_eq!(s.row(0), &[0.0, 1.0]);
-        assert_eq!(s.row(2), &[12.0, 13.0]);
-    }
-
-    #[test]
-    #[should_panic(expected = "vstack: column mismatch")]
-    fn vstack_rejects_ragged() {
-        let a = Matrix::zeros(1, 2);
-        let b = Matrix::zeros(1, 3);
-        Matrix::vstack(&[&a, &b]);
-    }
-
-    #[test]
-    fn from_columns_builds_batched_input() {
-        let h0 = Vector::from(vec![1.0, 2.0]);
-        let h1 = Vector::from(vec![3.0, 4.0]);
-        let m = Matrix::from_columns(&[&h0, &h1]);
-        assert_eq!(m.shape(), (2, 2));
-        assert_eq!(m.column(0), h0);
-        assert_eq!(m.column(1), h1);
-    }
-
-    #[test]
-    fn row_block_extracts_gate_slice() {
-        let m = Matrix::from_fn(4, 2, |r, _| r as f32);
-        let b = m.row_block(1, 2);
-        assert_eq!(b.shape(), (2, 2));
-        assert_eq!(b.row(0), &[1.0, 1.0]);
-        assert_eq!(b.row(1), &[2.0, 2.0]);
     }
 
     #[test]

@@ -57,13 +57,6 @@ proptest! {
     }
 
     #[test]
-    fn vstack_then_row_block_round_trips(a in matrix(3, 4), b in matrix(2, 4)) {
-        let s = Matrix::vstack(&[&a, &b]);
-        prop_assert_eq!(s.row_block(0, 3), a);
-        prop_assert_eq!(s.row_block(3, 2), b);
-    }
-
-    #[test]
     fn running_stats_mean_matches_naive(vs in proptest::collection::vec(proptest::collection::vec(finite_f32(), 3), 1..20)) {
         let mut stats = tensor::RunningStats::new(3);
         for v in &vs {

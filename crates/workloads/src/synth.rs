@@ -174,7 +174,7 @@ pub fn teacher_predictions(network: &LstmNetwork, sequences: &[Vec<Vector>]) -> 
         .iter()
         .map(|xs| {
             let out = network.forward(xs);
-            network.step_predictions(out.layer_outputs.last().expect("at least one layer"))
+            network.step_predictions(out.layer_hs.last().expect("at least one layer"))
         })
         .collect()
 }

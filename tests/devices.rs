@@ -1,8 +1,7 @@
 //! Device-model integration tests: the preset registry, the invariant
 //! that numerics are device-independent — plans compiled for different
 //! presets produce bit-identical logits while their pricing moves — and
-//! the typed [`Error::DeviceMismatch`] surfacing through every pricing
-//! boundary (`profile_plan`, `ServeEngine::new`).
+//! the typed [`Error::DeviceMismatch`] from `ServeEngine::new`.
 
 use gpu_sim::{DeviceModel, KernelDesc, PRESET_NAMES};
 use lstm::{ExecutionPlan, PlanRuntime};
@@ -46,7 +45,7 @@ fn baseline_logits_bit_identical_across_presets_while_pricing_moves() {
         let mut sink: Vec<KernelDesc> = Vec::new();
         let out = PlanRuntime::new().run_lstm(&plan, net, xs, &mut sink);
         logits_bits.push(out.logits.iter().map(|x| x.to_bits()).collect());
-        let (report, _) = profile_plan(&plan, net, xs, &device).expect("matching device");
+        let (report, _) = profile_plan(&plan, net, xs).expect("valid inputs");
         time_bits.push(report.time_s.to_bits());
     }
     for (i, bits) in logits_bits.iter().enumerate().skip(1) {
@@ -98,33 +97,21 @@ fn optimized_logits_bit_identical_across_presets() {
     }
 }
 
-/// Pricing a plan on a device it was not compiled for is a typed error,
-/// not a silent mispricing: `profile_plan` names both devices. Inputs the
-/// plan cannot run are typed errors too, not panics inside the runtime.
+/// `profile_plan` prices on the device the plan records, so the only
+/// inputs it refuses are ones the plan cannot run — typed errors, not
+/// panics inside the runtime.
 #[test]
-fn profile_plan_rejects_foreign_device_and_bad_inputs() {
+fn profile_plan_rejects_bad_inputs() {
     let workload = workload();
     let net = workload.network();
     let xs = &workload.eval_set()[0];
     let plan = ExecutionPlan::compile_baseline(net, xs.len(), &DeviceModel::tegra_x1());
-    match profile_plan(&plan, net, xs, &DeviceModel::tegra_x2()) {
-        Err(Error::DeviceMismatch { plan, device }) => {
-            assert_eq!(plan, "tegra_x1");
-            assert_eq!(device, "tegra_x2");
-        }
-        other => panic!("expected DeviceMismatch, got {other:?}"),
-    }
-    let device = DeviceModel::tegra_x1();
-    let short = profile_plan(&plan, net, &xs[1..], &device).err();
+    let short = profile_plan(&plan, net, &xs[1..]).err();
     let expected = xs.len();
     let actual = expected - 1;
     assert_eq!(short, Some(Error::SeqLenMismatch { expected, actual }));
-    assert_eq!(
-        profile_plan(&plan, net, &[], &device).err(),
-        Some(Error::EmptyInput)
-    );
-    // The matching device still works.
-    profile_plan(&plan, net, xs, &device).expect("matching device");
+    assert_eq!(profile_plan(&plan, net, &[]).err(), Some(Error::EmptyInput));
+    profile_plan(&plan, net, xs).expect("valid inputs");
 }
 
 /// The serving engine refuses a config whose device is not the plan's —

@@ -21,15 +21,15 @@ fn profiling_is_observation_only() {
     let workload = Workload::generate(Benchmark::Mr, 4, 0x5EED);
     let net = workload.network();
     let xs = &workload.eval_set()[0];
-    let plan = ExecutionPlan::compile_baseline(net, xs.len(), &DeviceModel::tegra_x1());
     let gpu = DeviceModel::tegra_x1();
+    let plan = ExecutionPlan::compile_baseline(net, xs.len(), &gpu);
 
     let mut device = GpuDevice::for_model(&gpu);
     let mut session = device.begin_trace();
     PlanRuntime::new().run_lstm(&plan, net, xs, &mut session);
     let plain = session.finish();
 
-    let (profiled, profiler) = profile_plan(&plan, net, xs, &gpu).unwrap();
+    let (profiled, profiler) = profile_plan(&plan, net, xs).unwrap();
 
     assert_eq!(plain.time_s.to_bits(), profiled.time_s.to_bits());
     assert_eq!(plain.crm_s.to_bits(), profiled.crm_s.to_bits());
