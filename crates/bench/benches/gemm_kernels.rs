@@ -9,12 +9,18 @@
 //! * fused masked — the kernel the DRS runtime runs: the in-place masked
 //!   `f, i, c` product of a 4-gate `FusedGates` slab
 //!   (`gemv_masked_prefix_into(3, ..)`) at paper-realistic skip ratios,
-//!   next to the dense four-gate `gemv_into` on the same slab.
+//!   next to the dense four-gate `gemv_into` on the same slab;
+//! * batched `W·x` — the layer's hoisted input product on BABI's shape
+//!   (a 4-gate 256x256 slab, 86 columns): the paired slab walk
+//!   `gemv_batch_with` the runtime runs, versus one `gemv_into` per
+//!   column, both per column.
 //!
 //! Shapes follow the LSTM gate matrices: `H x H` recurrent blocks and the
 //! `4H x H` stacked input projections of Table I's hidden sizes. In
-//! measurement mode (`cargo bench`) the medians are also written to
-//! `BENCH_gemm.json` at the repository root.
+//! measurement mode (`cargo bench`) every timing is also written to
+//! `BENCH_gemm.json` at the repository root as its spread over the reps
+//! (min, quartiles, median and rep count), so a reader can tell a kernel
+//! change from host noise.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
@@ -37,6 +43,11 @@ const MASKED_FUSED_HIDDEN: usize = 256;
 
 /// Gates the masked DRS launch covers: the `f, i, c` prefix.
 const MASKED_FUSED_GATES: usize = 3;
+
+/// BABI's layer shape for the batched `W·x` comparison: hidden (and
+/// input) width and the columns of one sequence.
+const WX_HIDDEN: usize = 256;
+const WX_COLUMNS: usize = 86;
 
 fn test_matrix(rows: usize, cols: usize) -> Matrix {
     Matrix::from_fn(rows, cols, |r, c| {
@@ -188,79 +199,174 @@ fn bench_masked_fused(c: &mut Criterion) {
     group.finish();
 }
 
+/// The BABI-shaped `W_{f,i,c,o}` slab and one sequence's input columns.
+fn wx_setup() -> (FusedGates, Vec<Vector>) {
+    let (fused, _, _) = fused_setup(WX_HIDDEN);
+    let xs = (0..WX_COLUMNS)
+        .map(|i| Vector::from_fn(WX_HIDDEN, |k| ((k * 17 + i * 5) % 11) as f32 * 0.091 - 0.45))
+        .collect();
+    (fused, xs)
+}
+
+/// The paired slab walk into one gate-major slab per column.
+fn wx_walk(fused: &FusedGates, xs: &[Vector], outs: &mut [Vec<f32>]) {
+    let rows = fused.rows();
+    fused.gemv_batch_with(xs, |i, g, row0, vals| {
+        let start = g * rows + row0;
+        outs[i][start..start + vals.len()].copy_from_slice(vals);
+    });
+}
+
+/// One dense `gemv_into` per column.
+fn wx_per_column(fused: &FusedGates, xs: &[Vector], outs: &mut [Vec<f32>]) {
+    for (x, out) in xs.iter().zip(outs.iter_mut()) {
+        fused.gemv_into(x.as_slice(), out);
+    }
+}
+
+fn bench_wx_batch(c: &mut Criterion) {
+    let (fused, xs) = wx_setup();
+    let mut walk = vec![vec![0.0f32; fused.total_rows()]; xs.len()];
+    let mut single = walk.clone();
+    // Both paths must agree bitwise before we time them.
+    wx_walk(&fused, &xs, &mut walk);
+    wx_per_column(&fused, &xs, &mut single);
+    assert_eq!(walk, single);
+    let mut group = c.benchmark_group("wx_batch");
+    group.sample_size(20);
+    let shape = format!("H{WX_HIDDEN}x{WX_COLUMNS}");
+    group.bench_with_input(BenchmarkId::new("per_column", &shape), &(), |b, _| {
+        b.iter(|| {
+            wx_per_column(&fused, &xs, &mut single);
+            black_box(&mut single);
+        })
+    });
+    group.bench_with_input(BenchmarkId::new("paired_walk", &shape), &(), |b, _| {
+        b.iter(|| {
+            wx_walk(&fused, &xs, &mut walk);
+            black_box(&mut walk);
+        })
+    });
+    group.finish();
+}
+
 fn bench_gemm_kernels(c: &mut Criterion) {
     bench_dense(c);
     bench_fused(c);
     bench_masked_fused(c);
+    bench_wx_batch(c);
     if c.is_measuring() {
         emit_json();
     }
 }
 
-/// Median seconds over `reps` timings of `iters` calls of `f`, so
-/// microsecond kernels get a stable reading.
-fn median_s(reps: usize, iters: usize, f: &dyn Fn()) -> f64 {
-    let mut times: Vec<f64> = (0..reps)
-        .map(|_| {
-            let start = std::time::Instant::now();
-            for _ in 0..iters {
-                f();
-            }
-            start.elapsed().as_secs_f64() / iters as f64
-        })
-        .collect();
-    times.sort_by(f64::total_cmp);
-    times[reps / 2]
+/// The spread of `reps` timings, each the mean seconds per call over
+/// `iters` calls.
+#[derive(Clone, Copy)]
+struct Spread {
+    min: f64,
+    q1: f64,
+    median: f64,
+    q3: f64,
+    reps: usize,
 }
 
-/// Re-times every comparison directly and writes `BENCH_gemm.json`.
+impl Spread {
+    /// Times `reps` runs of `iters` calls of `f`.
+    fn measure(reps: usize, iters: usize, f: &dyn Fn()) -> Self {
+        let mut times: Vec<f64> = (0..reps)
+            .map(|_| {
+                let start = std::time::Instant::now();
+                for _ in 0..iters {
+                    f();
+                }
+                start.elapsed().as_secs_f64() / iters as f64
+            })
+            .collect();
+        times.sort_by(f64::total_cmp);
+        Self {
+            min: times[0],
+            q1: times[reps / 4],
+            median: times[reps / 2],
+            q3: times[3 * reps / 4],
+            reps,
+        }
+    }
+
+    /// Every statistic divided by `n` (a per-column reading of a batch).
+    fn per(self, n: usize) -> Self {
+        let n = n as f64;
+        Self {
+            min: self.min / n,
+            q1: self.q1 / n,
+            median: self.median / n,
+            q3: self.q3 / n,
+            reps: self.reps,
+        }
+    }
+
+    fn json(&self) -> String {
+        format!(
+            "{{\"min\": {:.9}, \"q1\": {:.9}, \"median\": {:.9}, \"q3\": {:.9}, \"reps\": {}}}",
+            self.min, self.q1, self.median, self.q3, self.reps
+        )
+    }
+}
+
+/// Re-times every comparison directly and writes `BENCH_gemm.json`;
+/// each ratio is of the two medians.
 fn emit_json() {
-    const REPS: usize = 7;
+    const REPS: usize = 15;
     const ITERS: usize = 200;
+    let time = |f: &dyn Fn()| Spread::measure(REPS, ITERS, f);
     let mut dense = Vec::new();
     for &(rows, cols) in &DENSE_SHAPES {
         let a = test_matrix(rows, cols);
         let x = test_vector(cols);
         let packed = pack_one(&a);
-        let naive_s = median_s(REPS, ITERS, &|| {
+        let naive = time(&|| {
             black_box(sgemv(&a, &x));
         });
-        let packed_s = median_s(REPS, ITERS, &|| {
+        let packed = time(&|| {
             black_box(packed_gemv(&packed, &x));
         });
         dense.push(format!(
-            "    {{\"rows\": {rows}, \"cols\": {cols}, \"naive_s\": {naive_s:.9}, \
-             \"packed_s\": {packed_s:.9}, \"speedup\": {:.3}}}",
-            naive_s / packed_s
+            "    {{\"rows\": {rows}, \"cols\": {cols}, \"naive_s\": {}, \
+             \"packed_s\": {}, \"speedup\": {:.3}}}",
+            naive.json(),
+            packed.json(),
+            naive.median / packed.median
         ));
     }
     let mut fused_rows = Vec::new();
     for &h in &FUSED_HIDDEN {
         let (fused, singles, x) = fused_setup(h);
-        // `median_s` takes `Fn`, so the output slabs live in cells.
+        // `Spread::measure` takes `Fn`, so the output slabs live in cells.
         let slab = std::cell::RefCell::new(vec![0.0f32; 4 * h]);
-        let per_gate_s = median_s(REPS, ITERS, &|| {
+        let per_gate = time(&|| {
             let mut slab = slab.borrow_mut();
             for (g, p) in singles.iter().enumerate() {
                 p.gate_gemv_into(0, x.as_slice(), &mut slab[g * h..(g + 1) * h]);
             }
             black_box(&mut *slab);
         });
-        let fused_s = median_s(REPS, ITERS, &|| {
+        let fused = time(&|| {
             let mut slab = slab.borrow_mut();
             fused.gemv_into(x.as_slice(), &mut slab);
             black_box(&mut *slab);
         });
         fused_rows.push(format!(
-            "    {{\"hidden\": {h}, \"gates\": 4, \"per_gate_s\": {per_gate_s:.9}, \
-             \"fused_s\": {fused_s:.9}, \"speedup\": {:.3}}}",
-            per_gate_s / fused_s
+            "    {{\"hidden\": {h}, \"gates\": 4, \"per_gate_s\": {}, \
+             \"fused_s\": {}, \"speedup\": {:.3}}}",
+            per_gate.json(),
+            fused.json(),
+            per_gate.median / fused.median
         ));
     }
     let h = MASKED_FUSED_HIDDEN;
     let (fused, _, x) = fused_setup(h);
     let slab = std::cell::RefCell::new(vec![0.0f32; 4 * h]);
-    let dense_s = median_s(REPS, ITERS, &|| {
+    let dense_fused = time(&|| {
         let mut slab = slab.borrow_mut();
         fused.gemv_into(x.as_slice(), &mut slab);
         black_box(&mut *slab);
@@ -268,7 +374,7 @@ fn emit_json() {
     let mut masked_fused = Vec::new();
     for &ratio in &SKIP_RATIOS {
         let mask = skip_mask(h, ratio);
-        let masked_s = median_s(REPS, ITERS, &|| {
+        let masked = time(&|| {
             let mut slab = slab.borrow_mut();
             fused.gemv_masked_prefix_into(
                 MASKED_FUSED_GATES,
@@ -281,17 +387,45 @@ fn emit_json() {
         });
         masked_fused.push(format!(
             "    {{\"hidden\": {h}, \"gates\": 4, \"masked_gates\": {MASKED_FUSED_GATES}, \
-             \"skip_ratio\": {ratio:.2}, \"dense_s\": {dense_s:.9}, \
-             \"masked_s\": {masked_s:.9}, \"masked_over_dense\": {:.3}}}",
-            masked_s / dense_s
+             \"skip_ratio\": {ratio:.2}, \"dense_s\": {}, \
+             \"masked_s\": {}, \"masked_over_dense\": {:.3}}}",
+            dense_fused.json(),
+            masked.json(),
+            masked.median / dense_fused.median
         ));
     }
+    // One batch is `WX_COLUMNS` products, so fewer calls per rep.
+    let (fused, xs) = wx_setup();
+    let outs = std::cell::RefCell::new(vec![vec![0.0f32; fused.total_rows()]; xs.len()]);
+    let batch_iters = ITERS / 10;
+    let per_column = Spread::measure(REPS, batch_iters, &|| {
+        let mut outs = outs.borrow_mut();
+        wx_per_column(&fused, &xs, &mut outs);
+        black_box(&mut *outs);
+    })
+    .per(WX_COLUMNS);
+    let walk = Spread::measure(REPS, batch_iters, &|| {
+        let mut outs = outs.borrow_mut();
+        wx_walk(&fused, &xs, &mut outs);
+        black_box(&mut *outs);
+    })
+    .per(WX_COLUMNS);
+    let wx_batch = format!(
+        "    {{\"hidden\": {WX_HIDDEN}, \"cols\": {WX_HIDDEN}, \"gates\": 4, \
+         \"columns\": {WX_COLUMNS}, \"per_column_s\": {}, \"paired_walk_s\": {}, \
+         \"speedup\": {:.3}}}",
+        per_column.json(),
+        walk.json(),
+        per_column.median / walk.median
+    );
     let json = format!(
         "{{\n  \"benchmark\": \"gemm_kernels\",\n  \"dense_sgemv\": [\n{}\n  ],\n  \
-         \"fused_gates\": [\n{}\n  ],\n  \"masked_fused\": [\n{}\n  ]\n}}\n",
+         \"fused_gates\": [\n{}\n  ],\n  \"masked_fused\": [\n{}\n  ],\n  \
+         \"wx_batch\": [\n{}\n  ]\n}}\n",
         dense.join(",\n"),
         fused_rows.join(",\n"),
         masked_fused.join(",\n"),
+        wx_batch,
     );
     let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_gemm.json");
     std::fs::write(path, json).expect("write BENCH_gemm.json");

@@ -408,45 +408,28 @@ impl CellWeights {
         4 * self.hidden as u64 * self.input as u64 * 4
     }
 
-    /// Computes the `W_{f,i,c,o}·x_t` pre-activation terms (no bias).
+    /// Computes the `W_{f,i,c,o}·x_t` pre-activation terms (no bias): a
+    /// batch of one through
+    /// [`precompute_wx_batch_into`](Self::precompute_wx_batch_into).
     ///
     /// # Panics
     /// Panics if `x.len() != input_dim`.
     pub fn precompute_wx(&self, x: &Vector) -> GatePreacts {
-        let mut out = GatePreacts::zeros(self.hidden);
-        self.precompute_wx_into(Precision::Fp32, x, &mut out);
-        out
-    }
-
-    /// [`precompute_wx`](Self::precompute_wx) into caller-owned gate
-    /// vectors (resized in place; allocation-free once at width), with
-    /// the `W` quartet rounded to `precision`. One fused pass over the
-    /// `W_{f,i,c,o}` slab fills all four sections. `Fp32` is the exact
-    /// path; a quantized slab stores the [`Precision::apply`]-dequantized
-    /// weights and runs the same kernels, so the result is bit-identical
-    /// to running fp32 on them.
-    ///
-    /// # Panics
-    /// Panics if `x.len() != input_dim`.
-    pub fn precompute_wx_into(&self, precision: Precision, x: &Vector, out: &mut GatePreacts) {
-        let n = self.hidden;
-        let fused = &self.fused_at(precision).w;
-        out.f.resize_fill(n, 0.0);
-        out.i.resize_fill(n, 0.0);
-        out.c.resize_fill(n, 0.0);
-        out.o.resize_fill(n, 0.0);
-        fused.gate_gemv_into(0, x.as_slice(), out.f.as_mut_slice());
-        fused.gate_gemv_into(1, x.as_slice(), out.i.as_mut_slice());
-        fused.gate_gemv_into(2, x.as_slice(), out.c.as_mut_slice());
-        fused.gate_gemv_into(GATE_O, x.as_slice(), out.o.as_mut_slice());
+        let mut out = Vec::with_capacity(1);
+        self.precompute_wx_batch_into(Precision::Fp32, std::slice::from_ref(x), &mut out);
+        out.pop().expect("a batch of one")
     }
 
     /// The `W_{f,i,c,o}·x_t` terms of a whole batch of input columns, with
     /// the `W` quartet stored at `precision`, through the GEMM-shaped fused
-    /// path: each weight panel is walked once and reused by every column.
-    /// `out` is resized to `xs.len()` entries and fully overwritten, so a
-    /// recycled buffer never touches the allocator. Entry `i` is
-    /// bit-identical to [`precompute_wx_into`](Self::precompute_wx_into)`(precision, &xs[i], ..)`.
+    /// path: one paired walk over the `W_{f,i,c,o}` slab, each weight panel
+    /// loaded once and reused by every column
+    /// ([`FusedGates::gemv_batch_with`]). `out` is resized to `xs.len()`
+    /// entries and fully overwritten, so a recycled buffer never touches
+    /// the allocator. `Fp32` is the exact path; a quantized slab stores the
+    /// [`Precision::apply`]-rounded weights and runs the same kernels, so
+    /// entry `i`'s gate `g` is bit-identical to [`tensor::gemm::sgemv`] on
+    /// gate `g`'s rounded matrix and `xs[i]`.
     ///
     /// # Panics
     /// Panics if any `xs[i].len() != input_dim`.
@@ -464,19 +447,18 @@ impl CellWeights {
             gp.c.resize_fill(n, 0.0);
             gp.o.resize_fill(n, 0.0);
         }
-        let fused = &self.fused_at(precision).w;
-        fused.gate_gemv_batch_with(0, xs, |i, row0, vals| {
-            out[i].f.as_mut_slice()[row0..row0 + vals.len()].copy_from_slice(vals);
-        });
-        fused.gate_gemv_batch_with(1, xs, |i, row0, vals| {
-            out[i].i.as_mut_slice()[row0..row0 + vals.len()].copy_from_slice(vals);
-        });
-        fused.gate_gemv_batch_with(2, xs, |i, row0, vals| {
-            out[i].c.as_mut_slice()[row0..row0 + vals.len()].copy_from_slice(vals);
-        });
-        fused.gate_gemv_batch_with(GATE_O, xs, |i, row0, vals| {
-            out[i].o.as_mut_slice()[row0..row0 + vals.len()].copy_from_slice(vals);
-        });
+        self.fused_at(precision)
+            .w
+            .gemv_batch_with(xs, |i, gate, row0, vals| {
+                let gp = &mut out[i];
+                let section = match gate {
+                    0 => &mut gp.f,
+                    1 => &mut gp.i,
+                    2 => &mut gp.c,
+                    _ => &mut gp.o, // GATE_O: the slab holds four gates
+                };
+                section.as_mut_slice()[row0..row0 + vals.len()].copy_from_slice(vals);
+            });
     }
 
     /// One exact cell step (Eqs. 1–5) from precomputed `W·x` terms.

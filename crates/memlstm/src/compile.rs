@@ -21,7 +21,8 @@
 //! numerically through each layer *as planned* — through the runtime's
 //! one LSTM interpreter (`PlanRuntime::layer_numerics`, a single lane at
 //! the configured precision), the code the online phase runs — and
-//! analyzes layer `l + 1` against exactly the inputs it will see.
+//! analyzes layer `l + 1` against exactly the inputs it will see. No
+//! probe advances past the last layer: nothing reads that output.
 
 use crate::breakpoints::find_breakpoints;
 use crate::division::{divide, SubLayer};
@@ -107,12 +108,19 @@ pub fn compile(
             seq_len,
             &mut alloc,
         );
-        let wxs: Vec<Vec<GatePreacts>> =
+        // The probes' `W·x` feeds the relevance analysis and the advance
+        // into the next layer; the last layer of a plan without `inter`
+        // needs neither.
+        let last = l + 1 == net.layers().len();
+        let wxs: Vec<Vec<GatePreacts>> = if config.inter || !last {
             probe_pool.par_map(currents.iter().collect::<Vec<_>>(), |c| {
                 let mut wx = Vec::new();
                 layer.precompute_wx_batch_into(config.precision, c, &mut wx);
                 wx
-            });
+            })
+        } else {
+            Vec::new()
+        };
         let (body, stats) = if config.inter {
             let relevances = combined_relevances(&analyzers[l], &wxs, probe_pool);
             tissue_body(
@@ -134,11 +142,14 @@ pub fn compile(
         // own arithmetic, so the next layer is analyzed against the
         // inputs it will actually receive. Each probe advances through its
         // own PlanRuntime (runtime reuse is pure scratch reuse, proven
-        // bit-identical by the exec-crate plan-reuse tests).
-        currents = probe_pool.par_map((0..currents.len()).collect::<Vec<usize>>(), |p| {
-            let mut runtime = PlanRuntime::new();
-            runtime.layer_numerics(config.precision, &body, layer, &wxs[p])
-        });
+        // bit-identical by the exec-crate plan-reuse tests). Past the last
+        // layer there is nothing to analyze, so the probes stop there.
+        if !last {
+            currents = probe_pool.par_map((0..currents.len()).collect::<Vec<usize>>(), |p| {
+                let mut runtime = PlanRuntime::new();
+                runtime.layer_numerics(config.precision, &body, layer, &wxs[p])
+            });
+        }
         layers.push(LayerPlan {
             wx: wx_kernel,
             body,

@@ -11,6 +11,7 @@
 //! recurrent state; we predict both of its components (`h` and `c`), since
 //! both feed the next cell.
 
+use lstm::cell::CellScratch;
 use lstm::LstmNetwork;
 use tensor::{Precision, RunningStats, Vector};
 
@@ -82,24 +83,42 @@ impl NetworkPredictors {
         let mut c_stats: Vec<RunningStats> = (0..net.layers().len())
             .map(|_| RunningStats::new(hidden))
             .collect();
+        // One scratch, one recycled `W·x` buffer and double-buffered
+        // `(h, c)`, as in `LstmNetwork::forward`: the same kernels in the
+        // same order as the owned `CellWeights::step`, without its
+        // per-cell allocations.
+        let last = net.layers().len() - 1;
+        let mut scratch = CellScratch::new();
         let mut wx = Vec::new();
+        let mut hs: Vec<Vector> = Vec::new();
+        let (mut h, mut c) = (Vector::zeros(hidden), Vector::zeros(hidden));
+        let (mut h_next, mut c_next) = (Vector::zeros(hidden), Vector::zeros(hidden));
         for xs in offline {
-            let mut current: Vec<Vector> = xs.clone();
             for (l, layer) in net.layers().iter().enumerate() {
-                // Track (h, c) across the unrolled cells.
-                layer.precompute_wx_batch_into(Precision::Fp32, &current, &mut wx);
-                let mut h = Vector::zeros(hidden);
-                let mut c = Vector::zeros(hidden);
-                let mut hs = Vec::with_capacity(wx.len());
+                let input = if l == 0 { xs.as_slice() } else { &hs };
+                layer.precompute_wx_batch_into(Precision::Fp32, input, &mut wx);
+                hs.clear();
+                h.resize_fill(hidden, 0.0);
+                c.resize_fill(hidden, 0.0);
                 for pre in &wx {
-                    let (h2, c2) = layer.step(pre, &h, &c);
-                    h = h2;
-                    c = c2;
+                    layer.step_fused_into(
+                        Precision::Fp32,
+                        pre,
+                        &h,
+                        &c,
+                        &mut scratch,
+                        &mut h_next,
+                        &mut c_next,
+                    );
+                    std::mem::swap(&mut h, &mut h_next);
+                    std::mem::swap(&mut c, &mut c_next);
                     h_stats[l].push(&h);
                     c_stats[l].push(&c);
-                    hs.push(h.clone());
+                    // The last layer's outputs feed no further layer.
+                    if l < last {
+                        hs.push(h.clone());
+                    }
                 }
-                current = hs;
             }
         }
         Self {
@@ -161,6 +180,43 @@ mod tests {
         // 5 sequences x 8 cells = 40 observations per layer.
         assert_eq!(preds.layer(0).samples(), 40);
         assert_eq!(preds.layer(1).samples(), 40);
+    }
+
+    #[test]
+    fn collect_matches_owned_step_loop_bitwise() {
+        // The oracle: the owned-`step` loop `collect` ran before it
+        // recycled its buffers.
+        let (net, offline) = setup();
+        let hidden = net.config().hidden_size;
+        let mut h_stats = [RunningStats::new(hidden), RunningStats::new(hidden)];
+        let mut c_stats = [RunningStats::new(hidden), RunningStats::new(hidden)];
+        let mut wx = Vec::new();
+        for xs in &offline {
+            let mut current: Vec<Vector> = xs.clone();
+            for (l, layer) in net.layers().iter().enumerate() {
+                layer.precompute_wx_batch_into(Precision::Fp32, &current, &mut wx);
+                let mut h = Vector::zeros(hidden);
+                let mut c = Vector::zeros(hidden);
+                let mut hs = Vec::with_capacity(wx.len());
+                for pre in &wx {
+                    (h, c) = layer.step(pre, &h, &c);
+                    h_stats[l].push(&h);
+                    c_stats[l].push(&c);
+                    hs.push(h.clone());
+                }
+                current = hs;
+            }
+        }
+        let bits = |v: &Vector| v.iter().map(|x| x.to_bits()).collect::<Vec<u32>>();
+        let preds = NetworkPredictors::collect(&net, &offline);
+        assert_eq!(preds.num_layers(), 2);
+        for l in 0..2 {
+            let want = LinkPredictor::from_stats(&h_stats[l], &c_stats[l]);
+            let got = preds.layer(l);
+            assert_eq!(bits(got.h_mean()), bits(want.h_mean()), "layer {l} h_mean");
+            assert_eq!(bits(got.c_mean()), bits(want.c_mean()), "layer {l} c_mean");
+            assert_eq!(got.samples(), want.samples());
+        }
     }
 
     #[test]

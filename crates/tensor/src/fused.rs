@@ -28,11 +28,11 @@
 //! The panels always hold `f32` weights: [`FusedGates::pack`] rounds each
 //! weight to its [`Precision`] through [`Precision::apply`]'s per-row
 //! routine, so every tier runs the same kernels — `panel_gemv` per panel,
-//! and for the dense product `panel_pair_gemv`, which runs panels in
-//! pairs in `panel_gemv`'s per-row order so each broadcast of `x[k]`
-//! feeds twice the accumulators. Both have a portable and an AVX build
-//! from one body (see [`crate::packed`]); the tiers' byte savings are
-//! priced on the simulated device ([`crate::quant`]).
+//! and for the dense and batched products `panel_pair_gemv`, which runs
+//! panels in pairs in `panel_gemv`'s per-row order so each broadcast of
+//! `x[k]` feeds twice the accumulators. Both have a portable and an AVX
+//! build from one body (see [`crate::packed`]); the tiers' byte savings
+//! are priced on the simulated device ([`crate::quant`]).
 //!
 //! ## Bit-exactness
 //!
@@ -136,12 +136,18 @@ impl FusedGates {
         &self.panels[q * MR * self.cols..(q + 1) * MR * self.cols]
     }
 
-    /// Writes global panel `q`'s live lanes into the fused output slab.
-    fn scatter(&self, q: usize, sum: &[f32; MR], out: &mut [f32]) {
+    /// Global panel `q`'s place in the output: its gate, the gate row
+    /// its first lane computes, and how many of its lanes are live.
+    fn panel_rows(&self, q: usize) -> (usize, usize, usize) {
         let ppg = self.ppg();
         let (g, p) = (q / ppg, q % ppg);
-        let live = MR.min(self.rows - p * MR);
-        let start = g * self.rows + p * MR;
+        (g, p * MR, MR.min(self.rows - p * MR))
+    }
+
+    /// Writes global panel `q`'s live lanes into the fused output slab.
+    fn scatter(&self, q: usize, sum: &[f32; MR], out: &mut [f32]) {
+        let (g, row0, live) = self.panel_rows(q);
+        let start = g * self.rows + row0;
         out[start..start + live].copy_from_slice(&sum[..live]);
     }
 
@@ -197,37 +203,52 @@ impl FusedGates {
             outs.copy_from_slice(&sum[..outs.len()]);
         }
     }
-    /// Batched single-gate product with the *panel* loop outermost (each
-    /// weight panel loaded once, reused across all columns), streaming
-    /// results through `write(column, row_start, values)` so callers can
+
+    /// The batched product of the whole slab, with the *panel* loop
+    /// outermost: panels run two at a time through `panel_pair_gemv`
+    /// (one `panel_gemv` tail for an odd panel count), and each pair is
+    /// loaded once and reused by every column. Results stream through
+    /// `write(column, gate, row0, values)`, where `values` are rows
+    /// `row0 ..` of gate `gate` for column `column`, so callers can
     /// scatter into recycled per-sequence buffers without this layer
     /// allocating anything.
     ///
-    /// The values passed for column `i` are bit-identical to
-    /// `self.gate_gemv_into(g, &xs[i], ..)`.
+    /// A pair may straddle two gates; the pairing regroups rows, never a
+    /// row's sum, so the values for column `i` are bit-identical to
+    /// [`gemv_into`](Self::gemv_into) on `xs[i]`.
     ///
     /// # Panics
-    /// Panics if `g >= gates` or any `xs[i].len() != cols`.
-    pub fn gate_gemv_batch_with(
+    /// Panics if any `xs[i].len() != cols`.
+    pub fn gemv_batch_with(
         &self,
-        g: usize,
         xs: &[Vector],
-        mut write: impl FnMut(usize, usize, &[f32]),
+        mut write: impl FnMut(usize, usize, usize, &[f32]),
     ) {
-        assert!(g < self.gates, "FusedGates::gate_gemv_batch_with: gate {g}");
         for (i, x) in xs.iter().enumerate() {
             assert_eq!(
                 x.len(),
                 self.cols,
-                "FusedGates::gate_gemv_batch_with: column {i} length"
+                "FusedGates::gemv_batch_with: column {i} length"
             );
         }
-        let ppg = self.ppg();
-        for p in 0..ppg {
-            let live = MR.min(self.rows - p * MR);
+        let mut emit = |q: usize, i: usize, sum: &[f32; MR]| {
+            let (g, row0, live) = self.panel_rows(q);
+            write(i, g, row0, &sum[..live]);
+        };
+        let total = self.gates * self.ppg();
+        let mut q = 0;
+        while q + 1 < total {
+            let (p0, p1) = (self.panel(q), self.panel(q + 1));
             for (i, x) in xs.iter().enumerate() {
-                let sum = panel_gemv(self.panel(g * ppg + p), self.cols, x.as_slice());
-                write(i, p * MR, &sum[..live]);
+                let (s0, s1) = panel_pair_gemv(p0, p1, self.cols, x.as_slice());
+                emit(q, i, &s0);
+                emit(q + 1, i, &s1);
+            }
+            q += 2;
+        }
+        if q < total {
+            for (i, x) in xs.iter().enumerate() {
+                emit(q, i, &panel_gemv(self.panel(q), self.cols, x.as_slice()));
             }
         }
     }
@@ -452,21 +473,60 @@ mod tests {
         }
     }
 
+    /// Runs the batched walk into one gate-major slab per column.
+    fn batch(fused: &FusedGates, xs: &[Vector]) -> Vec<Vec<f32>> {
+        let rows = fused.rows();
+        let mut outs = vec![vec![f32::NAN; fused.total_rows()]; xs.len()];
+        fused.gemv_batch_with(xs, |i, g, row0, vals| {
+            let start = g * rows + row0;
+            outs[i][start..start + vals.len()].copy_from_slice(vals);
+        });
+        outs
+    }
+
+    fn bits(v: &[f32]) -> Vec<u32> {
+        v.iter().map(|f| f.to_bits()).collect()
+    }
+
     #[test]
     fn gate_batch_columns_bit_identical_to_single() {
         let mats = gate_set(4, 17, 9, 23);
         let xs: Vec<Vector> = (0..3).map(|i| pseudo_vector(9, 40 + i)).collect();
         for precision in Precision::ALL {
             let fused = pack(&mats, precision);
-            for g in 0..4 {
-                let mut outs = vec![vec![0.0f32; 17]; xs.len()];
-                fused.gate_gemv_batch_with(g, &xs, |i, row0, vals| {
-                    outs[i][row0..row0 + vals.len()].copy_from_slice(vals);
-                });
-                for (x, got) in xs.iter().zip(&outs) {
-                    let mut single = vec![0.0f32; 17];
-                    fused.gate_gemv_into(g, x.as_slice(), &mut single);
-                    assert_eq!(*got, single, "{precision} gate {g}");
+            for (x, got) in xs.iter().zip(batch(&fused, &xs)) {
+                let mut single = vec![0.0f32; fused.total_rows()];
+                fused.gemv_into(x.as_slice(), &mut single);
+                assert_eq!(bits(&got), bits(&single), "{precision}");
+            }
+        }
+    }
+
+    #[test]
+    fn batch_walk_bit_identical_to_sgemv_on_rounded_gates() {
+        // 17 rows are three panels per gate, so with four gates the pair
+        // (2, 3) joins gate 0's last panel to gate 1's first; three gates
+        // make nine panels, so the single-panel tail runs. Columns not a
+        // multiple of the four-wide phase chunk exercise the kernels' tail.
+        for precision in Precision::ALL {
+            for (gates, rows, cols) in [(4, 17, 9), (3, 17, 13), (4, 8, 31), (1, 5, 6)] {
+                let mats = gate_set(gates, rows, cols, 19);
+                let fused = pack(&mats, precision);
+                let rounded: Vec<Matrix> = mats.iter().map(|m| precision.apply(m)).collect();
+                for n in [0usize, 1, 7] {
+                    let xs: Vec<Vector> =
+                        (0..n).map(|i| pseudo_vector(cols, 60 + i as u32)).collect();
+                    let outs = batch(&fused, &xs);
+                    assert_eq!(outs.len(), n);
+                    for (i, (x, got)) in xs.iter().zip(&outs).enumerate() {
+                        for (g, m) in rounded.iter().enumerate() {
+                            assert_eq!(
+                                bits(&got[g * rows..(g + 1) * rows]),
+                                bits(crate::gemm::sgemv(m, x).as_slice()),
+                                "{precision} {gates}g {rows}x{cols} n{n} column {i} gate {g}"
+                            );
+                        }
+                    }
                 }
             }
         }

@@ -242,7 +242,8 @@ mod tests {
                         .map(|i| pseudo_vector(cols, 100 + i as u32))
                         .collect();
                     let mut ys = vec![vec![0.0f32; rows]; batch];
-                    packed.gate_gemv_batch_with(0, &xs, |i, row0, vals| {
+                    packed.gemv_batch_with(&xs, |i, g, row0, vals| {
+                        assert_eq!(g, 0);
                         ys[i][row0..row0 + vals.len()].copy_from_slice(vals);
                     });
                     for (x, y) in xs.iter().zip(&ys) {
@@ -262,7 +263,7 @@ mod tests {
 
     #[test]
     fn batched_gemv_empty_batch_is_empty() {
-        one_gate(&Matrix::zeros(4, 3), Precision::Fp32).gate_gemv_batch_with(0, &[], |i, _, _| {
+        one_gate(&Matrix::zeros(4, 3), Precision::Fp32).gemv_batch_with(&[], |i, _, _, _| {
             panic!("wrote column {i} of an empty batch")
         });
     }
@@ -271,7 +272,7 @@ mod tests {
     #[should_panic(expected = "column 1 length")]
     fn batched_gemv_shape_mismatch_panics() {
         let packed = one_gate(&Matrix::zeros(4, 3), Precision::Fp32);
-        packed.gate_gemv_batch_with(0, &[Vector::zeros(3), Vector::zeros(2)], |_, _, _| {});
+        packed.gemv_batch_with(&[Vector::zeros(3), Vector::zeros(2)], |_, _, _, _| {});
     }
 
     /// Runs `f` with this thread's dispatched kernels on their portable

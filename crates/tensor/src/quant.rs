@@ -388,16 +388,16 @@ mod tests {
             let refs: Vec<&Matrix> = mats.iter().collect();
             let quant = FusedGates::pack(&refs, precision);
             let xs: Vec<Vector> = (0..3).map(|i| pseudo_vector(9, 40 + i)).collect();
-            for g in 0..4 {
-                let mut outs = vec![vec![0.0f32; 17]; xs.len()];
-                quant.gate_gemv_batch_with(g, &xs, |i, row0, vals| {
-                    outs[i][row0..row0 + vals.len()].copy_from_slice(vals);
-                });
-                for (x, got) in xs.iter().zip(&outs) {
-                    let mut single = vec![0.0f32; 17];
-                    quant.gate_gemv_into(g, x.as_slice(), &mut single);
-                    assert_eq!(*got, single);
-                }
+            let mut outs = vec![vec![0.0f32; 4 * 17]; xs.len()];
+            quant.gemv_batch_with(&xs, |i, g, row0, vals| {
+                let start = g * 17 + row0;
+                outs[i][start..start + vals.len()].copy_from_slice(vals);
+            });
+            for (x, got) in xs.iter().zip(&outs) {
+                let mut single = vec![0.0f32; 4 * 17];
+                quant.gemv_into(x.as_slice(), &mut single);
+                let bits = |v: &[f32]| v.iter().map(|f| f.to_bits()).collect::<Vec<u32>>();
+                assert_eq!(bits(got), bits(&single), "{precision}");
             }
         }
     }

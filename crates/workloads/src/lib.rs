@@ -11,6 +11,10 @@
 //! performance — the degradation introduced by the approximations — without
 //! needing the original datasets.
 //!
+//! A [`Workload`] runs no exact forward at generation: its teacher labels
+//! are computed on the first [`Workload::teacher_labels`] call, so callers
+//! that only serve or compile never pay for them.
+//!
 //! # Example
 //!
 //! ```

@@ -4,6 +4,7 @@ use crate::dataset::Dataset;
 use crate::spec::Benchmark;
 use lstm::cell::CellInit;
 use lstm::LstmNetwork;
+use std::sync::OnceLock;
 use tensor::init::{seeded_rng, GateBiasInit, RowScaledInit};
 use tensor::Vector;
 
@@ -59,15 +60,19 @@ impl SynthParams {
     }
 }
 
-/// A fully-materialized workload: the Table II network with trained-like
-/// weights, its input dataset, and the exact model's predictions on the
-/// evaluation split (the teacher labels).
+/// A workload: the Table II network with trained-like weights, its input
+/// dataset, and the exact model's predictions on the evaluation split
+/// (the teacher labels). The labels cost one exact forward per
+/// evaluation sequence, so they are computed on the first
+/// [`teacher_labels`](Workload::teacher_labels) call, not at generation;
+/// a clone taken before that call computes the same labels on its own
+/// first call.
 #[derive(Debug, Clone)]
 pub struct Workload {
     benchmark: Benchmark,
     network: LstmNetwork,
     dataset: Dataset,
-    teacher: Vec<Vec<usize>>,
+    teacher: OnceLock<Vec<Vec<usize>>>,
 }
 
 impl Workload {
@@ -94,12 +99,11 @@ impl Workload {
         let network = LstmNetwork::random_with(&config, &params.cell_init, &mut rng);
         let offline_n = 8.max(eval_n / 2);
         let dataset = Dataset::generate(benchmark, offline_n, eval_n, seed);
-        let teacher = teacher_predictions(&network, dataset.eval());
         Self {
             benchmark,
             network,
             dataset,
-            teacher,
+            teacher: OnceLock::new(),
         }
     }
 
@@ -126,12 +130,11 @@ impl Workload {
         let offline = sample(8.max(eval_n / 2));
         let eval = sample(eval_n);
         let dataset = Dataset::from_parts(benchmark, offline, eval);
-        let teacher = teacher_predictions(&network, dataset.eval());
         Self {
             benchmark,
             network,
             dataset,
-            teacher,
+            teacher: OnceLock::new(),
         }
     }
 
@@ -161,9 +164,11 @@ impl Workload {
     }
 
     /// The exact model's per-timestep predictions on the evaluation split
-    /// (`[sequence][timestep]`).
+    /// (`[sequence][timestep]`): [`teacher_predictions`] over
+    /// [`eval_set`](Self::eval_set), run on the first call and kept.
     pub fn teacher_labels(&self) -> &[Vec<usize>] {
-        &self.teacher
+        self.teacher
+            .get_or_init(|| teacher_predictions(&self.network, self.dataset.eval()))
     }
 }
 
@@ -193,6 +198,26 @@ mod tests {
                 *labels.last().unwrap(),
                 "final per-step prediction must equal the sequence prediction"
             );
+        }
+    }
+
+    #[test]
+    fn teacher_labels_are_computed_on_first_read() {
+        let cfg = Benchmark::Babi
+            .model_config()
+            .with_hidden_size(16)
+            .with_seq_len(6);
+        for wl in [
+            Workload::generate(Benchmark::Mr, 3, 11),
+            Workload::generate_scaled(Benchmark::Babi, &cfg, 3, 4),
+        ] {
+            assert!(wl.teacher.get().is_none(), "generation ran the teacher");
+            let early = wl.clone();
+            let want = teacher_predictions(wl.network(), wl.eval_set());
+            assert_eq!(wl.teacher_labels(), want.as_slice());
+            assert!(wl.teacher.get().is_some());
+            assert!(early.teacher.get().is_none(), "a clone shares the cell");
+            assert_eq!(early.teacher_labels(), want.as_slice());
         }
     }
 
