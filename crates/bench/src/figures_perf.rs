@@ -4,7 +4,7 @@
 use crate::session::Session;
 use crate::table::TextTable;
 use gpu_sim::{GpuConfig, GpuDevice, KernelDesc};
-use lstm::plan::{ExecutionPlan, KernelSink, NullSink, PlanRuntime};
+use lstm::plan::{ExecutionPlan, KernelSink, NullSink, PlanRuntime, SkipStats};
 use memlstm::drs::{DrsConfig, DrsMode};
 use memlstm::exec::{OptimizedExecutor, OptimizerConfig};
 use memlstm::pruning::ZeroPruning;
@@ -234,8 +234,12 @@ pub fn fig16(session: &mut Session) -> String {
                     mode,
                 })
                 .build();
-            let (perf, acc, stats) = ev.evaluate(config);
-            let compression = stats.mean_skip_fraction() * 0.75;
+            let (perf, acc, skips) = ev.evaluate(config);
+            // The mean of the per-layer mean skip fractions, scaled to
+            // the united matrix (U_o is never skipped).
+            let mean_skip =
+                skips.iter().map(SkipStats::mean).sum::<f64>() / skips.len().max(1) as f64;
+            let compression = mean_skip * 0.75;
             let speedup = base.time_s / perf.time_s;
             let energy_saving = 1.0 - perf.energy_j / base.energy_j;
             let power_saving = 1.0 - perf.power_w() / base.power_w();

@@ -12,7 +12,10 @@
 //! ([`batch_kernel_into`]), not of the host numerics.
 //!
 //! [`PlanRuntime`] executes one compiled [`ExecutionPlan`] on B sequences
-//! ("lanes") at once, and a solo run is the batch of one. Sequences are
+//! ("lanes") at once, and a solo run is the batch of one. Each layer is
+//! one walk over its tissue list — preceded, for a reorganized layer, by
+//! the offline search/link kernels — whatever flow produced it: the
+//! per-cell flows are one-cell tissues. Sequences are
 //! independent, so interchanging the timestep and lane loops cannot
 //! change any value: every lane's output is **bit-identical** to running
 //! that sequence alone. On the host each lane still runs its own `U·h`
@@ -27,7 +30,7 @@ use crate::cell::{CellWeights, GatePreacts};
 use crate::drs::{skip_fraction, trivial_row_mask_into};
 use crate::network::LstmNetwork;
 use crate::plan::{
-    ExecutionPlan, KernelSink, LayerBody, MaskedUKernel, NullSink, PlanBody, PlanOutput,
+    ExecutionPlan, KernelSink, LayerBody, LayerPlan, MaskedUKernel, NullSink, PlanBody, PlanOutput,
     PlanRuntime, PrevSource, SkipStats, TissueKernels, TissuePlan,
 };
 use crate::regions::{NetworkRegions, RegionAllocator};
@@ -240,7 +243,7 @@ impl PlanRuntime {
         self.run_lstm_lanes(plan, net, seqs, sink, outs);
     }
 
-    /// Executes one planned LSTM layer body on one sequence *numerically
+    /// Executes one planned LSTM layer on one sequence *numerically
     /// only* — no kernels, no skip accounting — with the gate packs
     /// stored at `precision`. Plan compilers use this to advance their
     /// probe sequences through already-planned layers with the exact
@@ -249,7 +252,7 @@ impl PlanRuntime {
     pub fn layer_numerics(
         &mut self,
         precision: Precision,
-        body: &LayerBody,
+        layer: &LayerPlan,
         weights: &CellWeights,
         wx: &[GatePreacts],
     ) -> Vec<Vector> {
@@ -266,7 +269,7 @@ impl PlanRuntime {
         execute_lstm_body_into(
             0,
             precision,
-            body,
+            layer,
             weights,
             slice::from_ref(&wx),
             &mut self.ws[..1],
@@ -329,7 +332,7 @@ impl PlanRuntime {
             execute_lstm_body_into(
                 l,
                 plan.precision,
-                &lp.body,
+                lp,
                 layer,
                 wx,
                 ws,
@@ -352,15 +355,17 @@ impl PlanRuntime {
     }
 }
 
-/// Executes one layer body for every lane, emitting one (batched) kernel
-/// per planned kernel. Lane `s` reads `wx[s]` and works in `ws[s]`; its
-/// hidden outputs land in `outs[s].layer_hs[layer]`, its skip statistics
-/// in `outs[s].layer_skips[layer]`.
+/// Executes one planned layer for every lane, emitting one (batched)
+/// kernel per planned kernel: the optional offline preamble of a
+/// reorganized layer, then the tissue list in order. Lane `s` reads
+/// `wx[s]` and works in `ws[s]`; its hidden outputs land in
+/// `outs[s].layer_hs[layer]`, its skip statistics in
+/// `outs[s].layer_skips[layer]`.
 #[allow(clippy::too_many_arguments)] // internal: the runtime split needs each piece
 fn execute_lstm_body_into<W: AsRef<[GatePreacts]>, K: KernelSink>(
     layer: usize,
     precision: Precision,
-    body: &LayerBody,
+    lp: &LayerPlan,
     weights: &CellWeights,
     wx: &[W],
     ws: &mut [Workspace],
@@ -371,254 +376,175 @@ fn execute_lstm_body_into<W: AsRef<[GatePreacts]>, K: KernelSink>(
     let hidden = weights.hidden();
     let b = wx.len();
     let n = wx[0].as_ref().len();
-    for (s, w) in ws.iter_mut().enumerate() {
-        assert_eq!(wx[s].as_ref().len(), n, "lane length mismatch");
-        // The sequential flows start every lane from the zero state.
-        w.h.resize_fill(hidden, 0.0);
-        w.c.resize_fill(hidden, 0.0);
-        outs[s].layer_hs[layer].resize_with(n, || Vector::zeros(0));
-    }
-    match body {
-        LayerBody::Baseline { cells } => {
-            assert_eq!(cells.len(), n, "plan/input length mismatch");
-            for (t, cell) in cells.iter().enumerate() {
-                sink.tag(SpanTag::cells(layer, t));
-                sink.emit(&cell.sgemv);
-                for s in 0..b {
-                    let w = &mut ws[s];
-                    weights.step_fused_into(
-                        precision,
-                        &wx[s].as_ref()[t],
-                        &w.h,
-                        &w.c,
-                        &mut w.cell,
-                        &mut w.h_next,
-                        &mut w.c_next,
-                    );
-                    mem::swap(&mut w.h, &mut w.h_next);
-                    mem::swap(&mut w.c, &mut w.c_next);
-                    outs[s].layer_hs[layer][t].clone_from(&w.h);
-                }
-                sink.emit(&cell.ew);
-            }
-        }
-        LayerBody::Drs { alpha_intra, cells } => {
-            assert_eq!(cells.len(), n, "plan/input length mismatch");
-            if all_masks.len() < b {
-                all_masks.resize_with(b, Vec::new);
-            }
-            for (t, cell) in cells.iter().enumerate() {
-                sink.tag(SpanTag::cells(layer, t));
-                sink.emit(&cell.uo);
-                sink.emit(&cell.gate_ew);
-                for s in 0..b {
-                    let w = &mut ws[s];
-                    weights.output_gate_into(
-                        precision,
-                        &wx[s].as_ref()[t].o,
-                        &w.h,
-                        &mut w.cell,
-                        &mut w.gate,
-                    );
-                }
-                sink.emit(&cell.select);
-                for s in 0..b {
-                    trivial_row_mask_into(&ws[s].gate, *alpha_intra, &mut all_masks[s]);
-                    outs[s].layer_skips[layer].push(skip_fraction(&all_masks[s]));
-                }
-                sink.emit_masked(&cell.masked, &all_masks[..b]);
-                sink.emit(&cell.ew);
-                for s in 0..b {
-                    let w = &mut ws[s];
-                    weights.step_masked_into(
-                        precision,
-                        &wx[s].as_ref()[t],
-                        &w.h,
-                        &w.c,
-                        &w.gate,
-                        &all_masks[s],
-                        &mut w.cell,
-                        &mut w.h_next,
-                        &mut w.c_next,
-                    );
-                    mem::swap(&mut w.h, &mut w.h_next);
-                    mem::swap(&mut w.c, &mut w.c_next);
-                    outs[s].layer_hs[layer][t].clone_from(&w.h);
-                }
-            }
-        }
+    let (alpha_intra, predicted) = match &lp.body {
+        LayerBody::Baseline => (None, None),
+        LayerBody::Drs { alpha_intra } => (Some(*alpha_intra), None),
         LayerBody::Tissues {
             search,
             link,
             alpha_intra,
             predicted_h,
             predicted_c,
-            tissues,
         } => {
             sink.tag(SpanTag::offline(layer));
             sink.emit(search);
             if let Some(k) = link {
                 sink.emit(k);
             }
-            for w in ws.iter_mut() {
-                w.zero_h.resize_fill(hidden, 0.0);
-                w.zero_c.resize_fill(hidden, 0.0);
-                w.h_slots.resize_with(n, || Vector::zeros(0));
-                w.c_slots.resize_with(n, || Vector::zeros(0));
-                w.filled.clear();
-                w.filled.resize(n, false);
-            }
-            for (k, tp) in tissues.iter().enumerate() {
-                sink.tag(SpanTag::tissue(layer, k, tp.sublayers.first().copied()));
-                // The schedule guarantees every Prior predecessor was
-                // produced by an earlier tissue; check up front so the
-                // in-place slot writes below cannot mask a malformed plan.
-                for w in ws.iter() {
-                    for (&t, src) in tp.cells.iter().zip(&tp.prev) {
-                        if matches!(src, PrevSource::Prior) {
-                            assert!(
-                                w.filled[t - 1],
-                                "schedule guarantees the predecessor already ran"
-                            );
-                        }
-                    }
-                }
-                match &tp.kernels {
-                    TissueKernels::Plain { sgemm, ew } => {
-                        sink.emit(sgemm);
-                        sink.emit(ew);
-                        for (s, w) in ws.iter_mut().enumerate() {
-                            step_tissue(
-                                precision,
-                                weights,
-                                wx[s].as_ref(),
-                                tp,
-                                predicted_h,
-                                predicted_c,
-                                false,
-                                w,
-                            );
-                        }
-                    }
-                    TissueKernels::Drs {
-                        uo,
-                        gate_ew,
-                        select,
-                        masked,
-                        ew,
-                    } => {
-                        sink.emit(uo);
-                        sink.emit(gate_ew);
-                        sink.emit(select);
-                        let size = tp.cells.len();
-                        for (s, w) in ws.iter_mut().enumerate() {
-                            let Workspace {
-                                cell,
-                                os,
-                                masks,
-                                h_slots,
-                                zero_h,
-                                ..
-                            } = w;
-                            os.resize_with(size, || Vector::zeros(0));
-                            masks.resize_with(size, Vec::new);
-                            for (i, (&t, src)) in tp.cells.iter().zip(&tp.prev).enumerate() {
-                                let h_prev = match src {
-                                    PrevSource::Zeros => &*zero_h,
-                                    PrevSource::Predicted => predicted_h,
-                                    PrevSource::Prior => &h_slots[t - 1],
-                                };
-                                weights.output_gate_into(
-                                    precision,
-                                    &wx[s].as_ref()[t].o,
-                                    h_prev,
-                                    cell,
-                                    &mut os[i],
-                                );
-                                trivial_row_mask_into(&os[i], *alpha_intra, &mut masks[i]);
-                            }
-                            for mask in masks.iter() {
-                                outs[s].layer_skips[layer].push(skip_fraction(mask));
-                            }
-                        }
-                        // Concatenate each lane's masks, lane-major.
-                        if all_masks.len() < b * size {
-                            all_masks.resize_with(b * size, Vec::new);
-                        }
-                        for (s, w) in ws.iter().enumerate() {
-                            for (i, mask) in w.masks.iter().enumerate() {
-                                all_masks[s * size + i].clone_from(mask);
-                            }
-                        }
-                        sink.emit_masked(masked, &all_masks[..b * size]);
-                        sink.emit(ew);
-                        for (s, w) in ws.iter_mut().enumerate() {
-                            step_tissue(
-                                precision,
-                                weights,
-                                wx[s].as_ref(),
-                                tp,
-                                predicted_h,
-                                predicted_c,
-                                true,
-                                w,
-                            );
-                        }
-                    }
+            (Some(*alpha_intra), Some((predicted_h, predicted_c)))
+        }
+    };
+    for (s, w) in ws.iter_mut().enumerate() {
+        assert_eq!(wx[s].as_ref().len(), n, "lane length mismatch");
+        outs[s].layer_hs[layer].resize_with(n, || Vector::zeros(0));
+        w.zero_h.resize_fill(hidden, 0.0);
+        w.zero_c.resize_fill(hidden, 0.0);
+        w.c_slots.resize_with(n, || Vector::zeros(0));
+        w.filled.clear();
+        w.filled.resize(n, false);
+    }
+    for tp in &lp.tissues {
+        sink.tag(tp.tag);
+        // The schedule guarantees every Prior predecessor was produced by
+        // an earlier tissue; check up front so the in-place slot writes
+        // below cannot mask a malformed plan.
+        for w in ws.iter() {
+            for (&t, src) in tp.cells.iter().zip(&tp.prev) {
+                if matches!(src, PrevSource::Prior) {
+                    assert!(
+                        w.filled[t - 1],
+                        "schedule guarantees the predecessor already ran"
+                    );
                 }
             }
-            for (s, w) in ws.iter_mut().enumerate() {
-                for (t, slot) in outs[s].layer_hs[layer].iter_mut().enumerate() {
-                    assert!(w.filled[t], "every cell scheduled exactly once");
-                    mem::swap(slot, &mut w.h_slots[t]);
+        }
+        match &tp.kernels {
+            TissueKernels::Plain { sgemm, ew } => {
+                sink.emit(sgemm);
+                sink.emit(ew);
+                step_tissue(
+                    precision, weights, wx, tp, predicted, false, layer, ws, outs,
+                );
+            }
+            TissueKernels::Drs {
+                uo,
+                gate_ew,
+                select,
+                masked,
+                ew,
+            } => {
+                let alpha_intra = alpha_intra.expect("a DRS tissue runs in a layer with α_intra");
+                sink.emit(uo);
+                sink.emit(gate_ew);
+                sink.emit(select);
+                let size = tp.cells.len();
+                for (s, w) in ws.iter_mut().enumerate() {
+                    let Workspace {
+                        cell,
+                        os,
+                        masks,
+                        zero_h,
+                        ..
+                    } = w;
+                    let out = &mut outs[s];
+                    os.resize_with(size, || Vector::zeros(0));
+                    masks.resize_with(size, Vec::new);
+                    for (i, (&t, src)) in tp.cells.iter().zip(&tp.prev).enumerate() {
+                        let h_prev = match src {
+                            PrevSource::Zeros => &*zero_h,
+                            PrevSource::Predicted => predicted_state(predicted).0,
+                            PrevSource::Prior => &out.layer_hs[layer][t - 1],
+                        };
+                        weights.output_gate_into(
+                            precision,
+                            &wx[s].as_ref()[t].o,
+                            h_prev,
+                            cell,
+                            &mut os[i],
+                        );
+                        trivial_row_mask_into(&os[i], alpha_intra, &mut masks[i]);
+                    }
+                    for mask in masks.iter() {
+                        out.layer_skips[layer].push(skip_fraction(mask));
+                    }
                 }
+                // Concatenate each lane's masks, lane-major.
+                if all_masks.len() < b * size {
+                    all_masks.resize_with(b * size, Vec::new);
+                }
+                for (s, w) in ws.iter().enumerate() {
+                    for (i, mask) in w.masks.iter().enumerate() {
+                        all_masks[s * size + i].clone_from(mask);
+                    }
+                }
+                sink.emit_masked(masked, &all_masks[..b * size]);
+                sink.emit(ew);
+                step_tissue(precision, weights, wx, tp, predicted, true, layer, ws, outs);
             }
         }
     }
+    for w in ws.iter() {
+        assert!(
+            w.filled.iter().all(|&f| f),
+            "every cell scheduled exactly once"
+        );
+    }
 }
 
-/// Runs one lane's tissue steps into its workspace slots: fused full
-/// steps, or — for a DRS tissue — masked steps using the gates/masks
-/// already computed in `w.os`/`w.masks`.
+/// The predicted `(h, c)` a broken link injects.
+///
+/// # Panics
+/// Panics if the layer has none: only a reorganized layer breaks links.
+fn predicted_state<'a>(predicted: Option<(&'a Vector, &'a Vector)>) -> (&'a Vector, &'a Vector) {
+    predicted.expect("a broken link runs in a reorganized layer")
+}
+
+/// Runs every lane's steps of one tissue: lane `s` writes its hidden
+/// outputs into `outs[s].layer_hs[layer]` and its cell states into
+/// `ws[s].c_slots`. Fused full steps, or — for a DRS tissue — masked
+/// steps using the gates/masks already computed in `os`/`masks`.
 #[allow(clippy::too_many_arguments)] // internal: the runtime split needs each piece
-fn step_tissue(
+fn step_tissue<W: AsRef<[GatePreacts]>>(
     precision: Precision,
     weights: &CellWeights,
-    wx: &[GatePreacts],
+    wx: &[W],
     tp: &TissuePlan,
-    predicted_h: &Vector,
-    predicted_c: &Vector,
+    predicted: Option<(&Vector, &Vector)>,
     masked: bool,
-    w: &mut Workspace,
+    layer: usize,
+    ws: &mut [Workspace],
+    outs: &mut [PlanOutput],
 ) {
-    let Workspace {
-        cell,
-        os,
-        masks,
-        h_slots,
-        c_slots,
-        filled,
-        zero_h,
-        zero_c,
-        ..
-    } = w;
-    for (i, (&t, src)) in tp.cells.iter().zip(&tp.prev).enumerate() {
-        let (done_h, rest_h) = h_slots.split_at_mut(t);
-        let (done_c, rest_c) = c_slots.split_at_mut(t);
-        let (h_prev, c_prev) = match src {
-            PrevSource::Zeros => (&*zero_h, &*zero_c),
-            PrevSource::Predicted => (predicted_h, predicted_c),
-            PrevSource::Prior => (&done_h[t - 1], &done_c[t - 1]),
-        };
-        let (h_out, c_out) = (&mut rest_h[0], &mut rest_c[0]);
-        if masked {
-            weights.step_masked_into(
-                precision, &wx[t], h_prev, c_prev, &os[i], &masks[i], cell, h_out, c_out,
-            );
-        } else {
-            weights.step_fused_into(precision, &wx[t], h_prev, c_prev, cell, h_out, c_out);
+    for (s, w) in ws.iter_mut().enumerate() {
+        let Workspace {
+            cell,
+            os,
+            masks,
+            c_slots,
+            filled,
+            zero_h,
+            zero_c,
+            ..
+        } = w;
+        let (wx, hs) = (wx[s].as_ref(), &mut outs[s].layer_hs[layer]);
+        for (i, (&t, src)) in tp.cells.iter().zip(&tp.prev).enumerate() {
+            let (done_h, rest_h) = hs.split_at_mut(t);
+            let (done_c, rest_c) = c_slots.split_at_mut(t);
+            let (h_prev, c_prev) = match src {
+                PrevSource::Zeros => (&*zero_h, &*zero_c),
+                PrevSource::Predicted => predicted_state(predicted),
+                PrevSource::Prior => (&done_h[t - 1], &done_c[t - 1]),
+            };
+            let (h_out, c_out) = (&mut rest_h[0], &mut rest_c[0]);
+            if masked {
+                weights.step_masked_into(
+                    precision, &wx[t], h_prev, c_prev, &os[i], &masks[i], cell, h_out, c_out,
+                );
+            } else {
+                weights.step_fused_into(precision, &wx[t], h_prev, c_prev, cell, h_out, c_out);
+            }
+            filled[t] = true;
         }
-        filled[t] = true;
     }
 }
 
@@ -662,11 +588,12 @@ mod tests {
         let mut planned: Vec<&KernelDesc> = Vec::new();
         for lp in layers {
             planned.push(&lp.wx);
-            let LayerBody::Baseline { cells } = &lp.body else {
-                unreachable!()
-            };
-            for cell in cells {
-                planned.extend([&cell.sgemv, &cell.ew]);
+            assert_eq!(lp.body, LayerBody::Baseline);
+            for tp in &lp.tissues {
+                let TissueKernels::Plain { sgemm, ew } = &tp.kernels else {
+                    unreachable!()
+                };
+                planned.extend([sgemm, ew]);
             }
         }
         planned.push(&plan.head);
@@ -702,12 +629,12 @@ mod tests {
         assert_eq!(k.writes[0].bytes, 8 * wx.writes[0].bytes);
         assert!(k.label.ends_with(" xB8"));
         // A batched recurrent Sgemv becomes an Sgemm.
-        let LayerBody::Baseline { cells } = &layers[0].body else {
+        let TissueKernels::Plain { sgemm: sgemv, .. } = &layers[0].tissues[0].kernels else {
             unreachable!()
         };
-        let sgemm = batched(&cells[0].sgemv, 4, &plan.regions);
+        let sgemm = batched(sgemv, 4, &plan.regions);
         assert_eq!(sgemm.kind, KernelKind::Sgemm);
-        assert_eq!(sgemm.reads[0].bytes, cells[0].sgemv.reads[0].bytes);
+        assert_eq!(sgemm.reads[0].bytes, sgemv.reads[0].bytes);
         // Batch of one is the identity.
         assert_eq!(batched(wx, 1, &plan.regions), *wx);
     }

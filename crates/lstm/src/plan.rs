@@ -9,7 +9,13 @@
 //!   sub-layer division, aligned tissues with their context sources,
 //!   Eq. 6 predicted links — plus the per-step kernel templates with
 //!   their [`RegionId`]s pre-allocated, so the kernel *stream* (labels,
-//!   order, region identity) is fixed at compile time.
+//!   order, region identity, span tags) is fixed at compile time.
+//! * Every LSTM layer is one ordered list of [`TissuePlan`]s, as in the
+//!   paper's Fig. 10: Algorithm 1 is the list with every tissue one cell
+//!   ([`LayerPlan::per_cell`]), Algorithm 3 is Dynamic Row Skip inside
+//!   such one-cell tissues, and the reorganized layer batches several
+//!   cells per tissue. [`LayerBody`] holds only what a flow adds besides
+//!   its tissues (`α_intra`, the offline kernels, the Eq. 6 vectors).
 //! * A [`PlanRuntime`] executes a plan over streaming inputs, performing
 //!   the real `f32` arithmetic and feeding each kernel to a
 //!   [`KernelSink`] the moment it is "launched" — a collector for trace
@@ -29,13 +35,16 @@
 //! in the `memlstm` crate, which owns the offline analyses.
 
 use crate::cell::GatePreacts;
-use crate::drs::{skip_cost, skip_fraction, trivial_row_mask_into, union_active_into, DrsMode};
+use crate::drs::{
+    skip_cost, skip_fraction, trivial_row_mask_into, union_active_into, DrsConfig, DrsMode,
+};
 use crate::gru::GruWeights;
 use crate::gru_exec::GruNetwork;
 use crate::network::LstmNetwork;
 use crate::regions::{LayerRegions, NetworkRegions, RegionAllocator};
 use crate::schedule::{
-    ew_kernel, gru_wx_sgemm_kernel, head_kernel, u_sgemv_kernel, wx_sgemm_kernel, F32,
+    drs_kernel, ew_kernel, gate_ew_kernel, gru_wx_sgemm_kernel, head_kernel, u_sgemv_kernel,
+    wx_sgemm_kernel, F32,
 };
 use crate::workspace::{SharedScratch, Workspace};
 use gpu_sim::{DeviceModel, KernelDesc, KernelKind, MemAccess, RegionId, SpanTag, TraceSession};
@@ -275,28 +284,13 @@ impl MaskedUKernel {
     }
 }
 
-/// One planned cell of a sequential baseline flow (Algorithm 1 lines
-/// 3–6): the recurrent `Sgemv(U, h)` plus the element-wise update.
+/// One planned cell of the GRU baseline flow: the recurrent
+/// `Sgemv(U_rzh, h)` plus the element-wise update.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SeqCellPlan {
-    /// The recurrent `Sgemv(U, h_{t-1})`.
+    /// The recurrent `Sgemv(U_rzh, h_{t-1})`.
     pub sgemv: KernelDesc,
-    /// The element-wise cell update (`lstm_ew` / `gru_ew`).
-    pub ew: KernelDesc,
-}
-
-/// One planned cell of the per-cell Dynamic-Row-Skip flow (Algorithm 3).
-#[derive(Debug, Clone, PartialEq)]
-pub struct DrsCellPlan {
-    /// `Sgemv(U_o, h_{t-1})` — the hoisted output-gate GEMV.
-    pub uo: KernelDesc,
-    /// Element-wise sigmoid producing `o_t`.
-    pub gate_ew: KernelDesc,
-    /// The `DRS(o_t, α_intra, R)` trivial-row selection kernel.
-    pub select: KernelDesc,
-    /// The row-masked `Sgemv(U_{f,i,c}, h_{t-1}, R)` template.
-    pub masked: MaskedUKernel,
-    /// The element-wise cell update.
+    /// The element-wise cell update (`gru_ew`).
     pub ew: KernelDesc,
 }
 
@@ -315,46 +309,52 @@ pub struct GruDrsCellPlan {
     pub ew: KernelDesc,
 }
 
-/// The kernels of one scheduled tissue (paper Fig. 10 step 9).
+/// The kernels of one scheduled tissue (paper Fig. 10 step 9). A
+/// one-cell tissue carries the per-cell kernels of Algorithm 1 or 3.
 // Variant sizes differ by a few KernelDescs; boxing the large variant
 // would add a pointer chase on the per-tissue hot path for no real
 // memory win (plans hold few of these).
 #[allow(clippy::large_enum_variant)]
 #[derive(Debug, Clone, PartialEq)]
 pub enum TissueKernels {
-    /// Batched execution without intra-cell skipping.
+    /// Execution without intra-cell skipping.
     Plain {
-        /// The batched `Sgemm(U, H_t)` over the tissue's cells.
+        /// The recurrent product: `Sgemm(U, H_t)` over the tissue's cells,
+        /// or `Sgemv(U_fico, h)` for one cell of Algorithm 1.
         sgemm: KernelDesc,
-        /// The batched element-wise update.
+        /// The element-wise update.
         ew: KernelDesc,
     },
-    /// Batched execution with Dynamic Row Skip inside the tissue.
+    /// Execution with Dynamic Row Skip (Algorithm 3).
     Drs {
-        /// The batched `Sgemm(U_o, H_t)`.
+        /// The hoisted output-gate product `Sgemm(U_o, H_t)` (`Sgemv` for
+        /// one cell).
         uo: KernelDesc,
         /// Element-wise sigmoid producing the tissue's `o_t` columns.
         gate_ew: KernelDesc,
-        /// The `DRS` selection kernel.
+        /// The `DRS(o_t, α_intra, R)` selection kernel.
         select: KernelDesc,
         /// The row-masked `Sgemm(U_{f,i,c}, H_t, R)` template.
         masked: MaskedUKernel,
-        /// The batched element-wise update.
+        /// The element-wise update.
         ew: KernelDesc,
     },
 }
 
 /// One scheduled tissue: which cells it batches, where each reads its
-/// context, and the kernels that execute it.
+/// context, the span tag its kernels run under, and the kernels that
+/// execute it.
 #[derive(Debug, Clone, PartialEq)]
 pub struct TissuePlan {
     /// Timestep indices of the member cells, in batch order.
     pub cells: Vec<usize>,
-    /// Sub-layer index of each member cell (parallel to `cells`); used to
-    /// attribute profiler spans to the division that produced the tissue.
-    pub sublayers: Vec<usize>,
     /// Context source per member cell (parallel to `cells`).
     pub prev: Vec<PrevSource>,
+    /// The profiler phase of the tissue's kernels:
+    /// [`SpanTag::cells`] for a per-cell flow's one-cell tissue,
+    /// [`SpanTag::tissue`] (with the sub-layer of its first cell) for a
+    /// reorganized layer's.
+    pub tag: SpanTag,
     /// The tissue's kernels.
     pub kernels: TissueKernels,
 }
@@ -373,84 +373,138 @@ pub struct PlanLayerStats {
     pub mean_tissue_size: f64,
 }
 
-/// The planned body of one LSTM layer — which execution flow it compiles
-/// to and the pre-built kernels for it.
+/// What one LSTM layer's flow adds to its tissue list: the per-layer
+/// data the runtime reads besides the tissues themselves.
 #[allow(clippy::large_enum_variant)] // one LayerBody per layer; boxing buys nothing
 #[derive(Debug, Clone, PartialEq)]
 pub enum LayerBody {
-    /// Algorithm 1: strictly sequential per-cell execution.
-    Baseline {
-        /// One entry per timestep.
-        cells: Vec<SeqCellPlan>,
-    },
-    /// Algorithm 3 on the sequential schedule: per-cell Dynamic Row
-    /// Skip.
+    /// Algorithm 1: one-cell tissues of `Sgemv(U_fico, h)` + `lstm_ew`.
+    Baseline,
+    /// Algorithm 3 on the sequential schedule: one-cell Dynamic Row Skip
+    /// tissues.
     Drs {
         /// The `α_intra` threshold the runtime masks with.
         alpha_intra: f32,
-        /// One entry per timestep.
-        cells: Vec<DrsCellPlan>,
     },
     /// The reorganized layer (paper Fig. 10): offline breakpoints and
-    /// tissues, optionally with in-tissue Dynamic Row Skip.
+    /// multi-cell tissues, optionally with in-tissue Dynamic Row Skip.
     Tissues {
         /// The offline relevance-analysis + breakpoint-search kernel.
         search: KernelDesc,
         /// The Eq. 6 link-prediction kernel (absent when no links broke).
         link: Option<KernelDesc>,
-        /// The `α_intra` threshold; only read when `tissues` carry
-        /// [`TissueKernels::Drs`].
+        /// The `α_intra` threshold; only read by
+        /// [`TissueKernels::Drs`] tissues.
         alpha_intra: f32,
         /// Predicted hidden state injected at broken links.
         predicted_h: Vector,
         /// Predicted cell state injected at broken links.
         predicted_c: Vector,
-        /// The scheduled tissues, in execution order.
-        tissues: Vec<TissuePlan>,
     },
 }
 
-/// Lowers layer `l`'s Algorithm 1 per-cell flow: one `Sgemv(U_fico, h)`
-/// and one `lstm_ew` per timestep. [`ExecutionPlan::compile_baseline`] and
-/// an optimizing compiler with both levels off both build layers here.
-pub fn baseline_layer(
-    l: usize,
-    hidden: usize,
-    seq_len: usize,
-    regions: &LayerRegions,
-    alloc: &mut RegionAllocator,
-) -> (LayerBody, PlanLayerStats) {
-    let cells = (0..seq_len)
-        .map(|t| SeqCellPlan {
-            sgemv: u_sgemv_kernel(
-                format!("Sgemv(U_fico,h) l{l} t{t}"),
-                regions.u_full,
-                4 * hidden,
-                hidden,
-                alloc,
-            ),
-            ew: ew_kernel(format!("lstm_ew l{l} t{t}"), hidden, 1, alloc),
-        })
-        .collect();
-    let stats = PlanLayerStats {
-        breakpoints: 0,
-        sublayers: 1,
-        tissues: seq_len,
-        mean_tissue_size: 1.0,
-    };
-    (LayerBody::Baseline { cells }, stats)
-}
-
-/// One planned LSTM layer.
+/// One planned LSTM layer: its `W·x`, its flow's data, and the tissue
+/// list the runtime walks in order.
 #[derive(Debug, Clone, PartialEq)]
 pub struct LayerPlan {
     /// The per-layer `Sgemm(W, x)` (Algorithm 1 line 2 — shared by every
     /// flow).
     pub wx: KernelDesc,
-    /// The flow-specific body.
+    /// The flow-specific data.
     pub body: LayerBody,
-    /// Structural statistics of the planned body.
+    /// The scheduled tissues, in execution order.
+    pub tissues: Vec<TissuePlan>,
+    /// Structural statistics of the planned layer.
     pub stats: PlanLayerStats,
+}
+
+impl LayerPlan {
+    /// Lowers layer `l`'s per-cell flow into one one-cell tissue per
+    /// timestep: Algorithm 1 (`drs` is `None`: `Sgemv(U_fico,h)` and
+    /// `lstm_ew`) or Algorithm 3 (`Sgemv(U_o,h)`, `lstm_ew(o)`, `DRS`,
+    /// the masked `Sgemv(U_fic,h,R)` and `lstm_ew`). Cell 0 starts from
+    /// zeros; every later cell reads its predecessor.
+    /// [`ExecutionPlan::compile_baseline`] and the optimizing compiler
+    /// without `inter` both build layers here.
+    pub fn per_cell(
+        l: usize,
+        wx: KernelDesc,
+        hidden: usize,
+        seq_len: usize,
+        regions: &LayerRegions,
+        drs: Option<DrsConfig>,
+        alloc: &mut RegionAllocator,
+    ) -> Self {
+        let tissues = (0..seq_len)
+            .map(|t| {
+                let kernels = match drs {
+                    None => TissueKernels::Plain {
+                        sgemm: u_sgemv_kernel(
+                            format!("Sgemv(U_fico,h) l{l} t{t}"),
+                            regions.u_full,
+                            4 * hidden,
+                            hidden,
+                            alloc,
+                        ),
+                        ew: ew_kernel(format!("lstm_ew l{l} t{t}"), hidden, 1, alloc),
+                    },
+                    Some(drs) => TissueKernels::Drs {
+                        // Line 4: Sgemv(U_o, h_{t-1}).
+                        uo: u_sgemv_kernel(
+                            format!("Sgemv(U_o,h) l{l} t{t}"),
+                            regions.u_o,
+                            hidden,
+                            hidden,
+                            alloc,
+                        ),
+                        // Line 5: lstm_ew(o_t).
+                        gate_ew: gate_ew_kernel(format!("lstm_ew(o) l{l} t{t}"), hidden, 1, alloc),
+                        // Line 6: DRS(o_t, alpha, R).
+                        select: drs_kernel(format!("DRS l{l} t{t}"), hidden, alloc),
+                        // Line 7: Sgemv(U_fic, h_{t-1}, R) — masked at runtime.
+                        masked: MaskedUKernel::new(
+                            format!("Sgemv(U_fic,h,R) l{l} t{t}"),
+                            3,
+                            hidden,
+                            1,
+                            regions.u_fic,
+                            drs.mode,
+                            true,
+                            alloc,
+                        ),
+                        // Line 8: lstm_ew(f, i, c, h).
+                        ew: ew_kernel(format!("lstm_ew l{l} t{t}"), hidden, 1, alloc),
+                    },
+                };
+                TissuePlan {
+                    cells: vec![t],
+                    prev: vec![if t == 0 {
+                        PrevSource::Zeros
+                    } else {
+                        PrevSource::Prior
+                    }],
+                    tag: SpanTag::cells(l, t),
+                    kernels,
+                }
+            })
+            .collect();
+        Self {
+            wx,
+            body: match drs {
+                None => LayerBody::Baseline,
+                Some(drs) => LayerBody::Drs {
+                    alpha_intra: drs.alpha_intra,
+                },
+            },
+            tissues,
+            stats: PlanLayerStats {
+                breakpoints: 0,
+                sublayers: 1,
+                tissues: seq_len,
+                mean_tissue_size: 1.0,
+            },
+        }
+    }
 }
 
 /// The planned body of one GRU layer.
@@ -543,9 +597,15 @@ impl ExecutionPlan {
                 seq_len,
                 &mut alloc,
             );
-            let (body, stats) =
-                baseline_layer(l, layer.hidden(), seq_len, &regions.layers[l], &mut alloc);
-            layers.push(LayerPlan { wx, body, stats });
+            layers.push(LayerPlan::per_cell(
+                l,
+                wx,
+                layer.hidden(),
+                seq_len,
+                &regions.layers[l],
+                None,
+                &mut alloc,
+            ));
         }
         let head = head_kernel(regions.head, cfg.num_classes, cfg.hidden_size, &mut alloc);
         Self {
@@ -639,48 +699,30 @@ impl ExecutionPlan {
             self.precision
         );
         self.precision = precision;
-        let regions = &self.regions;
-        let scale = |kernel: &mut KernelDesc, regions: &NetworkRegions| {
-            for read in &mut kernel.reads {
-                if regions.is_gate_weight(read.region) {
-                    read.bytes = precision.scale_bytes(read.bytes);
-                }
-            }
-        };
+        // One walk over every descriptor and masked template; a read is
+        // rescaled only when it streams a gate-weight region.
+        let mut descs: Vec<&mut KernelDesc> = vec![&mut self.head];
+        let mut masked: Vec<&mut MaskedUKernel> = Vec::new();
         match &mut self.body {
             PlanBody::Lstm(layers) => {
                 for lp in layers {
-                    scale(&mut lp.wx, regions);
-                    match &mut lp.body {
-                        LayerBody::Baseline { cells } => {
-                            for cell in cells {
-                                scale(&mut cell.sgemv, regions);
-                            }
-                        }
-                        LayerBody::Drs { cells, .. } => {
-                            for cell in cells {
-                                scale(&mut cell.uo, regions);
-                                cell.masked.set_precision(precision);
-                            }
-                        }
-                        LayerBody::Tissues {
-                            search,
-                            link,
-                            tissues,
-                            ..
-                        } => {
-                            scale(search, regions);
-                            if let Some(k) = link {
-                                scale(k, regions);
-                            }
-                            for tp in tissues {
-                                match &mut tp.kernels {
-                                    TissueKernels::Plain { sgemm, .. } => scale(sgemm, regions),
-                                    TissueKernels::Drs { uo, masked, .. } => {
-                                        scale(uo, regions);
-                                        masked.set_precision(precision);
-                                    }
-                                }
+                    descs.push(&mut lp.wx);
+                    if let LayerBody::Tissues { search, link, .. } = &mut lp.body {
+                        descs.push(search);
+                        descs.extend(link.as_mut());
+                    }
+                    for tp in &mut lp.tissues {
+                        match &mut tp.kernels {
+                            TissueKernels::Plain { sgemm, ew } => descs.extend([sgemm, ew]),
+                            TissueKernels::Drs {
+                                uo,
+                                gate_ew,
+                                select,
+                                masked: m,
+                                ew,
+                            } => {
+                                descs.extend([uo, gate_ew, select, ew]);
+                                masked.push(m);
                             }
                         }
                     }
@@ -688,22 +730,32 @@ impl ExecutionPlan {
             }
             PlanBody::Gru(layers) => {
                 for lp in layers {
-                    scale(&mut lp.wx, regions);
+                    descs.push(&mut lp.wx);
                     match &mut lp.body {
                         GruLayerBody::Baseline { cells } => {
                             for cell in cells {
-                                scale(&mut cell.sgemv, regions);
+                                descs.extend([&mut cell.sgemv, &mut cell.ew]);
                             }
                         }
                         GruLayerBody::Drs { cells, .. } => {
                             for cell in cells {
-                                scale(&mut cell.uz, regions);
-                                cell.masked.set_precision(precision);
+                                descs.extend([&mut cell.uz, &mut cell.select, &mut cell.ew]);
+                                masked.push(&mut cell.masked);
                             }
                         }
                     }
                 }
             }
+        }
+        for kernel in descs {
+            for read in &mut kernel.reads {
+                if self.regions.is_gate_weight(read.region) {
+                    read.bytes = precision.scale_bytes(read.bytes);
+                }
+            }
+        }
+        for m in masked {
+            m.set_precision(precision);
         }
         self
     }
@@ -1120,13 +1172,17 @@ mod tests {
             assert_eq!(lb.wx.reads[0].bytes * 4, la.wx.reads[0].bytes);
             assert_eq!(lb.wx.reads[1].bytes, la.wx.reads[1].bytes);
             assert_eq!(lb.wx.flops, la.wx.flops);
-            let (LayerBody::Baseline { cells: ca }, LayerBody::Baseline { cells: cb }) =
-                (&la.body, &lb.body)
-            else {
-                unreachable!()
-            };
-            for (sa, sb) in ca.iter().zip(cb) {
-                assert_eq!(sb.sgemv.reads[0].bytes * 4, sa.sgemv.reads[0].bytes);
+            for (ta, tb) in la.tissues.iter().zip(&lb.tissues) {
+                let (
+                    TissueKernels::Plain { sgemm: sa, ew: ea },
+                    TissueKernels::Plain { sgemm: sb, ew: eb },
+                ) = (&ta.kernels, &tb.kernels)
+                else {
+                    unreachable!()
+                };
+                assert_eq!(sb.reads[0].bytes * 4, sa.reads[0].bytes);
+                // The element-wise update reads no gate weights.
+                assert_eq!(ea, eb);
             }
         }
         // The classifier head stays fp32.

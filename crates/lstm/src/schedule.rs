@@ -163,6 +163,25 @@ pub fn ew_kernel(
         .build()
 }
 
+/// Builds the activation-only element-wise kernel computing a single
+/// gate for `batch` cells (Algorithm 3 line 5): one sigmoid per element.
+pub fn gate_ew_kernel(
+    label: impl Into<String>,
+    hidden: usize,
+    batch: usize,
+    alloc: &mut RegionAllocator,
+) -> KernelDesc {
+    let (h, b) = (hidden as u64, batch as u64);
+    let bytes = b * 2 * h * F32 + h * F32;
+    KernelDesc::builder(label, KernelKind::ElementWise)
+        .flops(12 * h * b)
+        .read(alloc.fresh(), bytes)
+        .write(alloc.fresh(), b * h * F32)
+        .smem(bytes)
+        .threads(h * b, 128)
+        .build()
+}
+
 /// Builds the `DRS(o_t, α_intra, R)` trivial-row selection kernel
 /// (Algorithm 3 line 6).
 pub fn drs_kernel(

@@ -4,12 +4,12 @@
 //! The paper's premise is that the recurrent loop is launch-bound and
 //! bandwidth-bound; the host-side analogue of that waste is per-step heap
 //! churn. A [`PlanRuntime`](crate::plan::PlanRuntime) owns one
-//! [`Workspace`] per lane (the fused gate slab, the `(h, c)` double
-//! buffers, the tissue slots and per-cell masks of one sequence) plus one
-//! shared scratch for what the lanes price together (the lane-major mask
-//! list, its union, and the recycled kernel descriptors), so a warm
-//! runtime performs zero heap allocations per steady-state timestep
-//! (asserted by the `alloc_audit` bench).
+//! [`Workspace`] per lane (the fused gate slab, the per-timestep cell
+//! states and per-cell masks an LSTM layer's tissues fill, the GRU's `h`
+//! double buffer) plus one shared scratch for what the lanes price
+//! together (the lane-major mask list, its union, and the recycled kernel
+//! descriptors), so a warm runtime performs zero heap allocations per
+//! steady-state timestep (asserted by the `alloc_audit` bench).
 
 use crate::cell::CellScratch;
 use crate::gru::GruScratch;
@@ -27,24 +27,18 @@ pub struct Workspace {
     pub(crate) cell: CellScratch,
     /// GRU scratch: per-gate slabs, `r`, `z`, and `r ⊙ h` buffers.
     pub(crate) gru: GruScratch,
-    /// Hidden-state double buffer (current side).
+    /// GRU hidden-state double buffer (current side).
     pub(crate) h: Vector,
-    /// Cell-state double buffer (current side).
-    pub(crate) c: Vector,
-    /// Hidden-state double buffer (next side, swapped each step).
+    /// GRU hidden-state double buffer (next side, swapped each step).
     pub(crate) h_next: Vector,
-    /// Cell-state double buffer (next side, swapped each step).
-    pub(crate) c_next: Vector,
-    /// The hoisted gate driving Dynamic Row Skip: `o_t` for the LSTM,
-    /// `z_t` for the GRU.
+    /// The GRU's hoisted update gate `z_t`, driving Dynamic Row Skip.
     pub(crate) gate: Vector,
     /// Per-cell output gates of one tissue (parallel to its cells).
     pub(crate) os: Vec<Vector>,
     /// Per-cell active masks of one tissue (parallel to its cells).
     pub(crate) masks: Vec<Vec<bool>>,
-    /// Per-timestep hidden outputs of a reorganized layer.
-    pub(crate) h_slots: Vec<Vector>,
-    /// Per-timestep cell outputs of a reorganized layer.
+    /// Per-timestep cell states of an LSTM layer (its hidden outputs are
+    /// written straight into the run's `PlanOutput::layer_hs`).
     pub(crate) c_slots: Vec<Vector>,
     /// Which slots have been produced so far (schedule-order guard).
     pub(crate) filled: Vec<bool>,
@@ -62,13 +56,10 @@ impl Workspace {
             cell: CellScratch::new(),
             gru: GruScratch::new(),
             h: Vector::zeros(0),
-            c: Vector::zeros(0),
             h_next: Vector::zeros(0),
-            c_next: Vector::zeros(0),
             gate: Vector::zeros(0),
             os: Vec::new(),
             masks: Vec::new(),
-            h_slots: Vec::new(),
             c_slots: Vec::new(),
             filled: Vec::new(),
             zero_h: Vector::zeros(0),

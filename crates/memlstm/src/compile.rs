@@ -26,20 +26,20 @@
 
 use crate::breakpoints::find_breakpoints;
 use crate::division::{divide, SubLayer};
-use crate::error::{Error, MemlstmResult};
+use crate::error::{check_step_widths, Error, MemlstmResult};
 use crate::exec::OptimizerConfig;
 use crate::prediction::NetworkPredictors;
 use crate::relevance::{relevance_flops, RelevanceAnalyzer};
 use crate::tissue::{form_tissues, schedule_tissues, schedule_tissues_balanced, Tissue};
-use gpu_sim::{DeviceModel, KernelDesc, KernelKind, RegionId};
+use gpu_sim::{DeviceModel, KernelDesc, KernelKind, RegionId, SpanTag};
 use lstm::cell::GatePreacts;
 use lstm::plan::{
-    baseline_layer, DrsCellPlan, ExecutionPlan, LayerBody, LayerPlan, MaskedUKernel, PlanBody,
-    PlanLayerStats, PlanRuntime, PrevSource, TissueKernels, TissuePlan,
+    ExecutionPlan, LayerBody, LayerPlan, MaskedUKernel, PlanBody, PlanLayerStats, PlanRuntime,
+    PrevSource, TissueKernels, TissuePlan,
 };
 use lstm::regions::{NetworkRegions, RegionAllocator};
 use lstm::schedule::{
-    drs_kernel, ew_kernel, head_kernel, tissue_sgemm_kernel, u_sgemv_kernel, wx_sgemm_kernel, F32,
+    drs_kernel, ew_kernel, gate_ew_kernel, head_kernel, tissue_sgemm_kernel, wx_sgemm_kernel, F32,
 };
 use lstm::{LayerRegions, LstmNetwork};
 use pool::Pool;
@@ -57,8 +57,9 @@ use tensor::Vector;
 /// # Errors
 /// [`Error::NoProbes`] if `probes` is empty, [`Error::EmptyProbe`] or
 /// [`Error::ProbeLengthMismatch`] if a probe is empty or differs in
-/// length, and (when `config.inter` is set) [`Error::AnalyzerCount`] if
-/// `analyzers` does not cover every layer.
+/// length, [`Error::StepWidthMismatch`] if a probe step is not as wide
+/// as the network's input, and (when `config.inter` is set)
+/// [`Error::AnalyzerCount`] if `analyzers` does not cover every layer.
 pub fn compile(
     net: &LstmNetwork,
     predictors: &NetworkPredictors,
@@ -79,6 +80,9 @@ pub fn compile(
             expected: seq_len,
             actual: bad.len(),
         });
+    }
+    for probe in probes {
+        check_step_widths(net, probe)?;
     }
     if config.inter && analyzers.len() != net.layers().len() {
         return Err(Error::AnalyzerCount {
@@ -121,10 +125,11 @@ pub fn compile(
         } else {
             Vec::new()
         };
-        let (body, stats) = if config.inter {
+        let layer_plan = if config.inter {
             let relevances = combined_relevances(&analyzers[l], &wxs, probe_pool);
-            tissue_body(
+            tissue_layer(
                 l,
+                wx_kernel,
                 &relevances,
                 predictors,
                 config,
@@ -133,10 +138,16 @@ pub fn compile(
                 &regions.layers[l],
                 &mut alloc,
             )
-        } else if config.intra_enabled() {
-            drs_body(l, config, hidden, seq_len, &regions.layers[l], &mut alloc)
         } else {
-            baseline_layer(l, hidden, seq_len, &regions.layers[l], &mut alloc)
+            LayerPlan::per_cell(
+                l,
+                wx_kernel,
+                hidden,
+                seq_len,
+                &regions.layers[l],
+                config.intra_enabled().then_some(config.drs),
+                &mut alloc,
+            )
         };
         // Advance every probe through the planned layer with the runtime's
         // own arithmetic, so the next layer is analyzed against the
@@ -147,14 +158,10 @@ pub fn compile(
         if !last {
             currents = probe_pool.par_map((0..currents.len()).collect::<Vec<usize>>(), |p| {
                 let mut runtime = PlanRuntime::new();
-                runtime.layer_numerics(config.precision, &body, layer, &wxs[p])
+                runtime.layer_numerics(config.precision, &layer_plan, layer, &wxs[p])
             });
         }
-        layers.push(LayerPlan {
-            wx: wx_kernel,
-            body,
-            stats,
-        });
+        layers.push(layer_plan);
     }
     let head = head_kernel(regions.head, cfg.num_classes, cfg.hidden_size, &mut alloc);
     // Lower at fp32 shape, then re-price the gate-weight traffic for the
@@ -199,65 +206,13 @@ pub(crate) fn combined_relevances(
     combined
 }
 
-/// Intra-cell only: the Algorithm 3 per-cell flow.
-fn drs_body(
-    l: usize,
-    config: &OptimizerConfig,
-    hidden: usize,
-    seq_len: usize,
-    regions: &LayerRegions,
-    alloc: &mut RegionAllocator,
-) -> (LayerBody, PlanLayerStats) {
-    let cells = (0..seq_len)
-        .map(|t| DrsCellPlan {
-            // Line 4: Sgemv(U_o, h_{t-1}).
-            uo: u_sgemv_kernel(
-                format!("Sgemv(U_o,h) l{l} t{t}"),
-                regions.u_o,
-                hidden,
-                hidden,
-                alloc,
-            ),
-            // Line 5: lstm_ew(o_t).
-            gate_ew: gate_ew_kernel(format!("lstm_ew(o) l{l} t{t}"), hidden, 1, alloc),
-            // Line 6: DRS(o_t, alpha, R).
-            select: drs_kernel(format!("DRS l{l} t{t}"), hidden, alloc),
-            // Line 7: Sgemv(U_fic, h_{t-1}, R) — masked at runtime.
-            masked: MaskedUKernel::new(
-                format!("Sgemv(U_fic,h,R) l{l} t{t}"),
-                3,
-                hidden,
-                1,
-                regions.u_fic,
-                config.drs.mode,
-                true,
-                alloc,
-            ),
-            // Line 8: lstm_ew(f, i, c, h).
-            ew: ew_kernel(format!("lstm_ew l{l} t{t}"), hidden, 1, alloc),
-        })
-        .collect();
-    let stats = PlanLayerStats {
-        breakpoints: 0,
-        sublayers: 1,
-        tissues: seq_len,
-        mean_tissue_size: 1.0,
-    };
-    (
-        LayerBody::Drs {
-            alpha_intra: config.drs.alpha_intra,
-            cells,
-        },
-        stats,
-    )
-}
-
 /// Inter-cell flow (optionally with DRS inside each tissue): the offline
 /// steps 5–8 of Fig. 10 run here, once; step 9's kernels are lowered into
 /// the plan.
 #[allow(clippy::too_many_arguments)]
-fn tissue_body(
+fn tissue_layer(
     l: usize,
+    wx: KernelDesc,
     relevances: &[f64],
     predictors: &NetworkPredictors,
     config: &OptimizerConfig,
@@ -265,7 +220,7 @@ fn tissue_body(
     seq_len: usize,
     regions: &LayerRegions,
     alloc: &mut RegionAllocator,
-) -> (LayerBody, PlanLayerStats) {
+) -> LayerPlan {
     let n = seq_len;
 
     // Step 5: breakpoint search — priced as a light kernel over the
@@ -363,14 +318,11 @@ fn tissue_body(
                     ew: ew_kernel(format!("lstm_ew l{l} k{k}"), hidden, t_size, alloc),
                 }
             };
+            let first = tissue.cells.first().map(|&t| sublayer_of(t, &sublayers));
             TissuePlan {
                 cells: tissue.cells.clone(),
-                sublayers: tissue
-                    .cells
-                    .iter()
-                    .map(|&t| sublayer_of(t, &sublayers))
-                    .collect(),
                 prev,
+                tag: SpanTag::tissue(l, k, first),
                 kernels,
             }
         })
@@ -382,15 +334,18 @@ fn tissue_body(
         tissues: tissue_plans.len(),
         mean_tissue_size: n as f64 / tissue_plans.len().max(1) as f64,
     };
-    let body = LayerBody::Tissues {
-        search,
-        link,
-        alpha_intra: config.drs.alpha_intra,
-        predicted_h,
-        predicted_c,
+    LayerPlan {
+        wx,
+        body: LayerBody::Tissues {
+            search,
+            link,
+            alpha_intra: config.drs.alpha_intra,
+            predicted_h,
+            predicted_c,
+        },
         tissues: tissue_plans,
-    };
-    (body, stats)
+        stats,
+    }
 }
 
 /// The index of the sub-layer containing cell `t` under `sublayers`.
@@ -444,24 +399,5 @@ fn uo_tissue_kernel(
         .write(alloc.fresh(), t * h * F32)
         .smem(u_bytes * t + h_bytes)
         .threads(h * t, 256)
-        .build()
-}
-
-/// The activation-only element-wise kernel computing a single gate
-/// (Algorithm 3 line 5): one sigmoid per element.
-fn gate_ew_kernel(
-    label: String,
-    hidden: usize,
-    batch: usize,
-    alloc: &mut RegionAllocator,
-) -> KernelDesc {
-    let (h, b) = (hidden as u64, batch as u64);
-    let bytes = b * 2 * h * F32 + h * F32;
-    KernelDesc::builder(label, KernelKind::ElementWise)
-        .flops(12 * h * b)
-        .read(alloc.fresh(), bytes)
-        .write(alloc.fresh(), b * h * F32)
-        .smem(bytes)
-        .threads(h * b, 128)
         .build()
 }

@@ -6,7 +6,9 @@
 //! `compile_gru_drs`, `ZeroPruning::calibrate`, `ServeEngine::submit`,
 //! ...) has one form, returning [`MemlstmResult`].
 
+use lstm::LstmNetwork;
 use std::fmt;
+use tensor::Vector;
 
 /// Everything that can go wrong compiling, executing, or serving a plan.
 #[derive(Debug, Clone, PartialEq)]
@@ -36,6 +38,15 @@ pub enum Error {
         /// The plan's compiled sequence length.
         expected: usize,
         /// The input's length.
+        actual: usize,
+    },
+    /// A step of an input sequence is not as wide as the network's input.
+    StepWidthMismatch {
+        /// Index of the first offending step.
+        step: usize,
+        /// The network's input width.
+        expected: usize,
+        /// The step's width.
         actual: usize,
     },
     /// The plan's layer stack does not match the network.
@@ -121,6 +132,14 @@ impl fmt::Display for Error {
                 f,
                 "plan compiled for sequence length {expected}, got {actual}"
             ),
+            Error::StepWidthMismatch {
+                step,
+                expected,
+                actual,
+            } => write!(
+                f,
+                "step {step} has width {actual}, the network takes {expected}"
+            ),
             Error::LayerCountMismatch { plan, network } => write!(
                 f,
                 "plan/network layer count mismatch (plan has {plan}, network has {network})"
@@ -160,6 +179,25 @@ impl std::error::Error for Error {}
 /// Convenience alias for fallible memlstm operations.
 pub type MemlstmResult<T> = std::result::Result<T, Error>;
 
+/// Checks that every step of `xs` is as wide as `net`'s input: the one
+/// shape check each entry point that takes sequences runs before any
+/// numerics, so a malformed step is a typed error instead of a panic
+/// deep in the `W·x` walk.
+///
+/// # Errors
+/// [`Error::StepWidthMismatch`] naming the first step of another width.
+pub(crate) fn check_step_widths(net: &LstmNetwork, xs: &[Vector]) -> MemlstmResult<()> {
+    let expected = net.config().input_dim;
+    match xs.iter().position(|x| x.len() != expected) {
+        Some(step) => Err(Error::StepWidthMismatch {
+            step,
+            expected,
+            actual: xs[step].len(),
+        }),
+        None => Ok(()),
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -182,6 +220,11 @@ mod tests {
             Error::SeqLenMismatch {
                 expected: 8,
                 actual: 3,
+            },
+            Error::StepWidthMismatch {
+                step: 1,
+                expected: 10,
+                actual: 9,
             },
             Error::LayerCountMismatch {
                 plan: 2,
@@ -221,6 +264,7 @@ mod tests {
             Error::AnalyzerCount { .. } => "analyzer per layer required",
             Error::EmptyInput => "empty input",
             Error::SeqLenMismatch { .. } => "sequence length 8, got 3",
+            Error::StepWidthMismatch { .. } => "step 1 has width 9, the network takes 10",
             Error::LayerCountMismatch { .. } => "layer count mismatch",
             Error::GruPlan => "compiled for a GRU network",
             Error::DeviceMismatch { .. } => "compiled for device 'tegra_x1', not 'tegra_x2'",
@@ -242,7 +286,7 @@ mod tests {
         // fails to compile until it picks a pinned message; this count
         // keeps `all_variants` honest alongside it.
         let variants = all_variants();
-        assert_eq!(variants.len(), 16, "new variant missing from the table");
+        assert_eq!(variants.len(), 17, "new variant missing from the table");
         let mut displays: Vec<String> = variants.iter().map(Error::to_string).collect();
         displays.sort();
         displays.dedup();

@@ -9,19 +9,20 @@
 //! A [`PlanRuntime`] executes the plan with whatever
 //! [`KernelSink`](lstm::plan::KernelSink) the caller needs — a
 //! `Vec<KernelDesc>` trace, a `gpu_sim::TraceSession` for streamed
-//! pricing, or `NullSink` — and [`OptRunStats::from_plan_run`] reads the
-//! run statistics off the plan and the output.
+//! pricing, or `NullSink`. The run statistics are the plan's
+//! [`layer_stats`](ExecutionPlan::layer_stats) and the output's
+//! `layer_skips`.
 //!
 //! Compile once and reuse the plan across inputs (`Evaluator` in the
 //! `thresholds` module does); a one-shot run compiles with the input
 //! itself as the only probe.
 
 use crate::drs::DrsConfig;
-use crate::error::{Error, MemlstmResult};
+use crate::error::{check_step_widths, Error, MemlstmResult};
 use crate::prediction::NetworkPredictors;
 use crate::relevance::RelevanceAnalyzer;
 use gpu_sim::DeviceModel;
-use lstm::plan::{ExecutionPlan, PlanOutput, PlanRuntime};
+use lstm::plan::{ExecutionPlan, PlanRuntime};
 use lstm::LstmNetwork;
 use tensor::{Precision, Vector};
 
@@ -158,73 +159,6 @@ impl OptimizerConfigBuilder {
     }
 }
 
-/// Per-layer statistics of one optimized run (feeds the analysis figures).
-#[derive(Debug, Clone, Copy, PartialEq, Default)]
-pub struct LayerStats {
-    /// Breakpoints found.
-    pub breakpoints: usize,
-    /// Sub-layers after division.
-    pub sublayers: usize,
-    /// Tissues executed.
-    pub tissues: usize,
-    /// Mean tissue size.
-    pub mean_tissue_size: f64,
-    /// Mean per-cell row-skip fraction (0 when DRS disabled).
-    pub mean_skip_fraction: f64,
-}
-
-/// Aggregate statistics of one optimized run.
-#[derive(Debug, Clone, PartialEq, Default)]
-pub struct OptRunStats {
-    /// One entry per layer.
-    pub per_layer: Vec<LayerStats>,
-}
-
-impl OptRunStats {
-    /// Combines a plan's structural statistics with a run's skip
-    /// accounting.
-    pub fn from_plan_run(plan: &ExecutionPlan, output: &PlanOutput) -> Self {
-        let per_layer = plan
-            .layer_stats()
-            .iter()
-            .zip(&output.layer_skips)
-            .map(|(s, skip)| LayerStats {
-                breakpoints: s.breakpoints,
-                sublayers: s.sublayers,
-                tissues: s.tissues,
-                mean_tissue_size: s.mean_tissue_size,
-                mean_skip_fraction: skip.mean(),
-            })
-            .collect();
-        Self { per_layer }
-    }
-
-    /// Mean skip fraction across layers (the DRS compression measure
-    /// before the 3/4 united-matrix scaling).
-    pub fn mean_skip_fraction(&self) -> f64 {
-        if self.per_layer.is_empty() {
-            return 0.0;
-        }
-        self.per_layer
-            .iter()
-            .map(|l| l.mean_skip_fraction)
-            .sum::<f64>()
-            / self.per_layer.len() as f64
-    }
-
-    /// Mean tissue size across layers.
-    pub fn mean_tissue_size(&self) -> f64 {
-        if self.per_layer.is_empty() {
-            return 0.0;
-        }
-        self.per_layer
-            .iter()
-            .map(|l| l.mean_tissue_size)
-            .sum::<f64>()
-            / self.per_layer.len() as f64
-    }
-}
-
 /// Plans a network with the memory-friendly optimizations enabled.
 #[derive(Debug, Clone)]
 pub struct OptimizedExecutor<'a> {
@@ -275,10 +209,12 @@ impl<'a> OptimizedExecutor<'a> {
     /// on one sequence breaks links other inputs rely on.
     ///
     /// # Panics
-    /// Panics if `probes` is empty, or the sequences are empty or differ
-    /// in length: the offline set is fixed by the caller, so a malformed
-    /// one is a programming error. [`compile`](crate::compile::compile)
-    /// returns these conditions as typed errors.
+    /// Panics if `probes` is empty, or the sequences are empty, differ in
+    /// length or hold a step not as wide as the network's input: the
+    /// offline set is fixed by the caller, so a malformed one is a
+    /// programming error. [`compile`](crate::compile::compile) returns
+    /// these conditions as typed errors, and the panic carries the
+    /// error's message.
     pub fn plan_probes(&self, probes: &[Vec<Vector>]) -> ExecutionPlan {
         crate::compile::compile(
             self.net,
@@ -305,9 +241,10 @@ impl<'a> OptimizedExecutor<'a> {
 /// [`TraceSession`]: gpu_sim::TraceSession
 ///
 /// # Errors
-/// [`Error::EmptyInput`] if `xs` is empty, and
+/// [`Error::EmptyInput`] if `xs` is empty,
 /// [`Error::SeqLenMismatch`] if `xs` does not match the plan's compiled
-/// length.
+/// length, and [`Error::StepWidthMismatch`] if a step is not as wide as
+/// the network's input.
 pub fn profile_plan(
     plan: &ExecutionPlan,
     net: &LstmNetwork,
@@ -322,6 +259,7 @@ pub fn profile_plan(
             actual: xs.len(),
         });
     }
+    check_step_widths(net, xs)?;
     let mut gpu = gpu_sim::GpuDevice::for_model(&plan.device);
     let mut session = gpu.begin_trace();
     session.enable_profiling();
@@ -337,6 +275,7 @@ mod tests {
     use crate::drs::DrsMode;
     use crate::prediction::NetworkPredictors;
     use gpu_sim::{GpuConfig, GpuDevice, KernelDesc, KernelKind};
+    use lstm::plan::{PlanLayerStats, PlanOutput};
     use lstm::ModelConfig;
     use tensor::init::seeded_rng;
 
@@ -357,18 +296,17 @@ mod tests {
     }
 
     /// The one-shot path: compile with `xs` itself as the only probe, run
-    /// once, and keep the stream and the run statistics.
+    /// once, and keep the stream and the plan's layer statistics.
     fn run_once(
         net: &LstmNetwork,
         preds: &NetworkPredictors,
         cfg: OptimizerConfig,
         xs: &[Vector],
-    ) -> (PlanOutput, Vec<KernelDesc>, OptRunStats) {
+    ) -> (PlanOutput, Vec<KernelDesc>, Vec<PlanLayerStats>) {
         let plan = OptimizedExecutor::new(net, preds, cfg).plan_probes(&[xs.to_vec()]);
         let mut trace: Vec<KernelDesc> = Vec::new();
         let out = PlanRuntime::new().run_lstm(&plan, net, xs, &mut trace);
-        let stats = OptRunStats::from_plan_run(&plan, &out);
-        (out, trace, stats)
+        (out, trace, plan.layer_stats())
     }
 
     #[test]
@@ -428,7 +366,7 @@ mod tests {
                     mode: DrsMode::Hardware,
                 })
                 .build();
-            run_once(&net, &preds, cfg, &xs).2.mean_skip_fraction()
+            run_once(&net, &preds, cfg, &xs).0.mean_skip_fraction()
         };
         let lo = frac_at(0.01);
         let hi = frac_at(0.2);
@@ -450,9 +388,9 @@ mod tests {
             .max_tissue_size(4)
             .build();
         let (out, _, stats) = run_once(&net, &preds, cfg, &xs);
-        assert_eq!(stats.per_layer[0].breakpoints, 7);
-        assert_eq!(stats.per_layer[0].sublayers, 8);
-        assert_eq!(stats.per_layer[0].tissues, 2); // ceil(8 / 4)
+        assert_eq!(stats[0].breakpoints, 7);
+        assert_eq!(stats[0].sublayers, 8);
+        assert_eq!(stats[0].tissues, 2); // ceil(8 / 4)
         assert_eq!(out.layer_hs[0].len(), 8);
     }
 
@@ -468,7 +406,7 @@ mod tests {
             .iter()
             .filter(|k| k.label.starts_with("Sgemm(U,H)"))
             .count();
-        assert_eq!(sgemm_u, stats.per_layer[0].tissues);
+        assert_eq!(sgemm_u, stats[0].tissues);
         assert_eq!(sgemm_u, 3); // 12 cells / MTS 4
     }
 
@@ -483,9 +421,9 @@ mod tests {
                 mode: DrsMode::Hardware,
             })
             .build();
-        let (out, trace, stats) = run_once(&net, &preds, cfg, &xs);
+        let (out, trace, _) = run_once(&net, &preds, cfg, &xs);
         assert_eq!(out.layer_hs.len(), 2);
-        assert!(stats.mean_skip_fraction() > 0.05);
+        assert!(out.mean_skip_fraction() > 0.05);
         // Combined trace contains DRS kernels and CRM-routed fic kernels.
         assert!(trace.iter().any(|k| k.kind == KernelKind::Drs));
         assert!(trace.iter().any(|k| k.uses_crm));
@@ -591,7 +529,7 @@ mod tests {
             let out = runtime.run_lstm(&plan, &net, &xs, &mut trace);
             assert_eq!(out, once);
             assert_eq!(trace, once_trace);
-            assert_eq!(OptRunStats::from_plan_run(&plan, &out), once_stats);
+            assert_eq!(plan.layer_stats(), once_stats);
         }
     }
 

@@ -56,9 +56,10 @@
 //! [`PlanRuntime`](lstm::plan::PlanRuntime) run.
 //!
 //! Requests are validated before routing: unusable times surface as
-//! [`Error::InvalidRequest`] and the policy never sees them.
+//! [`Error::InvalidRequest`], a step of the wrong width as
+//! [`Error::StepWidthMismatch`], and the policy never sees them.
 
-use crate::error::{Error, MemlstmResult};
+use crate::error::{check_step_widths, Error, MemlstmResult};
 use crate::serve::{
     Request, RoundReport, ServeConfig, ServeEngine, ServeMetrics, ServeOutcome, Shed, ShedReason,
 };
@@ -258,6 +259,7 @@ pub struct FleetMetrics {
 /// A multi-device serving tier: N per-device [`ServeEngine`]s behind one
 /// [`RoutePolicy`]. See the [module docs](self) for the full model.
 pub struct FleetEngine<'a> {
+    net: &'a LstmNetwork,
     members: Vec<Member<'a>>,
     policy: Box<dyn RoutePolicy + 'a>,
     /// Consecutive failed rounds on one device before it is quarantined.
@@ -312,6 +314,7 @@ impl<'a> FleetEngine<'a> {
             });
         }
         Ok(Self {
+            net,
             members: built,
             policy,
             quarantine_after: 2,
@@ -354,8 +357,10 @@ impl<'a> FleetEngine<'a> {
     /// device. Returns the device index that accepted it.
     ///
     /// # Errors
-    /// [`Error::InvalidRequest`] for unusable times (checked before the
-    /// policy sees the request), [`Error::FleetAllQuarantined`] if no
+    /// [`Error::InvalidRequest`] for unusable times and
+    /// [`Error::StepWidthMismatch`] for a step not as wide as the
+    /// network's input (both checked before the policy sees the
+    /// request), [`Error::FleetAllQuarantined`] if no
     /// healthy device remains, [`Error::FleetRouteIndex`] if the policy
     /// picked an out-of-range or quarantined device, plus the chosen
     /// engine's own [`submit`](ServeEngine::submit) errors
@@ -363,6 +368,7 @@ impl<'a> FleetEngine<'a> {
     /// the fleet unchanged.
     pub fn submit(&mut self, request: Request) -> MemlstmResult<usize> {
         request.check_times()?;
+        check_step_widths(self.net, &request.xs)?;
         let healthy = Self::healthy_of(&self.members);
         if healthy.is_empty() {
             return Err(Error::FleetAllQuarantined);

@@ -11,7 +11,7 @@
 use crate::error::{Error, MemlstmResult};
 use gpu_sim::{DeviceModel, KernelDesc, KernelKind};
 use lstm::cell::CellWeights;
-use lstm::plan::{ExecutionPlan, LayerBody, PlanBody};
+use lstm::plan::{ExecutionPlan, PlanBody, TissueKernels};
 use lstm::schedule::F32;
 use lstm::LstmNetwork;
 use tensor::Matrix;
@@ -112,10 +112,10 @@ impl ZeroPruning {
     }
 
     /// Compiles the zero-pruned flow: Algorithm 1's baseline plan with
-    /// every per-cell `Sgemv(U, h)` replaced by a sparse (CSR) GEMV — less
-    /// data, but gathered irregularly (DRAM derate) by divergent warps
-    /// (per-thread nonzero imbalance), the cost structure behind Fig. 16's
-    /// 35% slowdown. Each CSR kernel keeps the region ids of the kernel it
+    /// every one-cell tissue's `Sgemv(U, h)` replaced by a sparse (CSR)
+    /// GEMV — less data, but gathered irregularly (DRAM derate) by
+    /// divergent warps (per-thread nonzero imbalance), the cost structure
+    /// behind Fig. 16's 35% slowdown. Each CSR kernel keeps the region ids of the kernel it
     /// replaces.
     ///
     /// The plan prices the sparse kernels; execute it on
@@ -137,25 +137,23 @@ impl ZeroPruning {
             unreachable!("compile_baseline plans an LSTM body");
         };
         for (l, (lp, layer)) in layers.iter_mut().zip(net.layers()).enumerate() {
-            let LayerBody::Baseline { cells } = &mut lp.body else {
-                unreachable!("compile_baseline plans baseline layers");
-            };
             let h = layer.hidden() as u64;
             let csr = self.csr_bytes(4 * h * h * F32);
             let flops = (2.0 * 4.0 * h as f64 * h as f64 * (1.0 - self.compression)) as u64;
-            for (t, cell) in cells.iter_mut().enumerate() {
-                let dense = &cell.sgemv;
-                cell.sgemv =
-                    KernelDesc::builder(format!("SpMV(U_csr,h) l{l} t{t}"), KernelKind::Sgemv)
-                        .flops(flops)
-                        .read(dense.reads[0].region, csr)
-                        .read(dense.reads[1].region, h * F32)
-                        .write(dense.writes[0].region, 4 * h * F32)
-                        .smem(csr + h * F32)
-                        .threads(4 * h, 256)
-                        .divergence(CSR_DIVERGENCE)
-                        .dram_derate(CSR_DRAM_DERATE)
-                        .build();
+            for (t, tp) in lp.tissues.iter_mut().enumerate() {
+                let TissueKernels::Plain { sgemm, .. } = &mut tp.kernels else {
+                    unreachable!("compile_baseline plans plain one-cell tissues");
+                };
+                *sgemm = KernelDesc::builder(format!("SpMV(U_csr,h) l{l} t{t}"), KernelKind::Sgemv)
+                    .flops(flops)
+                    .read(sgemm.reads[0].region, csr)
+                    .read(sgemm.reads[1].region, h * F32)
+                    .write(sgemm.writes[0].region, 4 * h * F32)
+                    .smem(csr + h * F32)
+                    .threads(4 * h, 256)
+                    .divergence(CSR_DIVERGENCE)
+                    .dram_derate(CSR_DRAM_DERATE)
+                    .build();
             }
         }
         Ok(plan)

@@ -65,7 +65,7 @@
 //! numbers. Degraded rounds are bit-identical to solo runs of the
 //! *fallback* plan.
 
-use crate::error::{Error, MemlstmResult};
+use crate::error::{check_step_widths, Error, MemlstmResult};
 use gpu_sim::profile::ChromeTrace;
 use gpu_sim::{DeviceModel, GpuDevice};
 use lstm::network::LstmNetwork;
@@ -873,9 +873,11 @@ impl<'a> ServeEngine<'a> {
     /// negative arrival, a non-finite deadline or one before the
     /// arrival), [`Error::EmptyInput`] for an empty sequence,
     /// [`Error::SeqLenMismatch`] if the sequence does not match the
-    /// plan's compiled length, and [`Error::QueueFull`] at capacity —
-    /// unless [`SheddingPolicy::evict_on_full`] finds a latest-deadline
-    /// victim to shed for a strictly tighter-deadline newcomer.
+    /// plan's compiled length, [`Error::StepWidthMismatch`] if a step is
+    /// not as wide as the network's input, and [`Error::QueueFull`] at
+    /// capacity — unless [`SheddingPolicy::evict_on_full`] finds a
+    /// latest-deadline victim to shed for a strictly tighter-deadline
+    /// newcomer.
     pub fn submit(&mut self, request: Request) -> MemlstmResult<()> {
         request.check_times()?;
         if request.xs.is_empty() {
@@ -887,6 +889,7 @@ impl<'a> ServeEngine<'a> {
                 actual: request.xs.len(),
             });
         }
+        check_step_widths(self.net, &request.xs)?;
         if self.queue.len() >= self.config.queue_capacity {
             if !self.config.shedding.evict_on_full {
                 return Err(Error::QueueFull {

@@ -12,13 +12,13 @@
 
 use crate::compile::combined_relevances;
 use crate::drs::{DrsConfig, DrsMode};
-use crate::exec::{OptRunStats, OptimizedExecutor, OptimizerConfig};
+use crate::exec::{OptimizedExecutor, OptimizerConfig};
 use crate::mts::determine_mts;
 use crate::prediction::NetworkPredictors;
 use crate::relevance::RelevanceAnalyzer;
 use crate::tissue::schedule_tissues;
 use gpu_sim::{DeviceModel, GpuDevice, Profiler, SimReport};
-use lstm::plan::NullSink;
+use lstm::plan::{NullSink, SkipStats};
 use lstm::{ExecutionPlan, PlanRuntime};
 use pool::Pool;
 use workloads::{teacher_match_nested, Workload};
@@ -311,8 +311,8 @@ impl Evaluator {
     /// Simulates an optimized configuration's performance (summed over
     /// the [`perf_seqs`](Self::perf_seqs) budget, like
     /// [`baseline_perf`](Self::baseline_perf)) and measures its accuracy
-    /// (over the accuracy budget). The returned [`OptRunStats`] are the
-    /// last priced sequence's.
+    /// (over the accuracy budget). The returned per-layer skip statistics
+    /// are the last priced sequence's `layer_skips`.
     ///
     /// This is the plan-once-evaluate-N flow the offline phase exists for:
     /// the breakpoint search, sub-layer division, tissue alignment and
@@ -322,7 +322,7 @@ impl Evaluator {
     /// sequence then streams through the shared [`PlanRuntime`]. Sequences
     /// inside the perf budget are priced incrementally on a fresh device;
     /// the rest run through a null sink and contribute numbers only.
-    pub fn evaluate(&self, config: OptimizerConfig) -> (PerfSummary, f64, OptRunStats) {
+    pub fn evaluate(&self, config: OptimizerConfig) -> (PerfSummary, f64, Vec<SkipStats>) {
         let net = self.workload.network();
         let exec =
             OptimizedExecutor::new(net, &self.predictors, config).on_device(self.device.clone());
@@ -344,9 +344,8 @@ impl Evaluator {
                 let output = runtime.run_lstm(&plan, net, xs, &mut session);
                 let report = session.finish();
                 let perf = PerfSummary::from_report(&report);
-                let stats = OptRunStats::from_plan_run(&plan, &output);
                 let preds = net.step_predictions(output.layer_hs.last().expect("layers"));
-                (Some((perf, stats)), preds)
+                (Some((perf, output.layer_skips)), preds)
             } else {
                 let output = runtime.run_lstm(&plan, net, xs, &mut NullSink);
                 let preds = net.step_predictions(output.layer_hs.last().expect("layers"));
@@ -358,20 +357,20 @@ impl Evaluator {
             energy_j: 0.0,
             dram_bytes: 0,
         };
-        let mut stats = OptRunStats::default();
+        let mut skips = Vec::new();
         let mut approx_preds: Vec<Vec<usize>> = Vec::with_capacity(n_acc);
         for (priced, preds) in per_seq {
-            if let Some((seq_perf, seq_stats)) = priced {
+            if let Some((seq_perf, seq_skips)) = priced {
                 perf.time_s += seq_perf.time_s;
                 perf.energy_j += seq_perf.energy_j;
                 perf.dram_bytes += seq_perf.dram_bytes;
-                stats = seq_stats;
+                skips = seq_skips;
             }
             approx_preds.push(preds);
         }
         let teacher = &self.workload.teacher_labels()[..n_acc];
         let accuracy = teacher_match_nested(teacher, &approx_preds);
-        (perf, accuracy, stats)
+        (perf, accuracy, skips)
     }
 
     /// Profiles one optimized run under `config`: compiles the same plan

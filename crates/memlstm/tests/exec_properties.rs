@@ -2,9 +2,10 @@
 //! must hold for any threshold configuration.
 
 use gpu_sim::{DeviceModel, KernelDesc};
+use lstm::plan::PlanLayerStats;
 use lstm::{ExecutionPlan, LstmNetwork, ModelConfig, PlanOutput, PlanRuntime};
 use memlstm::drs::{DrsConfig, DrsMode};
-use memlstm::exec::{OptRunStats, OptimizedExecutor, OptimizerConfig};
+use memlstm::exec::{OptimizedExecutor, OptimizerConfig};
 use memlstm::prediction::NetworkPredictors;
 use proptest::prelude::*;
 use tensor::init::seeded_rng;
@@ -22,18 +23,18 @@ fn setup(seed: u64) -> (LstmNetwork, Vec<Vector>, NetworkPredictors) {
     (net, xs, predictors)
 }
 
-/// Compiles `config` with `xs` as the only probe and runs it once.
+/// Compiles `config` with `xs` as the only probe and runs it once,
+/// returning the output, the stream and the plan's layer statistics.
 fn run_once(
     net: &LstmNetwork,
     predictors: &NetworkPredictors,
     config: OptimizerConfig,
     xs: &[Vector],
-) -> (PlanOutput, Vec<KernelDesc>, OptRunStats) {
+) -> (PlanOutput, Vec<KernelDesc>, Vec<PlanLayerStats>) {
     let plan = OptimizedExecutor::new(net, predictors, config).plan_probes(&[xs.to_vec()]);
     let mut trace: Vec<KernelDesc> = Vec::new();
     let out = PlanRuntime::new().run_lstm(&plan, net, xs, &mut trace);
-    let stats = OptRunStats::from_plan_run(&plan, &out);
-    (out, trace, stats)
+    (out, trace, plan.layer_stats())
 }
 
 proptest! {
@@ -58,10 +59,10 @@ proptest! {
                 prop_assert!(h.max_abs() <= 1.0);
             }
         }
-        for l in &stats.per_layer {
+        for (l, skips) in stats.iter().zip(&out.layer_skips) {
             prop_assert!(l.sublayers >= 1);
             prop_assert!(l.tissues >= l.sublayers.min(xs.len()) / xs.len().max(1));
-            prop_assert!((0.0..=1.0).contains(&l.mean_skip_fraction));
+            prop_assert!((0.0..=1.0).contains(&skips.mean()));
         }
         prop_assert_eq!(out.logits.len(), 3);
     }
@@ -126,7 +127,7 @@ proptest! {
             let mut config = OptimizerConfig::builder().alpha_inter(alpha).max_tissue_size(mts).build();
             config.balanced_schedule = true;
             let (_, _, stats) = run_once(&net, &predictors, config, &xs);
-            let layer0 = &stats.per_layer[0];
+            let layer0 = &stats[0];
             prop_assert!(
                 layer0.breakpoints >= prev_breakpoints,
                 "layer-0 breakpoints must not shrink with alpha"

@@ -163,7 +163,6 @@ mod plan_properties {
     use gpu_sim::{GpuConfig, GpuDevice};
     use lstm::GruNetwork;
     use memlstm::compile_gru_drs;
-    use memlstm::exec::OptRunStats;
     use memlstm::pruning::ZeroPruning;
     use proptest::prelude::*;
 
@@ -226,12 +225,6 @@ mod plan_properties {
                 let out2 = runtime.run_lstm(plan, exec_net, &xs, &mut session);
                 prop_assert_eq!(session.finish(), collected, "pricing diverged: {}", name);
                 prop_assert_eq!(&out2, &out, "runtime is not stateless: {}", name);
-                prop_assert_eq!(
-                    OptRunStats::from_plan_run(plan, &out2),
-                    OptRunStats::from_plan_run(plan, &out),
-                    "stats diverged: {}",
-                    name
-                );
             }
         }
 

@@ -1,0 +1,163 @@
+//! Step-width checks at every `memlstm` entry point that takes
+//! sequences: a step one element too short or too long is a typed
+//! `Error::StepWidthMismatch` naming the first bad step, never a panic
+//! in the `W·x` walk or a request that is accepted and then never
+//! resolves.
+
+use gpu_sim::DeviceModel;
+use lstm::plan::ExecutionPlan;
+use memlstm::compile::compile;
+use memlstm::exec::profile_plan;
+use memlstm::prelude::*;
+use memlstm::relevance::RelevanceAnalyzer;
+use std::panic::{catch_unwind, AssertUnwindSafe};
+
+const INPUT: usize = 10;
+const SEQ: usize = 6;
+
+/// A network of `layers` layers and one well-formed sequence.
+fn setup(layers: usize) -> (LstmNetwork, Vec<Vector>) {
+    let config = ModelConfig::new("input-checks", INPUT, 16, layers, SEQ, 3).unwrap();
+    let mut rng = seeded_rng(3);
+    let net = LstmNetwork::random(&config, &mut rng);
+    let xs = lstm::random_inputs(&config, &mut rng);
+    (net, xs)
+}
+
+/// `(bad step, its width)`: short and long steps, first and last.
+const CASES: [(usize, usize); 4] = [
+    (0, INPUT - 1),
+    (0, INPUT + 1),
+    (SEQ - 1, INPUT - 1),
+    (SEQ - 1, INPUT + 1),
+];
+
+/// `xs` with step `step` replaced by a vector of `width` elements.
+fn malformed(xs: &[Vector], step: usize, width: usize) -> Vec<Vector> {
+    let mut bad = xs.to_vec();
+    bad[step] = Vector::from_fn(width, |i| 0.01 * i as f32);
+    bad
+}
+
+fn expected(step: usize, width: usize) -> Error {
+    Error::StepWidthMismatch {
+        step,
+        expected: INPUT,
+        actual: width,
+    }
+}
+
+/// What a guarded call that rejects the bad step returns.
+fn rejected<T>(step: usize, width: usize) -> Result<MemlstmResult<T>, String> {
+    Ok(Err(expected(step, width)))
+}
+
+/// Runs `call` under `catch_unwind`, turning a panic into a message.
+fn guarded<T>(call: impl FnOnce() -> MemlstmResult<T>) -> Result<MemlstmResult<T>, String> {
+    catch_unwind(AssertUnwindSafe(call)).map_err(|payload| {
+        payload
+            .downcast_ref::<String>()
+            .cloned()
+            .or_else(|| payload.downcast_ref::<&str>().map(|s| (*s).to_owned()))
+            .unwrap_or_default()
+    })
+}
+
+fn request(id: u64, xs: Vec<Vector>) -> Request {
+    Request {
+        id,
+        xs,
+        arrival_s: 1e-6 * id as f64,
+        deadline_s: None,
+    }
+}
+
+#[test]
+fn every_entry_point_rejects_a_step_of_the_wrong_width() {
+    let device = DeviceModel::default_preset();
+    let drs = DrsConfig {
+        alpha_intra: 0.1,
+        mode: DrsMode::Hardware,
+    };
+    for layers in [1, 2] {
+        let (net, xs) = setup(layers);
+        let predictors = NetworkPredictors::zeros(&net);
+        let analyzers: Vec<RelevanceAnalyzer> =
+            net.layers().iter().map(RelevanceAnalyzer::new).collect();
+        let configs = [
+            ("intra", OptimizerConfig::builder().drs(drs).build()),
+            (
+                "combined",
+                OptimizerConfig::builder()
+                    .alpha_inter(1.0)
+                    .max_tissue_size(3)
+                    .drs(drs)
+                    .build(),
+            ),
+        ];
+        let baseline = ExecutionPlan::compile_baseline(&net, SEQ, &device);
+        for (step, width) in CASES {
+            let bad = malformed(&xs, step, width);
+            let ctx = format!("{layers} layers, step {step} of width {width}");
+
+            for (name, config) in &configs {
+                let probes = [xs.clone(), bad.clone()];
+                let got = guarded(|| {
+                    compile(&net, &predictors, &analyzers, config, &probes, &device).map(|_| ())
+                });
+                assert_eq!(got, rejected(step, width), "compile {name}, {ctx}");
+                // `plan_probes` treats a malformed offline set as a bug and
+                // panics with the typed error's message.
+                let panic = guarded(|| {
+                    OptimizedExecutor::new(&net, &predictors, *config).plan_probes(&probes);
+                    Ok(())
+                })
+                .expect_err("plan_probes panics on a malformed probe");
+                assert!(
+                    panic.contains(&expected(step, width).to_string()),
+                    "plan_probes {name}, {ctx}: {panic}"
+                );
+            }
+
+            let got = guarded(|| profile_plan(&baseline, &net, &bad).map(|_| ()));
+            assert_eq!(got, rejected(step, width), "profile_plan, {ctx}");
+
+            let serve_config = ServeConfig::builder(device.clone()).build().unwrap();
+            let mut engine = ServeEngine::new(&baseline, &net, serve_config).unwrap();
+            let got = guarded(|| engine.submit(request(1, bad.clone())));
+            assert_eq!(got, rejected(step, width), "ServeEngine::submit, {ctx}");
+            assert_eq!(
+                guarded(|| engine.submit(request(2, xs.clone()))),
+                Ok(Ok(()))
+            );
+            let ids: Vec<u64> = guarded(|| Ok(engine.drain()))
+                .expect("drain never panics")
+                .unwrap()
+                .iter()
+                .map(ServeOutcome::id)
+                .collect();
+            assert_eq!(ids, [2], "ServeEngine::drain, {ctx}");
+
+            let members = (0..2)
+                .map(|_| {
+                    let config = ServeConfig::builder(device.clone()).build().unwrap();
+                    (&baseline, config)
+                })
+                .collect();
+            let mut fleet =
+                FleetEngine::new(&net, members, Box::new(RoundRobin::default())).unwrap();
+            let got = guarded(|| fleet.submit(request(1, bad.clone())));
+            assert_eq!(got, rejected(step, width), "FleetEngine::submit, {ctx}");
+            // The policy never saw the rejected request: round-robin still
+            // starts at device 0.
+            assert_eq!(guarded(|| fleet.submit(request(2, xs.clone()))), Ok(Ok(0)));
+            let ids: Vec<u64> = guarded(|| Ok(fleet.drain()))
+                .expect("drain never panics")
+                .unwrap()
+                .iter()
+                .map(|o| o.outcome.id())
+                .collect();
+            assert_eq!(ids, [2], "FleetEngine::drain, {ctx}");
+        }
+    }
+}
