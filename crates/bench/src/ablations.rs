@@ -73,35 +73,41 @@ pub fn ablations(session: &mut Session) -> String {
 }
 
 /// A small demonstration that the machinery applies to GRUs (paper
-/// Sec. II-B's "simple adjustment"): update-gate-driven skipping on a GRU
-/// layer, measured for state divergence and skip rate.
+/// Sec. II-B's "simple adjustment"): the GRU baseline and Dynamic Row
+/// Skip plans run on one GRU layer, measured for skip rate and for the
+/// state divergence after 20 steps.
 pub fn gru_demo(_session: &mut Session) -> String {
-    use lstm::gru::GruWeights;
-    use memlstm::drs::{skip_fraction, trivial_row_mask};
+    use lstm::gru_exec::GruNetwork;
+    use lstm::plan::ExecutionPlan;
+    use memlstm::drs::{DrsConfig, DrsMode};
+    use memlstm::gru_drs::compile_gru_drs;
     use rand::Rng;
     use tensor::init::seeded_rng;
     use tensor::Vector;
 
-    let mut rng = seeded_rng(17);
-    let weights = GruWeights::random(64, 128, &mut rng);
+    const STEPS: usize = 20;
+    let net = GruNetwork::random(64, 128, 1, 2, &mut seeded_rng(17));
+    let mut data_rng = seeded_rng(18);
+    let xs: Vec<Vector> = (0..STEPS)
+        .map(|_| Vector::from_fn(64, |_| data_rng.gen_range(-1.0f32..1.0)))
+        .collect();
+    let device = DeviceModel::tegra_x1();
+    let mut runtime = PlanRuntime::new();
+    let baseline = ExecutionPlan::compile_gru_baseline(&net, STEPS, &device);
+    let exact = runtime.run_gru(&baseline, &net, &xs, &mut NullSink);
     let mut table = TextTable::new(["alpha", "skip%", "max |dh| after 20 steps"]);
     for alpha in [0.01f32, 0.05, 0.1, 0.2] {
-        let mut h_exact = Vector::zeros(128);
-        let mut h_masked = Vector::zeros(128);
-        let mut skip_sum = 0.0;
-        let mut data_rng = seeded_rng(18);
-        for _ in 0..20 {
-            let x = Vector::from_fn(64, |_| data_rng.gen_range(-1.0f32..1.0));
-            let z = weights.update_gate(&x, &h_masked);
-            let mask = trivial_row_mask(&z, alpha);
-            skip_sum += skip_fraction(&mask);
-            h_exact = weights.step(&x, &h_exact);
-            h_masked = weights.step_masked(&x, &h_masked, &z, &mask);
-        }
+        let drs = DrsConfig {
+            alpha_intra: alpha,
+            mode: DrsMode::Hardware,
+        };
+        let plan = compile_gru_drs(&net, drs, STEPS, &device).expect("non-empty sequence");
+        let out = runtime.run_gru(&plan, &net, &xs, &mut NullSink);
+        let dh = exact.layer_hs[0][STEPS - 1].sub(&out.layer_hs[0][STEPS - 1]);
         table.row([
             format!("{alpha}"),
-            format!("{:.1}", skip_sum / 20.0 * 100.0),
-            format!("{:.3}", h_exact.sub(&h_masked).max_abs()),
+            format!("{:.1}", out.layer_skips[0].sum / STEPS as f64 * 100.0),
+            format!("{:.3}", dh.max_abs()),
         ]);
     }
     format!(

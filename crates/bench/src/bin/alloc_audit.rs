@@ -16,7 +16,11 @@
 //! * `batch8_serve` — eight sequences in lockstep through the same
 //!   runtime, the serve engine's gang path;
 //! * `int8_batch8_serve` — the same gang on the plan re-priced to int8
-//!   weights, so the lazily packed int8-rounded slabs run.
+//!   weights, so the lazily packed int8-rounded slabs run;
+//! * `uneven_tissues` — a combined plan whose maximum tissue size does
+//!   not divide its sub-layers, so a smaller DRS tissue runs between
+//!   larger ones;
+//! * `gru_drs` — the GRU Dynamic-Row-Skip plan, on the same tissue walk.
 //!
 //! A plain run writes `BENCH_alloc.json` at the repo root, the committed
 //! baseline. With `--check` the results go to `target/bench/` instead,
@@ -28,11 +32,13 @@
 //! rides along in ordinary benchmark builds.
 
 use bench_harness::cli::{output_path, Cli};
-use lstm::plan::{ExecutionPlan, NullSink, PlanOutput, PlanRuntime};
+use lstm::plan::{ExecutionPlan, NullSink, PlanBody, PlanOutput, PlanRuntime};
 use lstm::{gru_exec::GruNetwork, LstmNetwork, ModelConfig};
 use memlstm::drs::{DrsConfig, DrsMode};
 use memlstm::exec::{OptimizedExecutor, OptimizerConfig};
+use memlstm::gru_drs::compile_gru_drs;
 use memlstm::prediction::NetworkPredictors;
+use memlstm::relevance::RelevanceAnalyzer;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 use tensor::init::seeded_rng;
@@ -108,6 +114,17 @@ fn audit(path: &'static str, seq_len: usize, run: impl FnMut()) -> Audit {
     audit
 }
 
+/// The cell count of every tissue of an LSTM plan, layer after layer.
+fn tissue_sizes(plan: &ExecutionPlan) -> Vec<usize> {
+    let PlanBody::Lstm(layers) = &plan.body else {
+        unreachable!("an LSTM plan")
+    };
+    layers
+        .iter()
+        .flat_map(|l| l.tissues.iter().map(|t| t.cells.len()))
+        .collect()
+}
+
 const CLI: Cli = Cli::switches("usage: alloc_audit [--check]", &["--check"]);
 
 fn main() {
@@ -120,6 +137,25 @@ fn main() {
     let seqs: Vec<Vec<Vector>> = (0..8)
         .map(|_| lstm::random_inputs(&config, &mut rng))
         .collect();
+    let drs = DrsConfig {
+        alpha_intra: 0.06,
+        mode: DrsMode::Hardware,
+    };
+    let offline: Vec<Vec<Vector>> = (0..4)
+        .map(|_| lstm::random_inputs(&config, &mut rng))
+        .collect();
+    let predictors = NetworkPredictors::collect(&net, &offline);
+    // Breaks enough links that the layers run multi-cell tissues of up
+    // to 4 cells: a lower `alpha_inter` leaves sub-layers that 4 does
+    // not divide.
+    let combined = |divisor: f64| {
+        let config = OptimizerConfig::builder()
+            .alpha_inter(RelevanceAnalyzer::max_relevance() / divisor)
+            .max_tissue_size(4)
+            .drs(drs)
+            .build();
+        OptimizedExecutor::new(&net, &predictors, config).plan_probes(std::slice::from_ref(&xs))
+    };
     let mut audits = Vec::new();
 
     {
@@ -132,20 +168,11 @@ fn main() {
     }
 
     {
-        let offline: Vec<Vec<Vector>> = (0..4)
-            .map(|_| lstm::random_inputs(&config, &mut rng))
-            .collect();
-        let predictors = NetworkPredictors::collect(&net, &offline);
-        let combined = OptimizerConfig::builder()
-            .alpha_inter(1.0)
-            .max_tissue_size(4)
-            .drs(DrsConfig {
-                alpha_intra: 0.06,
-                mode: DrsMode::Hardware,
-            })
-            .build();
-        let exec = OptimizedExecutor::new(&net, &predictors, combined);
-        let plan = exec.plan_probes(std::slice::from_ref(&xs));
+        let plan = combined(3.0);
+        assert!(
+            tissue_sizes(&plan).iter().all(|&s| s > 1),
+            "combined_drs: the plan must batch cells into tissues"
+        );
         let mut runtime = PlanRuntime::new();
         let mut out = PlanOutput::new();
         audits.push(audit("combined_drs", xs.len(), || {
@@ -179,6 +206,31 @@ fn main() {
         let mut outs = Vec::new();
         audits.push(audit("int8_batch8_serve", xs.len(), || {
             runtime.run_lstm_batch_into(&plan, &net, &seqs, &mut NullSink, &mut outs);
+        }));
+    }
+
+    {
+        let plan = combined(6.0);
+        let sizes = tissue_sizes(&plan);
+        assert!(
+            sizes.iter().any(|&s| s != sizes[0]),
+            "uneven_tissues: every tissue has {} cells",
+            sizes[0]
+        );
+        let mut runtime = PlanRuntime::new();
+        let mut out = PlanOutput::new();
+        audits.push(audit("uneven_tissues", xs.len(), || {
+            runtime.run_lstm_into(&plan, &net, &xs, &mut NullSink, &mut out);
+        }));
+    }
+
+    {
+        let gru = GruNetwork::random(24, 48, 2, 5, &mut rng);
+        let plan = compile_gru_drs(&gru, drs, xs.len(), &device).expect("non-empty sequence");
+        let mut runtime = PlanRuntime::new();
+        let mut out = PlanOutput::new();
+        audits.push(audit("gru_drs", xs.len(), || {
+            runtime.run_gru_into(&plan, &gru, &xs, &mut NullSink, &mut out);
         }));
     }
 

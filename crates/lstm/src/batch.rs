@@ -1,5 +1,5 @@
-//! Lane-generic LSTM plan execution: the one interpreter behind solo
-//! runs, serving gangs, and plan-compile probes.
+//! Lane-generic plan execution: the one interpreter behind solo runs,
+//! serving gangs, and plan-compile probes, for LSTM and GRU plans alike.
 //!
 //! The paper's diagnosis (Fig. 4/6) is that mobile-GPU LSTM inference is
 //! DRAM-bound on *weight* reloads; tissues and Dynamic Row Skip attack
@@ -15,7 +15,10 @@
 //! ("lanes") at once, and a solo run is the batch of one. Each layer is
 //! one walk over its tissue list — preceded, for a reorganized layer, by
 //! the offline search/link kernels — whatever flow produced it: the
-//! per-cell flows are one-cell tissues. Sequences are
+//! per-cell flows are one-cell tissues. The walk reaches the cell math
+//! only through the crate-private `RecurrentCell` operations (batched
+//! `W·x`, hoisted gate, full step, masked step), so a GRU layer runs the
+//! same loop with `z_t` hoisted where the LSTM hoists `o_t`. Sequences are
 //! independent, so interchanging the timestep and lane loops cannot
 //! change any value: every lane's output is **bit-identical** to running
 //! that sequence alone. On the host each lane still runs its own `U·h`
@@ -26,8 +29,10 @@
 //! [`batch_kernel_into`] with amortized weight traffic. A single lane
 //! emits the planned descriptors as they are.
 
-use crate::cell::{CellWeights, GatePreacts};
+use crate::cell::{CellScratch, CellWeights, GatePreacts};
 use crate::drs::{skip_fraction, trivial_row_mask_into};
+use crate::gru::GruWeights;
+use crate::gru_exec::GruNetwork;
 use crate::network::LstmNetwork;
 use crate::plan::{
     ExecutionPlan, KernelSink, LayerBody, LayerPlan, MaskedUKernel, NullSink, PlanBody, PlanOutput,
@@ -162,6 +167,157 @@ impl<'a, K: KernelSink> LaneSink<'a, K> {
     }
 }
 
+/// The cell arithmetic the tissue walk runs, implemented by the LSTM's
+/// [`CellWeights`] and the GRU's [`GruWeights`]: the walk is the same for
+/// both, and only these operations differ. A GRU cell carries no `c`
+/// state and ignores the `c` operands.
+pub(crate) trait RecurrentCell {
+    /// Hidden width.
+    fn width(&self) -> usize;
+
+    /// The batched `W·x` terms of a layer's inputs into recycled buffers.
+    fn wx_into(&self, precision: Precision, xs: &[Vector], out: &mut Vec<GatePreacts>);
+
+    /// The hoisted gate Dynamic Row Skip masks on: the LSTM's `o_t`, the
+    /// GRU's `z_t`.
+    fn hoisted_gate_into(
+        &self,
+        precision: Precision,
+        wx: &GatePreacts,
+        h_prev: &Vector,
+        scratch: &mut CellScratch,
+        out: &mut Vector,
+    );
+
+    /// One exact step.
+    #[allow(clippy::too_many_arguments)]
+    fn full_step_into(
+        &self,
+        precision: Precision,
+        wx: &GatePreacts,
+        h_prev: &Vector,
+        c_prev: &Vector,
+        scratch: &mut CellScratch,
+        h_out: &mut Vector,
+        c_out: &mut Vector,
+    );
+
+    /// One masked step on the hoisted `gate` and its `active` rows.
+    #[allow(clippy::too_many_arguments)]
+    fn masked_step_into(
+        &self,
+        precision: Precision,
+        wx: &GatePreacts,
+        h_prev: &Vector,
+        c_prev: &Vector,
+        gate: &Vector,
+        active: &[bool],
+        scratch: &mut CellScratch,
+        h_out: &mut Vector,
+        c_out: &mut Vector,
+    );
+}
+
+impl RecurrentCell for CellWeights {
+    fn width(&self) -> usize {
+        self.hidden()
+    }
+
+    fn wx_into(&self, precision: Precision, xs: &[Vector], out: &mut Vec<GatePreacts>) {
+        self.precompute_wx_batch_into(precision, xs, out);
+    }
+
+    fn hoisted_gate_into(
+        &self,
+        precision: Precision,
+        wx: &GatePreacts,
+        h_prev: &Vector,
+        scratch: &mut CellScratch,
+        out: &mut Vector,
+    ) {
+        self.output_gate_into(precision, &wx.o, h_prev, scratch, out);
+    }
+
+    fn full_step_into(
+        &self,
+        precision: Precision,
+        wx: &GatePreacts,
+        h_prev: &Vector,
+        c_prev: &Vector,
+        scratch: &mut CellScratch,
+        h_out: &mut Vector,
+        c_out: &mut Vector,
+    ) {
+        self.step_fused_into(precision, wx, h_prev, c_prev, scratch, h_out, c_out);
+    }
+
+    fn masked_step_into(
+        &self,
+        precision: Precision,
+        wx: &GatePreacts,
+        h_prev: &Vector,
+        c_prev: &Vector,
+        gate: &Vector,
+        active: &[bool],
+        scratch: &mut CellScratch,
+        h_out: &mut Vector,
+        c_out: &mut Vector,
+    ) {
+        self.step_masked_into(
+            precision, wx, h_prev, c_prev, gate, active, scratch, h_out, c_out,
+        );
+    }
+}
+
+impl RecurrentCell for GruWeights {
+    fn width(&self) -> usize {
+        self.hidden()
+    }
+
+    fn wx_into(&self, precision: Precision, xs: &[Vector], out: &mut Vec<GatePreacts>) {
+        self.precompute_wx_batch_into(precision, xs, out);
+    }
+
+    fn hoisted_gate_into(
+        &self,
+        precision: Precision,
+        wx: &GatePreacts,
+        h_prev: &Vector,
+        scratch: &mut CellScratch,
+        out: &mut Vector,
+    ) {
+        self.update_gate_into(precision, wx, h_prev, scratch, out);
+    }
+
+    fn full_step_into(
+        &self,
+        precision: Precision,
+        wx: &GatePreacts,
+        h_prev: &Vector,
+        _c_prev: &Vector,
+        scratch: &mut CellScratch,
+        h_out: &mut Vector,
+        _c_out: &mut Vector,
+    ) {
+        self.step_into(precision, wx, h_prev, scratch, h_out);
+    }
+
+    fn masked_step_into(
+        &self,
+        precision: Precision,
+        wx: &GatePreacts,
+        h_prev: &Vector,
+        _c_prev: &Vector,
+        gate: &Vector,
+        active: &[bool],
+        scratch: &mut CellScratch,
+        h_out: &mut Vector,
+        _c_out: &mut Vector,
+    ) {
+        self.step_masked_into(precision, wx, h_prev, gate, active, scratch, h_out);
+    }
+}
+
 impl PlanRuntime {
     /// Executes an LSTM plan on `xs`, streaming kernels into `sink`.
     ///
@@ -243,6 +399,54 @@ impl PlanRuntime {
         self.run_lstm_lanes(plan, net, seqs, sink, outs);
     }
 
+    /// Executes a GRU plan on `xs`, streaming kernels into `sink`.
+    ///
+    /// Allocating convenience wrapper over
+    /// [`run_gru_into`](Self::run_gru_into).
+    ///
+    /// # Panics
+    /// Panics if `xs` is empty, if its length differs from the plan's
+    /// compiled sequence length, or if the plan was compiled for an LSTM
+    /// network or a different layer count.
+    pub fn run_gru(
+        &mut self,
+        plan: &ExecutionPlan,
+        net: &GruNetwork,
+        xs: &[Vector],
+        sink: &mut impl KernelSink,
+    ) -> PlanOutput {
+        let mut out = PlanOutput::new();
+        self.run_gru_into(plan, net, xs, sink, &mut out);
+        out
+    }
+
+    /// [`run_gru`](Self::run_gru) into a recycled [`PlanOutput`]: the
+    /// batch of one on the same tissue walk as an LSTM plan.
+    ///
+    /// # Panics
+    /// As [`run_gru`](Self::run_gru).
+    pub fn run_gru_into(
+        &mut self,
+        plan: &ExecutionPlan,
+        net: &GruNetwork,
+        xs: &[Vector],
+        sink: &mut impl KernelSink,
+        out: &mut PlanOutput,
+    ) {
+        let PlanBody::Gru(layer_plans) = &plan.body else {
+            panic!("PlanRuntime::run_gru: plan was compiled for an LSTM network");
+        };
+        self.run_lanes(
+            plan,
+            layer_plans,
+            net.layers(),
+            |h, logits| net.apply_head_into(h, logits),
+            slice::from_ref(&xs),
+            sink,
+            slice::from_mut(out),
+        );
+    }
+
     /// Executes one planned LSTM layer on one sequence *numerically
     /// only* — no kernels, no skip accounting — with the gate packs
     /// stored at `precision`. Plan compilers use this to advance their
@@ -266,7 +470,7 @@ impl PlanRuntime {
         let regions = NetworkRegions::allocate(&mut RegionAllocator::new(), 0);
         let mut null = NullSink;
         let (mut sink, all_masks) = LaneSink::new(&mut null, 1, &regions, &mut self.shared);
-        execute_lstm_body_into(
+        execute_body_into(
             0,
             precision,
             layer,
@@ -280,12 +484,40 @@ impl PlanRuntime {
         mem::take(&mut out.layer_hs[0])
     }
 
-    /// The shared run loop: one lane per sequence, `outs[i]` receiving
-    /// sequence `i`'s results.
+    /// The LSTM entries' half of the run loop: the plan must hold LSTM
+    /// layers.
     fn run_lstm_lanes<S: AsRef<[Vector]>>(
         &mut self,
         plan: &ExecutionPlan,
         net: &LstmNetwork,
+        seqs: &[S],
+        sink: &mut impl KernelSink,
+        outs: &mut [PlanOutput],
+    ) {
+        let PlanBody::Lstm(layer_plans) = &plan.body else {
+            panic!("PlanRuntime::run_lstm: plan was compiled for a GRU network");
+        };
+        self.run_lanes(
+            plan,
+            layer_plans,
+            net.layers(),
+            |h, logits| net.apply_head_into(h, logits),
+            seqs,
+            sink,
+            outs,
+        );
+    }
+
+    /// The shared run loop: one lane per sequence, `outs[i]` receiving
+    /// sequence `i`'s results; `head` maps the last hidden state to the
+    /// logits.
+    #[allow(clippy::too_many_arguments)] // internal: the runtime split needs each piece
+    fn run_lanes<C: RecurrentCell, S: AsRef<[Vector]>>(
+        &mut self,
+        plan: &ExecutionPlan,
+        layer_plans: &[LayerPlan],
+        cells: &[C],
+        head: impl Fn(&Vector, &mut Vector),
         seqs: &[S],
         sink: &mut impl KernelSink,
         outs: &mut [PlanOutput],
@@ -299,12 +531,9 @@ impl PlanRuntime {
                 plan.seq_len
             );
         }
-        let PlanBody::Lstm(layer_plans) = &plan.body else {
-            panic!("PlanRuntime::run_lstm: plan was compiled for a GRU network");
-        };
         assert_eq!(
             layer_plans.len(),
-            net.layers().len(),
+            cells.len(),
             "plan/network layer count mismatch"
         );
         let b = seqs.len();
@@ -317,7 +546,7 @@ impl PlanRuntime {
         }
         let (wx, ws) = (&mut self.wx[..b], &mut self.ws[..b]);
         let (mut sink, all_masks) = LaneSink::new(sink, b, &plan.regions, &mut self.shared);
-        for (l, (lp, layer)) in layer_plans.iter().zip(net.layers()).enumerate() {
+        for (l, (lp, cell)) in layer_plans.iter().zip(cells).enumerate() {
             sink.inner.begin_layer(l);
             sink.tag(SpanTag::wx(l));
             sink.emit(&lp.wx);
@@ -327,13 +556,13 @@ impl PlanRuntime {
                 } else {
                     &outs[s].layer_hs[l - 1]
                 };
-                layer.precompute_wx_batch_into(plan.precision, current, wx_s);
+                cell.wx_into(plan.precision, current, wx_s);
             }
-            execute_lstm_body_into(
+            execute_body_into(
                 l,
                 plan.precision,
                 lp,
-                layer,
+                cell,
                 wx,
                 ws,
                 all_masks,
@@ -350,7 +579,7 @@ impl PlanRuntime {
                 .last()
                 .and_then(|hs| hs.last())
                 .expect("non-empty sequence");
-            net.apply_head_into(h_final, &mut out.logits);
+            head(h_final, &mut out.logits);
         }
     }
 }
@@ -362,18 +591,18 @@ impl PlanRuntime {
 /// `outs[s].layer_hs[layer]`, its skip statistics in
 /// `outs[s].layer_skips[layer]`.
 #[allow(clippy::too_many_arguments)] // internal: the runtime split needs each piece
-fn execute_lstm_body_into<W: AsRef<[GatePreacts]>, K: KernelSink>(
+fn execute_body_into<C: RecurrentCell, W: AsRef<[GatePreacts]>, K: KernelSink>(
     layer: usize,
     precision: Precision,
     lp: &LayerPlan,
-    weights: &CellWeights,
+    weights: &C,
     wx: &[W],
     ws: &mut [Workspace],
     all_masks: &mut Vec<Vec<bool>>,
     sink: &mut LaneSink<'_, K>,
     outs: &mut [PlanOutput],
 ) {
-    let hidden = weights.hidden();
+    let hidden = weights.width();
     let b = wx.len();
     let n = wx[0].as_ref().len();
     let (alpha_intra, predicted) = match &lp.body {
@@ -435,7 +664,9 @@ fn execute_lstm_body_into<W: AsRef<[GatePreacts]>, K: KernelSink>(
             } => {
                 let alpha_intra = alpha_intra.expect("a DRS tissue runs in a layer with α_intra");
                 sink.emit(uo);
-                sink.emit(gate_ew);
+                if let Some(k) = gate_ew {
+                    sink.emit(k);
+                }
                 sink.emit(select);
                 let size = tp.cells.len();
                 for (s, w) in ws.iter_mut().enumerate() {
@@ -447,24 +678,28 @@ fn execute_lstm_body_into<W: AsRef<[GatePreacts]>, K: KernelSink>(
                         ..
                     } = w;
                     let out = &mut outs[s];
-                    os.resize_with(size, || Vector::zeros(0));
-                    masks.resize_with(size, Vec::new);
+                    // Grow only: a smaller tissue after a larger one keeps
+                    // the extra buffers for the next large one.
+                    if os.len() < size {
+                        os.resize_with(size, || Vector::zeros(0));
+                        masks.resize_with(size, Vec::new);
+                    }
                     for (i, (&t, src)) in tp.cells.iter().zip(&tp.prev).enumerate() {
                         let h_prev = match src {
                             PrevSource::Zeros => &*zero_h,
                             PrevSource::Predicted => predicted_state(predicted).0,
                             PrevSource::Prior => &out.layer_hs[layer][t - 1],
                         };
-                        weights.output_gate_into(
+                        weights.hoisted_gate_into(
                             precision,
-                            &wx[s].as_ref()[t].o,
+                            &wx[s].as_ref()[t],
                             h_prev,
                             cell,
                             &mut os[i],
                         );
                         trivial_row_mask_into(&os[i], alpha_intra, &mut masks[i]);
                     }
-                    for mask in masks.iter() {
+                    for mask in &masks[..size] {
                         out.layer_skips[layer].push(skip_fraction(mask));
                     }
                 }
@@ -473,7 +708,7 @@ fn execute_lstm_body_into<W: AsRef<[GatePreacts]>, K: KernelSink>(
                     all_masks.resize_with(b * size, Vec::new);
                 }
                 for (s, w) in ws.iter().enumerate() {
-                    for (i, mask) in w.masks.iter().enumerate() {
+                    for (i, mask) in w.masks[..size].iter().enumerate() {
                         all_masks[s * size + i].clone_from(mask);
                     }
                 }
@@ -501,12 +736,12 @@ fn predicted_state<'a>(predicted: Option<(&'a Vector, &'a Vector)>) -> (&'a Vect
 
 /// Runs every lane's steps of one tissue: lane `s` writes its hidden
 /// outputs into `outs[s].layer_hs[layer]` and its cell states into
-/// `ws[s].c_slots`. Fused full steps, or — for a DRS tissue — masked
-/// steps using the gates/masks already computed in `os`/`masks`.
+/// `ws[s].c_slots`. Full steps, or — for a DRS tissue — masked steps
+/// using the hoisted gates/masks already computed in `os`/`masks`.
 #[allow(clippy::too_many_arguments)] // internal: the runtime split needs each piece
-fn step_tissue<W: AsRef<[GatePreacts]>>(
+fn step_tissue<C: RecurrentCell, W: AsRef<[GatePreacts]>>(
     precision: Precision,
-    weights: &CellWeights,
+    weights: &C,
     wx: &[W],
     tp: &TissuePlan,
     predicted: Option<(&Vector, &Vector)>,
@@ -537,11 +772,11 @@ fn step_tissue<W: AsRef<[GatePreacts]>>(
             };
             let (h_out, c_out) = (&mut rest_h[0], &mut rest_c[0]);
             if masked {
-                weights.step_masked_into(
+                weights.masked_step_into(
                     precision, &wx[t], h_prev, c_prev, &os[i], &masks[i], cell, h_out, c_out,
                 );
             } else {
-                weights.step_fused_into(precision, &wx[t], h_prev, c_prev, cell, h_out, c_out);
+                weights.full_step_into(precision, &wx[t], h_prev, c_prev, cell, h_out, c_out);
             }
             filled[t] = true;
         }

@@ -34,7 +34,8 @@ impl GateVectors {
 }
 
 /// Alias used where the vectors are the `W_{f,i,c,o}·x_t` pre-activation
-/// terms computed by the per-layer `Sgemm` (paper Fig. 3, part 2).
+/// terms computed by the per-layer `Sgemm` (paper Fig. 3, part 2). A GRU
+/// layer's `W_{r,z,h}·x_t` terms use the `f`, `o` and `c` slots.
 pub type GatePreacts = GateVectors;
 
 /// The per-layer LSTM weights (shared by every unrolled cell of the layer).
@@ -89,7 +90,7 @@ impl Clone for CellWeights {
 /// single fused GEMV per step instead of four. Built lazily by
 /// [`CellWeights::fused_at`]; gate order is `f, i, c, o` (so the masked
 /// DRS step can run the `f, i, c` prefix under one shared row mask and
-/// [`CellWeights::output_gate`] addresses gate `3`).
+/// [`CellWeights::output_gate_into`] addresses gate `3`).
 #[derive(Debug, Clone)]
 struct FusedCellWeights {
     /// `W_f / W_i / W_c / W_o` (`hidden x input` each).
@@ -101,18 +102,20 @@ struct FusedCellWeights {
 /// Gate indices inside the fused `f, i, c, o` packs.
 const GATE_O: usize = 3;
 
-/// Reusable scratch for the zero-allocation `_into` cell-step APIs.
+/// Reusable scratch for the zero-allocation `_into` step APIs of LSTM
+/// and GRU cells.
 ///
-/// One `CellScratch` serves any number of layers sequentially: the
-/// fused-gate slab grows to the largest layer seen and is then reused
-/// without further heap traffic. Runtimes keep one of these per
-/// workspace and rent it to every step.
+/// One `CellScratch` serves any number of layers sequentially: the slab
+/// grows to the largest layer seen and is then reused without further
+/// heap traffic. Runtimes keep one of these per workspace and rent it to
+/// every step.
 #[derive(Debug, Default)]
 pub struct CellScratch {
-    /// Fused pre-activation slab: `4 * hidden` for dense steps
-    /// (`U_{f,i,c,o}·h`), `3 * hidden` for masked steps (`U_{f,i,c}·h`),
-    /// `hidden` for the output-gate-only launch.
-    slab: Vec<f32>,
+    /// Pre-activation slab: `4 * hidden` for dense LSTM steps
+    /// (`U_{f,i,c,o}·h`), `3 * hidden` for masked ones (`U_{f,i,c}·h`),
+    /// `hidden` for the hoisted-gate launch; the GRU steps keep `U·h`,
+    /// `r`, `z` and `r ⊙ h` here.
+    pub(crate) slab: Vec<f32>,
 }
 
 impl CellScratch {
@@ -408,18 +411,6 @@ impl CellWeights {
         4 * self.hidden as u64 * self.input as u64 * 4
     }
 
-    /// Computes the `W_{f,i,c,o}·x_t` pre-activation terms (no bias): a
-    /// batch of one through
-    /// [`precompute_wx_batch_into`](Self::precompute_wx_batch_into).
-    ///
-    /// # Panics
-    /// Panics if `x.len() != input_dim`.
-    pub fn precompute_wx(&self, x: &Vector) -> GatePreacts {
-        let mut out = Vec::with_capacity(1);
-        self.precompute_wx_batch_into(Precision::Fp32, std::slice::from_ref(x), &mut out);
-        out.pop().expect("a batch of one")
-    }
-
     /// The `W_{f,i,c,o}·x_t` terms of a whole batch of input columns, with
     /// the `W` quartet stored at `precision`, through the GEMM-shaped fused
     /// path: one paired walk over the `W_{f,i,c,o}` slab, each weight panel
@@ -461,29 +452,11 @@ impl CellWeights {
             });
     }
 
-    /// One exact cell step (Eqs. 1–5) from precomputed `W·x` terms.
-    pub fn step(&self, wx: &GatePreacts, h_prev: &Vector, c_prev: &Vector) -> (Vector, Vector) {
-        let mut scratch = CellScratch::new();
-        let mut h = Vector::zeros(0);
-        let mut c = Vector::zeros(0);
-        self.step_fused_into(
-            Precision::Fp32,
-            wx,
-            h_prev,
-            c_prev,
-            &mut scratch,
-            &mut h,
-            &mut c,
-        );
-        (h, c)
-    }
-
-    /// The zero-allocation exact cell step with the `U` quartet rounded to
-    /// `precision`: one fused `U_{f,i,c,o}·h` GEMV into the scratch slab,
-    /// then the Eqs. 1–5 elementwise pass into
-    /// the recycled `h_out`/`c_out` (activations and state arithmetic
-    /// stay fp32). At `Fp32` it is bit-identical to [`step`](Self::step)
-    /// (same kernels, same per-element association).
+    /// One exact cell step (Eqs. 1–5) from precomputed `W·x` terms, with
+    /// the `U` quartet rounded to `precision`: one fused `U_{f,i,c,o}·h`
+    /// GEMV into the scratch slab, then the elementwise pass into the
+    /// recycled `h_out`/`c_out` (activations and state arithmetic stay
+    /// fp32).
     ///
     /// `h_out`/`c_out` may alias the previous state only by value — pass
     /// distinct buffers; runtimes double-buffer and swap.
@@ -524,20 +497,11 @@ impl CellWeights {
         }
     }
 
-    /// Computes only the output gate `o_t = σ(W_o x + U_o h_{t-1} + b_o)` —
-    /// Algorithm 3 lines 4–5, executed *before* the `U_{f,i,c}` work so the
-    /// trivial rows can be identified.
-    pub fn output_gate(&self, wx_o: &Vector, h_prev: &Vector) -> Vector {
-        let mut scratch = CellScratch::new();
-        let mut o = Vector::zeros(0);
-        self.output_gate_into(Precision::Fp32, wx_o, h_prev, &mut scratch, &mut o);
-        o
-    }
-
-    /// [`output_gate`](Self::output_gate) into a recycled buffer with the
-    /// `U` quartet stored at `precision` (only the `U_o` panel is
-    /// streamed) — the zero-allocation form for DRS step loops. At
-    /// `Fp32` it is bit-identical to the owned form.
+    /// Computes only the output gate `o_t = σ(W_o x + U_o h_{t-1} + b_o)`
+    /// into a recycled buffer, with the `U` quartet stored at `precision`
+    /// (only the `U_o` panel is streamed) — Algorithm 3 lines 4–5,
+    /// executed *before* the `U_{f,i,c}` work so the trivial rows can be
+    /// identified.
     pub fn output_gate_into(
         &self,
         precision: Precision,
@@ -558,46 +522,15 @@ impl CellWeights {
         }
     }
 
-    /// One Dynamic-Row-Skip cell step (Algorithm 3 lines 7–8): the rows of
-    /// `U_{f,i,c}` where `active[j]` is `false` are skipped; the skipped
-    /// elements of `c_t` are approximated to zero (and with them `h_t`,
-    /// since `tanh(0) = 0`).
-    ///
-    /// `o` must be the output gate already computed by [`Self::output_gate`].
-    ///
-    /// # Panics
-    /// Panics on any length mismatch.
-    pub fn step_masked(
-        &self,
-        wx: &GatePreacts,
-        h_prev: &Vector,
-        c_prev: &Vector,
-        o: &Vector,
-        active: &[bool],
-    ) -> (Vector, Vector) {
-        let mut scratch = CellScratch::new();
-        let mut h = Vector::zeros(0);
-        let mut c = Vector::zeros(0);
-        self.step_masked_into(
-            Precision::Fp32,
-            wx,
-            h_prev,
-            c_prev,
-            o,
-            active,
-            &mut scratch,
-            &mut h,
-            &mut c,
-        );
-        (h, c)
-    }
-
-    /// The zero-allocation DRS step with the `U` quartet stored at
-    /// `precision`: the `f, i, c` prefix of the fused `U` slab is applied
-    /// under the shared row mask (one launch, in place on the packed
-    /// panels: only panels holding an active row are computed), then the
-    /// masked elementwise pass fills the recycled outputs. At `Fp32` it
-    /// is bit-identical to [`step_masked`](Self::step_masked).
+    /// One Dynamic-Row-Skip cell step (Algorithm 3 lines 7–8) with the
+    /// `U` quartet stored at `precision`: the `f, i, c` prefix of the
+    /// fused `U` slab is applied under the shared row mask (one launch, in
+    /// place on the packed panels: only panels holding an active row are
+    /// computed), then the masked elementwise pass fills the recycled
+    /// outputs. The rows where `active[j]` is `false` are skipped; their
+    /// `c_t` elements are approximated to zero (and with them `h_t`, since
+    /// `tanh(0) = 0`). `o` is the output gate from
+    /// [`output_gate_into`](Self::output_gate_into).
     ///
     /// # Panics
     /// Panics on any length mismatch.
@@ -656,6 +589,56 @@ mod tests {
         CellWeights::random(6, 8, &mut seeded_rng(seed))
     }
 
+    fn wx_of(cell: &CellWeights, x: &Vector) -> GatePreacts {
+        let mut out = Vec::new();
+        cell.precompute_wx_batch_into(Precision::Fp32, std::slice::from_ref(x), &mut out);
+        out.pop().expect("a batch of one")
+    }
+
+    fn step(cell: &CellWeights, wx: &GatePreacts, h: &Vector, c: &Vector) -> (Vector, Vector) {
+        let (mut h_out, mut c_out) = (Vector::zeros(0), Vector::zeros(0));
+        let mut scratch = CellScratch::new();
+        cell.step_fused_into(
+            Precision::Fp32,
+            wx,
+            h,
+            c,
+            &mut scratch,
+            &mut h_out,
+            &mut c_out,
+        );
+        (h_out, c_out)
+    }
+
+    fn output_gate(cell: &CellWeights, wx: &GatePreacts, h: &Vector) -> Vector {
+        let mut o = Vector::zeros(0);
+        cell.output_gate_into(Precision::Fp32, &wx.o, h, &mut CellScratch::new(), &mut o);
+        o
+    }
+
+    fn step_masked(
+        cell: &CellWeights,
+        wx: &GatePreacts,
+        (h, c): (&Vector, &Vector),
+        o: &Vector,
+        active: &[bool],
+    ) -> (Vector, Vector) {
+        let (mut h_out, mut c_out) = (Vector::zeros(0), Vector::zeros(0));
+        let mut scratch = CellScratch::new();
+        cell.step_masked_into(
+            Precision::Fp32,
+            wx,
+            h,
+            c,
+            o,
+            active,
+            &mut scratch,
+            &mut h_out,
+            &mut c_out,
+        );
+        (h_out, c_out)
+    }
+
     #[test]
     fn shapes_are_consistent() {
         let cell = small_cell(1);
@@ -673,9 +656,9 @@ mod tests {
         let x = Vector::from_fn(6, |_| rng.gen_range(-1.0f32..1.0));
         let h0 = Vector::from_fn(8, |_| rng.gen_range(-1.0f32..1.0));
         let c0 = Vector::from_fn(8, |_| rng.gen_range(-2.0f32..2.0));
-        let wx = cell.precompute_wx(&x);
-        let (h, _) = cell.step(&wx, &h0, &c0);
-        let o = cell.output_gate(&wx.o, &h0);
+        let wx = wx_of(&cell, &x);
+        let (h, _) = step(&cell, &wx, &h0, &c0);
+        let o = output_gate(&cell, &wx, &h0);
         for j in 0..8 {
             assert!(h[j].abs() <= 1.0);
             assert!(o[j] > 0.0 && o[j] < 1.0);
@@ -707,9 +690,9 @@ mod tests {
             o: Vector::zeros(hidden),
         };
         let cell = CellWeights::from_parts(w, u, b);
-        let wx = cell.precompute_wx(&Vector::zeros(2));
+        let wx = wx_of(&cell, &Vector::zeros(2));
         let c0 = Vector::from(vec![0.7, -0.3, 0.1, 0.9]);
-        let (_, c1) = cell.step(&wx, &Vector::zeros(hidden), &c0);
+        let (_, c1) = step(&cell, &wx, &Vector::zeros(hidden), &c0);
         for j in 0..hidden {
             assert!((c1[j] - c0[j]).abs() < 1e-4, "state leaked at {j}");
         }
@@ -724,9 +707,9 @@ mod tests {
         let x = Vector::from_fn(6, |_| rng.gen_range(-1.0f32..1.0));
         let h0 = Vector::from_fn(8, |_| rng.gen_range(-1.0f32..1.0));
         let c0 = Vector::zeros(8);
-        let wx = cell.precompute_wx(&x);
-        let o = cell.output_gate(&wx.o, &h0);
-        let (h, c) = cell.step(&wx, &h0, &c0);
+        let wx = wx_of(&cell, &x);
+        let o = output_gate(&cell, &wx, &h0);
+        let (h, c) = step(&cell, &wx, &h0, &c0);
         for j in 0..8 {
             assert_eq!(h[j].to_bits(), (o[j] * tanh(c[j])).to_bits());
         }
@@ -739,10 +722,10 @@ mod tests {
         let x = Vector::from_fn(6, |_| rng.gen_range(-1.0f32..1.0));
         let h0 = Vector::from_fn(8, |_| rng.gen_range(-1.0f32..1.0));
         let c0 = Vector::from_fn(8, |_| rng.gen_range(-1.0f32..1.0));
-        let wx = cell.precompute_wx(&x);
-        let o = cell.output_gate(&wx.o, &h0);
-        let (h_masked, c_masked) = cell.step_masked(&wx, &h0, &c0, &o, &[true; 8]);
-        let (h_exact, c_exact) = cell.step(&wx, &h0, &c0);
+        let wx = wx_of(&cell, &x);
+        let o = output_gate(&cell, &wx, &h0);
+        let (h_masked, c_masked) = step_masked(&cell, &wx, (&h0, &c0), &o, &[true; 8]);
+        let (h_exact, c_exact) = step(&cell, &wx, &h0, &c0);
         for j in 0..8 {
             assert!((h_masked[j] - h_exact[j]).abs() < 1e-6);
             assert!((c_masked[j] - c_exact[j]).abs() < 1e-6);
@@ -756,12 +739,12 @@ mod tests {
         let x = Vector::from_fn(6, |_| rng.gen_range(-1.0f32..1.0));
         let h0 = Vector::from_fn(8, |_| rng.gen_range(-1.0f32..1.0));
         let c0 = Vector::filled(8, 0.5);
-        let wx = cell.precompute_wx(&x);
-        let o = cell.output_gate(&wx.o, &h0);
+        let wx = wx_of(&cell, &x);
+        let o = output_gate(&cell, &wx, &h0);
         let mut active = [true; 8];
         active[2] = false;
         active[5] = false;
-        let (h, c) = cell.step_masked(&wx, &h0, &c0, &o, &active);
+        let (h, c) = step_masked(&cell, &wx, (&h0, &c0), &o, &active);
         assert_eq!(h[2], 0.0);
         assert_eq!(c[2], 0.0);
         assert_eq!(h[5], 0.0);
@@ -800,8 +783,8 @@ mod tests {
             let scale = if trial % 2 == 0 { 1.0 } else { 0.5 };
             let x = Vector::from_fn(32, |_| scale * rng.gen_range(-1.0f32..1.0));
             let h = Vector::from_fn(128, |_| rng.gen_range(-1.0f32..1.0));
-            let wx = cell.precompute_wx(&x);
-            let o = cell.output_gate(&wx.o, &h);
+            let wx = wx_of(&cell, &x);
+            let o = output_gate(&cell, &wx, &h);
             for &j in &deep {
                 assert!(o[j] < 0.05, "deep unit {j} woke up: o = {}", o[j]);
             }
@@ -823,12 +806,12 @@ mod tests {
         let mut rng = seeded_rng(78);
         let x = Vector::from_fn(12, |_| rng.gen_range(-1.0f32..1.0));
         let h0 = Vector::from_fn(20, |_| rng.gen_range(-1.0f32..1.0));
-        let wx = cell.precompute_wx(&x);
+        let wx = wx_of(&cell, &x);
         assert_eq!(wx.f, sgemv(&cell.w.f, &x));
         assert_eq!(wx.i, sgemv(&cell.w.i, &x));
         assert_eq!(wx.c, sgemv(&cell.w.c, &x));
         assert_eq!(wx.o, sgemv(&cell.w.o, &x));
-        let o = cell.output_gate(&wx.o, &h0);
+        let o = output_gate(&cell, &wx, &h0);
         let o_ref = Vector::from_fn(20, |j| {
             sigmoid(wx.o[j] + sgemv(&cell.u.o, &h0)[j] + cell.b.o[j])
         });
@@ -844,11 +827,11 @@ mod tests {
         let cell = CellWeights::random(12, 20, &mut seeded_rng(91));
         let mut rng = seeded_rng(92);
         let x = Vector::from_fn(12, |_| rng.gen_range(-1.0f32..1.0));
-        let _ = cell.precompute_wx(&x); // force the pack on the original
+        let _ = wx_of(&cell, &x); // force the pack on the original
         let mut edited = cell.clone();
         edited.u.f = Matrix::zeros(20, 20);
         edited.w.f = Matrix::zeros(20, 12);
-        let wx = edited.precompute_wx(&x);
+        let wx = wx_of(&edited, &x);
         assert_eq!(wx.f, sgemv(&edited.w.f, &x), "clone served stale panels");
         assert!(wx.f.iter().all(|&v| v == 0.0));
     }

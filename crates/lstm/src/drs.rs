@@ -59,17 +59,9 @@ impl Default for DrsConfig {
     }
 }
 
-/// The `DRS(o_t, α_intra, R)` kernel body (Algorithm 3 line 6): returns
-/// the *active* mask — `true` rows are kept, `false` rows are the trivial
-/// list `R`.
-pub fn trivial_row_mask(o: &Vector, alpha_intra: f32) -> Vec<bool> {
-    let mut out = Vec::new();
-    trivial_row_mask_into(o, alpha_intra, &mut out);
-    out
-}
-
-/// [`trivial_row_mask`] into a recycled buffer (cleared and refilled) —
-/// the zero-allocation form for steady-state step loops.
+/// The `DRS(o_t, α_intra, R)` kernel body (Algorithm 3 line 6): writes
+/// the *active* mask into a recycled buffer (cleared and refilled) —
+/// `true` rows are kept, `false` rows are the trivial list `R`.
 pub fn trivial_row_mask_into(o: &Vector, alpha_intra: f32, out: &mut Vec<bool>) {
     out.clear();
     out.extend(o.iter().map(|&v| v >= alpha_intra));
@@ -83,18 +75,11 @@ pub fn skip_fraction(active: &[bool]) -> f64 {
     active.iter().filter(|&&a| !a).count() as f64 / active.len() as f64
 }
 
-/// Column-wise union of per-cell masks: a row must be loaded by a tissue's
-/// batched `Sgemm(U_{f,i,c}, H_t, R)` if *any* member cell keeps it. This
-/// is the traffic overlap between the inter- and intra-cell optimizations
-/// the paper notes in Sec. VI-B3.
-pub fn union_active(masks: &[Vec<bool>]) -> Vec<bool> {
-    let mut out = Vec::new();
-    union_active_into(masks, &mut out);
-    out
-}
-
-/// [`union_active`] into a recycled buffer (cleared and refilled) — the
-/// zero-allocation form used by the masked-kernel pricing templates.
+/// Column-wise union of per-cell masks into a recycled buffer (cleared
+/// and refilled), as the masked-kernel pricing templates use it: a row
+/// must be loaded by a tissue's batched `Sgemm(U_{f,i,c}, H_t, R)` if
+/// *any* member cell keeps it. This is the traffic overlap between the
+/// inter- and intra-cell optimizations the paper notes in Sec. VI-B3.
 pub fn union_active_into(masks: &[Vec<bool>], out: &mut Vec<bool>) {
     out.clear();
     let Some(first) = masks.first() else {
@@ -160,9 +145,12 @@ mod tests {
     #[test]
     fn mask_thresholds_output_gate() {
         let o = Vector::from(vec![0.001, 0.2, 0.09, 0.5]);
-        assert_eq!(trivial_row_mask(&o, 0.1), vec![false, true, false, true]);
+        let mut mask = Vec::new();
+        trivial_row_mask_into(&o, 0.1, &mut mask);
+        assert_eq!(mask, vec![false, true, false, true]);
         // Zero threshold keeps everything.
-        assert_eq!(trivial_row_mask(&o, 0.0), vec![true; 4]);
+        trivial_row_mask_into(&o, 0.0, &mut mask);
+        assert_eq!(mask, vec![true; 4]);
     }
 
     #[test]
@@ -177,8 +165,11 @@ mod tests {
     fn union_keeps_row_needed_by_any_cell() {
         let a = vec![true, false, false];
         let b = vec![false, false, true];
-        assert_eq!(union_active(&[a, b]), vec![true, false, true]);
-        assert!(union_active(&[]).is_empty());
+        let mut union = vec![true; 5];
+        union_active_into(&[a, b], &mut union);
+        assert_eq!(union, vec![true, false, true]);
+        union_active_into(&[], &mut union);
+        assert!(union.is_empty());
     }
 
     #[test]

@@ -7,6 +7,7 @@
 //! update gate `z_t` is near zero keeps its previous hidden value, so the
 //! candidate-state rows for those units can be skipped.
 
+use crate::cell::{CellScratch, GatePreacts};
 use rand::Rng;
 use std::sync::OnceLock;
 use tensor::init::{GateBiasInit, RowScaledInit};
@@ -97,28 +98,6 @@ impl PartialEq for GruWeights {
     }
 }
 
-/// Reusable scratch for the zero-allocation GRU step APIs (the GRU twin
-/// of [`CellScratch`](crate::cell::CellScratch)).
-#[derive(Debug, Default)]
-pub struct GruScratch {
-    /// `2 * hidden` slab: the `W·x` and `U·h` pre-activations of the
-    /// gate currently being evaluated.
-    slab: Vec<f32>,
-    /// Reset gate `r_t`.
-    r: Vec<f32>,
-    /// `r_t ⊙ h_{t-1}`, the candidate GEMV operand.
-    rh: Vector,
-    /// Update gate `z_t` (dense step only; the masked step takes `z`).
-    z: Vec<f32>,
-}
-
-impl GruScratch {
-    /// New, empty scratch; buffers grow on first use.
-    pub fn new() -> Self {
-        Self::default()
-    }
-}
-
 impl GruWeights {
     /// Samples trained-like GRU weights; a fraction of update gates are
     /// biased strongly negative (mostly-copy units — the GRU analogue of
@@ -175,117 +154,127 @@ impl GruWeights {
         3 * self.hidden as u64 * self.hidden as u64 * 4
     }
 
-    /// The update gate `z_t` alone (computed first in the DRS-adapted
-    /// flow, mirroring Algorithm 3 lines 4–5).
-    pub fn update_gate(&self, x: &Vector, h_prev: &Vector) -> Vector {
-        let mut scratch = GruScratch::new();
-        let mut z = Vector::zeros(0);
-        self.update_gate_into(Precision::Fp32, x, h_prev, &mut scratch, &mut z);
-        z
+    /// The `W_{r,z,h}·x_t` terms of a batch of input columns, with the `W`
+    /// triple stored at `precision`, through the same GEMM-shaped walk as
+    /// [`CellWeights::precompute_wx_batch_into`](crate::cell::CellWeights::precompute_wx_batch_into):
+    /// `W_r·x` lands in `f`, the hoisted update gate's `W_z·x` in `o` (the
+    /// slot the LSTM's hoisted output gate uses) and `W_h·x` in `c`; `i`
+    /// is unused. `out` is resized to `xs.len()` entries, buffers reused.
+    ///
+    /// # Panics
+    /// Panics if any `xs[i].len() != input_dim`.
+    pub(crate) fn precompute_wx_batch_into(
+        &self,
+        precision: Precision,
+        xs: &[Vector],
+        out: &mut Vec<GatePreacts>,
+    ) {
+        let n = self.hidden;
+        out.resize_with(xs.len(), || GatePreacts::zeros(n));
+        for gp in out.iter_mut() {
+            gp.f.resize_fill(n, 0.0);
+            gp.c.resize_fill(n, 0.0);
+            gp.o.resize_fill(n, 0.0);
+        }
+        self.fused_at(precision)
+            .w
+            .gemv_batch_with(xs, |i, gate, row0, vals| {
+                let gp = &mut out[i];
+                let section = match gate {
+                    GATE_R => &mut gp.f,
+                    GATE_Z => &mut gp.o,
+                    _ => &mut gp.c, // GATE_H: the slab holds three gates
+                };
+                section.as_mut_slice()[row0..row0 + vals.len()].copy_from_slice(vals);
+            });
     }
 
-    /// [`update_gate`](Self::update_gate) into a recycled buffer with the
-    /// gate packs rounded to `precision` (activations stay fp32) — the
-    /// zero-allocation form for DRS step loops. At `Fp32` it is
-    /// bit-identical to the owned form.
+    /// `σ(wx + U_g·h + b)` for gate `g` into `out`, with `U_g·h` staged
+    /// in `u_buf`.
+    #[allow(clippy::too_many_arguments)]
+    fn sigmoid_gate_into(
+        &self,
+        precision: Precision,
+        g: usize,
+        wx: &Vector,
+        b: &Vector,
+        h: &[f32],
+        u_buf: &mut [f32],
+        out: &mut [f32],
+    ) {
+        self.fused_at(precision).u.gate_gemv_into(g, h, u_buf);
+        for j in 0..self.hidden {
+            out[j] = sigmoid(wx[j] + u_buf[j] + b[j]);
+        }
+    }
+
+    /// The update gate `z_t` alone from precomputed `W·x` terms, with the
+    /// `U` triple stored at `precision` — computed first in the
+    /// DRS-adapted flow, mirroring Algorithm 3 lines 4–5.
     pub fn update_gate_into(
         &self,
         precision: Precision,
-        x: &Vector,
+        wx: &GatePreacts,
         h_prev: &Vector,
-        scratch: &mut GruScratch,
+        scratch: &mut CellScratch,
         z_out: &mut Vector,
     ) {
         let n = self.hidden;
-        let fused = self.fused_at(precision);
         scratch.slab.clear();
-        scratch.slab.resize(2 * n, 0.0);
-        let (wz, uz) = scratch.slab.split_at_mut(n);
-        fused.w.gate_gemv_into(GATE_Z, x.as_slice(), wz);
-        fused.u.gate_gemv_into(GATE_Z, h_prev.as_slice(), uz);
+        scratch.slab.resize(n, 0.0);
         z_out.resize_fill(n, 0.0);
-        for j in 0..n {
-            z_out[j] = sigmoid(wz[j] + uz[j] + self.b_z[j]);
-        }
+        self.sigmoid_gate_into(
+            precision,
+            GATE_Z,
+            &wx.o,
+            &self.b_z,
+            h_prev.as_slice(),
+            &mut scratch.slab,
+            z_out.as_mut_slice(),
+        );
     }
 
-    /// One exact GRU step.
-    pub fn step(&self, x: &Vector, h_prev: &Vector) -> Vector {
-        let mut scratch = GruScratch::new();
-        let mut h = Vector::zeros(0);
-        self.step_into(Precision::Fp32, x, h_prev, &mut scratch, &mut h);
-        h
-    }
-
-    /// The zero-allocation exact GRU step with the gate packs rounded to
-    /// `precision`: each gate is one pass through the fused `r, z, h`
-    /// packs into the scratch slab (all six GEMVs),
-    /// with `r ⊙ h` and `z` held in recycled scratch buffers. At `Fp32`
-    /// it is bit-identical to [`step`](Self::step) (the packed GEMV
-    /// reproduces the reference `sgemv` bitwise, and the per-element
-    /// expressions are unchanged).
+    /// One exact GRU step from precomputed `W·x` terms, with the `U`
+    /// triple stored at `precision` (activations stay fp32): one `U_g`
+    /// GEMV per gate through the fused `r, z, h` pack into the scratch
+    /// slab, which also holds `r`, `z` and `r ⊙ h`.
     pub fn step_into(
         &self,
         precision: Precision,
-        x: &Vector,
+        wx: &GatePreacts,
         h_prev: &Vector,
-        scratch: &mut GruScratch,
+        scratch: &mut CellScratch,
         h_out: &mut Vector,
     ) {
         let n = self.hidden;
-        let fused = self.fused_at(precision);
         scratch.slab.clear();
-        scratch.slab.resize(2 * n, 0.0);
-        scratch.r.clear();
-        scratch.r.resize(n, 0.0);
-        scratch.z.clear();
-        scratch.z.resize(n, 0.0);
-        let (wbuf, ubuf) = scratch.slab.split_at_mut(n);
-        fused.w.gate_gemv_into(GATE_R, x.as_slice(), wbuf);
-        fused.u.gate_gemv_into(GATE_R, h_prev.as_slice(), ubuf);
+        scratch.slab.resize(4 * n, 0.0);
+        let (u_buf, rest) = scratch.slab.split_at_mut(n);
+        let (r, rest) = rest.split_at_mut(n);
+        let (z, rh) = rest.split_at_mut(n);
+        let h = h_prev.as_slice();
+        self.sigmoid_gate_into(precision, GATE_R, &wx.f, &self.b_r, h, u_buf, r);
+        self.sigmoid_gate_into(precision, GATE_Z, &wx.o, &self.b_z, h, u_buf, z);
         for j in 0..n {
-            scratch.r[j] = sigmoid(wbuf[j] + ubuf[j] + self.b_r[j]);
+            rh[j] = r[j] * h_prev[j];
         }
-        fused.w.gate_gemv_into(GATE_Z, x.as_slice(), wbuf);
-        fused.u.gate_gemv_into(GATE_Z, h_prev.as_slice(), ubuf);
-        for j in 0..n {
-            scratch.z[j] = sigmoid(wbuf[j] + ubuf[j] + self.b_z[j]);
-        }
-        scratch.rh.resize_fill(n, 0.0);
-        for j in 0..n {
-            scratch.rh[j] = scratch.r[j] * h_prev[j];
-        }
-        fused.w.gate_gemv_into(GATE_H, x.as_slice(), wbuf);
-        fused.u.gate_gemv_into(GATE_H, scratch.rh.as_slice(), ubuf);
+        self.fused_at(precision).u.gate_gemv_into(GATE_H, rh, u_buf);
         h_out.resize_fill(n, 0.0);
         for j in 0..n {
-            let cand = tanh(wbuf[j] + ubuf[j] + self.b_h[j]);
-            h_out[j] = (1.0 - scratch.z[j]) * h_prev[j] + scratch.z[j] * cand;
+            let cand = tanh(wx.c[j] + u_buf[j] + self.b_h[j]);
+            h_out[j] = (1.0 - z[j]) * h_prev[j] + z[j] * cand;
         }
     }
 
-    /// The DRS-adapted GRU step: units where `active[j]` is `false`
-    /// (near-zero update gate) skip their reset/candidate rows and copy the
-    /// previous hidden value through.
-    ///
-    /// `z` must be the update gate from [`Self::update_gate`].
-    ///
-    /// # Panics
-    /// Panics on length mismatches.
-    pub fn step_masked(&self, x: &Vector, h_prev: &Vector, z: &Vector, active: &[bool]) -> Vector {
-        let mut scratch = GruScratch::new();
-        let mut h = Vector::zeros(0);
-        self.step_masked_into(Precision::Fp32, x, h_prev, z, active, &mut scratch, &mut h);
-        h
-    }
-
-    /// The zero-allocation DRS-adapted step with the gate packs stored
-    /// at `precision`. `U_r` applies to `h_{t-1}` and `U_h` to
-    /// `r ⊙ h_{t-1}`, so the two masked recurrent GEMVs run per gate
-    /// (they cannot share one launch the way the LSTM's `f, i, c` prefix
-    /// does); each runs in place on that gate's packed panels, computing
-    /// only the panels that hold an active row. At `Fp32` it is
-    /// bit-identical to [`step_masked`](Self::step_masked).
+    /// The DRS-adapted GRU step from precomputed `W·x` terms, with the
+    /// `U` triple stored at `precision`: units where `active[j]` is
+    /// `false` (near-zero update gate) skip their reset/candidate rows and
+    /// copy the previous hidden value through. `U_r` applies to `h_{t-1}`
+    /// and `U_h` to `r ⊙ h_{t-1}`, so the two masked recurrent GEMVs run
+    /// per gate (they cannot share one launch the way the LSTM's `f, i, c`
+    /// prefix does); each runs in place on that gate's packed panels,
+    /// computing only the panels that hold an active row. `z` is the
+    /// update gate from [`update_gate_into`](Self::update_gate_into).
     ///
     /// # Panics
     /// Panics on length mismatches.
@@ -293,45 +282,34 @@ impl GruWeights {
     pub fn step_masked_into(
         &self,
         precision: Precision,
-        x: &Vector,
+        wx: &GatePreacts,
         h_prev: &Vector,
         z: &Vector,
         active: &[bool],
-        scratch: &mut GruScratch,
+        scratch: &mut CellScratch,
         h_out: &mut Vector,
     ) {
         let n = self.hidden;
         assert_eq!(active.len(), n, "mask length mismatch");
         assert_eq!(z.len(), n, "update-gate length mismatch");
-        let fused = self.fused_at(precision);
+        let u = &self.fused_at(precision).u;
         scratch.slab.clear();
         scratch.slab.resize(2 * n, 0.0);
-        scratch.r.clear();
-        scratch.r.resize(n, 0.0);
-        let (wbuf, ubuf) = scratch.slab.split_at_mut(n);
-        fused.w.gate_gemv_into(GATE_R, x.as_slice(), wbuf);
-        fused
-            .u
-            .gate_gemv_masked_into(GATE_R, h_prev.as_slice(), active, 0.0, ubuf);
+        let (u_buf, rh) = scratch.slab.split_at_mut(n);
+        u.gate_gemv_masked_into(GATE_R, h_prev.as_slice(), active, 0.0, u_buf);
         for j in 0..n {
-            scratch.r[j] = if active[j] {
-                sigmoid(wbuf[j] + ubuf[j] + self.b_r[j])
+            let r = if active[j] {
+                sigmoid(wx.f[j] + u_buf[j] + self.b_r[j])
             } else {
                 0.0
             };
+            rh[j] = r * h_prev[j];
         }
-        scratch.rh.resize_fill(n, 0.0);
-        for j in 0..n {
-            scratch.rh[j] = scratch.r[j] * h_prev[j];
-        }
-        fused.w.gate_gemv_into(GATE_H, x.as_slice(), wbuf);
-        fused
-            .u
-            .gate_gemv_masked_into(GATE_H, scratch.rh.as_slice(), active, 0.0, ubuf);
+        u.gate_gemv_masked_into(GATE_H, rh, active, 0.0, u_buf);
         h_out.resize_fill(n, 0.0);
         for j in 0..n {
             h_out[j] = if active[j] {
-                let cand = tanh(wbuf[j] + ubuf[j] + self.b_h[j]);
+                let cand = tanh(wx.c[j] + u_buf[j] + self.b_h[j]);
                 (1.0 - z[j]) * h_prev[j] + z[j] * cand
             } else {
                 // Near-zero update gate: the unit copies its history.
@@ -344,6 +322,7 @@ impl GruWeights {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use tensor::gemm::sgemv;
     use tensor::init::seeded_rng;
 
     fn weights(seed: u64) -> GruWeights {
@@ -355,6 +334,32 @@ mod tests {
         Vector::from_fn(len, |_| rng.gen_range(-1.0f32..1.0))
     }
 
+    fn wx_of(w: &GruWeights, x: &Vector) -> GatePreacts {
+        let mut out = Vec::new();
+        w.precompute_wx_batch_into(Precision::Fp32, std::slice::from_ref(x), &mut out);
+        out.pop().expect("a batch of one")
+    }
+
+    fn update_gate(w: &GruWeights, wx: &GatePreacts, h: &Vector) -> Vector {
+        let mut z = Vector::zeros(0);
+        w.update_gate_into(Precision::Fp32, wx, h, &mut CellScratch::new(), &mut z);
+        z
+    }
+
+    fn step(w: &GruWeights, wx: &GatePreacts, h: &Vector) -> Vector {
+        let mut h_out = Vector::zeros(0);
+        w.step_into(Precision::Fp32, wx, h, &mut CellScratch::new(), &mut h_out);
+        h_out
+    }
+
+    fn step_masked(w: &GruWeights, wx: &GatePreacts, h: &Vector, active: &[bool]) -> Vector {
+        let z = update_gate(w, wx, h);
+        let mut h_out = Vector::zeros(0);
+        let mut scratch = CellScratch::new();
+        w.step_masked_into(Precision::Fp32, wx, h, &z, active, &mut scratch, &mut h_out);
+        h_out
+    }
+
     #[test]
     fn shapes_and_sizes() {
         let w = weights(1);
@@ -364,11 +369,26 @@ mod tests {
     }
 
     #[test]
+    fn batched_wx_matches_per_gate_sgemv() {
+        // The batched W·x walk over the fused r, z, h pack reproduces the
+        // naive per-gate products bitwise, column by column.
+        let w = GruWeights::random(11, 13, &mut seeded_rng(12));
+        let xs: Vec<Vector> = (0..5).map(|s| vec_of(11, 30 + s)).collect();
+        let mut wx = Vec::new();
+        w.precompute_wx_batch_into(Precision::Fp32, &xs, &mut wx);
+        for (x, gp) in xs.iter().zip(&wx) {
+            assert_eq!(gp.f, sgemv(&w.w_r, x));
+            assert_eq!(gp.o, sgemv(&w.w_z, x));
+            assert_eq!(gp.c, sgemv(&w.w_h, x));
+        }
+    }
+
+    #[test]
     fn hidden_state_stays_bounded() {
         let w = weights(2);
         let mut h = Vector::zeros(8);
         for s in 0..20 {
-            h = w.step(&vec_of(5, s), &h);
+            h = step(&w, &wx_of(&w, &vec_of(5, s)), &h);
             assert!(h.max_abs() <= 1.0, "GRU h escaped [-1,1]");
         }
     }
@@ -379,9 +399,9 @@ mod tests {
         // the masked step exploits.
         let w = weights(3);
         let h_prev = vec_of(8, 4);
-        let x = vec_of(5, 5);
-        let z = w.update_gate(&x, &h_prev);
-        let h_next = w.step(&x, &h_prev);
+        let wx = wx_of(&w, &vec_of(5, 5));
+        let z = update_gate(&w, &wx, &h_prev);
+        let h_next = step(&w, &wx, &h_prev);
         for j in 0..8 {
             if z[j] < 0.01 {
                 assert!((h_next[j] - h_prev[j]).abs() < 0.03);
@@ -393,10 +413,9 @@ mod tests {
     fn full_mask_matches_exact_step() {
         let w = weights(6);
         let h_prev = vec_of(8, 7);
-        let x = vec_of(5, 8);
-        let z = w.update_gate(&x, &h_prev);
-        let exact = w.step(&x, &h_prev);
-        let masked = w.step_masked(&x, &h_prev, &z, &[true; 8]);
+        let wx = wx_of(&w, &vec_of(5, 8));
+        let exact = step(&w, &wx, &h_prev);
+        let masked = step_masked(&w, &wx, &h_prev, &[true; 8]);
         for j in 0..8 {
             assert!((exact[j] - masked[j]).abs() < 1e-6);
         }
@@ -406,12 +425,11 @@ mod tests {
     fn masked_units_copy_previous_value() {
         let w = weights(9);
         let h_prev = vec_of(8, 10);
-        let x = vec_of(5, 11);
-        let z = w.update_gate(&x, &h_prev);
+        let wx = wx_of(&w, &vec_of(5, 11));
         let mut active = [true; 8];
         active[1] = false;
         active[6] = false;
-        let h = w.step_masked(&x, &h_prev, &z, &active);
+        let h = step_masked(&w, &wx, &h_prev, &active);
         assert_eq!(h[1], h_prev[1]);
         assert_eq!(h[6], h_prev[6]);
     }
@@ -419,7 +437,7 @@ mod tests {
     #[test]
     fn update_gate_population_has_saturated_units() {
         let w = GruWeights::random(16, 200, &mut seeded_rng(13));
-        let z = w.update_gate(&vec_of(16, 14), &Vector::zeros(200));
+        let z = update_gate(&w, &wx_of(&w, &vec_of(16, 14)), &Vector::zeros(200));
         let closed = z.iter().filter(|&&v| v < 0.05).count();
         assert!(closed > 20, "too few mostly-copy units: {closed}");
     }

@@ -6,12 +6,15 @@
 //! `Sgemm(W_{r,z,h}, x)` for the input-side terms, then a sequential
 //! per-cell `Sgemv(U_{r,z,h}, h_{t-1})` + element-wise update. The united
 //! recurrent matrix is `3·hidden x hidden` (three gates instead of four).
-//! Its plans compile in [`crate::plan`] and `memlstm::gru_drs` and run on
-//! [`PlanRuntime::run_gru`](crate::PlanRuntime::run_gru);
+//! Its plans compile in [`crate::plan`] and `memlstm::gru_drs` to the
+//! same one-cell [`LayerPlan`](crate::plan::LayerPlan) tissue lists as an
+//! LSTM's per-cell flows, and [`PlanRuntime::run_gru`](crate::PlanRuntime::run_gru)
+//! runs them on the one lane-generic tissue walk ([`crate::batch`]);
 //! [`GruNetwork::forward`] is the independent reference they are tested
 //! against.
 
-use crate::gru::{GruScratch, GruWeights};
+use crate::cell::CellScratch;
+use crate::gru::GruWeights;
 use crate::plan::{PlanOutput, SkipStats};
 use rand::Rng;
 use tensor::gemm::{sgemv_bias, sgemv_bias_into};
@@ -93,8 +96,8 @@ impl GruNetwork {
         sgemv_bias_into(&self.head_w, h, &self.head_b, out);
     }
 
-    /// Exact forward pass: per layer, the sequential per-cell loop from
-    /// the zero state. Returns what a non-DRS plan run returns: every
+    /// Exact forward pass: per layer, the hoisted `Sgemm(W_{r,z,h}, x)`,
+    /// then the sequential per-cell loop from the zero state. Returns what a non-DRS plan run returns: every
     /// layer's hidden outputs, the head's logits, and one empty
     /// [`SkipStats`] per layer.
     ///
@@ -102,15 +105,17 @@ impl GruNetwork {
     /// Panics if `xs` is empty.
     pub fn forward(&self, xs: &[Vector]) -> PlanOutput {
         assert!(!xs.is_empty(), "GruNetwork::forward: empty input");
-        let mut scratch = GruScratch::new();
+        let mut scratch = CellScratch::new();
+        let mut wx = Vec::new();
         let mut layer_hs: Vec<Vec<Vector>> = Vec::with_capacity(self.layers.len());
         for cell in &self.layers {
             let current = layer_hs.last().map_or(xs, Vec::as_slice);
+            cell.precompute_wx_batch_into(Precision::Fp32, current, &mut wx);
             let mut h = Vector::zeros(self.hidden);
             let mut h_next = Vector::zeros(self.hidden);
-            let mut hs = Vec::with_capacity(current.len());
-            for x in current {
-                cell.step_into(Precision::Fp32, x, &h, &mut scratch, &mut h_next);
+            let mut hs = Vec::with_capacity(wx.len());
+            for pre in &wx {
+                cell.step_into(Precision::Fp32, pre, &h, &mut scratch, &mut h_next);
                 std::mem::swap(&mut h, &mut h_next);
                 hs.push(h.clone());
             }

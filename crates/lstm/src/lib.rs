@@ -7,9 +7,9 @@
 //! `gpu-sim` crate prices on the modelled Tegra X1.
 //!
 //! Every flow compiles to an [`ExecutionPlan`] ([`plan`]) and runs on one
-//! runtime, [`PlanRuntime`]: its lane-generic LSTM interpreter
-//! ([`batch`]) executes B sequences in lockstep, and a solo run is the
-//! batch of one.
+//! runtime, [`PlanRuntime`]: its lane-generic tissue walk ([`batch`])
+//! executes B sequences in lockstep through LSTM and GRU layers alike,
+//! and a solo run is the batch of one.
 //!
 //! The optimized plan compilers (layer reorganization, Dynamic Row Skip)
 //! live in the `memlstm` crate and reuse the cell math, region allocation
@@ -51,7 +51,7 @@ pub mod workspace;
 pub use cell::{CellScratch, CellWeights, GatePreacts, GateVectors};
 pub use config::ModelConfig;
 pub use drs::{DrsConfig, DrsMode};
-pub use gru::{GruScratch, GruWeights};
+pub use gru::GruWeights;
 pub use gru_exec::GruNetwork;
 pub use network::LstmNetwork;
 pub use plan::{ExecutionPlan, KernelSink, PlanOutput, PlanRuntime};

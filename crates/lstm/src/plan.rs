@@ -10,13 +10,17 @@
 //!   Eq. 6 predicted links — plus the per-step kernel templates with
 //!   their [`RegionId`]s pre-allocated, so the kernel *stream* (labels,
 //!   order, region identity, span tags) is fixed at compile time.
-//! * Every LSTM layer is one ordered list of [`TissuePlan`]s, as in the
-//!   paper's Fig. 10: Algorithm 1 is the list with every tissue one cell
-//!   ([`LayerPlan::per_cell`]), Algorithm 3 is Dynamic Row Skip inside
-//!   such one-cell tissues, and the reorganized layer batches several
-//!   cells per tissue. [`LayerBody`] holds only what a flow adds besides
-//!   its tissues (`α_intra`, the offline kernels, the Eq. 6 vectors).
-//! * A [`PlanRuntime`] executes a plan over streaming inputs, performing
+//! * Every layer, LSTM or GRU, is one ordered list of [`TissuePlan`]s, as
+//!   in the paper's Fig. 10: Algorithm 1 is the list with every tissue one
+//!   cell ([`LayerPlan::per_cell`]), Algorithm 3 is Dynamic Row Skip
+//!   inside such one-cell tissues, and the reorganized LSTM layer batches
+//!   several cells per tissue. A GRU layer is a per-cell list whose
+//!   hoisted gate is `z_t` instead of `o_t` (the paper's "simple
+//!   adjustment", Sec. II-B). [`LayerBody`] holds only what a flow adds
+//!   besides its tissues (`α_intra`, the offline kernels, the Eq. 6
+//!   vectors).
+//! * A [`PlanRuntime`] executes a plan over streaming inputs with one
+//!   tissue walk for every layer ([`crate::batch`]), performing
 //!   the real `f32` arithmetic and feeding each kernel to a
 //!   [`KernelSink`] the moment it is "launched" — a collector for trace
 //!   inspection, or a [`gpu_sim::TraceSession`] for incremental pricing
@@ -35,10 +39,7 @@
 //! in the `memlstm` crate, which owns the offline analyses.
 
 use crate::cell::GatePreacts;
-use crate::drs::{
-    skip_cost, skip_fraction, trivial_row_mask_into, union_active_into, DrsConfig, DrsMode,
-};
-use crate::gru::GruWeights;
+use crate::drs::{skip_cost, union_active_into, DrsConfig, DrsMode};
 use crate::gru_exec::GruNetwork;
 use crate::network::LstmNetwork;
 use crate::regions::{LayerRegions, NetworkRegions, RegionAllocator};
@@ -48,7 +49,6 @@ use crate::schedule::{
 };
 use crate::workspace::{SharedScratch, Workspace};
 use gpu_sim::{DeviceModel, KernelDesc, KernelKind, MemAccess, RegionId, SpanTag, TraceSession};
-use std::mem;
 use tensor::{Precision, Vector};
 
 /// Receives kernels as the runtime "launches" them.
@@ -284,31 +284,6 @@ impl MaskedUKernel {
     }
 }
 
-/// One planned cell of the GRU baseline flow: the recurrent
-/// `Sgemv(U_rzh, h)` plus the element-wise update.
-#[derive(Debug, Clone, PartialEq)]
-pub struct SeqCellPlan {
-    /// The recurrent `Sgemv(U_rzh, h_{t-1})`.
-    pub sgemv: KernelDesc,
-    /// The element-wise cell update (`gru_ew`).
-    pub ew: KernelDesc,
-}
-
-/// One planned cell of the GRU Dynamic-Row-Skip flow: the update gate is
-/// computed first, then rows of `U_{r,h}` whose `z_t` element is trivial
-/// are skipped (the cell keeps its history there).
-#[derive(Debug, Clone, PartialEq)]
-pub struct GruDrsCellPlan {
-    /// `Sgemv(U_z, h_{t-1})` — the hoisted update-gate GEMV.
-    pub uz: KernelDesc,
-    /// The `DRS(z_t, α_intra, R)` selection kernel.
-    pub select: KernelDesc,
-    /// The row-masked `Sgemv(U_{r,h}, h_{t-1}, R)` template.
-    pub masked: MaskedUKernel,
-    /// The element-wise cell update.
-    pub ew: KernelDesc,
-}
-
 /// The kernels of one scheduled tissue (paper Fig. 10 step 9). A
 /// one-cell tissue carries the per-cell kernels of Algorithm 1 or 3.
 // Variant sizes differ by a few KernelDescs; boxing the large variant
@@ -327,14 +302,16 @@ pub enum TissueKernels {
     },
     /// Execution with Dynamic Row Skip (Algorithm 3).
     Drs {
-        /// The hoisted output-gate product `Sgemm(U_o, H_t)` (`Sgemv` for
-        /// one cell).
+        /// The hoisted gate product: the LSTM's `Sgemm(U_o, H_t)`
+        /// (`Sgemv` for one cell) or the GRU's `Sgemv(U_z, h)`.
         uo: KernelDesc,
-        /// Element-wise sigmoid producing the tissue's `o_t` columns.
-        gate_ew: KernelDesc,
+        /// Element-wise sigmoid producing the tissue's `o_t` columns
+        /// (`None` for the GRU, whose flow emits no separate gate kernel).
+        gate_ew: Option<KernelDesc>,
         /// The `DRS(o_t, α_intra, R)` selection kernel.
         select: KernelDesc,
-        /// The row-masked `Sgemm(U_{f,i,c}, H_t, R)` template.
+        /// The row-masked `Sgemm(U_{f,i,c}, H_t, R)` template (the GRU's
+        /// `Sgemv(U_{r,h}, h, R)`).
         masked: MaskedUKernel,
         /// The element-wise update.
         ew: KernelDesc,
@@ -359,7 +336,7 @@ pub struct TissuePlan {
     pub kernels: TissueKernels,
 }
 
-/// Structural statistics of one planned LSTM layer — the compile-time
+/// Structural statistics of one planned layer — the compile-time
 /// half of the run statistics (the runtime half is skip accounting).
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct PlanLayerStats {
@@ -373,12 +350,13 @@ pub struct PlanLayerStats {
     pub mean_tissue_size: f64,
 }
 
-/// What one LSTM layer's flow adds to its tissue list: the per-layer
-/// data the runtime reads besides the tissues themselves.
+/// What one layer's flow adds to its tissue list: the per-layer data the
+/// runtime reads besides the tissues themselves.
 #[allow(clippy::large_enum_variant)] // one LayerBody per layer; boxing buys nothing
 #[derive(Debug, Clone, PartialEq)]
 pub enum LayerBody {
-    /// Algorithm 1: one-cell tissues of `Sgemv(U_fico, h)` + `lstm_ew`.
+    /// Algorithm 1: one-cell tissues of `Sgemv(U, h)` + the element-wise
+    /// update.
     Baseline,
     /// Algorithm 3 on the sequential schedule: one-cell Dynamic Row Skip
     /// tissues.
@@ -386,7 +364,7 @@ pub enum LayerBody {
         /// The `α_intra` threshold the runtime masks with.
         alpha_intra: f32,
     },
-    /// The reorganized layer (paper Fig. 10): offline breakpoints and
+    /// The reorganized LSTM layer (paper Fig. 10): offline breakpoints and
     /// multi-cell tissues, optionally with in-tissue Dynamic Row Skip.
     Tissues {
         /// The offline relevance-analysis + breakpoint-search kernel.
@@ -403,12 +381,12 @@ pub enum LayerBody {
     },
 }
 
-/// One planned LSTM layer: its `W·x`, its flow's data, and the tissue
-/// list the runtime walks in order.
+/// One planned LSTM or GRU layer: its `W·x`, its flow's data, and the
+/// tissue list the runtime walks in order.
 #[derive(Debug, Clone, PartialEq)]
 pub struct LayerPlan {
     /// The per-layer `Sgemm(W, x)` (Algorithm 1 line 2 — shared by every
-    /// flow).
+    /// flow of the cell).
     pub wx: KernelDesc,
     /// The flow-specific data.
     pub body: LayerBody,
@@ -420,60 +398,81 @@ pub struct LayerPlan {
 
 impl LayerPlan {
     /// Lowers layer `l`'s per-cell flow into one one-cell tissue per
-    /// timestep: Algorithm 1 (`drs` is `None`: `Sgemv(U_fico,h)` and
-    /// `lstm_ew`) or Algorithm 3 (`Sgemv(U_o,h)`, `lstm_ew(o)`, `DRS`,
-    /// the masked `Sgemv(U_fic,h,R)` and `lstm_ew`). Cell 0 starts from
-    /// zeros; every later cell reads its predecessor.
-    /// [`ExecutionPlan::compile_baseline`] and the optimizing compiler
-    /// without `inter` both build layers here.
+    /// timestep. An LSTM layer runs Algorithm 1 (`drs` is `None`:
+    /// `Sgemv(U_fico,h)` and `lstm_ew`) or Algorithm 3 (`Sgemv(U_o,h)`,
+    /// `lstm_ew(o)`, `DRS`, the masked `Sgemv(U_fic,h,R)` and `lstm_ew`).
+    /// A GRU layer (`gru`) runs the same flows with the paper's "simple
+    /// adjustment": `Sgemv(U_rzh,h)` and `gru_ew`, or the hoisted
+    /// `Sgemv(U_z,h)` (no gate kernel), `DRS`, the masked
+    /// `Sgemv(U_rh,h,R)` and `gru_ew`. Cell 0 starts from zeros; every
+    /// later cell reads its predecessor. The baseline compilers and the
+    /// optimizing compilers without `inter` all build layers here.
+    #[allow(clippy::too_many_arguments)]
     pub fn per_cell(
         l: usize,
         wx: KernelDesc,
+        gru: bool,
         hidden: usize,
         seq_len: usize,
         regions: &LayerRegions,
         drs: Option<DrsConfig>,
         alloc: &mut RegionAllocator,
     ) -> Self {
+        // (update kernel, united U, its gates, hoisted gate, masked U, its gates)
+        let (ew, u_all, all_gates, hoisted, masked_u, masked_gates) = if gru {
+            ("gru_ew", "U_rzh", 3, "U_z", "U_rh", 2)
+        } else {
+            ("lstm_ew", "U_fico", 4, "U_o", "U_fic", 3)
+        };
         let tissues = (0..seq_len)
             .map(|t| {
                 let kernels = match drs {
-                    None => TissueKernels::Plain {
-                        sgemm: u_sgemv_kernel(
-                            format!("Sgemv(U_fico,h) l{l} t{t}"),
+                    None => {
+                        let mut sgemm = u_sgemv_kernel(
+                            format!("Sgemv({u_all},h) l{l} t{t}"),
                             regions.u_full,
-                            4 * hidden,
+                            all_gates * hidden,
                             hidden,
                             alloc,
-                        ),
-                        ew: ew_kernel(format!("lstm_ew l{l} t{t}"), hidden, 1, alloc),
-                    },
+                        );
+                        if gru {
+                            // The candidate term multiplies U_h by (r ⊙ h):
+                            // one extra element-wise pass folded into the GEMV.
+                            sgemm.flops += 2 * hidden as u64;
+                        }
+                        TissueKernels::Plain {
+                            sgemm,
+                            ew: ew_kernel(format!("{ew} l{l} t{t}"), hidden, 1, alloc),
+                        }
+                    }
                     Some(drs) => TissueKernels::Drs {
                         // Line 4: Sgemv(U_o, h_{t-1}).
                         uo: u_sgemv_kernel(
-                            format!("Sgemv(U_o,h) l{l} t{t}"),
+                            format!("Sgemv({hoisted},h) l{l} t{t}"),
                             regions.u_o,
                             hidden,
                             hidden,
                             alloc,
                         ),
                         // Line 5: lstm_ew(o_t).
-                        gate_ew: gate_ew_kernel(format!("lstm_ew(o) l{l} t{t}"), hidden, 1, alloc),
+                        gate_ew: (!gru).then(|| {
+                            gate_ew_kernel(format!("lstm_ew(o) l{l} t{t}"), hidden, 1, alloc)
+                        }),
                         // Line 6: DRS(o_t, alpha, R).
                         select: drs_kernel(format!("DRS l{l} t{t}"), hidden, alloc),
                         // Line 7: Sgemv(U_fic, h_{t-1}, R) — masked at runtime.
                         masked: MaskedUKernel::new(
-                            format!("Sgemv(U_fic,h,R) l{l} t{t}"),
-                            3,
+                            format!("Sgemv({masked_u},h,R) l{l} t{t}"),
+                            masked_gates,
                             hidden,
                             1,
                             regions.u_fic,
                             drs.mode,
-                            true,
+                            !gru,
                             alloc,
                         ),
                         // Line 8: lstm_ew(f, i, c, h).
-                        ew: ew_kernel(format!("lstm_ew l{l} t{t}"), hidden, 1, alloc),
+                        ew: ew_kernel(format!("{ew} l{l} t{t}"), hidden, 1, alloc),
                     },
                 };
                 TissuePlan {
@@ -507,32 +506,6 @@ impl LayerPlan {
     }
 }
 
-/// The planned body of one GRU layer.
-#[derive(Debug, Clone, PartialEq)]
-pub enum GruLayerBody {
-    /// The cuDNN-style sequential schedule.
-    Baseline {
-        /// One entry per timestep.
-        cells: Vec<SeqCellPlan>,
-    },
-    /// Per-cell Dynamic Row Skip driven by the update gate.
-    Drs {
-        /// The `α_intra` threshold the runtime masks with.
-        alpha_intra: f32,
-        /// One entry per timestep.
-        cells: Vec<GruDrsCellPlan>,
-    },
-}
-
-/// One planned GRU layer.
-#[derive(Debug, Clone, PartialEq)]
-pub struct GruLayerPlan {
-    /// The per-layer `Sgemm(W_{r,z,h}, x)`.
-    pub wx: KernelDesc,
-    /// The flow-specific body.
-    pub body: GruLayerBody,
-}
-
 /// The layer stack of a plan — LSTM and GRU plans share the envelope
 /// (regions, head, runtime) and differ only here.
 #[derive(Debug, Clone, PartialEq)]
@@ -540,7 +513,7 @@ pub enum PlanBody {
     /// An LSTM network's layers.
     Lstm(Vec<LayerPlan>),
     /// A GRU network's layers.
-    Gru(Vec<GruLayerPlan>),
+    Gru(Vec<LayerPlan>),
 }
 
 /// A compiled execution plan: every offline decision and kernel template
@@ -600,6 +573,7 @@ impl ExecutionPlan {
             layers.push(LayerPlan::per_cell(
                 l,
                 wx,
+                false,
                 layer.hidden(),
                 seq_len,
                 &regions.layers[l],
@@ -642,28 +616,16 @@ impl ExecutionPlan {
                 seq_len,
                 &mut alloc,
             );
-            let cells = (0..seq_len)
-                .map(|t| {
-                    let mut sgemv = u_sgemv_kernel(
-                        format!("Sgemv(U_rzh,h) l{l} t{t}"),
-                        regions.layers[l].u_full,
-                        3 * hidden,
-                        hidden,
-                        &mut alloc,
-                    );
-                    // The candidate term multiplies U_h by (r ⊙ h): one
-                    // extra element-wise pass folded into the GEMV.
-                    sgemv.flops += 2 * hidden as u64;
-                    SeqCellPlan {
-                        sgemv,
-                        ew: ew_kernel(format!("gru_ew l{l} t{t}"), hidden, 1, &mut alloc),
-                    }
-                })
-                .collect();
-            layers.push(GruLayerPlan {
+            layers.push(LayerPlan::per_cell(
+                l,
                 wx,
-                body: GruLayerBody::Baseline { cells },
-            });
+                true,
+                hidden,
+                seq_len,
+                &regions.layers[l],
+                None,
+                &mut alloc,
+            ));
         }
         let head = head_kernel(regions.head, net.num_classes(), hidden, &mut alloc);
         Self {
@@ -703,46 +665,26 @@ impl ExecutionPlan {
         // rescaled only when it streams a gate-weight region.
         let mut descs: Vec<&mut KernelDesc> = vec![&mut self.head];
         let mut masked: Vec<&mut MaskedUKernel> = Vec::new();
-        match &mut self.body {
-            PlanBody::Lstm(layers) => {
-                for lp in layers {
-                    descs.push(&mut lp.wx);
-                    if let LayerBody::Tissues { search, link, .. } = &mut lp.body {
-                        descs.push(search);
-                        descs.extend(link.as_mut());
-                    }
-                    for tp in &mut lp.tissues {
-                        match &mut tp.kernels {
-                            TissueKernels::Plain { sgemm, ew } => descs.extend([sgemm, ew]),
-                            TissueKernels::Drs {
-                                uo,
-                                gate_ew,
-                                select,
-                                masked: m,
-                                ew,
-                            } => {
-                                descs.extend([uo, gate_ew, select, ew]);
-                                masked.push(m);
-                            }
-                        }
-                    }
-                }
+        let (PlanBody::Lstm(layers) | PlanBody::Gru(layers)) = &mut self.body;
+        for lp in layers {
+            descs.push(&mut lp.wx);
+            if let LayerBody::Tissues { search, link, .. } = &mut lp.body {
+                descs.push(search);
+                descs.extend(link.as_mut());
             }
-            PlanBody::Gru(layers) => {
-                for lp in layers {
-                    descs.push(&mut lp.wx);
-                    match &mut lp.body {
-                        GruLayerBody::Baseline { cells } => {
-                            for cell in cells {
-                                descs.extend([&mut cell.sgemv, &mut cell.ew]);
-                            }
-                        }
-                        GruLayerBody::Drs { cells, .. } => {
-                            for cell in cells {
-                                descs.extend([&mut cell.uz, &mut cell.select, &mut cell.ew]);
-                                masked.push(&mut cell.masked);
-                            }
-                        }
+            for tp in &mut lp.tissues {
+                match &mut tp.kernels {
+                    TissueKernels::Plain { sgemm, ew } => descs.extend([sgemm, ew]),
+                    TissueKernels::Drs {
+                        uo,
+                        gate_ew,
+                        select,
+                        masked: m,
+                        ew,
+                    } => {
+                        descs.extend([uo, select, ew]);
+                        descs.extend(gate_ew.as_mut());
+                        masked.push(m);
                     }
                 }
             }
@@ -760,13 +702,10 @@ impl ExecutionPlan {
         self
     }
 
-    /// Per-layer structural statistics (empty for GRU plans, which do not
-    /// report layer reorganization).
+    /// Per-layer structural statistics.
     pub fn layer_stats(&self) -> Vec<PlanLayerStats> {
-        match &self.body {
-            PlanBody::Lstm(layers) => layers.iter().map(|l| l.stats).collect(),
-            PlanBody::Gru(_) => Vec::new(),
-        }
+        let (PlanBody::Lstm(layers) | PlanBody::Gru(layers)) = &self.body;
+        layers.iter().map(|l| l.stats).collect()
     }
 }
 
@@ -850,11 +789,11 @@ impl PlanOutput {
 /// Executes [`ExecutionPlan`]s over streaming inputs — the one runtime
 /// behind every solo run, serving gang, and plan-compile probe.
 ///
-/// An LSTM plan runs on B sequences ("lanes") in lockstep through the
-/// lane-generic interpreter in [`crate::batch`]; a solo run
-/// ([`run_lstm`](Self::run_lstm)) is the batch of one and emits the
-/// planned kernels as they are. GRU plans run one sequence at a time
-/// ([`run_gru`](Self::run_gru)).
+/// A plan runs on B sequences ("lanes") in lockstep through the one
+/// lane-generic tissue walk in [`crate::batch`], whether its layers are
+/// LSTM or GRU cells; a solo run ([`run_lstm`](Self::run_lstm),
+/// [`run_gru`](Self::run_gru)) is the batch of one and emits the planned
+/// kernels as they are.
 ///
 /// The runtime owns one [`Workspace`] and one `W·x` pre-activation
 /// buffer per lane plus one cross-lane scratch (the lane-major mask list,
@@ -881,163 +820,6 @@ impl PlanRuntime {
         if self.ws.len() < lanes {
             self.ws.resize_with(lanes, Workspace::new);
             self.wx.resize_with(lanes, Vec::new);
-        }
-    }
-
-    /// Executes a GRU plan on `xs`, streaming kernels into `sink`.
-    ///
-    /// Allocating convenience wrapper over
-    /// [`run_gru_into`](Self::run_gru_into).
-    ///
-    /// # Panics
-    /// Panics if `xs` is empty, if its length differs from the plan's
-    /// compiled sequence length, or if the plan was compiled for an LSTM
-    /// network or a different layer count.
-    pub fn run_gru(
-        &mut self,
-        plan: &ExecutionPlan,
-        net: &GruNetwork,
-        xs: &[Vector],
-        sink: &mut impl KernelSink,
-    ) -> PlanOutput {
-        let mut out = PlanOutput::new();
-        self.run_gru_into(plan, net, xs, sink, &mut out);
-        out
-    }
-
-    /// [`run_gru`](Self::run_gru) into a recycled [`PlanOutput`].
-    /// Bit-identical numerics and an identical kernel stream.
-    ///
-    /// # Panics
-    /// As [`run_gru`](Self::run_gru).
-    pub fn run_gru_into(
-        &mut self,
-        plan: &ExecutionPlan,
-        net: &GruNetwork,
-        xs: &[Vector],
-        sink: &mut impl KernelSink,
-        out: &mut PlanOutput,
-    ) {
-        assert!(!xs.is_empty(), "PlanRuntime::run_gru: empty input");
-        assert_eq!(
-            xs.len(),
-            plan.seq_len,
-            "plan compiled for sequence length {}, got {}",
-            plan.seq_len,
-            xs.len()
-        );
-        let PlanBody::Gru(layer_plans) = &plan.body else {
-            panic!("PlanRuntime::run_gru: plan was compiled for an LSTM network");
-        };
-        assert_eq!(
-            layer_plans.len(),
-            net.layers().len(),
-            "plan/network layer count mismatch"
-        );
-
-        let hidden = net.hidden();
-        self.reserve_lanes(1);
-        out.layer_hs.resize_with(layer_plans.len(), Vec::new);
-        out.layer_skips.clear();
-        out.layer_skips
-            .resize(layer_plans.len(), SkipStats::default());
-        for (l, (lp, layer)) in layer_plans.iter().zip(net.layers()).enumerate() {
-            sink.begin_layer(l);
-            sink.tag(SpanTag::wx(l));
-            sink.emit(&lp.wx);
-            let (done, rest) = out.layer_hs.split_at_mut(l);
-            let current: &[Vector] = if l == 0 { xs } else { &done[l - 1] };
-            Self::execute_gru_body_into(
-                l,
-                plan.precision,
-                &lp.body,
-                layer,
-                hidden,
-                current,
-                &mut self.ws[0],
-                &mut self.shared,
-                sink,
-                &mut out.layer_skips[l],
-                &mut rest[0],
-            );
-        }
-        sink.begin_tail();
-        sink.tag(SpanTag::head());
-        sink.emit(&plan.head);
-        let h_final = out
-            .layer_hs
-            .last()
-            .and_then(|hs| hs.last())
-            .expect("non-empty sequence");
-        net.apply_head_into(h_final, &mut out.logits);
-    }
-
-    #[allow(clippy::too_many_arguments)] // internal: the workspace split needs each piece
-    fn execute_gru_body_into(
-        layer: usize,
-        precision: Precision,
-        body: &GruLayerBody,
-        weights: &GruWeights,
-        hidden: usize,
-        xs: &[Vector],
-        ws: &mut Workspace,
-        shared: &mut SharedScratch,
-        sink: &mut impl KernelSink,
-        skips: &mut SkipStats,
-        hs_out: &mut Vec<Vector>,
-    ) {
-        match body {
-            GruLayerBody::Baseline { cells } => {
-                assert_eq!(cells.len(), xs.len(), "plan/input length mismatch");
-                ws.h.resize_fill(hidden, 0.0);
-                hs_out.resize_with(xs.len(), || Vector::zeros(0));
-                for (t, (cell, x)) in cells.iter().zip(xs).enumerate() {
-                    sink.tag(SpanTag::cells(layer, t));
-                    sink.emit(&cell.sgemv);
-                    weights.step_into(precision, x, &ws.h, &mut ws.gru, &mut ws.h_next);
-                    mem::swap(&mut ws.h, &mut ws.h_next);
-                    hs_out[t].clone_from(&ws.h);
-                    sink.emit(&cell.ew);
-                }
-            }
-            GruLayerBody::Drs { alpha_intra, cells } => {
-                assert_eq!(cells.len(), xs.len(), "plan/input length mismatch");
-                ws.h.resize_fill(hidden, 0.0);
-                hs_out.resize_with(xs.len(), || Vector::zeros(0));
-                if shared.all_masks.is_empty() {
-                    shared.all_masks.push(Vec::new());
-                }
-                let SharedScratch {
-                    all_masks,
-                    union_mask,
-                    masked_desc,
-                    ..
-                } = shared;
-                let active = &mut all_masks[..1];
-                for (t, (cell, x)) in cells.iter().zip(xs).enumerate() {
-                    sink.tag(SpanTag::cells(layer, t));
-                    sink.emit(&cell.uz);
-                    weights.update_gate_into(precision, x, &ws.h, &mut ws.gru, &mut ws.gate);
-                    sink.emit(&cell.select);
-                    trivial_row_mask_into(&ws.gate, *alpha_intra, &mut active[0]);
-                    skips.push(skip_fraction(&active[0]));
-                    cell.masked
-                        .instantiate_into(active, 1, union_mask, masked_desc);
-                    sink.emit(masked_desc);
-                    sink.emit(&cell.ew);
-                    weights.step_masked_into(
-                        precision,
-                        x,
-                        &ws.h,
-                        &ws.gate,
-                        &active[0],
-                        &mut ws.gru,
-                        &mut ws.h_next,
-                    );
-                    mem::swap(&mut ws.h, &mut ws.h_next);
-                    hs_out[t].clone_from(&ws.h);
-                }
-            }
         }
     }
 }

@@ -4,15 +4,14 @@
 //! The paper's premise is that the recurrent loop is launch-bound and
 //! bandwidth-bound; the host-side analogue of that waste is per-step heap
 //! churn. A [`PlanRuntime`](crate::plan::PlanRuntime) owns one
-//! [`Workspace`] per lane (the fused gate slab, the per-timestep cell
-//! states and per-cell masks an LSTM layer's tissues fill, the GRU's `h`
-//! double buffer) plus one shared scratch for what the lanes price
+//! [`Workspace`] per lane (the cell's step slab, and the per-timestep
+//! cell states, hoisted gates and masks a layer's tissues fill, for LSTM
+//! and GRU layers alike) plus one shared scratch for what the lanes price
 //! together (the lane-major mask list, its union, and the recycled kernel
 //! descriptors), so a warm runtime performs zero heap allocations per
 //! steady-state timestep (asserted by the `alloc_audit` bench).
 
 use crate::cell::CellScratch;
-use crate::gru::GruScratch;
 use gpu_sim::{KernelDesc, KernelKind};
 use tensor::Vector;
 
@@ -23,22 +22,16 @@ use tensor::Vector;
 /// at the start of each layer and overwrites in place per timestep.
 #[derive(Debug)]
 pub struct Workspace {
-    /// LSTM cell scratch: the fused `U` gate slab.
+    /// Cell scratch: the `U·h` slab of one step.
     pub(crate) cell: CellScratch,
-    /// GRU scratch: per-gate slabs, `r`, `z`, and `r ⊙ h` buffers.
-    pub(crate) gru: GruScratch,
-    /// GRU hidden-state double buffer (current side).
-    pub(crate) h: Vector,
-    /// GRU hidden-state double buffer (next side, swapped each step).
-    pub(crate) h_next: Vector,
-    /// The GRU's hoisted update gate `z_t`, driving Dynamic Row Skip.
-    pub(crate) gate: Vector,
-    /// Per-cell output gates of one tissue (parallel to its cells).
+    /// Per-cell hoisted gates of one tissue — the LSTM's `o_t` or the
+    /// GRU's `z_t` — in its first entries (grown, never shrunk).
     pub(crate) os: Vec<Vector>,
-    /// Per-cell active masks of one tissue (parallel to its cells).
+    /// Per-cell active masks of one tissue, as `os`.
     pub(crate) masks: Vec<Vec<bool>>,
     /// Per-timestep cell states of an LSTM layer (its hidden outputs are
-    /// written straight into the run's `PlanOutput::layer_hs`).
+    /// written straight into the run's `PlanOutput::layer_hs`; a GRU
+    /// layer leaves these untouched).
     pub(crate) c_slots: Vec<Vector>,
     /// Which slots have been produced so far (schedule-order guard).
     pub(crate) filled: Vec<bool>,
@@ -54,10 +47,6 @@ impl Workspace {
     pub fn new() -> Self {
         Self {
             cell: CellScratch::new(),
-            gru: GruScratch::new(),
-            h: Vector::zeros(0),
-            h_next: Vector::zeros(0),
-            gate: Vector::zeros(0),
             os: Vec::new(),
             masks: Vec::new(),
             c_slots: Vec::new(),

@@ -1,9 +1,9 @@
 //! Property tests for the LSTM cell numerics.
 
-use lstm::cell::{CellInit, CellWeights};
+use lstm::cell::{CellInit, CellScratch, CellWeights, GatePreacts};
 use proptest::prelude::*;
 use tensor::init::seeded_rng;
-use tensor::Vector;
+use tensor::{Precision, Vector};
 
 fn inputs(len: usize, dim: usize) -> impl Strategy<Value = Vec<Vec<f32>>> {
     proptest::collection::vec(proptest::collection::vec(-1.0f32..=1.0, dim), len)
@@ -19,7 +19,7 @@ proptest! {
         let cell = CellWeights::random(8, 12, &mut seeded_rng(seed));
         let (mut h, mut c) = (Vector::zeros(12), Vector::zeros(12));
         for x in xs {
-            (h, c) = cell.step(&cell.precompute_wx(&Vector::from(x)), &h, &c);
+            (h, c) = step(&cell, &wx_of(&cell, &Vector::from(x)), &h, &c);
             prop_assert!(h.max_abs() <= 1.0);
         }
     }
@@ -29,9 +29,9 @@ proptest! {
         // From a zero state `c_1 = i_1 * tanh(..)`, so `|c_1| <= 1` holds
         // exactly when the input gate stays in the unit interval.
         let cell = CellWeights::random(8, 10, &mut seeded_rng(seed));
-        let wx = cell.precompute_wx(&Vector::from(x));
-        let (_, c) = cell.step(&wx, &Vector::zeros(10), &Vector::zeros(10));
-        let o = cell.output_gate(&wx.o, &Vector::zeros(10));
+        let wx = wx_of(&cell, &Vector::from(x));
+        let (_, c) = step(&cell, &wx, &Vector::zeros(10), &Vector::zeros(10));
+        let o = output_gate(&cell, &wx, &Vector::zeros(10));
         for j in 0..10 {
             prop_assert!((0.0..=1.0).contains(&o[j]));
             prop_assert!((-1.0..=1.0).contains(&c[j]));
@@ -44,10 +44,10 @@ proptest! {
         let x = Vector::from(x);
         let h0 = Vector::from_fn(8, |i| ((i * 7 + seed as usize) % 5) as f32 / 5.0 - 0.4);
         let c0 = Vector::filled(8, 0.3);
-        let wx = cell.precompute_wx(&x);
-        let o = cell.output_gate(&wx.o, &h0);
-        let (hm, cm) = cell.step_masked(&wx, &h0, &c0, &o, &[true; 8]);
-        let (he, ce) = cell.step(&wx, &h0, &c0);
+        let wx = wx_of(&cell, &x);
+        let o = output_gate(&cell, &wx, &h0);
+        let (hm, cm) = step_masked(&cell, &wx, (&h0, &c0), &o, &[true; 8]);
+        let (he, ce) = step(&cell, &wx, &h0, &c0);
         for j in 0..8 {
             prop_assert!((hm[j] - he[j]).abs() < 1e-6);
             prop_assert!((cm[j] - ce[j]).abs() < 1e-6);
@@ -64,11 +64,11 @@ proptest! {
         let x = Vector::from_fn(6, |_| rng.gen_range(-1.0f32..1.0));
         let h0 = Vector::from_fn(8, |_| rng.gen_range(-1.0f32..1.0));
         let c0 = Vector::from_fn(8, |_| rng.gen_range(-1.5f32..1.5));
-        let wx = cell.precompute_wx(&x);
-        let o = cell.output_gate(&wx.o, &h0);
+        let wx = wx_of(&cell, &x);
+        let o = output_gate(&cell, &wx, &h0);
         let mask = memlstm_mask(&o, alpha);
-        let (hm, _) = cell.step_masked(&wx, &h0, &c0, &o, &mask);
-        let (he, _) = cell.step(&wx, &h0, &c0);
+        let (hm, _) = step_masked(&cell, &wx, (&h0, &c0), &o, &mask);
+        let (he, _) = step(&cell, &wx, &h0, &c0);
         for j in 0..8 {
             if !mask[j] {
                 prop_assert!((hm[j] - he[j]).abs() <= alpha + 1e-6);
@@ -91,4 +91,54 @@ proptest! {
 /// other way around).
 fn memlstm_mask(o: &Vector, alpha: f32) -> Vec<bool> {
     o.iter().map(|&v| v >= alpha).collect()
+}
+
+fn wx_of(cell: &CellWeights, x: &Vector) -> GatePreacts {
+    let mut out = Vec::new();
+    cell.precompute_wx_batch_into(Precision::Fp32, std::slice::from_ref(x), &mut out);
+    out.pop().expect("a batch of one")
+}
+
+fn step(cell: &CellWeights, wx: &GatePreacts, h: &Vector, c: &Vector) -> (Vector, Vector) {
+    let (mut h_out, mut c_out) = (Vector::zeros(0), Vector::zeros(0));
+    let mut scratch = CellScratch::new();
+    cell.step_fused_into(
+        Precision::Fp32,
+        wx,
+        h,
+        c,
+        &mut scratch,
+        &mut h_out,
+        &mut c_out,
+    );
+    (h_out, c_out)
+}
+
+fn output_gate(cell: &CellWeights, wx: &GatePreacts, h: &Vector) -> Vector {
+    let mut o = Vector::zeros(0);
+    cell.output_gate_into(Precision::Fp32, &wx.o, h, &mut CellScratch::new(), &mut o);
+    o
+}
+
+fn step_masked(
+    cell: &CellWeights,
+    wx: &GatePreacts,
+    (h, c): (&Vector, &Vector),
+    o: &Vector,
+    active: &[bool],
+) -> (Vector, Vector) {
+    let (mut h_out, mut c_out) = (Vector::zeros(0), Vector::zeros(0));
+    let mut scratch = CellScratch::new();
+    cell.step_masked_into(
+        Precision::Fp32,
+        wx,
+        h,
+        c,
+        o,
+        active,
+        &mut scratch,
+        &mut h_out,
+        &mut c_out,
+    );
+    (h_out, c_out)
 }

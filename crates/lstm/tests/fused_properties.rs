@@ -10,7 +10,7 @@
 //! `sgemv_masked_reference`) and demand `to_bits()` equality — not
 //! approximate closeness — across random weights, inputs, and DRS masks.
 
-use lstm::cell::CellWeights;
+use lstm::cell::{CellScratch, CellWeights, GatePreacts};
 use lstm::gru::GruWeights;
 use proptest::prelude::*;
 use tensor::gemm::{sgemv, sgemv_masked_reference};
@@ -38,6 +38,23 @@ fn assert_bits_eq(got: &[f32], want: &[f32], what: &str) -> Result<(), TestCaseE
     Ok(())
 }
 
+fn wx_of(cell: &CellWeights, x: &Vector) -> GatePreacts {
+    let mut out = Vec::new();
+    cell.precompute_wx_batch_into(Precision::Fp32, std::slice::from_ref(x), &mut out);
+    out.pop().expect("a batch of one")
+}
+
+/// The GRU's `W_{r,z,h}·x` terms from the naive per-gate products, in the
+/// slots the GRU step reads (`r` in `f`, `z` in `o`, `h` in `c`).
+fn gru_wx_reference(w: &GruWeights, x: &Vector) -> GatePreacts {
+    GatePreacts {
+        f: sgemv(&w.w_r, x),
+        i: Vector::zeros(0),
+        c: sgemv(&w.w_h, x),
+        o: sgemv(&w.w_z, x),
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
@@ -46,7 +63,7 @@ proptest! {
     fn lstm_fused_wx_matches_per_gate_sgemv(seed in 0u64..500, x in vec_strategy(INPUT)) {
         let cell = CellWeights::random(INPUT, HIDDEN, &mut seeded_rng(seed));
         let x = Vector::from(x);
-        let wx = cell.precompute_wx(&x);
+        let wx = wx_of(&cell, &x);
         assert_bits_eq(wx.f.as_slice(), sgemv(&cell.w.f, &x).as_slice(), "wx.f")?;
         assert_bits_eq(wx.i.as_slice(), sgemv(&cell.w.i, &x).as_slice(), "wx.i")?;
         assert_bits_eq(wx.c.as_slice(), sgemv(&cell.w.c, &x).as_slice(), "wx.c")?;
@@ -91,8 +108,10 @@ proptest! {
     ) {
         let cell = CellWeights::random(INPUT, HIDDEN, &mut seeded_rng(seed));
         let (x, h0, c0) = (Vector::from(x), Vector::from(h0), Vector::from(c0));
-        let wx = cell.precompute_wx(&x);
-        let (h, c) = cell.step(&wx, &h0, &c0);
+        let wx = wx_of(&cell, &x);
+        let (mut h, mut c) = (Vector::zeros(0), Vector::zeros(0));
+        let mut scratch = CellScratch::new();
+        cell.step_fused_into(Precision::Fp32, &wx, &h0, &c0, &mut scratch, &mut h, &mut c);
 
         let (uf, ui) = (sgemv(&cell.u.f, &h0), sgemv(&cell.u.i, &h0));
         let (uc, uo) = (sgemv(&cell.u.c, &h0), sgemv(&cell.u.o, &h0));
@@ -122,9 +141,14 @@ proptest! {
     ) {
         let cell = CellWeights::random(INPUT, HIDDEN, &mut seeded_rng(seed));
         let (x, h0, c0) = (Vector::from(x), Vector::from(h0), Vector::from(c0));
-        let wx = cell.precompute_wx(&x);
-        let o = cell.output_gate(&wx.o, &h0);
-        let (h, c) = cell.step_masked(&wx, &h0, &c0, &o, &active);
+        let wx = wx_of(&cell, &x);
+        let mut scratch = CellScratch::new();
+        let mut o = Vector::zeros(0);
+        cell.output_gate_into(Precision::Fp32, &wx.o, &h0, &mut scratch, &mut o);
+        let (mut h, mut c) = (Vector::zeros(0), Vector::zeros(0));
+        cell.step_masked_into(
+            Precision::Fp32, &wx, &h0, &c0, &o, &active, &mut scratch, &mut h, &mut c,
+        );
 
         let uf = sgemv_masked_reference(&cell.u.f, &h0, &active, 0.0);
         let ui = sgemv_masked_reference(&cell.u.i, &h0, &active, 0.0);
@@ -161,7 +185,9 @@ proptest! {
     ) {
         let w = GruWeights::random(INPUT, HIDDEN, &mut seeded_rng(seed));
         let (x, h0) = (Vector::from(x), Vector::from(h0));
-        let h = w.step(&x, &h0);
+        let mut h = Vector::zeros(0);
+        let wx = gru_wx_reference(&w, &x);
+        w.step_into(Precision::Fp32, &wx, &h0, &mut CellScratch::new(), &mut h);
 
         let (wr, ur) = (sgemv(&w.w_r, &x), sgemv(&w.u_r, &h0));
         let (wz, uz) = (sgemv(&w.w_z, &x), sgemv(&w.u_z, &h0));
@@ -189,8 +215,12 @@ proptest! {
     ) {
         let w = GruWeights::random(INPUT, HIDDEN, &mut seeded_rng(seed));
         let (x, h0) = (Vector::from(x), Vector::from(h0));
-        let z = w.update_gate(&x, &h0);
-        let h = w.step_masked(&x, &h0, &z, &active);
+        let wx = gru_wx_reference(&w, &x);
+        let mut scratch = CellScratch::new();
+        let mut z = Vector::zeros(0);
+        w.update_gate_into(Precision::Fp32, &wx, &h0, &mut scratch, &mut z);
+        let mut h = Vector::zeros(0);
+        w.step_masked_into(Precision::Fp32, &wx, &h0, &z, &active, &mut scratch, &mut h);
 
         let wr = sgemv(&w.w_r, &x);
         let ur = sgemv_masked_reference(&w.u_r, &h0, &active, 0.0);

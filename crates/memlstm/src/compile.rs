@@ -142,6 +142,7 @@ pub fn compile(
             LayerPlan::per_cell(
                 l,
                 wx_kernel,
+                false,
                 hidden,
                 seq_len,
                 &regions.layers[l],
@@ -292,7 +293,12 @@ fn tissue_layer(
                         t_size,
                         alloc,
                     ),
-                    gate_ew: gate_ew_kernel(format!("lstm_ew(o) l{l} k{k}"), hidden, t_size, alloc),
+                    gate_ew: Some(gate_ew_kernel(
+                        format!("lstm_ew(o) l{l} k{k}"),
+                        hidden,
+                        t_size,
+                        alloc,
+                    )),
                     select: drs_kernel(format!("DRS l{l} k{k}"), hidden, alloc),
                     masked: MaskedUKernel::new(
                         format!("Sgemm(U_fic,H,R) l{l} k{k}"),

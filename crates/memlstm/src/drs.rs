@@ -4,6 +4,4 @@
 //! IR ([`lstm::plan`]) can price masked kernels without depending on this
 //! crate. This module re-exports them under their historical paths.
 
-pub use lstm::drs::{
-    skip_cost, skip_fraction, trivial_row_mask, union_active, DrsConfig, DrsMode, SkipCost,
-};
+pub use lstm::drs::{skip_cost, skip_fraction, DrsConfig, DrsMode, SkipCost};

@@ -198,6 +198,30 @@ pub(crate) fn check_step_widths(net: &LstmNetwork, xs: &[Vector]) -> MemlstmResu
     }
 }
 
+/// Checks one input sequence at an execution entry point before any
+/// numerics: non-empty, as long as the plan was compiled for
+/// (`seq_len`), and every step as wide as `net`'s input.
+///
+/// # Errors
+/// [`Error::EmptyInput`], [`Error::SeqLenMismatch`], or
+/// [`Error::StepWidthMismatch`], checked in that order.
+pub(crate) fn check_sequence(
+    net: &LstmNetwork,
+    xs: &[Vector],
+    seq_len: usize,
+) -> MemlstmResult<()> {
+    if xs.is_empty() {
+        return Err(Error::EmptyInput);
+    }
+    if xs.len() != seq_len {
+        return Err(Error::SeqLenMismatch {
+            expected: seq_len,
+            actual: xs.len(),
+        });
+    }
+    check_step_widths(net, xs)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -18,7 +18,7 @@
 //! itself as the only probe.
 
 use crate::drs::DrsConfig;
-use crate::error::{check_step_widths, Error, MemlstmResult};
+use crate::error::{check_sequence, MemlstmResult};
 use crate::prediction::NetworkPredictors;
 use crate::relevance::RelevanceAnalyzer;
 use gpu_sim::DeviceModel;
@@ -239,6 +239,9 @@ impl<'a> OptimizedExecutor<'a> {
 /// — so `report.time_s` equals the sum of span times bit-for-bit.
 ///
 /// [`TraceSession`]: gpu_sim::TraceSession
+/// [`Error::EmptyInput`]: crate::Error::EmptyInput
+/// [`Error::SeqLenMismatch`]: crate::Error::SeqLenMismatch
+/// [`Error::StepWidthMismatch`]: crate::Error::StepWidthMismatch
 ///
 /// # Errors
 /// [`Error::EmptyInput`] if `xs` is empty,
@@ -250,16 +253,7 @@ pub fn profile_plan(
     net: &LstmNetwork,
     xs: &[Vector],
 ) -> MemlstmResult<(gpu_sim::SimReport, gpu_sim::Profiler)> {
-    if xs.is_empty() {
-        return Err(Error::EmptyInput);
-    }
-    if xs.len() != plan.seq_len {
-        return Err(Error::SeqLenMismatch {
-            expected: plan.seq_len,
-            actual: xs.len(),
-        });
-    }
-    check_step_widths(net, xs)?;
+    check_sequence(net, xs, plan.seq_len)?;
     let mut gpu = gpu_sim::GpuDevice::for_model(&plan.device);
     let mut session = gpu.begin_trace();
     session.enable_profiling();
@@ -273,6 +267,7 @@ pub fn profile_plan(
 mod tests {
     use super::*;
     use crate::drs::DrsMode;
+    use crate::error::Error;
     use crate::prediction::NetworkPredictors;
     use gpu_sim::{GpuConfig, GpuDevice, KernelDesc, KernelKind};
     use lstm::plan::{PlanLayerStats, PlanOutput};

@@ -56,12 +56,15 @@
 //! [`PlanRuntime`](lstm::plan::PlanRuntime) run.
 //!
 //! Requests are validated before routing: unusable times surface as
-//! [`Error::InvalidRequest`], a step of the wrong width as
-//! [`Error::StepWidthMismatch`], and the policy never sees them.
+//! [`Error::InvalidRequest`], an empty sequence as [`Error::EmptyInput`],
+//! one of the wrong length as [`Error::SeqLenMismatch`], a step of the
+//! wrong width as [`Error::StepWidthMismatch`], and the policy never sees
+//! them.
 
-use crate::error::{check_step_widths, Error, MemlstmResult};
+use crate::error::{check_sequence, Error, MemlstmResult};
 use crate::serve::{
-    Request, RoundReport, ServeConfig, ServeEngine, ServeMetrics, ServeOutcome, Shed, ShedReason,
+    slo_share, Request, RoundReport, ServeConfig, ServeEngine, ServeMetrics, ServeOutcome, Shed,
+    ShedReason,
 };
 use gpu_sim::profile::ChromeTrace;
 use gpu_sim::DeviceModel;
@@ -244,8 +247,10 @@ pub struct FleetMetrics {
     pub overflow_shed: u64,
     /// Devices quarantined during the epoch.
     pub quarantined_devices: u64,
-    /// Fleet-wide SLO attainment: outcomes that met their deadline class
-    /// over all classified outcomes (overflow sheds count as misses).
+    /// Fleet-wide SLO attainment, as [`ServeMetrics::slo_attainment`]
+    /// defines it: deadline-bearing requests that completed over all
+    /// resolved deadline-bearing requests (an overflow shed of one counts
+    /// as a miss); 1.0 when no request carried a deadline.
     pub slo_attainment: f64,
     /// Routing imbalance: the spread between the largest and smallest
     /// per-device share of routed requests (0 = perfectly even,
@@ -268,6 +273,9 @@ pub struct FleetEngine<'a> {
     overflow: Vec<ServeOutcome>,
     rerouted: u64,
     overflow_shed: u64,
+    /// Overflow sheds of requests that carried a deadline: fleet-level
+    /// SLO misses no member classified.
+    overflow_slo_misses: u64,
 }
 
 impl<'a> FleetEngine<'a> {
@@ -321,6 +329,7 @@ impl<'a> FleetEngine<'a> {
             overflow: Vec::new(),
             rerouted: 0,
             overflow_shed: 0,
+            overflow_slo_misses: 0,
         })
     }
 
@@ -357,18 +366,18 @@ impl<'a> FleetEngine<'a> {
     /// device. Returns the device index that accepted it.
     ///
     /// # Errors
-    /// [`Error::InvalidRequest`] for unusable times and
-    /// [`Error::StepWidthMismatch`] for a step not as wide as the
-    /// network's input (both checked before the policy sees the
-    /// request), [`Error::FleetAllQuarantined`] if no
+    /// [`Error::InvalidRequest`] for unusable times,
+    /// [`Error::EmptyInput`] or [`Error::SeqLenMismatch`] for a sequence
+    /// the plans were not compiled for, and [`Error::StepWidthMismatch`]
+    /// for a step not as wide as the network's input (all checked before
+    /// the policy sees the request), [`Error::FleetAllQuarantined`] if no
     /// healthy device remains, [`Error::FleetRouteIndex`] if the policy
     /// picked an out-of-range or quarantined device, plus the chosen
     /// engine's own [`submit`](ServeEngine::submit) errors
-    /// ([`Error::QueueFull`], [`Error::SeqLenMismatch`], ...), which leave
-    /// the fleet unchanged.
+    /// ([`Error::QueueFull`], ...), which leave the fleet unchanged.
     pub fn submit(&mut self, request: Request) -> MemlstmResult<usize> {
         request.check_times()?;
-        check_step_widths(self.net, &request.xs)?;
+        check_sequence(self.net, &request.xs, self.members[0].seq_len)?;
         let healthy = Self::healthy_of(&self.members);
         if healthy.is_empty() {
             return Err(Error::FleetAllQuarantined);
@@ -468,6 +477,9 @@ impl<'a> FleetEngine<'a> {
 
     fn shed_overflow(&mut self, request: Request, at_s: f64) {
         self.overflow_shed += 1;
+        if request.deadline_s.is_some() {
+            self.overflow_slo_misses += 1;
+        }
         self.overflow.push(ServeOutcome::Shed(Shed {
             id: request.id,
             at_s,
@@ -546,16 +558,13 @@ impl<'a> FleetEngine<'a> {
             .collect();
         let sum = |f: fn(&ServeMetrics) -> u64| per_device.iter().map(|d| f(&d.serve)).sum::<u64>();
         let submitted = sum(|s| s.submitted);
-        let (mut slo_total, mut slo_met) = (0u64, 0u64);
-        for d in &per_device {
-            for class in &d.serve.slo {
-                slo_total += class.total;
-                slo_met += class.met;
-            }
-        }
-        // Overflow sheds were never classified by any member; they are
-        // fleet-level misses.
-        slo_total += self.overflow_shed;
+        let (slo_met, slo_total) =
+            per_device
+                .iter()
+                .fold((0, self.overflow_slo_misses), |(met, total), d| {
+                    let (m, t) = d.serve.slo_counts();
+                    (met + m, total + t)
+                });
         let healthy_routed: Vec<u64> = per_device
             .iter()
             .filter(|d| !d.quarantined)
@@ -578,11 +587,7 @@ impl<'a> FleetEngine<'a> {
             rerouted: self.rerouted,
             overflow_shed: self.overflow_shed,
             quarantined_devices: per_device.iter().filter(|d| d.quarantined).count() as u64,
-            slo_attainment: if slo_total == 0 {
-                1.0
-            } else {
-                slo_met as f64 / slo_total as f64
-            },
+            slo_attainment: slo_share(slo_met, slo_total),
             utilization_imbalance,
             makespan_s: self.clock_s(),
             per_device,
@@ -949,6 +954,36 @@ mod tests {
         let m = fleet.metrics();
         assert_eq!(m.failed, 1);
         assert_eq!(m.overflow_shed, 2);
+        // No request carried a deadline, so none of them is an SLO miss.
+        assert_eq!(m.slo_attainment, 1.0);
+    }
+
+    #[test]
+    fn one_device_fleet_attainment_equals_its_member() {
+        // Mixed deadlines: tight ones miss, generous ones are met, and
+        // deadline-free requests count toward neither side — for the
+        // fleet exactly as for its only member.
+        let (net, seqs) = setup(8);
+        let plans = plans_for(&net, seqs[0].len(), &[DeviceModel::tegra_x1()]);
+        let mut fleet = fleet(&net, &plans, Box::new(RoundRobin::default()));
+        for (i, xs) in seqs.iter().enumerate() {
+            let deadline_s = match i % 4 {
+                0 => Some(1e-9),
+                1 => Some(1e6),
+                _ => None,
+            };
+            fleet
+                .submit(Request {
+                    deadline_s,
+                    ..request(i as u64, xs, 0.0)
+                })
+                .unwrap();
+        }
+        fleet.drain();
+        let m = fleet.metrics();
+        let member = m.per_device[0].serve.slo_attainment();
+        assert!(member > 0.0 && member < 1.0, "mixed outcomes: {member}");
+        assert_eq!(m.slo_attainment, member);
     }
 
     #[test]

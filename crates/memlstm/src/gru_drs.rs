@@ -8,22 +8,23 @@
 //! it, and skips the corresponding rows of `U_r` and `U_h` (two thirds of
 //! the united matrix).
 //!
-//! [`compile_gru_drs`] lowers the flow into an [`ExecutionPlan`] whose
-//! masked `Sgemv(U_rh, h, R)` is a [`MaskedUKernel`] template
-//! instantiated at runtime from the actual update-gate values; the plan
-//! runs on [`PlanRuntime::run_gru`](lstm::plan::PlanRuntime::run_gru)
-//! like every other GRU plan. Quantized weight tiers come from
-//! [`ExecutionPlan::with_precision`].
+//! [`compile_gru_drs`] lowers the flow into an [`ExecutionPlan`] of
+//! one-cell Dynamic Row Skip tissues ([`LayerPlan::per_cell`]), the same
+//! lowering as the LSTM's Algorithm 3 with `z_t` hoisted instead of
+//! `o_t`: the masked `Sgemv(U_rh, h, R)` is a
+//! [`MaskedUKernel`](lstm::plan::MaskedUKernel) template instantiated at
+//! runtime from the actual update-gate values. The plan runs on
+//! [`PlanRuntime::run_gru`](lstm::plan::PlanRuntime::run_gru), which
+//! walks its tissues with the same code as every LSTM plan. Quantized
+//! weight tiers come from [`ExecutionPlan::with_precision`].
 
 use crate::drs::DrsConfig;
 use crate::error::{Error, MemlstmResult};
 use gpu_sim::DeviceModel;
 use lstm::gru_exec::GruNetwork;
-use lstm::plan::{
-    ExecutionPlan, GruDrsCellPlan, GruLayerBody, GruLayerPlan, MaskedUKernel, PlanBody,
-};
+use lstm::plan::{ExecutionPlan, LayerPlan, PlanBody};
 use lstm::regions::{NetworkRegions, RegionAllocator};
-use lstm::schedule::{drs_kernel, ew_kernel, gru_wx_sgemm_kernel, head_kernel, u_sgemv_kernel};
+use lstm::schedule::{gru_wx_sgemm_kernel, head_kernel};
 use tensor::Precision;
 
 /// Compiles the GRU Dynamic-Row-Skip flow for `net` into an fp32
@@ -56,40 +57,19 @@ pub fn compile_gru_drs(
             seq_len,
             &mut alloc,
         );
-        let cells = (0..seq_len)
-            .map(|t| GruDrsCellPlan {
-                // Step 1: the update gate alone (U_z slice).
-                uz: u_sgemv_kernel(
-                    format!("Sgemv(U_z,h) l{l} t{t}"),
-                    regions.layers[l].u_o,
-                    hidden,
-                    hidden,
-                    &mut alloc,
-                ),
-                // Step 2: threshold into the skip list.
-                select: drs_kernel(format!("DRS l{l} t{t}"), hidden, &mut alloc),
-                // Step 3: the masked U_{r,h} GEMV (two gates) — priced
-                // at runtime from the actual z_t mask.
-                masked: MaskedUKernel::new(
-                    format!("Sgemv(U_rh,h,R) l{l} t{t}"),
-                    2,
-                    hidden,
-                    1,
-                    regions.layers[l].u_fic,
-                    drs.mode,
-                    false,
-                    &mut alloc,
-                ),
-                ew: ew_kernel(format!("gru_ew l{l} t{t}"), hidden, 1, &mut alloc),
-            })
-            .collect();
-        layers.push(GruLayerPlan {
+        // The update gate alone (U_z slice), thresholded into the skip
+        // list, then the masked U_{r,h} GEMV (two gates) priced at runtime
+        // from the actual z_t mask.
+        layers.push(LayerPlan::per_cell(
+            l,
             wx,
-            body: GruLayerBody::Drs {
-                alpha_intra: drs.alpha_intra,
-                cells,
-            },
-        });
+            true,
+            hidden,
+            seq_len,
+            &regions.layers[l],
+            Some(drs),
+            &mut alloc,
+        ));
     }
     let head = head_kernel(regions.head, net.num_classes(), hidden, &mut alloc);
     Ok(ExecutionPlan {

@@ -80,7 +80,7 @@ pub mod user_study;
 
 pub use breakpoints::find_breakpoints;
 pub use division::{divide, SubLayer};
-pub use drs::{trivial_row_mask, DrsConfig, DrsMode};
+pub use drs::{DrsConfig, DrsMode};
 pub use error::{Error, MemlstmResult};
 pub use exec::{OptimizedExecutor, OptimizerConfig, OptimizerConfigBuilder};
 pub use fleet::{

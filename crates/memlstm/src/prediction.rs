@@ -184,8 +184,8 @@ mod tests {
 
     #[test]
     fn collect_matches_owned_step_loop_bitwise() {
-        // The oracle: the owned-`step` loop `collect` ran before it
-        // recycled its buffers.
+        // The oracle: a step loop with fresh buffers per step, as
+        // `collect` ran before it recycled its buffers.
         let (net, offline) = setup();
         let hidden = net.config().hidden_size;
         let mut h_stats = [RunningStats::new(hidden), RunningStats::new(hidden)];
@@ -199,7 +199,18 @@ mod tests {
                 let mut c = Vector::zeros(hidden);
                 let mut hs = Vec::with_capacity(wx.len());
                 for pre in &wx {
-                    (h, c) = layer.step(pre, &h, &c);
+                    let (mut h_next, mut c_next) = (Vector::zeros(0), Vector::zeros(0));
+                    let mut scratch = CellScratch::new();
+                    layer.step_fused_into(
+                        Precision::Fp32,
+                        pre,
+                        &h,
+                        &c,
+                        &mut scratch,
+                        &mut h_next,
+                        &mut c_next,
+                    );
+                    (h, c) = (h_next, c_next);
                     h_stats[l].push(&h);
                     c_stats[l].push(&c);
                     hs.push(h.clone());

@@ -65,7 +65,7 @@
 //! numbers. Degraded rounds are bit-identical to solo runs of the
 //! *fallback* plan.
 
-use crate::error::{check_step_widths, Error, MemlstmResult};
+use crate::error::{check_sequence, Error, MemlstmResult};
 use gpu_sim::profile::ChromeTrace;
 use gpu_sim::{DeviceModel, GpuDevice};
 use lstm::network::LstmNetwork;
@@ -702,16 +702,26 @@ impl ServeMetrics {
     /// Overall SLO attainment: `met / total` over deadline-bearing
     /// classes (1.0 when no request carried a deadline).
     pub fn slo_attainment(&self) -> f64 {
-        let (met, total) = self
-            .slo
+        let (met, total) = self.slo_counts();
+        slo_share(met, total)
+    }
+
+    /// `(met, total)` over the deadline-bearing classes — what
+    /// [`slo_attainment`](Self::slo_attainment) and the fleet rollup fold.
+    pub(crate) fn slo_counts(&self) -> (u64, u64) {
+        self.slo
             .iter()
             .filter(|c| c.class != "none")
-            .fold((0u64, 0u64), |(m, t), c| (m + c.met, t + c.total));
-        if total == 0 {
-            1.0
-        } else {
-            met as f64 / total as f64
-        }
+            .fold((0, 0), |(m, t), c| (m + c.met, t + c.total))
+    }
+}
+
+/// `met / total`, or 1.0 when no request carried a deadline.
+pub(crate) fn slo_share(met: u64, total: u64) -> f64 {
+    if total == 0 {
+        1.0
+    } else {
+        met as f64 / total as f64
     }
 }
 
@@ -880,16 +890,7 @@ impl<'a> ServeEngine<'a> {
     /// newcomer.
     pub fn submit(&mut self, request: Request) -> MemlstmResult<()> {
         request.check_times()?;
-        if request.xs.is_empty() {
-            return Err(Error::EmptyInput);
-        }
-        if request.xs.len() != self.plan.seq_len {
-            return Err(Error::SeqLenMismatch {
-                expected: self.plan.seq_len,
-                actual: request.xs.len(),
-            });
-        }
-        check_step_widths(self.net, &request.xs)?;
+        check_sequence(self.net, &request.xs, self.plan.seq_len)?;
         if self.queue.len() >= self.config.queue_capacity {
             if !self.config.shedding.evict_on_full {
                 return Err(Error::QueueFull {

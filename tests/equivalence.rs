@@ -298,20 +298,22 @@ mod plan_properties {
 #[test]
 fn gru_masked_step_converges_to_exact() {
     // The paper's "applies to GRUs with simple adjustment" claim.
-    use lstm::gru::GruWeights;
-    let mut rng = seeded_rng(5);
-    let w = GruWeights::random(16, 24, &mut rng);
-    let mut h_exact = Vector::zeros(24);
-    let mut h_masked = Vector::zeros(24);
+    use lstm::GruNetwork;
     use rand::Rng;
-    for _ in 0..8 {
-        let x = Vector::from_fn(16, |_| rng.gen_range(-1.0f32..1.0));
-        let z = w.update_gate(&x, &h_masked);
-        let active = memlstm::drs::trivial_row_mask(&z, 0.02);
-        h_exact = w.step(&x, &h_exact);
-        h_masked = w.step_masked(&x, &h_masked, &z, &active);
-    }
+    let mut rng = seeded_rng(5);
+    let net = GruNetwork::random(16, 24, 1, 2, &mut rng);
+    let xs: Vec<Vector> = (0..8)
+        .map(|_| Vector::from_fn(16, |_| rng.gen_range(-1.0f32..1.0)))
+        .collect();
+    let drs = DrsConfig {
+        alpha_intra: 0.02,
+        mode: DrsMode::Hardware,
+    };
+    let plan = memlstm::compile_gru_drs(&net, drs, xs.len(), &DeviceModel::tegra_x1()).unwrap();
+    let out = PlanRuntime::new().run_gru(&plan, &net, &xs, &mut lstm::plan::NullSink);
+    let exact = net.forward(&xs);
     // Skipping only the near-closed update gates keeps trajectories close.
-    let diff = h_exact.sub(&h_masked).max_abs();
+    let diff = exact.layer_hs[0][7].sub(&out.layer_hs[0][7]).max_abs();
+    assert!(out.mean_skip_fraction() > 0.0, "nothing skipped");
     assert!(diff < 0.25, "GRU DRS diverged: {diff}");
 }

@@ -1,8 +1,9 @@
-//! Step-width checks at every `memlstm` entry point that takes
-//! sequences: a step one element too short or too long is a typed
-//! `Error::StepWidthMismatch` naming the first bad step, never a panic
-//! in the `W·x` walk or a request that is accepted and then never
-//! resolves.
+//! Sequence checks at every `memlstm` entry point that takes sequences:
+//! a step one element too short or too long is a typed
+//! `Error::StepWidthMismatch` naming the first bad step, and an empty
+//! sequence or one of the wrong length is `Error::EmptyInput` or
+//! `Error::SeqLenMismatch` — never a panic in the `W·x` walk or a request
+//! that is accepted and then never resolves.
 
 use gpu_sim::DeviceModel;
 use lstm::plan::ExecutionPlan;
@@ -159,5 +160,46 @@ fn every_entry_point_rejects_a_step_of_the_wrong_width() {
                 .collect();
             assert_eq!(ids, [2], "FleetEngine::drain, {ctx}");
         }
+    }
+}
+
+#[test]
+fn execution_entry_points_reject_empty_and_wrong_length_sequences() {
+    let device = DeviceModel::default_preset();
+    let (net, xs) = setup(2);
+    let baseline = ExecutionPlan::compile_baseline(&net, SEQ, &device);
+    let wrong_length = |len: usize| Error::SeqLenMismatch {
+        expected: SEQ,
+        actual: len,
+    };
+    let rows = [
+        (Vec::new(), Error::EmptyInput),
+        (xs[..SEQ - 1].to_vec(), wrong_length(SEQ - 1)),
+        ([xs.as_slice(), &xs[..1]].concat(), wrong_length(SEQ + 1)),
+    ];
+    for (bad, err) in rows {
+        let ctx = format!("{} steps", bad.len());
+
+        let got = guarded(|| profile_plan(&baseline, &net, &bad).map(|_| ()));
+        assert_eq!(got, Ok(Err(err.clone())), "profile_plan, {ctx}");
+
+        let serve_config = ServeConfig::builder(device.clone()).build().unwrap();
+        let mut engine = ServeEngine::new(&baseline, &net, serve_config).unwrap();
+        let got = guarded(|| engine.submit(request(1, bad.clone())));
+        assert_eq!(got, Ok(Err(err.clone())), "ServeEngine::submit, {ctx}");
+        assert_eq!(engine.pending(), 0, "ServeEngine::submit, {ctx}");
+
+        let members = (0..2)
+            .map(|_| {
+                let config = ServeConfig::builder(device.clone()).build().unwrap();
+                (&baseline, config)
+            })
+            .collect();
+        let mut fleet = FleetEngine::new(&net, members, Box::new(RoundRobin::default())).unwrap();
+        let got = guarded(|| fleet.submit(request(1, bad.clone())));
+        assert_eq!(got, Ok(Err(err)), "FleetEngine::submit, {ctx}");
+        // The policy never saw the rejected request: round-robin still
+        // starts at device 0.
+        assert_eq!(guarded(|| fleet.submit(request(2, xs.clone()))), Ok(Ok(0)));
     }
 }
