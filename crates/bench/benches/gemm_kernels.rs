@@ -10,6 +10,14 @@
 //!   `f, i, c` product of a 4-gate `FusedGates` slab
 //!   (`gemv_masked_prefix_into(3, ..)`) at paper-realistic skip ratios,
 //!   next to the dense four-gate `gemv_into` on the same slab;
+//! * traced masked — the same masked `f, i, c` product replayed over a
+//!   recorded DRS mask trace: every cell of BABI's harness model (seed
+//!   `0xBEEF`) under the exact forward, masked at `α_intra` 0.05, on the
+//!   layer's `U` slab in natural row order and in the ascending-`b_o`
+//!   order `lstm::CellWeights` stores. The uniform masks above spread
+//!   trivial rows over every panel, which no row order can help; the
+//!   trace's trivial rows follow `b_o`, so ordered panels skip whole;
+//! * pack — packing a 4-gate 256x256 slab at fp32 and int8;
 //! * batched `W·x` — the layer's hoisted input product on BABI's shape
 //!   (a 4-gate 256x256 slab, 86 columns): the paired slab walk
 //!   `gemv_batch_with` the runtime runs, versus one `gemv_into` per
@@ -23,9 +31,13 @@
 //! change from host noise.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
+use lstm::drs::trivial_row_mask_into;
+use lstm::CellScratch;
 use std::hint::black_box;
 use tensor::gemm::sgemv;
+use tensor::packed::MR;
 use tensor::{FusedGates, Matrix, Precision, Vector};
+use workloads::{Benchmark, Workload};
 
 /// `(rows, cols)` of the dense comparisons: recurrent `H x H` blocks at
 /// the paper's hidden sizes plus the stacked `4H x H` gate projection.
@@ -43,6 +55,16 @@ const MASKED_FUSED_HIDDEN: usize = 256;
 
 /// Gates the masked DRS launch covers: the `f, i, c` prefix.
 const MASKED_FUSED_GATES: usize = 3;
+
+/// The traced masked rows' model seed (the e2e harness's `solo_drs`
+/// model), DRS threshold, and the eval sequences replayed.
+const TRACE_MODEL_SEED: u64 = 0xBEEF;
+const TRACE_ALPHA_INTRA: f32 = 0.05;
+const TRACE_SEQUENCES: usize = 4;
+
+/// Hidden size and tiers of the pack rows.
+const PACK_HIDDEN: usize = 256;
+const PACK_PRECISIONS: [Precision; 2] = [Precision::Fp32, Precision::Int8];
 
 /// BABI's layer shape for the batched `W·x` comparison: hidden (and
 /// input) width and the columns of one sequence.
@@ -107,17 +129,22 @@ fn bench_dense(c: &mut Criterion) {
 /// buffers: the fused win is one pass over `h` and panel-pair ILP, not
 /// allocation.
 fn fused_setup(h: usize) -> (FusedGates, Vec<FusedGates>, Vector) {
-    let mats: Vec<Matrix> = (0..4)
+    let mats = fused_gate_matrices(h);
+    let refs: Vec<&Matrix> = mats.iter().collect();
+    let fused = FusedGates::pack(&refs, Precision::Fp32);
+    let singles: Vec<FusedGates> = mats.iter().map(pack_one).collect();
+    (fused, singles, test_vector(h))
+}
+
+/// Four deterministic `h x h` gate matrices.
+fn fused_gate_matrices(h: usize) -> Vec<Matrix> {
+    (0..4)
         .map(|g| {
             Matrix::from_fn(h, h, |r, c| {
                 ((r * 31 + c * 7 + g * 5) % 13) as f32 * 0.083 - 0.5
             })
         })
-        .collect();
-    let refs: Vec<&Matrix> = mats.iter().collect();
-    let fused = FusedGates::pack(&refs, Precision::Fp32);
-    let singles: Vec<FusedGates> = mats.iter().map(pack_one).collect();
-    (fused, singles, test_vector(h))
+        .collect()
 }
 
 fn bench_fused(c: &mut Criterion) {
@@ -196,7 +223,140 @@ fn bench_masked_fused(c: &mut Criterion) {
             },
         );
     }
+    for (l, trace) in MaskTrace::record().iter().enumerate() {
+        trace.assert_orders_agree();
+        let mut out = vec![0.0f32; MASKED_FUSED_GATES * trace.natural.rows()];
+        for (name, u) in [("natural", &trace.natural), ("ordered", &trace.ordered)] {
+            group.bench_with_input(
+                BenchmarkId::new(format!("trace_{name}"), format!("layer{l}")),
+                &(),
+                |b, _| b.iter(|| trace.replay(u, black_box(&mut out))),
+            );
+        }
+    }
     group.finish();
+}
+
+fn bench_pack(c: &mut Criterion) {
+    let mats = fused_gate_matrices(PACK_HIDDEN);
+    let refs: Vec<&Matrix> = mats.iter().collect();
+    let mut group = c.benchmark_group("pack");
+    group.sample_size(20);
+    for precision in PACK_PRECISIONS {
+        group.bench_with_input(
+            BenchmarkId::new(precision.name(), format!("4x{PACK_HIDDEN}x{PACK_HIDDEN}")),
+            &(),
+            |b, _| b.iter(|| black_box(FusedGates::pack(&refs, precision))),
+        );
+    }
+    group.finish();
+}
+
+/// One layer's recorded DRS trace: every cell's `h_{t-1}` and active
+/// mask under the exact forward, and the layer's `U_{f,i,c,o}` slab in
+/// natural and in ascending-`b_o` row order.
+struct MaskTrace {
+    natural: FusedGates,
+    ordered: FusedGates,
+    cells: Vec<(Vector, Vec<bool>)>,
+}
+
+impl MaskTrace {
+    /// Records one trace per layer of BABI's harness model.
+    fn record() -> Vec<MaskTrace> {
+        let workload = Workload::generate(Benchmark::Babi, TRACE_SEQUENCES, TRACE_MODEL_SEED);
+        let net = workload.network();
+        let seqs = workload.eval_set();
+        let forwards: Vec<_> = seqs.iter().map(|xs| net.forward(xs)).collect();
+        let (mut scratch, mut wx, mut o) = (CellScratch::new(), Vec::new(), Vector::zeros(0));
+        net.layers()
+            .iter()
+            .enumerate()
+            .map(|(l, cell)| {
+                let mut cells = Vec::new();
+                for (xs, fwd) in seqs.iter().zip(&forwards) {
+                    let inputs = if l == 0 { xs } else { &fwd.layer_hs[l - 1] };
+                    cell.precompute_wx_batch_into(Precision::Fp32, inputs, &mut wx);
+                    let mut h_prev = Vector::zeros(cell.hidden());
+                    for (pre, h) in wx.iter().zip(&fwd.layer_hs[l]) {
+                        cell.output_gate_into(
+                            Precision::Fp32,
+                            &pre.o,
+                            &h_prev,
+                            &mut scratch,
+                            &mut o,
+                        );
+                        let mut mask = Vec::new();
+                        trivial_row_mask_into(&o, TRACE_ALPHA_INTRA, &mut mask);
+                        cells.push((std::mem::replace(&mut h_prev, h.clone()), mask));
+                    }
+                }
+                let u = [&cell.u.f, &cell.u.i, &cell.u.c, &cell.u.o];
+                MaskTrace {
+                    natural: FusedGates::pack(&u, Precision::Fp32),
+                    ordered: FusedGates::pack_sorted(&u, Precision::Fp32, cell.b.o.as_slice()),
+                    cells,
+                }
+            })
+            .collect()
+    }
+
+    /// The masked `f, i, c` product of every traced cell on `slab`.
+    fn replay(&self, slab: &FusedGates, out: &mut [f32]) {
+        for (h, mask) in &self.cells {
+            slab.gemv_masked_prefix_into(MASKED_FUSED_GATES, h.as_slice(), mask, 0.0, out);
+        }
+    }
+
+    /// Share of skipped rows over the trace.
+    fn skip_fraction(&self) -> f64 {
+        let skipped: usize = self
+            .cells
+            .iter()
+            .map(|(_, m)| m.iter().filter(|&&a| !a).count())
+            .sum();
+        skipped as f64 / (self.cells.len() * self.natural.rows()) as f64
+    }
+
+    /// Share of `slab`'s per-gate panels the masked walk skips over the
+    /// trace: those whose every row is inactive.
+    fn skippable_panels(&self, slab: &FusedGates) -> f64 {
+        let panels = slab.row_order().chunks(MR);
+        let skipped: usize = self
+            .cells
+            .iter()
+            .map(|(_, m)| {
+                panels
+                    .clone()
+                    .filter(|rows| rows.iter().all(|&r| !m[r]))
+                    .count()
+            })
+            .sum();
+        skipped as f64 / (self.cells.len() * panels.len()) as f64
+    }
+
+    /// Both slabs' traced products agree bitwise, row for row.
+    fn assert_orders_agree(&self) {
+        let rows = MASKED_FUSED_GATES * self.natural.rows();
+        let (mut a, mut b) = (vec![0.0f32; rows], vec![0.0f32; rows]);
+        for (h, mask) in &self.cells {
+            self.natural.gemv_masked_prefix_into(
+                MASKED_FUSED_GATES,
+                h.as_slice(),
+                mask,
+                0.0,
+                &mut a,
+            );
+            self.ordered.gemv_masked_prefix_into(
+                MASKED_FUSED_GATES,
+                h.as_slice(),
+                mask,
+                0.0,
+                &mut b,
+            );
+            assert_eq!(a, b, "natural and ordered slabs diverged");
+        }
+    }
 }
 
 /// The BABI-shaped `W_{f,i,c,o}` slab and one sequence's input columns.
@@ -211,9 +371,10 @@ fn wx_setup() -> (FusedGates, Vec<Vector>) {
 /// The paired slab walk into one gate-major slab per column.
 fn wx_walk(fused: &FusedGates, xs: &[Vector], outs: &mut [Vec<f32>]) {
     let rows = fused.rows();
-    fused.gemv_batch_with(xs, |i, g, row0, vals| {
-        let start = g * rows + row0;
-        outs[i][start..start + vals.len()].copy_from_slice(vals);
+    fused.gemv_batch_with(xs, |i, g, slab_rows, vals| {
+        for (&r, &v) in slab_rows.iter().zip(vals) {
+            outs[i][g * rows + r] = v;
+        }
     });
 }
 
@@ -254,6 +415,7 @@ fn bench_gemm_kernels(c: &mut Criterion) {
     bench_dense(c);
     bench_fused(c);
     bench_masked_fused(c);
+    bench_pack(c);
     bench_wx_batch(c);
     if c.is_measuring() {
         emit_json();
@@ -318,6 +480,8 @@ impl Spread {
 fn emit_json() {
     const REPS: usize = 15;
     const ITERS: usize = 200;
+    // Packing is set-up work, read as a min over more single-call reps.
+    const PACK_REPS: usize = 31;
     let time = |f: &dyn Fn()| Spread::measure(REPS, ITERS, f);
     let mut dense = Vec::new();
     for &(rows, cols) in &DENSE_SHAPES {
@@ -394,6 +558,49 @@ fn emit_json() {
             masked.median / dense_fused.median
         ));
     }
+    let mut masked_trace = Vec::new();
+    for (l, trace) in MaskTrace::record().iter().enumerate() {
+        trace.assert_orders_agree();
+        let (n, hidden) = (trace.cells.len(), trace.natural.rows());
+        let out = std::cell::RefCell::new(vec![0.0f32; MASKED_FUSED_GATES * hidden]);
+        // One rep replays the whole trace once; read per cell.
+        let replay = |u: &FusedGates| {
+            Spread::measure(REPS, 1, &|| {
+                let mut out = out.borrow_mut();
+                trace.replay(u, &mut out);
+                black_box(&mut *out);
+            })
+            .per(n)
+        };
+        let (natural, ordered) = (replay(&trace.natural), replay(&trace.ordered));
+        masked_trace.push(format!(
+            "    {{\"layer\": {l}, \"hidden\": {hidden}, \"masked_gates\": {MASKED_FUSED_GATES}, \
+             \"cells\": {n}, \"skip_fraction\": {:.3}, \"skippable_panels_natural\": {:.3}, \
+             \"skippable_panels_ordered\": {:.3}, \"natural_s\": {}, \"ordered_s\": {}, \
+             \"ordered_over_natural\": {:.3}}}",
+            trace.skip_fraction(),
+            trace.skippable_panels(&trace.natural),
+            trace.skippable_panels(&trace.ordered),
+            natural.json(),
+            ordered.json(),
+            ordered.median / natural.median
+        ));
+    }
+    let mats = fused_gate_matrices(PACK_HIDDEN);
+    let refs: Vec<&Matrix> = mats.iter().collect();
+    let pack_rows: Vec<String> = PACK_PRECISIONS
+        .iter()
+        .map(|&precision| {
+            let packed = Spread::measure(PACK_REPS, 1, &|| {
+                black_box(FusedGates::pack(&refs, precision));
+            });
+            format!(
+                "    {{\"hidden\": {PACK_HIDDEN}, \"gates\": 4, \"precision\": \"{precision}\", \
+                 \"pack_s\": {}}}",
+                packed.json()
+            )
+        })
+        .collect();
     // One batch is `WX_COLUMNS` products, so fewer calls per rep.
     let (fused, xs) = wx_setup();
     let outs = std::cell::RefCell::new(vec![vec![0.0f32; fused.total_rows()]; xs.len()]);
@@ -421,10 +628,13 @@ fn emit_json() {
     let json = format!(
         "{{\n  \"benchmark\": \"gemm_kernels\",\n  \"dense_sgemv\": [\n{}\n  ],\n  \
          \"fused_gates\": [\n{}\n  ],\n  \"masked_fused\": [\n{}\n  ],\n  \
+         \"masked_fused_trace\": [\n{}\n  ],\n  \"pack\": [\n{}\n  ],\n  \
          \"wx_batch\": [\n{}\n  ]\n}}\n",
         dense.join(",\n"),
         fused_rows.join(",\n"),
         masked_fused.join(",\n"),
+        masked_trace.join(",\n"),
+        pack_rows.join(",\n"),
         wx_batch,
     );
     let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_gemm.json");

@@ -60,8 +60,9 @@ pub struct CellWeights {
     /// not per timestep (cf. E-PUR's tiled weight reuse). The fp32
     /// cache never diverges from `w`/`u` numerically (packing is a
     /// relayout, not a transform); the quantized tiers are lossy by
-    /// design but deterministic. Callers that mutate the public weight
-    /// fields after a forward pass must rebuild the cell via
+    /// design but deterministic. The `U` slab's row order is read from
+    /// `b.o` when the tier is packed. Callers that mutate the public
+    /// weight or bias fields after a forward pass must rebuild the cell via
     /// [`CellWeights::from_parts`] to drop the stale panels. `Clone` is
     /// manual and does **not** copy the caches, so the common
     /// clone-then-edit pattern (e.g. zero pruning) starts cache-cold.
@@ -93,9 +94,15 @@ impl Clone for CellWeights {
 /// [`CellWeights::output_gate_into`] addresses gate `3`).
 #[derive(Debug, Clone)]
 struct FusedCellWeights {
-    /// `W_f / W_i / W_c / W_o` (`hidden x input` each).
+    /// `W_f / W_i / W_c / W_o` (`hidden x input` each), natural row
+    /// order.
     w: FusedGates,
-    /// `U_f / U_i / U_c / U_o` (`hidden x hidden` each).
+    /// `U_f / U_i / U_c / U_o` (`hidden x hidden` each), rows in
+    /// ascending `b_o` order (ties by index). DRS skips the rows whose
+    /// `o_t` is near zero, and a strongly negative `b_o` is what keeps a
+    /// unit's `o_t` there, so the masked `U_{f,i,c}` product skips whole
+    /// panels (the host's form of the paper's CTA reorganization,
+    /// Sec. V). Every product reads and writes natural row order.
     u: FusedGates,
 }
 
@@ -246,7 +253,11 @@ impl CellWeights {
     fn fused_at(&self, precision: Precision) -> &FusedCellWeights {
         self.packed[precision as usize].get_or_init(|| FusedCellWeights {
             w: FusedGates::pack(&[&self.w.f, &self.w.i, &self.w.c, &self.w.o], precision),
-            u: FusedGates::pack(&[&self.u.f, &self.u.i, &self.u.c, &self.u.o], precision),
+            u: FusedGates::pack_sorted(
+                &[&self.u.f, &self.u.i, &self.u.c, &self.u.o],
+                precision,
+                self.b.o.as_slice(),
+            ),
         })
     }
 
@@ -440,7 +451,7 @@ impl CellWeights {
         }
         self.fused_at(precision)
             .w
-            .gemv_batch_with(xs, |i, gate, row0, vals| {
+            .gemv_batch_with(xs, |i, gate, rows, vals| {
                 let gp = &mut out[i];
                 let section = match gate {
                     0 => &mut gp.f,
@@ -448,7 +459,9 @@ impl CellWeights {
                     2 => &mut gp.c,
                     _ => &mut gp.o, // GATE_O: the slab holds four gates
                 };
-                section.as_mut_slice()[row0..row0 + vals.len()].copy_from_slice(vals);
+                for (&r, &v) in rows.iter().zip(vals) {
+                    section[r] = v;
+                }
             });
     }
 

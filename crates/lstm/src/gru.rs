@@ -48,8 +48,9 @@ pub struct GruWeights {
     /// Lazily built fused `r, z, h` packs, one slot per [`Precision`]
     /// tier indexed by `precision as usize` (same rules as the LSTM
     /// cell's cache: the fp32 slot is a pure relayout, the quantized
-    /// slots are lossy but deterministic; all dropped on clone so
-    /// clone-then-edit starts cache-cold).
+    /// slots are lossy but deterministic; the `U` slab's row order is
+    /// read from `b_z`; all dropped on clone so clone-then-edit starts
+    /// cache-cold).
     packed: [OnceLock<FusedGruWeights>; 3],
 }
 
@@ -57,7 +58,12 @@ pub struct GruWeights {
 /// storage precision.
 #[derive(Debug, Clone)]
 struct FusedGruWeights {
+    /// `W_r / W_z / W_h`, natural row order.
     w: FusedGates,
+    /// `U_r / U_z / U_h`, rows in ascending `b_z` order (ties by index),
+    /// so the units whose update gate DRS finds near zero share panels
+    /// and the masked `U_r`/`U_h` products skip them whole, as the LSTM
+    /// slab does by `b_o`.
     u: FusedGates,
 }
 
@@ -135,7 +141,11 @@ impl GruWeights {
     fn fused_at(&self, precision: Precision) -> &FusedGruWeights {
         self.packed[precision as usize].get_or_init(|| FusedGruWeights {
             w: FusedGates::pack(&[&self.w_r, &self.w_z, &self.w_h], precision),
-            u: FusedGates::pack(&[&self.u_r, &self.u_z, &self.u_h], precision),
+            u: FusedGates::pack_sorted(
+                &[&self.u_r, &self.u_z, &self.u_h],
+                precision,
+                self.b_z.as_slice(),
+            ),
         })
     }
 
@@ -178,14 +188,16 @@ impl GruWeights {
         }
         self.fused_at(precision)
             .w
-            .gemv_batch_with(xs, |i, gate, row0, vals| {
+            .gemv_batch_with(xs, |i, gate, rows, vals| {
                 let gp = &mut out[i];
                 let section = match gate {
                     GATE_R => &mut gp.f,
                     GATE_Z => &mut gp.o,
                     _ => &mut gp.c, // GATE_H: the slab holds three gates
                 };
-                section.as_mut_slice()[row0..row0 + vals.len()].copy_from_slice(vals);
+                for (&r, &v) in rows.iter().zip(vals) {
+                    section[r] = v;
+                }
             });
     }
 

@@ -26,7 +26,7 @@
 
 use crate::breakpoints::find_breakpoints;
 use crate::division::{divide, SubLayer};
-use crate::error::{check_step_widths, Error, MemlstmResult};
+use crate::error::{check_finite_probe, check_step_widths, Error, MemlstmResult};
 use crate::exec::OptimizerConfig;
 use crate::prediction::NetworkPredictors;
 use crate::relevance::{relevance_flops, RelevanceAnalyzer};
@@ -58,7 +58,8 @@ use tensor::Vector;
 /// [`Error::NoProbes`] if `probes` is empty, [`Error::EmptyProbe`] or
 /// [`Error::ProbeLengthMismatch`] if a probe is empty or differs in
 /// length, [`Error::StepWidthMismatch`] if a probe step is not as wide
-/// as the network's input, and (when `config.inter` is set)
+/// as the network's input, [`Error::NonFiniteProbe`] if a probe holds a
+/// NaN or infinite element, and (when `config.inter` is set)
 /// [`Error::AnalyzerCount`] if `analyzers` does not cover every layer.
 pub fn compile(
     net: &LstmNetwork,
@@ -81,8 +82,9 @@ pub fn compile(
             actual: bad.len(),
         });
     }
-    for probe in probes {
+    for (p, probe) in probes.iter().enumerate() {
         check_step_widths(net, probe)?;
+        check_finite_probe(p, probe)?;
     }
     if config.inter && analyzers.len() != net.layers().len() {
         return Err(Error::AnalyzerCount {

@@ -24,6 +24,17 @@ pub enum Error {
         /// The offending probe's length.
         actual: usize,
     },
+    /// A probe sequence holds a NaN or infinite element. Relevances and
+    /// thresholds calibrated on it would be non-finite, so `compile`
+    /// refuses it before any numerics.
+    NonFiniteProbe {
+        /// Index of the probe in the offline set.
+        probe: usize,
+        /// Index of the first step holding a non-finite element.
+        step: usize,
+        /// Index of the first non-finite element in that step.
+        element: usize,
+    },
     /// `config.inter` is set but the analyzers don't cover every layer.
     AnalyzerCount {
         /// Network layer count.
@@ -123,6 +134,14 @@ impl fmt::Display for Error {
                 f,
                 "compile: probe sequences must share one length (expected {expected}, got {actual})"
             ),
+            Error::NonFiniteProbe {
+                probe,
+                step,
+                element,
+            } => write!(
+                f,
+                "compile: probe {probe} step {step} element {element} is NaN or infinite"
+            ),
             Error::AnalyzerCount { expected, actual } => write!(
                 f,
                 "compile: analyzer per layer required ({actual} analyzers for {expected} layers)"
@@ -198,6 +217,23 @@ pub(crate) fn check_step_widths(net: &LstmNetwork, xs: &[Vector]) -> MemlstmResu
     }
 }
 
+/// Checks that every element of probe `probe` (`xs`) is finite.
+///
+/// # Errors
+/// [`Error::NonFiniteProbe`] naming the first non-finite element.
+pub(crate) fn check_finite_probe(probe: usize, xs: &[Vector]) -> MemlstmResult<()> {
+    for (step, x) in xs.iter().enumerate() {
+        if let Some(element) = x.iter().position(|v| !v.is_finite()) {
+            return Err(Error::NonFiniteProbe {
+                probe,
+                step,
+                element,
+            });
+        }
+    }
+    Ok(())
+}
+
 /// Checks one input sequence at an execution entry point before any
 /// numerics: non-empty, as long as the plan was compiled for
 /// (`seq_len`), and every step as wide as `net`'s input.
@@ -235,6 +271,11 @@ mod tests {
             Error::ProbeLengthMismatch {
                 expected: 4,
                 actual: 2,
+            },
+            Error::NonFiniteProbe {
+                probe: 1,
+                step: 2,
+                element: 3,
             },
             Error::AnalyzerCount {
                 expected: 2,
@@ -285,6 +326,7 @@ mod tests {
             Error::NoProbes => "compile: no probe sequences",
             Error::EmptyProbe => "compile: empty probe sequence",
             Error::ProbeLengthMismatch { .. } => "must share one length",
+            Error::NonFiniteProbe { .. } => "probe 1 step 2 element 3 is NaN or infinite",
             Error::AnalyzerCount { .. } => "analyzer per layer required",
             Error::EmptyInput => "empty input",
             Error::SeqLenMismatch { .. } => "sequence length 8, got 3",
@@ -310,7 +352,7 @@ mod tests {
         // fails to compile until it picks a pinned message; this count
         // keeps `all_variants` honest alongside it.
         let variants = all_variants();
-        assert_eq!(variants.len(), 17, "new variant missing from the table");
+        assert_eq!(variants.len(), 18, "new variant missing from the table");
         let mut displays: Vec<String> = variants.iter().map(Error::to_string).collect();
         displays.sort();
         displays.dedup();

@@ -23,6 +23,20 @@
 //! packing that gate alone, which is what makes the bit-exactness
 //! argument below a one-liner.
 //!
+//! ## Row order
+//!
+//! Every gate's rows may be stored in one shared order other than their
+//! natural one ([`FusedGates::pack_sorted`]): slot `s` of each gate —
+//! lane `s % MR` of its panel `s / MR` — holds row `order[s]`. Every
+//! product writes each lane back through the order, and the masked
+//! products test each lane's mask bit through it, so callers read and
+//! write natural row order throughout. A natural slab is the identity
+//! order; there is no second walk. This is the host's software form of
+//! the paper's CTA reorganization (Sec. V): the DRS skip list follows
+//! the output-gate bias, so a slab sorted by that bias groups the rows
+//! that skip together into whole panels, and a panel whose every lane is
+//! inactive costs nothing.
+//!
 //! ## Storage precision
 //!
 //! The panels always hold `f32` weights: [`FusedGates::pack`] rounds each
@@ -42,10 +56,11 @@
 //! one pass over `x`* — a regrouping of rows, never of any row's sum —
 //! so gate `g`'s section of any product is bit-identical to `sgemv` on
 //! gate `g`'s matrix, rounded by [`Precision::apply`] for the quantized
-//! tiers. The masked products run the same kernels in place
-//! on the stored panels that hold an active row, skip the others, and
-//! write back only the active lanes. The property tests pin this for
-//! the dense, batched and masked paths at every tier.
+//! tiers, in any row order. The masked products run the same kernels in
+//! place on the stored panels that hold an active row, skip the others,
+//! and write back only the active lanes. The property tests pin this for
+//! the dense, batched and masked paths at every tier and in identity,
+//! reversed, random and bias-sorted orders.
 
 use crate::matrix::Matrix;
 use crate::packed::{masked_panels_into, panel_gemv, simd_kernel, MR};
@@ -54,7 +69,7 @@ use crate::vector::Vector;
 
 /// Several equally-shaped gate matrices, rounded to one [`Precision`],
 /// packed into one gate-major slab of [`MR`]-row column-interleaved
-/// `f32` panels.
+/// `f32` panels, their rows in one shared order.
 ///
 /// See the module docs for the layout and the bit-exactness contract.
 #[derive(Debug, Clone, PartialEq)]
@@ -62,6 +77,10 @@ pub struct FusedGates {
     gates: usize,
     rows: usize,
     cols: usize,
+    /// The row order shared by every gate: lane `s % MR` of each gate's
+    /// panel `s / MR` computes that gate's row `order[s]`. A permutation
+    /// of `0..rows`; the identity for [`pack`](Self::pack).
+    order: Vec<usize>,
     /// `gates * ceil(rows / MR)` panels of `MR * cols` elements; gate `g`
     /// occupies panels `[g * ppg, (g + 1) * ppg)`. Lanes past each
     /// gate's last row are zero padding.
@@ -69,13 +88,38 @@ pub struct FusedGates {
 }
 
 impl FusedGates {
-    /// Packs the gate matrices into one slab, each weight rounded to
-    /// `precision` as [`Precision::apply`] rounds it. One pass over each
-    /// matrix.
+    /// Packs the gate matrices into one slab in natural row order, each
+    /// weight rounded to `precision` as [`Precision::apply`] rounds it.
     ///
     /// # Panics
     /// Panics if `mats` is empty or the shapes differ.
     pub fn pack(mats: &[&Matrix], precision: Precision) -> Self {
+        let rows = mats.first().map_or(0, |m| m.rows());
+        Self::pack_in_order(mats, precision, (0..rows).collect())
+    }
+
+    /// Packs the gate matrices like [`pack`](Self::pack), with every
+    /// gate's rows stored in ascending order of `key[row]` (ties by row
+    /// index, `f32::total_cmp` order). Products still read and write
+    /// natural row order, with the same bits; only which rows share a
+    /// panel changes, so rows with similar keys skip together under a
+    /// mask that follows the key.
+    ///
+    /// # Panics
+    /// Panics if `mats` is empty, the shapes differ, or
+    /// `key.len() != rows`.
+    pub fn pack_sorted(mats: &[&Matrix], precision: Precision, key: &[f32]) -> Self {
+        let rows = mats.first().map_or(0, |m| m.rows());
+        assert_eq!(key.len(), rows, "FusedGates::pack_sorted: key length");
+        let mut order: Vec<usize> = (0..rows).collect();
+        order.sort_by(|&a, &b| key[a].total_cmp(&key[b]));
+        Self::pack_in_order(mats, precision, order)
+    }
+
+    /// Packs with row `order[s]` of every gate in slot `s`, one panel at
+    /// a time: its rows are rounded into a row-major staging block, then
+    /// written out one panel column (`MR` contiguous lanes) at a time.
+    fn pack_in_order(mats: &[&Matrix], precision: Precision, order: Vec<usize>) -> Self {
         assert!(!mats.is_empty(), "FusedGates::pack: no gate matrices");
         let (rows, cols) = mats[0].shape();
         for (g, m) in mats.iter().enumerate() {
@@ -88,19 +132,26 @@ impl FusedGates {
         let ppg = rows.div_ceil(MR);
         let mut panels = vec![0.0; mats.len() * ppg * MR * cols];
         let mut codes = Vec::new();
-        for (g, m) in mats.iter().enumerate() {
-            for r in 0..rows {
-                // Row `r` is lane `r % MR` of the gate's panel `r / MR`;
-                // its column `k` sits `k * MR` elements past `first`.
-                let first = (g * ppg + r / MR) * MR * cols + r % MR;
-                let slots = panels.iter_mut().skip(first).step_by(MR);
-                precision.round_row_into(m.row(r), &mut codes, slots);
+        let mut staged = vec![0.0f32; MR * cols];
+        // An empty gate has no panels, so no chunk of it is ever read.
+        let gate_len = (ppg * MR * cols).max(1);
+        for (m, gate_panels) in mats.iter().zip(panels.chunks_mut(gate_len)) {
+            for (slots, panel) in order.chunks(MR).zip(gate_panels.chunks_mut(MR * cols)) {
+                for (&r, lane) in slots.iter().zip(staged.chunks_mut(cols)) {
+                    precision.round_row_into(m.row(r), &mut codes, lane.iter_mut());
+                }
+                for (k, column) in panel.chunks_exact_mut(MR).enumerate() {
+                    for (lane, slot) in column[..slots.len()].iter_mut().enumerate() {
+                        *slot = staged[lane * cols + k];
+                    }
+                }
             }
         }
         Self {
             gates: mats.len(),
             rows,
             cols,
+            order,
             panels,
         }
     }
@@ -120,6 +171,12 @@ impl FusedGates {
         self.cols
     }
 
+    /// The row order shared by every gate: slot `s` (lane `s % MR` of
+    /// panel `s / MR`) holds row `row_order()[s]`.
+    pub fn row_order(&self) -> &[usize] {
+        &self.order
+    }
+
     /// Total output rows of the fused product (`gates * rows`).
     pub fn total_rows(&self) -> usize {
         self.gates * self.rows
@@ -136,19 +193,18 @@ impl FusedGates {
         &self.panels[q * MR * self.cols..(q + 1) * MR * self.cols]
     }
 
-    /// Global panel `q`'s place in the output: its gate, the gate row
-    /// its first lane computes, and how many of its lanes are live.
-    fn panel_rows(&self, q: usize) -> (usize, usize, usize) {
+    /// Global panel `q`'s gate and the gate rows its live lanes compute,
+    /// lane by lane.
+    fn panel_rows(&self, q: usize) -> (usize, &[usize]) {
         let ppg = self.ppg();
         let (g, p) = (q / ppg, q % ppg);
-        (g, p * MR, MR.min(self.rows - p * MR))
+        (g, &self.order[p * MR..self.rows.min((p + 1) * MR)])
     }
 
     /// Writes global panel `q`'s live lanes into the fused output slab.
     fn scatter(&self, q: usize, sum: &[f32; MR], out: &mut [f32]) {
-        let (g, row0, live) = self.panel_rows(q);
-        let start = g * self.rows + row0;
-        out[start..start + live].copy_from_slice(&sum[..live]);
+        let (g, rows) = self.panel_rows(q);
+        scatter_lanes(rows, sum, &mut out[g * self.rows..(g + 1) * self.rows]);
     }
 
     /// The fused matrix-vector product: one pass over the slab computes
@@ -198,9 +254,8 @@ impl FusedGates {
             "FusedGates::gate_gemv_into: out length"
         );
         let first = g * self.ppg();
-        for (p, outs) in out.chunks_mut(MR).enumerate() {
-            let sum = panel_gemv(self.panel(first + p), self.cols, x);
-            outs.copy_from_slice(&sum[..outs.len()]);
+        for (p, rows) in self.order.chunks(MR).enumerate() {
+            scatter_lanes(rows, &panel_gemv(self.panel(first + p), self.cols, x), out);
         }
     }
 
@@ -208,10 +263,11 @@ impl FusedGates {
     /// outermost: panels run two at a time through `panel_pair_gemv`
     /// (one `panel_gemv` tail for an odd panel count), and each pair is
     /// loaded once and reused by every column. Results stream through
-    /// `write(column, gate, row0, values)`, where `values` are rows
-    /// `row0 ..` of gate `gate` for column `column`, so callers can
-    /// scatter into recycled per-sequence buffers without this layer
-    /// allocating anything.
+    /// `write(column, gate, rows, values)`, where `values[l]` is row
+    /// `rows[l]` of gate `gate` for column `column` (one panel's live
+    /// lanes, in the slab's row order), so callers can scatter into
+    /// recycled per-sequence buffers without this layer allocating
+    /// anything.
     ///
     /// A pair may straddle two gates; the pairing regroups rows, never a
     /// row's sum, so the values for column `i` are bit-identical to
@@ -222,7 +278,7 @@ impl FusedGates {
     pub fn gemv_batch_with(
         &self,
         xs: &[Vector],
-        mut write: impl FnMut(usize, usize, usize, &[f32]),
+        mut write: impl FnMut(usize, usize, &[usize], &[f32]),
     ) {
         for (i, x) in xs.iter().enumerate() {
             assert_eq!(
@@ -232,8 +288,8 @@ impl FusedGates {
             );
         }
         let mut emit = |q: usize, i: usize, sum: &[f32; MR]| {
-            let (g, row0, live) = self.panel_rows(q);
-            write(i, g, row0, &sum[..live]);
+            let (g, rows) = self.panel_rows(q);
+            write(i, g, rows, &sum[..rows.len()]);
         };
         let total = self.gates * self.ppg();
         let mut q = 0;
@@ -329,9 +385,17 @@ impl FusedGates {
             "FusedGates::gate_gemv_masked_into: out length"
         );
         let first = g * self.ppg();
-        masked_panels_into(active, skipped_value, out, |p| {
+        masked_panels_into(&self.order, active, skipped_value, out, |p| {
             panel_gemv(self.panel(first + p), self.cols, x)
         });
+    }
+}
+
+/// Writes a panel's live lanes to their rows of one gate's output:
+/// lane `l` to `out[rows[l]]`.
+fn scatter_lanes(rows: &[usize], sum: &[f32; MR], out: &mut [f32]) {
+    for (&r, &s) in rows.iter().zip(sum) {
+        out[r] = s;
     }
 }
 
@@ -477,9 +541,10 @@ mod tests {
     fn batch(fused: &FusedGates, xs: &[Vector]) -> Vec<Vec<f32>> {
         let rows = fused.rows();
         let mut outs = vec![vec![f32::NAN; fused.total_rows()]; xs.len()];
-        fused.gemv_batch_with(xs, |i, g, row0, vals| {
-            let start = g * rows + row0;
-            outs[i][start..start + vals.len()].copy_from_slice(vals);
+        fused.gemv_batch_with(xs, |i, g, slab_rows, vals| {
+            for (&r, &v) in slab_rows.iter().zip(vals) {
+                outs[i][g * rows + r] = v;
+            }
         });
         outs
     }

@@ -25,8 +25,9 @@
 //! (never FMA, so both round identically), picked per call by one
 //! `is_x86_feature_detected!` check. The masked products of the packed gate slab
 //! ([`crate::FusedGates`]) run those kernels in place on the stored
-//! panels through one shared panel walk, skipping panels without an
-//! active row; no kernel copies rows.
+//! panels through one shared panel walk, which reads each lane's mask
+//! bit and writes its output through the slab's row order and skips
+//! panels without an active row; no kernel copies rows.
 //!
 //! Packing costs one pass over the matrix, so it pays off when the same
 //! matrix is applied many times — exactly the LSTM shape, where the
@@ -134,26 +135,29 @@ fn panel_gemv_body(panel: &[f32], cols: usize, x: &[f32]) -> [f32; MR] {
 /// outputs) is filled with `skipped_value`, then every panel holding at
 /// least one active row is run through `sum_panel(p)` (the gate's `p`-th
 /// packed panel, as stored) and only its active lanes are written back.
+/// Panel `p`'s lanes compute rows `order[p * MR ..]` (the slab's row
+/// order), so the walk tests and writes each lane through `order`.
 /// Panels with no active row cost nothing.
 ///
 /// Each row is its own SIMD lane with its own accumulators, so a row's
 /// sum does not depend on which rows share its pass: every active row is
 /// bit-identical to the dense kernel's value for it.
 pub(crate) fn masked_panels_into(
+    order: &[usize],
     active: &[bool],
     skipped_value: f32,
     out: &mut [f32],
     mut sum_panel: impl FnMut(usize) -> [f32; MR],
 ) {
     out.fill(skipped_value);
-    for (p, (lanes, outs)) in active.chunks(MR).zip(out.chunks_mut(MR)).enumerate() {
-        if !lanes.contains(&true) {
+    for (p, rows) in order.chunks(MR).enumerate() {
+        if !rows.iter().any(|&r| active[r]) {
             continue;
         }
         let sum = sum_panel(p);
-        for ((o, &s), &on) in outs.iter_mut().zip(&sum).zip(lanes) {
-            if on {
-                *o = s;
+        for (&r, &s) in rows.iter().zip(&sum) {
+            if active[r] {
+                out[r] = s;
             }
         }
     }
@@ -242,9 +246,11 @@ mod tests {
                         .map(|i| pseudo_vector(cols, 100 + i as u32))
                         .collect();
                     let mut ys = vec![vec![0.0f32; rows]; batch];
-                    packed.gemv_batch_with(&xs, |i, g, row0, vals| {
+                    packed.gemv_batch_with(&xs, |i, g, rows, vals| {
                         assert_eq!(g, 0);
-                        ys[i][row0..row0 + vals.len()].copy_from_slice(vals);
+                        for (&r, &v) in rows.iter().zip(vals) {
+                            ys[i][r] = v;
+                        }
                     });
                     for (x, y) in xs.iter().zip(&ys) {
                         let single = packed_gemv(&a, precision, x);
@@ -284,37 +290,82 @@ mod tests {
         out
     }
 
-    /// One kernel entry of the dispatch table: `(gates, x, mask)` to its
-    /// output slab.
-    type Entry = fn(&[Matrix], &Vector, &[bool]) -> Vec<f32>;
+    /// A product of the dispatch table.
+    #[derive(Clone, Copy, Debug)]
+    enum Product {
+        /// A one-gate slab's `gate_gemv_into`: one panel at a time.
+        Single,
+        /// The whole slab's `gemv_into`: the pair kernel and its tail.
+        Dense,
+        /// The whole slab's masked product, in place.
+        Masked,
+    }
 
-    fn slab(mats: &[Matrix], precision: Precision) -> FusedGates {
+    /// `product` on `mats` packed at `precision` with rows in ascending
+    /// `key` order.
+    fn run(
+        product: Product,
+        precision: Precision,
+        mats: &[Matrix],
+        key: &[f32],
+        x: &Vector,
+        mask: &[bool],
+    ) -> Vec<f32> {
+        let mats = match product {
+            Product::Single => &mats[..1],
+            Product::Dense | Product::Masked => mats,
+        };
         let refs: Vec<&Matrix> = mats.iter().collect();
-        FusedGates::pack(&refs, precision)
-    }
-
-    fn dense(mats: &[Matrix], x: &Vector, precision: Precision) -> Vec<f32> {
-        let fused = slab(mats, precision);
+        let fused = FusedGates::pack_sorted(&refs, precision, key);
         let mut out = vec![0.0; fused.total_rows()];
-        fused.gemv_into(x.as_slice(), &mut out);
+        match product {
+            Product::Single => fused.gate_gemv_into(0, x.as_slice(), &mut out),
+            Product::Dense => fused.gemv_into(x.as_slice(), &mut out),
+            Product::Masked => {
+                fused.gemv_masked_prefix_into(mats.len(), x.as_slice(), mask, -3.0, &mut out)
+            }
+        }
         out
     }
 
-    fn masked(mats: &[Matrix], x: &Vector, mask: &[bool], precision: Precision) -> Vec<f32> {
-        let fused = slab(mats, precision);
-        let mut out = vec![0.0; fused.total_rows()];
-        fused.gemv_masked_prefix_into(mats.len(), x.as_slice(), mask, -3.0, &mut out);
-        out
+    /// What [`run`] must return: the row-at-a-time reference kernels on
+    /// the rounded matrices, gate after gate.
+    fn oracle(
+        product: Product,
+        precision: Precision,
+        mats: &[Matrix],
+        x: &Vector,
+        mask: &[bool],
+    ) -> Vec<f32> {
+        let gates = if matches!(product, Product::Single) {
+            1
+        } else {
+            mats.len()
+        };
+        mats[..gates]
+            .iter()
+            .flat_map(|m| {
+                let m = precision.apply(m);
+                match product {
+                    Product::Masked => crate::gemm::sgemv_masked_reference(&m, x, mask, -3.0),
+                    Product::Single | Product::Dense => sgemv(&m, x),
+                }
+                .as_slice()
+                .to_vec()
+            })
+            .collect()
     }
 
     /// Every dispatched kernel's AVX build agrees with its portable
-    /// build to the last bit: column counts around the four-wide phase
-    /// chunks and the 256-column slabs, a partial last panel
-    /// (`rows % MR != 0`), and empty, full, random and last-row-only DRS
-    /// masks (the last puts the only active row in the last panel). Three
-    /// gates give `gemv_into` an odd panel count, so both the pair kernel
-    /// and its single-panel tail run. The f16 and int8 slabs run the same
-    /// fp32 kernels over panels rounded to their tier.
+    /// build and with the reference kernels to the last bit: column
+    /// counts around the four-wide phase chunks and the 256-column slabs, a partial last panel
+    /// (`rows % MR != 0`), slabs in identity, reversed, scrambled and
+    /// bias-sorted row order (the last with ties), and empty, full,
+    /// random and last-row-only DRS masks (the last puts the only active
+    /// row in the last panel). Three gates give `gemv_into` an odd panel
+    /// count, so both the pair kernel and its single-panel tail run. The
+    /// f16 and int8 slabs run the same fp32 kernels over panels rounded
+    /// to their tier.
     #[test]
     fn every_avx_kernel_bit_identical_to_portable() {
         #[cfg(target_arch = "x86_64")]
@@ -325,24 +376,34 @@ mod tests {
             eprintln!("skipped: no AVX on this CPU, so only the portable build ever runs");
             return;
         }
-        let entries: [(&str, Entry); 7] = [
-            ("fp32 single panel", |m, x, _| {
-                packed_gemv(&m[0], Precision::Fp32, x)
-            }),
-            ("fp32 pair", |m, x, _| dense(m, x, Precision::Fp32)),
-            ("f16 slab", |m, x, _| dense(m, x, Precision::Fp16)),
-            ("int8 slab", |m, x, _| dense(m, x, Precision::Int8)),
-            ("fp32 packed masked in place", |m, x, mask| {
-                masked(m, x, mask, Precision::Fp32)
-            }),
-            ("f16 slab masked in place", |m, x, mask| {
-                masked(m, x, mask, Precision::Fp16)
-            }),
-            ("int8 slab masked in place", |m, x, mask| {
-                masked(m, x, mask, Precision::Int8)
-            }),
+        let entries = [
+            (Product::Single, Precision::Fp32),
+            (Product::Dense, Precision::Fp32),
+            (Product::Dense, Precision::Fp16),
+            (Product::Dense, Precision::Int8),
+            (Product::Masked, Precision::Fp32),
+            (Product::Masked, Precision::Fp16),
+            (Product::Masked, Precision::Int8),
         ];
         for rows in [MR, 2 * MR + 5] {
+            let hash = |r: usize| (r as u32).wrapping_mul(2654435761) >> 20;
+            let keys: [(&str, Vec<f32>); 4] = [
+                ("identity", vec![0.0; rows]),
+                ("reversed", (0..rows).map(|r| -(r as f32)).collect()),
+                ("scrambled", (0..rows).map(|r| hash(r) as f32).collect()),
+                (
+                    "bias-sorted",
+                    (0..rows)
+                        .map(|r| {
+                            if hash(r) % 3 == 0 {
+                                -6.0
+                            } else {
+                                hash(r) as f32 / 4096.0
+                            }
+                        })
+                        .collect(),
+                ),
+            ];
             for cols in [1usize, 3, 4, 5, 8, 255, 256, 257] {
                 let mats: Vec<Matrix> = (0..3)
                     .map(|g| pseudo_matrix(rows, cols, 17 + 31 * g))
@@ -362,17 +423,20 @@ mod tests {
                         (0..rows).map(|r| r == rows - 1).collect(),
                     ),
                 ];
-                for (name, entry) in entries {
-                    for (mask_name, mask) in &masks {
-                        let avx = entry(&mats, &x, mask);
-                        let scalar = portable(|| entry(&mats, &x, mask));
-                        assert_eq!(avx.len(), scalar.len());
-                        for (i, (a, s)) in avx.iter().zip(&scalar).enumerate() {
-                            assert_eq!(
-                                a.to_bits(),
-                                s.to_bits(),
-                                "{name}: {rows}x{cols}, {mask_name} mask, row {i}"
+                for (product, precision) in entries {
+                    for (order, key) in &keys {
+                        for (mask_name, mask) in &masks {
+                            let avx = run(product, precision, &mats, key, &x, mask);
+                            let scalar = portable(|| run(product, precision, &mats, key, &x, mask));
+                            let want = oracle(product, precision, &mats, &x, mask);
+                            let bits =
+                                |v: &[f32]| v.iter().map(|f| f.to_bits()).collect::<Vec<_>>();
+                            let at = format!(
+                                "{product:?} {precision}: {rows}x{cols}, {order} order, \
+                                 {mask_name} mask"
                             );
+                            assert_eq!(bits(&avx), bits(&scalar), "AVX vs portable, {at}");
+                            assert_eq!(bits(&avx), bits(&want), "AVX vs reference, {at}");
                         }
                     }
                 }

@@ -389,9 +389,10 @@ mod tests {
             let quant = FusedGates::pack(&refs, precision);
             let xs: Vec<Vector> = (0..3).map(|i| pseudo_vector(9, 40 + i)).collect();
             let mut outs = vec![vec![0.0f32; 4 * 17]; xs.len()];
-            quant.gemv_batch_with(&xs, |i, g, row0, vals| {
-                let start = g * 17 + row0;
-                outs[i][start..start + vals.len()].copy_from_slice(vals);
+            quant.gemv_batch_with(&xs, |i, g, rows, vals| {
+                for (&r, &v) in rows.iter().zip(vals) {
+                    outs[i][g * 17 + r] = v;
+                }
             });
             for (x, got) in xs.iter().zip(&outs) {
                 let mut single = vec![0.0f32; 4 * 17];

@@ -1,19 +1,22 @@
-//! Bitwise pins for the in-place masked products of the packed gate
-//! slab (`FusedGates`) at every storage precision.
+//! Bitwise pins for the products of the packed gate slab (`FusedGates`)
+//! at every storage precision and in every row order.
 //!
 //! The masked products run the panel kernels on the stored panels and
 //! write back only the active rows, so the panel walk is what can go
 //! wrong: a panel skipped that holds an active row, a lane written back
-//! that is inactive, a partial last panel read past its live rows. A
-//! seeded table covers every combination of precision tier, shape and
-//! mask pattern below (the vendored `proptest` stub cannot draw shapes,
-//! so the shapes are enumerated), and compares each gate section with
+//! that is inactive or to the wrong row, a partial last panel read past
+//! its live rows. A slab may store its rows in any order
+//! (`FusedGates::pack_sorted`), and every product scatters its lanes back
+//! through that order. A seeded table covers every combination of
+//! precision tier, row order, shape and mask pattern below (the vendored
+//! `proptest` stub cannot draw shapes, so the shapes are enumerated), and
+//! compares each gate section with `gemm::sgemv` /
 //! `gemm::sgemv_masked_reference` on the `Precision::apply` matrices via
 //! `to_bits()`, skipped rows included.
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use tensor::gemm::sgemv_masked_reference;
+use tensor::gemm::{sgemv, sgemv_masked_reference};
 use tensor::packed::MR;
 use tensor::{FusedGates, Matrix, Precision, Vector};
 
@@ -59,6 +62,110 @@ fn random_matrix(rows: usize, cols: usize, rng: &mut StdRng) -> Matrix {
     Matrix::from_fn(rows, cols, |_, _| rng.gen_range(-1.5f32..1.5))
 }
 
+/// The row orders a slab is packed in, as sort keys for
+/// `FusedGates::pack_sorted` (`None` is `FusedGates::pack`, the identity
+/// order): reversed, random, and sorted by a bias-like key whose
+/// saturated rows share one value, so ties break by index.
+fn orders(rows: usize, rng: &mut StdRng) -> Vec<(&'static str, Option<Vec<f32>>)> {
+    let bias = (0..rows)
+        .map(|_| {
+            if rng.gen::<f32>() < 0.4 {
+                -6.0
+            } else {
+                rng.gen_range(-2.0f32..2.0)
+            }
+        })
+        .collect();
+    vec![
+        ("identity", None),
+        ("reversed", Some((0..rows).map(|r| -(r as f32)).collect())),
+        (
+            "random",
+            Some((0..rows).map(|_| rng.gen::<f32>()).collect()),
+        ),
+        ("bias-sorted", Some(bias)),
+    ]
+}
+
+/// Packs `mats` at `precision` in the order `key` gives, and checks the
+/// slab's row order is that order: a permutation ascending in `key`,
+/// ties by index.
+fn pack(mats: &[Matrix], precision: Precision, key: &Option<Vec<f32>>) -> FusedGates {
+    let refs: Vec<&Matrix> = mats.iter().collect();
+    let slab = match key {
+        None => FusedGates::pack(&refs, precision),
+        Some(key) => FusedGates::pack_sorted(&refs, precision, key),
+    };
+    let order = slab.row_order();
+    let mut seen = vec![false; slab.rows()];
+    for &r in order {
+        assert!(
+            !std::mem::replace(&mut seen[r], true),
+            "row {r} stored twice"
+        );
+    }
+    assert!(seen.iter().all(|&s| s), "a row is missing from the order");
+    let rank = |r: usize| (key.as_ref().map_or(0.0, |k| k[r]), r);
+    for pair in order.windows(2) {
+        let ((ka, a), (kb, b)) = (rank(pair[0]), rank(pair[1]));
+        assert!(
+            ka.total_cmp(&kb).then(a.cmp(&b)).is_lt(),
+            "order not ascending"
+        );
+    }
+    slab
+}
+
+fn assert_bits(got: &[f32], want: &[f32], what: impl Fn(usize) -> String) {
+    assert_eq!(got.len(), want.len());
+    for (r, (a, b)) in got.iter().zip(want).enumerate() {
+        assert_eq!(a.to_bits(), b.to_bits(), "{}", what(r));
+    }
+}
+
+#[test]
+fn ordered_dense_products_bit_identical_to_reference() {
+    let mut rng = StdRng::seed_from_u64(26);
+    for precision in Precision::ALL {
+        for rows in ROWS {
+            for cols in COLS {
+                let mats: Vec<Matrix> = (0..GATES)
+                    .map(|_| random_matrix(rows, cols, &mut rng))
+                    .collect();
+                let x = Vector::from_fn(cols, |_| rng.gen_range(-1.0f32..1.0));
+                let want: Vec<Vector> = mats
+                    .iter()
+                    .map(|m| sgemv(&precision.apply(m), &x))
+                    .collect();
+                for (order, key) in orders(rows, &mut rng) {
+                    let slab = pack(&mats, precision, &key);
+                    let what = |product: &'static str, g: usize| {
+                        move |r: usize| {
+                            format!("{precision} {order} {rows}x{cols} {product}: gate {g} row {r}")
+                        }
+                    };
+                    let mut dense = vec![f32::NAN; GATES * rows];
+                    slab.gemv_into(x.as_slice(), &mut dense);
+                    let mut batch = vec![f32::NAN; GATES * rows];
+                    slab.gemv_batch_with(std::slice::from_ref(&x), |_, g, slab_rows, vals| {
+                        for (&r, &v) in slab_rows.iter().zip(vals) {
+                            batch[g * rows + r] = v;
+                        }
+                    });
+                    let mut single = vec![f32::NAN; rows];
+                    for (g, want) in want.iter().enumerate() {
+                        let section = g * rows..(g + 1) * rows;
+                        assert_bits(&dense[section.clone()], want.as_slice(), what("dense", g));
+                        assert_bits(&batch[section], want.as_slice(), what("batched", g));
+                        slab.gate_gemv_into(g, x.as_slice(), &mut single);
+                        assert_bits(&single, want.as_slice(), what("single-gate", g));
+                    }
+                }
+            }
+        }
+    }
+}
+
 #[test]
 fn in_place_masked_products_bit_identical_to_reference() {
     let mut rng = StdRng::seed_from_u64(15);
@@ -70,40 +177,43 @@ fn in_place_masked_products_bit_identical_to_reference() {
                     .map(|_| random_matrix(rows, cols, &mut rng))
                     .collect();
                 let shadow: Vec<Matrix> = mats.iter().map(|m| precision.apply(m)).collect();
-                let refs: Vec<&Matrix> = mats.iter().collect();
-                let slab = FusedGates::pack(&refs, precision);
                 let x = Vector::from_fn(cols, |_| rng.gen_range(-1.0f32..1.0));
-                for (mask_name, mask) in masks(rows, &mut rng) {
-                    for skipped in [-3.0f32, f32::NAN] {
-                        for ngates in 1..=GATES {
-                            // Stale contents must not leak into any row,
-                            // skipped or not.
-                            let mut got = vec![1234.5f32; ngates * rows];
-                            slab.gemv_masked_prefix_into(
-                                ngates,
-                                x.as_slice(),
-                                &mask,
-                                skipped,
-                                &mut got,
-                            );
-                            for (g, m) in shadow.iter().take(ngates).enumerate() {
-                                let want = sgemv_masked_reference(m, &x, &mask, skipped);
-                                let section = &got[g * rows..(g + 1) * rows];
-                                for (r, (a, b)) in section.iter().zip(want.iter()).enumerate() {
-                                    assert_eq!(
-                                        a.to_bits(),
-                                        b.to_bits(),
-                                        "{precision} {rows}x{cols}, {mask_name} mask, \
-                                         skipped {skipped}, {ngates} gates: gate {g} row {r}"
+                let masks = masks(rows, &mut rng);
+                for (order, key) in orders(rows, &mut rng) {
+                    let slab = pack(&mats, precision, &key);
+                    for (mask_name, mask) in &masks {
+                        for skipped in [-3.0f32, f32::NAN] {
+                            for ngates in 1..=GATES {
+                                // Stale contents must not leak into any
+                                // row, skipped or not.
+                                let mut got = vec![1234.5f32; ngates * rows];
+                                slab.gemv_masked_prefix_into(
+                                    ngates,
+                                    x.as_slice(),
+                                    mask,
+                                    skipped,
+                                    &mut got,
+                                );
+                                for (g, m) in shadow.iter().take(ngates).enumerate() {
+                                    let want = sgemv_masked_reference(m, &x, mask, skipped);
+                                    assert_bits(
+                                        &got[g * rows..(g + 1) * rows],
+                                        want.as_slice(),
+                                        |r| {
+                                            format!(
+                                            "{precision} {order} {rows}x{cols}, {mask_name} mask, \
+                                             skipped {skipped}, {ngates} gates: gate {g} row {r}"
+                                        )
+                                        },
                                     );
                                 }
+                                checked += 1;
                             }
-                            checked += 1;
                         }
                     }
                 }
             }
         }
     }
-    assert_eq!(checked, 3 * ROWS.len() * COLS.len() * 12 * 2 * GATES);
+    assert_eq!(checked, 3 * ROWS.len() * COLS.len() * 4 * 12 * 2 * GATES);
 }

@@ -3,7 +3,8 @@
 //! `Error::StepWidthMismatch` naming the first bad step, and an empty
 //! sequence or one of the wrong length is `Error::EmptyInput` or
 //! `Error::SeqLenMismatch` — never a panic in the `W·x` walk or a request
-//! that is accepted and then never resolves.
+//! that is accepted and then never resolves. A probe holding NaN or ±inf
+//! is `Error::NonFiniteProbe` at `compile`, naming its step and element.
 
 use gpu_sim::DeviceModel;
 use lstm::plan::ExecutionPlan;
@@ -201,5 +202,60 @@ fn execution_entry_points_reject_empty_and_wrong_length_sequences() {
         // The policy never saw the rejected request: round-robin still
         // starts at device 0.
         assert_eq!(guarded(|| fleet.submit(request(2, xs.clone()))), Ok(Ok(0)));
+    }
+}
+
+#[test]
+fn compile_rejects_non_finite_probes() {
+    let device = DeviceModel::default_preset();
+    let (net, xs) = setup(2);
+    let predictors = NetworkPredictors::zeros(&net);
+    let analyzers: Vec<RelevanceAnalyzer> =
+        net.layers().iter().map(RelevanceAnalyzer::new).collect();
+    let drs = DrsConfig {
+        alpha_intra: 0.1,
+        mode: DrsMode::Hardware,
+    };
+    let configs = [
+        ("baseline", OptimizerConfig::builder().build()),
+        ("intra", OptimizerConfig::builder().drs(drs).build()),
+        (
+            "combined",
+            OptimizerConfig::builder()
+                .alpha_inter(1.0)
+                .max_tissue_size(3)
+                .drs(drs)
+                .build(),
+        ),
+    ];
+    for value in [f32::NAN, f32::INFINITY, f32::NEG_INFINITY] {
+        for (step, element) in [(0, 0), (SEQ - 1, INPUT - 1)] {
+            // The bad value sits in the second probe, after a finite
+            // element of the same step, so the error names both indices.
+            let mut bad = xs.clone();
+            bad[step].as_mut_slice()[element] = value;
+            let probes = [xs.clone(), bad];
+            let err = Error::NonFiniteProbe {
+                probe: 1,
+                step,
+                element,
+            };
+            for (name, config) in &configs {
+                let ctx = format!("compile {name}, {value} at step {step} element {element}");
+                let got = guarded(|| {
+                    compile(&net, &predictors, &analyzers, config, &probes, &device).map(|_| ())
+                });
+                assert_eq!(got, Ok(Err(err.clone())), "{ctx}");
+                let panic = guarded(|| {
+                    OptimizedExecutor::new(&net, &predictors, *config).plan_probes(&probes);
+                    Ok(())
+                })
+                .expect_err("plan_probes panics on a non-finite probe");
+                assert!(
+                    panic.contains(&err.to_string()),
+                    "plan_probes: {ctx}: {panic}"
+                );
+            }
+        }
     }
 }
