@@ -19,9 +19,14 @@
 //!   trace's trivial rows follow `b_o`, so ordered panels skip whole;
 //! * pack — packing a 4-gate 256x256 slab at fp32 and int8;
 //! * batched `W·x` — the layer's hoisted input product on BABI's shape
-//!   (a 4-gate 256x256 slab, 86 columns): the paired slab walk
+//!   (a 4-gate 256x256 slab, 86 columns): the column-blocked slab walk
 //!   `gemv_batch_with` the runtime runs, versus one `gemv_into` per
-//!   column, both per column.
+//!   column, both per column;
+//! * lockstep lanes — a gang's fused H=256 `U·h` at 1, 2, 3, 4 and 8
+//!   lanes on a slab in bias-sorted row order, as `lstm::CellWeights`
+//!   stores it: one `gemv_into` per lane, as a lane-by-lane tissue step
+//!   runs it, versus the one lockstep walk of a dense tissue step, both
+//!   per lane.
 //!
 //! Shapes follow the LSTM gate matrices: `H x H` recurrent blocks and the
 //! `4H x H` stacked input projections of Table I's hidden sizes. In
@@ -70,6 +75,10 @@ const PACK_PRECISIONS: [Precision; 2] = [Precision::Fp32, Precision::Int8];
 /// input) width and the columns of one sequence.
 const WX_HIDDEN: usize = 256;
 const WX_COLUMNS: usize = 86;
+
+/// Hidden size and gang sizes of the lockstep lane comparison.
+const LANES_HIDDEN: usize = 256;
+const LANES: [usize; 5] = [1, 2, 3, 4, 8];
 
 fn test_matrix(rows: usize, cols: usize) -> Matrix {
     Matrix::from_fn(rows, cols, |r, c| {
@@ -368,7 +377,7 @@ fn wx_setup() -> (FusedGates, Vec<Vector>) {
     (fused, xs)
 }
 
-/// The paired slab walk into one gate-major slab per column.
+/// The slab walk into one gate-major slab per column.
 fn wx_walk(fused: &FusedGates, xs: &[Vector], outs: &mut [Vec<f32>]) {
     let rows = fused.rows();
     fused.gemv_batch_with(xs, |i, g, slab_rows, vals| {
@@ -402,12 +411,54 @@ fn bench_wx_batch(c: &mut Criterion) {
             black_box(&mut single);
         })
     });
-    group.bench_with_input(BenchmarkId::new("paired_walk", &shape), &(), |b, _| {
+    group.bench_with_input(BenchmarkId::new("walk", &shape), &(), |b, _| {
         b.iter(|| {
             wx_walk(&fused, &xs, &mut walk);
             black_box(&mut walk);
         })
     });
+    group.finish();
+}
+
+/// The H=256 `U_{f,i,c,o}` slab in bias-sorted row order, and `lanes`
+/// hidden states, one per lane.
+fn lanes_setup(lanes: usize) -> (FusedGates, Vec<Vector>) {
+    let h = LANES_HIDDEN;
+    let mats = fused_gate_matrices(h);
+    let refs: Vec<&Matrix> = mats.iter().collect();
+    let bias: Vec<f32> = (0..h).map(|r| ((r * 37) % 29) as f32 - 14.0).collect();
+    let fused = FusedGates::pack_sorted(&refs, Precision::Fp32, &bias);
+    let hs = (0..lanes)
+        .map(|i| Vector::from_fn(h, |k| ((k * 13 + i * 7) % 17) as f32 * 0.11 - 0.9))
+        .collect();
+    (fused, hs)
+}
+
+fn bench_lanes_batch(c: &mut Criterion) {
+    let mut group = c.benchmark_group("lanes_batch");
+    group.sample_size(20);
+    for lanes in LANES {
+        let (fused, hs) = lanes_setup(lanes);
+        let mut walk = vec![vec![0.0f32; fused.total_rows()]; lanes];
+        let mut single = walk.clone();
+        // Every lane's lockstep product must equal its own before we time.
+        wx_walk(&fused, &hs, &mut walk);
+        wx_per_column(&fused, &hs, &mut single);
+        assert_eq!(walk, single, "lockstep walk diverged at {lanes} lanes");
+        let shape = format!("H{LANES_HIDDEN}xB{lanes}");
+        group.bench_with_input(BenchmarkId::new("per_lane", &shape), &(), |b, _| {
+            b.iter(|| {
+                wx_per_column(&fused, &hs, &mut single);
+                black_box(&mut single);
+            })
+        });
+        group.bench_with_input(BenchmarkId::new("lockstep", &shape), &(), |b, _| {
+            b.iter(|| {
+                wx_walk(&fused, &hs, &mut walk);
+                black_box(&mut walk);
+            })
+        });
+    }
     group.finish();
 }
 
@@ -417,6 +468,7 @@ fn bench_gemm_kernels(c: &mut Criterion) {
     bench_masked_fused(c);
     bench_pack(c);
     bench_wx_batch(c);
+    bench_lanes_batch(c);
     if c.is_measuring() {
         emit_json();
     }
@@ -619,23 +671,50 @@ fn emit_json() {
     .per(WX_COLUMNS);
     let wx_batch = format!(
         "    {{\"hidden\": {WX_HIDDEN}, \"cols\": {WX_HIDDEN}, \"gates\": 4, \
-         \"columns\": {WX_COLUMNS}, \"per_column_s\": {}, \"paired_walk_s\": {}, \
+         \"columns\": {WX_COLUMNS}, \"per_column_s\": {}, \"walk_s\": {}, \
          \"speedup\": {:.3}}}",
         per_column.json(),
         walk.json(),
         per_column.median / walk.median
     );
+    let lanes_batch: Vec<String> = LANES
+        .iter()
+        .map(|&lanes| {
+            let (fused, hs) = lanes_setup(lanes);
+            let outs = std::cell::RefCell::new(vec![vec![0.0f32; fused.total_rows()]; lanes]);
+            let per_lane = Spread::measure(REPS, ITERS, &|| {
+                let mut outs = outs.borrow_mut();
+                wx_per_column(&fused, &hs, &mut outs);
+                black_box(&mut *outs);
+            })
+            .per(lanes);
+            let lockstep = Spread::measure(REPS, ITERS, &|| {
+                let mut outs = outs.borrow_mut();
+                wx_walk(&fused, &hs, &mut outs);
+                black_box(&mut *outs);
+            })
+            .per(lanes);
+            format!(
+                "    {{\"hidden\": {LANES_HIDDEN}, \"gates\": 4, \"lanes\": {lanes}, \
+                 \"per_lane_s\": {}, \"lockstep_s\": {}, \"speedup\": {:.3}}}",
+                per_lane.json(),
+                lockstep.json(),
+                per_lane.median / lockstep.median
+            )
+        })
+        .collect();
     let json = format!(
         "{{\n  \"benchmark\": \"gemm_kernels\",\n  \"dense_sgemv\": [\n{}\n  ],\n  \
          \"fused_gates\": [\n{}\n  ],\n  \"masked_fused\": [\n{}\n  ],\n  \
          \"masked_fused_trace\": [\n{}\n  ],\n  \"pack\": [\n{}\n  ],\n  \
-         \"wx_batch\": [\n{}\n  ]\n}}\n",
+         \"wx_batch\": [\n{}\n  ],\n  \"lanes_batch\": [\n{}\n  ]\n}}\n",
         dense.join(",\n"),
         fused_rows.join(",\n"),
         masked_fused.join(",\n"),
         masked_trace.join(",\n"),
         pack_rows.join(",\n"),
         wx_batch,
+        lanes_batch.join(",\n"),
     );
     let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_gemm.json");
     std::fs::write(path, json).expect("write BENCH_gemm.json");

@@ -20,7 +20,12 @@
 //! * `uneven_tissues` — a combined plan whose maximum tissue size does
 //!   not divide its sub-layers, so a smaller DRS tissue runs between
 //!   larger ones;
-//! * `gru_drs` — the GRU Dynamic-Row-Skip plan, on the same tissue walk.
+//! * `gru_drs` — the GRU Dynamic-Row-Skip plan, on the same tissue walk;
+//! * `mixed_gangs` — one runtime running gangs of 8, 3, 1 and 5 lanes on
+//!   the baseline plan and on an inter-only plan of multi-cell plain
+//!   tissues, so the lockstep walk's recycled columns (one per lane per
+//!   cell) grow to the largest tissue and are then reused. Each gang
+//!   size keeps its own output vector, as the audit is of the runtime.
 //!
 //! A plain run writes `BENCH_alloc.json` at the repo root, the committed
 //! baseline. With `--check` the results go to `target/bench/` instead,
@@ -148,7 +153,7 @@ fn main() {
     // Breaks enough links that the layers run multi-cell tissues of up
     // to 4 cells: a lower `alpha_inter` leaves sub-layers that 4 does
     // not divide.
-    let combined = |divisor: f64| {
+    let reorganized = |divisor: f64, drs: DrsConfig| {
         let config = OptimizerConfig::builder()
             .alpha_inter(RelevanceAnalyzer::max_relevance() / divisor)
             .max_tissue_size(4)
@@ -156,6 +161,7 @@ fn main() {
             .build();
         OptimizedExecutor::new(&net, &predictors, config).plan_probes(std::slice::from_ref(&xs))
     };
+    let combined = |divisor: f64| reorganized(divisor, drs);
     let mut audits = Vec::new();
 
     {
@@ -231,6 +237,25 @@ fn main() {
         let mut out = PlanOutput::new();
         audits.push(audit("gru_drs", xs.len(), || {
             runtime.run_gru_into(&plan, &gru, &xs, &mut NullSink, &mut out);
+        }));
+    }
+
+    {
+        let baseline = ExecutionPlan::compile_baseline(&net, xs.len(), &device);
+        let inter = reorganized(3.0, DrsConfig::disabled());
+        assert!(
+            tissue_sizes(&inter).iter().all(|&s| s > 1),
+            "mixed_gangs: the inter-only plan must batch cells into tissues"
+        );
+        const GANGS: [usize; 4] = [8, 3, 1, 5];
+        let mut runtime = PlanRuntime::new();
+        let mut outs: [Vec<PlanOutput>; 4] = Default::default();
+        audits.push(audit("mixed_gangs", xs.len(), || {
+            for (gang, outs) in GANGS.into_iter().zip(&mut outs) {
+                for plan in [&baseline, &inter] {
+                    runtime.run_lstm_batch_into(plan, &net, &seqs[..gang], &mut NullSink, outs);
+                }
+            }
         }));
     }
 

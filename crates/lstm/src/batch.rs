@@ -8,8 +8,8 @@
 //! sequences in lockstep turns each per-step `Sgemv(U, h)` into an
 //! `Sgemm(U, H_B)`, so one weight load serves B hidden vectors (cf.
 //! Appleyard et al.'s batched RNN kernels and E-PUR's weight-reuse
-//! argument). That reuse is a property of the *pricing*
-//! ([`batch_kernel_into`]), not of the host numerics.
+//! argument). The device model prices that reuse
+//! ([`batch_kernel_into`]).
 //!
 //! [`PlanRuntime`] executes one compiled [`ExecutionPlan`] on B sequences
 //! ("lanes") at once, and a solo run is the batch of one. Each layer is
@@ -17,17 +17,27 @@
 //! the offline search/link kernels — whatever flow produced it: the
 //! per-cell flows are one-cell tissues. The walk reaches the cell math
 //! only through the crate-private `RecurrentCell` operations (batched
-//! `W·x`, hoisted gate, full step, masked step), so a GRU layer runs the
-//! same loop with `z_t` hoisted where the LSTM hoists `o_t`. Sequences are
-//! independent, so interchanging the timestep and lane loops cannot
-//! change any value: every lane's output is **bit-identical** to running
-//! that sequence alone. On the host each lane still runs its own `U·h`
-//! product per step: the `U` slab stays in L2 across a gang's lanes, and
-//! a gang-wide weight-stationary `U·h` measured no faster (a recorded
-//! non-win in DESIGN Sec. 2g). Batching changes only the emitted kernel
-//! stream — one batched kernel per planned kernel, priced by
-//! [`batch_kernel_into`] with amortized weight traffic. A single lane
-//! emits the planned descriptors as they are.
+//! `W·x`, hoisted gate, the batched dense step, masked step), so a GRU
+//! layer runs the same loop with `z_t` hoisted where the LSTM hoists
+//! `o_t`. Sequences are independent, so interchanging the timestep and
+//! lane loops cannot change any value: every lane's output is
+//! **bit-identical** to running that sequence alone.
+//!
+//! The host takes the same weight reuse on a plain tissue. Its cells
+//! never read each other (a `Prior` predecessor ran in an earlier
+//! tissue), so the walk runs it column by column in two passes: one
+//! column per lane per cell, lane-major. First one batched product
+//! covers every column — for the LSTM one walk over the `U_{f,i,c,o}`
+//! slab that loads each weight panel once per four columns
+//! (`FusedGates::gemv_batch_with`) — into recycled columns in the shared
+//! scratch; then each column runs its own elementwise pass. A GRU step
+//! does not split (its `U_h` multiplies `r ⊙ h`), so it runs whole per
+//! column. A DRS tissue stays lane by lane: its hoisted gate decides
+//! each column's mask, and each masked product skips its own panels.
+//! The kernel stream does not see this split: B lanes emit one batched
+//! kernel per planned kernel, priced by [`batch_kernel_into`] with
+//! amortized weight traffic, and a single lane emits the planned
+//! descriptors as they are.
 
 use crate::cell::{CellScratch, CellWeights, GatePreacts};
 use crate::drs::{skip_fraction, trivial_row_mask_into};
@@ -39,7 +49,7 @@ use crate::plan::{
     PlanRuntime, PrevSource, SkipStats, TissueKernels, TissuePlan,
 };
 use crate::regions::{NetworkRegions, RegionAllocator};
-use crate::workspace::{SharedScratch, Workspace};
+use crate::workspace::{Lockstep, SharedScratch, Workspace};
 use gpu_sim::{KernelDesc, KernelKind, SpanTag};
 use std::fmt::Write as _;
 use std::{mem, slice};
@@ -115,18 +125,20 @@ struct LaneSink<'a, K> {
 
 impl<'a, K: KernelSink> LaneSink<'a, K> {
     /// Borrows the descriptor scratch out of `shared`, handing back the
-    /// lane-major mask list the layer bodies fill.
+    /// lane-major mask list and the lockstep columns the layer bodies
+    /// fill.
     fn new(
         inner: &'a mut K,
         lanes: usize,
         regions: &'a NetworkRegions,
         shared: &'a mut SharedScratch,
-    ) -> (Self, &'a mut Vec<Vec<bool>>) {
+    ) -> (Self, &'a mut Vec<Vec<bool>>, &'a mut Lockstep) {
         let SharedScratch {
             all_masks,
             union_mask,
             masked_desc,
             batched,
+            lockstep,
         } = shared;
         let sink = Self {
             inner,
@@ -136,7 +148,7 @@ impl<'a, K: KernelSink> LaneSink<'a, K> {
             union: union_mask,
             masked: masked_desc,
         };
-        (sink, all_masks)
+        (sink, all_masks, lockstep)
     }
 
     fn tag(&mut self, tag: SpanTag) {
@@ -189,11 +201,22 @@ pub(crate) trait RecurrentCell {
         out: &mut Vector,
     );
 
-    /// One exact step.
+    /// The batched half of the exact steps of independent cells, one
+    /// column per `h_prev[j]`: the recurrent products every column needs
+    /// before its elementwise pass, into `uh`. A cell whose step does
+    /// not split into a product and an elementwise pass leaves `uh`
+    /// alone and runs its whole step in
+    /// [`dense_step_into`](Self::dense_step_into).
+    fn dense_products_into(&self, precision: Precision, h_prev: &[Vector], uh: &mut Vec<f32>);
+
+    /// Column `j`'s exact step after
+    /// [`dense_products_into`](Self::dense_products_into) filled `uh`.
     #[allow(clippy::too_many_arguments)]
-    fn full_step_into(
+    fn dense_step_into(
         &self,
         precision: Precision,
+        uh: &[f32],
+        j: usize,
         wx: &GatePreacts,
         h_prev: &Vector,
         c_prev: &Vector,
@@ -238,17 +261,24 @@ impl RecurrentCell for CellWeights {
         self.output_gate_into(precision, &wx.o, h_prev, scratch, out);
     }
 
-    fn full_step_into(
+    fn dense_products_into(&self, precision: Precision, h_prev: &[Vector], uh: &mut Vec<f32>) {
+        self.recurrent_batch_into(precision, h_prev, uh);
+    }
+
+    fn dense_step_into(
         &self,
-        precision: Precision,
+        _precision: Precision,
+        uh: &[f32],
+        j: usize,
         wx: &GatePreacts,
-        h_prev: &Vector,
+        _h_prev: &Vector,
         c_prev: &Vector,
-        scratch: &mut CellScratch,
+        _scratch: &mut CellScratch,
         h_out: &mut Vector,
         c_out: &mut Vector,
     ) {
-        self.step_fused_into(precision, wx, h_prev, c_prev, scratch, h_out, c_out);
+        let n = self.hidden();
+        self.dense_gates_into(wx, &uh[4 * n * j..4 * n * (j + 1)], c_prev, h_out, c_out);
     }
 
     fn masked_step_into(
@@ -289,9 +319,15 @@ impl RecurrentCell for GruWeights {
         self.update_gate_into(precision, wx, h_prev, scratch, out);
     }
 
-    fn full_step_into(
+    /// `U_h` applies to `r ⊙ h`, and `r` needs `U_r·h` first, so a GRU
+    /// step does not split: every column runs its whole step.
+    fn dense_products_into(&self, _precision: Precision, _h_prev: &[Vector], _uh: &mut Vec<f32>) {}
+
+    fn dense_step_into(
         &self,
         precision: Precision,
+        _uh: &[f32],
+        _j: usize,
         wx: &GatePreacts,
         h_prev: &Vector,
         _c_prev: &Vector,
@@ -469,7 +505,8 @@ impl PlanRuntime {
         // One lane never batches, so the regions are never consulted.
         let regions = NetworkRegions::allocate(&mut RegionAllocator::new(), 0);
         let mut null = NullSink;
-        let (mut sink, all_masks) = LaneSink::new(&mut null, 1, &regions, &mut self.shared);
+        let (mut sink, all_masks, lockstep) =
+            LaneSink::new(&mut null, 1, &regions, &mut self.shared);
         execute_body_into(
             0,
             precision,
@@ -478,6 +515,7 @@ impl PlanRuntime {
             slice::from_ref(&wx),
             &mut self.ws[..1],
             all_masks,
+            lockstep,
             &mut sink,
             slice::from_mut(&mut out),
         );
@@ -545,7 +583,8 @@ impl PlanRuntime {
                 .resize(layer_plans.len(), SkipStats::default());
         }
         let (wx, ws) = (&mut self.wx[..b], &mut self.ws[..b]);
-        let (mut sink, all_masks) = LaneSink::new(sink, b, &plan.regions, &mut self.shared);
+        let (mut sink, all_masks, lockstep) =
+            LaneSink::new(sink, b, &plan.regions, &mut self.shared);
         for (l, (lp, cell)) in layer_plans.iter().zip(cells).enumerate() {
             sink.inner.begin_layer(l);
             sink.tag(SpanTag::wx(l));
@@ -566,6 +605,7 @@ impl PlanRuntime {
                 wx,
                 ws,
                 all_masks,
+                lockstep,
                 &mut sink,
                 outs,
             );
@@ -599,6 +639,7 @@ fn execute_body_into<C: RecurrentCell, W: AsRef<[GatePreacts]>, K: KernelSink>(
     wx: &[W],
     ws: &mut [Workspace],
     all_masks: &mut Vec<Vec<bool>>,
+    lockstep: &mut Lockstep,
     sink: &mut LaneSink<'_, K>,
     outs: &mut [PlanOutput],
 ) {
@@ -651,8 +692,8 @@ fn execute_body_into<C: RecurrentCell, W: AsRef<[GatePreacts]>, K: KernelSink>(
             TissueKernels::Plain { sgemm, ew } => {
                 sink.emit(sgemm);
                 sink.emit(ew);
-                step_tissue(
-                    precision, weights, wx, tp, predicted, false, layer, ws, outs,
+                step_tissue_lockstep(
+                    precision, weights, wx, tp, predicted, layer, ws, lockstep, outs,
                 );
             }
             TissueKernels::Drs {
@@ -685,11 +726,13 @@ fn execute_body_into<C: RecurrentCell, W: AsRef<[GatePreacts]>, K: KernelSink>(
                         masks.resize_with(size, Vec::new);
                     }
                     for (i, (&t, src)) in tp.cells.iter().zip(&tp.prev).enumerate() {
-                        let h_prev = match src {
-                            PrevSource::Zeros => &*zero_h,
-                            PrevSource::Predicted => predicted_state(predicted).0,
-                            PrevSource::Prior => &out.layer_hs[layer][t - 1],
-                        };
+                        let h_prev = prev_state(
+                            src,
+                            t,
+                            &out.layer_hs[layer],
+                            zero_h,
+                            predicted.map(|p| p.0),
+                        );
                         weights.hoisted_gate_into(
                             precision,
                             &wx[s].as_ref()[t],
@@ -714,7 +757,7 @@ fn execute_body_into<C: RecurrentCell, W: AsRef<[GatePreacts]>, K: KernelSink>(
                 }
                 sink.emit_masked(masked, &all_masks[..b * size]);
                 sink.emit(ew);
-                step_tissue(precision, weights, wx, tp, predicted, true, layer, ws, outs);
+                step_tissue_masked(precision, weights, wx, tp, predicted, layer, ws, outs);
             }
         }
     }
@@ -726,26 +769,109 @@ fn execute_body_into<C: RecurrentCell, W: AsRef<[GatePreacts]>, K: KernelSink>(
     }
 }
 
-/// The predicted `(h, c)` a broken link injects.
+/// Cell `t`'s previous state in one lane's slots `states` (its hidden
+/// outputs or its cell states), by its context source: `zero` (that
+/// state's genuine zero), the layer's `predicted` state, or slot `t - 1`.
 ///
 /// # Panics
-/// Panics if the layer has none: only a reorganized layer breaks links.
-fn predicted_state<'a>(predicted: Option<(&'a Vector, &'a Vector)>) -> (&'a Vector, &'a Vector) {
-    predicted.expect("a broken link runs in a reorganized layer")
+/// Panics on a broken link without a predicted state: only a reorganized
+/// layer breaks links.
+fn prev_state<'a>(
+    src: &PrevSource,
+    t: usize,
+    states: &'a [Vector],
+    zero: &'a Vector,
+    predicted: Option<&'a Vector>,
+) -> &'a Vector {
+    match src {
+        PrevSource::Zeros => zero,
+        PrevSource::Predicted => predicted.expect("a broken link runs in a reorganized layer"),
+        PrevSource::Prior => &states[t - 1],
+    }
 }
 
-/// Runs every lane's steps of one tissue: lane `s` writes its hidden
-/// outputs into `outs[s].layer_hs[layer]` and its cell states into
-/// `ws[s].c_slots`. Full steps, or — for a DRS tissue — masked steps
-/// using the hoisted gates/masks already computed in `os`/`masks`.
+/// Runs every lane's exact steps of one plain tissue in lockstep. The
+/// tissue's cells never read each other (a `Prior` predecessor ran in an
+/// earlier tissue), so its columns — one per lane per cell, lane-major —
+/// are independent: each column's `h_{t-1}` is gathered into
+/// `lockstep.h_prev`, one batched product covers every column
+/// ([`RecurrentCell::dense_products_into`], for the LSTM one walk over
+/// the `U` slab), and then each column runs its own elementwise pass.
+/// Lane `s` writes its hidden outputs into `outs[s].layer_hs[layer]` and
+/// its cell states into `ws[s].c_slots`.
 #[allow(clippy::too_many_arguments)] // internal: the runtime split needs each piece
-fn step_tissue<C: RecurrentCell, W: AsRef<[GatePreacts]>>(
+fn step_tissue_lockstep<C: RecurrentCell, W: AsRef<[GatePreacts]>>(
     precision: Precision,
     weights: &C,
     wx: &[W],
     tp: &TissuePlan,
     predicted: Option<(&Vector, &Vector)>,
-    masked: bool,
+    layer: usize,
+    ws: &mut [Workspace],
+    lockstep: &mut Lockstep,
+    outs: &mut [PlanOutput],
+) {
+    let size = tp.cells.len();
+    let columns = ws.len() * size;
+    let Lockstep { h_prev, uh } = lockstep;
+    // Grow only: a smaller tissue or gang keeps the extra columns.
+    if h_prev.len() < columns {
+        h_prev.resize_with(columns, || Vector::zeros(0));
+    }
+    for (s, w) in ws.iter().enumerate() {
+        for (i, (&t, src)) in tp.cells.iter().zip(&tp.prev).enumerate() {
+            let h = prev_state(
+                src,
+                t,
+                &outs[s].layer_hs[layer],
+                &w.zero_h,
+                predicted.map(|p| p.0),
+            );
+            h_prev[s * size + i].clone_from(h);
+        }
+    }
+    let h_prev = &h_prev[..columns];
+    weights.dense_products_into(precision, h_prev, uh);
+    for (s, w) in ws.iter_mut().enumerate() {
+        let Workspace {
+            cell,
+            c_slots,
+            filled,
+            zero_c,
+            ..
+        } = w;
+        let (wx, hs) = (wx[s].as_ref(), &mut outs[s].layer_hs[layer]);
+        for (i, (&t, src)) in tp.cells.iter().zip(&tp.prev).enumerate() {
+            let (done_c, rest_c) = c_slots.split_at_mut(t);
+            let c_prev = prev_state(src, t, done_c, zero_c, predicted.map(|p| p.1));
+            let j = s * size + i;
+            weights.dense_step_into(
+                precision,
+                uh,
+                j,
+                &wx[t],
+                &h_prev[j],
+                c_prev,
+                cell,
+                &mut hs[t],
+                &mut rest_c[0],
+            );
+            filled[t] = true;
+        }
+    }
+}
+
+/// Runs every lane's masked steps of one DRS tissue, lane by lane, with
+/// the hoisted gates and masks already computed in `os`/`masks`: lane
+/// `s` writes its hidden outputs into `outs[s].layer_hs[layer]` and its
+/// cell states into `ws[s].c_slots`.
+#[allow(clippy::too_many_arguments)] // internal: the runtime split needs each piece
+fn step_tissue_masked<C: RecurrentCell, W: AsRef<[GatePreacts]>>(
+    precision: Precision,
+    weights: &C,
+    wx: &[W],
+    tp: &TissuePlan,
+    predicted: Option<(&Vector, &Vector)>,
     layer: usize,
     ws: &mut [Workspace],
     outs: &mut [PlanOutput],
@@ -765,19 +891,19 @@ fn step_tissue<C: RecurrentCell, W: AsRef<[GatePreacts]>>(
         for (i, (&t, src)) in tp.cells.iter().zip(&tp.prev).enumerate() {
             let (done_h, rest_h) = hs.split_at_mut(t);
             let (done_c, rest_c) = c_slots.split_at_mut(t);
-            let (h_prev, c_prev) = match src {
-                PrevSource::Zeros => (&*zero_h, &*zero_c),
-                PrevSource::Predicted => predicted_state(predicted),
-                PrevSource::Prior => (&done_h[t - 1], &done_c[t - 1]),
-            };
-            let (h_out, c_out) = (&mut rest_h[0], &mut rest_c[0]);
-            if masked {
-                weights.masked_step_into(
-                    precision, &wx[t], h_prev, c_prev, &os[i], &masks[i], cell, h_out, c_out,
-                );
-            } else {
-                weights.full_step_into(precision, &wx[t], h_prev, c_prev, cell, h_out, c_out);
-            }
+            let h_prev = prev_state(src, t, done_h, zero_h, predicted.map(|p| p.0));
+            let c_prev = prev_state(src, t, done_c, zero_c, predicted.map(|p| p.1));
+            weights.masked_step_into(
+                precision,
+                &wx[t],
+                h_prev,
+                c_prev,
+                &os[i],
+                &masks[i],
+                cell,
+                &mut rest_h[0],
+                &mut rest_c[0],
+            );
             filled[t] = true;
         }
     }
@@ -787,6 +913,7 @@ fn step_tissue<C: RecurrentCell, W: AsRef<[GatePreacts]>>(
 mod tests {
     use super::*;
     use crate::config::ModelConfig;
+    use crate::drs::DrsConfig;
     use crate::schedule::u_sgemv_kernel;
     use gpu_sim::{DeviceModel, GpuConfig, GpuDevice};
     use tensor::init::seeded_rng;
@@ -835,15 +962,115 @@ mod tests {
         assert_eq!(trace.iter().collect::<Vec<_>>(), planned);
     }
 
+    /// `plan` with every layer's per-cell flow at `drs`: for `Some`, the
+    /// intra-only Dynamic Row Skip plan a serve engine degrades to.
+    fn per_cell_plan(plan: &ExecutionPlan, net: &LstmNetwork, drs: DrsConfig) -> ExecutionPlan {
+        let mut plan = plan.clone();
+        let mut alloc = RegionAllocator::new();
+        let PlanBody::Lstm(layers) = &mut plan.body else {
+            unreachable!()
+        };
+        for (l, (lp, cell)) in layers.iter_mut().zip(net.layers()).enumerate() {
+            *lp = LayerPlan::per_cell(
+                l,
+                lp.wx.clone(),
+                false,
+                cell.hidden(),
+                plan.seq_len,
+                &plan.regions.layers[l],
+                Some(drs),
+                &mut alloc,
+            );
+        }
+        plan
+    }
+
+    /// `plan` with every layer reorganized, without Dynamic Row Skip: its
+    /// links before cells 3 and 6 broken (those cells read the layer's
+    /// predicted state), and the three sub-layers' cells run side by side
+    /// in tissues `{0, 3, 6}`, `{1, 4, 7}` and `{2, 5}` of the plan's
+    /// own per-cell kernels.
+    fn multi_cell_plan(plan: &ExecutionPlan, net: &LstmNetwork) -> ExecutionPlan {
+        const STARTS: [usize; 3] = [0, 3, 6];
+        let mut plan = plan.clone();
+        assert_eq!(plan.seq_len, 8, "the tissues cover eight cells");
+        let PlanBody::Lstm(layers) = &mut plan.body else {
+            unreachable!()
+        };
+        for (l, (lp, cell)) in layers.iter_mut().zip(net.layers()).enumerate() {
+            let h = cell.hidden();
+            lp.body = LayerBody::Tissues {
+                search: lp.wx.clone(),
+                link: None,
+                alpha_intra: 0.0,
+                predicted_h: Vector::from_fn(h, |j| (j as f32 * 0.37).sin() * 0.5),
+                predicted_c: Vector::from_fn(h, |j| (j as f32 * 0.11).cos()),
+            };
+            let kernels = lp.tissues[0].kernels.clone();
+            lp.tissues = (0..3)
+                .map(|i| {
+                    let cells: Vec<usize> =
+                        STARTS.iter().map(|&s| s + i).filter(|&t| t < 8).collect();
+                    let prev = cells
+                        .iter()
+                        .map(|&t| match t {
+                            0 => PrevSource::Zeros,
+                            3 | 6 => PrevSource::Predicted,
+                            _ => PrevSource::Prior,
+                        })
+                        .collect();
+                    TissuePlan {
+                        cells,
+                        prev,
+                        tag: SpanTag::tissue(l, i, Some(0)),
+                        kernels: kernels.clone(),
+                    }
+                })
+                .collect();
+        }
+        plan
+    }
+
     #[test]
     fn batched_outputs_bit_identical_per_sequence() {
-        let (net, seqs) = setup(22);
-        let plan =
-            ExecutionPlan::compile_baseline(&net, seqs[0].len(), &DeviceModel::default_preset());
-        let batched = PlanRuntime::new().run_lstm_batch(&plan, &net, &seqs, &mut NullSink);
-        for (xs, out) in seqs.iter().zip(&batched) {
-            let serial = PlanRuntime::new().run_lstm(&plan, &net, xs, &mut NullSink);
-            assert_eq!(*out, serial);
+        // Gangs of 1 to 9 lanes reach every mix of the lockstep walk's
+        // four-, three-, two- and lone-column kernels: a plain tissue's
+        // columns are its lanes times its cells, so the multi-cell plan
+        // runs 2 to 27 columns per tissue. One runtime
+        // serves every gang, so its recycled columns grow and shrink.
+        let config = ModelConfig::new("test", 12, 24, 2, 8, 3).unwrap();
+        let mut rng = seeded_rng(22);
+        let net = LstmNetwork::random(&config, &mut rng);
+        let seqs: Vec<Vec<Vector>> = (0..9)
+            .map(|_| crate::random_inputs(&config, &mut rng))
+            .collect();
+        let baseline = ExecutionPlan::compile_baseline(&net, 8, &DeviceModel::default_preset());
+        let drs = DrsConfig {
+            alpha_intra: 0.05,
+            mode: crate::drs::DrsMode::Hardware,
+        };
+        let plans = [
+            ("baseline", baseline.clone()),
+            ("multi-cell", multi_cell_plan(&baseline, &net)),
+            ("per-cell DRS", per_cell_plan(&baseline, &net, drs)),
+        ];
+        let mut runtime = PlanRuntime::new();
+        for (name, plan) in &plans {
+            for precision in Precision::ALL {
+                let plan = plan.clone().with_precision(precision);
+                let solo: Vec<PlanOutput> = seqs
+                    .iter()
+                    .map(|xs| PlanRuntime::new().run_lstm(&plan, &net, xs, &mut NullSink))
+                    .collect();
+                let skipped = solo[0].layer_skips.iter().any(|s| s.sum > 0.0);
+                assert_eq!(skipped, *name == "per-cell DRS", "{name} {precision} skips");
+                for b in 1..=9 {
+                    let batched = runtime.run_lstm_batch(&plan, &net, &seqs[..b], &mut NullSink);
+                    for (lane, (out, want)) in batched.iter().zip(&solo).enumerate() {
+                        assert_eq!(out, want, "{name} {precision}: lane {lane} of {b}");
+                    }
+                }
+            }
         }
     }
 

@@ -1,6 +1,7 @@
 //! The LSTM cell: weights and the Eq. 1–5 arithmetic.
 
 use rand::Rng;
+use std::slice;
 use std::sync::OnceLock;
 use tensor::init::{xavier_uniform, GateBiasInit, RowScaledInit};
 use tensor::{sigmoid, tanh, FusedGates, Matrix, Precision, Vector};
@@ -487,15 +488,67 @@ impl CellWeights {
         h_out: &mut Vector,
         c_out: &mut Vector,
     ) {
+        assert_eq!(h_prev.len(), self.hidden, "h_prev length mismatch");
+        self.recurrent_batch_into(precision, slice::from_ref(h_prev), &mut scratch.slab);
+        self.dense_gates_into(wx, &scratch.slab, c_prev, h_out, c_out);
+    }
+
+    /// The `U_{f,i,c,o}·h` products of independent dense steps in
+    /// lockstep, one column per `h_prev[j]`, with the `U` quartet stored
+    /// at `precision`: one walk over the `U` slab
+    /// ([`FusedGates::gemv_batch_with`]), each weight panel loaded once
+    /// for up to four columns (a lone column runs
+    /// [`FusedGates::gemv_into`]). Column `j`'s gate-major `4 * hidden`
+    /// products land in `uh[4 * hidden * j ..]`, bit-identical to the
+    /// product [`step_fused_into`](Self::step_fused_into) runs on
+    /// `h_prev[j]`. `uh` only grows, so a recycled buffer never touches
+    /// the allocator once warm.
+    ///
+    /// # Panics
+    /// Panics if any `h_prev[j].len() != hidden`.
+    pub(crate) fn recurrent_batch_into(
+        &self,
+        precision: Precision,
+        h_prev: &[Vector],
+        uh: &mut Vec<f32>,
+    ) {
         let n = self.hidden;
-        assert_eq!(h_prev.len(), n, "h_prev length mismatch");
+        if uh.len() < 4 * n * h_prev.len() {
+            uh.resize(4 * n * h_prev.len(), 0.0);
+        }
+        let u = &self.fused_at(precision).u;
+        if let [h] = h_prev {
+            // A lone column takes the single product: the walk's
+            // per-panel callback costs it about 7%.
+            u.gemv_into(h.as_slice(), &mut uh[..4 * n]);
+            return;
+        }
+        u.gemv_batch_with(h_prev, |j, gate, rows, vals| {
+            let section = &mut uh[(4 * j + gate) * n..(4 * j + gate + 1) * n];
+            for (&r, &v) in rows.iter().zip(vals) {
+                section[r] = v;
+            }
+        });
+    }
+
+    /// The elementwise pass of an exact step (Eqs. 1–5) from its `W·x`
+    /// terms and its gate-major `U_{f,i,c,o}·h` products `uh`, into the
+    /// recycled `h_out`/`c_out`.
+    ///
+    /// # Panics
+    /// Panics if `c_prev.len() != hidden` or `uh` holds fewer than
+    /// `4 * hidden` values.
+    pub(crate) fn dense_gates_into(
+        &self,
+        wx: &GatePreacts,
+        uh: &[f32],
+        c_prev: &Vector,
+        h_out: &mut Vector,
+        c_out: &mut Vector,
+    ) {
+        let n = self.hidden;
         assert_eq!(c_prev.len(), n, "c_prev length mismatch");
-        scratch.slab.clear();
-        scratch.slab.resize(4 * n, 0.0);
-        self.fused_at(precision)
-            .u
-            .gemv_into(h_prev.as_slice(), &mut scratch.slab);
-        let (uf, rest) = scratch.slab.split_at(n);
+        let (uf, rest) = uh[..4 * n].split_at(n);
         let (ui, rest) = rest.split_at(n);
         let (uc, uo) = rest.split_at(n);
         h_out.resize_fill(n, 0.0);

@@ -6,10 +6,11 @@
 //! churn. A [`PlanRuntime`](crate::plan::PlanRuntime) owns one
 //! [`Workspace`] per lane (the cell's step slab, and the per-timestep
 //! cell states, hoisted gates and masks a layer's tissues fill, for LSTM
-//! and GRU layers alike) plus one shared scratch for what the lanes price
-//! together (the lane-major mask list, its union, and the recycled kernel
-//! descriptors), so a warm runtime performs zero heap allocations per
-//! steady-state timestep (asserted by the `alloc_audit` bench).
+//! and GRU layers alike) plus one shared scratch for what the lanes share
+//! (the lane-major mask list, its union, the recycled kernel descriptors,
+//! and the columns of a tissue's lockstep recurrent product), so a warm
+//! runtime performs zero heap allocations per steady-state timestep
+//! (asserted by the `alloc_audit` bench).
 
 use crate::cell::CellScratch;
 use gpu_sim::{KernelDesc, KernelKind};
@@ -75,6 +76,18 @@ pub(crate) struct SharedScratch {
     pub(crate) masked_desc: KernelDesc,
     /// The descriptor planned kernels are batched into.
     pub(crate) batched: KernelDesc,
+    /// The columns of a tissue's lockstep recurrent product.
+    pub(crate) lockstep: Lockstep,
+}
+
+/// The recycled columns of a dense tissue's lockstep step: one column
+/// per lane per cell, lane-major, each slab grown and never shrunk.
+#[derive(Debug, Default)]
+pub(crate) struct Lockstep {
+    /// Every column's previous hidden state.
+    pub(crate) h_prev: Vec<Vector>,
+    /// Every column's recurrent products, as the cell lays them out.
+    pub(crate) uh: Vec<f32>,
 }
 
 impl Default for SharedScratch {
@@ -84,6 +97,7 @@ impl Default for SharedScratch {
             union_mask: Vec::new(),
             masked_desc: KernelDesc::builder(String::new(), KernelKind::Other).build(),
             batched: KernelDesc::builder(String::new(), KernelKind::Other).build(),
+            lockstep: Lockstep::default(),
         }
     }
 }

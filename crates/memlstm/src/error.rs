@@ -51,6 +51,15 @@ pub enum Error {
         /// The input's length.
         actual: usize,
     },
+    /// An input sequence holds a NaN or infinite element. The walk would
+    /// carry it through every later step and serve NaN logits, so the
+    /// execution entry points refuse it before any numerics.
+    NonFiniteInput {
+        /// Index of the first step holding a non-finite element.
+        step: usize,
+        /// Index of the first non-finite element in that step.
+        element: usize,
+    },
     /// A step of an input sequence is not as wide as the network's input.
     StepWidthMismatch {
         /// Index of the first offending step.
@@ -151,6 +160,9 @@ impl fmt::Display for Error {
                 f,
                 "plan compiled for sequence length {expected}, got {actual}"
             ),
+            Error::NonFiniteInput { step, element } => {
+                write!(f, "input step {step} element {element} is NaN or infinite")
+            }
             Error::StepWidthMismatch {
                 step,
                 expected,
@@ -217,30 +229,39 @@ pub(crate) fn check_step_widths(net: &LstmNetwork, xs: &[Vector]) -> MemlstmResu
     }
 }
 
+/// The `(step, element)` of the first NaN or infinite element of `xs`.
+fn first_non_finite(xs: &[Vector]) -> Option<(usize, usize)> {
+    xs.iter().enumerate().find_map(|(step, x)| {
+        x.iter()
+            .position(|v| !v.is_finite())
+            .map(|element| (step, element))
+    })
+}
+
 /// Checks that every element of probe `probe` (`xs`) is finite.
 ///
 /// # Errors
 /// [`Error::NonFiniteProbe`] naming the first non-finite element.
 pub(crate) fn check_finite_probe(probe: usize, xs: &[Vector]) -> MemlstmResult<()> {
-    for (step, x) in xs.iter().enumerate() {
-        if let Some(element) = x.iter().position(|v| !v.is_finite()) {
-            return Err(Error::NonFiniteProbe {
-                probe,
-                step,
-                element,
-            });
-        }
+    match first_non_finite(xs) {
+        Some((step, element)) => Err(Error::NonFiniteProbe {
+            probe,
+            step,
+            element,
+        }),
+        None => Ok(()),
     }
-    Ok(())
 }
 
 /// Checks one input sequence at an execution entry point before any
 /// numerics: non-empty, as long as the plan was compiled for
-/// (`seq_len`), and every step as wide as `net`'s input.
+/// (`seq_len`), every step as wide as `net`'s input, and every element
+/// finite.
 ///
 /// # Errors
-/// [`Error::EmptyInput`], [`Error::SeqLenMismatch`], or
-/// [`Error::StepWidthMismatch`], checked in that order.
+/// [`Error::EmptyInput`], [`Error::SeqLenMismatch`],
+/// [`Error::StepWidthMismatch`], or [`Error::NonFiniteInput`], checked
+/// in that order.
 pub(crate) fn check_sequence(
     net: &LstmNetwork,
     xs: &[Vector],
@@ -255,7 +276,11 @@ pub(crate) fn check_sequence(
             actual: xs.len(),
         });
     }
-    check_step_widths(net, xs)
+    check_step_widths(net, xs)?;
+    match first_non_finite(xs) {
+        Some((step, element)) => Err(Error::NonFiniteInput { step, element }),
+        None => Ok(()),
+    }
 }
 
 #[cfg(test)]
@@ -285,6 +310,10 @@ mod tests {
             Error::SeqLenMismatch {
                 expected: 8,
                 actual: 3,
+            },
+            Error::NonFiniteInput {
+                step: 4,
+                element: 5,
             },
             Error::StepWidthMismatch {
                 step: 1,
@@ -330,6 +359,7 @@ mod tests {
             Error::AnalyzerCount { .. } => "analyzer per layer required",
             Error::EmptyInput => "empty input",
             Error::SeqLenMismatch { .. } => "sequence length 8, got 3",
+            Error::NonFiniteInput { .. } => "input step 4 element 5 is NaN or infinite",
             Error::StepWidthMismatch { .. } => "step 1 has width 9, the network takes 10",
             Error::LayerCountMismatch { .. } => "layer count mismatch",
             Error::GruPlan => "compiled for a GRU network",
@@ -352,7 +382,7 @@ mod tests {
         // fails to compile until it picks a pinned message; this count
         // keeps `all_variants` honest alongside it.
         let variants = all_variants();
-        assert_eq!(variants.len(), 18, "new variant missing from the table");
+        assert_eq!(variants.len(), 19, "new variant missing from the table");
         let mut displays: Vec<String> = variants.iter().map(Error::to_string).collect();
         displays.sort();
         displays.dedup();

@@ -242,12 +242,14 @@ impl<'a> OptimizedExecutor<'a> {
 /// [`Error::EmptyInput`]: crate::Error::EmptyInput
 /// [`Error::SeqLenMismatch`]: crate::Error::SeqLenMismatch
 /// [`Error::StepWidthMismatch`]: crate::Error::StepWidthMismatch
+/// [`Error::NonFiniteInput`]: crate::Error::NonFiniteInput
 ///
 /// # Errors
 /// [`Error::EmptyInput`] if `xs` is empty,
 /// [`Error::SeqLenMismatch`] if `xs` does not match the plan's compiled
-/// length, and [`Error::StepWidthMismatch`] if a step is not as wide as
-/// the network's input.
+/// length, [`Error::StepWidthMismatch`] if a step is not as wide as the
+/// network's input, and [`Error::NonFiniteInput`] if an element is NaN
+/// or infinite.
 pub fn profile_plan(
     plan: &ExecutionPlan,
     net: &LstmNetwork,

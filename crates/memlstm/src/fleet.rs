@@ -58,8 +58,8 @@
 //! Requests are validated before routing: unusable times surface as
 //! [`Error::InvalidRequest`], an empty sequence as [`Error::EmptyInput`],
 //! one of the wrong length as [`Error::SeqLenMismatch`], a step of the
-//! wrong width as [`Error::StepWidthMismatch`], and the policy never sees
-//! them.
+//! wrong width as [`Error::StepWidthMismatch`], a NaN or infinite
+//! element as [`Error::NonFiniteInput`], and the policy never sees them.
 
 use crate::error::{check_sequence, Error, MemlstmResult};
 use crate::serve::{
@@ -368,9 +368,10 @@ impl<'a> FleetEngine<'a> {
     /// # Errors
     /// [`Error::InvalidRequest`] for unusable times,
     /// [`Error::EmptyInput`] or [`Error::SeqLenMismatch`] for a sequence
-    /// the plans were not compiled for, and [`Error::StepWidthMismatch`]
-    /// for a step not as wide as the network's input (all checked before
-    /// the policy sees the request), [`Error::FleetAllQuarantined`] if no
+    /// the plans were not compiled for, [`Error::StepWidthMismatch`] for
+    /// a step not as wide as the network's input and
+    /// [`Error::NonFiniteInput`] for a NaN or infinite element (all
+    /// checked before the policy sees the request), [`Error::FleetAllQuarantined`] if no
     /// healthy device remains, [`Error::FleetRouteIndex`] if the policy
     /// picked an out-of-range or quarantined device, plus the chosen
     /// engine's own [`submit`](ServeEngine::submit) errors

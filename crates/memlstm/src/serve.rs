@@ -884,7 +884,8 @@ impl<'a> ServeEngine<'a> {
     /// arrival), [`Error::EmptyInput`] for an empty sequence,
     /// [`Error::SeqLenMismatch`] if the sequence does not match the
     /// plan's compiled length, [`Error::StepWidthMismatch`] if a step is
-    /// not as wide as the network's input, and [`Error::QueueFull`] at
+    /// not as wide as the network's input, [`Error::NonFiniteInput`] if
+    /// an element is NaN or infinite, and [`Error::QueueFull`] at
     /// capacity — unless [`SheddingPolicy::evict_on_full`] finds a
     /// latest-deadline victim to shed for a strictly tighter-deadline
     /// newcomer.

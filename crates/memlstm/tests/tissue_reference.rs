@@ -104,6 +104,7 @@ fn plans_equal_reference_and_mts_one_bitwise() {
     let device = DeviceModel::default_preset();
     let mut rng = StdRng::seed_from_u64(10);
     let (mut multi_cell_layers, mut drs_layers, mut broken_links) = (0, 0, 0);
+    let mut gang_sizes = [false; 7];
     for case in 0..48u64 {
         let mut net_rng = seeded_rng(case);
         let net = LstmNetwork::random(&config, &mut net_rng);
@@ -111,7 +112,9 @@ fn plans_equal_reference_and_mts_one_bitwise() {
             .map(|_| lstm::random_inputs(&config, &mut net_rng))
             .collect();
         let predictors = NetworkPredictors::collect(&net, &offline);
-        let lanes: Vec<Vec<Vector>> = (0..rng.gen_range(1..=3usize))
+        let gang = rng.gen_range(1..=7usize);
+        gang_sizes[gang - 1] = true;
+        let lanes: Vec<Vec<Vector>> = (0..gang)
             .map(|_| lstm::random_inputs(&config, &mut net_rng))
             .collect();
         let mut opt = OptimizerConfig::builder()
@@ -176,4 +179,11 @@ fn plans_equal_reference_and_mts_one_bitwise() {
     );
     assert!(drs_layers >= 8, "only {drs_layers} DRS layers");
     assert!(broken_links >= 8, "only {broken_links} broken links");
+    // Gangs of 1 to 7 lanes: the lockstep walk's columns in a one-cell
+    // tissue are its lanes, so every remainder of its four-column
+    // blocking must come up.
+    assert!(
+        gang_sizes.iter().all(|&g| g),
+        "gang sizes drawn: {gang_sizes:?}"
+    );
 }

@@ -41,10 +41,15 @@
 //!
 //! The panels always hold `f32` weights: [`FusedGates::pack`] rounds each
 //! weight to its [`Precision`] through [`Precision::apply`]'s per-row
-//! routine, so every tier runs the same kernels — `panel_gemv` per panel,
-//! and for the dense and batched products `panel_pair_gemv`, which runs
-//! panels in pairs in `panel_gemv`'s per-row order so each broadcast of
-//! `x[k]` feeds twice the accumulators. Both have a portable and an AVX
+//! routine, so every tier runs the same kernels: `panel_gemv` per panel;
+//! for the dense product `panel_pair_gemv`, which runs panels in pairs in
+//! `panel_gemv`'s per-row order so each broadcast of `x[k]` feeds twice
+//! the accumulators; and for the batched product
+//! ([`FusedGates::gemv_batch_with`]) `panel_quad_gemv`, then
+//! `panel_triple_gemv` or `panel_double_gemv` for the remainder, which
+//! run one panel against four, three or two columns so each weight load
+//! feeds that many columns' accumulators, with a lone last column on the
+//! pair kernel. Each has a portable and an AVX
 //! build from one body (see [`crate::packed`]); the tiers' byte savings
 //! are priced on the simulated device ([`crate::quant`]).
 //!
@@ -56,11 +61,14 @@
 //! one pass over `x`* — a regrouping of rows, never of any row's sum —
 //! so gate `g`'s section of any product is bit-identical to `sgemv` on
 //! gate `g`'s matrix, rounded by [`Precision::apply`] for the quantized
-//! tiers, in any row order. The masked products run the same kernels in
-//! place on the stored panels that hold an active row, skip the others,
-//! and write back only the active lanes. The property tests pin this for
-//! the dense, batched and masked paths at every tier and in identity,
-//! reversed, random and bias-sorted orders.
+//! tiers, in any row order. Blocking columns regroups which columns
+//! share a weight load, never a row's sum, so every column of a batched
+//! product is bit-identical too. The masked products run the same
+//! kernels in place on the stored panels that hold an active row, skip
+//! the others, and write back only the active lanes. The property tests
+//! pin this for the dense, batched and masked paths at every tier and in
+//! identity, reversed, random and bias-sorted orders, the batched path
+//! at every column count up to ten.
 
 use crate::matrix::Matrix;
 use crate::packed::{masked_panels_into, panel_gemv, simd_kernel, MR};
@@ -260,17 +268,24 @@ impl FusedGates {
     }
 
     /// The batched product of the whole slab, with the *panel* loop
-    /// outermost: panels run two at a time through `panel_pair_gemv`
-    /// (one `panel_gemv` tail for an odd panel count), and each pair is
-    /// loaded once and reused by every column. Results stream through
+    /// outermost: panels run two at a time, and each pair is loaded once
+    /// and reused by every column. Within a pair, each panel runs against
+    /// four columns at once (`panel_quad_gemv`, so one weight load feeds
+    /// four columns' accumulators), and a remainder of three or two
+    /// columns through `panel_triple_gemv` or `panel_double_gemv`; a lone
+    /// last column runs the pair through `panel_pair_gemv`, as
+    /// [`gemv_into`](Self::gemv_into) does, so a batch of one walks
+    /// exactly as a single product. An odd last panel runs alone, its
+    /// lone column through `panel_gemv`. Results stream through
     /// `write(column, gate, rows, values)`, where `values[l]` is row
     /// `rows[l]` of gate `gate` for column `column` (one panel's live
     /// lanes, in the slab's row order), so callers can scatter into
     /// recycled per-sequence buffers without this layer allocating
     /// anything.
     ///
-    /// A pair may straddle two gates; the pairing regroups rows, never a
-    /// row's sum, so the values for column `i` are bit-identical to
+    /// A pair may straddle two gates, and a kernel may carry several
+    /// columns; both regroup rows and columns, never a row's sum, so the
+    /// values for column `i` are bit-identical to
     /// [`gemv_into`](Self::gemv_into) on `xs[i]`.
     ///
     /// # Panics
@@ -287,25 +302,49 @@ impl FusedGates {
                 "FusedGates::gemv_batch_with: column {i} length"
             );
         }
-        let mut emit = |q: usize, i: usize, sum: &[f32; MR]| {
+        // Panel `q`'s sums for the columns from `first` on.
+        let mut emit = |q: usize, first: usize, sums: &[[f32; MR]]| {
             let (g, rows) = self.panel_rows(q);
-            write(i, g, rows, &sum[..rows.len()]);
+            for (i, sum) in (first..).zip(sums) {
+                write(i, g, rows, &sum[..rows.len()]);
+            }
         };
+        let cols = self.cols;
+        let (quads, rest) = xs.as_chunks::<4>();
+        let rest_at = 4 * quads.len();
         let total = self.gates * self.ppg();
         let mut q = 0;
-        while q + 1 < total {
-            let (p0, p1) = (self.panel(q), self.panel(q + 1));
-            for (i, x) in xs.iter().enumerate() {
-                let (s0, s1) = panel_pair_gemv(p0, p1, self.cols, x.as_slice());
-                emit(q, i, &s0);
-                emit(q + 1, i, &s1);
+        while q < total {
+            let width = if q + 1 < total { 2 } else { 1 };
+            for p in q..q + width {
+                let panel = self.panel(p);
+                for (j, x) in quads.iter().enumerate() {
+                    let sums = panel_quad_gemv(panel, cols, x.each_ref().map(Vector::as_slice));
+                    emit(p, 4 * j, &sums);
+                }
+                match rest {
+                    [a, b, c] => {
+                        let sums = panel_triple_gemv(panel, cols, [a, b, c].map(Vector::as_slice));
+                        emit(p, rest_at, &sums);
+                    }
+                    [a, b] => {
+                        let sums = panel_double_gemv(panel, cols, [a, b].map(Vector::as_slice));
+                        emit(p, rest_at, &sums);
+                    }
+                    _ => {}
+                }
             }
-            q += 2;
-        }
-        if q < total {
-            for (i, x) in xs.iter().enumerate() {
-                emit(q, i, &panel_gemv(self.panel(q), self.cols, x.as_slice()));
+            if let [x] = rest {
+                let x = x.as_slice();
+                if width == 2 {
+                    let (s0, s1) = panel_pair_gemv(self.panel(q), self.panel(q + 1), cols, x);
+                    emit(q, rest_at, &[s0]);
+                    emit(q + 1, rest_at, &[s1]);
+                } else {
+                    emit(q, rest_at, &[panel_gemv(self.panel(q), cols, x)]);
+                }
             }
+            q += width;
         }
     }
 
@@ -450,6 +489,89 @@ fn panel_pair_gemv_body(p0: &[f32], p1: &[f32], cols: usize, x: &[f32]) -> ([f32
         }
     }
     (s0, s1)
+}
+
+simd_kernel! {
+    /// One panel against four columns: each weight load feeds four
+    /// columns' `MR`-row accumulators, so a batched walk streams each
+    /// panel once per four columns. Every column's rows use exactly
+    /// [`panel_gemv`]'s association order.
+    fn panel_quad_gemv = panel_columns_gemv_body::<4>(
+        panel: &[f32],
+        cols: usize,
+        xs: [&[f32]; 4],
+    ) -> [[f32; MR]; 4];
+}
+
+simd_kernel! {
+    /// [`panel_quad_gemv`] for a batch's last three columns.
+    fn panel_triple_gemv = panel_columns_gemv_body::<3>(
+        panel: &[f32],
+        cols: usize,
+        xs: [&[f32]; 3],
+    ) -> [[f32; MR]; 3];
+}
+
+simd_kernel! {
+    /// [`panel_quad_gemv`] for a batch's last two columns.
+    fn panel_double_gemv = panel_columns_gemv_body::<2>(
+        panel: &[f32],
+        cols: usize,
+        xs: [&[f32]; 2],
+    ) -> [[f32; MR]; 2];
+}
+
+/// One panel against `N` columns: [`panel_gemv`]'s body with a column
+/// loop inside each phase, so every column keeps its own four phase
+/// accumulators per row, summed and then given the tail columns in the
+/// reference order.
+#[inline(always)]
+fn panel_columns_gemv_body<const N: usize>(
+    panel: &[f32],
+    cols: usize,
+    xs: [&[f32]; N],
+) -> [[f32; MR]; N] {
+    let n_chunks = cols / 4;
+    let (chunks, tail) = panel[..MR * cols].as_chunks::<{ 4 * MR }>();
+    let chunks = &chunks[..n_chunks];
+    let x_chunks = xs.map(|x| &x[..cols].as_chunks::<4>().0[..n_chunks]);
+    let mut acc = [[[0.0f32; MR]; 4]; N];
+    // Each phase accumulator sums its own columns in chunk order, apart
+    // from the others, so the phases may run in separate passes. Three
+    // or four columns take two passes of two phases: in one pass their
+    // twelve or sixteen accumulators plus the four hoisted weight loads
+    // overflow the sixteen YMM registers and spill every chunk, and the
+    // second pass reads the panel from L1. Two columns' eight
+    // accumulators fit in one pass.
+    let span = if N > 2 { 2 } else { 4 };
+    for first in (0..4).step_by(span) {
+        for (c, chunk) in chunks.iter().enumerate() {
+            for phase in first..first + span {
+                let col = &chunk[phase * MR..(phase + 1) * MR];
+                for (acc, xc) in acc.iter_mut().zip(&x_chunks) {
+                    let xv = xc[c][phase];
+                    for (a, &w) in acc[phase].iter_mut().zip(col) {
+                        *a += w * xv;
+                    }
+                }
+            }
+        }
+    }
+    let mut sums = [[0.0f32; MR]; N];
+    for (sum, acc) in sums.iter_mut().zip(&acc) {
+        for (r, s) in sum.iter_mut().enumerate() {
+            *s = ((acc[0][r] + acc[1][r]) + acc[2][r]) + acc[3][r];
+        }
+    }
+    for (k, col) in tail.as_chunks::<MR>().0.iter().enumerate() {
+        for (sum, x) in sums.iter_mut().zip(&xs) {
+            let xv = x[4 * n_chunks + k];
+            for (s, &w) in sum.iter_mut().zip(col) {
+                *s += w * xv;
+            }
+        }
+    }
+    sums
 }
 
 #[cfg(test)]

@@ -19,10 +19,11 @@
 //! layout buys throughput, never different numerics. The property tests
 //! in `tests/properties.rs` pin this down.
 //!
-//! Both panel micro-kernels in the crate (this module's `panel_gemv` and
-//! the fused pair kernel) are written once and compiled twice by the
-//! `simd_kernel!` macro defined here: a portable build and an AVX build
-//! (never FMA, so both round identically), picked per call by one
+//! Every panel micro-kernel in the crate (this module's `panel_gemv`,
+//! and the fused slab's pair kernel and its four-, three- and two-column
+//! kernels) is written once and compiled twice by the `simd_kernel!`
+//! macro defined here: a portable build and an AVX build (never FMA, so
+//! both round identically), picked per call by one
 //! `is_x86_feature_detected!` check. The masked products of the packed gate slab
 //! ([`crate::FusedGates`]) run those kernels in place on the stored
 //! panels through one shared panel walk, which reads each lane's mask
@@ -39,7 +40,8 @@
 pub const MR: usize = 8;
 
 /// Defines a runtime-dispatched panel micro-kernel `$name` over the
-/// `#[inline(always)]` body `$body`, compiling the body twice: once
+/// `#[inline(always)]` body `$body` (optionally one instance
+/// `$body::<N>` of a const-generic body), compiling the body twice: once
 /// inside a `#[target_feature(enable = "avx")]` function (the AVX build)
 /// and once inline in `$name` itself (the portable build). Each call
 /// takes the AVX build when [`avx_enabled`] says the CPU has it.
@@ -54,7 +56,7 @@ pub const MR: usize = 8;
 macro_rules! simd_kernel {
     (
         $(#[$attr:meta])*
-        $vis:vis fn $name:ident = $body:ident($($arg:ident: $ty:ty),* $(,)?) -> $ret:ty;
+        $vis:vis fn $name:ident = $body:ident $(::<$n:tt>)? ($($arg:ident: $ty:ty),* $(,)?) -> $ret:ty;
     ) => {
         $(#[$attr])*
         #[allow(unsafe_code)]
@@ -64,13 +66,13 @@ macro_rules! simd_kernel {
             if $crate::packed::avx_enabled() {
                 #[target_feature(enable = "avx")]
                 fn avx_build($($arg: $ty),*) -> $ret {
-                    $body($($arg),*)
+                    $body $(::<$n>)? ($($arg),*)
                 }
                 // SAFETY: `avx_enabled` is true only on a CPU that
                 // reports AVX, the one feature `avx_build` requires.
                 return unsafe { avx_build($($arg),*) };
             }
-            $body($($arg),*)
+            $body $(::<$n>)? ($($arg),*)
         }
     };
 }
@@ -299,6 +301,20 @@ mod tests {
         Dense,
         /// The whole slab's masked product, in place.
         Masked,
+        /// The whole slab's batched product over this many columns, each
+        /// panel run through the four-column kernel, then the three- or
+        /// two-column one, with a lone last column through the pair
+        /// kernel.
+        Batch(usize),
+    }
+
+    /// The `n` columns of a batched product: `x` first, then `x` rotated
+    /// and rescaled, so every column differs.
+    fn columns(x: &Vector, n: usize) -> Vec<Vector> {
+        let len = x.len();
+        (0..n)
+            .map(|i| Vector::from_fn(len, |k| x[(k + i) % len] * (1.0 + i as f32 / 8.0)))
+            .collect()
     }
 
     /// `product` on `mats` packed at `precision` with rows in ascending
@@ -313,16 +329,25 @@ mod tests {
     ) -> Vec<f32> {
         let mats = match product {
             Product::Single => &mats[..1],
-            Product::Dense | Product::Masked => mats,
+            Product::Dense | Product::Masked | Product::Batch(_) => mats,
         };
         let refs: Vec<&Matrix> = mats.iter().collect();
         let fused = FusedGates::pack_sorted(&refs, precision, key);
-        let mut out = vec![0.0; fused.total_rows()];
+        let (total, rows) = (fused.total_rows(), fused.rows());
+        let mut out = vec![0.0; total];
         match product {
             Product::Single => fused.gate_gemv_into(0, x.as_slice(), &mut out),
             Product::Dense => fused.gemv_into(x.as_slice(), &mut out),
             Product::Masked => {
                 fused.gemv_masked_prefix_into(mats.len(), x.as_slice(), mask, -3.0, &mut out)
+            }
+            Product::Batch(n) => {
+                out = vec![f32::NAN; n * total];
+                fused.gemv_batch_with(&columns(x, n), |i, g, slab_rows, vals| {
+                    for (&r, &v) in slab_rows.iter().zip(vals) {
+                        out[i * total + g * rows + r] = v;
+                    }
+                });
             }
         }
         out
@@ -342,16 +367,21 @@ mod tests {
         } else {
             mats.len()
         };
-        mats[..gates]
-            .iter()
-            .flat_map(|m| {
-                let m = precision.apply(m);
-                match product {
-                    Product::Masked => crate::gemm::sgemv_masked_reference(&m, x, mask, -3.0),
-                    Product::Single | Product::Dense => sgemv(&m, x),
-                }
-                .as_slice()
-                .to_vec()
+        let xs = match product {
+            Product::Batch(n) => columns(x, n),
+            Product::Single | Product::Dense | Product::Masked => vec![x.clone()],
+        };
+        xs.iter()
+            .flat_map(|x| {
+                mats[..gates].iter().flat_map(move |m| {
+                    let m = precision.apply(m);
+                    match product {
+                        Product::Masked => crate::gemm::sgemv_masked_reference(&m, x, mask, -3.0),
+                        Product::Single | Product::Dense | Product::Batch(_) => sgemv(&m, x),
+                    }
+                    .as_slice()
+                    .to_vec()
+                })
             })
             .collect()
     }
@@ -364,8 +394,12 @@ mod tests {
     /// random and last-row-only DRS masks (the last puts the only active
     /// row in the last panel). Three gates give `gemv_into` an odd panel
     /// count, so both the pair kernel and its single-panel tail run. The
-    /// f16 and int8 slabs run the same fp32 kernels over panels rounded
-    /// to their tier.
+    /// batched products run 2 to 7 columns: the two-, three- and
+    /// four-column kernels alone, and the four-column one followed by a
+    /// lone column (through the pair kernel and its single-panel tail),
+    /// by the two-column one or by the three-column one. The f16 and
+    /// int8 slabs run the same fp32 kernels over panels rounded to their
+    /// tier.
     #[test]
     fn every_avx_kernel_bit_identical_to_portable() {
         #[cfg(target_arch = "x86_64")]
@@ -384,6 +418,12 @@ mod tests {
             (Product::Masked, Precision::Fp32),
             (Product::Masked, Precision::Fp16),
             (Product::Masked, Precision::Int8),
+            (Product::Batch(2), Precision::Fp32),
+            (Product::Batch(3), Precision::Fp32),
+            (Product::Batch(4), Precision::Fp32),
+            (Product::Batch(5), Precision::Fp32),
+            (Product::Batch(6), Precision::Fp16),
+            (Product::Batch(7), Precision::Int8),
         ];
         for rows in [MR, 2 * MR + 5] {
             let hash = |r: usize| (r as u32).wrapping_mul(2654435761) >> 20;

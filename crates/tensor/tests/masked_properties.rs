@@ -12,7 +12,8 @@
 //! `proptest` stub cannot draw shapes, so the shapes are enumerated), and
 //! compares each gate section with `gemm::sgemv` /
 //! `gemm::sgemv_masked_reference` on the `Precision::apply` matrices via
-//! `to_bits()`, skipped rows included.
+//! `to_bits()`, skipped rows included. The batched product runs 0 to 10
+//! columns per slab, every remainder of its four-column blocking.
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -160,7 +161,45 @@ fn ordered_dense_products_bit_identical_to_reference() {
                         slab.gate_gemv_into(g, x.as_slice(), &mut single);
                         assert_bits(&single, want.as_slice(), what("single-gate", g));
                     }
+                    column_blocked_batch_bit_identical(&slab, &mats, precision, order, &mut rng);
                 }
+            }
+        }
+    }
+}
+
+/// The batched product over 0 to 10 columns, so the column-blocked
+/// walk reaches every mix of its four-, three-, two- and lone-column
+/// kernels: each column's gate sections equal `sgemv` on the rounded
+/// matrices, bitwise.
+fn column_blocked_batch_bit_identical(
+    slab: &FusedGates,
+    mats: &[Matrix],
+    precision: Precision,
+    order: &str,
+    rng: &mut StdRng,
+) {
+    let (rows, cols) = (slab.rows(), slab.cols());
+    let rounded: Vec<Matrix> = mats.iter().map(|m| precision.apply(m)).collect();
+    for n in 0..=10 {
+        let xs: Vec<Vector> = (0..n)
+            .map(|_| Vector::from_fn(cols, |_| rng.gen_range(-1.0f32..1.0)))
+            .collect();
+        let mut got = vec![vec![f32::NAN; GATES * rows]; n];
+        slab.gemv_batch_with(&xs, |i, g, slab_rows, vals| {
+            for (&r, &v) in slab_rows.iter().zip(vals) {
+                got[i][g * rows + r] = v;
+            }
+        });
+        for (i, (x, got)) in xs.iter().zip(&got).enumerate() {
+            for (g, m) in rounded.iter().enumerate() {
+                assert_bits(
+                    &got[g * rows..(g + 1) * rows],
+                    sgemv(m, x).as_slice(),
+                    |r| {
+                        format!("{precision} {order} {rows}x{cols} batch of {n}: column {i} gate {g} row {r}")
+                    },
+                );
             }
         }
     }

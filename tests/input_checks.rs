@@ -4,7 +4,9 @@
 //! sequence or one of the wrong length is `Error::EmptyInput` or
 //! `Error::SeqLenMismatch` — never a panic in the `W·x` walk or a request
 //! that is accepted and then never resolves. A probe holding NaN or ±inf
-//! is `Error::NonFiniteProbe` at `compile`, naming its step and element.
+//! is `Error::NonFiniteProbe` at `compile`, naming its step and element,
+//! and such an input sequence is `Error::NonFiniteInput` at the execution
+//! entry points instead of a request served NaN logits.
 
 use gpu_sim::DeviceModel;
 use lstm::plan::ExecutionPlan;
@@ -256,6 +258,60 @@ fn compile_rejects_non_finite_probes() {
                     "plan_probes: {ctx}: {panic}"
                 );
             }
+        }
+    }
+}
+
+#[test]
+fn execution_entry_points_reject_non_finite_inputs() {
+    let device = DeviceModel::default_preset();
+    let (net, xs) = setup(2);
+    let baseline = ExecutionPlan::compile_baseline(&net, SEQ, &device);
+    for value in [f32::NAN, f32::INFINITY, f32::NEG_INFINITY] {
+        for (step, element) in [(0, 0), (SEQ - 1, INPUT - 1)] {
+            let mut bad = xs.clone();
+            bad[step].as_mut_slice()[element] = value;
+            let err = Error::NonFiniteInput { step, element };
+            let ctx = format!("{value} at step {step} element {element}");
+
+            let got = guarded(|| profile_plan(&baseline, &net, &bad).map(|_| ()));
+            assert_eq!(got, Ok(Err(err.clone())), "profile_plan, {ctx}");
+
+            let serve_config = ServeConfig::builder(device.clone()).build().unwrap();
+            let mut engine = ServeEngine::new(&baseline, &net, serve_config).unwrap();
+            let got = guarded(|| engine.submit(request(1, bad.clone())));
+            assert_eq!(got, Ok(Err(err.clone())), "ServeEngine::submit, {ctx}");
+            assert_eq!(engine.pending(), 0, "ServeEngine::submit, {ctx}");
+            assert_eq!(
+                guarded(|| engine.submit(request(2, xs.clone()))),
+                Ok(Ok(()))
+            );
+            let outcomes = guarded(|| Ok(engine.drain()))
+                .expect("drain never panics")
+                .unwrap();
+            let ids: Vec<u64> = outcomes.iter().map(ServeOutcome::id).collect();
+            assert_eq!(ids, [2], "ServeEngine::drain, {ctx}");
+
+            let members = (0..2)
+                .map(|_| {
+                    let config = ServeConfig::builder(device.clone()).build().unwrap();
+                    (&baseline, config)
+                })
+                .collect();
+            let mut fleet =
+                FleetEngine::new(&net, members, Box::new(RoundRobin::default())).unwrap();
+            let got = guarded(|| fleet.submit(request(1, bad.clone())));
+            assert_eq!(got, Ok(Err(err)), "FleetEngine::submit, {ctx}");
+            // The policy never saw the rejected request: round-robin still
+            // starts at device 0.
+            assert_eq!(guarded(|| fleet.submit(request(2, xs.clone()))), Ok(Ok(0)));
+            let ids: Vec<u64> = guarded(|| Ok(fleet.drain()))
+                .expect("drain never panics")
+                .unwrap()
+                .iter()
+                .map(|o| o.outcome.id())
+                .collect();
+            assert_eq!(ids, [2], "FleetEngine::drain, {ctx}");
         }
     }
 }
