@@ -22,10 +22,12 @@
 //!   larger ones;
 //! * `gru_drs` — the GRU Dynamic-Row-Skip plan, on the same tissue walk;
 //! * `mixed_gangs` — one runtime running gangs of 8, 3, 1 and 5 lanes on
-//!   the baseline plan and on an inter-only plan of multi-cell plain
-//!   tissues, so the lockstep walk's recycled columns (one per lane per
-//!   cell) grow to the largest tissue and are then reused. Each gang
-//!   size keeps its own output vector, as the audit is of the runtime.
+//!   the baseline plan, on an inter-only plan of multi-cell plain tissues
+//!   and on the combined plan of multi-cell DRS tissues, so the tissue
+//!   walk's recycled columns (one per lane per cell: hidden states,
+//!   products, hoisted gates and masks) grow to the largest tissue and
+//!   are then reused. Each gang size keeps its own output vector, as the
+//!   audit is of the runtime.
 //!
 //! A plain run writes `BENCH_alloc.json` at the repo root, the committed
 //! baseline. With `--check` the results go to `target/bench/` instead,
@@ -243,16 +245,19 @@ fn main() {
     {
         let baseline = ExecutionPlan::compile_baseline(&net, xs.len(), &device);
         let inter = reorganized(3.0, DrsConfig::disabled());
-        assert!(
-            tissue_sizes(&inter).iter().all(|&s| s > 1),
-            "mixed_gangs: the inter-only plan must batch cells into tissues"
-        );
+        let combined = combined(3.0);
+        for (name, plan) in [("inter-only", &inter), ("combined", &combined)] {
+            assert!(
+                tissue_sizes(plan).iter().all(|&s| s > 1),
+                "mixed_gangs: the {name} plan must batch cells into tissues"
+            );
+        }
         const GANGS: [usize; 4] = [8, 3, 1, 5];
         let mut runtime = PlanRuntime::new();
         let mut outs: [Vec<PlanOutput>; 4] = Default::default();
         audits.push(audit("mixed_gangs", xs.len(), || {
             for (gang, outs) in GANGS.into_iter().zip(&mut outs) {
-                for plan in [&baseline, &inter] {
+                for plan in [&baseline, &inter, &combined] {
                     runtime.run_lstm_batch_into(plan, &net, &seqs[..gang], &mut NullSink, outs);
                 }
             }

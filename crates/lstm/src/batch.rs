@@ -23,21 +23,23 @@
 //! lane loops cannot change any value: every lane's output is
 //! **bit-identical** to running that sequence alone.
 //!
-//! The host takes the same weight reuse on a plain tissue. Its cells
-//! never read each other (a `Prior` predecessor ran in an earlier
-//! tissue), so the walk runs it column by column in two passes: one
-//! column per lane per cell, lane-major. First one batched product
-//! covers every column — for the LSTM one walk over the `U_{f,i,c,o}`
-//! slab that loads each weight panel once per four columns
-//! (`FusedGates::gemv_batch_with`) — into recycled columns in the shared
-//! scratch; then each column runs its own elementwise pass. A GRU step
-//! does not split (its `U_h` multiplies `r ⊙ h`), so it runs whole per
-//! column. A DRS tissue stays lane by lane: its hoisted gate decides
-//! each column's mask, and each masked product skips its own panels.
-//! The kernel stream does not see this split: B lanes emit one batched
-//! kernel per planned kernel, priced by [`batch_kernel_into`] with
-//! amortized weight traffic, and a single lane emits the planned
-//! descriptors as they are.
+//! Every tissue, plain or DRS, runs as columns: one per lane per cell,
+//! lane-major. A tissue's cells never read each other (a `Prior`
+//! predecessor ran in an earlier tissue), so its columns are independent,
+//! and one step runs them in three passes: copy each column's `h_{t-1}`
+//! into the shared column scratch; run the tissue kind's product pass;
+//! run each column's step. A plain tissue's product pass is the host's
+//! form of the same weight reuse — one batched product over every column,
+//! for the LSTM one walk over the `U_{f,i,c,o}` slab that loads each
+//! weight panel once per four columns (`FusedGates::gemv_batch_with`) —
+//! and each column then runs its own elementwise pass. A GRU step does
+//! not split (its `U_h` multiplies `r ⊙ h`), so it runs whole per column.
+//! A DRS tissue's product pass computes each column's hoisted gate and
+//! mask into column slots, which price its masked kernel, and each
+//! column's masked product then skips its own panels. The kernel stream
+//! does not see the columns: B lanes emit one batched kernel per planned
+//! kernel, priced by [`batch_kernel_into`] with amortized weight traffic,
+//! and a single lane emits the planned descriptors as they are.
 
 use crate::cell::{CellScratch, CellWeights, GatePreacts};
 use crate::drs::{skip_fraction, trivial_row_mask_into};
@@ -49,7 +51,7 @@ use crate::plan::{
     PlanRuntime, PrevSource, SkipStats, TissueKernels, TissuePlan,
 };
 use crate::regions::{NetworkRegions, RegionAllocator};
-use crate::workspace::{Lockstep, SharedScratch, Workspace};
+use crate::workspace::{SharedScratch, Walk};
 use gpu_sim::{KernelDesc, KernelKind, SpanTag};
 use std::fmt::Write as _;
 use std::{mem, slice};
@@ -125,20 +127,18 @@ struct LaneSink<'a, K> {
 
 impl<'a, K: KernelSink> LaneSink<'a, K> {
     /// Borrows the descriptor scratch out of `shared`, handing back the
-    /// lane-major mask list and the lockstep columns the layer bodies
-    /// fill.
+    /// tissue walk's state.
     fn new(
         inner: &'a mut K,
         lanes: usize,
         regions: &'a NetworkRegions,
         shared: &'a mut SharedScratch,
-    ) -> (Self, &'a mut Vec<Vec<bool>>, &'a mut Lockstep) {
+    ) -> (Self, &'a mut Walk) {
         let SharedScratch {
-            all_masks,
             union_mask,
             masked_desc,
             batched,
-            lockstep,
+            walk,
         } = shared;
         let sink = Self {
             inner,
@@ -148,7 +148,7 @@ impl<'a, K: KernelSink> LaneSink<'a, K> {
             union: union_mask,
             masked: masked_desc,
         };
-        (sink, all_masks, lockstep)
+        (sink, walk)
     }
 
     fn tag(&mut self, tag: SpanTag) {
@@ -169,7 +169,8 @@ impl<'a, K: KernelSink> LaneSink<'a, K> {
         }
     }
 
-    /// Prices `template` over every lane's masks (lane-major) and emits it.
+    /// Prices `template` over every column's mask (lane-major) and emits
+    /// it.
     fn emit_masked(&mut self, template: &MaskedUKernel, masks: &[Vec<bool>]) {
         template.instantiate_into(masks, self.lanes, self.union, self.masked);
         if self.lanes > 1 {
@@ -505,17 +506,15 @@ impl PlanRuntime {
         // One lane never batches, so the regions are never consulted.
         let regions = NetworkRegions::allocate(&mut RegionAllocator::new(), 0);
         let mut null = NullSink;
-        let (mut sink, all_masks, lockstep) =
-            LaneSink::new(&mut null, 1, &regions, &mut self.shared);
+        let (mut sink, walk) = LaneSink::new(&mut null, 1, &regions, &mut self.shared);
         execute_body_into(
             0,
             precision,
             layer,
             weights,
             slice::from_ref(&wx),
-            &mut self.ws[..1],
-            all_masks,
-            lockstep,
+            &mut self.c_slots[..1],
+            walk,
             &mut sink,
             slice::from_mut(&mut out),
         );
@@ -582,9 +581,8 @@ impl PlanRuntime {
             out.layer_skips
                 .resize(layer_plans.len(), SkipStats::default());
         }
-        let (wx, ws) = (&mut self.wx[..b], &mut self.ws[..b]);
-        let (mut sink, all_masks, lockstep) =
-            LaneSink::new(sink, b, &plan.regions, &mut self.shared);
+        let (wx, c_slots) = (&mut self.wx[..b], &mut self.c_slots[..b]);
+        let (mut sink, walk) = LaneSink::new(sink, b, &plan.regions, &mut self.shared);
         for (l, (lp, cell)) in layer_plans.iter().zip(cells).enumerate() {
             sink.inner.begin_layer(l);
             sink.tag(SpanTag::wx(l));
@@ -603,9 +601,8 @@ impl PlanRuntime {
                 lp,
                 cell,
                 wx,
-                ws,
-                all_masks,
-                lockstep,
+                c_slots,
+                walk,
                 &mut sink,
                 outs,
             );
@@ -627,8 +624,8 @@ impl PlanRuntime {
 /// Executes one planned layer for every lane, emitting one (batched)
 /// kernel per planned kernel: the optional offline preamble of a
 /// reorganized layer, then the tissue list in order. Lane `s` reads
-/// `wx[s]` and works in `ws[s]`; its hidden outputs land in
-/// `outs[s].layer_hs[layer]`, its skip statistics in
+/// `wx[s]` and keeps its cell states in `c_slots[s]`; its hidden outputs
+/// land in `outs[s].layer_hs[layer]`, its skip statistics in
 /// `outs[s].layer_skips[layer]`.
 #[allow(clippy::too_many_arguments)] // internal: the runtime split needs each piece
 fn execute_body_into<C: RecurrentCell, W: AsRef<[GatePreacts]>, K: KernelSink>(
@@ -637,14 +634,12 @@ fn execute_body_into<C: RecurrentCell, W: AsRef<[GatePreacts]>, K: KernelSink>(
     lp: &LayerPlan,
     weights: &C,
     wx: &[W],
-    ws: &mut [Workspace],
-    all_masks: &mut Vec<Vec<bool>>,
-    lockstep: &mut Lockstep,
+    c_slots: &mut [Vec<Vector>],
+    walk: &mut Walk,
     sink: &mut LaneSink<'_, K>,
     outs: &mut [PlanOutput],
 ) {
     let hidden = weights.width();
-    let b = wx.len();
     let n = wx[0].as_ref().len();
     let (alpha_intra, predicted) = match &lp.body {
         LayerBody::Baseline => (None, None),
@@ -664,109 +659,48 @@ fn execute_body_into<C: RecurrentCell, W: AsRef<[GatePreacts]>, K: KernelSink>(
             (Some(*alpha_intra), Some((predicted_h, predicted_c)))
         }
     };
-    for (s, w) in ws.iter_mut().enumerate() {
+    for (s, c) in c_slots.iter_mut().enumerate() {
         assert_eq!(wx[s].as_ref().len(), n, "lane length mismatch");
         outs[s].layer_hs[layer].resize_with(n, || Vector::zeros(0));
-        w.zero_h.resize_fill(hidden, 0.0);
-        w.zero_c.resize_fill(hidden, 0.0);
-        w.c_slots.resize_with(n, || Vector::zeros(0));
-        w.filled.clear();
-        w.filled.resize(n, false);
+        c.resize_with(n, || Vector::zeros(0));
     }
+    walk.zero_h.resize_fill(hidden, 0.0);
+    walk.zero_c.resize_fill(hidden, 0.0);
+    walk.filled.clear();
+    walk.filled.resize(n, false);
     for tp in &lp.tissues {
         sink.tag(tp.tag);
         // The schedule guarantees every Prior predecessor was produced by
         // an earlier tissue; check up front so the in-place slot writes
-        // below cannot mask a malformed plan.
-        for w in ws.iter() {
-            for (&t, src) in tp.cells.iter().zip(&tp.prev) {
-                if matches!(src, PrevSource::Prior) {
-                    assert!(
-                        w.filled[t - 1],
-                        "schedule guarantees the predecessor already ran"
-                    );
-                }
-            }
-        }
-        match &tp.kernels {
-            TissueKernels::Plain { sgemm, ew } => {
-                sink.emit(sgemm);
-                sink.emit(ew);
-                step_tissue_lockstep(
-                    precision, weights, wx, tp, predicted, layer, ws, lockstep, outs,
+        // below cannot mask a malformed plan. It also means no tissue
+        // reads its own outputs, so its columns' `h_{t-1}` can be copied
+        // before any of them runs.
+        for (&t, src) in tp.cells.iter().zip(&tp.prev) {
+            if matches!(src, PrevSource::Prior) {
+                assert!(
+                    walk.filled[t - 1],
+                    "schedule guarantees the predecessor already ran"
                 );
             }
-            TissueKernels::Drs {
-                uo,
-                gate_ew,
-                select,
-                masked,
-                ew,
-            } => {
-                let alpha_intra = alpha_intra.expect("a DRS tissue runs in a layer with α_intra");
-                sink.emit(uo);
-                if let Some(k) = gate_ew {
-                    sink.emit(k);
-                }
-                sink.emit(select);
-                let size = tp.cells.len();
-                for (s, w) in ws.iter_mut().enumerate() {
-                    let Workspace {
-                        cell,
-                        os,
-                        masks,
-                        zero_h,
-                        ..
-                    } = w;
-                    let out = &mut outs[s];
-                    // Grow only: a smaller tissue after a larger one keeps
-                    // the extra buffers for the next large one.
-                    if os.len() < size {
-                        os.resize_with(size, || Vector::zeros(0));
-                        masks.resize_with(size, Vec::new);
-                    }
-                    for (i, (&t, src)) in tp.cells.iter().zip(&tp.prev).enumerate() {
-                        let h_prev = prev_state(
-                            src,
-                            t,
-                            &out.layer_hs[layer],
-                            zero_h,
-                            predicted.map(|p| p.0),
-                        );
-                        weights.hoisted_gate_into(
-                            precision,
-                            &wx[s].as_ref()[t],
-                            h_prev,
-                            cell,
-                            &mut os[i],
-                        );
-                        trivial_row_mask_into(&os[i], alpha_intra, &mut masks[i]);
-                    }
-                    for mask in &masks[..size] {
-                        out.layer_skips[layer].push(skip_fraction(mask));
-                    }
-                }
-                // Concatenate each lane's masks, lane-major.
-                if all_masks.len() < b * size {
-                    all_masks.resize_with(b * size, Vec::new);
-                }
-                for (s, w) in ws.iter().enumerate() {
-                    for (i, mask) in w.masks[..size].iter().enumerate() {
-                        all_masks[s * size + i].clone_from(mask);
-                    }
-                }
-                sink.emit_masked(masked, &all_masks[..b * size]);
-                sink.emit(ew);
-                step_tissue_masked(precision, weights, wx, tp, predicted, layer, ws, outs);
-            }
         }
-    }
-    for w in ws.iter() {
-        assert!(
-            w.filled.iter().all(|&f| f),
-            "every cell scheduled exactly once"
+        step_tissue(
+            precision,
+            weights,
+            wx,
+            tp,
+            alpha_intra,
+            predicted,
+            layer,
+            c_slots,
+            walk,
+            sink,
+            outs,
         );
     }
+    assert!(
+        walk.filled.iter().all(|&f| f),
+        "every cell scheduled exactly once"
+    );
 }
 
 /// Cell `t`'s previous state in one lane's slots `states` (its hidden
@@ -790,120 +724,127 @@ fn prev_state<'a>(
     }
 }
 
-/// Runs every lane's exact steps of one plain tissue in lockstep. The
-/// tissue's cells never read each other (a `Prior` predecessor ran in an
-/// earlier tissue), so its columns — one per lane per cell, lane-major —
-/// are independent: each column's `h_{t-1}` is gathered into
-/// `lockstep.h_prev`, one batched product covers every column
-/// ([`RecurrentCell::dense_products_into`], for the LSTM one walk over
-/// the `U` slab), and then each column runs its own elementwise pass.
+/// Runs one tissue for every lane and emits its kernels. The tissue's
+/// cells never read each other (a `Prior` predecessor ran in an earlier
+/// tissue), so its columns — one per lane per cell, lane-major — are
+/// independent and run in three passes:
+/// 1. each column's `h_{t-1}` is copied into `walk.h_prev`;
+/// 2. the product pass: a plain tissue runs one batched product over
+///    every column ([`RecurrentCell::dense_products_into`], for the LSTM
+///    one walk over the `U` slab); a DRS tissue computes each column's
+///    hoisted gate, its mask and its skip fraction into the column slots
+///    its masked kernel is priced from;
+/// 3. each column runs its step — the elementwise pass after the batched
+///    product, or the masked step on its own mask.
+///
 /// Lane `s` writes its hidden outputs into `outs[s].layer_hs[layer]` and
-/// its cell states into `ws[s].c_slots`.
+/// its cell states into `c_slots[s]`.
 #[allow(clippy::too_many_arguments)] // internal: the runtime split needs each piece
-fn step_tissue_lockstep<C: RecurrentCell, W: AsRef<[GatePreacts]>>(
+fn step_tissue<C: RecurrentCell, W: AsRef<[GatePreacts]>, K: KernelSink>(
     precision: Precision,
     weights: &C,
     wx: &[W],
     tp: &TissuePlan,
+    alpha_intra: Option<f32>,
     predicted: Option<(&Vector, &Vector)>,
     layer: usize,
-    ws: &mut [Workspace],
-    lockstep: &mut Lockstep,
+    c_slots: &mut [Vec<Vector>],
+    walk: &mut Walk,
+    sink: &mut LaneSink<'_, K>,
     outs: &mut [PlanOutput],
 ) {
     let size = tp.cells.len();
-    let columns = ws.len() * size;
-    let Lockstep { h_prev, uh } = lockstep;
+    let columns = c_slots.len() * size;
+    let Walk {
+        cell,
+        zero_h,
+        zero_c,
+        filled,
+        h_prev,
+        uh,
+        gates,
+        masks,
+    } = walk;
     // Grow only: a smaller tissue or gang keeps the extra columns.
     if h_prev.len() < columns {
         h_prev.resize_with(columns, || Vector::zeros(0));
     }
-    for (s, w) in ws.iter().enumerate() {
+    for (s, out) in outs.iter().enumerate() {
         for (i, (&t, src)) in tp.cells.iter().zip(&tp.prev).enumerate() {
-            let h = prev_state(
-                src,
-                t,
-                &outs[s].layer_hs[layer],
-                &w.zero_h,
-                predicted.map(|p| p.0),
-            );
+            let h = prev_state(src, t, &out.layer_hs[layer], zero_h, predicted.map(|p| p.0));
             h_prev[s * size + i].clone_from(h);
         }
     }
     let h_prev = &h_prev[..columns];
-    weights.dense_products_into(precision, h_prev, uh);
-    for (s, w) in ws.iter_mut().enumerate() {
-        let Workspace {
-            cell,
-            c_slots,
-            filled,
-            zero_c,
-            ..
-        } = w;
-        let (wx, hs) = (wx[s].as_ref(), &mut outs[s].layer_hs[layer]);
+    let drs = match &tp.kernels {
+        TissueKernels::Plain { sgemm, ew } => {
+            sink.emit(sgemm);
+            sink.emit(ew);
+            weights.dense_products_into(precision, h_prev, uh);
+            false
+        }
+        TissueKernels::Drs {
+            uo,
+            gate_ew,
+            select,
+            masked,
+            ew,
+        } => {
+            let alpha_intra = alpha_intra.expect("a DRS tissue runs in a layer with α_intra");
+            sink.emit(uo);
+            if let Some(k) = gate_ew {
+                sink.emit(k);
+            }
+            sink.emit(select);
+            if gates.len() < columns {
+                gates.resize_with(columns, || Vector::zeros(0));
+                masks.resize_with(columns, Vec::new);
+            }
+            for (s, out) in outs.iter_mut().enumerate() {
+                let wx = wx[s].as_ref();
+                for (i, &t) in tp.cells.iter().enumerate() {
+                    let j = s * size + i;
+                    weights.hoisted_gate_into(precision, &wx[t], &h_prev[j], cell, &mut gates[j]);
+                    trivial_row_mask_into(&gates[j], alpha_intra, &mut masks[j]);
+                    out.layer_skips[layer].push(skip_fraction(&masks[j]));
+                }
+            }
+            sink.emit_masked(masked, &masks[..columns]);
+            sink.emit(ew);
+            true
+        }
+    };
+    for (s, (c_slots, out)) in c_slots.iter_mut().zip(outs.iter_mut()).enumerate() {
+        let (wx, hs) = (wx[s].as_ref(), &mut out.layer_hs[layer]);
         for (i, (&t, src)) in tp.cells.iter().zip(&tp.prev).enumerate() {
             let (done_c, rest_c) = c_slots.split_at_mut(t);
             let c_prev = prev_state(src, t, done_c, zero_c, predicted.map(|p| p.1));
             let j = s * size + i;
-            weights.dense_step_into(
-                precision,
-                uh,
-                j,
-                &wx[t],
-                &h_prev[j],
-                c_prev,
-                cell,
-                &mut hs[t],
-                &mut rest_c[0],
-            );
-            filled[t] = true;
-        }
-    }
-}
-
-/// Runs every lane's masked steps of one DRS tissue, lane by lane, with
-/// the hoisted gates and masks already computed in `os`/`masks`: lane
-/// `s` writes its hidden outputs into `outs[s].layer_hs[layer]` and its
-/// cell states into `ws[s].c_slots`.
-#[allow(clippy::too_many_arguments)] // internal: the runtime split needs each piece
-fn step_tissue_masked<C: RecurrentCell, W: AsRef<[GatePreacts]>>(
-    precision: Precision,
-    weights: &C,
-    wx: &[W],
-    tp: &TissuePlan,
-    predicted: Option<(&Vector, &Vector)>,
-    layer: usize,
-    ws: &mut [Workspace],
-    outs: &mut [PlanOutput],
-) {
-    for (s, w) in ws.iter_mut().enumerate() {
-        let Workspace {
-            cell,
-            os,
-            masks,
-            c_slots,
-            filled,
-            zero_h,
-            zero_c,
-            ..
-        } = w;
-        let (wx, hs) = (wx[s].as_ref(), &mut outs[s].layer_hs[layer]);
-        for (i, (&t, src)) in tp.cells.iter().zip(&tp.prev).enumerate() {
-            let (done_h, rest_h) = hs.split_at_mut(t);
-            let (done_c, rest_c) = c_slots.split_at_mut(t);
-            let h_prev = prev_state(src, t, done_h, zero_h, predicted.map(|p| p.0));
-            let c_prev = prev_state(src, t, done_c, zero_c, predicted.map(|p| p.1));
-            weights.masked_step_into(
-                precision,
-                &wx[t],
-                h_prev,
-                c_prev,
-                &os[i],
-                &masks[i],
-                cell,
-                &mut rest_h[0],
-                &mut rest_c[0],
-            );
+            if drs {
+                weights.masked_step_into(
+                    precision,
+                    &wx[t],
+                    &h_prev[j],
+                    c_prev,
+                    &gates[j],
+                    &masks[j],
+                    cell,
+                    &mut hs[t],
+                    &mut rest_c[0],
+                );
+            } else {
+                weights.dense_step_into(
+                    precision,
+                    uh,
+                    j,
+                    &wx[t],
+                    &h_prev[j],
+                    c_prev,
+                    cell,
+                    &mut hs[t],
+                    &mut rest_c[0],
+                );
+            }
             filled[t] = true;
         }
     }

@@ -115,8 +115,8 @@ const GATE_O: usize = 3;
 ///
 /// One `CellScratch` serves any number of layers sequentially: the slab
 /// grows to the largest layer seen and is then reused without further
-/// heap traffic. Runtimes keep one of these per workspace and rent it to
-/// every step.
+/// heap traffic. The plan runtime keeps one, shared by every lane, and
+/// rents it to each column's step in turn.
 #[derive(Debug, Default)]
 pub struct CellScratch {
     /// Pre-activation slab: `4 * hidden` for dense LSTM steps

@@ -46,7 +46,7 @@ pub mod network;
 pub mod plan;
 pub mod regions;
 pub mod schedule;
-pub mod workspace;
+mod workspace;
 
 pub use cell::{CellScratch, CellWeights, GatePreacts, GateVectors};
 pub use config::ModelConfig;
@@ -56,7 +56,6 @@ pub use gru_exec::GruNetwork;
 pub use network::LstmNetwork;
 pub use plan::{ExecutionPlan, KernelSink, PlanOutput, PlanRuntime};
 pub use regions::{LayerRegions, RegionAllocator};
-pub use workspace::Workspace;
 
 use rand::Rng;
 use tensor::Vector;

@@ -47,7 +47,7 @@ use crate::schedule::{
     drs_kernel, ew_kernel, gate_ew_kernel, gru_wx_sgemm_kernel, head_kernel, u_sgemv_kernel,
     wx_sgemm_kernel, F32,
 };
-use crate::workspace::{SharedScratch, Workspace};
+use crate::workspace::SharedScratch;
 use gpu_sim::{DeviceModel, KernelDesc, KernelKind, MemAccess, RegionId, SpanTag, TraceSession};
 use tensor::{Precision, Vector};
 
@@ -795,16 +795,19 @@ impl PlanOutput {
 /// [`run_gru`](Self::run_gru)) is the batch of one and emits the planned
 /// kernels as they are.
 ///
-/// The runtime owns one [`Workspace`] and one `W·x` pre-activation
-/// buffer per lane plus one cross-lane scratch (the lane-major mask list,
-/// its union, and the recycled kernel descriptors), reusing all of them
-/// across executions: a warm plan-once / evaluate-many loop performs
-/// no per-run planning work and zero heap allocations per steady-state
-/// timestep.
+/// The runtime owns each lane's `W·x` pre-activations and per-timestep
+/// cell states plus one cross-lane scratch (the tissue walk's columns and
+/// per-layer state, the mask union, and the recycled kernel descriptors),
+/// reusing all of them across executions: a warm plan-once /
+/// evaluate-many loop performs no per-run planning work and zero heap
+/// allocations per steady-state timestep.
 #[derive(Debug, Default)]
 pub struct PlanRuntime {
     pub(crate) wx: Vec<Vec<GatePreacts>>,
-    pub(crate) ws: Vec<Workspace>,
+    /// Per-timestep cell states of an LSTM layer, per lane (its hidden
+    /// outputs are written straight into the run's
+    /// [`PlanOutput::layer_hs`]; a GRU layer leaves these untouched).
+    pub(crate) c_slots: Vec<Vec<Vector>>,
     pub(crate) shared: SharedScratch,
 }
 
@@ -815,10 +818,10 @@ impl PlanRuntime {
     }
 
     /// Grows the per-lane buffers to at least `lanes` (never shrinks, so
-    /// gangs of varying size reuse the same workspaces).
+    /// gangs of varying size reuse the same buffers).
     pub(crate) fn reserve_lanes(&mut self, lanes: usize) {
-        if self.ws.len() < lanes {
-            self.ws.resize_with(lanes, Workspace::new);
+        if self.c_slots.len() < lanes {
+            self.c_slots.resize_with(lanes, Vec::new);
             self.wx.resize_with(lanes, Vec::new);
         }
     }

@@ -763,8 +763,12 @@ pub struct ServeEngine<'a> {
     /// moved in rather than cloned).
     seqs: Vec<Vec<Vector>>,
     /// Per-sequence outputs, recycled across rounds by
-    /// [`PlanRuntime::run_lstm_batch_into`].
+    /// [`PlanRuntime::run_lstm_batch_into`], which resizes them to the
+    /// gang.
     outs: Vec<PlanOutput>,
+    /// The outputs a smaller gang left over, last lane first, taken back
+    /// before the next larger gang so no output is rebuilt.
+    spare_outs: Vec<PlanOutput>,
     clock_s: f64,
     submitted: u64,
     /// Global execution-attempt counter ([`FaultPlan`] granularity).
@@ -817,6 +821,7 @@ impl<'a> ServeEngine<'a> {
             device,
             seqs: Vec::new(),
             outs: Vec::new(),
+            spare_outs: Vec::new(),
             clock_s: 0.0,
             submitted: 0,
             attempts: 0,
@@ -1097,6 +1102,17 @@ impl<'a> ServeEngine<'a> {
         self.seqs.clear();
         self.seqs
             .extend(gang.iter_mut().map(|p| mem::take(&mut p.request.xs)));
+        // Each lane keeps its output slot across gang sizes.
+        let lanes = gang.len();
+        if self.outs.len() > lanes {
+            self.spare_outs.extend(self.outs.drain(lanes..).rev());
+        }
+        while self.outs.len() < lanes {
+            let Some(out) = self.spare_outs.pop() else {
+                break;
+            };
+            self.outs.push(out);
+        }
 
         let start_s = self.clock_s;
         let mut round_retries = 0u32;
@@ -1350,6 +1366,51 @@ mod tests {
         let outcomes = engine.drain();
         assert_eq!(outcomes.len(), seqs.len());
         assert!(outcomes.iter().all(ServeOutcome::is_success));
+        for c in completions(&outcomes) {
+            let solo = PlanRuntime::new().run_lstm(
+                &plan,
+                &net,
+                &seqs[c.id as usize],
+                &mut lstm::plan::NullSink,
+            );
+            assert_eq!(c.logits, solo.logits, "request {} drifted", c.id);
+        }
+    }
+
+    #[test]
+    fn a_smaller_gang_keeps_the_larger_gangs_outputs() {
+        // Gangs of 8, 3 and 8 on one engine: every logit equals its solo
+        // run, and the second 8-gang runs in the first one's output
+        // buffers instead of rebuilding the five the 3-gang left over.
+        let model = ModelConfig::new("serve-gangs", 10, 20, 2, 6, 3).unwrap();
+        let mut rng = seeded_rng(31);
+        let net = LstmNetwork::random(&model, &mut rng);
+        let seqs: Vec<Vec<Vector>> = (0..19)
+            .map(|_| lstm::random_inputs(&model, &mut rng))
+            .collect();
+        let plan = ExecutionPlan::compile_baseline(&net, 6, &DeviceModel::default_preset());
+        let mut engine = ServeEngine::new(&plan, &net, config().build().unwrap()).unwrap();
+        let (mut first, mut id) = (Vec::new(), 0);
+        for (round, gang) in [8, 3, 8].into_iter().enumerate() {
+            for _ in 0..gang {
+                engine.submit(request(id as u64, &seqs[id], 0.0)).unwrap();
+                id += 1;
+            }
+            assert_eq!(engine.step().expect("a queued gang").batch, gang);
+            let buffers: Vec<*const f32> = engine
+                .outs
+                .iter()
+                .flat_map(|o| o.layer_hs.iter().flatten())
+                .map(|h| h.as_slice().as_ptr())
+                .collect();
+            match round {
+                0 => first = buffers,
+                2 => assert_eq!(buffers, first, "the second 8-gang rebuilt its outputs"),
+                _ => {}
+            }
+        }
+        let outcomes = engine.drain();
+        assert_eq!(outcomes.len(), seqs.len());
         for c in completions(&outcomes) {
             let solo = PlanRuntime::new().run_lstm(
                 &plan,

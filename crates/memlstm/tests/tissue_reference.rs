@@ -13,7 +13,7 @@
 //! walk reads each cell's context where the plan says.
 
 use gpu_sim::DeviceModel;
-use lstm::plan::{LayerBody, NullSink, PlanBody, PrevSource};
+use lstm::plan::{LayerBody, NullSink, PlanBody, PrevSource, TissueKernels};
 use lstm::{ExecutionPlan, LstmNetwork, ModelConfig, PlanRuntime};
 use memlstm::drs::{DrsConfig, DrsMode};
 use memlstm::exec::{OptimizedExecutor, OptimizerConfig};
@@ -104,6 +104,7 @@ fn plans_equal_reference_and_mts_one_bitwise() {
     let device = DeviceModel::default_preset();
     let mut rng = StdRng::seed_from_u64(10);
     let (mut multi_cell_layers, mut drs_layers, mut broken_links) = (0, 0, 0);
+    let mut multi_cell_drs_gangs = 0;
     let mut gang_sizes = [false; 7];
     for case in 0..48u64 {
         let mut net_rng = seeded_rng(case);
@@ -152,6 +153,11 @@ fn plans_equal_reference_and_mts_one_bitwise() {
             .flat_map(|lp| lp.tissues.iter().flat_map(|tp| &tp.prev))
             .filter(|&&src| src == PrevSource::Predicted)
             .count();
+        let multi_cell_drs = layers
+            .iter()
+            .flat_map(|lp| &lp.tissues)
+            .any(|tp| tp.cells.len() > 1 && matches!(tp.kernels, TissueKernels::Drs { .. }));
+        multi_cell_drs_gangs += usize::from(multi_cell_drs && gang > 1);
         let outs = PlanRuntime::new().run_lstm_batch(&plan, &net, &lanes, &mut NullSink);
         for (lane, (xs, out)) in lanes.iter().zip(&outs).enumerate() {
             let (ref_hs, ref_logits) = reference(&plan, &net, xs);
@@ -179,6 +185,13 @@ fn plans_equal_reference_and_mts_one_bitwise() {
     );
     assert!(drs_layers >= 8, "only {drs_layers} DRS layers");
     assert!(broken_links >= 8, "only {broken_links} broken links");
+    // A multi-cell DRS tissue in a gang runs columns of several lanes and
+    // cells, each on its own mask: the layout whose mask slots the masked
+    // kernel is priced from.
+    assert!(
+        multi_cell_drs_gangs >= 8,
+        "only {multi_cell_drs_gangs} gangs ran a multi-cell DRS tissue"
+    );
     // Gangs of 1 to 7 lanes: the lockstep walk's columns in a one-cell
     // tissue are its lanes, so every remainder of its four-column
     // blocking must come up.
