@@ -26,7 +26,14 @@
 //!   lanes on a slab in bias-sorted row order, as `lstm::CellWeights`
 //!   stores it: one `gemv_into` per lane, as a lane-by-lane tissue step
 //!   runs it, versus the one lockstep walk of a dense tissue step, both
-//!   per lane.
+//!   per lane;
+//! * elementwise — the cell's elementwise pass after its products (Eqs.
+//!   1–5 from the gate pre-activations' addends): the output gate and the
+//!   state pass of a dense LSTM step (`tensor::activation`'s
+//!   `sigmoid_gate_into` and `lstm_state_into`, as
+//!   `lstm::CellWeights` runs them) at H = 128, 256 and 512, and the
+//!   masked state pass of a DRS step at H = 256 with half the rows
+//!   skipped.
 //!
 //! Shapes follow the LSTM gate matrices: `H x H` recurrent blocks and the
 //! `4H x H` stacked input projections of Table I's hidden sizes. In
@@ -39,6 +46,7 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use lstm::drs::trivial_row_mask_into;
 use lstm::CellScratch;
 use std::hint::black_box;
+use tensor::activation::{lstm_state_into, sigmoid_gate_into, GateRows};
 use tensor::gemm::sgemv;
 use tensor::packed::MR;
 use tensor::{FusedGates, Matrix, Precision, Vector};
@@ -79,6 +87,11 @@ const WX_COLUMNS: usize = 86;
 /// Hidden size and gang sizes of the lockstep lane comparison.
 const LANES_HIDDEN: usize = 256;
 const LANES: [usize; 5] = [1, 2, 3, 4, 8];
+
+/// Hidden sizes of the dense elementwise rows, and the hidden size and
+/// skip ratio of the masked one.
+const ELEMENTWISE_HIDDEN: [usize; 3] = [128, 256, 512];
+const ELEMENTWISE_MASKED: (usize, f64) = (256, 0.5);
 
 fn test_matrix(rows: usize, cols: usize) -> Matrix {
     Matrix::from_fn(rows, cols, |r, c| {
@@ -462,6 +475,99 @@ fn bench_lanes_batch(c: &mut Criterion) {
     group.finish();
 }
 
+/// One cell's elementwise inputs at hidden size `h`: the four gates'
+/// `W·x`, `U·h` and bias rows (spanning both saturations), and
+/// `c_{t-1}`.
+struct Elementwise {
+    gates: [[Vec<f32>; 3]; 4],
+    c_prev: Vec<f32>,
+}
+
+impl Elementwise {
+    fn new(h: usize) -> Self {
+        let row = |seed: usize, spread: f32| -> Vec<f32> {
+            (0..h)
+                .map(|j| ((j * 37 + seed * 11) % 97) as f32 / 48.0 * spread - spread)
+                .collect()
+        };
+        Self {
+            gates: std::array::from_fn(|g| [row(g, 4.0), row(4 + g, 2.0), row(8 + g, 1.0)]),
+            c_prev: row(12, 2.0),
+        }
+    }
+
+    /// Gate `g`'s pre-activation addends.
+    fn rows(&self, g: usize) -> GateRows<'_, 1> {
+        let [wx, uh, b] = &self.gates[g];
+        GateRows {
+            wx: [wx],
+            uh: [uh],
+            b: [b],
+        }
+    }
+
+    /// The `f, i, c` gates' addends.
+    fn fic(&self) -> GateRows<'_, 3> {
+        let part = |k: usize| std::array::from_fn(|g| self.gates[g][k].as_slice());
+        GateRows {
+            wx: part(0),
+            uh: part(1),
+            b: part(2),
+        }
+    }
+
+    /// A dense step's pass: the output gate into `h`, then the state.
+    fn dense(&self, c: &mut [f32], h: &mut [f32]) {
+        sigmoid_gate_into(self.rows(3), h);
+        lstm_state_into(self.fic(), &self.c_prev, None, c, h);
+    }
+
+    /// A DRS step's pass on the hoisted output gate `o` and its mask.
+    fn masked(&self, o: &[f32], active: &[bool], c: &mut [f32], h: &mut [f32]) {
+        h.copy_from_slice(o);
+        lstm_state_into(self.fic(), &self.c_prev, Some(active), c, h);
+    }
+}
+
+fn bench_elementwise(c: &mut Criterion) {
+    let mut group = c.benchmark_group("elementwise");
+    group.sample_size(20);
+    for h in ELEMENTWISE_HIDDEN {
+        let cell = Elementwise::new(h);
+        let (mut c_out, mut h_out) = (vec![0.0f32; h], vec![0.0f32; h]);
+        group.bench_with_input(BenchmarkId::new("dense", format!("H{h}")), &(), |b, _| {
+            b.iter(|| {
+                cell.dense(&mut c_out, &mut h_out);
+                black_box(&mut h_out);
+            })
+        });
+    }
+    let (h, ratio) = ELEMENTWISE_MASKED;
+    let cell = Elementwise::new(h);
+    let mask = skip_mask(h, ratio);
+    let (mut c_out, mut o) = (vec![0.0f32; h], vec![0.0f32; h]);
+    sigmoid_gate_into(cell.rows(3), &mut o);
+    let mut h_out = vec![0.0f32; h];
+    // Every active row must equal the dense pass's before we time.
+    let (mut c_dense, mut h_dense) = (vec![0.0f32; h], vec![0.0f32; h]);
+    cell.dense(&mut c_dense, &mut h_dense);
+    cell.masked(&o, &mask, &mut c_out, &mut h_out);
+    for j in (0..h).filter(|&j| mask[j]) {
+        assert_eq!(h_out[j].to_bits(), h_dense[j].to_bits(), "masked row {j}");
+    }
+    group.bench_with_input(
+        BenchmarkId::new("masked", format!("H{h} skip{:.0}%", ratio * 100.0)),
+        &(),
+        |b, _| {
+            b.iter(|| {
+                cell.masked(&o, &mask, &mut c_out, &mut h_out);
+                black_box(&mut h_out);
+            })
+        },
+    );
+    group.finish();
+}
+
 fn bench_gemm_kernels(c: &mut Criterion) {
     bench_dense(c);
     bench_fused(c);
@@ -469,6 +575,7 @@ fn bench_gemm_kernels(c: &mut Criterion) {
     bench_pack(c);
     bench_wx_batch(c);
     bench_lanes_batch(c);
+    bench_elementwise(c);
     if c.is_measuring() {
         emit_json();
     }
@@ -703,11 +810,44 @@ fn emit_json() {
             )
         })
         .collect();
+    // A pass is a few microseconds: read as a min over more reps.
+    let mut elementwise: Vec<String> = ELEMENTWISE_HIDDEN
+        .iter()
+        .map(|&h| {
+            let cell = Elementwise::new(h);
+            let outs = std::cell::RefCell::new((vec![0.0f32; h], vec![0.0f32; h]));
+            let dense = Spread::measure(PACK_REPS, ITERS, &|| {
+                let (c, h) = &mut *outs.borrow_mut();
+                cell.dense(c, h);
+                black_box(h);
+            });
+            format!(
+                "    {{\"hidden\": {h}, \"pass\": \"dense\", \"skip_ratio\": 0.00, \"pass_s\": {}}}",
+                dense.json()
+            )
+        })
+        .collect();
+    let (h, ratio) = ELEMENTWISE_MASKED;
+    let cell = Elementwise::new(h);
+    let mask = skip_mask(h, ratio);
+    let mut o = vec![0.0f32; h];
+    sigmoid_gate_into(cell.rows(3), &mut o);
+    let outs = std::cell::RefCell::new((vec![0.0f32; h], vec![0.0f32; h]));
+    let masked = Spread::measure(PACK_REPS, ITERS, &|| {
+        let (c, h) = &mut *outs.borrow_mut();
+        cell.masked(&o, &mask, c, h);
+        black_box(h);
+    });
+    elementwise.push(format!(
+        "    {{\"hidden\": {h}, \"pass\": \"masked\", \"skip_ratio\": {ratio:.2}, \"pass_s\": {}}}",
+        masked.json()
+    ));
     let json = format!(
         "{{\n  \"benchmark\": \"gemm_kernels\",\n  \"dense_sgemv\": [\n{}\n  ],\n  \
          \"fused_gates\": [\n{}\n  ],\n  \"masked_fused\": [\n{}\n  ],\n  \
          \"masked_fused_trace\": [\n{}\n  ],\n  \"pack\": [\n{}\n  ],\n  \
-         \"wx_batch\": [\n{}\n  ],\n  \"lanes_batch\": [\n{}\n  ]\n}}\n",
+         \"wx_batch\": [\n{}\n  ],\n  \"lanes_batch\": [\n{}\n  ],\n  \
+         \"elementwise\": [\n{}\n  ]\n}}\n",
         dense.join(",\n"),
         fused_rows.join(",\n"),
         masked_fused.join(",\n"),
@@ -715,6 +855,7 @@ fn emit_json() {
         pack_rows.join(",\n"),
         wx_batch,
         lanes_batch.join(",\n"),
+        elementwise.join(",\n"),
     );
     let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_gemm.json");
     std::fs::write(path, json).expect("write BENCH_gemm.json");

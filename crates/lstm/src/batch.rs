@@ -926,15 +926,18 @@ mod tests {
         plan
     }
 
-    /// `plan` with every layer reorganized, without Dynamic Row Skip: its
-    /// links before cells 3 and 6 broken (those cells read the layer's
-    /// predicted state), and the three sub-layers' cells run side by side
-    /// in tissues `{0, 3, 6}`, `{1, 4, 7}` and `{2, 5}` of the plan's
-    /// own per-cell kernels.
-    fn multi_cell_plan(plan: &ExecutionPlan, net: &LstmNetwork) -> ExecutionPlan {
+    /// `plan` with every layer reorganized: its links before cells 3 and
+    /// 6 broken (those cells read the layer's predicted state), and the
+    /// three sub-layers' cells run side by side in tissues `{0, 3, 6}`,
+    /// `{1, 4, 7}` and `{2, 5}` of the plan's own per-cell kernels. A
+    /// per-cell DRS plan gives DRS tissues masked at `alpha_intra`, their
+    /// masked `U_{f,i,c}` template batched over the tissue's cells.
+    fn multi_cell_plan(plan: &ExecutionPlan, net: &LstmNetwork, alpha_intra: f32) -> ExecutionPlan {
         const STARTS: [usize; 3] = [0, 3, 6];
         let mut plan = plan.clone();
         assert_eq!(plan.seq_len, 8, "the tissues cover eight cells");
+        let u_fic: Vec<_> = plan.regions.layers.iter().map(|r| r.u_fic).collect();
+        let mut alloc = RegionAllocator::new();
         let PlanBody::Lstm(layers) = &mut plan.body else {
             unreachable!()
         };
@@ -943,7 +946,7 @@ mod tests {
             lp.body = LayerBody::Tissues {
                 search: lp.wx.clone(),
                 link: None,
-                alpha_intra: 0.0,
+                alpha_intra,
                 predicted_h: Vector::from_fn(h, |j| (j as f32 * 0.37).sin() * 0.5),
                 predicted_c: Vector::from_fn(h, |j| (j as f32 * 0.11).cos()),
             };
@@ -960,11 +963,24 @@ mod tests {
                             _ => PrevSource::Prior,
                         })
                         .collect();
+                    let mut kernels = kernels.clone();
+                    if let TissueKernels::Drs { masked, .. } = &mut kernels {
+                        *masked = MaskedUKernel::new(
+                            format!("Sgemm(U_fic,H,R) l{l} k{i}"),
+                            3,
+                            h,
+                            cells.len(),
+                            u_fic[l],
+                            crate::drs::DrsMode::Hardware,
+                            true,
+                            &mut alloc,
+                        );
+                    }
                     TissuePlan {
                         cells,
                         prev,
                         tag: SpanTag::tissue(l, i, Some(0)),
-                        kernels: kernels.clone(),
+                        kernels,
                     }
                 })
                 .collect();
@@ -977,8 +993,11 @@ mod tests {
         // Gangs of 1 to 9 lanes reach every mix of the lockstep walk's
         // four-, three-, two- and lone-column kernels: a plain tissue's
         // columns are its lanes times its cells, so the multi-cell plan
-        // runs 2 to 27 columns per tissue. One runtime
-        // serves every gang, so its recycled columns grow and shrink.
+        // runs 2 to 27 columns per tissue. The multi-cell DRS plan lays
+        // out a gate and a mask per lane per cell, lane-major, so a
+        // column mis-indexed across lanes and cells masks the wrong
+        // rows. One runtime serves every gang, so its recycled columns
+        // grow and shrink.
         let config = ModelConfig::new("test", 12, 24, 2, 8, 3).unwrap();
         let mut rng = seeded_rng(22);
         let net = LstmNetwork::random(&config, &mut rng);
@@ -990,10 +1009,15 @@ mod tests {
             alpha_intra: 0.05,
             mode: crate::drs::DrsMode::Hardware,
         };
+        let per_cell_drs = per_cell_plan(&baseline, &net, drs);
         let plans = [
             ("baseline", baseline.clone()),
-            ("multi-cell", multi_cell_plan(&baseline, &net)),
-            ("per-cell DRS", per_cell_plan(&baseline, &net, drs)),
+            ("multi-cell", multi_cell_plan(&baseline, &net, 0.0)),
+            (
+                "multi-cell DRS",
+                multi_cell_plan(&per_cell_drs, &net, drs.alpha_intra),
+            ),
+            ("per-cell DRS", per_cell_drs),
         ];
         let mut runtime = PlanRuntime::new();
         for (name, plan) in &plans {
@@ -1004,7 +1028,7 @@ mod tests {
                     .map(|xs| PlanRuntime::new().run_lstm(&plan, &net, xs, &mut NullSink))
                     .collect();
                 let skipped = solo[0].layer_skips.iter().any(|s| s.sum > 0.0);
-                assert_eq!(skipped, *name == "per-cell DRS", "{name} {precision} skips");
+                assert_eq!(skipped, name.ends_with("DRS"), "{name} {precision} skips");
                 for b in 1..=9 {
                     let batched = runtime.run_lstm_batch(&plan, &net, &seqs[..b], &mut NullSink);
                     for (lane, (out, want)) in batched.iter().zip(&solo).enumerate() {

@@ -3,8 +3,9 @@
 use rand::Rng;
 use std::slice;
 use std::sync::OnceLock;
+use tensor::activation::{lstm_state_into, sigmoid_gate_into, GateRows};
 use tensor::init::{xavier_uniform, GateBiasInit, RowScaledInit};
-use tensor::{sigmoid, tanh, FusedGates, Matrix, Precision, Vector};
+use tensor::{FusedGates, Matrix, Precision, Vector};
 
 /// One vector per LSTM gate, in the paper's `f, i, c, o` order.
 ///
@@ -122,7 +123,7 @@ pub struct CellScratch {
     /// Pre-activation slab: `4 * hidden` for dense LSTM steps
     /// (`U_{f,i,c,o}·h`), `3 * hidden` for masked ones (`U_{f,i,c}·h`),
     /// `hidden` for the hoisted-gate launch; the GRU steps keep `U·h`,
-    /// `r`, `z` and `r ⊙ h` here.
+    /// `z` and `r ⊙ h` here.
     pub(crate) slab: Vec<f32>,
 }
 
@@ -533,7 +534,8 @@ impl CellWeights {
 
     /// The elementwise pass of an exact step (Eqs. 1–5) from its `W·x`
     /// terms and its gate-major `U_{f,i,c,o}·h` products `uh`, into the
-    /// recycled `h_out`/`c_out`.
+    /// recycled `h_out`/`c_out`: the output gate into `h_out`, then the
+    /// state pass that turns it into `h_t`.
     ///
     /// # Panics
     /// Panics if `c_prev.len() != hidden` or `uh` holds fewer than
@@ -548,18 +550,38 @@ impl CellWeights {
     ) {
         let n = self.hidden;
         assert_eq!(c_prev.len(), n, "c_prev length mismatch");
-        let (uf, rest) = uh[..4 * n].split_at(n);
-        let (ui, rest) = rest.split_at(n);
-        let (uc, uo) = rest.split_at(n);
+        let (uh_fic, uo) = uh[..4 * n].split_at(3 * n);
         h_out.resize_fill(n, 0.0);
         c_out.resize_fill(n, 0.0);
-        for j in 0..n {
-            let f = sigmoid(wx.f[j] + uf[j] + self.b.f[j]);
-            let i = sigmoid(wx.i[j] + ui[j] + self.b.i[j]);
-            let cand = tanh(wx.c[j] + uc[j] + self.b.c[j]);
-            let o = sigmoid(wx.o[j] + uo[j] + self.b.o[j]);
-            c_out[j] = f * c_prev[j] + i * cand;
-            h_out[j] = o * tanh(c_out[j]);
+        sigmoid_gate_into(
+            GateRows {
+                wx: [wx.o.as_slice()],
+                uh: [uo],
+                b: [self.b.o.as_slice()],
+            },
+            h_out.as_mut_slice(),
+        );
+        lstm_state_into(
+            self.fic_rows(wx, uh_fic),
+            c_prev.as_slice(),
+            None,
+            c_out.as_mut_slice(),
+            h_out.as_mut_slice(),
+        );
+    }
+
+    /// The `f, i, c` pre-activations of one step from its `W·x` terms and
+    /// its gate-major `U_{f,i,c}·h` products `uh`.
+    fn fic_rows<'a>(&'a self, wx: &'a GatePreacts, uh: &'a [f32]) -> GateRows<'a, 3> {
+        let n = self.hidden;
+        GateRows {
+            wx: [wx.f.as_slice(), wx.i.as_slice(), wx.c.as_slice()],
+            uh: [&uh[..n], &uh[n..2 * n], &uh[2 * n..3 * n]],
+            b: [
+                self.b.f.as_slice(),
+                self.b.i.as_slice(),
+                self.b.c.as_slice(),
+            ],
         }
     }
 
@@ -583,9 +605,14 @@ impl CellWeights {
             .u
             .gate_gemv_into(GATE_O, h_prev.as_slice(), &mut scratch.slab);
         o_out.resize_fill(n, 0.0);
-        for j in 0..n {
-            o_out[j] = sigmoid(wx_o[j] + scratch.slab[j] + self.b.o[j]);
-        }
+        sigmoid_gate_into(
+            GateRows {
+                wx: [wx_o.as_slice()],
+                uh: [&scratch.slab],
+                b: [self.b.o.as_slice()],
+            },
+            o_out.as_mut_slice(),
+        );
     }
 
     /// One Dynamic-Row-Skip cell step (Algorithm 3 lines 7–8) with the
@@ -625,24 +652,16 @@ impl CellWeights {
             0.0,
             &mut scratch.slab,
         );
-        let (uf, rest) = scratch.slab.split_at(n);
-        let (ui, uc) = rest.split_at(n);
-        h_out.resize_fill(n, 0.0);
+        // `h_out` holds `o_t` until the state pass turns it into `h_t`.
+        h_out.clone_from(o);
         c_out.resize_fill(n, 0.0);
-        for j in 0..n {
-            if active[j] {
-                let f = sigmoid(wx.f[j] + uf[j] + self.b.f[j]);
-                let i = sigmoid(wx.i[j] + ui[j] + self.b.i[j]);
-                let cand = tanh(wx.c[j] + uc[j] + self.b.c[j]);
-                c_out[j] = f * c_prev[j] + i * cand;
-                h_out[j] = o[j] * tanh(c_out[j]);
-            } else {
-                // Skipped row: c_t element approximated to zero (Sec. V-A);
-                // h_t follows since tanh(0) = 0.
-                c_out[j] = 0.0;
-                h_out[j] = 0.0;
-            }
-        }
+        lstm_state_into(
+            self.fic_rows(wx, &scratch.slab),
+            c_prev.as_slice(),
+            Some(active),
+            c_out.as_mut_slice(),
+            h_out.as_mut_slice(),
+        );
     }
 }
 
@@ -650,6 +669,7 @@ impl CellWeights {
 mod tests {
     use super::*;
     use tensor::init::seeded_rng;
+    use tensor::{sigmoid, tanh};
 
     fn small_cell(seed: u64) -> CellWeights {
         CellWeights::random(6, 8, &mut seeded_rng(seed))

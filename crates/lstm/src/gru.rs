@@ -10,8 +10,9 @@
 use crate::cell::{CellScratch, GatePreacts};
 use rand::Rng;
 use std::sync::OnceLock;
+use tensor::activation::{gru_blend_into, gru_reset_into, sigmoid_gate_into, GateRows};
 use tensor::init::{GateBiasInit, RowScaledInit};
-use tensor::{sigmoid, tanh, FusedGates, Matrix, Precision, Vector};
+use tensor::{FusedGates, Matrix, Precision, Vector};
 
 /// Gate indices inside the fused `r, z, h` packs.
 const GATE_R: usize = 0;
@@ -201,22 +202,13 @@ impl GruWeights {
             });
     }
 
-    /// `σ(wx + U_g·h + b)` for gate `g` into `out`, with `U_g·h` staged
-    /// in `u_buf`.
-    #[allow(clippy::too_many_arguments)]
-    fn sigmoid_gate_into(
-        &self,
-        precision: Precision,
-        g: usize,
-        wx: &Vector,
-        b: &Vector,
-        h: &[f32],
-        u_buf: &mut [f32],
-        out: &mut [f32],
-    ) {
-        self.fused_at(precision).u.gate_gemv_into(g, h, u_buf);
-        for j in 0..self.hidden {
-            out[j] = sigmoid(wx[j] + u_buf[j] + b[j]);
+    /// One gate's pre-activations from its `W·x` terms `wx`, its `U·h`
+    /// products `uh` and its bias `b`.
+    fn rows<'a>(wx: &'a Vector, uh: &'a [f32], b: &'a Vector) -> GateRows<'a, 1> {
+        GateRows {
+            wx: [wx.as_slice()],
+            uh: [uh],
+            b: [b.as_slice()],
         }
     }
 
@@ -235,13 +227,11 @@ impl GruWeights {
         scratch.slab.clear();
         scratch.slab.resize(n, 0.0);
         z_out.resize_fill(n, 0.0);
-        self.sigmoid_gate_into(
-            precision,
-            GATE_Z,
-            &wx.o,
-            &self.b_z,
-            h_prev.as_slice(),
-            &mut scratch.slab,
+        self.fused_at(precision)
+            .u
+            .gate_gemv_into(GATE_Z, h_prev.as_slice(), &mut scratch.slab);
+        sigmoid_gate_into(
+            Self::rows(&wx.o, &scratch.slab, &self.b_z),
             z_out.as_mut_slice(),
         );
     }
@@ -249,7 +239,7 @@ impl GruWeights {
     /// One exact GRU step from precomputed `W·x` terms, with the `U`
     /// triple stored at `precision` (activations stay fp32): one `U_g`
     /// GEMV per gate through the fused `r, z, h` pack into the scratch
-    /// slab, which also holds `r`, `z` and `r ⊙ h`.
+    /// slab, which also holds `z` and `r ⊙ h`.
     pub fn step_into(
         &self,
         precision: Precision,
@@ -259,23 +249,25 @@ impl GruWeights {
         h_out: &mut Vector,
     ) {
         let n = self.hidden;
-        scratch.slab.clear();
-        scratch.slab.resize(4 * n, 0.0);
-        let (u_buf, rest) = scratch.slab.split_at_mut(n);
-        let (r, rest) = rest.split_at_mut(n);
-        let (z, rh) = rest.split_at_mut(n);
+        let u = &self.fused_at(precision).u;
         let h = h_prev.as_slice();
-        self.sigmoid_gate_into(precision, GATE_R, &wx.f, &self.b_r, h, u_buf, r);
-        self.sigmoid_gate_into(precision, GATE_Z, &wx.o, &self.b_z, h, u_buf, z);
-        for j in 0..n {
-            rh[j] = r[j] * h_prev[j];
-        }
-        self.fused_at(precision).u.gate_gemv_into(GATE_H, rh, u_buf);
+        scratch.slab.clear();
+        scratch.slab.resize(3 * n, 0.0);
+        let (u_buf, rest) = scratch.slab.split_at_mut(n);
+        let (z, rh) = rest.split_at_mut(n);
+        u.gate_gemv_into(GATE_R, h, u_buf);
+        gru_reset_into(Self::rows(&wx.f, u_buf, &self.b_r), h, None, rh);
+        u.gate_gemv_into(GATE_Z, h, u_buf);
+        sigmoid_gate_into(Self::rows(&wx.o, u_buf, &self.b_z), z);
+        u.gate_gemv_into(GATE_H, rh, u_buf);
         h_out.resize_fill(n, 0.0);
-        for j in 0..n {
-            let cand = tanh(wx.c[j] + u_buf[j] + self.b_h[j]);
-            h_out[j] = (1.0 - z[j]) * h_prev[j] + z[j] * cand;
-        }
+        gru_blend_into(
+            Self::rows(&wx.c, u_buf, &self.b_h),
+            z,
+            h,
+            None,
+            h_out.as_mut_slice(),
+        );
     }
 
     /// The DRS-adapted GRU step from precomputed `W·x` terms, with the
@@ -305,29 +297,21 @@ impl GruWeights {
         assert_eq!(active.len(), n, "mask length mismatch");
         assert_eq!(z.len(), n, "update-gate length mismatch");
         let u = &self.fused_at(precision).u;
+        let h = h_prev.as_slice();
         scratch.slab.clear();
         scratch.slab.resize(2 * n, 0.0);
         let (u_buf, rh) = scratch.slab.split_at_mut(n);
-        u.gate_gemv_masked_into(GATE_R, h_prev.as_slice(), active, 0.0, u_buf);
-        for j in 0..n {
-            let r = if active[j] {
-                sigmoid(wx.f[j] + u_buf[j] + self.b_r[j])
-            } else {
-                0.0
-            };
-            rh[j] = r * h_prev[j];
-        }
+        u.gate_gemv_masked_into(GATE_R, h, active, 0.0, u_buf);
+        gru_reset_into(Self::rows(&wx.f, u_buf, &self.b_r), h, Some(active), rh);
         u.gate_gemv_masked_into(GATE_H, rh, active, 0.0, u_buf);
         h_out.resize_fill(n, 0.0);
-        for j in 0..n {
-            h_out[j] = if active[j] {
-                let cand = tanh(wx.c[j] + u_buf[j] + self.b_h[j]);
-                (1.0 - z[j]) * h_prev[j] + z[j] * cand
-            } else {
-                // Near-zero update gate: the unit copies its history.
-                h_prev[j]
-            };
-        }
+        gru_blend_into(
+            Self::rows(&wx.c, u_buf, &self.b_h),
+            z.as_slice(),
+            h,
+            Some(active),
+            h_out.as_mut_slice(),
+        );
     }
 }
 

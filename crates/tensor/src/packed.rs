@@ -56,16 +56,16 @@ pub const MR: usize = 8;
 macro_rules! simd_kernel {
     (
         $(#[$attr:meta])*
-        $vis:vis fn $name:ident = $body:ident $(::<$n:tt>)? ($($arg:ident: $ty:ty),* $(,)?) -> $ret:ty;
+        $vis:vis fn $name:ident = $body:ident $(::<$n:tt>)? ($($arg:ident: $ty:ty),* $(,)?) $(-> $ret:ty)?;
     ) => {
         $(#[$attr])*
         #[allow(unsafe_code)]
         #[inline]
-        $vis fn $name($($arg: $ty),*) -> $ret {
+        $vis fn $name($($arg: $ty),*) $(-> $ret)? {
             #[cfg(target_arch = "x86_64")]
             if $crate::packed::avx_enabled() {
                 #[target_feature(enable = "avx")]
-                fn avx_build($($arg: $ty),*) -> $ret {
+                fn avx_build($($arg: $ty),*) $(-> $ret)? {
                     $body $(::<$n>)? ($($arg),*)
                 }
                 // SAFETY: `avx_enabled` is true only on a CPU that
@@ -84,6 +84,16 @@ thread_local! {
     /// their portable build, so one test can run every entry point
     /// through both builds and compare them bit for bit.
     static FORCE_PORTABLE: std::cell::Cell<bool> = const { std::cell::Cell::new(false) };
+}
+
+/// Runs `f` with this thread's dispatched kernels on their portable
+/// build.
+#[cfg(test)]
+pub(crate) fn portable<T>(f: impl FnOnce() -> T) -> T {
+    FORCE_PORTABLE.with(|force| force.set(true));
+    let out = f();
+    FORCE_PORTABLE.with(|force| force.set(false));
+    out
 }
 
 /// Whether the dispatched micro-kernels run their AVX build. The
@@ -283,15 +293,6 @@ mod tests {
         packed.gemv_batch_with(&[Vector::zeros(3), Vector::zeros(2)], |_, _, _, _| {});
     }
 
-    /// Runs `f` with this thread's dispatched kernels on their portable
-    /// build.
-    fn portable<T>(f: impl FnOnce() -> T) -> T {
-        FORCE_PORTABLE.with(|force| force.set(true));
-        let out = f();
-        FORCE_PORTABLE.with(|force| force.set(false));
-        out
-    }
-
     /// A product of the dispatch table.
     #[derive(Clone, Copy, Debug)]
     enum Product {
@@ -386,6 +387,100 @@ mod tests {
             .collect()
     }
 
+    /// The elementwise passes on `n` rows of pseudo-random
+    /// pre-activations spanning both saturations, under a mask keeping
+    /// about five rows in eight, as `(pass, output bits)`.
+    fn elementwise(n: usize) -> Vec<(&'static str, Vec<u32>)> {
+        use crate::activation::{
+            gru_blend_into, gru_reset_into, lstm_state_into, sigmoid_gate_into, GateRows,
+        };
+        let v = |seed: u32, spread: f32| -> Vec<f32> {
+            (0..n as u32)
+                .map(|j| {
+                    let h = j
+                        .wrapping_mul(2654435761)
+                        .wrapping_add(seed.wrapping_mul(40503));
+                    ((h >> 8) % 20001) as f32 / 10000.0 * spread - spread
+                })
+                .collect()
+        };
+        let gates = |seed: u32, spread: f32| -> Vec<Vec<f32>> {
+            (0..4).map(|g| v(seed + g, spread)).collect()
+        };
+        let (wx, uh, b) = (gates(0, 12.0), gates(10, 3.0), gates(20, 1.5));
+        let rows = |g: usize| GateRows {
+            wx: [wx[g].as_slice()],
+            uh: [uh[g].as_slice()],
+            b: [b[g].as_slice()],
+        };
+        let fic = GateRows {
+            wx: [wx[0].as_slice(), wx[1].as_slice(), wx[2].as_slice()],
+            uh: [uh[0].as_slice(), uh[1].as_slice(), uh[2].as_slice()],
+            b: [b[0].as_slice(), b[1].as_slice(), b[2].as_slice()],
+        };
+        let (c_prev, h_prev, z) = (v(30, 4.0), v(31, 1.0), v(32, 0.5));
+        let mask: Vec<bool> = (0..n as u32)
+            .map(|j| j.wrapping_mul(2654435761) >> 29 < 5)
+            .collect();
+        let bits = |v: &[f32]| v.iter().map(|f| f.to_bits()).collect::<Vec<_>>();
+        let mut out = Vec::new();
+        let mut o = vec![0.0f32; n];
+        sigmoid_gate_into(rows(3), &mut o);
+        out.push(("output gate", bits(&o)));
+        for (name, active) in [("dense LSTM", None), ("masked LSTM", Some(mask.as_slice()))] {
+            let (mut c, mut h) = (vec![0.0f32; n], o.clone());
+            lstm_state_into(fic, &c_prev, active, &mut c, &mut h);
+            out.push((name, [bits(&c), bits(&h)].concat()));
+        }
+        for (name, active) in [
+            ("GRU gates", None),
+            ("masked GRU gates", Some(mask.as_slice())),
+        ] {
+            let (mut rh, mut h) = (vec![0.0f32; n], vec![0.0f32; n]);
+            gru_reset_into(rows(0), &h_prev, active, &mut rh);
+            gru_blend_into(rows(2), &z, &h_prev, active, &mut h);
+            out.push((name, [bits(&rh), bits(&h)].concat()));
+        }
+        // The oracle: each row alone through the scalar activations.
+        let pre = |g: usize, j: usize| (wx[g][j] + uh[g][j]) + b[g][j];
+        let lstm = |j: usize| {
+            let f = crate::sigmoid(pre(0, j));
+            let i = crate::sigmoid(pre(1, j));
+            let c = f * c_prev[j] + i * crate::tanh(pre(2, j));
+            (c, o[j] * crate::tanh(c))
+        };
+        let (c, h): (Vec<f32>, Vec<f32>) = (0..n).map(lstm).unzip();
+        let gru_rh = |j: usize| crate::sigmoid(pre(0, j)) * h_prev[j];
+        let gru_h = |j: usize| (1.0 - z[j]) * h_prev[j] + z[j] * crate::tanh(pre(2, j));
+        let oracle = [
+            bits(&(0..n).map(|j| crate::sigmoid(pre(3, j))).collect::<Vec<_>>()),
+            [bits(&c), bits(&h)].concat(),
+            [
+                bits(&(0..n).map(|j| if mask[j] { c[j] } else { 0.0 }).collect::<Vec<_>>()),
+                bits(&(0..n).map(|j| if mask[j] { h[j] } else { 0.0 }).collect::<Vec<_>>()),
+            ]
+            .concat(),
+            bits(&[
+                (0..n).map(gru_rh).collect::<Vec<_>>(),
+                (0..n).map(gru_h).collect(),
+            ]
+            .concat()),
+            bits(&[
+                (0..n)
+                    .map(|j| if mask[j] { crate::sigmoid(pre(0, j)) } else { 0.0 } * h_prev[j])
+                    .collect::<Vec<_>>(),
+                (0..n)
+                    .map(|j| if mask[j] { gru_h(j) } else { h_prev[j] })
+                    .collect(),
+            ]
+            .concat()),
+        ];
+        for ((name, got), want) in out.iter().zip(&oracle) {
+            assert_eq!(got, want, "{name} at n = {n}: kernel vs scalar rows");
+        }
+        out
+    }
+
     /// Every dispatched kernel's AVX build agrees with its portable
     /// build and with the reference kernels to the last bit: column
     /// counts around the four-wide phase chunks and the 256-column slabs, a partial last panel
@@ -399,7 +494,9 @@ mod tests {
     /// lone column (through the pair kernel and its single-panel tail),
     /// by the two-column one or by the three-column one. The f16 and
     /// int8 slabs run the same fp32 kernels over panels rounded to their
-    /// tier.
+    /// tier. The elementwise passes of the LSTM and GRU cells run at row
+    /// counts around the vector widths, each also against the scalar
+    /// activations row by row.
     #[test]
     fn every_avx_kernel_bit_identical_to_portable() {
         #[cfg(target_arch = "x86_64")]
@@ -409,6 +506,13 @@ mod tests {
         if !has_avx {
             eprintln!("skipped: no AVX on this CPU, so only the portable build ever runs");
             return;
+        }
+        for n in [1, 7, 8, 9, 256, 257] {
+            assert_eq!(
+                elementwise(n),
+                portable(|| elementwise(n)),
+                "elementwise passes, AVX vs portable, n = {n}"
+            );
         }
         let entries = [
             (Product::Single, Precision::Fp32),

@@ -144,12 +144,13 @@ fn batched_execution_is_bit_identical_per_sequence_across_plans() {
     }
 }
 
-/// Workspace recycling must be pure scratch reuse: one runtime instance
-/// carried *dirty* across plans of different shapes (baseline ↔ DRS ↔
-/// tissues) and gangs of different sizes (8 → 1 → 2) must produce the
-/// same bits as a fresh runtime per run. This is the regression test for
-/// the zero-allocation workspaces — stale masks, oversized slabs, or
-/// leftover tissue slots from a previous (larger) run would surface here.
+/// Recycling the runtime's shared scratch must be pure reuse: one runtime
+/// instance carried *dirty* across plans of different shapes (baseline ↔
+/// DRS ↔ tissues) and gangs of different sizes (8 → 1 → 2) must produce
+/// the same bits as a fresh runtime per run. This is the regression test
+/// for the zero-allocation shared scratch — stale masks, oversized slabs,
+/// or leftover tissue columns from a previous (larger) run would surface
+/// here.
 #[test]
 fn dirty_runtime_reuse_is_bit_identical_to_fresh_runtimes() {
     use lstm::plan::{ExecutionPlan, NullSink, PlanRuntime};
