@@ -20,8 +20,8 @@
 //! * pack — packing a 4-gate 256x256 slab at fp32 and int8;
 //! * batched `W·x` — the layer's hoisted input product on BABI's shape
 //!   (a 4-gate 256x256 slab, 86 columns): the column-blocked slab walk
-//!   `gemv_batch_with` the runtime runs, versus one `gemv_into` per
-//!   column, both per column;
+//!   `gemv_batch_into` the runtime runs, versus one `gemv_into` per
+//!   column into the same column blocks, both per column;
 //! * lockstep lanes — a gang's fused H=256 `U·h` at 1, 2, 3, 4 and 8
 //!   lanes on a slab in bias-sorted row order, as `lstm::CellWeights`
 //!   stores it: one `gemv_into` per lane, as a lane-by-lane tissue step
@@ -300,14 +300,9 @@ impl MaskTrace {
                     let inputs = if l == 0 { xs } else { &fwd.layer_hs[l - 1] };
                     cell.precompute_wx_batch_into(Precision::Fp32, inputs, &mut wx);
                     let mut h_prev = Vector::zeros(cell.hidden());
-                    for (pre, h) in wx.iter().zip(&fwd.layer_hs[l]) {
-                        cell.output_gate_into(
-                            Precision::Fp32,
-                            &pre.o,
-                            &h_prev,
-                            &mut scratch,
-                            &mut o,
-                        );
+                    let columns = wx.chunks_exact(4 * cell.hidden());
+                    for (pre, h) in columns.zip(&fwd.layer_hs[l]) {
+                        cell.output_gate_into(Precision::Fp32, pre, &h_prev, &mut scratch, &mut o);
                         let mut mask = Vec::new();
                         trivial_row_mask_into(&o, TRACE_ALPHA_INTRA, &mut mask);
                         cells.push((std::mem::replace(&mut h_prev, h.clone()), mask));
@@ -390,29 +385,20 @@ fn wx_setup() -> (FusedGates, Vec<Vector>) {
     (fused, xs)
 }
 
-/// The slab walk into one gate-major slab per column.
-fn wx_walk(fused: &FusedGates, xs: &[Vector], outs: &mut [Vec<f32>]) {
-    let rows = fused.rows();
-    fused.gemv_batch_with(xs, |i, g, slab_rows, vals| {
-        for (&r, &v) in slab_rows.iter().zip(vals) {
-            outs[i][g * rows + r] = v;
-        }
-    });
-}
-
-/// One dense `gemv_into` per column.
-fn wx_per_column(fused: &FusedGates, xs: &[Vector], outs: &mut [Vec<f32>]) {
-    for (x, out) in xs.iter().zip(outs.iter_mut()) {
-        fused.gemv_into(x.as_slice(), out);
+/// One dense `gemv_into` per column, into the column blocks
+/// `gemv_batch_into` writes.
+fn wx_per_column(fused: &FusedGates, xs: &[Vector], out: &mut [f32]) {
+    for (x, block) in xs.iter().zip(out.chunks_mut(fused.total_rows())) {
+        fused.gemv_into(x.as_slice(), block);
     }
 }
 
 fn bench_wx_batch(c: &mut Criterion) {
     let (fused, xs) = wx_setup();
-    let mut walk = vec![vec![0.0f32; fused.total_rows()]; xs.len()];
+    let mut walk = vec![0.0f32; xs.len() * fused.total_rows()];
     let mut single = walk.clone();
     // Both paths must agree bitwise before we time them.
-    wx_walk(&fused, &xs, &mut walk);
+    fused.gemv_batch_into(&xs, &mut walk);
     wx_per_column(&fused, &xs, &mut single);
     assert_eq!(walk, single);
     let mut group = c.benchmark_group("wx_batch");
@@ -426,7 +412,7 @@ fn bench_wx_batch(c: &mut Criterion) {
     });
     group.bench_with_input(BenchmarkId::new("walk", &shape), &(), |b, _| {
         b.iter(|| {
-            wx_walk(&fused, &xs, &mut walk);
+            fused.gemv_batch_into(&xs, &mut walk);
             black_box(&mut walk);
         })
     });
@@ -452,10 +438,10 @@ fn bench_lanes_batch(c: &mut Criterion) {
     group.sample_size(20);
     for lanes in LANES {
         let (fused, hs) = lanes_setup(lanes);
-        let mut walk = vec![vec![0.0f32; fused.total_rows()]; lanes];
+        let mut walk = vec![0.0f32; lanes * fused.total_rows()];
         let mut single = walk.clone();
         // Every lane's lockstep product must equal its own before we time.
-        wx_walk(&fused, &hs, &mut walk);
+        fused.gemv_batch_into(&hs, &mut walk);
         wx_per_column(&fused, &hs, &mut single);
         assert_eq!(walk, single, "lockstep walk diverged at {lanes} lanes");
         let shape = format!("H{LANES_HIDDEN}xB{lanes}");
@@ -467,7 +453,7 @@ fn bench_lanes_batch(c: &mut Criterion) {
         });
         group.bench_with_input(BenchmarkId::new("lockstep", &shape), &(), |b, _| {
             b.iter(|| {
-                wx_walk(&fused, &hs, &mut walk);
+                fused.gemv_batch_into(&hs, &mut walk);
                 black_box(&mut walk);
             })
         });
@@ -762,7 +748,7 @@ fn emit_json() {
         .collect();
     // One batch is `WX_COLUMNS` products, so fewer calls per rep.
     let (fused, xs) = wx_setup();
-    let outs = std::cell::RefCell::new(vec![vec![0.0f32; fused.total_rows()]; xs.len()]);
+    let outs = std::cell::RefCell::new(vec![0.0f32; xs.len() * fused.total_rows()]);
     let batch_iters = ITERS / 10;
     let per_column = Spread::measure(REPS, batch_iters, &|| {
         let mut outs = outs.borrow_mut();
@@ -772,7 +758,7 @@ fn emit_json() {
     .per(WX_COLUMNS);
     let walk = Spread::measure(REPS, batch_iters, &|| {
         let mut outs = outs.borrow_mut();
-        wx_walk(&fused, &xs, &mut outs);
+        fused.gemv_batch_into(&xs, &mut outs);
         black_box(&mut *outs);
     })
     .per(WX_COLUMNS);
@@ -788,7 +774,7 @@ fn emit_json() {
         .iter()
         .map(|&lanes| {
             let (fused, hs) = lanes_setup(lanes);
-            let outs = std::cell::RefCell::new(vec![vec![0.0f32; fused.total_rows()]; lanes]);
+            let outs = std::cell::RefCell::new(vec![0.0f32; lanes * fused.total_rows()]);
             let per_lane = Spread::measure(REPS, ITERS, &|| {
                 let mut outs = outs.borrow_mut();
                 wx_per_column(&fused, &hs, &mut outs);
@@ -797,7 +783,7 @@ fn emit_json() {
             .per(lanes);
             let lockstep = Spread::measure(REPS, ITERS, &|| {
                 let mut outs = outs.borrow_mut();
-                wx_walk(&fused, &hs, &mut outs);
+                fused.gemv_batch_into(&hs, &mut outs);
                 black_box(&mut *outs);
             })
             .per(lanes);

@@ -17,11 +17,12 @@
 //! the offline search/link kernels — whatever flow produced it: the
 //! per-cell flows are one-cell tissues. The walk reaches the cell math
 //! only through the crate-private `RecurrentCell` operations (batched
-//! `W·x`, hoisted gate, the batched dense step, masked step), so a GRU
-//! layer runs the same loop with `z_t` hoisted where the LSTM hoists
-//! `o_t`. Sequences are independent, so interchanging the timestep and
-//! lane loops cannot change any value: every lane's output is
-//! **bit-identical** to running that sequence alone.
+//! `W·x` into one gate-major buffer per lane, hoisted gate, the batched
+//! dense step, masked step), so a GRU layer runs the same loop with
+//! `z_t` hoisted where the LSTM hoists `o_t`. Sequences are independent,
+//! so interchanging the timestep and lane loops cannot change any value:
+//! every lane's output is **bit-identical** to running that sequence
+//! alone.
 //!
 //! Every tissue, plain or DRS, runs as columns: one per lane per cell,
 //! lane-major. A tissue's cells never read each other (a `Prior`
@@ -31,7 +32,7 @@
 //! run each column's step. A plain tissue's product pass is the host's
 //! form of the same weight reuse — one batched product over every column,
 //! for the LSTM one walk over the `U_{f,i,c,o}` slab that loads each
-//! weight panel once per four columns (`FusedGates::gemv_batch_with`) —
+//! weight panel once per four columns (`FusedGates::gemv_batch_into`) —
 //! and each column then runs its own elementwise pass. A GRU step does
 //! not split (its `U_h` multiplies `r ⊙ h`), so it runs whole per column.
 //! A DRS tissue's product pass computes each column's hoisted gate and
@@ -41,7 +42,7 @@
 //! kernel, priced by [`batch_kernel_into`] with amortized weight traffic,
 //! and a single lane emits the planned descriptors as they are.
 
-use crate::cell::{CellScratch, CellWeights, GatePreacts};
+use crate::cell::{CellScratch, CellWeights};
 use crate::drs::{skip_fraction, trivial_row_mask_into};
 use crate::gru::GruWeights;
 use crate::gru_exec::GruNetwork;
@@ -185,18 +186,23 @@ impl<'a, K: KernelSink> LaneSink<'a, K> {
 /// both, and only these operations differ. A GRU cell carries no `c`
 /// state and ignores the `c` operands.
 pub(crate) trait RecurrentCell {
+    /// Gates per cell: the sections of one column of the gate-major
+    /// `W·x` terms.
+    const GATES: usize;
+
     /// Hidden width.
     fn width(&self) -> usize;
 
-    /// The batched `W·x` terms of a layer's inputs into recycled buffers.
-    fn wx_into(&self, precision: Precision, xs: &[Vector], out: &mut Vec<GatePreacts>);
+    /// The batched `W·x` terms of a layer's inputs into a recycled
+    /// buffer, one gate-major column of `GATES * width` values per input.
+    fn wx_into(&self, precision: Precision, xs: &[Vector], out: &mut Vec<f32>);
 
     /// The hoisted gate Dynamic Row Skip masks on: the LSTM's `o_t`, the
     /// GRU's `z_t`.
     fn hoisted_gate_into(
         &self,
         precision: Precision,
-        wx: &GatePreacts,
+        wx: &[f32],
         h_prev: &Vector,
         scratch: &mut CellScratch,
         out: &mut Vector,
@@ -218,7 +224,7 @@ pub(crate) trait RecurrentCell {
         precision: Precision,
         uh: &[f32],
         j: usize,
-        wx: &GatePreacts,
+        wx: &[f32],
         h_prev: &Vector,
         c_prev: &Vector,
         scratch: &mut CellScratch,
@@ -231,7 +237,7 @@ pub(crate) trait RecurrentCell {
     fn masked_step_into(
         &self,
         precision: Precision,
-        wx: &GatePreacts,
+        wx: &[f32],
         h_prev: &Vector,
         c_prev: &Vector,
         gate: &Vector,
@@ -243,23 +249,25 @@ pub(crate) trait RecurrentCell {
 }
 
 impl RecurrentCell for CellWeights {
+    const GATES: usize = 4;
+
     fn width(&self) -> usize {
         self.hidden()
     }
 
-    fn wx_into(&self, precision: Precision, xs: &[Vector], out: &mut Vec<GatePreacts>) {
+    fn wx_into(&self, precision: Precision, xs: &[Vector], out: &mut Vec<f32>) {
         self.precompute_wx_batch_into(precision, xs, out);
     }
 
     fn hoisted_gate_into(
         &self,
         precision: Precision,
-        wx: &GatePreacts,
+        wx: &[f32],
         h_prev: &Vector,
         scratch: &mut CellScratch,
         out: &mut Vector,
     ) {
-        self.output_gate_into(precision, &wx.o, h_prev, scratch, out);
+        self.output_gate_into(precision, wx, h_prev, scratch, out);
     }
 
     fn dense_products_into(&self, precision: Precision, h_prev: &[Vector], uh: &mut Vec<f32>) {
@@ -271,7 +279,7 @@ impl RecurrentCell for CellWeights {
         _precision: Precision,
         uh: &[f32],
         j: usize,
-        wx: &GatePreacts,
+        wx: &[f32],
         _h_prev: &Vector,
         c_prev: &Vector,
         _scratch: &mut CellScratch,
@@ -285,7 +293,7 @@ impl RecurrentCell for CellWeights {
     fn masked_step_into(
         &self,
         precision: Precision,
-        wx: &GatePreacts,
+        wx: &[f32],
         h_prev: &Vector,
         c_prev: &Vector,
         gate: &Vector,
@@ -301,18 +309,20 @@ impl RecurrentCell for CellWeights {
 }
 
 impl RecurrentCell for GruWeights {
+    const GATES: usize = 3;
+
     fn width(&self) -> usize {
         self.hidden()
     }
 
-    fn wx_into(&self, precision: Precision, xs: &[Vector], out: &mut Vec<GatePreacts>) {
+    fn wx_into(&self, precision: Precision, xs: &[Vector], out: &mut Vec<f32>) {
         self.precompute_wx_batch_into(precision, xs, out);
     }
 
     fn hoisted_gate_into(
         &self,
         precision: Precision,
-        wx: &GatePreacts,
+        wx: &[f32],
         h_prev: &Vector,
         scratch: &mut CellScratch,
         out: &mut Vector,
@@ -329,7 +339,7 @@ impl RecurrentCell for GruWeights {
         precision: Precision,
         _uh: &[f32],
         _j: usize,
-        wx: &GatePreacts,
+        wx: &[f32],
         h_prev: &Vector,
         _c_prev: &Vector,
         scratch: &mut CellScratch,
@@ -342,7 +352,7 @@ impl RecurrentCell for GruWeights {
     fn masked_step_into(
         &self,
         precision: Precision,
-        wx: &GatePreacts,
+        wx: &[f32],
         h_prev: &Vector,
         _c_prev: &Vector,
         gate: &Vector,
@@ -488,14 +498,15 @@ impl PlanRuntime {
     /// only* — no kernels, no skip accounting — with the gate packs
     /// stored at `precision`. Plan compilers use this to advance their
     /// probe sequences through already-planned layers with the exact
-    /// arithmetic the runtime will use (`wx` must come from
-    /// [`CellWeights::precompute_wx_batch_into`] at the same tier).
+    /// arithmetic the runtime will use (`wx` must be the sequence's
+    /// gate-major terms from [`CellWeights::precompute_wx_batch_into`] at
+    /// the same tier).
     pub fn layer_numerics(
         &mut self,
         precision: Precision,
         layer: &LayerPlan,
         weights: &CellWeights,
-        wx: &[GatePreacts],
+        wx: &[f32],
     ) -> Vec<Vector> {
         self.reserve_lanes(1);
         let mut out = PlanOutput {
@@ -628,7 +639,7 @@ impl PlanRuntime {
 /// land in `outs[s].layer_hs[layer]`, its skip statistics in
 /// `outs[s].layer_skips[layer]`.
 #[allow(clippy::too_many_arguments)] // internal: the runtime split needs each piece
-fn execute_body_into<C: RecurrentCell, W: AsRef<[GatePreacts]>, K: KernelSink>(
+fn execute_body_into<C: RecurrentCell, W: AsRef<[f32]>, K: KernelSink>(
     layer: usize,
     precision: Precision,
     lp: &LayerPlan,
@@ -639,8 +650,8 @@ fn execute_body_into<C: RecurrentCell, W: AsRef<[GatePreacts]>, K: KernelSink>(
     sink: &mut LaneSink<'_, K>,
     outs: &mut [PlanOutput],
 ) {
-    let hidden = weights.width();
-    let n = wx[0].as_ref().len();
+    let (hidden, stride) = (weights.width(), C::GATES * weights.width());
+    let n = wx[0].as_ref().len() / stride;
     let (alpha_intra, predicted) = match &lp.body {
         LayerBody::Baseline => (None, None),
         LayerBody::Drs { alpha_intra } => (Some(*alpha_intra), None),
@@ -660,7 +671,7 @@ fn execute_body_into<C: RecurrentCell, W: AsRef<[GatePreacts]>, K: KernelSink>(
         }
     };
     for (s, c) in c_slots.iter_mut().enumerate() {
-        assert_eq!(wx[s].as_ref().len(), n, "lane length mismatch");
+        assert_eq!(wx[s].as_ref().len(), n * stride, "lane length mismatch");
         outs[s].layer_hs[layer].resize_with(n, || Vector::zeros(0));
         c.resize_with(n, || Vector::zeros(0));
     }
@@ -740,7 +751,7 @@ fn prev_state<'a>(
 /// Lane `s` writes its hidden outputs into `outs[s].layer_hs[layer]` and
 /// its cell states into `c_slots[s]`.
 #[allow(clippy::too_many_arguments)] // internal: the runtime split needs each piece
-fn step_tissue<C: RecurrentCell, W: AsRef<[GatePreacts]>, K: KernelSink>(
+fn step_tissue<C: RecurrentCell, W: AsRef<[f32]>, K: KernelSink>(
     precision: Precision,
     weights: &C,
     wx: &[W],
@@ -755,6 +766,9 @@ fn step_tissue<C: RecurrentCell, W: AsRef<[GatePreacts]>, K: KernelSink>(
 ) {
     let size = tp.cells.len();
     let columns = c_slots.len() * size;
+    // Lane `s`'s gate-major `W·x` column of cell `t`.
+    let stride = C::GATES * weights.width();
+    let wx_at = move |s: usize, t: usize| &wx[s].as_ref()[t * stride..(t + 1) * stride];
     let Walk {
         cell,
         zero_h,
@@ -801,10 +815,10 @@ fn step_tissue<C: RecurrentCell, W: AsRef<[GatePreacts]>, K: KernelSink>(
                 masks.resize_with(columns, Vec::new);
             }
             for (s, out) in outs.iter_mut().enumerate() {
-                let wx = wx[s].as_ref();
                 for (i, &t) in tp.cells.iter().enumerate() {
                     let j = s * size + i;
-                    weights.hoisted_gate_into(precision, &wx[t], &h_prev[j], cell, &mut gates[j]);
+                    let wx = wx_at(s, t);
+                    weights.hoisted_gate_into(precision, wx, &h_prev[j], cell, &mut gates[j]);
                     trivial_row_mask_into(&gates[j], alpha_intra, &mut masks[j]);
                     out.layer_skips[layer].push(skip_fraction(&masks[j]));
                 }
@@ -815,7 +829,7 @@ fn step_tissue<C: RecurrentCell, W: AsRef<[GatePreacts]>, K: KernelSink>(
         }
     };
     for (s, (c_slots, out)) in c_slots.iter_mut().zip(outs.iter_mut()).enumerate() {
-        let (wx, hs) = (wx[s].as_ref(), &mut out.layer_hs[layer]);
+        let hs = &mut out.layer_hs[layer];
         for (i, (&t, src)) in tp.cells.iter().zip(&tp.prev).enumerate() {
             let (done_c, rest_c) = c_slots.split_at_mut(t);
             let c_prev = prev_state(src, t, done_c, zero_c, predicted.map(|p| p.1));
@@ -823,7 +837,7 @@ fn step_tissue<C: RecurrentCell, W: AsRef<[GatePreacts]>, K: KernelSink>(
             if drs {
                 weights.masked_step_into(
                     precision,
-                    &wx[t],
+                    wx_at(s, t),
                     &h_prev[j],
                     c_prev,
                     &gates[j],
@@ -837,7 +851,7 @@ fn step_tissue<C: RecurrentCell, W: AsRef<[GatePreacts]>, K: KernelSink>(
                     precision,
                     uh,
                     j,
-                    &wx[t],
+                    wx_at(s, t),
                     &h_prev[j],
                     c_prev,
                     cell,

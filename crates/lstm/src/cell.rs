@@ -1,4 +1,13 @@
 //! The LSTM cell: weights and the Eq. 1–5 arithmetic.
+//!
+//! Both of a step's products land in one layout, the gate-major slab
+//! every [`FusedGates`] product writes: the layer's `W_{f,i,c,o}·x` is
+//! one `Vec<f32>` per sequence, column `t`'s gates at
+//! `[4H·t + g·H ..]` ([`CellWeights::precompute_wx_batch_into`]), and a
+//! step's `U_{f,i,c,o}·h` is the same `4H` block in the scratch slab. The
+//! steps take their `W·x` column as a `&[f32]` and read gate `g` of both
+//! addends through one `GateRows::sections` call, so no code maps a gate
+//! index to a field.
 
 use rand::Rng;
 use std::slice;
@@ -7,10 +16,8 @@ use tensor::activation::{lstm_state_into, sigmoid_gate_into, GateRows};
 use tensor::init::{xavier_uniform, GateBiasInit, RowScaledInit};
 use tensor::{FusedGates, Matrix, Precision, Vector};
 
-/// One vector per LSTM gate, in the paper's `f, i, c, o` order.
-///
-/// Depending on context this holds pre-activations (`W·x` terms), biases,
-/// or post-activation gate values.
+/// One vector per LSTM gate, in the paper's `f, i, c, o` order, such as a
+/// cell's biases.
 #[derive(Debug, Clone, PartialEq)]
 pub struct GateVectors {
     /// Forget-gate component.
@@ -22,23 +29,6 @@ pub struct GateVectors {
     /// Output-gate component.
     pub o: Vector,
 }
-
-impl GateVectors {
-    /// All-zero gate vectors of width `hidden`.
-    pub fn zeros(hidden: usize) -> Self {
-        Self {
-            f: Vector::zeros(hidden),
-            i: Vector::zeros(hidden),
-            c: Vector::zeros(hidden),
-            o: Vector::zeros(hidden),
-        }
-    }
-}
-
-/// Alias used where the vectors are the `W_{f,i,c,o}·x_t` pre-activation
-/// terms computed by the per-layer `Sgemm` (paper Fig. 3, part 2). A GRU
-/// layer's `W_{r,z,h}·x_t` terms use the `f`, `o` and `c` slots.
-pub type GatePreacts = GateVectors;
 
 /// The per-layer LSTM weights (shared by every unrolled cell of the layer).
 ///
@@ -108,8 +98,10 @@ struct FusedCellWeights {
     u: FusedGates,
 }
 
-/// Gate indices inside the fused `f, i, c, o` packs.
+/// Gate indices inside the fused `f, i, c, o` packs and the gate-major
+/// `W·x` and `U·h` slabs they write.
 const GATE_O: usize = 3;
+const GATES_FIC: [usize; 3] = [0, 1, 2];
 
 /// Reusable scratch for the zero-allocation `_into` step APIs of LSTM
 /// and GRU cells.
@@ -120,10 +112,10 @@ const GATE_O: usize = 3;
 /// rents it to each column's step in turn.
 #[derive(Debug, Default)]
 pub struct CellScratch {
-    /// Pre-activation slab: `4 * hidden` for dense LSTM steps
-    /// (`U_{f,i,c,o}·h`), `3 * hidden` for masked ones (`U_{f,i,c}·h`),
-    /// `hidden` for the hoisted-gate launch; the GRU steps keep `U·h`,
-    /// `z` and `r ⊙ h` here.
+    /// Gate-major `U·h` slab: `U_{f,i,c,o}·h` for dense LSTM steps,
+    /// its `f, i, c` sections for masked ones and its `o` section for
+    /// the hoisted-gate launch; the GRU steps keep their `U_{r,z,h}`
+    /// sections, `z` and `r ⊙ h` here.
     pub(crate) slab: Vec<f32>,
 }
 
@@ -426,14 +418,15 @@ impl CellWeights {
 
     /// The `W_{f,i,c,o}·x_t` terms of a whole batch of input columns, with
     /// the `W` quartet stored at `precision`, through the GEMM-shaped fused
-    /// path: one paired walk over the `W_{f,i,c,o}` slab, each weight panel
-    /// loaded once and reused by every column
-    /// ([`FusedGates::gemv_batch_with`]). `out` is resized to `xs.len()`
-    /// entries and fully overwritten, so a recycled buffer never touches
-    /// the allocator. `Fp32` is the exact path; a quantized slab stores the
-    /// [`Precision::apply`]-rounded weights and runs the same kernels, so
-    /// entry `i`'s gate `g` is bit-identical to [`tensor::gemm::sgemv`] on
-    /// gate `g`'s rounded matrix and `xs[i]`.
+    /// path: one walk over the `W_{f,i,c,o}` slab, each weight panel loaded
+    /// once for up to four columns ([`FusedGates::gemv_batch_into`]).
+    /// `out` is resized to `xs.len() * 4 * hidden` and fully overwritten:
+    /// column `t`'s gate-major terms are `out[4 * hidden * t ..]`, the
+    /// layout of a step's `U·h` slab. A recycled buffer never touches the
+    /// allocator once warm. `Fp32` is the exact path; a quantized slab
+    /// stores the [`Precision::apply`]-rounded weights and runs the same
+    /// kernels, so column `t`'s gate `g` is bit-identical to
+    /// [`tensor::gemm::sgemv`] on gate `g`'s rounded matrix and `xs[t]`.
     ///
     /// # Panics
     /// Panics if any `xs[i].len() != input_dim`.
@@ -441,48 +434,31 @@ impl CellWeights {
         &self,
         precision: Precision,
         xs: &[Vector],
-        out: &mut Vec<GatePreacts>,
+        out: &mut Vec<f32>,
     ) {
-        let n = self.hidden;
-        out.resize_with(xs.len(), || GatePreacts::zeros(n));
-        for gp in out.iter_mut() {
-            gp.f.resize_fill(n, 0.0);
-            gp.i.resize_fill(n, 0.0);
-            gp.c.resize_fill(n, 0.0);
-            gp.o.resize_fill(n, 0.0);
-        }
-        self.fused_at(precision)
-            .w
-            .gemv_batch_with(xs, |i, gate, rows, vals| {
-                let gp = &mut out[i];
-                let section = match gate {
-                    0 => &mut gp.f,
-                    1 => &mut gp.i,
-                    2 => &mut gp.c,
-                    _ => &mut gp.o, // GATE_O: the slab holds four gates
-                };
-                for (&r, &v) in rows.iter().zip(vals) {
-                    section[r] = v;
-                }
-            });
+        out.resize(xs.len() * 4 * self.hidden, 0.0);
+        self.fused_at(precision).w.gemv_batch_into(xs, out);
     }
 
-    /// One exact cell step (Eqs. 1–5) from precomputed `W·x` terms, with
-    /// the `U` quartet rounded to `precision`: one fused `U_{f,i,c,o}·h`
-    /// GEMV into the scratch slab, then the elementwise pass into the
-    /// recycled `h_out`/`c_out` (activations and state arithmetic stay
-    /// fp32).
+    /// One exact cell step (Eqs. 1–5) from its gate-major `W·x` terms
+    /// `wx` (one column of
+    /// [`precompute_wx_batch_into`](Self::precompute_wx_batch_into)),
+    /// with the `U` quartet rounded to `precision`: one fused
+    /// `U_{f,i,c,o}·h` GEMV into the scratch slab, then the elementwise
+    /// pass into the recycled `h_out`/`c_out` (activations and state
+    /// arithmetic stay fp32).
     ///
     /// `h_out`/`c_out` may alias the previous state only by value — pass
     /// distinct buffers; runtimes double-buffer and swap.
     ///
     /// # Panics
-    /// Panics on `h_prev`/`c_prev` length mismatch.
+    /// Panics on `h_prev`/`c_prev` length mismatch or if `wx` holds
+    /// fewer than `4 * hidden` values.
     #[allow(clippy::too_many_arguments)]
     pub fn step_fused_into(
         &self,
         precision: Precision,
-        wx: &GatePreacts,
+        wx: &[f32],
         h_prev: &Vector,
         c_prev: &Vector,
         scratch: &mut CellScratch,
@@ -497,9 +473,8 @@ impl CellWeights {
     /// The `U_{f,i,c,o}·h` products of independent dense steps in
     /// lockstep, one column per `h_prev[j]`, with the `U` quartet stored
     /// at `precision`: one walk over the `U` slab
-    /// ([`FusedGates::gemv_batch_with`]), each weight panel loaded once
-    /// for up to four columns (a lone column runs
-    /// [`FusedGates::gemv_into`]). Column `j`'s gate-major `4 * hidden`
+    /// ([`FusedGates::gemv_batch_into`]), each weight panel loaded once
+    /// for up to four columns. Column `j`'s gate-major `4 * hidden`
     /// products land in `uh[4 * hidden * j ..]`, bit-identical to the
     /// product [`step_fused_into`](Self::step_fused_into) runs on
     /// `h_prev[j]`. `uh` only grows, so a recycled buffer never touches
@@ -513,36 +488,36 @@ impl CellWeights {
         h_prev: &[Vector],
         uh: &mut Vec<f32>,
     ) {
-        let n = self.hidden;
-        if uh.len() < 4 * n * h_prev.len() {
-            uh.resize(4 * n * h_prev.len(), 0.0);
-        }
-        let u = &self.fused_at(precision).u;
-        if let [h] = h_prev {
-            // A lone column takes the single product: the walk's
-            // per-panel callback costs it about 7%.
-            u.gemv_into(h.as_slice(), &mut uh[..4 * n]);
-            return;
-        }
-        u.gemv_batch_with(h_prev, |j, gate, rows, vals| {
-            let section = &mut uh[(4 * j + gate) * n..(4 * j + gate + 1) * n];
-            for (&r, &v) in rows.iter().zip(vals) {
-                section[r] = v;
-            }
-        });
+        let len = 4 * self.hidden * h_prev.len();
+        grow(uh, len);
+        self.fused_at(precision)
+            .u
+            .gemv_batch_into(h_prev, &mut uh[..len]);
     }
 
-    /// The elementwise pass of an exact step (Eqs. 1–5) from its `W·x`
-    /// terms and its gate-major `U_{f,i,c,o}·h` products `uh`, into the
+    /// Gates `gates`' pre-activation addends: their sections of the
+    /// gate-major `wx` and `uh` slabs, and their biases.
+    fn gate_rows<'a, const N: usize>(
+        &'a self,
+        gates: [usize; N],
+        wx: &'a [f32],
+        uh: &'a [f32],
+    ) -> GateRows<'a, N> {
+        let b = [&self.b.f, &self.b.i, &self.b.c, &self.b.o];
+        GateRows::sections(gates, self.hidden, wx, uh, gates.map(|g| b[g].as_slice()))
+    }
+
+    /// The elementwise pass of an exact step (Eqs. 1–5) from its
+    /// gate-major `W·x` terms and `U_{f,i,c,o}·h` products `uh`, into the
     /// recycled `h_out`/`c_out`: the output gate into `h_out`, then the
     /// state pass that turns it into `h_t`.
     ///
     /// # Panics
-    /// Panics if `c_prev.len() != hidden` or `uh` holds fewer than
-    /// `4 * hidden` values.
+    /// Panics if `c_prev.len() != hidden` or `wx` or `uh` holds fewer
+    /// than `4 * hidden` values.
     pub(crate) fn dense_gates_into(
         &self,
-        wx: &GatePreacts,
+        wx: &[f32],
         uh: &[f32],
         c_prev: &Vector,
         h_out: &mut Vector,
@@ -550,19 +525,11 @@ impl CellWeights {
     ) {
         let n = self.hidden;
         assert_eq!(c_prev.len(), n, "c_prev length mismatch");
-        let (uh_fic, uo) = uh[..4 * n].split_at(3 * n);
         h_out.resize_fill(n, 0.0);
         c_out.resize_fill(n, 0.0);
-        sigmoid_gate_into(
-            GateRows {
-                wx: [wx.o.as_slice()],
-                uh: [uo],
-                b: [self.b.o.as_slice()],
-            },
-            h_out.as_mut_slice(),
-        );
+        sigmoid_gate_into(self.gate_rows([GATE_O], wx, uh), h_out.as_mut_slice());
         lstm_state_into(
-            self.fic_rows(wx, uh_fic),
+            self.gate_rows(GATES_FIC, wx, uh),
             c_prev.as_slice(),
             None,
             c_out.as_mut_slice(),
@@ -570,47 +537,29 @@ impl CellWeights {
         );
     }
 
-    /// The `f, i, c` pre-activations of one step from its `W·x` terms and
-    /// its gate-major `U_{f,i,c}·h` products `uh`.
-    fn fic_rows<'a>(&'a self, wx: &'a GatePreacts, uh: &'a [f32]) -> GateRows<'a, 3> {
-        let n = self.hidden;
-        GateRows {
-            wx: [wx.f.as_slice(), wx.i.as_slice(), wx.c.as_slice()],
-            uh: [&uh[..n], &uh[n..2 * n], &uh[2 * n..3 * n]],
-            b: [
-                self.b.f.as_slice(),
-                self.b.i.as_slice(),
-                self.b.c.as_slice(),
-            ],
-        }
-    }
-
     /// Computes only the output gate `o_t = σ(W_o x + U_o h_{t-1} + b_o)`
-    /// into a recycled buffer, with the `U` quartet stored at `precision`
-    /// (only the `U_o` panel is streamed) — Algorithm 3 lines 4–5,
-    /// executed *before* the `U_{f,i,c}` work so the trivial rows can be
-    /// identified.
+    /// from a step's gate-major `W·x` terms into a recycled buffer, with
+    /// the `U` quartet stored at `precision` (only the `U_o` panels are
+    /// streamed) — Algorithm 3 lines 4–5, executed *before* the
+    /// `U_{f,i,c}` work so the trivial rows can be identified.
     pub fn output_gate_into(
         &self,
         precision: Precision,
-        wx_o: &Vector,
+        wx: &[f32],
         h_prev: &Vector,
         scratch: &mut CellScratch,
         o_out: &mut Vector,
     ) {
         let n = self.hidden;
-        scratch.slab.clear();
-        scratch.slab.resize(n, 0.0);
-        self.fused_at(precision)
-            .u
-            .gate_gemv_into(GATE_O, h_prev.as_slice(), &mut scratch.slab);
+        grow(&mut scratch.slab, 4 * n);
+        self.fused_at(precision).u.gate_gemv_into(
+            GATE_O,
+            h_prev.as_slice(),
+            &mut scratch.slab[GATE_O * n..(GATE_O + 1) * n],
+        );
         o_out.resize_fill(n, 0.0);
         sigmoid_gate_into(
-            GateRows {
-                wx: [wx_o.as_slice()],
-                uh: [&scratch.slab],
-                b: [self.b.o.as_slice()],
-            },
+            self.gate_rows([GATE_O], wx, &scratch.slab),
             o_out.as_mut_slice(),
         );
     }
@@ -631,7 +580,7 @@ impl CellWeights {
     pub fn step_masked_into(
         &self,
         precision: Precision,
-        wx: &GatePreacts,
+        wx: &[f32],
         h_prev: &Vector,
         c_prev: &Vector,
         o: &Vector,
@@ -643,25 +592,32 @@ impl CellWeights {
         let n = self.hidden;
         assert_eq!(active.len(), n, "mask length mismatch");
         assert_eq!(o.len(), n, "output-gate length mismatch");
-        scratch.slab.clear();
-        scratch.slab.resize(3 * n, 0.0);
+        grow(&mut scratch.slab, 3 * n);
         self.fused_at(precision).u.gemv_masked_prefix_into(
             3,
             h_prev.as_slice(),
             active,
             0.0,
-            &mut scratch.slab,
+            &mut scratch.slab[..3 * n],
         );
         // `h_out` holds `o_t` until the state pass turns it into `h_t`.
         h_out.clone_from(o);
         c_out.resize_fill(n, 0.0);
         lstm_state_into(
-            self.fic_rows(wx, &scratch.slab),
+            self.gate_rows(GATES_FIC, wx, &scratch.slab),
             c_prev.as_slice(),
             Some(active),
             c_out.as_mut_slice(),
             h_out.as_mut_slice(),
         );
+    }
+}
+
+/// Grows a recycled scratch slab to at least `len` values; it never
+/// shrinks, so a warm slab never touches the allocator.
+pub(crate) fn grow(slab: &mut Vec<f32>, len: usize) {
+    if slab.len() < len {
+        slab.resize(len, 0.0);
     }
 }
 
@@ -675,13 +631,19 @@ mod tests {
         CellWeights::random(6, 8, &mut seeded_rng(seed))
     }
 
-    fn wx_of(cell: &CellWeights, x: &Vector) -> GatePreacts {
+    fn wx_of(cell: &CellWeights, x: &Vector) -> Vec<f32> {
         let mut out = Vec::new();
         cell.precompute_wx_batch_into(Precision::Fp32, std::slice::from_ref(x), &mut out);
-        out.pop().expect("a batch of one")
+        out
     }
 
-    fn step(cell: &CellWeights, wx: &GatePreacts, h: &Vector, c: &Vector) -> (Vector, Vector) {
+    /// Gate `g`'s section of a gate-major slab.
+    fn gate(slab: &[f32], g: usize) -> &[f32] {
+        let n = slab.len() / 4;
+        &slab[g * n..(g + 1) * n]
+    }
+
+    fn step(cell: &CellWeights, wx: &[f32], h: &Vector, c: &Vector) -> (Vector, Vector) {
         let (mut h_out, mut c_out) = (Vector::zeros(0), Vector::zeros(0));
         let mut scratch = CellScratch::new();
         cell.step_fused_into(
@@ -696,15 +658,15 @@ mod tests {
         (h_out, c_out)
     }
 
-    fn output_gate(cell: &CellWeights, wx: &GatePreacts, h: &Vector) -> Vector {
+    fn output_gate(cell: &CellWeights, wx: &[f32], h: &Vector) -> Vector {
         let mut o = Vector::zeros(0);
-        cell.output_gate_into(Precision::Fp32, &wx.o, h, &mut CellScratch::new(), &mut o);
+        cell.output_gate_into(Precision::Fp32, wx, h, &mut CellScratch::new(), &mut o);
         o
     }
 
     fn step_masked(
         cell: &CellWeights,
-        wx: &GatePreacts,
+        wx: &[f32],
         (h, c): (&Vector, &Vector),
         o: &Vector,
         active: &[bool],
@@ -893,13 +855,16 @@ mod tests {
         let x = Vector::from_fn(12, |_| rng.gen_range(-1.0f32..1.0));
         let h0 = Vector::from_fn(20, |_| rng.gen_range(-1.0f32..1.0));
         let wx = wx_of(&cell, &x);
-        assert_eq!(wx.f, sgemv(&cell.w.f, &x));
-        assert_eq!(wx.i, sgemv(&cell.w.i, &x));
-        assert_eq!(wx.c, sgemv(&cell.w.c, &x));
-        assert_eq!(wx.o, sgemv(&cell.w.o, &x));
+        assert_eq!(wx.len(), 4 * 20);
+        for (g, w) in [&cell.w.f, &cell.w.i, &cell.w.c, &cell.w.o]
+            .into_iter()
+            .enumerate()
+        {
+            assert_eq!(gate(&wx, g), sgemv(w, &x).as_slice(), "gate {g}");
+        }
         let o = output_gate(&cell, &wx, &h0);
         let o_ref = Vector::from_fn(20, |j| {
-            sigmoid(wx.o[j] + sgemv(&cell.u.o, &h0)[j] + cell.b.o[j])
+            sigmoid(gate(&wx, 3)[j] + sgemv(&cell.u.o, &h0)[j] + cell.b.o[j])
         });
         assert_eq!(o, o_ref);
     }
@@ -918,8 +883,12 @@ mod tests {
         edited.u.f = Matrix::zeros(20, 20);
         edited.w.f = Matrix::zeros(20, 12);
         let wx = wx_of(&edited, &x);
-        assert_eq!(wx.f, sgemv(&edited.w.f, &x), "clone served stale panels");
-        assert!(wx.f.iter().all(|&v| v == 0.0));
+        assert_eq!(
+            gate(&wx, 0),
+            sgemv(&edited.w.f, &x).as_slice(),
+            "clone served stale panels"
+        );
+        assert!(gate(&wx, 0).iter().all(|&v| v == 0.0));
     }
 
     #[test]
@@ -937,7 +906,12 @@ mod tests {
             c: Matrix::zeros(4, 4),
             o: Matrix::zeros(4, 4),
         };
-        let b = GateVectors::zeros(4);
+        let b = GateVectors {
+            f: Vector::zeros(4),
+            i: Vector::zeros(4),
+            c: Vector::zeros(4),
+            o: Vector::zeros(4),
+        };
         CellWeights::from_parts(w, u, b);
     }
 }

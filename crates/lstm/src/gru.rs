@@ -6,15 +6,22 @@
 //! masked step in the spirit of Dynamic Row Skip — for a GRU, a unit whose
 //! update gate `z_t` is near zero keeps its previous hidden value, so the
 //! candidate-state rows for those units can be skipped.
+//!
+//! The products use the LSTM cell's gate-major layout with three gates:
+//! a layer's `W_{r,z,h}·x` is one `Vec<f32>` per sequence, `3H` per
+//! column, and each step writes its `U_r·h`, `U_z·h` and `U_h·(r ⊙ h)`
+//! products into their own sections of a `3H` scratch block, so `r`,
+//! `z` and `h` are read at their own gate indices in both.
 
-use crate::cell::{CellScratch, GatePreacts};
+use crate::cell::{grow, CellScratch};
 use rand::Rng;
 use std::sync::OnceLock;
 use tensor::activation::{gru_blend_into, gru_reset_into, sigmoid_gate_into, GateRows};
 use tensor::init::{GateBiasInit, RowScaledInit};
 use tensor::{FusedGates, Matrix, Precision, Vector};
 
-/// Gate indices inside the fused `r, z, h` packs.
+/// Gate indices inside the fused `r, z, h` packs and the gate-major
+/// `W·x` and `U·h` slabs they write.
 const GATE_R: usize = 0;
 const GATE_Z: usize = 1;
 const GATE_H: usize = 2;
@@ -168,9 +175,9 @@ impl GruWeights {
     /// The `W_{r,z,h}·x_t` terms of a batch of input columns, with the `W`
     /// triple stored at `precision`, through the same GEMM-shaped walk as
     /// [`CellWeights::precompute_wx_batch_into`](crate::cell::CellWeights::precompute_wx_batch_into):
-    /// `W_r·x` lands in `f`, the hoisted update gate's `W_z·x` in `o` (the
-    /// slot the LSTM's hoisted output gate uses) and `W_h·x` in `c`; `i`
-    /// is unused. `out` is resized to `xs.len()` entries, buffers reused.
+    /// `out` is resized to `xs.len() * 3 * hidden`, column `t`'s
+    /// gate-major `r, z, h` terms at `out[3 * hidden * t ..]`, buffers
+    /// reused.
     ///
     /// # Panics
     /// Panics if any `xs[i].len() != input_dim`.
@@ -178,72 +185,55 @@ impl GruWeights {
         &self,
         precision: Precision,
         xs: &[Vector],
-        out: &mut Vec<GatePreacts>,
+        out: &mut Vec<f32>,
     ) {
-        let n = self.hidden;
-        out.resize_with(xs.len(), || GatePreacts::zeros(n));
-        for gp in out.iter_mut() {
-            gp.f.resize_fill(n, 0.0);
-            gp.c.resize_fill(n, 0.0);
-            gp.o.resize_fill(n, 0.0);
-        }
-        self.fused_at(precision)
-            .w
-            .gemv_batch_with(xs, |i, gate, rows, vals| {
-                let gp = &mut out[i];
-                let section = match gate {
-                    GATE_R => &mut gp.f,
-                    GATE_Z => &mut gp.o,
-                    _ => &mut gp.c, // GATE_H: the slab holds three gates
-                };
-                for (&r, &v) in rows.iter().zip(vals) {
-                    section[r] = v;
-                }
-            });
+        out.resize(xs.len() * 3 * self.hidden, 0.0);
+        self.fused_at(precision).w.gemv_batch_into(xs, out);
     }
 
-    /// One gate's pre-activations from its `W·x` terms `wx`, its `U·h`
-    /// products `uh` and its bias `b`.
-    fn rows<'a>(wx: &'a Vector, uh: &'a [f32], b: &'a Vector) -> GateRows<'a, 1> {
-        GateRows {
-            wx: [wx.as_slice()],
-            uh: [uh],
-            b: [b.as_slice()],
-        }
+    /// Gate `g`'s pre-activation addends: its sections of the gate-major
+    /// `wx` and `uh` slabs, and its bias.
+    fn gate_rows<'a>(&'a self, g: usize, wx: &'a [f32], uh: &'a [f32]) -> GateRows<'a, 1> {
+        let b = [&self.b_r, &self.b_z, &self.b_h][g];
+        GateRows::sections([g], self.hidden, wx, uh, [b.as_slice()])
     }
 
-    /// The update gate `z_t` alone from precomputed `W·x` terms, with the
-    /// `U` triple stored at `precision` — computed first in the
+    /// Gate `g`'s section of a gate-major `U·h` slab.
+    fn section<'a>(&self, uh: &'a mut [f32], g: usize) -> &'a mut [f32] {
+        &mut uh[g * self.hidden..(g + 1) * self.hidden]
+    }
+
+    /// The update gate `z_t` alone from a step's gate-major `W·x` terms,
+    /// with the `U` triple stored at `precision` — computed first in the
     /// DRS-adapted flow, mirroring Algorithm 3 lines 4–5.
     pub fn update_gate_into(
         &self,
         precision: Precision,
-        wx: &GatePreacts,
+        wx: &[f32],
         h_prev: &Vector,
         scratch: &mut CellScratch,
         z_out: &mut Vector,
     ) {
         let n = self.hidden;
-        scratch.slab.clear();
-        scratch.slab.resize(n, 0.0);
+        grow(&mut scratch.slab, 3 * n);
         z_out.resize_fill(n, 0.0);
-        self.fused_at(precision)
-            .u
-            .gate_gemv_into(GATE_Z, h_prev.as_slice(), &mut scratch.slab);
-        sigmoid_gate_into(
-            Self::rows(&wx.o, &scratch.slab, &self.b_z),
-            z_out.as_mut_slice(),
+        let uh = &mut scratch.slab[..3 * n];
+        self.fused_at(precision).u.gate_gemv_into(
+            GATE_Z,
+            h_prev.as_slice(),
+            self.section(uh, GATE_Z),
         );
+        sigmoid_gate_into(self.gate_rows(GATE_Z, wx, uh), z_out.as_mut_slice());
     }
 
-    /// One exact GRU step from precomputed `W·x` terms, with the `U`
+    /// One exact GRU step from its gate-major `W·x` terms, with the `U`
     /// triple stored at `precision` (activations stay fp32): one `U_g`
-    /// GEMV per gate through the fused `r, z, h` pack into the scratch
-    /// slab, which also holds `z` and `r ⊙ h`.
+    /// GEMV per gate through the fused `r, z, h` pack into its section of
+    /// the scratch slab, which also holds `z` and `r ⊙ h`.
     pub fn step_into(
         &self,
         precision: Precision,
-        wx: &GatePreacts,
+        wx: &[f32],
         h_prev: &Vector,
         scratch: &mut CellScratch,
         h_out: &mut Vector,
@@ -251,18 +241,17 @@ impl GruWeights {
         let n = self.hidden;
         let u = &self.fused_at(precision).u;
         let h = h_prev.as_slice();
-        scratch.slab.clear();
-        scratch.slab.resize(3 * n, 0.0);
-        let (u_buf, rest) = scratch.slab.split_at_mut(n);
+        grow(&mut scratch.slab, 5 * n);
+        let (uh, rest) = scratch.slab[..5 * n].split_at_mut(3 * n);
         let (z, rh) = rest.split_at_mut(n);
-        u.gate_gemv_into(GATE_R, h, u_buf);
-        gru_reset_into(Self::rows(&wx.f, u_buf, &self.b_r), h, None, rh);
-        u.gate_gemv_into(GATE_Z, h, u_buf);
-        sigmoid_gate_into(Self::rows(&wx.o, u_buf, &self.b_z), z);
-        u.gate_gemv_into(GATE_H, rh, u_buf);
+        u.gate_gemv_into(GATE_R, h, self.section(uh, GATE_R));
+        gru_reset_into(self.gate_rows(GATE_R, wx, uh), h, None, rh);
+        u.gate_gemv_into(GATE_Z, h, self.section(uh, GATE_Z));
+        sigmoid_gate_into(self.gate_rows(GATE_Z, wx, uh), z);
+        u.gate_gemv_into(GATE_H, rh, self.section(uh, GATE_H));
         h_out.resize_fill(n, 0.0);
         gru_blend_into(
-            Self::rows(&wx.c, u_buf, &self.b_h),
+            self.gate_rows(GATE_H, wx, uh),
             z,
             h,
             None,
@@ -270,7 +259,7 @@ impl GruWeights {
         );
     }
 
-    /// The DRS-adapted GRU step from precomputed `W·x` terms, with the
+    /// The DRS-adapted GRU step from its gate-major `W·x` terms, with the
     /// `U` triple stored at `precision`: units where `active[j]` is
     /// `false` (near-zero update gate) skip their reset/candidate rows and
     /// copy the previous hidden value through. `U_r` applies to `h_{t-1}`
@@ -286,7 +275,7 @@ impl GruWeights {
     pub fn step_masked_into(
         &self,
         precision: Precision,
-        wx: &GatePreacts,
+        wx: &[f32],
         h_prev: &Vector,
         z: &Vector,
         active: &[bool],
@@ -298,15 +287,14 @@ impl GruWeights {
         assert_eq!(z.len(), n, "update-gate length mismatch");
         let u = &self.fused_at(precision).u;
         let h = h_prev.as_slice();
-        scratch.slab.clear();
-        scratch.slab.resize(2 * n, 0.0);
-        let (u_buf, rh) = scratch.slab.split_at_mut(n);
-        u.gate_gemv_masked_into(GATE_R, h, active, 0.0, u_buf);
-        gru_reset_into(Self::rows(&wx.f, u_buf, &self.b_r), h, Some(active), rh);
-        u.gate_gemv_masked_into(GATE_H, rh, active, 0.0, u_buf);
+        grow(&mut scratch.slab, 4 * n);
+        let (uh, rh) = scratch.slab[..4 * n].split_at_mut(3 * n);
+        u.gate_gemv_masked_into(GATE_R, h, active, 0.0, self.section(uh, GATE_R));
+        gru_reset_into(self.gate_rows(GATE_R, wx, uh), h, Some(active), rh);
+        u.gate_gemv_masked_into(GATE_H, rh, active, 0.0, self.section(uh, GATE_H));
         h_out.resize_fill(n, 0.0);
         gru_blend_into(
-            Self::rows(&wx.c, u_buf, &self.b_h),
+            self.gate_rows(GATE_H, wx, uh),
             z.as_slice(),
             h,
             Some(active),
@@ -330,25 +318,25 @@ mod tests {
         Vector::from_fn(len, |_| rng.gen_range(-1.0f32..1.0))
     }
 
-    fn wx_of(w: &GruWeights, x: &Vector) -> GatePreacts {
+    fn wx_of(w: &GruWeights, x: &Vector) -> Vec<f32> {
         let mut out = Vec::new();
         w.precompute_wx_batch_into(Precision::Fp32, std::slice::from_ref(x), &mut out);
-        out.pop().expect("a batch of one")
+        out
     }
 
-    fn update_gate(w: &GruWeights, wx: &GatePreacts, h: &Vector) -> Vector {
+    fn update_gate(w: &GruWeights, wx: &[f32], h: &Vector) -> Vector {
         let mut z = Vector::zeros(0);
         w.update_gate_into(Precision::Fp32, wx, h, &mut CellScratch::new(), &mut z);
         z
     }
 
-    fn step(w: &GruWeights, wx: &GatePreacts, h: &Vector) -> Vector {
+    fn step(w: &GruWeights, wx: &[f32], h: &Vector) -> Vector {
         let mut h_out = Vector::zeros(0);
         w.step_into(Precision::Fp32, wx, h, &mut CellScratch::new(), &mut h_out);
         h_out
     }
 
-    fn step_masked(w: &GruWeights, wx: &GatePreacts, h: &Vector, active: &[bool]) -> Vector {
+    fn step_masked(w: &GruWeights, wx: &[f32], h: &Vector, active: &[bool]) -> Vector {
         let z = update_gate(w, wx, h);
         let mut h_out = Vector::zeros(0);
         let mut scratch = CellScratch::new();
@@ -372,10 +360,11 @@ mod tests {
         let xs: Vec<Vector> = (0..5).map(|s| vec_of(11, 30 + s)).collect();
         let mut wx = Vec::new();
         w.precompute_wx_batch_into(Precision::Fp32, &xs, &mut wx);
-        for (x, gp) in xs.iter().zip(&wx) {
-            assert_eq!(gp.f, sgemv(&w.w_r, x));
-            assert_eq!(gp.o, sgemv(&w.w_z, x));
-            assert_eq!(gp.c, sgemv(&w.w_h, x));
+        assert_eq!(wx.len(), xs.len() * 3 * 13);
+        for (x, column) in xs.iter().zip(wx.chunks(3 * 13)) {
+            assert_eq!(&column[GATE_R * 13..][..13], sgemv(&w.w_r, x).as_slice());
+            assert_eq!(&column[GATE_Z * 13..][..13], sgemv(&w.w_z, x).as_slice());
+            assert_eq!(&column[GATE_H * 13..][..13], sgemv(&w.w_h, x).as_slice());
         }
     }
 

@@ -113,8 +113,8 @@ impl GruNetwork {
             cell.precompute_wx_batch_into(Precision::Fp32, current, &mut wx);
             let mut h = Vector::zeros(self.hidden);
             let mut h_next = Vector::zeros(self.hidden);
-            let mut hs = Vec::with_capacity(wx.len());
-            for pre in &wx {
+            let mut hs = Vec::with_capacity(current.len());
+            for pre in wx.chunks_exact(3 * self.hidden) {
                 cell.step_into(Precision::Fp32, pre, &h, &mut scratch, &mut h_next);
                 std::mem::swap(&mut h, &mut h_next);
                 hs.push(h.clone());

@@ -48,7 +48,7 @@ pub mod regions;
 pub mod schedule;
 mod workspace;
 
-pub use cell::{CellScratch, CellWeights, GatePreacts, GateVectors};
+pub use cell::{CellScratch, CellWeights, GateVectors};
 pub use config::ModelConfig;
 pub use drs::{DrsConfig, DrsMode};
 pub use gru::GruWeights;

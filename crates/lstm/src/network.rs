@@ -164,8 +164,8 @@ impl LstmNetwork {
             cell.precompute_wx_batch_into(Precision::Fp32, current, &mut wx);
             let (mut h, mut c) = (Vector::zeros(n), Vector::zeros(n));
             let (mut h_next, mut c_next) = (Vector::zeros(n), Vector::zeros(n));
-            let mut hs = Vec::with_capacity(wx.len());
-            for pre in &wx {
+            let mut hs = Vec::with_capacity(current.len());
+            for pre in wx.chunks_exact(4 * n) {
                 cell.step_fused_into(
                     Precision::Fp32,
                     pre,

@@ -38,7 +38,6 @@
 //! [`ExecutionPlan::compile_gru_baseline`]); the optimized flows compile
 //! in the `memlstm` crate, which owns the offline analyses.
 
-use crate::cell::GatePreacts;
 use crate::drs::{skip_cost, union_active_into, DrsConfig, DrsMode};
 use crate::gru_exec::GruNetwork;
 use crate::network::LstmNetwork;
@@ -803,7 +802,8 @@ impl PlanOutput {
 /// allocations per steady-state timestep.
 #[derive(Debug, Default)]
 pub struct PlanRuntime {
-    pub(crate) wx: Vec<Vec<GatePreacts>>,
+    /// Each lane's gate-major `W·x` terms, one column per cell.
+    pub(crate) wx: Vec<Vec<f32>>,
     /// Per-timestep cell states of an LSTM layer, per lane (its hidden
     /// outputs are written straight into the run's
     /// [`PlanOutput::layer_hs`]; a GRU layer leaves these untouched).

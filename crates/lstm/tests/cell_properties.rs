@@ -1,6 +1,6 @@
 //! Property tests for the LSTM cell numerics.
 
-use lstm::cell::{CellInit, CellScratch, CellWeights, GatePreacts};
+use lstm::cell::{CellInit, CellScratch, CellWeights};
 use proptest::prelude::*;
 use tensor::init::seeded_rng;
 use tensor::{Precision, Vector};
@@ -93,13 +93,13 @@ fn memlstm_mask(o: &Vector, alpha: f32) -> Vec<bool> {
     o.iter().map(|&v| v >= alpha).collect()
 }
 
-fn wx_of(cell: &CellWeights, x: &Vector) -> GatePreacts {
+fn wx_of(cell: &CellWeights, x: &Vector) -> Vec<f32> {
     let mut out = Vec::new();
     cell.precompute_wx_batch_into(Precision::Fp32, std::slice::from_ref(x), &mut out);
-    out.pop().expect("a batch of one")
+    out
 }
 
-fn step(cell: &CellWeights, wx: &GatePreacts, h: &Vector, c: &Vector) -> (Vector, Vector) {
+fn step(cell: &CellWeights, wx: &[f32], h: &Vector, c: &Vector) -> (Vector, Vector) {
     let (mut h_out, mut c_out) = (Vector::zeros(0), Vector::zeros(0));
     let mut scratch = CellScratch::new();
     cell.step_fused_into(
@@ -114,15 +114,15 @@ fn step(cell: &CellWeights, wx: &GatePreacts, h: &Vector, c: &Vector) -> (Vector
     (h_out, c_out)
 }
 
-fn output_gate(cell: &CellWeights, wx: &GatePreacts, h: &Vector) -> Vector {
+fn output_gate(cell: &CellWeights, wx: &[f32], h: &Vector) -> Vector {
     let mut o = Vector::zeros(0);
-    cell.output_gate_into(Precision::Fp32, &wx.o, h, &mut CellScratch::new(), &mut o);
+    cell.output_gate_into(Precision::Fp32, wx, h, &mut CellScratch::new(), &mut o);
     o
 }
 
 fn step_masked(
     cell: &CellWeights,
-    wx: &GatePreacts,
+    wx: &[f32],
     (h, c): (&Vector, &Vector),
     o: &Vector,
     active: &[bool],

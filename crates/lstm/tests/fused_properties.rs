@@ -10,7 +10,7 @@
 //! `sgemv_masked_reference`) and demand `to_bits()` equality — not
 //! approximate closeness — across random weights, inputs, and DRS masks.
 
-use lstm::cell::{CellScratch, CellWeights, GatePreacts};
+use lstm::cell::{CellScratch, CellWeights};
 use lstm::gru::GruWeights;
 use proptest::prelude::*;
 use tensor::gemm::{sgemv, sgemv_masked_reference};
@@ -38,21 +38,24 @@ fn assert_bits_eq(got: &[f32], want: &[f32], what: &str) -> Result<(), TestCaseE
     Ok(())
 }
 
-fn wx_of(cell: &CellWeights, x: &Vector) -> GatePreacts {
+fn wx_of(cell: &CellWeights, x: &Vector) -> Vec<f32> {
     let mut out = Vec::new();
     cell.precompute_wx_batch_into(Precision::Fp32, std::slice::from_ref(x), &mut out);
-    out.pop().expect("a batch of one")
+    out
 }
 
-/// The GRU's `W_{r,z,h}·x` terms from the naive per-gate products, in the
-/// slots the GRU step reads (`r` in `f`, `z` in `o`, `h` in `c`).
-fn gru_wx_reference(w: &GruWeights, x: &Vector) -> GatePreacts {
-    GatePreacts {
-        f: sgemv(&w.w_r, x),
-        i: Vector::zeros(0),
-        c: sgemv(&w.w_h, x),
-        o: sgemv(&w.w_z, x),
-    }
+/// Gate `g`'s `HIDDEN` rows of a gate-major slab.
+fn gate(slab: &[f32], g: usize) -> &[f32] {
+    &slab[g * HIDDEN..(g + 1) * HIDDEN]
+}
+
+/// The GRU's gate-major `W_{r,z,h}·x` terms from the naive per-gate
+/// products.
+fn gru_wx_reference(w: &GruWeights, x: &Vector) -> Vec<f32> {
+    [&w.w_r, &w.w_z, &w.w_h]
+        .iter()
+        .flat_map(|m| sgemv(m, x).as_slice().to_vec())
+        .collect()
 }
 
 proptest! {
@@ -64,10 +67,11 @@ proptest! {
         let cell = CellWeights::random(INPUT, HIDDEN, &mut seeded_rng(seed));
         let x = Vector::from(x);
         let wx = wx_of(&cell, &x);
-        assert_bits_eq(wx.f.as_slice(), sgemv(&cell.w.f, &x).as_slice(), "wx.f")?;
-        assert_bits_eq(wx.i.as_slice(), sgemv(&cell.w.i, &x).as_slice(), "wx.i")?;
-        assert_bits_eq(wx.c.as_slice(), sgemv(&cell.w.c, &x).as_slice(), "wx.c")?;
-        assert_bits_eq(wx.o.as_slice(), sgemv(&cell.w.o, &x).as_slice(), "wx.o")?;
+        prop_assert_eq!(wx.len(), 4 * HIDDEN);
+        assert_bits_eq(gate(&wx, 0), sgemv(&cell.w.f, &x).as_slice(), "wx.f")?;
+        assert_bits_eq(gate(&wx, 1), sgemv(&cell.w.i, &x).as_slice(), "wx.i")?;
+        assert_bits_eq(gate(&wx, 2), sgemv(&cell.w.c, &x).as_slice(), "wx.c")?;
+        assert_bits_eq(gate(&wx, 3), sgemv(&cell.w.o, &x).as_slice(), "wx.o")?;
     }
 
     /// The batched GEMM-shaped `W·x` path == four naive `sgemv`s per
@@ -86,14 +90,14 @@ proptest! {
             .collect();
         let mut batch = Vec::new();
         cell.precompute_wx_batch_into(p, &xs, &mut batch);
-        prop_assert_eq!(batch.len(), n);
+        prop_assert_eq!(batch.len(), n * 4 * HIDDEN);
         let (wf, wi) = (p.apply(&cell.w.f), p.apply(&cell.w.i));
         let (wc, wo) = (p.apply(&cell.w.c), p.apply(&cell.w.o));
-        for (x, got) in xs.iter().zip(&batch) {
-            assert_bits_eq(got.f.as_slice(), sgemv(&wf, x).as_slice(), "batch f")?;
-            assert_bits_eq(got.i.as_slice(), sgemv(&wi, x).as_slice(), "batch i")?;
-            assert_bits_eq(got.c.as_slice(), sgemv(&wc, x).as_slice(), "batch c")?;
-            assert_bits_eq(got.o.as_slice(), sgemv(&wo, x).as_slice(), "batch o")?;
+        for (x, got) in xs.iter().zip(batch.chunks(4 * HIDDEN)) {
+            assert_bits_eq(gate(got, 0), sgemv(&wf, x).as_slice(), "batch f")?;
+            assert_bits_eq(gate(got, 1), sgemv(&wi, x).as_slice(), "batch i")?;
+            assert_bits_eq(gate(got, 2), sgemv(&wc, x).as_slice(), "batch c")?;
+            assert_bits_eq(gate(got, 3), sgemv(&wo, x).as_slice(), "batch o")?;
         }
     }
 
@@ -115,13 +119,14 @@ proptest! {
 
         let (uf, ui) = (sgemv(&cell.u.f, &h0), sgemv(&cell.u.i, &h0));
         let (uc, uo) = (sgemv(&cell.u.c, &h0), sgemv(&cell.u.o, &h0));
+        let [wf, wi, wc, wo] = [0, 1, 2, 3].map(|g| gate(&wx, g));
         let mut h_ref = vec![0.0f32; HIDDEN];
         let mut c_ref = vec![0.0f32; HIDDEN];
         for j in 0..HIDDEN {
-            let f = sigmoid(wx.f[j] + uf[j] + cell.b.f[j]);
-            let i = sigmoid(wx.i[j] + ui[j] + cell.b.i[j]);
-            let cand = tanh(wx.c[j] + uc[j] + cell.b.c[j]);
-            let o = sigmoid(wx.o[j] + uo[j] + cell.b.o[j]);
+            let f = sigmoid(wf[j] + uf[j] + cell.b.f[j]);
+            let i = sigmoid(wi[j] + ui[j] + cell.b.i[j]);
+            let cand = tanh(wc[j] + uc[j] + cell.b.c[j]);
+            let o = sigmoid(wo[j] + uo[j] + cell.b.o[j]);
             c_ref[j] = f * c0[j] + i * cand;
             h_ref[j] = o * tanh(c_ref[j]);
         }
@@ -144,19 +149,20 @@ proptest! {
         let wx = wx_of(&cell, &x);
         let mut scratch = CellScratch::new();
         let mut o = Vector::zeros(0);
-        cell.output_gate_into(Precision::Fp32, &wx.o, &h0, &mut scratch, &mut o);
+        cell.output_gate_into(Precision::Fp32, &wx, &h0, &mut scratch, &mut o);
         let (mut h, mut c) = (Vector::zeros(0), Vector::zeros(0));
         cell.step_masked_into(
             Precision::Fp32, &wx, &h0, &c0, &o, &active, &mut scratch, &mut h, &mut c,
         );
 
+        let [wf, wi, wc, wo] = [0, 1, 2, 3].map(|g| gate(&wx, g));
         let uf = sgemv_masked_reference(&cell.u.f, &h0, &active, 0.0);
         let ui = sgemv_masked_reference(&cell.u.i, &h0, &active, 0.0);
         let uc = sgemv_masked_reference(&cell.u.c, &h0, &active, 0.0);
         let o_ref: Vec<f32> = {
             let uo = sgemv(&cell.u.o, &h0);
             (0..HIDDEN)
-                .map(|j| sigmoid(wx.o[j] + uo[j] + cell.b.o[j]))
+                .map(|j| sigmoid(wo[j] + uo[j] + cell.b.o[j]))
                 .collect()
         };
         assert_bits_eq(o.as_slice(), &o_ref, "o")?;
@@ -164,9 +170,9 @@ proptest! {
         let mut c_ref = vec![0.0f32; HIDDEN];
         for j in 0..HIDDEN {
             if active[j] {
-                let f = sigmoid(wx.f[j] + uf[j] + cell.b.f[j]);
-                let i = sigmoid(wx.i[j] + ui[j] + cell.b.i[j]);
-                let cand = tanh(wx.c[j] + uc[j] + cell.b.c[j]);
+                let f = sigmoid(wf[j] + uf[j] + cell.b.f[j]);
+                let i = sigmoid(wi[j] + ui[j] + cell.b.i[j]);
+                let cand = tanh(wc[j] + uc[j] + cell.b.c[j]);
                 c_ref[j] = f * c0[j] + i * cand;
                 h_ref[j] = o[j] * tanh(c_ref[j]);
             }

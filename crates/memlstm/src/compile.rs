@@ -26,13 +26,14 @@
 
 use crate::breakpoints::find_breakpoints;
 use crate::division::{divide, SubLayer};
-use crate::error::{check_finite_probe, check_step_widths, Error, MemlstmResult};
+use crate::error::{
+    check_finite_probe, check_optimizer_config, check_step_widths, Error, MemlstmResult,
+};
 use crate::exec::OptimizerConfig;
 use crate::prediction::NetworkPredictors;
 use crate::relevance::{relevance_flops, RelevanceAnalyzer};
 use crate::tissue::{form_tissues, schedule_tissues, schedule_tissues_balanced, Tissue};
 use gpu_sim::{DeviceModel, KernelDesc, KernelKind, RegionId, SpanTag};
-use lstm::cell::GatePreacts;
 use lstm::plan::{
     ExecutionPlan, LayerBody, LayerPlan, MaskedUKernel, PlanBody, PlanLayerStats, PlanRuntime,
     PrevSource, TissueKernels, TissuePlan,
@@ -55,6 +56,9 @@ use tensor::Vector;
 /// pricing layers refuse to run it elsewhere.
 ///
 /// # Errors
+/// [`Error::InvalidOptimizerConfig`] if `config` cannot run as its
+/// enabled levels ask (the inter-cell level with `mts == 0` or a
+/// non-finite `α_inter`, or a non-finite `α_intra`),
 /// [`Error::NoProbes`] if `probes` is empty, [`Error::EmptyProbe`] or
 /// [`Error::ProbeLengthMismatch`] if a probe is empty or differs in
 /// length, [`Error::StepWidthMismatch`] if a probe step is not as wide
@@ -69,6 +73,7 @@ pub fn compile(
     probes: &[Vec<Vector>],
     device: &DeviceModel,
 ) -> MemlstmResult<ExecutionPlan> {
+    check_optimizer_config(config)?;
     if probes.is_empty() {
         return Err(Error::NoProbes);
     }
@@ -118,7 +123,7 @@ pub fn compile(
         // into the next layer; the last layer of a plan without `inter`
         // needs neither.
         let last = l + 1 == net.layers().len();
-        let wxs: Vec<Vec<GatePreacts>> = if config.inter || !last {
+        let wxs: Vec<Vec<f32>> = if config.inter || !last {
             probe_pool.par_map(currents.iter().collect::<Vec<_>>(), |c| {
                 let mut wx = Vec::new();
                 layer.precompute_wx_batch_into(config.precision, c, &mut wx);
@@ -188,7 +193,7 @@ pub fn compile(
 /// consistent with what the compiler breaks.
 pub(crate) fn combined_relevances(
     analyzer: &RelevanceAnalyzer,
-    wxs: &[Vec<GatePreacts>],
+    wxs: &[Vec<f32>],
     pool: Pool,
 ) -> Vec<f64> {
     // Per-probe relevances fan out; the average accumulates in probe

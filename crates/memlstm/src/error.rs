@@ -6,6 +6,7 @@
 //! `compile_gru_drs`, `ZeroPruning::calibrate`, `ServeEngine::submit`,
 //! ...) has one form, returning [`MemlstmResult`].
 
+use crate::exec::OptimizerConfig;
 use lstm::LstmNetwork;
 use std::fmt;
 use tensor::Vector;
@@ -103,6 +104,17 @@ pub enum Error {
         /// Why the value is rejected.
         reason: &'static str,
     },
+    /// An enabled optimization level cannot run as configured (a zero
+    /// tissue size, a NaN or infinite threshold). Caught by
+    /// [`compile`](crate::compile::compile) and
+    /// [`compile_gru_drs`](crate::gru_drs::compile_gru_drs) instead of a
+    /// scheduler panic or a level that silently compiles away.
+    InvalidOptimizerConfig {
+        /// The offending field.
+        field: &'static str,
+        /// Why the value is rejected.
+        reason: &'static str,
+    },
     /// A fleet was constructed with no member devices.
     FleetEmpty,
     /// A routing policy returned a device index that is out of range or
@@ -186,6 +198,9 @@ impl fmt::Display for Error {
             Error::InvalidServeConfig { field, reason } => {
                 write!(f, "serve config: {field} {reason}")
             }
+            Error::InvalidOptimizerConfig { field, reason } => {
+                write!(f, "optimizer config: {field} {reason}")
+            }
             Error::FleetEmpty => write!(f, "fleet: no member devices"),
             Error::FleetRouteIndex { index, devices } => write!(
                 f,
@@ -236,6 +251,32 @@ fn first_non_finite(xs: &[Vector]) -> Option<(usize, usize)> {
             .position(|v| !v.is_finite())
             .map(|element| (step, element))
     })
+}
+
+/// Checks that `config`'s enabled levels can run: the inter-cell level
+/// needs a nonzero maximum tissue size and a finite `α_inter`, and
+/// `α_intra` (what enables Dynamic Row Skip) must be finite.
+///
+/// # Errors
+/// [`Error::InvalidOptimizerConfig`] naming the first offending field.
+pub(crate) fn check_optimizer_config(config: &OptimizerConfig) -> MemlstmResult<()> {
+    let (field, reason) = if config.inter && config.mts == 0 {
+        ("mts", "must be nonzero with the inter-cell level")
+    } else if config.inter && !config.alpha_inter.is_finite() {
+        ("alpha_inter", "must be finite")
+    } else {
+        return check_alpha_intra(config.drs.alpha_intra);
+    };
+    Err(Error::InvalidOptimizerConfig { field, reason })
+}
+
+/// [`Error::InvalidOptimizerConfig`] unless `alpha_intra` is finite.
+pub(crate) fn check_alpha_intra(alpha_intra: f32) -> MemlstmResult<()> {
+    if alpha_intra.is_finite() {
+        return Ok(());
+    }
+    let (field, reason) = ("alpha_intra", "must be finite");
+    Err(Error::InvalidOptimizerConfig { field, reason })
 }
 
 /// Checks that every element of probe `probe` (`xs`) is finite.
@@ -334,6 +375,10 @@ mod tests {
                 field: "max_batch",
                 reason: "must be nonzero",
             },
+            Error::InvalidOptimizerConfig {
+                field: "mts",
+                reason: "must be nonzero with the inter-cell level",
+            },
             Error::FleetEmpty,
             Error::FleetRouteIndex {
                 index: 9,
@@ -366,6 +411,9 @@ mod tests {
             Error::DeviceMismatch { .. } => "compiled for device 'tegra_x1', not 'tegra_x2'",
             Error::QueueFull { .. } => "queue full",
             Error::InvalidServeConfig { .. } => "serve config: max_batch must be nonzero",
+            Error::InvalidOptimizerConfig { .. } => {
+                "optimizer config: mts must be nonzero with the inter-cell level"
+            }
             Error::FleetEmpty => "fleet: no member devices",
             Error::FleetRouteIndex { .. } => "routing policy chose device 9",
             Error::FleetAllQuarantined => "every device is quarantined",
@@ -382,7 +430,7 @@ mod tests {
         // fails to compile until it picks a pinned message; this count
         // keeps `all_variants` honest alongside it.
         let variants = all_variants();
-        assert_eq!(variants.len(), 19, "new variant missing from the table");
+        assert_eq!(variants.len(), 20, "new variant missing from the table");
         let mut displays: Vec<String> = variants.iter().map(Error::to_string).collect();
         displays.sort();
         displays.dedup();

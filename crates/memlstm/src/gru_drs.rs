@@ -19,7 +19,7 @@
 //! weight tiers come from [`ExecutionPlan::with_precision`].
 
 use crate::drs::DrsConfig;
-use crate::error::{Error, MemlstmResult};
+use crate::error::{check_alpha_intra, Error, MemlstmResult};
 use gpu_sim::DeviceModel;
 use lstm::gru_exec::GruNetwork;
 use lstm::plan::{ExecutionPlan, LayerPlan, PlanBody};
@@ -31,7 +31,9 @@ use tensor::Precision;
 /// [`ExecutionPlan`] for sequences of length `seq_len` on `device`.
 ///
 /// # Errors
-/// [`Error::EmptyInput`] if `seq_len` is zero.
+/// [`Error::EmptyInput`] if `seq_len` is zero, and
+/// [`Error::InvalidOptimizerConfig`] if `drs.alpha_intra` is NaN or
+/// infinite.
 pub fn compile_gru_drs(
     net: &GruNetwork,
     drs: DrsConfig,
@@ -41,6 +43,7 @@ pub fn compile_gru_drs(
     if seq_len == 0 {
         return Err(Error::EmptyInput);
     }
+    check_alpha_intra(drs.alpha_intra)?;
     let hidden = net.hidden();
     let num_layers = net.layers().len();
     let mut alloc = RegionAllocator::new();

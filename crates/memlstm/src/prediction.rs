@@ -100,7 +100,7 @@ impl NetworkPredictors {
                 hs.clear();
                 h.resize_fill(hidden, 0.0);
                 c.resize_fill(hidden, 0.0);
-                for pre in &wx {
+                for pre in wx.chunks_exact(4 * hidden) {
                     layer.step_fused_into(
                         Precision::Fp32,
                         pre,
@@ -197,8 +197,8 @@ mod tests {
                 layer.precompute_wx_batch_into(Precision::Fp32, &current, &mut wx);
                 let mut h = Vector::zeros(hidden);
                 let mut c = Vector::zeros(hidden);
-                let mut hs = Vec::with_capacity(wx.len());
-                for pre in &wx {
+                let mut hs = Vec::with_capacity(current.len());
+                for pre in wx.chunks_exact(4 * hidden) {
                     let (mut h_next, mut c_next) = (Vector::zeros(0), Vector::zeros(0));
                     let mut scratch = CellScratch::new();
                     layer.step_fused_into(

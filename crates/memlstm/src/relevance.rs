@@ -29,8 +29,10 @@
 //! Line 6 combines them through the cell's dataflow —
 //! `S_j = S_o · (S_f + S_i · S_c)` — and line 7 sums over the hidden
 //! units.
+//! The `W·x_t` terms are read as the layer's batched product writes
+//! them: one gate-major `f, i, c, o` column of `4H` values per cell.
 
-use lstm::cell::{CellWeights, GatePreacts, GateVectors};
+use lstm::cell::{CellWeights, GateVectors};
 
 /// Precomputed per-layer state for relevance evaluation.
 ///
@@ -67,19 +69,22 @@ impl RelevanceAnalyzer {
         self.hidden
     }
 
-    /// Relevance `S` of the context link *into* the cell whose `W·x_t`
-    /// pre-activations are `wx`, normalized per hidden unit so thresholds
-    /// are comparable across hidden sizes.
+    /// Relevance `S` of the context link *into* the cell whose gate-major
+    /// `W_{f,i,c,o}·x_t` pre-activations are `wx` (one column of
+    /// [`CellWeights::precompute_wx_batch_into`]), normalized per hidden
+    /// unit so thresholds are comparable across hidden sizes.
     ///
     /// `S = 0` means the link can be broken with no numerical effect: the
     /// previous cell's state cannot reach this cell's output.
-    pub fn link_relevance(&self, wx: &GatePreacts) -> f64 {
+    pub fn link_relevance(&self, wx: &[f32]) -> f64 {
+        let n = self.hidden;
+        let [wf, wi, wc, wo] = [0, 1, 2, 3].map(|g| &wx[g * n..(g + 1) * n]);
         let mut s = 0.0f64;
-        for j in 0..self.hidden {
-            let sf = path_strength(wx.f[j], self.b.f[j], self.d.f[j]);
-            let si = gate_sensitivity(wx.i[j], self.b.i[j], self.d.i[j]);
-            let sc = gate_sensitivity(wx.c[j], self.b.c[j], self.d.c[j]);
-            let so = path_strength(wx.o[j], self.b.o[j], self.d.o[j]);
+        for j in 0..n {
+            let sf = path_strength(wf[j], self.b.f[j], self.d.f[j]);
+            let si = gate_sensitivity(wi[j], self.b.i[j], self.d.i[j]);
+            let sc = gate_sensitivity(wc[j], self.b.c[j], self.d.c[j]);
+            let so = path_strength(wo[j], self.b.o[j], self.d.o[j]);
             // Line 6: the output path gates the sum of the state path and
             // the input path.
             s += f64::from(so * (sf + si * sc));
@@ -87,13 +92,14 @@ impl RelevanceAnalyzer {
         s / self.hidden as f64
     }
 
-    /// Relevance of every link in a layer given all cells' `W·x_t` terms.
+    /// Relevance of every link in a layer given all cells' `W·x_t` terms,
+    /// one gate-major column of `4 * hidden` values per cell.
     ///
     /// Element `t` is the relevance of the link from cell `t-1` into cell
     /// `t`; element 0 is `f64::INFINITY` because cell 0 has no incoming
     /// context link to break (its state is the layer's initial state).
-    pub fn layer_relevances(&self, wx: &[GatePreacts]) -> Vec<f64> {
-        wx.iter()
+    pub fn layer_relevances(&self, wx: &[f32]) -> Vec<f64> {
+        wx.chunks_exact(4 * self.hidden)
             .enumerate()
             .map(|(t, pre)| {
                 if t == 0 {
@@ -180,27 +186,25 @@ mod tests {
                 c: u.clone(),
                 o: u,
             },
-            GV::zeros(hidden),
+            GV {
+                f: V::zeros(hidden),
+                i: V::zeros(hidden),
+                c: V::zeros(hidden),
+                o: V::zeros(hidden),
+            },
         )
     }
 
-    fn preacts(hidden: usize, value: f32) -> GatePreacts {
-        GatePreacts {
-            f: V::filled(hidden, value),
-            i: V::filled(hidden, value),
-            c: V::filled(hidden, value),
-            o: V::filled(hidden, value),
-        }
+    fn preacts(hidden: usize, value: f32) -> Vec<f32> {
+        preacts_fico(hidden, value, value, value, value)
     }
 
-    /// Pre-activations with distinct per-gate values.
-    fn preacts_fico(hidden: usize, f: f32, i: f32, c: f32, o: f32) -> GatePreacts {
-        GatePreacts {
-            f: V::filled(hidden, f),
-            i: V::filled(hidden, i),
-            c: V::filled(hidden, c),
-            o: V::filled(hidden, o),
-        }
+    /// Gate-major pre-activations with distinct per-gate values.
+    fn preacts_fico(hidden: usize, f: f32, i: f32, c: f32, o: f32) -> Vec<f32> {
+        [f, i, c, o]
+            .iter()
+            .flat_map(|&v| std::iter::repeat_n(v, hidden))
+            .collect()
     }
 
     #[test]
@@ -271,11 +275,12 @@ mod tests {
     fn layer_relevances_marks_first_cell_unbreakable() {
         let cell = uniform_cell(4, 1.0);
         let analyzer = RelevanceAnalyzer::new(&cell);
-        let wx = vec![
+        let wx = [
             preacts(4, 0.0),
             preacts_fico(4, -9.0, 9.0, 9.0, -9.0),
             preacts(4, 0.0),
-        ];
+        ]
+        .concat();
         let rel = analyzer.layer_relevances(&wx);
         assert_eq!(rel.len(), 3);
         assert!(rel[0].is_infinite());

@@ -691,14 +691,6 @@ pub struct ServeMetrics {
 }
 
 impl ServeMetrics {
-    /// The four outcome counters in [`ServeOutcome::KINDS`] order —
-    /// rollups (fleet aggregation, bench JSON) iterate this instead of
-    /// naming fields, so a new outcome kind extends every consumer in
-    /// one place.
-    pub fn outcome_counts(&self) -> [u64; 4] {
-        [self.completed, self.deadline_miss, self.shed, self.failed]
-    }
-
     /// Overall SLO attainment: `met / total` over deadline-bearing
     /// classes (1.0 when no request carried a deadline).
     pub fn slo_attainment(&self) -> f64 {
@@ -752,9 +744,8 @@ pub struct ServeEngine<'a> {
     net: &'a LstmNetwork,
     config: ServeConfig,
     queue: Vec<Pending>,
-    rounds: Vec<RoundReport>,
-    outcomes: Vec<ServeOutcome>,
-    events: Vec<DegradeEvent>,
+    /// The epoch's bookkeeping, which [`reset`](Self::reset) clears.
+    state: EpochState,
     runtime: PlanRuntime,
     /// The simulated device every attempt is priced on, reset before
     /// each one (a reset device holds exactly what a fresh one does).
@@ -769,13 +760,24 @@ pub struct ServeEngine<'a> {
     /// The outputs a smaller gang left over, last lane first, taken back
     /// before the next larger gang so no output is rebuilt.
     spare_outs: Vec<PlanOutput>,
+    epoch: usize,
+}
+
+/// One serve epoch's bookkeeping: everything a fresh engine starts
+/// without, so [`ServeEngine::reset`] is one `mem::take`.
+#[derive(Debug, Default)]
+struct EpochState {
+    rounds: Vec<RoundReport>,
+    events: Vec<DegradeEvent>,
+    /// Outcomes resolved and not yet taken by
+    /// [`drain`](ServeEngine::drain).
+    outcomes: Vec<ServeOutcome>,
     clock_s: f64,
     submitted: u64,
     /// Global execution-attempt counter ([`FaultPlan`] granularity).
     attempts: u64,
     degraded: bool,
-    epoch: usize,
-    // Epoch counters that survive `drain()` taking the outcomes.
+    // Outcome counters that survive `drain()` taking the outcomes.
     completed: u64,
     deadline_miss: u64,
     shed: u64,
@@ -814,26 +816,13 @@ impl<'a> ServeEngine<'a> {
             net,
             config,
             queue: Vec::new(),
-            rounds: Vec::new(),
-            outcomes: Vec::new(),
-            events: Vec::new(),
+            state: EpochState::default(),
             runtime: PlanRuntime::new(),
             device,
             seqs: Vec::new(),
             outs: Vec::new(),
             spare_outs: Vec::new(),
-            clock_s: 0.0,
-            submitted: 0,
-            attempts: 0,
-            degraded: false,
             epoch: 0,
-            completed: 0,
-            deadline_miss: 0,
-            shed: 0,
-            failed: 0,
-            faults: 0,
-            retries: 0,
-            slo: BTreeMap::new(),
         })
     }
 
@@ -925,8 +914,8 @@ impl<'a> ServeEngine<'a> {
             let evicted = self.queue.remove(victim);
             self.resolve_shed(evicted, ShedReason::Evicted);
         }
-        let seq = self.submitted;
-        self.submitted += 1;
+        let seq = self.state.submitted;
+        self.state.submitted += 1;
         self.queue.push(Pending { request, seq });
         Ok(())
     }
@@ -938,7 +927,7 @@ impl<'a> ServeEngine<'a> {
 
     /// The current simulated clock.
     pub fn clock_s(&self) -> f64 {
-        self.clock_s
+        self.state.clock_s
     }
 
     /// The current epoch (bumped by [`reset`](Self::reset)).
@@ -948,18 +937,12 @@ impl<'a> ServeEngine<'a> {
 
     /// Reports for the rounds executed this epoch.
     pub fn rounds(&self) -> &[RoundReport] {
-        &self.rounds
+        &self.state.rounds
     }
 
     /// Degradation switches recorded this epoch.
     pub fn degrade_events(&self) -> &[DegradeEvent] {
-        &self.events
-    }
-
-    /// Outcomes resolved so far and not yet taken by
-    /// [`drain`](Self::drain), in resolution order.
-    pub fn outcomes(&self) -> &[ServeOutcome] {
-        &self.outcomes
+        &self.state.events
     }
 
     /// Records `request`'s one outcome: bumps the outcome kind's counter
@@ -968,25 +951,25 @@ impl<'a> ServeEngine<'a> {
     /// [`drain`](Self::drain).
     fn resolve(&mut self, request: &Request, outcome: ServeOutcome) {
         match &outcome {
-            ServeOutcome::Completed(_) => self.completed += 1,
-            ServeOutcome::DeadlineMiss(_) => self.deadline_miss += 1,
-            ServeOutcome::Shed(_) => self.shed += 1,
-            ServeOutcome::Failed(_) => self.failed += 1,
+            ServeOutcome::Completed(_) => self.state.completed += 1,
+            ServeOutcome::DeadlineMiss(_) => self.state.deadline_miss += 1,
+            ServeOutcome::Shed(_) => self.state.shed += 1,
+            ServeOutcome::Failed(_) => self.state.failed += 1,
         }
         let class = deadline_class(request.arrival_s, request.deadline_s);
-        let entry = self.slo.entry(class).or_insert((0, 0));
+        let entry = self.state.slo.entry(class).or_insert((0, 0));
         entry.0 += 1;
         if outcome.is_success() {
             entry.1 += 1;
         }
-        self.outcomes.push(outcome);
+        self.state.outcomes.push(outcome);
     }
 
     /// [`resolve`](Self::resolve)s `pending` as shed now, for `reason`.
     fn resolve_shed(&mut self, pending: Pending, reason: ShedReason) {
         let shed = ServeOutcome::Shed(Shed {
             id: pending.request.id,
-            at_s: self.clock_s,
+            at_s: self.state.clock_s,
             deadline_s: pending.request.deadline_s,
             reason,
         });
@@ -1015,8 +998,8 @@ impl<'a> ServeEngine<'a> {
                 .iter()
                 .map(|p| p.request.arrival_s)
                 .fold(f64::INFINITY, f64::min);
-            if earliest > self.clock_s {
-                self.clock_s = earliest;
+            if earliest > self.state.clock_s {
+                self.state.clock_s = earliest;
             }
             if self.config.shedding.shed_expired {
                 // An arrived request whose deadline is at or before the
@@ -1025,8 +1008,8 @@ impl<'a> ServeEngine<'a> {
                 let mut i = 0;
                 while i < self.queue.len() {
                     let r = &self.queue[i].request;
-                    if r.arrival_s <= self.clock_s
-                        && r.deadline_s.is_some_and(|d| d <= self.clock_s)
+                    if r.arrival_s <= self.state.clock_s
+                        && r.deadline_s.is_some_and(|d| d <= self.state.clock_s)
                     {
                         let expired = self.queue.remove(i);
                         self.resolve_shed(expired, ShedReason::Expired);
@@ -1036,7 +1019,7 @@ impl<'a> ServeEngine<'a> {
                 }
             }
             let mut eligible: Vec<usize> = (0..self.queue.len())
-                .filter(|&i| self.queue[i].request.arrival_s <= self.clock_s)
+                .filter(|&i| self.queue[i].request.arrival_s <= self.state.clock_s)
                 .collect();
             if eligible.is_empty() {
                 // Everything arrived was shed; jump to the next arrival
@@ -1070,27 +1053,27 @@ impl<'a> ServeEngine<'a> {
 
         // Degradation watermarks are evaluated against the backlog at
         // admission; a switch takes effect for this round.
-        let round_index = self.rounds.len();
+        let round_index = self.state.rounds.len();
         if let (Some(_), Some(high)) = (self.fallback, self.config.degrade_high_watermark) {
-            let flipped = if !self.degraded && queue_depth >= high {
-                self.degraded = true;
+            let flipped = if !self.state.degraded && queue_depth >= high {
+                self.state.degraded = true;
                 true
-            } else if self.degraded && queue_depth <= self.config.degrade_low_watermark {
-                self.degraded = false;
+            } else if self.state.degraded && queue_depth <= self.config.degrade_low_watermark {
+                self.state.degraded = false;
                 true
             } else {
                 false
             };
             if flipped {
-                self.events.push(DegradeEvent {
+                self.state.events.push(DegradeEvent {
                     round: round_index,
-                    at_s: self.clock_s,
-                    to_fallback: self.degraded,
+                    at_s: self.state.clock_s,
+                    to_fallback: self.state.degraded,
                     queue_depth,
                 });
             }
         }
-        let plan = if self.degraded {
+        let plan = if self.state.degraded {
             self.fallback
                 .expect("degraded only with a fallback installed")
         } else {
@@ -1114,7 +1097,7 @@ impl<'a> ServeEngine<'a> {
             self.outs.push(out);
         }
 
-        let start_s = self.clock_s;
+        let start_s = self.state.clock_s;
         let mut round_retries = 0u32;
         let report = loop {
             // Every round (and every retry) starts from a reset device:
@@ -1122,8 +1105,8 @@ impl<'a> ServeEngine<'a> {
             // are order-independent and a retry replays the identical
             // kernel stream on the identical inputs — which is why
             // retried logits are bit-identical to fault-free runs.
-            let attempt = self.attempts;
-            self.attempts += 1;
+            let attempt = self.state.attempts;
+            self.state.attempts += 1;
             self.device.reset();
             let mut session = self.device.begin_trace();
             self.runtime.run_lstm_batch_into(
@@ -1137,13 +1120,13 @@ impl<'a> ServeEngine<'a> {
             if self.config.faults.is_faulty(attempt) {
                 // The attempt's work ran and was lost: its simulated time
                 // (plus the backoff) elapses, its outputs are discarded.
-                self.faults += 1;
-                self.clock_s += report.time_s + self.config.retry_backoff_s;
+                self.state.faults += 1;
+                self.state.clock_s += report.time_s + self.config.retry_backoff_s;
                 if round_retries >= self.config.max_retries {
                     for pending in &gang {
                         let failure = ServeOutcome::Failed(Failure {
                             id: pending.request.id,
-                            at_s: self.clock_s,
+                            at_s: self.state.clock_s,
                             retries: round_retries,
                         });
                         self.resolve(&pending.request, failure);
@@ -1152,25 +1135,25 @@ impl<'a> ServeEngine<'a> {
                         round: round_index,
                         batch: gang.len(),
                         start_s,
-                        time_s: self.clock_s - start_s,
+                        time_s: self.state.clock_s - start_s,
                         ids: gang.iter().map(|p| p.request.id).collect(),
                         queue_depth,
                         retries: round_retries,
-                        degraded: self.degraded,
+                        degraded: self.state.degraded,
                         failed: true,
                     };
-                    self.rounds.push(round.clone());
+                    self.state.rounds.push(round.clone());
                     return Some(round);
                 }
                 round_retries += 1;
-                self.retries += 1;
+                self.state.retries += 1;
                 continue;
             }
             break report;
         };
 
-        self.clock_s += report.time_s;
-        let finish_s = self.clock_s;
+        self.state.clock_s += report.time_s;
+        let finish_s = self.state.clock_s;
         let batch = gang.len();
         // Move the recycled output slots out so resolving (which borrows
         // `self` mutably) can run inside the loop, then hand them back.
@@ -1185,7 +1168,7 @@ impl<'a> ServeEngine<'a> {
                 latency_s: finish_s - pending.request.arrival_s,
                 batch,
                 retries: round_retries,
-                degraded: self.degraded,
+                degraded: self.state.degraded,
             };
             let outcome = match pending.request.deadline_s {
                 Some(d) if finish_s > d => ServeOutcome::DeadlineMiss(completion),
@@ -1202,10 +1185,10 @@ impl<'a> ServeEngine<'a> {
             ids: gang.iter().map(|p| p.request.id).collect(),
             queue_depth,
             retries: round_retries,
-            degraded: self.degraded,
+            degraded: self.state.degraded,
             failed: false,
         };
-        self.rounds.push(round.clone());
+        self.state.rounds.push(round.clone());
         Some(round)
     }
 
@@ -1216,7 +1199,7 @@ impl<'a> ServeEngine<'a> {
     /// `drain` calls; [`reset`](Self::reset) starts a fresh epoch.
     pub fn drain(&mut self) -> Vec<ServeOutcome> {
         while self.step().is_some() {}
-        mem::take(&mut self.outcomes)
+        mem::take(&mut self.state.outcomes)
     }
 
     /// Removes every still-pending request *without* resolving it, in
@@ -1241,56 +1224,43 @@ impl<'a> ServeEngine<'a> {
     /// bit-identical to a fresh engine (the [`FaultPlan`] replays too,
     /// since the attempt counter rewinds).
     pub fn reset(&mut self) -> Vec<ServeOutcome> {
-        let pending = mem::take(&mut self.queue);
-        for p in pending {
+        for p in mem::take(&mut self.queue) {
             self.resolve_shed(p, ShedReason::Reset);
         }
-        let leftovers = mem::take(&mut self.outcomes);
-        self.rounds.clear();
-        self.events.clear();
-        self.clock_s = 0.0;
-        self.submitted = 0;
-        self.attempts = 0;
-        self.degraded = false;
-        self.completed = 0;
-        self.deadline_miss = 0;
-        self.shed = 0;
-        self.failed = 0;
-        self.faults = 0;
-        self.retries = 0;
-        self.slo.clear();
         self.epoch += 1;
-        leftovers
+        mem::take(&mut self.state).outcomes
     }
 
     /// The epoch's QoS rollup. Counters survive [`drain`](Self::drain);
     /// only [`reset`](Self::reset) clears them.
     pub fn metrics(&self) -> ServeMetrics {
-        let rounds = self.rounds.len() as u64;
-        let mean_utilization = if self.rounds.is_empty() {
+        let rounds = self.state.rounds.len() as u64;
+        let mean_utilization = if self.state.rounds.is_empty() {
             0.0
         } else {
-            let total: usize = self.rounds.iter().map(|r| r.batch).sum();
-            total as f64 / (self.rounds.len() * self.config.max_batch) as f64
+            let total: usize = self.state.rounds.iter().map(|r| r.batch).sum();
+            total as f64 / (self.state.rounds.len() * self.config.max_batch) as f64
         };
         ServeMetrics {
-            submitted: self.submitted,
-            completed: self.completed,
-            deadline_miss: self.deadline_miss,
-            shed: self.shed,
-            failed: self.failed,
-            faults: self.faults,
-            retries: self.retries,
-            degrade_switches: self.events.iter().filter(|e| e.to_fallback).count() as u64,
-            degraded_rounds: self.rounds.iter().filter(|r| r.degraded).count() as u64,
+            submitted: self.state.submitted,
+            completed: self.state.completed,
+            deadline_miss: self.state.deadline_miss,
+            shed: self.state.shed,
+            failed: self.state.failed,
+            faults: self.state.faults,
+            retries: self.state.retries,
+            degrade_switches: self.state.events.iter().filter(|e| e.to_fallback).count() as u64,
+            degraded_rounds: self.state.rounds.iter().filter(|r| r.degraded).count() as u64,
             rounds,
             mean_utilization,
             slo: self
+                .state
                 .slo
                 .iter()
                 .map(|(&class, &(total, met))| SloClass { class, total, met })
                 .collect(),
             queue_depth_timeline: self
+                .state
                 .rounds
                 .iter()
                 .map(|r| (r.start_s, r.queue_depth))
@@ -1305,7 +1275,7 @@ impl<'a> ServeEngine<'a> {
     /// the kernel spans the profiler exports.
     pub fn add_counter_tracks(&self, trace: &mut ChromeTrace, pid: u32, process_name: &str) {
         trace.add_process_name(pid, process_name);
-        for r in &self.rounds {
+        for r in &self.state.rounds {
             let ts = r.start_s * 1e6;
             trace.add_counter(pid, "queue_depth", ts, &[("backlog", r.queue_depth as f64)]);
             trace.add_counter(pid, "gang", ts, &[("batch", r.batch as f64)]);
@@ -1664,7 +1634,7 @@ mod tests {
     #[test]
     fn metrics_count_outcomes_in_canonical_kind_order() {
         // Serve a mix that produces one of each engine-resolvable kind
-        // and check `outcome_counts` lines up with `KINDS`.
+        // and check the outcome counters line up with `KINDS`.
         let (net, plan, seqs) = setup(40);
         let mut engine = ServeEngine::new(
             &plan,
@@ -1691,7 +1661,7 @@ mod tests {
             .unwrap(); // expires while round 1 runs -> shed
         let outcomes = engine.drain();
         let m = engine.metrics();
-        let counts = m.outcome_counts();
+        let counts = [m.completed, m.deadline_miss, m.shed, m.failed];
         let mut expected = [0u64; 4];
         for o in &outcomes {
             expected[o.kind_index()] += 1;

@@ -177,6 +177,27 @@ pub struct GateRows<'a, const G: usize> {
 }
 
 impl<'a, const G: usize> GateRows<'a, G> {
+    /// Gates `gates`' rows of the gate-major `wx` and `uh` slabs (gate `g`
+    /// at `slab[g * rows ..]`, the layout every
+    /// [`FusedGates`](crate::FusedGates) product writes), with biases `b`.
+    ///
+    /// # Panics
+    /// Panics if a slab is too short to hold a listed gate.
+    pub fn sections(
+        gates: [usize; G],
+        rows: usize,
+        wx: &'a [f32],
+        uh: &'a [f32],
+        b: [&'a [f32]; G],
+    ) -> Self {
+        let section = |slab: &'a [f32], g: usize| &slab[g * rows..(g + 1) * rows];
+        Self {
+            wx: gates.map(|g| section(wx, g)),
+            uh: gates.map(|g| section(uh, g)),
+            b,
+        }
+    }
+
     /// Every slice cut to its first `n` rows, so the kernels index them
     /// without bounds checks.
     ///

@@ -41,17 +41,26 @@
 //!
 //! The panels always hold `f32` weights: [`FusedGates::pack`] rounds each
 //! weight to its [`Precision`] through [`Precision::apply`]'s per-row
-//! routine, so every tier runs the same kernels: `panel_gemv` per panel;
-//! for the dense product `panel_pair_gemv`, which runs panels in pairs in
-//! `panel_gemv`'s per-row order so each broadcast of `x[k]` feeds twice
-//! the accumulators; and for the batched product
-//! ([`FusedGates::gemv_batch_with`]) `panel_quad_gemv`, then
-//! `panel_triple_gemv` or `panel_double_gemv` for the remainder, which
-//! run one panel against four, three or two columns so each weight load
-//! feeds that many columns' accumulators, with a lone last column on the
-//! pair kernel. Each has a portable and an AVX
-//! build from one body (see [`crate::packed`]); the tiers' byte savings
-//! are priced on the simulated device ([`crate::quant`]).
+//! routine, so every tier runs the same kernels. Each has a portable and
+//! an AVX build from one body (see [`crate::packed`]); the tiers' byte
+//! savings are priced on the simulated device ([`crate::quant`]).
+//!
+//! ## One dense walk, one output layout
+//!
+//! Every unmasked product — the whole slab against one column
+//! ([`FusedGates::gemv_into`]), one gate's panels against one column
+//! ([`FusedGates::gate_gemv_into`]) and the whole slab against a batch
+//! of columns ([`FusedGates::gemv_batch_into`]) — is one private walk
+//! over a range of panels. It runs panels in pairs; within a pair each
+//! panel runs against four columns at once (`panel_quad_gemv`), then
+//! three or two (`panel_triple_gemv`, `panel_double_gemv`), so one weight
+//! load feeds that many columns' accumulators, and a lone column runs
+//! the pair through `panel_pair_gemv`, where each broadcast of `x[k]`
+//! feeds both panels' rows. An odd last panel runs alone through
+//! `panel_gemv`. The walk writes through one scatter into gate-major
+//! column blocks: column `i`'s gate `g` is `out[(i * gates + g) * rows ..]`,
+//! in natural row order. A caller's `W·x` buffer and its `U·h` slab are
+//! both that layout, so no caller maps gates to fields.
 //!
 //! ## Bit-exactness
 //!
@@ -74,6 +83,8 @@ use crate::matrix::Matrix;
 use crate::packed::{masked_panels_into, panel_gemv, simd_kernel, MR};
 use crate::quant::Precision;
 use crate::vector::Vector;
+use std::ops::Range;
+use std::slice;
 
 /// Several equally-shaped gate matrices, rounded to one [`Precision`],
 /// packed into one gate-major slab of [`MR`]-row column-interleaved
@@ -209,21 +220,11 @@ impl FusedGates {
         (g, &self.order[p * MR..self.rows.min((p + 1) * MR)])
     }
 
-    /// Writes global panel `q`'s live lanes into the fused output slab.
-    fn scatter(&self, q: usize, sum: &[f32; MR], out: &mut [f32]) {
-        let (g, rows) = self.panel_rows(q);
-        scatter_lanes(rows, sum, &mut out[g * self.rows..(g + 1) * self.rows]);
-    }
-
     /// The fused matrix-vector product: one pass over the slab computes
     /// every gate's pre-activations into `out`, laid out gate-major
-    /// (`out[g * rows .. (g + 1) * rows]` is gate `g`).
-    ///
-    /// Section `g` is bit-identical to
-    /// [`gate_gemv_into`](Self::gate_gemv_into) on gate `g`. Panels
-    /// run two at a time so each broadcast of `x[k]` feeds twice the
-    /// accumulators ([`MR`] rows per panel) — more ILP per pass, same
-    /// per-row association.
+    /// (`out[g * rows .. (g + 1) * rows]` is gate `g`). The one-column
+    /// dense walk, so section `g` is bit-identical to
+    /// [`gate_gemv_into`](Self::gate_gemv_into) on gate `g`.
     ///
     /// # Panics
     /// Panics if `x.len() != cols` or `out.len() != gates * rows`.
@@ -234,22 +235,13 @@ impl FusedGates {
             self.total_rows(),
             "FusedGates::gemv_into: out length"
         );
-        let total = self.gates * self.ppg();
-        let mut q = 0;
-        while q + 1 < total {
-            let (s0, s1) = panel_pair_gemv(self.panel(q), self.panel(q + 1), self.cols, x);
-            self.scatter(q, &s0, out);
-            self.scatter(q + 1, &s1, out);
-            q += 2;
-        }
-        if q < total {
-            self.scatter(q, &panel_gemv(self.panel(q), self.cols, x), out);
-        }
+        self.walk(0..self.gates, slice::from_ref(&x), out);
     }
 
     /// Matrix-vector product of a single gate's matrix, writing its
-    /// `rows` outputs into `out`. Bit-identical to [`crate::gemm::sgemv`]
-    /// on the gate's ([`Precision::apply`]-rounded) matrix.
+    /// `rows` outputs into `out`: the dense walk over gate `g`'s panels.
+    /// Bit-identical to [`crate::gemm::sgemv`] on the gate's
+    /// ([`Precision::apply`]-rounded) matrix.
     ///
     /// # Panics
     /// Panics if `g >= gates`, `x.len() != cols`, or `out.len() != rows`.
@@ -261,87 +253,85 @@ impl FusedGates {
             self.rows,
             "FusedGates::gate_gemv_into: out length"
         );
-        let first = g * self.ppg();
-        for (p, rows) in self.order.chunks(MR).enumerate() {
-            scatter_lanes(rows, &panel_gemv(self.panel(first + p), self.cols, x), out);
-        }
+        self.walk(g..g + 1, slice::from_ref(&x), out);
     }
 
-    /// The batched product of the whole slab, with the *panel* loop
-    /// outermost: panels run two at a time, and each pair is loaded once
-    /// and reused by every column. Within a pair, each panel runs against
-    /// four columns at once (`panel_quad_gemv`, so one weight load feeds
-    /// four columns' accumulators), and a remainder of three or two
-    /// columns through `panel_triple_gemv` or `panel_double_gemv`; a lone
-    /// last column runs the pair through `panel_pair_gemv`, as
-    /// [`gemv_into`](Self::gemv_into) does, so a batch of one walks
-    /// exactly as a single product. An odd last panel runs alone, its
-    /// lone column through `panel_gemv`. Results stream through
-    /// `write(column, gate, rows, values)`, where `values[l]` is row
-    /// `rows[l]` of gate `gate` for column `column` (one panel's live
-    /// lanes, in the slab's row order), so callers can scatter into
-    /// recycled per-sequence buffers without this layer allocating
-    /// anything.
-    ///
-    /// A pair may straddle two gates, and a kernel may carry several
-    /// columns; both regroup rows and columns, never a row's sum, so the
-    /// values for column `i` are bit-identical to
-    /// [`gemv_into`](Self::gemv_into) on `xs[i]`.
+    /// The batched product of the whole slab: column `i`'s gate-major
+    /// `gates * rows` products land in the block
+    /// `out[i * gates * rows ..]`, each bit-identical to
+    /// [`gemv_into`](Self::gemv_into) on `xs[i]`. The dense walk loads
+    /// each weight panel once for up to four columns.
     ///
     /// # Panics
-    /// Panics if any `xs[i].len() != cols`.
-    pub fn gemv_batch_with(
-        &self,
-        xs: &[Vector],
-        mut write: impl FnMut(usize, usize, &[usize], &[f32]),
-    ) {
+    /// Panics if any `xs[i].len() != cols` or
+    /// `out.len() != xs.len() * gates * rows`.
+    pub fn gemv_batch_into(&self, xs: &[Vector], out: &mut [f32]) {
         for (i, x) in xs.iter().enumerate() {
             assert_eq!(
                 x.len(),
                 self.cols,
-                "FusedGates::gemv_batch_with: column {i} length"
+                "FusedGates::gemv_batch_into: column {i} length"
             );
         }
-        // Panel `q`'s sums for the columns from `first` on.
-        let mut emit = |q: usize, first: usize, sums: &[[f32; MR]]| {
-            let (g, rows) = self.panel_rows(q);
+        assert_eq!(
+            out.len(),
+            xs.len() * self.total_rows(),
+            "FusedGates::gemv_batch_into: out length"
+        );
+        self.walk(0..self.gates, xs, out);
+    }
+
+    /// The one dense walk behind every unmasked product (see the module
+    /// docs): the panels of `gates` against every column of `xs`, panel
+    /// pairs outermost so each pair is loaded once for every column. Its
+    /// one scatter writes column `i`'s gate `g` to the block
+    /// `out[(i * gates.len() + g - gates.start) * rows ..]`, each lane at
+    /// its natural row. A pair may straddle two gates and a kernel may
+    /// carry several columns; both regroup rows and columns, never a
+    /// row's sum.
+    fn walk<X: AsRef<[f32]>>(&self, gates: Range<usize>, xs: &[X], out: &mut [f32]) {
+        let (cols, rows, ppg) = (self.cols, self.rows, self.ppg());
+        // One panel's sums for the columns from `first` on, the panel's
+        // gate and rows looked up once by the caller.
+        let scatter = |out: &mut [f32], (g, lanes): (usize, &[usize]), first, sums: &[_]| {
             for (i, sum) in (first..).zip(sums) {
-                write(i, g, rows, &sum[..rows.len()]);
+                let block = (i * gates.len() + g - gates.start) * rows;
+                scatter_lanes(lanes, sum, &mut out[block..block + rows]);
             }
         };
-        let cols = self.cols;
         let (quads, rest) = xs.as_chunks::<4>();
         let rest_at = 4 * quads.len();
-        let total = self.gates * self.ppg();
-        let mut q = 0;
-        while q < total {
-            let width = if q + 1 < total { 2 } else { 1 };
+        let end = gates.end * ppg;
+        let mut q = gates.start * ppg;
+        while q < end {
+            let width = if q + 1 < end { 2 } else { 1 };
             for p in q..q + width {
-                let panel = self.panel(p);
+                let (panel, lanes) = (self.panel(p), self.panel_rows(p));
                 for (j, x) in quads.iter().enumerate() {
-                    let sums = panel_quad_gemv(panel, cols, x.each_ref().map(Vector::as_slice));
-                    emit(p, 4 * j, &sums);
+                    let sums = panel_quad_gemv(panel, cols, x.each_ref().map(AsRef::as_ref));
+                    scatter(out, lanes, 4 * j, &sums);
                 }
                 match rest {
                     [a, b, c] => {
-                        let sums = panel_triple_gemv(panel, cols, [a, b, c].map(Vector::as_slice));
-                        emit(p, rest_at, &sums);
+                        let sums = panel_triple_gemv(panel, cols, [a, b, c].map(AsRef::as_ref));
+                        scatter(out, lanes, rest_at, &sums);
                     }
                     [a, b] => {
-                        let sums = panel_double_gemv(panel, cols, [a, b].map(Vector::as_slice));
-                        emit(p, rest_at, &sums);
+                        let sums = panel_double_gemv(panel, cols, [a, b].map(AsRef::as_ref));
+                        scatter(out, lanes, rest_at, &sums);
                     }
                     _ => {}
                 }
             }
             if let [x] = rest {
-                let x = x.as_slice();
+                let x = x.as_ref();
                 if width == 2 {
                     let (s0, s1) = panel_pair_gemv(self.panel(q), self.panel(q + 1), cols, x);
-                    emit(q, rest_at, &[s0]);
-                    emit(q + 1, rest_at, &[s1]);
+                    scatter(out, self.panel_rows(q), rest_at, &[s0]);
+                    scatter(out, self.panel_rows(q + 1), rest_at, &[s1]);
                 } else {
-                    emit(q, rest_at, &[panel_gemv(self.panel(q), cols, x)]);
+                    let sum = panel_gemv(self.panel(q), cols, x);
+                    scatter(out, self.panel_rows(q), rest_at, &[sum]);
                 }
             }
             q += width;
@@ -659,16 +649,13 @@ mod tests {
         }
     }
 
-    /// Runs the batched walk into one gate-major slab per column.
+    /// Runs the batched walk and splits its column blocks, one gate-major
+    /// slab per column.
     fn batch(fused: &FusedGates, xs: &[Vector]) -> Vec<Vec<f32>> {
-        let rows = fused.rows();
-        let mut outs = vec![vec![f32::NAN; fused.total_rows()]; xs.len()];
-        fused.gemv_batch_with(xs, |i, g, slab_rows, vals| {
-            for (&r, &v) in slab_rows.iter().zip(vals) {
-                outs[i][g * rows + r] = v;
-            }
-        });
-        outs
+        let total = fused.total_rows();
+        let mut out = vec![f32::NAN; xs.len() * total];
+        fused.gemv_batch_into(xs, &mut out);
+        out.chunks(total).map(<[f32]>::to_vec).collect()
     }
 
     fn bits(v: &[f32]) -> Vec<u32> {

@@ -21,7 +21,8 @@
 //!
 //! Every panel micro-kernel in the crate (this module's `panel_gemv`,
 //! and the fused slab's pair kernel and its four-, three- and two-column
-//! kernels) is written once and compiled twice by the `simd_kernel!`
+//! kernels, which the slab's one dense walk runs) is written once and
+//! compiled twice by the `simd_kernel!`
 //! macro defined here: a portable build and an AVX build (never FMA, so
 //! both round identically), picked per call by one
 //! `is_x86_feature_detected!` check. The masked products of the packed gate slab
@@ -257,14 +258,9 @@ mod tests {
                     let xs: Vec<Vector> = (0..batch)
                         .map(|i| pseudo_vector(cols, 100 + i as u32))
                         .collect();
-                    let mut ys = vec![vec![0.0f32; rows]; batch];
-                    packed.gemv_batch_with(&xs, |i, g, rows, vals| {
-                        assert_eq!(g, 0);
-                        for (&r, &v) in rows.iter().zip(vals) {
-                            ys[i][r] = v;
-                        }
-                    });
-                    for (x, y) in xs.iter().zip(&ys) {
+                    let mut ys = vec![f32::NAN; batch * rows];
+                    packed.gemv_batch_into(&xs, &mut ys);
+                    for (x, y) in xs.iter().zip(ys.chunks(rows)) {
                         let single = packed_gemv(&a, precision, x);
                         for (b, s) in y.iter().zip(&single) {
                             assert_eq!(
@@ -281,22 +277,28 @@ mod tests {
 
     #[test]
     fn batched_gemv_empty_batch_is_empty() {
-        one_gate(&Matrix::zeros(4, 3), Precision::Fp32).gemv_batch_with(&[], |i, _, _, _| {
-            panic!("wrote column {i} of an empty batch")
-        });
+        one_gate(&Matrix::zeros(4, 3), Precision::Fp32).gemv_batch_into(&[], &mut []);
     }
 
     #[test]
     #[should_panic(expected = "column 1 length")]
     fn batched_gemv_shape_mismatch_panics() {
         let packed = one_gate(&Matrix::zeros(4, 3), Precision::Fp32);
-        packed.gemv_batch_with(&[Vector::zeros(3), Vector::zeros(2)], |_, _, _, _| {});
+        packed.gemv_batch_into(&[Vector::zeros(3), Vector::zeros(2)], &mut [0.0; 8]);
+    }
+
+    #[test]
+    #[should_panic(expected = "out length")]
+    fn batched_gemv_block_mismatch_panics() {
+        let packed = one_gate(&Matrix::zeros(4, 3), Precision::Fp32);
+        packed.gemv_batch_into(&[Vector::zeros(3), Vector::zeros(3)], &mut [0.0; 4]);
     }
 
     /// A product of the dispatch table.
     #[derive(Clone, Copy, Debug)]
     enum Product {
-        /// A one-gate slab's `gate_gemv_into`: one panel at a time.
+        /// Each gate's `gate_gemv_into`: the dense walk over that gate's
+        /// panels alone, so a pair never straddles two gates.
         Single,
         /// The whole slab's `gemv_into`: the pair kernel and its tail.
         Dense,
@@ -328,27 +330,23 @@ mod tests {
         x: &Vector,
         mask: &[bool],
     ) -> Vec<f32> {
-        let mats = match product {
-            Product::Single => &mats[..1],
-            Product::Dense | Product::Masked | Product::Batch(_) => mats,
-        };
         let refs: Vec<&Matrix> = mats.iter().collect();
         let fused = FusedGates::pack_sorted(&refs, precision, key);
         let (total, rows) = (fused.total_rows(), fused.rows());
-        let mut out = vec![0.0; total];
+        let mut out = vec![f32::NAN; total];
         match product {
-            Product::Single => fused.gate_gemv_into(0, x.as_slice(), &mut out),
+            Product::Single => {
+                for (g, section) in out.chunks_mut(rows).enumerate() {
+                    fused.gate_gemv_into(g, x.as_slice(), section);
+                }
+            }
             Product::Dense => fused.gemv_into(x.as_slice(), &mut out),
             Product::Masked => {
                 fused.gemv_masked_prefix_into(mats.len(), x.as_slice(), mask, -3.0, &mut out)
             }
             Product::Batch(n) => {
                 out = vec![f32::NAN; n * total];
-                fused.gemv_batch_with(&columns(x, n), |i, g, slab_rows, vals| {
-                    for (&r, &v) in slab_rows.iter().zip(vals) {
-                        out[i * total + g * rows + r] = v;
-                    }
-                });
+                fused.gemv_batch_into(&columns(x, n), &mut out);
             }
         }
         out
@@ -363,18 +361,13 @@ mod tests {
         x: &Vector,
         mask: &[bool],
     ) -> Vec<f32> {
-        let gates = if matches!(product, Product::Single) {
-            1
-        } else {
-            mats.len()
-        };
         let xs = match product {
             Product::Batch(n) => columns(x, n),
             Product::Single | Product::Dense | Product::Masked => vec![x.clone()],
         };
         xs.iter()
             .flat_map(|x| {
-                mats[..gates].iter().flat_map(move |m| {
+                mats.iter().flat_map(move |m| {
                     let m = precision.apply(m);
                     match product {
                         Product::Masked => crate::gemm::sgemv_masked_reference(&m, x, mask, -3.0),

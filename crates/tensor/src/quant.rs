@@ -388,13 +388,9 @@ mod tests {
             let refs: Vec<&Matrix> = mats.iter().collect();
             let quant = FusedGates::pack(&refs, precision);
             let xs: Vec<Vector> = (0..3).map(|i| pseudo_vector(9, 40 + i)).collect();
-            let mut outs = vec![vec![0.0f32; 4 * 17]; xs.len()];
-            quant.gemv_batch_with(&xs, |i, g, rows, vals| {
-                for (&r, &v) in rows.iter().zip(vals) {
-                    outs[i][g * 17 + r] = v;
-                }
-            });
-            for (x, got) in xs.iter().zip(&outs) {
+            let mut outs = vec![f32::NAN; xs.len() * 4 * 17];
+            quant.gemv_batch_into(&xs, &mut outs);
+            for (x, got) in xs.iter().zip(outs.chunks(4 * 17)) {
                 let mut single = vec![0.0f32; 4 * 17];
                 quant.gemv_into(x.as_slice(), &mut single);
                 let bits = |v: &[f32]| v.iter().map(|f| f.to_bits()).collect::<Vec<u32>>();

@@ -148,11 +148,7 @@ fn ordered_dense_products_bit_identical_to_reference() {
                     let mut dense = vec![f32::NAN; GATES * rows];
                     slab.gemv_into(x.as_slice(), &mut dense);
                     let mut batch = vec![f32::NAN; GATES * rows];
-                    slab.gemv_batch_with(std::slice::from_ref(&x), |_, g, slab_rows, vals| {
-                        for (&r, &v) in slab_rows.iter().zip(vals) {
-                            batch[g * rows + r] = v;
-                        }
-                    });
+                    slab.gemv_batch_into(std::slice::from_ref(&x), &mut batch);
                     let mut single = vec![f32::NAN; rows];
                     for (g, want) in want.iter().enumerate() {
                         let section = g * rows..(g + 1) * rows;
@@ -185,13 +181,9 @@ fn column_blocked_batch_bit_identical(
         let xs: Vec<Vector> = (0..n)
             .map(|_| Vector::from_fn(cols, |_| rng.gen_range(-1.0f32..1.0)))
             .collect();
-        let mut got = vec![vec![f32::NAN; GATES * rows]; n];
-        slab.gemv_batch_with(&xs, |i, g, slab_rows, vals| {
-            for (&r, &v) in slab_rows.iter().zip(vals) {
-                got[i][g * rows + r] = v;
-            }
-        });
-        for (i, (x, got)) in xs.iter().zip(&got).enumerate() {
+        let mut got = vec![f32::NAN; n * GATES * rows];
+        slab.gemv_batch_into(&xs, &mut got);
+        for (i, (x, got)) in xs.iter().zip(got.chunks(GATES * rows)).enumerate() {
             for (g, m) in rounded.iter().enumerate() {
                 assert_bits(
                     &got[g * rows..(g + 1) * rows],

@@ -6,12 +6,18 @@
 //! that is accepted and then never resolves. A probe holding NaN or ±inf
 //! is `Error::NonFiniteProbe` at `compile`, naming its step and element,
 //! and such an input sequence is `Error::NonFiniteInput` at the execution
-//! entry points instead of a request served NaN logits.
+//! entry points instead of a request served NaN logits. An optimizer
+//! configuration whose enabled level cannot run (a zero tissue size, a
+//! NaN or infinite threshold) is `Error::InvalidOptimizerConfig` at
+//! `compile` and `compile_gru_drs` instead of a scheduler panic or a
+//! level that silently compiles away.
 
 use gpu_sim::DeviceModel;
+use lstm::gru_exec::GruNetwork;
 use lstm::plan::ExecutionPlan;
 use memlstm::compile::compile;
 use memlstm::exec::profile_plan;
+use memlstm::gru_drs::compile_gru_drs;
 use memlstm::prelude::*;
 use memlstm::relevance::RelevanceAnalyzer;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -313,5 +319,61 @@ fn execution_entry_points_reject_non_finite_inputs() {
                 .collect();
             assert_eq!(ids, [2], "FleetEngine::drain, {ctx}");
         }
+    }
+}
+
+#[test]
+fn compile_rejects_an_unusable_optimizer_config() {
+    let device = DeviceModel::default_preset();
+    let (net, xs) = setup(2);
+    let predictors = NetworkPredictors::zeros(&net);
+    let analyzers: Vec<RelevanceAnalyzer> =
+        net.layers().iter().map(RelevanceAnalyzer::new).collect();
+    let drs = |alpha_intra| DrsConfig {
+        alpha_intra,
+        mode: DrsMode::Hardware,
+    };
+    let invalid = |field, reason| Error::InvalidOptimizerConfig { field, reason };
+    let finite = "must be finite";
+    let mut rows = vec![(
+        "inter with mts 0".to_owned(),
+        OptimizerConfig::builder()
+            .alpha_inter(1.0)
+            .max_tissue_size(0)
+            .build(),
+        invalid("mts", "must be nonzero with the inter-cell level"),
+    )];
+    for alpha in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+        rows.push((
+            format!("alpha_inter {alpha}"),
+            OptimizerConfig::builder()
+                .alpha_inter(alpha)
+                .max_tissue_size(3)
+                .build(),
+            invalid("alpha_inter", finite),
+        ));
+    }
+    for alpha in [f32::NAN, f32::INFINITY, f32::NEG_INFINITY] {
+        rows.push((
+            format!("alpha_intra {alpha}"),
+            OptimizerConfig::builder().drs(drs(alpha)).build(),
+            invalid("alpha_intra", finite),
+        ));
+    }
+    let probes = [xs];
+    for (name, config, err) in &rows {
+        let got = guarded(|| {
+            compile(&net, &predictors, &analyzers, config, &probes, &device).map(|_| ())
+        });
+        assert_eq!(got, Ok(Err(err.clone())), "compile, {name}");
+    }
+    let gru = GruNetwork::random(INPUT, 16, 2, 3, &mut seeded_rng(4));
+    for alpha in [f32::NAN, f32::INFINITY, f32::NEG_INFINITY] {
+        let got = guarded(|| compile_gru_drs(&gru, drs(alpha), SEQ, &device).map(|_| ()));
+        assert_eq!(
+            got,
+            Ok(Err(invalid("alpha_intra", finite))),
+            "compile_gru_drs, alpha_intra {alpha}"
+        );
     }
 }
