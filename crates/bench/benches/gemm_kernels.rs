@@ -27,6 +27,13 @@
 //!   stores it: one `gemv_into` per lane, as a lane-by-lane tissue step
 //!   runs it, versus the one lockstep walk of a dense tissue step, both
 //!   per lane;
+//! * batched masked — the traced masked `f, i, c` product on every layer's
+//!   `b_o`-ordered slab, the traced cells taken `n` at a time as the
+//!   columns of a DRS tissue or gang: the column-blocked masked walk
+//!   (`gemv_masked_prefix_into` over `n` columns, each under its own
+//!   mask) versus one single-column call per column, both per column, at
+//!   1, 2, 4 and 8 columns, with the share of panels the union of each
+//!   batch's masks still skips;
 //! * elementwise — the cell's elementwise pass after its products (Eqs.
 //!   1–5 from the gate pre-activations' addends): the output gate and the
 //!   state pass of a dense LSTM step (`tensor::activation`'s
@@ -46,6 +53,7 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use lstm::drs::trivial_row_mask_into;
 use lstm::CellScratch;
 use std::hint::black_box;
+use std::slice;
 use tensor::activation::{lstm_state_into, sigmoid_gate_into, GateRows};
 use tensor::gemm::sgemv;
 use tensor::packed::MR;
@@ -88,6 +96,9 @@ const WX_COLUMNS: usize = 86;
 const LANES_HIDDEN: usize = 256;
 const LANES: [usize; 5] = [1, 2, 3, 4, 8];
 
+/// Column counts of the batched masked comparison.
+const MASKED_BATCH_COLUMNS: [usize; 4] = [1, 2, 4, 8];
+
 /// Hidden sizes of the dense elementwise rows, and the hidden size and
 /// skip ratio of the masked one.
 const ELEMENTWISE_HIDDEN: [usize; 3] = [128, 256, 512];
@@ -111,7 +122,7 @@ fn pack_one(a: &Matrix) -> FusedGates {
 /// The packed product `a * x` into a fresh vector, like `sgemv`.
 fn packed_gemv(packed: &FusedGates, x: &Vector) -> Vector {
     let mut y = Vector::zeros(packed.rows());
-    packed.gate_gemv_into(0, x.as_slice(), y.as_mut_slice());
+    packed.gate_gemv_into(0, &[x], y.as_mut_slice());
     y
 }
 
@@ -180,7 +191,7 @@ fn bench_fused(c: &mut Criterion) {
         // launches before we time either side.
         fused.gemv_into(x.as_slice(), &mut slab);
         for (g, p) in singles.iter().enumerate() {
-            p.gate_gemv_into(0, x.as_slice(), &mut unfused[g * h..(g + 1) * h]);
+            p.gate_gemv_into(0, &[&x], &mut unfused[g * h..(g + 1) * h]);
         }
         assert_eq!(slab, unfused);
         group.bench_with_input(
@@ -189,7 +200,7 @@ fn bench_fused(c: &mut Criterion) {
             |b, _| {
                 b.iter(|| {
                     for (g, p) in singles.iter().enumerate() {
-                        p.gate_gemv_into(0, x.as_slice(), &mut unfused[g * h..(g + 1) * h]);
+                        p.gate_gemv_into(0, &[&x], &mut unfused[g * h..(g + 1) * h]);
                     }
                     black_box(&mut unfused);
                 })
@@ -222,7 +233,7 @@ fn bench_masked_fused(c: &mut Criterion) {
     for &ratio in &SKIP_RATIOS {
         let mask = skip_mask(h, ratio);
         // Every active row must equal the dense product's before we time.
-        fused.gemv_masked_prefix_into(MASKED_FUSED_GATES, x.as_slice(), &mask, 0.0, &mut masked);
+        fused.gemv_masked_prefix_into(MASKED_FUSED_GATES, &[&x], &[&mask], 0.0, &mut masked);
         for (i, (m, d)) in masked.iter().zip(&dense).enumerate() {
             if mask[i % h] {
                 assert_eq!(m.to_bits(), d.to_bits(), "masked row {i}");
@@ -235,8 +246,8 @@ fn bench_masked_fused(c: &mut Criterion) {
                 b.iter(|| {
                     fused.gemv_masked_prefix_into(
                         MASKED_FUSED_GATES,
-                        x.as_slice(),
-                        &mask,
+                        &[&x],
+                        &[&mask],
                         0.0,
                         &mut masked,
                     );
@@ -302,7 +313,13 @@ impl MaskTrace {
                     let mut h_prev = Vector::zeros(cell.hidden());
                     let columns = wx.chunks_exact(4 * cell.hidden());
                     for (pre, h) in columns.zip(&fwd.layer_hs[l]) {
-                        cell.output_gate_into(Precision::Fp32, pre, &h_prev, &mut scratch, &mut o);
+                        cell.output_gate_into(
+                            Precision::Fp32,
+                            [pre],
+                            slice::from_ref(&h_prev),
+                            &mut scratch,
+                            slice::from_mut(&mut o),
+                        );
                         let mut mask = Vec::new();
                         trivial_row_mask_into(&o, TRACE_ALPHA_INTRA, &mut mask);
                         cells.push((std::mem::replace(&mut h_prev, h.clone()), mask));
@@ -321,7 +338,7 @@ impl MaskTrace {
     /// The masked `f, i, c` product of every traced cell on `slab`.
     fn replay(&self, slab: &FusedGates, out: &mut [f32]) {
         for (h, mask) in &self.cells {
-            slab.gemv_masked_prefix_into(MASKED_FUSED_GATES, h.as_slice(), mask, 0.0, out);
+            slab.gemv_masked_prefix_into(MASKED_FUSED_GATES, &[h], &[mask], 0.0, out);
         }
     }
 
@@ -357,23 +374,122 @@ impl MaskTrace {
         let rows = MASKED_FUSED_GATES * self.natural.rows();
         let (mut a, mut b) = (vec![0.0f32; rows], vec![0.0f32; rows]);
         for (h, mask) in &self.cells {
-            self.natural.gemv_masked_prefix_into(
-                MASKED_FUSED_GATES,
-                h.as_slice(),
-                mask,
-                0.0,
-                &mut a,
-            );
-            self.ordered.gemv_masked_prefix_into(
-                MASKED_FUSED_GATES,
-                h.as_slice(),
-                mask,
-                0.0,
-                &mut b,
-            );
+            self.natural
+                .gemv_masked_prefix_into(MASKED_FUSED_GATES, &[h], &[mask], 0.0, &mut a);
+            self.ordered
+                .gemv_masked_prefix_into(MASKED_FUSED_GATES, &[h], &[mask], 0.0, &mut b);
             assert_eq!(a, b, "natural and ordered slabs diverged");
         }
     }
+}
+
+/// One layer's traced cells on its `b_o`-ordered slab, split into the
+/// columns and masks a batched masked product takes.
+struct BatchTrace {
+    slab: FusedGates,
+    hs: Vec<Vector>,
+    masks: Vec<Vec<bool>>,
+}
+
+impl BatchTrace {
+    /// Every layer's trace of BABI's harness model.
+    fn record() -> Vec<BatchTrace> {
+        MaskTrace::record()
+            .into_iter()
+            .map(|trace| {
+                let (hs, masks) = trace.cells.into_iter().unzip();
+                BatchTrace {
+                    slab: trace.ordered,
+                    hs,
+                    masks,
+                }
+            })
+            .collect()
+    }
+
+    /// The traced cells `n` at a time, as columns and their masks.
+    fn batches(&self, n: usize) -> impl Iterator<Item = (&[Vector], &[Vec<bool>])> {
+        self.hs.chunks(n).zip(self.masks.chunks(n))
+    }
+
+    /// One batch's masked `f, i, c` product into its column blocks of
+    /// `out`: one column-blocked walk (`walk`), or one single-column call
+    /// per column.
+    fn product(&self, hs: &[Vector], masks: &[Vec<bool>], walk: bool, out: &mut [f32]) {
+        let block = MASKED_FUSED_GATES * self.slab.rows();
+        let out = &mut out[..hs.len() * block];
+        if walk {
+            self.slab
+                .gemv_masked_prefix_into(MASKED_FUSED_GATES, hs, masks, 0.0, out);
+        } else {
+            for ((h, mask), out) in hs.iter().zip(masks).zip(out.chunks_mut(block)) {
+                self.slab
+                    .gemv_masked_prefix_into(MASKED_FUSED_GATES, &[h], &[mask], 0.0, out);
+            }
+        }
+    }
+
+    /// Every batch of `n` traced cells through [`product`](Self::product).
+    fn replay(&self, n: usize, walk: bool, out: &mut [f32]) {
+        for (hs, masks) in self.batches(n) {
+            self.product(hs, masks, walk, out);
+        }
+    }
+
+    /// Both forms of every batch agree bitwise.
+    fn assert_walk_agrees(&self, n: usize) {
+        let len = n * MASKED_FUSED_GATES * self.slab.rows();
+        let (mut a, mut b) = (vec![0.0f32; len], vec![0.0f32; len]);
+        for (k, (hs, masks)) in self.batches(n).enumerate() {
+            self.product(hs, masks, true, &mut a);
+            self.product(hs, masks, false, &mut b);
+            assert_eq!(a, b, "masked walk diverged at {n} columns, batch {k}");
+        }
+    }
+
+    /// Panels per gate, and how many of them the union of each `n`-cell
+    /// batch's masks leaves without an active row, summed over batches.
+    fn union_skippable(&self, n: usize) -> (usize, usize) {
+        let panels = self.slab.row_order().chunks(MR);
+        let skipped = self
+            .batches(n)
+            .map(|(_, masks)| {
+                panels
+                    .clone()
+                    .filter(|rows| rows.iter().all(|&r| masks.iter().all(|m| !m[r])))
+                    .count()
+            })
+            .sum();
+        (self.masks.chunks(n).len() * panels.len(), skipped)
+    }
+}
+
+/// Replays every layer's trace, `n` cells per call.
+fn replay_layers(traces: &[BatchTrace], n: usize, walk: bool, out: &mut [f32]) {
+    for trace in traces {
+        trace.replay(n, walk, out);
+    }
+}
+
+fn bench_masked_batch(c: &mut Criterion) {
+    let traces = BatchTrace::record();
+    let hidden = traces[0].slab.rows();
+    let mut out = vec![0.0f32; 8 * MASKED_FUSED_GATES * hidden];
+    let mut group = c.benchmark_group("masked_batch");
+    group.sample_size(20);
+    for n in MASKED_BATCH_COLUMNS {
+        for trace in &traces {
+            trace.assert_walk_agrees(n);
+        }
+        for (name, walk) in [("per_column", false), ("walk", true)] {
+            group.bench_with_input(
+                BenchmarkId::new(name, format!("H{hidden}xB{n}")),
+                &(),
+                |b, _| b.iter(|| replay_layers(&traces, n, walk, black_box(&mut out))),
+            );
+        }
+    }
+    group.finish();
 }
 
 /// The BABI-shaped `W_{f,i,c,o}` slab and one sequence's input columns.
@@ -561,6 +677,7 @@ fn bench_gemm_kernels(c: &mut Criterion) {
     bench_pack(c);
     bench_wx_batch(c);
     bench_lanes_batch(c);
+    bench_masked_batch(c);
     bench_elementwise(c);
     if c.is_measuring() {
         emit_json();
@@ -655,7 +772,7 @@ fn emit_json() {
         let per_gate = time(&|| {
             let mut slab = slab.borrow_mut();
             for (g, p) in singles.iter().enumerate() {
-                p.gate_gemv_into(0, x.as_slice(), &mut slab[g * h..(g + 1) * h]);
+                p.gate_gemv_into(0, &[&x], &mut slab[g * h..(g + 1) * h]);
             }
             black_box(&mut *slab);
         });
@@ -687,8 +804,8 @@ fn emit_json() {
             let mut slab = slab.borrow_mut();
             fused.gemv_masked_prefix_into(
                 MASKED_FUSED_GATES,
-                x.as_slice(),
-                &mask,
+                &[&x],
+                &[&mask],
                 0.0,
                 &mut slab[..MASKED_FUSED_GATES * h],
             );
@@ -796,6 +913,52 @@ fn emit_json() {
             )
         })
         .collect();
+    let traces = BatchTrace::record();
+    let (hidden, cells) = (
+        traces[0].slab.rows(),
+        traces.iter().map(|t| t.hs.len()).sum(),
+    );
+    let out = std::cell::RefCell::new(vec![0.0f32; 8 * MASKED_FUSED_GATES * hidden]);
+    let skip_fraction = {
+        let skipped: usize = traces
+            .iter()
+            .flat_map(|t| &t.masks)
+            .map(|m| m.iter().filter(|&&a| !a).count())
+            .sum();
+        skipped as f64 / (cells * hidden) as f64
+    };
+    let masked_batch: Vec<String> = MASKED_BATCH_COLUMNS
+        .iter()
+        .map(|&n| {
+            for trace in &traces {
+                trace.assert_walk_agrees(n);
+            }
+            let (panels, skipped) = traces
+                .iter()
+                .map(|t| t.union_skippable(n))
+                .fold((0, 0), |(p, s), (tp, ts)| (p + tp, s + ts));
+            // One rep replays every layer's trace once; read per column.
+            let replay = |walk: bool| {
+                Spread::measure(REPS, 1, &|| {
+                    let mut out = out.borrow_mut();
+                    replay_layers(&traces, n, walk, &mut out);
+                    black_box(&mut *out);
+                })
+                .per(cells)
+            };
+            let (per_column, walk) = (replay(false), replay(true));
+            format!(
+                "    {{\"hidden\": {hidden}, \"masked_gates\": {MASKED_FUSED_GATES}, \
+                 \"columns\": {n}, \"cells\": {cells}, \"skip_fraction\": {skip_fraction:.3}, \
+                 \"skippable_panels_union\": {:.3}, \"per_column_s\": {}, \"walk_s\": {}, \
+                 \"speedup\": {:.3}}}",
+                skipped as f64 / panels as f64,
+                per_column.json(),
+                walk.json(),
+                per_column.median / walk.median
+            )
+        })
+        .collect();
     // A pass is a few microseconds: read as a min over more reps.
     let mut elementwise: Vec<String> = ELEMENTWISE_HIDDEN
         .iter()
@@ -833,7 +996,7 @@ fn emit_json() {
          \"fused_gates\": [\n{}\n  ],\n  \"masked_fused\": [\n{}\n  ],\n  \
          \"masked_fused_trace\": [\n{}\n  ],\n  \"pack\": [\n{}\n  ],\n  \
          \"wx_batch\": [\n{}\n  ],\n  \"lanes_batch\": [\n{}\n  ],\n  \
-         \"elementwise\": [\n{}\n  ]\n}}\n",
+         \"masked_batch\": [\n{}\n  ],\n  \"elementwise\": [\n{}\n  ]\n}}\n",
         dense.join(",\n"),
         fused_rows.join(",\n"),
         masked_fused.join(",\n"),
@@ -841,6 +1004,7 @@ fn emit_json() {
         pack_rows.join(",\n"),
         wx_batch,
         lanes_batch.join(",\n"),
+        masked_batch.join(",\n"),
         elementwise.join(",\n"),
     );
     let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_gemm.json");

@@ -26,7 +26,9 @@
 //!   and on the combined plan of multi-cell DRS tissues, so the tissue
 //!   walk's recycled columns (one per lane per cell: hidden states,
 //!   products, hoisted gates and masks) grow to the largest tissue and
-//!   are then reused. Each gang size keeps its own output vector, as the
+//!   are then reused. A DRS tissue's columns run the batched hoisted
+//!   gate and the column-blocked masked walk, whose products share one
+//!   recycled slab. Each gang size keeps its own output vector, as the
 //!   audit is of the runtime.
 //!
 //! A plain run writes `BENCH_alloc.json` at the repo root, the committed

@@ -17,8 +17,8 @@
 //! the offline search/link kernels — whatever flow produced it: the
 //! per-cell flows are one-cell tissues. The walk reaches the cell math
 //! only through the crate-private `RecurrentCell` operations (batched
-//! `W·x` into one gate-major buffer per lane, hoisted gate, the batched
-//! dense step, masked step), so a GRU layer runs the same loop with
+//! `W·x` into one gate-major buffer per lane, the batched hoisted gates,
+//! the batched dense and masked steps), so a GRU layer runs the same loop with
 //! `z_t` hoisted where the LSTM hoists `o_t`. Sequences are independent,
 //! so interchanging the timestep and lane loops cannot change any value:
 //! every lane's output is **bit-identical** to running that sequence
@@ -35,9 +35,14 @@
 //! weight panel once per four columns (`FusedGates::gemv_batch_into`) —
 //! and each column then runs its own elementwise pass. A GRU step does
 //! not split (its `U_h` multiplies `r ⊙ h`), so it runs whole per column.
-//! A DRS tissue's product pass computes each column's hoisted gate and
-//! mask into column slots, which price its masked kernel, and each
-//! column's masked product then skips its own panels. The kernel stream
+//! A DRS tissue's product pass is column-blocked too, as the device runs
+//! it: one walk over the hoisted gate's panels for every column, each
+//! column's mask into the column slots that price its masked kernel,
+//! then one masked walk that loads a panel once for every column with
+//! an active row there; each column then runs its masked elementwise
+//! pass. The GRU's masked step does not split either, so it runs whole
+//! per column. The offline phase runs one layer of such a gang at a time
+//! without kernels ([`PlanRuntime::layer_numerics`]). The kernel stream
 //! does not see the columns: B lanes emit one batched kernel per planned
 //! kernel, priced by [`batch_kernel_into`] with amortized weight traffic,
 //! and a single lane emits the planned descriptors as they are.
@@ -55,7 +60,7 @@ use crate::regions::{NetworkRegions, RegionAllocator};
 use crate::workspace::{SharedScratch, Walk};
 use gpu_sim::{KernelDesc, KernelKind, SpanTag};
 use std::fmt::Write as _;
-use std::{mem, slice};
+use std::slice;
 use tensor::{Precision, Vector};
 
 /// The batched runtime's name from before solo and batched execution
@@ -116,9 +121,10 @@ fn push_batch_suffix(label: &mut String, batch: usize) {
 
 /// The kernel side of a B-lane run: forwards every planned kernel to the
 /// caller's sink in its batched form, with batch-tagged spans. One lane
-/// forwards the planned descriptors themselves, uncopied.
+/// forwards the planned descriptors themselves, uncopied. Without a sink
+/// (a numerics-only run) every kernel is dropped unbuilt.
 struct LaneSink<'a, K> {
-    inner: &'a mut K,
+    inner: Option<&'a mut K>,
     lanes: usize,
     regions: &'a NetworkRegions,
     batched: &'a mut KernelDesc,
@@ -130,7 +136,7 @@ impl<'a, K: KernelSink> LaneSink<'a, K> {
     /// Borrows the descriptor scratch out of `shared`, handing back the
     /// tissue walk's state.
     fn new(
-        inner: &'a mut K,
+        inner: Option<&'a mut K>,
         lanes: usize,
         regions: &'a NetworkRegions,
         shared: &'a mut SharedScratch,
@@ -152,32 +158,46 @@ impl<'a, K: KernelSink> LaneSink<'a, K> {
         (sink, walk)
     }
 
+    /// The caller's sink of a priced run.
+    fn inner(&mut self) -> &mut K {
+        self.inner.as_deref_mut().expect("a priced run has a sink")
+    }
+
     fn tag(&mut self, tag: SpanTag) {
+        let Some(inner) = self.inner.as_deref_mut() else {
+            return;
+        };
         let tag = if self.lanes > 1 {
             tag.with_batch(self.lanes)
         } else {
             tag
         };
-        self.inner.tag(tag);
+        inner.tag(tag);
     }
 
     fn emit(&mut self, planned: &KernelDesc) {
+        let Some(inner) = self.inner.as_deref_mut() else {
+            return;
+        };
         if self.lanes == 1 {
-            self.inner.emit(planned);
+            inner.emit(planned);
         } else {
             batch_kernel_into(planned, self.lanes, self.regions, self.batched);
-            self.inner.emit(self.batched);
+            inner.emit(self.batched);
         }
     }
 
     /// Prices `template` over every column's mask (lane-major) and emits
     /// it.
     fn emit_masked(&mut self, template: &MaskedUKernel, masks: &[Vec<bool>]) {
+        let Some(inner) = self.inner.as_deref_mut() else {
+            return;
+        };
         template.instantiate_into(masks, self.lanes, self.union, self.masked);
         if self.lanes > 1 {
             push_batch_suffix(&mut self.masked.label, self.lanes);
         }
-        self.inner.emit(self.masked);
+        inner.emit(self.masked);
     }
 }
 
@@ -197,15 +217,17 @@ pub(crate) trait RecurrentCell {
     /// buffer, one gate-major column of `GATES * width` values per input.
     fn wx_into(&self, precision: Precision, xs: &[Vector], out: &mut Vec<f32>);
 
-    /// The hoisted gate Dynamic Row Skip masks on: the LSTM's `o_t`, the
-    /// GRU's `z_t`.
-    fn hoisted_gate_into(
+    /// The hoisted gates Dynamic Row Skip masks on — the LSTM's `o_t`,
+    /// the GRU's `z_t` — of independent cells, one column per
+    /// `h_prev[j]` into `out[j]`: one dense walk over that gate's panels
+    /// for every column. `wx` yields each column's gate-major `W·x` terms.
+    fn hoisted_gates_into<'a>(
         &self,
         precision: Precision,
-        wx: &[f32],
-        h_prev: &Vector,
+        wx: impl IntoIterator<Item = &'a [f32]>,
+        h_prev: &[Vector],
         scratch: &mut CellScratch,
-        out: &mut Vector,
+        out: &mut [Vector],
     );
 
     /// The batched half of the exact steps of independent cells, one
@@ -232,11 +254,29 @@ pub(crate) trait RecurrentCell {
         c_out: &mut Vector,
     );
 
-    /// One masked step on the hoisted `gate` and its `active` rows.
+    /// The batched half of the masked steps of independent cells, column
+    /// `j` on `h_prev[j]` under its own row mask `masks[j]`: the masked
+    /// recurrent products every column needs before its elementwise pass,
+    /// into `uh`. A cell whose masked step does not split leaves `uh`
+    /// alone and runs its whole step in
+    /// [`masked_step_into`](Self::masked_step_into).
+    fn masked_products_into(
+        &self,
+        precision: Precision,
+        h_prev: &[Vector],
+        masks: &[Vec<bool>],
+        uh: &mut Vec<f32>,
+    );
+
+    /// Column `j`'s masked step on its hoisted `gate` and its `active`
+    /// rows, after [`masked_products_into`](Self::masked_products_into)
+    /// filled `uh`.
     #[allow(clippy::too_many_arguments)]
     fn masked_step_into(
         &self,
         precision: Precision,
+        uh: &[f32],
+        j: usize,
         wx: &[f32],
         h_prev: &Vector,
         c_prev: &Vector,
@@ -259,13 +299,13 @@ impl RecurrentCell for CellWeights {
         self.precompute_wx_batch_into(precision, xs, out);
     }
 
-    fn hoisted_gate_into(
+    fn hoisted_gates_into<'a>(
         &self,
         precision: Precision,
-        wx: &[f32],
-        h_prev: &Vector,
+        wx: impl IntoIterator<Item = &'a [f32]>,
+        h_prev: &[Vector],
         scratch: &mut CellScratch,
-        out: &mut Vector,
+        out: &mut [Vector],
     ) {
         self.output_gate_into(precision, wx, h_prev, scratch, out);
     }
@@ -290,21 +330,33 @@ impl RecurrentCell for CellWeights {
         self.dense_gates_into(wx, &uh[4 * n * j..4 * n * (j + 1)], c_prev, h_out, c_out);
     }
 
-    fn masked_step_into(
+    fn masked_products_into(
         &self,
         precision: Precision,
+        h_prev: &[Vector],
+        masks: &[Vec<bool>],
+        uh: &mut Vec<f32>,
+    ) {
+        self.masked_recurrent_batch_into(precision, h_prev, masks, uh);
+    }
+
+    fn masked_step_into(
+        &self,
+        _precision: Precision,
+        uh: &[f32],
+        j: usize,
         wx: &[f32],
-        h_prev: &Vector,
+        _h_prev: &Vector,
         c_prev: &Vector,
         gate: &Vector,
         active: &[bool],
-        scratch: &mut CellScratch,
+        _scratch: &mut CellScratch,
         h_out: &mut Vector,
         c_out: &mut Vector,
     ) {
-        self.step_masked_into(
-            precision, wx, h_prev, c_prev, gate, active, scratch, h_out, c_out,
-        );
+        let n = self.hidden();
+        let uh = &uh[3 * n * j..3 * n * (j + 1)];
+        self.masked_gates_into(wx, uh, c_prev, gate, active, h_out, c_out);
     }
 }
 
@@ -319,13 +371,13 @@ impl RecurrentCell for GruWeights {
         self.precompute_wx_batch_into(precision, xs, out);
     }
 
-    fn hoisted_gate_into(
+    fn hoisted_gates_into<'a>(
         &self,
         precision: Precision,
-        wx: &[f32],
-        h_prev: &Vector,
+        wx: impl IntoIterator<Item = &'a [f32]>,
+        h_prev: &[Vector],
         scratch: &mut CellScratch,
-        out: &mut Vector,
+        out: &mut [Vector],
     ) {
         self.update_gate_into(precision, wx, h_prev, scratch, out);
     }
@@ -349,9 +401,23 @@ impl RecurrentCell for GruWeights {
         self.step_into(precision, wx, h_prev, scratch, h_out);
     }
 
+    /// `U_h` applies to `r ⊙ h`, and `r` needs the masked `U_r·h`
+    /// first, so a masked GRU step does not split either: every column
+    /// runs its whole step.
+    fn masked_products_into(
+        &self,
+        _precision: Precision,
+        _h_prev: &[Vector],
+        _masks: &[Vec<bool>],
+        _uh: &mut Vec<f32>,
+    ) {
+    }
+
     fn masked_step_into(
         &self,
         precision: Precision,
+        _uh: &[f32],
+        _j: usize,
         wx: &[f32],
         h_prev: &Vector,
         _c_prev: &Vector,
@@ -494,42 +560,49 @@ impl PlanRuntime {
         );
     }
 
-    /// Executes one planned LSTM layer on one sequence *numerically
-    /// only* — no kernels, no skip accounting — with the gate packs
-    /// stored at `precision`. Plan compilers use this to advance their
-    /// probe sequences through already-planned layers with the exact
-    /// arithmetic the runtime will use (`wx` must be the sequence's
-    /// gate-major terms from [`CellWeights::precompute_wx_batch_into`] at
-    /// the same tier).
-    pub fn layer_numerics(
-        &mut self,
+    /// Executes one planned LSTM layer on a gang of lanes *numerically
+    /// only* — no kernel is built and no skip statistics are returned —
+    /// with the gate packs stored at `precision`: lane `s` runs on `wx[s]`, its sequence's gate-major
+    /// `W·x` terms from [`CellWeights::precompute_wx_batch_into`] at the
+    /// same tier. The lanes run in lockstep on the same tissue walk as
+    /// [`run_lstm_batch`](Self::run_lstm_batch), so each lane is
+    /// bit-identical to running its sequence alone. The offline phase
+    /// advances its sequences through this, gang by gang.
+    ///
+    /// Returns each lane's hidden and cell-state sequences, in lane
+    /// order, lent from the runtime's own buffers until its next run.
+    ///
+    /// # Panics
+    /// Panics if `wx` is empty or its lanes differ in length.
+    pub fn layer_numerics<'a, W: AsRef<[f32]>>(
+        &'a mut self,
         precision: Precision,
         layer: &LayerPlan,
         weights: &CellWeights,
-        wx: &[f32],
-    ) -> Vec<Vector> {
-        self.reserve_lanes(1);
-        let mut out = PlanOutput {
-            layer_hs: vec![Vec::new()],
-            layer_skips: vec![SkipStats::default()],
-            ..PlanOutput::new()
-        };
-        // One lane never batches, so the regions are never consulted.
+        wx: &[W],
+    ) -> impl ExactSizeIterator<Item = (&'a [Vector], &'a [Vector])> + 'a {
+        let b = wx.len();
+        assert!(b > 0, "PlanRuntime::layer_numerics: empty gang");
+        self.reserve_lanes(b);
+        if self.numerics.len() < b {
+            self.numerics.resize_with(b, || PlanOutput {
+                layer_hs: vec![Vec::new()],
+                layer_skips: vec![SkipStats::default()],
+                ..PlanOutput::new()
+            });
+        }
+        // Without a sink no kernel is built, so the regions are never
+        // consulted.
         let regions = NetworkRegions::allocate(&mut RegionAllocator::new(), 0);
-        let mut null = NullSink;
-        let (mut sink, walk) = LaneSink::new(&mut null, 1, &regions, &mut self.shared);
+        let (mut sink, walk) = LaneSink::new(None::<&mut NullSink>, b, &regions, &mut self.shared);
+        let (c_slots, outs) = (&mut self.c_slots[..b], &mut self.numerics[..b]);
         execute_body_into(
-            0,
-            precision,
-            layer,
-            weights,
-            slice::from_ref(&wx),
-            &mut self.c_slots[..1],
-            walk,
-            &mut sink,
-            slice::from_mut(&mut out),
+            0, precision, layer, weights, wx, c_slots, walk, &mut sink, outs,
         );
-        mem::take(&mut out.layer_hs[0])
+        let hs = self.numerics[..b]
+            .iter()
+            .map(|out| out.layer_hs[0].as_slice());
+        hs.zip(self.c_slots[..b].iter().map(Vec::as_slice))
     }
 
     /// The LSTM entries' half of the run loop: the plan must hold LSTM
@@ -593,9 +666,9 @@ impl PlanRuntime {
                 .resize(layer_plans.len(), SkipStats::default());
         }
         let (wx, c_slots) = (&mut self.wx[..b], &mut self.c_slots[..b]);
-        let (mut sink, walk) = LaneSink::new(sink, b, &plan.regions, &mut self.shared);
+        let (mut sink, walk) = LaneSink::new(Some(sink), b, &plan.regions, &mut self.shared);
         for (l, (lp, cell)) in layer_plans.iter().zip(cells).enumerate() {
-            sink.inner.begin_layer(l);
+            sink.inner().begin_layer(l);
             sink.tag(SpanTag::wx(l));
             sink.emit(&lp.wx);
             for (s, wx_s) in wx.iter_mut().enumerate() {
@@ -618,7 +691,7 @@ impl PlanRuntime {
                 outs,
             );
         }
-        sink.inner.begin_tail();
+        sink.inner().begin_tail();
         sink.tag(SpanTag::head());
         sink.emit(&plan.head);
         for out in outs.iter_mut() {
@@ -742,9 +815,11 @@ fn prev_state<'a>(
 /// 1. each column's `h_{t-1}` is copied into `walk.h_prev`;
 /// 2. the product pass: a plain tissue runs one batched product over
 ///    every column ([`RecurrentCell::dense_products_into`], for the LSTM
-///    one walk over the `U` slab); a DRS tissue computes each column's
-///    hoisted gate, its mask and its skip fraction into the column slots
-///    its masked kernel is priced from;
+///    one walk over the `U` slab); a DRS tissue computes every column's
+///    hoisted gate in one walk ([`RecurrentCell::hoisted_gates_into`]),
+///    each column's mask and skip fraction into the column slots its
+///    masked kernel is priced from, and every column's masked product
+///    in one masked walk ([`RecurrentCell::masked_products_into`]);
 /// 3. each column runs its step — the elementwise pass after the batched
 ///    product, or the masked step on its own mask.
 ///
@@ -814,16 +889,16 @@ fn step_tissue<C: RecurrentCell, W: AsRef<[f32]>, K: KernelSink>(
                 gates.resize_with(columns, || Vector::zeros(0));
                 masks.resize_with(columns, Vec::new);
             }
-            for (s, out) in outs.iter_mut().enumerate() {
-                for (i, &t) in tp.cells.iter().enumerate() {
-                    let j = s * size + i;
-                    let wx = wx_at(s, t);
-                    weights.hoisted_gate_into(precision, wx, &h_prev[j], cell, &mut gates[j]);
-                    trivial_row_mask_into(&gates[j], alpha_intra, &mut masks[j]);
-                    out.layer_skips[layer].push(skip_fraction(&masks[j]));
-                }
+            let (gates, masks) = (&mut gates[..columns], &mut masks[..columns]);
+            let lane_wx = |s| tp.cells.iter().map(move |&t| wx_at(s, t));
+            let column_wx = (0..outs.len()).flat_map(lane_wx);
+            weights.hoisted_gates_into(precision, column_wx, h_prev, cell, gates);
+            for (j, (gate, mask)) in gates.iter().zip(masks.iter_mut()).enumerate() {
+                trivial_row_mask_into(gate, alpha_intra, mask);
+                outs[j / size].layer_skips[layer].push(skip_fraction(mask));
             }
-            sink.emit_masked(masked, &masks[..columns]);
+            weights.masked_products_into(precision, h_prev, masks, uh);
+            sink.emit_masked(masked, masks);
             sink.emit(ew);
             true
         }
@@ -837,6 +912,8 @@ fn step_tissue<C: RecurrentCell, W: AsRef<[f32]>, K: KernelSink>(
             if drs {
                 weights.masked_step_into(
                     precision,
+                    uh,
+                    j,
                     wx_at(s, t),
                     &h_prev[j],
                     c_prev,
@@ -1047,6 +1124,80 @@ mod tests {
                     let batched = runtime.run_lstm_batch(&plan, &net, &seqs[..b], &mut NullSink);
                     for (lane, (out, want)) in batched.iter().zip(&solo).enumerate() {
                         assert_eq!(out, want, "{name} {precision}: lane {lane} of {b}");
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn layer_numerics_lanes_bit_identical_to_solo() {
+        // The offline phase's lane walk: every layer of each plan over
+        // gangs of 1 to 9 lanes on one runtime, each lane's `W·x` from
+        // its sequence's solo run. Each lane's hidden sequence equals the
+        // solo `run_lstm`'s, and its cell states equal that lane run
+        // alone through the walk.
+        let config = ModelConfig::new("test", 12, 24, 2, 8, 3).unwrap();
+        let mut rng = seeded_rng(27);
+        let net = LstmNetwork::random(&config, &mut rng);
+        let seqs: Vec<Vec<Vector>> = (0..9)
+            .map(|_| crate::random_inputs(&config, &mut rng))
+            .collect();
+        let baseline = ExecutionPlan::compile_baseline(&net, 8, &DeviceModel::default_preset());
+        let drs = DrsConfig {
+            alpha_intra: 0.05,
+            mode: crate::drs::DrsMode::Hardware,
+        };
+        let per_cell_drs = per_cell_plan(&baseline, &net, drs);
+        let plans = [
+            ("baseline", baseline.clone()),
+            (
+                "multi-cell DRS",
+                multi_cell_plan(&per_cell_drs, &net, drs.alpha_intra),
+            ),
+            ("per-cell DRS", per_cell_drs),
+        ];
+        let mut runtime = PlanRuntime::new();
+        for (name, plan) in &plans {
+            for precision in Precision::ALL {
+                let plan = plan.clone().with_precision(precision);
+                let PlanBody::Lstm(layers) = &plan.body else {
+                    unreachable!()
+                };
+                let solo: Vec<PlanOutput> = seqs
+                    .iter()
+                    .map(|xs| PlanRuntime::new().run_lstm(&plan, &net, xs, &mut NullSink))
+                    .collect();
+                for (l, (lp, cell)) in layers.iter().zip(net.layers()).enumerate() {
+                    let wx: Vec<Vec<f32>> = seqs
+                        .iter()
+                        .zip(&solo)
+                        .map(|(xs, out)| {
+                            let input = if l == 0 { xs } else { &out.layer_hs[l - 1] };
+                            let mut wx = Vec::new();
+                            cell.precompute_wx_batch_into(precision, input, &mut wx);
+                            wx
+                        })
+                        .collect();
+                    let alone: Vec<Vec<Vector>> = wx
+                        .iter()
+                        .zip(&solo)
+                        .map(|(wx, solo)| {
+                            let mut lanes = runtime.layer_numerics(precision, lp, cell, &[wx]);
+                            let (h, c) = lanes.next().expect("one lane");
+                            assert!(lanes.next().is_none());
+                            assert_eq!(h, solo.layer_hs[l], "{name} {precision}: layer {l}");
+                            c.to_vec()
+                        })
+                        .collect();
+                    for b in 1..=9 {
+                        let lanes = runtime.layer_numerics(precision, lp, cell, &wx[..b]);
+                        assert_eq!(lanes.len(), b);
+                        for (s, (h, c)) in lanes.enumerate() {
+                            let at = format!("{name} {precision}: layer {l}, lane {s} of {b}");
+                            assert_eq!(h, solo[s].layer_hs[l].as_slice(), "{at}: h");
+                            assert_eq!(c, alone[s].as_slice(), "{at}: c");
+                        }
                     }
                 }
             }

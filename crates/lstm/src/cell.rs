@@ -537,30 +537,49 @@ impl CellWeights {
         );
     }
 
-    /// Computes only the output gate `o_t = σ(W_o x + U_o h_{t-1} + b_o)`
-    /// from a step's gate-major `W·x` terms into a recycled buffer, with
-    /// the `U` quartet stored at `precision` (only the `U_o` panels are
-    /// streamed) — Algorithm 3 lines 4–5, executed *before* the
-    /// `U_{f,i,c}` work so the trivial rows can be identified.
-    pub fn output_gate_into(
+    /// The output gates `o_t = σ(W_o x + U_o h_{t-1} + b_o)` of
+    /// independent steps, one column per `h_prev[j]`, with the `U` quartet
+    /// stored at `precision` — Algorithm 3 lines 4–5, executed *before*
+    /// the `U_{f,i,c}` work so the trivial rows can be identified. One
+    /// dense walk over the `U_o` panels alone computes every column's
+    /// product ([`FusedGates::gate_gemv_into`]), loading each panel once
+    /// for up to four columns; then column `j`'s gate goes into the
+    /// recycled `o_out[j]` from its gate-major `W·x` terms, the `j`-th
+    /// item of `wx`. Each column is bit-identical to computing it alone.
+    ///
+    /// # Panics
+    /// Panics if `wx` or `o_out` holds fewer columns than `h_prev`, or any
+    /// `h_prev[j].len() != hidden`.
+    pub fn output_gate_into<'a>(
         &self,
         precision: Precision,
-        wx: &[f32],
-        h_prev: &Vector,
+        wx: impl IntoIterator<Item = &'a [f32]>,
+        h_prev: &[Vector],
         scratch: &mut CellScratch,
-        o_out: &mut Vector,
+        o_out: &mut [Vector],
     ) {
         let n = self.hidden;
-        grow(&mut scratch.slab, 4 * n);
-        self.fused_at(precision).u.gate_gemv_into(
-            GATE_O,
-            h_prev.as_slice(),
-            &mut scratch.slab[GATE_O * n..(GATE_O + 1) * n],
-        );
-        o_out.resize_fill(n, 0.0);
-        sigmoid_gate_into(
-            self.gate_rows([GATE_O], wx, &scratch.slab),
-            o_out.as_mut_slice(),
+        let len = n * h_prev.len();
+        grow(&mut scratch.slab, len);
+        let uo = &mut scratch.slab[..len];
+        self.fused_at(precision)
+            .u
+            .gate_gemv_into(GATE_O, h_prev, uo);
+        let mut columns = 0;
+        for ((wx, uo), o) in wx.into_iter().zip(uo.chunks_exact(n)).zip(o_out) {
+            o.resize_fill(n, 0.0);
+            let rows = GateRows {
+                wx: [&wx[GATE_O * n..(GATE_O + 1) * n]],
+                uh: [uo],
+                b: [self.b.o.as_slice()],
+            };
+            sigmoid_gate_into(rows, o.as_mut_slice());
+            columns += 1;
+        }
+        assert_eq!(
+            columns,
+            h_prev.len(),
+            "output_gate_into: one W·x column and one output per h_prev column"
         );
     }
 
@@ -589,22 +608,72 @@ impl CellWeights {
         h_out: &mut Vector,
         c_out: &mut Vector,
     ) {
+        assert_eq!(active.len(), self.hidden, "mask length mismatch");
+        self.masked_recurrent_batch_into(
+            precision,
+            slice::from_ref(h_prev),
+            slice::from_ref(&active),
+            &mut scratch.slab,
+        );
+        self.masked_gates_into(wx, &scratch.slab, c_prev, o, active, h_out, c_out);
+    }
+
+    /// The masked `U_{f,i,c}·h` products of independent DRS steps in
+    /// lockstep, column `j` on `h_prev[j]` under its own row mask
+    /// `active[j]`, with the `U` quartet stored at `precision`: one masked
+    /// walk over the `f, i, c` panels
+    /// ([`FusedGates::gemv_masked_prefix_into`]), each panel loaded once
+    /// for up to four of the columns with an active row in it. Column
+    /// `j`'s gate-major `3 * hidden` products land in `uh[3 * hidden * j ..]`,
+    /// its skipped rows zero, bit-identical to the product
+    /// [`step_masked_into`](Self::step_masked_into) runs on that column
+    /// alone. `uh` only grows, so a recycled buffer never touches the
+    /// allocator once warm.
+    ///
+    /// # Panics
+    /// Panics if `active.len() != h_prev.len()`, or on any column's
+    /// length mismatch.
+    pub(crate) fn masked_recurrent_batch_into<M: AsRef<[bool]>>(
+        &self,
+        precision: Precision,
+        h_prev: &[Vector],
+        active: &[M],
+        uh: &mut Vec<f32>,
+    ) {
+        let len = 3 * self.hidden * h_prev.len();
+        grow(uh, len);
+        self.fused_at(precision)
+            .u
+            .gemv_masked_prefix_into(3, h_prev, active, 0.0, &mut uh[..len]);
+    }
+
+    /// The masked elementwise pass of a DRS step from its gate-major
+    /// `W·x` terms and masked `U_{f,i,c}·h` products `uh`, into the
+    /// recycled `h_out`/`c_out`: `h_out` takes the output gate `o`, then
+    /// the state pass turns its active rows into `h_t` and zeroes the
+    /// skipped rows of both.
+    ///
+    /// # Panics
+    /// Panics on any length mismatch.
+    #[allow(clippy::too_many_arguments)]
+    pub(crate) fn masked_gates_into(
+        &self,
+        wx: &[f32],
+        uh: &[f32],
+        c_prev: &Vector,
+        o: &Vector,
+        active: &[bool],
+        h_out: &mut Vector,
+        c_out: &mut Vector,
+    ) {
         let n = self.hidden;
         assert_eq!(active.len(), n, "mask length mismatch");
         assert_eq!(o.len(), n, "output-gate length mismatch");
-        grow(&mut scratch.slab, 3 * n);
-        self.fused_at(precision).u.gemv_masked_prefix_into(
-            3,
-            h_prev.as_slice(),
-            active,
-            0.0,
-            &mut scratch.slab[..3 * n],
-        );
         // `h_out` holds `o_t` until the state pass turns it into `h_t`.
         h_out.clone_from(o);
         c_out.resize_fill(n, 0.0);
         lstm_state_into(
-            self.gate_rows(GATES_FIC, wx, &scratch.slab),
+            self.gate_rows(GATES_FIC, wx, uh),
             c_prev.as_slice(),
             Some(active),
             c_out.as_mut_slice(),
@@ -659,8 +728,15 @@ mod tests {
     }
 
     fn output_gate(cell: &CellWeights, wx: &[f32], h: &Vector) -> Vector {
-        let mut o = Vector::zeros(0);
-        cell.output_gate_into(Precision::Fp32, wx, h, &mut CellScratch::new(), &mut o);
+        let mut o = [Vector::zeros(0)];
+        cell.output_gate_into(
+            Precision::Fp32,
+            [wx],
+            slice::from_ref(h),
+            &mut CellScratch::new(),
+            &mut o,
+        );
+        let [o] = o;
         o
     }
 

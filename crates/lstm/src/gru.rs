@@ -203,27 +203,49 @@ impl GruWeights {
         &mut uh[g * self.hidden..(g + 1) * self.hidden]
     }
 
-    /// The update gate `z_t` alone from a step's gate-major `W·x` terms,
-    /// with the `U` triple stored at `precision` — computed first in the
-    /// DRS-adapted flow, mirroring Algorithm 3 lines 4–5.
-    pub fn update_gate_into(
+    /// The update gates `z_t` alone of independent steps, one column per
+    /// `h_prev[j]`, with the `U` triple stored at `precision` — computed
+    /// first in the DRS-adapted flow, mirroring Algorithm 3 lines 4–5.
+    /// One dense walk over the `U_z` panels computes every column's
+    /// product ([`FusedGates::gate_gemv_into`]); then column `j`'s gate
+    /// goes into the recycled `z_out[j]` from its gate-major `W·x` terms,
+    /// the `j`-th item of `wx`. Each column is bit-identical to computing
+    /// it alone.
+    ///
+    /// # Panics
+    /// Panics if `wx` or `z_out` holds fewer columns than `h_prev`, or any
+    /// `h_prev[j].len() != hidden`.
+    pub fn update_gate_into<'a>(
         &self,
         precision: Precision,
-        wx: &[f32],
-        h_prev: &Vector,
+        wx: impl IntoIterator<Item = &'a [f32]>,
+        h_prev: &[Vector],
         scratch: &mut CellScratch,
-        z_out: &mut Vector,
+        z_out: &mut [Vector],
     ) {
         let n = self.hidden;
-        grow(&mut scratch.slab, 3 * n);
-        z_out.resize_fill(n, 0.0);
-        let uh = &mut scratch.slab[..3 * n];
-        self.fused_at(precision).u.gate_gemv_into(
-            GATE_Z,
-            h_prev.as_slice(),
-            self.section(uh, GATE_Z),
+        let len = n * h_prev.len();
+        grow(&mut scratch.slab, len);
+        let uz = &mut scratch.slab[..len];
+        self.fused_at(precision)
+            .u
+            .gate_gemv_into(GATE_Z, h_prev, uz);
+        let mut columns = 0;
+        for ((wx, uz), z) in wx.into_iter().zip(uz.chunks_exact(n)).zip(z_out) {
+            z.resize_fill(n, 0.0);
+            let rows = GateRows {
+                wx: [&wx[GATE_Z * n..(GATE_Z + 1) * n]],
+                uh: [uz],
+                b: [self.b_z.as_slice()],
+            };
+            sigmoid_gate_into(rows, z.as_mut_slice());
+            columns += 1;
+        }
+        assert_eq!(
+            columns,
+            h_prev.len(),
+            "update_gate_into: one W·x column and one output per h_prev column"
         );
-        sigmoid_gate_into(self.gate_rows(GATE_Z, wx, uh), z_out.as_mut_slice());
     }
 
     /// One exact GRU step from its gate-major `W·x` terms, with the `U`
@@ -244,11 +266,11 @@ impl GruWeights {
         grow(&mut scratch.slab, 5 * n);
         let (uh, rest) = scratch.slab[..5 * n].split_at_mut(3 * n);
         let (z, rh) = rest.split_at_mut(n);
-        u.gate_gemv_into(GATE_R, h, self.section(uh, GATE_R));
+        u.gate_gemv_into(GATE_R, &[h], self.section(uh, GATE_R));
         gru_reset_into(self.gate_rows(GATE_R, wx, uh), h, None, rh);
-        u.gate_gemv_into(GATE_Z, h, self.section(uh, GATE_Z));
+        u.gate_gemv_into(GATE_Z, &[h], self.section(uh, GATE_Z));
         sigmoid_gate_into(self.gate_rows(GATE_Z, wx, uh), z);
-        u.gate_gemv_into(GATE_H, rh, self.section(uh, GATE_H));
+        u.gate_gemv_into(GATE_H, &[&*rh], self.section(uh, GATE_H));
         h_out.resize_fill(n, 0.0);
         gru_blend_into(
             self.gate_rows(GATE_H, wx, uh),
@@ -325,8 +347,15 @@ mod tests {
     }
 
     fn update_gate(w: &GruWeights, wx: &[f32], h: &Vector) -> Vector {
-        let mut z = Vector::zeros(0);
-        w.update_gate_into(Precision::Fp32, wx, h, &mut CellScratch::new(), &mut z);
+        let mut z = [Vector::zeros(0)];
+        w.update_gate_into(
+            Precision::Fp32,
+            [wx],
+            std::slice::from_ref(h),
+            &mut CellScratch::new(),
+            &mut z,
+        );
+        let [z] = z;
         z
     }
 

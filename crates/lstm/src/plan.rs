@@ -808,6 +808,10 @@ pub struct PlanRuntime {
     /// outputs are written straight into the run's
     /// [`PlanOutput::layer_hs`]; a GRU layer leaves these untouched).
     pub(crate) c_slots: Vec<Vec<Vector>>,
+    /// Each lane's one-layer output of
+    /// [`layer_numerics`](Self::layer_numerics), whose hidden sequences
+    /// it lends.
+    pub(crate) numerics: Vec<PlanOutput>,
     pub(crate) shared: SharedScratch,
 }
 

@@ -115,8 +115,15 @@ fn step(cell: &CellWeights, wx: &[f32], h: &Vector, c: &Vector) -> (Vector, Vect
 }
 
 fn output_gate(cell: &CellWeights, wx: &[f32], h: &Vector) -> Vector {
-    let mut o = Vector::zeros(0);
-    cell.output_gate_into(Precision::Fp32, wx, h, &mut CellScratch::new(), &mut o);
+    let mut o = [Vector::zeros(0)];
+    cell.output_gate_into(
+        Precision::Fp32,
+        [wx],
+        std::slice::from_ref(h),
+        &mut CellScratch::new(),
+        &mut o,
+    );
+    let [o] = o;
     o
 }
 

@@ -148,8 +148,9 @@ proptest! {
         let (x, h0, c0) = (Vector::from(x), Vector::from(h0), Vector::from(c0));
         let wx = wx_of(&cell, &x);
         let mut scratch = CellScratch::new();
-        let mut o = Vector::zeros(0);
-        cell.output_gate_into(Precision::Fp32, &wx, &h0, &mut scratch, &mut o);
+        let mut o = [Vector::zeros(0)];
+        cell.output_gate_into(Precision::Fp32, [wx.as_slice()], std::slice::from_ref(&h0), &mut scratch, &mut o);
+        let [o] = o;
         let (mut h, mut c) = (Vector::zeros(0), Vector::zeros(0));
         cell.step_masked_into(
             Precision::Fp32, &wx, &h0, &c0, &o, &active, &mut scratch, &mut h, &mut c,
@@ -223,8 +224,9 @@ proptest! {
         let (x, h0) = (Vector::from(x), Vector::from(h0));
         let wx = gru_wx_reference(&w, &x);
         let mut scratch = CellScratch::new();
-        let mut z = Vector::zeros(0);
-        w.update_gate_into(Precision::Fp32, &wx, &h0, &mut scratch, &mut z);
+        let mut z = [Vector::zeros(0)];
+        w.update_gate_into(Precision::Fp32, [wx.as_slice()], std::slice::from_ref(&h0), &mut scratch, &mut z);
+        let [z] = z;
         let mut h = Vector::zeros(0);
         w.step_masked_into(Precision::Fp32, &wx, &h0, &z, &active, &mut scratch, &mut h);
 

@@ -19,10 +19,13 @@
 //! Deeper layers' relevances depend on the (approximated) hidden states
 //! the earlier layers produce, so the compiler advances every probe
 //! numerically through each layer *as planned* — through the runtime's
-//! one LSTM interpreter (`PlanRuntime::layer_numerics`, a single lane at
-//! the configured precision), the code the online phase runs — and
-//! analyzes layer `l + 1` against exactly the inputs it will see. No
-//! probe advances past the last layer: nothing reads that output.
+//! one LSTM interpreter (`PlanRuntime::layer_numerics` at the configured
+//! precision), the code the online phase runs — and analyzes layer
+//! `l + 1` against exactly the inputs it will see. The probes advance as
+//! gangs of up to eight lanes in lockstep, one call per gang, each lane
+//! bit-identical to its solo run. No probe advances past the last layer:
+//! nothing reads that output. Without the inter-cell level no plan
+//! reads a probe, so none runs.
 
 use crate::breakpoints::find_breakpoints;
 use crate::division::{divide, SubLayer};
@@ -30,10 +33,12 @@ use crate::error::{
     check_finite_probe, check_optimizer_config, check_step_widths, Error, MemlstmResult,
 };
 use crate::exec::OptimizerConfig;
+use crate::offline;
 use crate::prediction::NetworkPredictors;
 use crate::relevance::{relevance_flops, RelevanceAnalyzer};
 use crate::tissue::{form_tissues, schedule_tissues, schedule_tissues_balanced, Tissue};
 use gpu_sim::{DeviceModel, KernelDesc, KernelKind, RegionId, SpanTag};
+use lstm::cell::CellWeights;
 use lstm::plan::{
     ExecutionPlan, LayerBody, LayerPlan, MaskedUKernel, PlanBody, PlanLayerStats, PlanRuntime,
     PrevSource, TissueKernels, TissuePlan,
@@ -102,13 +107,27 @@ pub fn compile(
     let regions = NetworkRegions::allocate(&mut alloc, cfg.num_layers);
 
     let mut layers = Vec::with_capacity(cfg.num_layers);
-    // Probe fan-outs run on an env-sized pool (`MEMLSTM_THREADS`); when
-    // compile itself is invoked from inside a pool task (e.g. a parallel
-    // threshold sweep), the nested sections degrade to inline serial
-    // execution, so thread counts stay bounded. All merges below are in
-    // probe order: the plan is bit-identical for any worker count.
+    // Probe fan-outs run on an env-sized pool (`MEMLSTM_THREADS`), one
+    // task per gang of probes; when compile itself is invoked from inside
+    // a pool task (e.g. a parallel threshold sweep), the nested sections
+    // degrade to inline serial execution, so thread counts stay bounded.
+    // All merges below are in probe order: the plan is bit-identical for
+    // any worker count.
     let probe_pool = Pool::new();
-    let mut currents: Vec<Vec<Vector>> = probes.to_vec();
+    // Each gang's `W·x` terms of the layer being planned and their link
+    // relevances, which the inter-cell level averages.
+    let mut gangs: Vec<ProbeGang> = if config.inter {
+        let (first, analyzer) = (&net.layers()[0], &analyzers[0]);
+        let inputs = offline::gangs(probes)
+            .into_iter()
+            .map(|g| &probes[g])
+            .collect();
+        probe_pool.par_map(inputs, |gang: &[Vec<Vector>]| {
+            ProbeGang::new(first, analyzer, config, gang.iter().map(Vec::as_slice))
+        })
+    } else {
+        Vec::new()
+    };
     for (l, layer) in net.layers().iter().enumerate() {
         let hidden = layer.hidden();
         let wx_kernel = wx_sgemm_kernel(
@@ -119,21 +138,8 @@ pub fn compile(
             seq_len,
             &mut alloc,
         );
-        // The probes' `W·x` feeds the relevance analysis and the advance
-        // into the next layer; the last layer of a plan without `inter`
-        // needs neither.
-        let last = l + 1 == net.layers().len();
-        let wxs: Vec<Vec<f32>> = if config.inter || !last {
-            probe_pool.par_map(currents.iter().collect::<Vec<_>>(), |c| {
-                let mut wx = Vec::new();
-                layer.precompute_wx_batch_into(config.precision, c, &mut wx);
-                wx
-            })
-        } else {
-            Vec::new()
-        };
         let layer_plan = if config.inter {
-            let relevances = combined_relevances(&analyzers[l], &wxs, probe_pool);
+            let relevances = mean_relevances(gangs.iter().flat_map(|g| &g.relevances));
             tissue_layer(
                 l,
                 wx_kernel,
@@ -157,16 +163,16 @@ pub fn compile(
                 &mut alloc,
             )
         };
-        // Advance every probe through the planned layer with the runtime's
+        // Advance every gang through the planned layer with the runtime's
         // own arithmetic, so the next layer is analyzed against the
-        // inputs it will actually receive. Each probe advances through its
-        // own PlanRuntime (runtime reuse is pure scratch reuse, proven
-        // bit-identical by the exec-crate plan-reuse tests). Past the last
-        // layer there is nothing to analyze, so the probes stop there.
-        if !last {
-            currents = probe_pool.par_map((0..currents.len()).collect::<Vec<usize>>(), |p| {
+        // inputs it will actually receive. Each gang's `W·x` terms are
+        // dropped once its next layer's are computed.
+        if let (true, Some(next)) = (config.inter, net.layers().get(l + 1)) {
+            let analyzer = &analyzers[l + 1];
+            gangs = probe_pool.par_map(std::mem::take(&mut gangs), |gang| {
                 let mut runtime = PlanRuntime::new();
-                runtime.layer_numerics(config.precision, &layer_plan, layer, &wxs[p])
+                let lanes = runtime.layer_numerics(config.precision, &layer_plan, layer, &gang.wx);
+                ProbeGang::new(next, analyzer, config, lanes.map(|(hs, _)| hs))
             });
         }
         layers.push(layer_plan);
@@ -185,29 +191,54 @@ pub fn compile(
     Ok(plan.with_precision(config.precision))
 }
 
-/// Per-link relevances combined across probes by averaging: the offline
-/// estimate of each link's expected relevance over the data distribution.
-/// A link breaks when it is weak *on average* — the AO/BPA selection then
-/// enforces the accuracy budget empirically on held-out sequences. The
-/// `α_inter` upper limit averages with this helper too, so it is
-/// consistent with what the compiler breaks.
-pub(crate) fn combined_relevances(
-    analyzer: &RelevanceAnalyzer,
-    wxs: &[Vec<f32>],
-    pool: Pool,
-) -> Vec<f64> {
-    // Per-probe relevances fan out; the average accumulates in probe
-    // order, so it is bit-identical to the serial loop.
-    let per_probe = pool.par_map(wxs.iter().collect::<Vec<_>>(), |wx| {
-        analyzer.layer_relevances(wx)
-    });
-    let mut combined = per_probe[0].clone();
-    for probe in &per_probe[1..] {
+/// One gang of probes at one layer: each lane's gate-major `W·x` terms
+/// and its per-link relevances (Algorithm 2).
+struct ProbeGang {
+    wx: Vec<Vec<f32>>,
+    relevances: Vec<Vec<f64>>,
+}
+
+impl ProbeGang {
+    /// The terms of `layer` (stored at the configured precision) on each
+    /// lane's inputs.
+    fn new<'a>(
+        layer: &CellWeights,
+        analyzer: &RelevanceAnalyzer,
+        config: &OptimizerConfig,
+        inputs: impl Iterator<Item = &'a [Vector]>,
+    ) -> Self {
+        let wx: Vec<Vec<f32>> = inputs
+            .map(|xs| {
+                let mut wx = Vec::new();
+                layer.precompute_wx_batch_into(config.precision, xs, &mut wx);
+                wx
+            })
+            .collect();
+        let relevances = wx.iter().map(|wx| analyzer.layer_relevances(wx)).collect();
+        Self { wx, relevances }
+    }
+}
+
+/// Per-link relevances combined across probes by averaging, in probe
+/// order: the offline estimate of each link's expected relevance over the
+/// data distribution. A link breaks when it is weak *on average* — the
+/// AO/BPA selection then enforces the accuracy budget empirically on
+/// held-out sequences. The `α_inter` upper limit averages with this
+/// helper too, so it is consistent with what the compiler breaks.
+///
+/// # Panics
+/// Panics if `per_probe` is empty.
+pub(crate) fn mean_relevances<'a>(per_probe: impl IntoIterator<Item = &'a Vec<f64>>) -> Vec<f64> {
+    let mut per_probe = per_probe.into_iter();
+    let mut combined = per_probe.next().expect("at least one probe").clone();
+    let mut probes = 1usize;
+    for probe in per_probe {
         for (c, &v) in combined.iter_mut().zip(probe) {
             *c += v;
         }
+        probes += 1;
     }
-    let k = wxs.len() as f64;
+    let k = probes as f64;
     for c in combined.iter_mut() {
         *c /= k;
     }

@@ -67,6 +67,7 @@ pub mod exec;
 pub mod fleet;
 pub mod gru_drs;
 pub mod mts;
+mod offline;
 pub mod overhead;
 pub mod prediction;
 pub mod prelude;

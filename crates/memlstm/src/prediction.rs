@@ -11,9 +11,9 @@
 //! recurrent state; we predict both of its components (`h` and `c`), since
 //! both feed the next cell.
 
-use lstm::cell::CellScratch;
+use crate::offline::{gangs, ExactWalk};
 use lstm::LstmNetwork;
-use tensor::{Precision, RunningStats, Vector};
+use tensor::{RunningStats, Vector};
 
 /// The predicted context link for one layer.
 #[derive(Debug, Clone, PartialEq)]
@@ -69,6 +69,14 @@ impl NetworkPredictors {
     /// per-layer context-link distributions (the offline phase of
     /// Fig. 10, step 4).
     ///
+    /// The sequences run as gangs: runs of consecutive equal-length
+    /// sequences, each gang in lockstep on the offline lane walk
+    /// (`PlanRuntime::layer_numerics` over baseline layer plans), so the
+    /// sequences may differ in length. Every lane is bit-identical to
+    /// the exact forward, and each layer's statistics take its states in
+    /// sequence order, step by step, so the sums are those of a
+    /// sequence-at-a-time loop.
+    ///
     /// # Panics
     /// Panics if `offline` is empty.
     pub fn collect(net: &LstmNetwork, offline: &[Vec<Vector>]) -> Self {
@@ -83,43 +91,14 @@ impl NetworkPredictors {
         let mut c_stats: Vec<RunningStats> = (0..net.layers().len())
             .map(|_| RunningStats::new(hidden))
             .collect();
-        // One scratch, one recycled `W·x` buffer and double-buffered
-        // `(h, c)`, as in `LstmNetwork::forward`: the same kernels in the
-        // same order as the owned `CellWeights::step`, without its
-        // per-cell allocations.
-        let last = net.layers().len() - 1;
-        let mut scratch = CellScratch::new();
-        let mut wx = Vec::new();
-        let mut hs: Vec<Vector> = Vec::new();
-        let (mut h, mut c) = (Vector::zeros(hidden), Vector::zeros(hidden));
-        let (mut h_next, mut c_next) = (Vector::zeros(hidden), Vector::zeros(hidden));
-        for xs in offline {
-            for (l, layer) in net.layers().iter().enumerate() {
-                let input = if l == 0 { xs.as_slice() } else { &hs };
-                layer.precompute_wx_batch_into(Precision::Fp32, input, &mut wx);
-                hs.clear();
-                h.resize_fill(hidden, 0.0);
-                c.resize_fill(hidden, 0.0);
-                for pre in wx.chunks_exact(4 * hidden) {
-                    layer.step_fused_into(
-                        Precision::Fp32,
-                        pre,
-                        &h,
-                        &c,
-                        &mut scratch,
-                        &mut h_next,
-                        &mut c_next,
-                    );
-                    std::mem::swap(&mut h, &mut h_next);
-                    std::mem::swap(&mut c, &mut c_next);
-                    h_stats[l].push(&h);
-                    c_stats[l].push(&c);
-                    // The last layer's outputs feed no further layer.
-                    if l < last {
-                        hs.push(h.clone());
-                    }
+        let mut walk = ExactWalk::default();
+        for gang in gangs(offline) {
+            walk.run(net, &offline[gang], |l, _, hs, cs| {
+                for (h, c) in hs.iter().zip(cs) {
+                    h_stats[l].push(h);
+                    c_stats[l].push(c);
                 }
-            }
+            });
         }
         Self {
             layers: h_stats
@@ -159,8 +138,10 @@ impl NetworkPredictors {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use lstm::cell::CellScratch;
     use lstm::ModelConfig;
     use tensor::init::seeded_rng;
+    use tensor::Precision;
 
     fn setup() -> (LstmNetwork, Vec<Vec<Vector>>) {
         let config = ModelConfig::new("t", 6, 10, 2, 8, 2).unwrap();
@@ -227,6 +208,94 @@ mod tests {
             assert_eq!(bits(got.h_mean()), bits(want.h_mean()), "layer {l} h_mean");
             assert_eq!(bits(got.c_mean()), bits(want.c_mean()), "layer {l} c_mean");
             assert_eq!(got.samples(), want.samples());
+        }
+    }
+
+    /// The owned step loop of `collect_matches_owned_step_loop_bitwise`
+    /// over any offline set: fresh buffers per step, one sequence after
+    /// another.
+    fn owned_step_loop(net: &LstmNetwork, offline: &[Vec<Vector>]) -> Vec<LinkPredictor> {
+        let hidden = net.config().hidden_size;
+        let layers = net.layers().len();
+        let mut h_stats = vec![RunningStats::new(hidden); layers];
+        let mut c_stats = vec![RunningStats::new(hidden); layers];
+        for xs in offline {
+            let mut current: Vec<Vector> = xs.clone();
+            for (l, layer) in net.layers().iter().enumerate() {
+                let mut wx = Vec::new();
+                layer.precompute_wx_batch_into(Precision::Fp32, &current, &mut wx);
+                let (mut h, mut c) = (Vector::zeros(hidden), Vector::zeros(hidden));
+                let mut hs = Vec::new();
+                for pre in wx.chunks_exact(4 * hidden) {
+                    let (mut h_next, mut c_next) = (Vector::zeros(0), Vector::zeros(0));
+                    let scratch = &mut CellScratch::new();
+                    layer.step_fused_into(
+                        Precision::Fp32,
+                        pre,
+                        &h,
+                        &c,
+                        scratch,
+                        &mut h_next,
+                        &mut c_next,
+                    );
+                    (h, c) = (h_next, c_next);
+                    h_stats[l].push(&h);
+                    c_stats[l].push(&c);
+                    hs.push(h.clone());
+                }
+                current = hs;
+            }
+        }
+        h_stats
+            .iter()
+            .zip(&c_stats)
+            .map(|(h, c)| LinkPredictor::from_stats(h, c))
+            .collect()
+    }
+
+    #[test]
+    fn collect_matches_owned_step_loop_on_ragged_and_multi_gang_sets() {
+        // 13 sequences are a full gang and a partial one; a mixed-length
+        // set splits into gangs at every change of length, so gangs of
+        // one, of several and a full one follow each other.
+        let config = ModelConfig::new("t", 6, 10, 2, 8, 2).unwrap();
+        let mut rng = seeded_rng(5);
+        let net = LstmNetwork::random(&config, &mut rng);
+        let mut draw = |len: usize| -> Vec<Vector> {
+            let xs = lstm::random_inputs(&config, &mut rng);
+            (0..len)
+                .map(|t| {
+                    let mut x = xs[t % xs.len()].clone();
+                    x.scale(1.0 + t as f32 / 16.0);
+                    x
+                })
+                .collect()
+        };
+        let thirteen: Vec<Vec<Vector>> = (0..13).map(|_| draw(8)).collect();
+        let mixed: Vec<Vec<Vector>> = [5, 5, 9, 3, 3, 3, 3, 3, 3, 3, 3, 3, 9, 1]
+            .into_iter()
+            .map(&mut draw)
+            .collect();
+        let bits = |v: &Vector| v.iter().map(|x| x.to_bits()).collect::<Vec<u32>>();
+        for (name, offline) in [("13 sequences", thirteen), ("mixed lengths", mixed)] {
+            let preds = NetworkPredictors::collect(&net, &offline);
+            let want = owned_step_loop(&net, &offline);
+            assert_eq!(preds.num_layers(), want.len());
+            for (l, want) in want.iter().enumerate() {
+                let got = preds.layer(l);
+                assert_eq!(
+                    bits(got.h_mean()),
+                    bits(want.h_mean()),
+                    "{name}: layer {l} h_mean"
+                );
+                assert_eq!(
+                    bits(got.c_mean()),
+                    bits(want.c_mean()),
+                    "{name}: layer {l} c_mean"
+                );
+                let steps: usize = offline.iter().map(Vec::len).sum();
+                assert_eq!(got.samples(), steps as u64, "{name}: layer {l}");
+            }
         }
     }
 

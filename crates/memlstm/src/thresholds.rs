@@ -10,10 +10,11 @@
 //! a [`Level`] maps each set to the configuration of one optimization
 //! level.
 
-use crate::compile::combined_relevances;
+use crate::compile::mean_relevances;
 use crate::drs::{DrsConfig, DrsMode};
 use crate::exec::{OptimizedExecutor, OptimizerConfig};
 use crate::mts::determine_mts;
+use crate::offline::{gangs, ExactWalk};
 use crate::prediction::NetworkPredictors;
 use crate::relevance::RelevanceAnalyzer;
 use crate::tissue::schedule_tissues;
@@ -468,28 +469,30 @@ pub fn tune_combined_ao(
 ///
 /// Per-link relevances are combined across the offline sequences by the
 /// plan compiler's own averaging, so the limit is consistent with what
-/// `Evaluator::evaluate` compiles at threshold set 10. The per-probe work
-/// fans out on `pool`, with results merged in probe order (bit-identical
-/// to serial).
+/// `Evaluator::evaluate` compiles at threshold set 10. The offline
+/// sequences run through the exact network as gangs on the offline lane
+/// walk, which also feeds `NetworkPredictors::collect`: layer `l` is
+/// analyzed on the exact hidden outputs of layer `l - 1`. The gangs fan
+/// out on `pool`, with results merged in probe order (bit-identical to
+/// serial).
 pub fn upper_alpha_inter_pooled(workload: &Workload, mts: usize, pool: Pool) -> f64 {
     let net = workload.network();
     let probes = workload.dataset().offline();
     let n = probes[0].len();
     let n_min = n.div_ceil(mts);
     let mut upper = 0.0f64;
-    // One exact forward per probe; layer `l` is analyzed on the hidden
-    // outputs of layer `l - 1`.
-    let outs = pool.par_map(probes.iter().collect::<Vec<_>>(), |xs| {
-        net.forward(xs).layer_hs
-    });
-    for (l, layer) in net.layers().iter().enumerate() {
-        let wxs = pool.par_map((0..probes.len()).collect::<Vec<usize>>(), |p| {
-            let current = if l == 0 { &probes[p] } else { &outs[p][l - 1] };
-            let mut wx = Vec::new();
-            layer.precompute_wx_batch_into(tensor::Precision::Fp32, current, &mut wx);
-            wx
+    let analyzers: Vec<RelevanceAnalyzer> =
+        net.layers().iter().map(RelevanceAnalyzer::new).collect();
+    // Each gang's per-layer, per-lane relevances.
+    let per_gang = pool.par_map(gangs(probes), |gang| {
+        let mut relevances = vec![Vec::new(); analyzers.len()];
+        ExactWalk::default().run(net, &probes[gang], |l, wx, _, _| {
+            relevances[l].push(analyzers[l].layer_relevances(wx));
         });
-        let relevances = combined_relevances(&RelevanceAnalyzer::new(layer), &wxs, pool);
+        relevances
+    });
+    for l in 0..net.layers().len() {
+        let relevances = mean_relevances(per_gang.iter().flat_map(|gang| &gang[l]));
         let mut candidates = crate::breakpoints::candidate_thresholds(&relevances);
         candidates.push(RelevanceAnalyzer::max_relevance());
         // Smallest candidate achieving N_min tissues for this layer.

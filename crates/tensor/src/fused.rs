@@ -48,9 +48,9 @@
 //! ## One dense walk, one output layout
 //!
 //! Every unmasked product — the whole slab against one column
-//! ([`FusedGates::gemv_into`]), one gate's panels against one column
-//! ([`FusedGates::gate_gemv_into`]) and the whole slab against a batch
-//! of columns ([`FusedGates::gemv_batch_into`]) — is one private walk
+//! ([`FusedGates::gemv_into`]), one gate's panels against a batch of
+//! columns ([`FusedGates::gate_gemv_into`]) and the whole slab against a
+//! batch of columns ([`FusedGates::gemv_batch_into`]) — is one private walk
 //! over a range of panels. It runs panels in pairs; within a pair each
 //! panel runs against four columns at once (`panel_quad_gemv`), then
 //! three or two (`panel_triple_gemv`, `panel_double_gemv`), so one weight
@@ -61,6 +61,14 @@
 //! column blocks: column `i`'s gate `g` is `out[(i * gates + g) * rows ..]`,
 //! in natural row order. A caller's `W·x` buffer and its `U·h` slab are
 //! both that layout, so no caller maps gates to fields.
+//!
+//! Every masked product ([`FusedGates::gemv_masked_prefix_into`] over a
+//! batch of columns, each under its own row mask, and
+//! [`FusedGates::gate_gemv_masked_into`] for one gate and one column) is
+//! a second private walk in the same layout. Panel by panel, it runs
+//! only the columns whose mask has an active lane there, through the
+//! same four-, three- and two-column kernels and `panel_gemv` for a lone
+//! column, and each column writes back only its own active lanes.
 //!
 //! ## Bit-exactness
 //!
@@ -76,11 +84,11 @@
 //! kernels in place on the stored panels that hold an active row, skip
 //! the others, and write back only the active lanes. The property tests
 //! pin this for the dense, batched and masked paths at every tier and in
-//! identity, reversed, random and bias-sorted orders, the batched path
-//! at every column count up to ten.
+//! identity, reversed, random and bias-sorted orders, the batched paths
+//! at every column count up to ten and nine.
 
 use crate::matrix::Matrix;
-use crate::packed::{masked_panels_into, panel_gemv, simd_kernel, MR};
+use crate::packed::{panel_gemv, simd_kernel, MR};
 use crate::quant::Precision;
 use crate::vector::Vector;
 use std::ops::Range;
@@ -238,22 +246,25 @@ impl FusedGates {
         self.walk(0..self.gates, slice::from_ref(&x), out);
     }
 
-    /// Matrix-vector product of a single gate's matrix, writing its
-    /// `rows` outputs into `out`: the dense walk over gate `g`'s panels.
-    /// Bit-identical to [`crate::gemm::sgemv`] on the gate's
+    /// Matrix-vector products of a single gate's matrix against every
+    /// column of `xs`: the dense walk over gate `g`'s panels, which loads
+    /// each panel once for up to four columns. Column `i`'s `rows`
+    /// outputs land in `out[i * rows ..]`, each bit-identical to
+    /// [`crate::gemm::sgemv`] on the gate's
     /// ([`Precision::apply`]-rounded) matrix.
     ///
     /// # Panics
-    /// Panics if `g >= gates`, `x.len() != cols`, or `out.len() != rows`.
-    pub fn gate_gemv_into(&self, g: usize, x: &[f32], out: &mut [f32]) {
+    /// Panics if `g >= gates`, any `xs[i].len() != cols`, or
+    /// `out.len() != xs.len() * rows`.
+    pub fn gate_gemv_into<X: AsRef<[f32]>>(&self, g: usize, xs: &[X], out: &mut [f32]) {
         assert!(g < self.gates, "FusedGates::gate_gemv_into: gate {g}");
-        assert_eq!(x.len(), self.cols, "FusedGates::gate_gemv_into: x length");
+        self.check_columns("gate_gemv_into", xs);
         assert_eq!(
             out.len(),
-            self.rows,
+            xs.len() * self.rows,
             "FusedGates::gate_gemv_into: out length"
         );
-        self.walk(g..g + 1, slice::from_ref(&x), out);
+        self.walk(g..g + 1, xs, out);
     }
 
     /// The batched product of the whole slab: column `i`'s gate-major
@@ -266,13 +277,7 @@ impl FusedGates {
     /// Panics if any `xs[i].len() != cols` or
     /// `out.len() != xs.len() * gates * rows`.
     pub fn gemv_batch_into(&self, xs: &[Vector], out: &mut [f32]) {
-        for (i, x) in xs.iter().enumerate() {
-            assert_eq!(
-                x.len(),
-                self.cols,
-                "FusedGates::gemv_batch_into: column {i} length"
-            );
-        }
+        self.check_columns("gemv_batch_into", xs);
         assert_eq!(
             out.len(),
             xs.len() * self.total_rows(),
@@ -338,23 +343,29 @@ impl FusedGates {
         }
     }
 
-    /// Row-masked product of the first `ngates` gates under one shared
-    /// DRS row mask — the fused form of the combined-scheme `U_fic`
-    /// launch, where the f/i/c gates skip the same hidden rows. The
-    /// skipped rows of every gate produce `skipped_value`; `out` is the
-    /// gate-major slab of the `ngates` masked sections.
+    /// Row-masked products of the first `ngates` gates against every
+    /// column of `xs`, column `i` under its own DRS row mask `masks[i]`
+    /// shared by its gates — the fused form of the combined-scheme
+    /// `U_fic` launch, where the f/i/c gates skip the same hidden rows.
+    /// Column `i`'s gate-major `ngates * rows` outputs land in
+    /// `out[i * ngates * rows ..]`; its skipped rows produce
+    /// `skipped_value`.
     ///
-    /// Each section is [`gate_gemv_masked_into`](Self::gate_gemv_masked_into)
-    /// on that gate, so it is bit-identical to the unfused masked kernels.
+    /// The masked walk loads each panel once for every column with an
+    /// active row in it, four columns at a time, so each active row is
+    /// bit-identical to the unfused masked kernel and to
+    /// [`sgemv_masked_reference`](crate::gemm::sgemv_masked_reference) on
+    /// the gate's raw matrix rounded to the slab's tier.
     ///
     /// # Panics
-    /// Panics if `ngates > gates`, `x.len() != cols`,
-    /// `active.len() != rows`, or `out.len() != ngates * rows`.
-    pub fn gemv_masked_prefix_into(
+    /// Panics if `ngates > gates`, `masks.len() != xs.len()`, any
+    /// `xs[i].len() != cols` or `masks[i].len() != rows`, or
+    /// `out.len() != xs.len() * ngates * rows`.
+    pub fn gemv_masked_prefix_into<X: AsRef<[f32]>, M: AsRef<[bool]>>(
         &self,
         ngates: usize,
-        x: &[f32],
-        active: &[bool],
+        xs: &[X],
+        masks: &[M],
         skipped_value: f32,
         out: &mut [f32],
     ) {
@@ -363,19 +374,18 @@ impl FusedGates {
             "FusedGates::gemv_masked_prefix_into: {ngates} > {} gates",
             self.gates
         );
+        self.check_masked("gemv_masked_prefix_into", xs, masks);
         assert_eq!(
             out.len(),
-            ngates * self.rows,
+            xs.len() * ngates * self.rows,
             "FusedGates::gemv_masked_prefix_into: out length"
         );
-        for g in 0..ngates {
-            let section = &mut out[g * self.rows..(g + 1) * self.rows];
-            self.gate_gemv_masked_into(g, x, active, skipped_value, section);
-        }
+        self.masked_walk(0..ngates, xs, masks, skipped_value, out);
     }
 
-    /// Row-masked product of one gate's matrix, in place on the packed
-    /// panels: each panel with at least one active row runs through its
+    /// Row-masked product of one gate's matrix against one column, in
+    /// place on the packed panels: the masked walk over gate `g`'s
+    /// panels. Each panel with at least one active row runs through its
     /// micro-kernel as stored and only its active rows are written back;
     /// panels with no active row are skipped and every skipped row gets
     /// `skipped_value`. Each active row is bit-identical to
@@ -398,25 +408,143 @@ impl FusedGates {
             g < self.gates,
             "FusedGates::gate_gemv_masked_into: gate {g}"
         );
-        assert_eq!(
-            x.len(),
-            self.cols,
-            "FusedGates::gate_gemv_masked_into: x length"
-        );
-        assert_eq!(
-            active.len(),
-            self.rows,
-            "FusedGates::gate_gemv_masked_into: mask length"
-        );
+        let (xs, masks) = (slice::from_ref(&x), slice::from_ref(&active));
+        self.check_masked("gate_gemv_masked_into", xs, masks);
         assert_eq!(
             out.len(),
             self.rows,
             "FusedGates::gate_gemv_masked_into: out length"
         );
-        let first = g * self.ppg();
-        masked_panels_into(&self.order, active, skipped_value, out, |p| {
-            panel_gemv(self.panel(first + p), self.cols, x)
-        });
+        self.masked_walk(g..g + 1, xs, masks, skipped_value, out);
+    }
+
+    /// Asserts every column of a product is `cols` long.
+    fn check_columns<X: AsRef<[f32]>>(&self, product: &str, xs: &[X]) {
+        for (i, x) in xs.iter().enumerate() {
+            assert_eq!(
+                x.as_ref().len(),
+                self.cols,
+                "FusedGates::{product}: column {i} length is not the slab's x length"
+            );
+        }
+    }
+
+    /// Asserts a masked product's columns are `cols` long and each has
+    /// one `rows`-long mask.
+    fn check_masked<X: AsRef<[f32]>, M: AsRef<[bool]>>(
+        &self,
+        product: &str,
+        xs: &[X],
+        masks: &[M],
+    ) {
+        self.check_columns(product, xs);
+        assert_eq!(
+            masks.len(),
+            xs.len(),
+            "FusedGates::{product}: one mask per column"
+        );
+        for (i, mask) in masks.iter().enumerate() {
+            assert_eq!(
+                mask.as_ref().len(),
+                self.rows,
+                "FusedGates::{product}: mask {i} length"
+            );
+        }
+    }
+
+    /// The masked walk behind every masked product: `out` (column `i`'s
+    /// gate-major block of `gates` at `out[i * gates.len() * rows ..]`)
+    /// is filled with `skipped_value`, then each panel of `gates` runs
+    /// against the columns whose mask has an active lane in it — four at
+    /// a time, then three, two or one (`panel_gemv`) — and each column
+    /// writes back only its own active lanes, tested and placed through
+    /// the slab's row order. A panel no column needs costs nothing. A
+    /// lone column runs the same kernel without the bookkeeping.
+    ///
+    /// Each row is its own SIMD lane with its own accumulators, and each
+    /// column keeps its own sums, so neither the rows nor the columns
+    /// sharing a pass change any value: every active row is
+    /// bit-identical to the dense kernel's value for it.
+    fn masked_walk<X: AsRef<[f32]>, M: AsRef<[bool]>>(
+        &self,
+        gates: Range<usize>,
+        xs: &[X],
+        masks: &[M],
+        skipped_value: f32,
+        out: &mut [f32],
+    ) {
+        let (cols, rows, ppg) = (self.cols, self.rows, self.ppg());
+        let block = gates.len() * rows;
+        out.fill(skipped_value);
+        if let ([x], [active]) = (xs, masks) {
+            // A lone column skips the column bookkeeping: each live panel
+            // runs through `panel_gemv`, gate by gate.
+            let (x, active) = (x.as_ref(), active.as_ref());
+            for g in gates.clone() {
+                let out = &mut out[(g - gates.start) * rows..][..rows];
+                for (p, lanes) in self.order.chunks(MR).enumerate() {
+                    if lanes.iter().any(|&r| active[r]) {
+                        let sum = panel_gemv(self.panel(g * ppg + p), cols, x);
+                        for (&r, &s) in lanes.iter().zip(&sum) {
+                            if active[r] {
+                                out[r] = s;
+                            }
+                        }
+                    }
+                }
+            }
+            return;
+        }
+        for g in gates.clone() {
+            let section = (g - gates.start) * rows;
+            for (p, lanes) in self.order.chunks(MR).enumerate() {
+                let panel = self.panel(g * ppg + p);
+                // Column `i`'s sums to its own active lanes.
+                let write_back = |out: &mut [f32], i: usize, sum: &[f32; MR]| {
+                    let mask = masks[i].as_ref();
+                    let out = &mut out[i * block + section..][..rows];
+                    for (&r, &s) in lanes.iter().zip(sum) {
+                        if mask[r] {
+                            out[r] = s;
+                        }
+                    }
+                };
+                let mut live = [0usize; 4];
+                let mut n = 0;
+                for (i, mask) in masks.iter().enumerate() {
+                    let mask = mask.as_ref();
+                    if !lanes.iter().any(|&r| mask[r]) {
+                        continue;
+                    }
+                    live[n] = i;
+                    n += 1;
+                    if n == 4 {
+                        let sums = panel_quad_gemv(panel, cols, live.map(|i| xs[i].as_ref()));
+                        for (&i, sum) in live.iter().zip(&sums) {
+                            write_back(out, i, sum);
+                        }
+                        n = 0;
+                    }
+                }
+                match live[..n] {
+                    [a, b, c] => {
+                        let sums =
+                            panel_triple_gemv(panel, cols, [a, b, c].map(|i| xs[i].as_ref()));
+                        for (i, sum) in [a, b, c].into_iter().zip(&sums) {
+                            write_back(out, i, sum);
+                        }
+                    }
+                    [a, b] => {
+                        let sums = panel_double_gemv(panel, cols, [a, b].map(|i| xs[i].as_ref()));
+                        for (i, sum) in [a, b].into_iter().zip(&sums) {
+                            write_back(out, i, sum);
+                        }
+                    }
+                    [a] => write_back(out, a, &panel_gemv(panel, cols, xs[a].as_ref())),
+                    _ => {}
+                }
+            }
+        }
     }
 }
 
@@ -643,7 +771,7 @@ mod tests {
             fused.gemv_into(x.as_slice(), &mut slab);
             let mut one = vec![0.0f32; 19];
             for g in 0..4 {
-                fused.gate_gemv_into(g, x.as_slice(), &mut one);
+                fused.gate_gemv_into(g, &[x.as_slice()], &mut one);
                 assert_eq!(&slab[g * 19..(g + 1) * 19], one.as_slice(), "{precision}");
             }
         }
@@ -718,7 +846,7 @@ mod tests {
                 for skip_mod in [2usize, 3, 5] {
                     let active: Vec<bool> = (0..rows).map(|r| r % skip_mod != 0).collect();
                     let mut slab = vec![0.0f32; 3 * rows];
-                    fused.gemv_masked_prefix_into(3, x.as_slice(), &active, 0.0, &mut slab);
+                    fused.gemv_masked_prefix_into(3, &[x.as_slice()], &[&active], 0.0, &mut slab);
                     for (g, m) in mats.iter().take(3).enumerate() {
                         let reference =
                             sgemv_masked_reference(&precision.apply(m), &x, &active, 0.0);
@@ -746,7 +874,7 @@ mod tests {
             let mut dense = vec![0.0f32; 21];
             for g in 0..3 {
                 fused.gate_gemv_masked_into(g, x.as_slice(), &full, 0.0, &mut masked);
-                fused.gate_gemv_into(g, x.as_slice(), &mut dense);
+                fused.gate_gemv_into(g, &[x.as_slice()], &mut dense);
                 for (m, d) in masked.iter().zip(&dense) {
                     assert_eq!(m.to_bits(), d.to_bits(), "{precision} gate {g}");
                 }

@@ -27,9 +27,10 @@
 //! both round identically), picked per call by one
 //! `is_x86_feature_detected!` check. The masked products of the packed gate slab
 //! ([`crate::FusedGates`]) run those kernels in place on the stored
-//! panels through one shared panel walk, which reads each lane's mask
-//! bit and writes its output through the slab's row order and skips
-//! panels without an active row; no kernel copies rows.
+//! panels through the slab's masked walk, which reads each lane's mask
+//! bit and writes its output through the slab's row order and runs a
+//! panel only for the columns with an active row in it; no kernel
+//! copies rows.
 //!
 //! Packing costs one pass over the matrix, so it pays off when the same
 //! matrix is applied many times — exactly the LSTM shape, where the
@@ -143,39 +144,6 @@ fn panel_gemv_body(panel: &[f32], cols: usize, x: &[f32]) -> [f32; MR] {
     sum
 }
 
-/// The in-place panel walk behind the masked products of
-/// [`FusedGates`](crate::FusedGates): `out` (one gate's `rows`
-/// outputs) is filled with `skipped_value`, then every panel holding at
-/// least one active row is run through `sum_panel(p)` (the gate's `p`-th
-/// packed panel, as stored) and only its active lanes are written back.
-/// Panel `p`'s lanes compute rows `order[p * MR ..]` (the slab's row
-/// order), so the walk tests and writes each lane through `order`.
-/// Panels with no active row cost nothing.
-///
-/// Each row is its own SIMD lane with its own accumulators, so a row's
-/// sum does not depend on which rows share its pass: every active row is
-/// bit-identical to the dense kernel's value for it.
-pub(crate) fn masked_panels_into(
-    order: &[usize],
-    active: &[bool],
-    skipped_value: f32,
-    out: &mut [f32],
-    mut sum_panel: impl FnMut(usize) -> [f32; MR],
-) {
-    out.fill(skipped_value);
-    for (p, rows) in order.chunks(MR).enumerate() {
-        if !rows.iter().any(|&r| active[r]) {
-            continue;
-        }
-        let sum = sum_panel(p);
-        for (&r, &s) in rows.iter().zip(&sum) {
-            if active[r] {
-                out[r] = s;
-            }
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -207,7 +175,7 @@ mod tests {
     /// The one-gate slab's product `a * x`.
     fn packed_gemv(a: &Matrix, precision: Precision, x: &Vector) -> Vec<f32> {
         let mut y = vec![0.0f32; a.rows()];
-        one_gate(a, precision).gate_gemv_into(0, x.as_slice(), &mut y);
+        one_gate(a, precision).gate_gemv_into(0, &[x.as_slice()], &mut y);
         y
     }
 
@@ -309,6 +277,23 @@ mod tests {
         /// two-column one, with a lone last column through the pair
         /// kernel.
         Batch(usize),
+        /// Each gate's `gate_gemv_into` over this many columns: the
+        /// batched hoisted-gate product.
+        GateBatch(usize),
+        /// The whole slab's masked product over this many columns, each
+        /// under its own mask: the masked walk's four-, three-, two- and
+        /// one-column kernels over each panel's live columns.
+        MaskedBatch(usize),
+    }
+
+    /// The `n` columns' masks of a batched masked product: `mask`
+    /// rotated by `i` rows for column `i`, so the columns' live panels
+    /// differ.
+    fn column_masks(mask: &[bool], n: usize) -> Vec<Vec<bool>> {
+        let rows = mask.len();
+        (0..n)
+            .map(|i| (0..rows).map(|r| mask[(r + i) % rows]).collect())
+            .collect()
     }
 
     /// The `n` columns of a batched product: `x` first, then `x` rotated
@@ -337,16 +322,32 @@ mod tests {
         match product {
             Product::Single => {
                 for (g, section) in out.chunks_mut(rows).enumerate() {
-                    fused.gate_gemv_into(g, x.as_slice(), section);
+                    fused.gate_gemv_into(g, &[x.as_slice()], section);
                 }
             }
             Product::Dense => fused.gemv_into(x.as_slice(), &mut out),
             Product::Masked => {
-                fused.gemv_masked_prefix_into(mats.len(), x.as_slice(), mask, -3.0, &mut out)
+                fused.gemv_masked_prefix_into(mats.len(), &[x], &[mask], -3.0, &mut out)
             }
             Product::Batch(n) => {
                 out = vec![f32::NAN; n * total];
                 fused.gemv_batch_into(&columns(x, n), &mut out);
+            }
+            Product::GateBatch(n) => {
+                out = vec![f32::NAN; n * total];
+                let mut gate = vec![f32::NAN; n * rows];
+                for g in 0..mats.len() {
+                    fused.gate_gemv_into(g, &columns(x, n), &mut gate);
+                    for (i, column) in gate.chunks(rows).enumerate() {
+                        let block = (i * mats.len() + g) * rows;
+                        out[block..block + rows].copy_from_slice(column);
+                    }
+                }
+            }
+            Product::MaskedBatch(n) => {
+                out = vec![f32::NAN; n * total];
+                let masks = column_masks(mask, n);
+                fused.gemv_masked_prefix_into(mats.len(), &columns(x, n), &masks, -3.0, &mut out);
             }
         }
         out
@@ -361,17 +362,25 @@ mod tests {
         x: &Vector,
         mask: &[bool],
     ) -> Vec<f32> {
-        let xs = match product {
-            Product::Batch(n) => columns(x, n),
-            Product::Single | Product::Dense | Product::Masked => vec![x.clone()],
+        let n = match product {
+            Product::Batch(n) | Product::GateBatch(n) | Product::MaskedBatch(n) => n,
+            Product::Single | Product::Dense | Product::Masked => 1,
         };
-        xs.iter()
-            .flat_map(|x| {
+        let masks = column_masks(mask, n);
+        columns(x, n)
+            .iter()
+            .zip(&masks)
+            .flat_map(|(x, mask)| {
                 mats.iter().flat_map(move |m| {
                     let m = precision.apply(m);
                     match product {
-                        Product::Masked => crate::gemm::sgemv_masked_reference(&m, x, mask, -3.0),
-                        Product::Single | Product::Dense | Product::Batch(_) => sgemv(&m, x),
+                        Product::Masked | Product::MaskedBatch(_) => {
+                            crate::gemm::sgemv_masked_reference(&m, x, mask, -3.0)
+                        }
+                        Product::Single
+                        | Product::Dense
+                        | Product::Batch(_)
+                        | Product::GateBatch(_) => sgemv(&m, x),
                     }
                     .as_slice()
                     .to_vec()
@@ -485,9 +494,11 @@ mod tests {
     /// batched products run 2 to 7 columns: the two-, three- and
     /// four-column kernels alone, and the four-column one followed by a
     /// lone column (through the pair kernel and its single-panel tail),
-    /// by the two-column one or by the three-column one. The f16 and
-    /// int8 slabs run the same fp32 kernels over panels rounded to their
-    /// tier. The elementwise passes of the LSTM and GRU cells run at row
+    /// by the two-column one or by the three-column one; the batched
+    /// hoisted-gate product runs each gate's panels over 1 to 5 columns
+    /// and the batched masked product 2 to 9 columns, each under its own
+    /// rotation of the mask. The f16 and int8 slabs run the same fp32
+    /// kernels over panels rounded to their tier. The elementwise passes of the LSTM and GRU cells run at row
     /// counts around the vector widths, each also against the scalar
     /// activations row by row.
     #[test]
@@ -521,6 +532,13 @@ mod tests {
             (Product::Batch(5), Precision::Fp32),
             (Product::Batch(6), Precision::Fp16),
             (Product::Batch(7), Precision::Int8),
+            (Product::GateBatch(1), Precision::Fp32),
+            (Product::GateBatch(3), Precision::Fp32),
+            (Product::GateBatch(5), Precision::Int8),
+            (Product::MaskedBatch(2), Precision::Fp32),
+            (Product::MaskedBatch(3), Precision::Fp32),
+            (Product::MaskedBatch(4), Precision::Fp16),
+            (Product::MaskedBatch(9), Precision::Int8),
         ];
         for rows in [MR, 2 * MR + 5] {
             let hash = |r: usize| (r as u32).wrapping_mul(2654435761) >> 20;

@@ -344,8 +344,8 @@ mod tests {
                 let mut one_q = vec![0.0f32; rows];
                 let mut one_e = vec![0.0f32; rows];
                 for g in 0..4 {
-                    quant.gate_gemv_into(g, x.as_slice(), &mut one_q);
-                    exact.gate_gemv_into(g, x.as_slice(), &mut one_e);
+                    quant.gate_gemv_into(g, &[x.as_slice()], &mut one_q);
+                    exact.gate_gemv_into(g, &[x.as_slice()], &mut one_e);
                     assert_eq!(one_q, one_e, "{precision} {rows}x{cols} gate {g}");
                 }
             }
@@ -367,8 +367,8 @@ mod tests {
                     let active: Vec<bool> = (0..rows).map(|r| r % skip_mod != 0).collect();
                     let mut a = vec![0.0f32; 3 * rows];
                     let mut b = vec![0.0f32; 3 * rows];
-                    quant.gemv_masked_prefix_into(3, x.as_slice(), &active, 0.0, &mut a);
-                    exact.gemv_masked_prefix_into(3, x.as_slice(), &active, 0.0, &mut b);
+                    quant.gemv_masked_prefix_into(3, &[&x], &[&active], 0.0, &mut a);
+                    exact.gemv_masked_prefix_into(3, &[&x], &[&active], 0.0, &mut b);
                     for (i, (qa, qb)) in a.iter().zip(&b).enumerate() {
                         assert_eq!(
                             qa.to_bits(),

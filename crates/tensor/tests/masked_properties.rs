@@ -13,7 +13,12 @@
 //! compares each gate section with `gemm::sgemv` /
 //! `gemm::sgemv_masked_reference` on the `Precision::apply` matrices via
 //! `to_bits()`, skipped rows included. The batched product runs 0 to 10
-//! columns per slab, every remainder of its four-column blocking.
+//! columns per slab, every remainder of its four-column blocking, as do
+//! the batched single-gate products. The batched masked product runs 1
+//! to 9 columns, each under its own mask: identical, disjoint, empty,
+//! full and independent random masks, so a panel runs through every mix
+//! of the four-, three-, two- and one-column kernels, and a lane written
+//! to another column's block or written back while inactive shows.
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -154,7 +159,7 @@ fn ordered_dense_products_bit_identical_to_reference() {
                         let section = g * rows..(g + 1) * rows;
                         assert_bits(&dense[section.clone()], want.as_slice(), what("dense", g));
                         assert_bits(&batch[section], want.as_slice(), what("batched", g));
-                        slab.gate_gemv_into(g, x.as_slice(), &mut single);
+                        slab.gate_gemv_into(g, &[&x], &mut single);
                         assert_bits(&single, want.as_slice(), what("single-gate", g));
                     }
                     column_blocked_batch_bit_identical(&slab, &mats, precision, order, &mut rng);
@@ -183,14 +188,25 @@ fn column_blocked_batch_bit_identical(
             .collect();
         let mut got = vec![f32::NAN; n * GATES * rows];
         slab.gemv_batch_into(&xs, &mut got);
-        for (i, (x, got)) in xs.iter().zip(got.chunks(GATES * rows)).enumerate() {
-            for (g, m) in rounded.iter().enumerate() {
+        let mut gate = vec![f32::NAN; n * rows];
+        for (g, m) in rounded.iter().enumerate() {
+            slab.gate_gemv_into(g, &xs, &mut gate);
+            for (i, (x, got)) in xs.iter().zip(got.chunks(GATES * rows)).enumerate() {
+                let what = |product: &'static str| {
+                    move |r: usize| {
+                        format!("{precision} {order} {rows}x{cols} {product} of {n}: column {i} gate {g} row {r}")
+                    }
+                };
+                let want = sgemv(m, x);
                 assert_bits(
                     &got[g * rows..(g + 1) * rows],
-                    sgemv(m, x).as_slice(),
-                    |r| {
-                        format!("{precision} {order} {rows}x{cols} batch of {n}: column {i} gate {g} row {r}")
-                    },
+                    want.as_slice(),
+                    what("batch"),
+                );
+                assert_bits(
+                    &gate[i * rows..(i + 1) * rows],
+                    want.as_slice(),
+                    what("gate batch"),
                 );
             }
         }
@@ -220,8 +236,8 @@ fn in_place_masked_products_bit_identical_to_reference() {
                                 let mut got = vec![1234.5f32; ngates * rows];
                                 slab.gemv_masked_prefix_into(
                                     ngates,
-                                    x.as_slice(),
-                                    mask,
+                                    &[&x],
+                                    &[mask],
                                     skipped,
                                     &mut got,
                                 );
@@ -247,4 +263,89 @@ fn in_place_masked_products_bit_identical_to_reference() {
         }
     }
     assert_eq!(checked, 3 * ROWS.len() * COLS.len() * 4 * 12 * 2 * GATES);
+}
+
+/// Per-column masks for `n` columns of `rows` rows: one shared random
+/// mask, rows dealt out to the columns in turn (so the masks are
+/// disjoint and a panel's live columns are all of them up to `MR`), all
+/// empty, all full, and independent random masks of rising density.
+fn column_masks(rows: usize, n: usize, rng: &mut StdRng) -> Vec<(&'static str, Vec<Vec<bool>>)> {
+    let shared: Vec<bool> = (0..rows).map(|_| rng.gen::<f32>() < 0.5).collect();
+    let random = (0..n)
+        .map(|i| {
+            let density = (i + 1) as f32 / (n + 1) as f32;
+            (0..rows).map(|_| rng.gen::<f32>() < density).collect()
+        })
+        .collect();
+    vec![
+        ("identical", vec![shared; n]),
+        (
+            "disjoint",
+            (0..n)
+                .map(|i| (0..rows).map(|r| r % n == i).collect())
+                .collect(),
+        ),
+        ("empty", vec![vec![false; rows]; n]),
+        ("full", vec![vec![true; rows]; n]),
+        ("random", random),
+    ]
+}
+
+#[test]
+fn column_blocked_masked_products_bit_identical_to_reference() {
+    const NGATES: usize = 3;
+    let mut rng = StdRng::seed_from_u64(31);
+    let mut checked = 0usize;
+    for precision in Precision::ALL {
+        for rows in ROWS {
+            for cols in COLS {
+                let mats: Vec<Matrix> = (0..GATES)
+                    .map(|_| random_matrix(rows, cols, &mut rng))
+                    .collect();
+                let shadow: Vec<Matrix> = mats.iter().map(|m| precision.apply(m)).collect();
+                for (order, key) in orders(rows, &mut rng) {
+                    if !matches!(order, "identity" | "bias-sorted") {
+                        continue;
+                    }
+                    let slab = pack(&mats, precision, &key);
+                    for n in 1..=9 {
+                        let xs: Vec<Vector> = (0..n)
+                            .map(|_| Vector::from_fn(cols, |_| rng.gen_range(-1.0f32..1.0)))
+                            .collect();
+                        for (mask_name, masks) in column_masks(rows, n, &mut rng) {
+                            for skipped in [-3.0f32, f32::NAN] {
+                                // Stale contents must not leak into any
+                                // row, skipped or not.
+                                let mut got = vec![1234.5f32; n * NGATES * rows];
+                                slab.gemv_masked_prefix_into(
+                                    NGATES, &xs, &masks, skipped, &mut got,
+                                );
+                                let blocks = got.chunks(NGATES * rows);
+                                for (i, ((x, mask), got)) in
+                                    xs.iter().zip(&masks).zip(blocks).enumerate()
+                                {
+                                    for (g, m) in shadow.iter().take(NGATES).enumerate() {
+                                        let want = sgemv_masked_reference(m, x, mask, skipped);
+                                        assert_bits(
+                                            &got[g * rows..(g + 1) * rows],
+                                            want.as_slice(),
+                                            |r| {
+                                                format!(
+                                                    "{precision} {order} {rows}x{cols}, {n} columns, \
+                                                     {mask_name} masks, skipped {skipped}: \
+                                                     column {i} gate {g} row {r}"
+                                                )
+                                            },
+                                        );
+                                    }
+                                }
+                                checked += 1;
+                            }
+                        }
+                    }
+                }
+            }
+        }
+    }
+    assert_eq!(checked, 3 * ROWS.len() * COLS.len() * 2 * 9 * 5 * 2);
 }

@@ -120,8 +120,8 @@ proptest! {
         let exact = FusedGates::pack(&shadow_refs, Precision::Fp32);
         let mut a = vec![0.0f32; 3 * 10];
         let mut b = vec![0.0f32; 3 * 10];
-        quant.gemv_masked_prefix_into(3, x.as_slice(), &mask, 0.0, &mut a);
-        exact.gemv_masked_prefix_into(3, x.as_slice(), &mask, 0.0, &mut b);
+        quant.gemv_masked_prefix_into(3, &[&x], &[&mask], 0.0, &mut a);
+        exact.gemv_masked_prefix_into(3, &[&x], &[&mask], 0.0, &mut b);
         for (qa, qb) in a.iter().zip(&b) {
             prop_assert_eq!(qa.to_bits(), qb.to_bits());
         }
